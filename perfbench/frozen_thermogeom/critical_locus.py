@@ -1,0 +1,567 @@
+"""Degeneracy loci, critical points, and the reduced spinodal machinery.
+
+The degeneracy locus is the curve in state space where the metric
+determinant vanishes (the spinodal, where the isothermal compressibility
+diverges).  Closed forms exist for the constant-heat-capacity family and
+the Berthelot gas; any other model falls back to a bracketed scan in
+entropy at each sampled volume.  Reduced-coordinate curves, the cubic
+volume-root branches, the branchwise coexistence-style curve, and the
+spinodal slope live here too.
+"""
+
+from __future__ import annotations
+
+import cmath
+import enum
+import logging
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .eos_models import (
+    Berthelot,
+    ConstantCv,
+    ConstitutiveModel,
+    StatePoint,
+    VanDerWaals,
+    _det_scale,
+)
+from .errors import DomainError, NoCriticalPoint, NoRoot
+
+log = logging.getLogger(__name__)
+
+# Relative determinant residual a refined locus sample must satisfy.
+LOCUS_DET_TOL = 1e-9
+
+# Temperature window upper margin for the reduced cubics.
+_REDUCED_MARGIN = 1e-9
+
+
+@dataclass(frozen=True)
+class LocusSample:
+    """One point on the degeneracy locus."""
+
+    v: float
+    s: float
+    t: float
+    p: float
+
+
+@dataclass(frozen=True)
+class LocusPolyline:
+    samples: tuple[LocusSample, ...]
+    branch: str
+    note: str = "parameterized by volume"
+
+
+@dataclass(frozen=True)
+class CriticalPoint:
+    """Top of the degeneracy locus, where dT/dV and dp/dV vanish along it.
+
+    ``negative_branch`` carries the sign-flipped (p, T) pair for models
+    whose locus temperature is defined through a square root.
+    """
+
+    v_c: float
+    p_c: float
+    t_c: float
+    negative_branch: tuple[float, float] | None = None
+
+
+@dataclass(frozen=True)
+class ReducedCurvePoint:
+    p_r: float
+    t_r: float
+
+
+class RootKind(enum.Enum):
+    PRESSURE = "pressure"
+    TEMPERATURE = "temperature"
+
+
+@dataclass(frozen=True)
+class VolumeRoots:
+    """Physical volume roots of a reduced cubic, ascending, with the
+    alternative trigonometric branch values and reconciliation notes."""
+
+    values: tuple[float, ...]
+    trig_values: tuple[float | None, float | None, float | None]
+    notes: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class CoexistenceSample:
+    t_r: float
+    volumes: tuple[float, ...]
+    pressures: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class CoexistenceCurve:
+    samples: tuple[CoexistenceSample, ...]
+    note: str = "branches ordered by volume; the last is the large-volume one"
+
+
+# ---------------------------------------------------------------------------
+# root refinement helpers
+
+def _bisect_newton(f, lo, hi, df=None, coarse=1e-6, fine=1e-12, max_newton=40):
+    """Bracketed bisection to ``coarse`` width, then guarded Newton polish.
+
+    ``f(lo)`` and ``f(hi)`` must have opposite signs.  ``df`` defaults to a
+    central finite difference.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise NoRoot(f"no sign change on [{lo}, {hi}]")
+    while hi - lo > coarse * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0.0:
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+    x = 0.5 * (lo + hi)
+    if df is None:
+        def df(y, _f=f):
+            h = 1e-6 * max(1.0, abs(y))
+            return (_f(y + h) - _f(y - h)) / (2.0 * h)
+    for _ in range(max_newton):
+        slope = df(x)
+        if slope == 0.0 or not math.isfinite(slope):
+            break
+        step = f(x) / slope
+        nxt = x - step
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= fine * max(1.0, abs(x)):
+            x = nxt
+            break
+        x = nxt
+    return x
+
+
+def _polish_polynomial_root(coeffs, x0, iterations=8):
+    # Accept Newton steps only while the residual shrinks: near multiple
+    # roots both f and f' sit at rounding noise and an unguarded step can
+    # kick a perfect root away.
+    deriv = np.polyder(coeffs)
+    x = x0
+    fx = np.polyval(coeffs, x)
+    for _ in range(iterations):
+        if fx == 0.0:
+            break
+        dfx = np.polyval(deriv, x)
+        if dfx == 0.0:
+            break
+        nxt = x - fx / dfx
+        fnxt = np.polyval(coeffs, nxt)
+        if abs(fnxt) >= abs(fx):
+            break
+        x, fx = nxt, fnxt
+    return x
+
+
+def _real_roots(coeffs):
+    roots = np.roots(coeffs)
+    out = []
+    for z in roots:
+        if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real)):
+            out.append(_polish_polynomial_root(coeffs, float(z.real)))
+    out.sort()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# degeneracy locus
+
+def _constant_cv_locus_state(model: ConstantCv, v: float):
+    """(s, t, p) of the locus at volume v, or None when the determinant
+    cannot vanish there."""
+    f1, f1p, f1pp, _ = model.f1.eval_derivs(v)
+    f2, f2p, f2pp, _ = model.f2.eval_derivs(v)
+    x_disc = f1 * f1pp - f1p * f1p
+    if x_disc == 0.0:
+        return None
+    e_star = model.cv * f1 * f2pp / x_disc
+    if e_star <= 0.0:
+        return None
+    s = model.cv * math.log(e_star)
+    t = f1 * e_star / model.cv
+    p = -f1p * e_star + model.cv * f2p
+    return s, t, p
+
+
+def _berthelot_locus_state(model: Berthelot, v: float):
+    q = model.params
+    if q.a <= 0.0 or v <= q.b:
+        return None
+    t = ((v - q.b) / v) * math.sqrt(2.0 * q.a / (q.r_gas * v))
+    if t <= 0.0:
+        return None
+    s = model._entropy(t, v)
+    p = q.r_gas * t / (v - q.b) - q.a / (t * v * v)
+    return s, t, p
+
+
+def _scan_window(model) -> tuple[float, float]:
+    scale = 1.0
+    if isinstance(model, ConstantCv):
+        scale = model.cv
+    else:
+        params = getattr(model, "params", None)
+        if params is not None:
+            scale = params.cv0
+    return (-50.0 * scale, 50.0 * scale)
+
+
+def locus_entropy(model: ConstitutiveModel, v: float, *,
+                  s_window: tuple[float, float] | None = None) -> float:
+    """Entropy at which det eta vanishes for the given volume.
+
+    Closed form for the constant-heat-capacity family and Berthelot;
+    otherwise a bracketed scan over ``s_window``.  Raises NoRoot when the
+    determinant keeps one sign.
+    """
+    if isinstance(model, ConstantCv):
+        hit = _constant_cv_locus_state(model, v)
+        if hit is None:
+            raise NoRoot(f"determinant never vanishes at V={v}")
+        return hit[0]
+    if isinstance(model, Berthelot):
+        hit = _berthelot_locus_state(model, v)
+        if hit is None:
+            raise NoRoot(f"determinant never vanishes at V={v}")
+        return hit[0]
+    return _scan_locus_entropy(model, v, s_window or _scan_window(model))
+
+
+def _scan_locus_entropy(model, v, s_window, n_scan=181):
+    def det_at(s):
+        # window ends can leave the representable domain (e.g. an entropy the
+        # temperature inversion cannot reach); report them as gaps
+        try:
+            stack = model.derivative_stack(
+                StatePoint.entropy_volume(s, v), check_singular=False)
+        except DomainError:
+            return math.nan
+        return stack.det
+
+    def det_slope(s):
+        stack = model.derivative_stack(
+            StatePoint.entropy_volume(s, v), check_singular=False)
+        return stack.det_s
+
+    grid = np.linspace(s_window[0], s_window[1], n_scan)
+    values = [det_at(s) for s in grid]
+    for i in range(n_scan - 1):
+        if math.isnan(values[i]) or math.isnan(values[i + 1]):
+            continue
+        if values[i] == 0.0:
+            return float(grid[i])
+        if values[i] * values[i + 1] < 0.0:
+            return _bisect_newton(det_at, float(grid[i]), float(grid[i + 1]),
+                                  df=det_slope)
+    raise NoRoot(
+        f"determinant keeps one sign over S in {s_window} at V={v}")
+
+
+def degeneracy_locus(model: ConstitutiveModel,
+                     v_range: tuple[float, float],
+                     n_samples: int = 64,
+                     *,
+                     method: str = "auto",
+                     s_window: tuple[float, float] | None = None
+                     ) -> LocusPolyline:
+    """Trace det eta = 0 over a volume range, ordered by volume.
+
+    ``method="auto"`` uses closed forms where the model provides them;
+    ``method="scan"`` forces the generic entropy-bracketing path.
+    """
+    vmin, vmax = v_range
+    if not (vmin > 0.0 and vmax > vmin):
+        raise DomainError(f"bad volume range {v_range}")
+    if n_samples < 2:
+        raise DomainError("need at least two samples")
+    b = getattr(getattr(model, "params", None), "b", 0.0)
+    if vmin <= b:
+        raise DomainError(f"volume range must sit above the covolume {b}")
+
+    grid = np.geomspace(vmin, vmax, n_samples)
+    samples = []
+    branch = "principal"
+    if method == "auto" and isinstance(model, Berthelot):
+        branch = "positive-temperature"
+    for v in map(float, grid):
+        if method == "auto" and isinstance(model, ConstantCv):
+            hit = _constant_cv_locus_state(model, v)
+            if hit is None:
+                raise NoRoot(f"determinant never vanishes at V={v}")
+            s, t, p = hit
+        elif method == "auto" and isinstance(model, Berthelot):
+            hit = _berthelot_locus_state(model, v)
+            if hit is None:
+                raise NoRoot(f"determinant never vanishes at V={v}")
+            s, t, p = hit
+        else:
+            s = _scan_locus_entropy(model, v, s_window or _scan_window(model))
+            stack = model.derivative_stack(
+                StatePoint.entropy_volume(s, v), check_singular=False)
+            t, p = stack.t, stack.p
+        samples.append(LocusSample(v=v, s=s, t=t, p=p))
+    return LocusPolyline(samples=tuple(samples), branch=branch)
+
+
+def locus_det_residual(model: ConstitutiveModel, sample: LocusSample) -> float:
+    """Relative metric-determinant residual of a locus sample."""
+    stack = model.derivative_stack(
+        StatePoint.entropy_volume(sample.s, sample.v), check_singular=False)
+    return abs(stack.det) / _det_scale(stack.e11, stack.e12, stack.e22)
+
+
+# ---------------------------------------------------------------------------
+# critical point
+
+def _constant_cv_locus_dtdv(model: ConstantCv, v: float) -> float:
+    f1, f1p, f1pp, f1ppp = model.f1.eval_derivs(v)
+    _, _, f2pp, f2ppp = model.f2.eval_derivs(v)
+    x_disc = f1 * f1pp - f1p * f1p
+    x_slope = f1 * f1ppp - f1p * f1pp
+    num = 2.0 * f1 * f1p * f2pp + f1 * f1 * f2ppp
+    return num / x_disc - f1 * f1 * f2pp * x_slope / (x_disc * x_disc)
+
+
+def _critical_volume_numeric(dtdv, v_window) -> float:
+    def safe(v):
+        try:
+            return dtdv(v)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return math.nan
+
+    lo, hi = v_window
+    grid = np.geomspace(lo, hi, 400)
+    values = [safe(float(v)) for v in grid]
+    if all(val == 0.0 for val in values):
+        raise NoCriticalPoint("degeneracy locus is empty")
+    for i in range(len(grid) - 1):
+        if values[i] > 0.0 and values[i + 1] < 0.0:
+            return _bisect_newton(dtdv, float(grid[i]), float(grid[i + 1]))
+    raise NoCriticalPoint("locus temperature is monotone over the window")
+
+
+def critical_point(model: ConstitutiveModel, *,
+                   method: str = "auto",
+                   v_window: tuple[float, float] | None = None
+                   ) -> CriticalPoint:
+    """Maximize temperature along the degeneracy locus.
+
+    ``method="auto"`` returns the exact closed form for the van der Waals
+    and Berthelot gases; ``method="numeric"`` forces the derivative-root
+    path (used to cross-check the closed forms).
+    """
+    params = getattr(model, "params", None)
+
+    if method == "auto" and isinstance(model, VanDerWaals):
+        a, b, r = params.a, params.b, params.r_gas
+        if a <= 0.0 or b <= 0.0:
+            raise NoCriticalPoint("locus is empty or monotone")
+        return CriticalPoint(v_c=3.0 * b, p_c=a / (27.0 * b * b),
+                             t_c=8.0 * a / (27.0 * b * r))
+    if isinstance(model, Berthelot):
+        a, b, r = params.a, params.b, params.r_gas
+        if a <= 0.0 or b <= 0.0:
+            raise NoCriticalPoint("locus is empty or monotone")
+        if method == "auto":
+            v_c = 3.0 * b
+            t_c = math.sqrt(8.0 * a / (27.0 * r * b))
+            p_c = math.sqrt(a * r / (216.0 * b ** 3))
+        else:
+            def dtdv(v):
+                return math.sqrt(2.0 * a / r) * v ** -2.5 * (3.0 * b - v) / 2.0
+            v_c = _critical_volume_numeric(
+                dtdv, v_window or (1.01 * b, 100.0 * b))
+            _, t_c, p_c = _berthelot_locus_state(model, v_c)
+        return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c,
+                             negative_branch=(-p_c, -t_c))
+
+    if isinstance(model, ConstantCv):
+        if v_window is None:
+            b = getattr(params, "b", 0.0) if params is not None else 0.0
+            v_window = (1.01 * b, 100.0 * b) if b > 0.0 else (1e-2, 1e2)
+        v_c = _critical_volume_numeric(
+            lambda v: _constant_cv_locus_dtdv(model, v), v_window)
+        hit = _constant_cv_locus_state(model, v_c)
+        if hit is None:
+            raise NoCriticalPoint("locus vanishes at the extremum")
+        _, t_c, p_c = hit
+        return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c)
+
+    # generic model: maximize sampled locus temperature
+    if v_window is None:
+        v_window = (1e-2, 1e2)
+    try:
+        line = degeneracy_locus(model, v_window, n_samples=200,
+                                method="scan")
+    except NoRoot as exc:
+        raise NoCriticalPoint("degeneracy locus is empty") from exc
+    temps = [smp.t for smp in line.samples]
+    i = int(np.argmax(temps))
+    if i in (0, len(temps) - 1):
+        raise NoCriticalPoint("locus temperature is monotone over the window")
+    vols = [smp.v for smp in line.samples]
+
+    def slope(v):
+        h = 1e-5 * max(1.0, abs(v))
+        s_hi = locus_entropy(model, v + h)
+        s_lo = locus_entropy(model, v - h)
+        t_hi = model.derivative_stack(
+            StatePoint.entropy_volume(s_hi, v + h), check_singular=False).t
+        t_lo = model.derivative_stack(
+            StatePoint.entropy_volume(s_lo, v - h), check_singular=False).t
+        return (t_hi - t_lo) / (2.0 * h)
+
+    v_c = _bisect_newton(slope, vols[i - 1], vols[i + 1], fine=1e-10)
+    s_c = locus_entropy(model, v_c)
+    stack = model.derivative_stack(
+        StatePoint.entropy_volume(s_c, v_c), check_singular=False)
+    return CriticalPoint(v_c=v_c, p_c=stack.p, t_c=stack.t)
+
+
+# ---------------------------------------------------------------------------
+# reduced curves and cubic roots
+
+def reduced_curves(model_kind: str, v_r: float) -> ReducedCurvePoint:
+    """Reduced spinodal pressure and temperature as functions of v_r.
+
+    ``model_kind`` is "vdw" or "berthelot"; both use v_r > 1/3.  The
+    Berthelot values are the signed square roots, so both equal 1 at
+    v_r = 1.
+    """
+    if v_r <= 1.0 / 3.0:
+        raise DomainError(f"reduced volume must exceed 1/3, got {v_r}")
+    if model_kind == "vdw":
+        p_r = (3.0 * v_r - 2.0) / v_r ** 3
+        t_r = (3.0 * v_r - 1.0) ** 2 / (4.0 * v_r ** 3)
+    elif model_kind == "berthelot":
+        p_r = 2.0 * (3.0 * v_r - 2.0) / (v_r ** 1.5 * (3.0 * v_r - 1.0))
+        t_r = (3.0 * v_r - 1.0) / (2.0 * v_r ** 1.5)
+    else:
+        raise DomainError(f"unknown model kind {model_kind!r}")
+    return ReducedCurvePoint(p_r=p_r, t_r=t_r)
+
+
+def trig_root_forms(kind: RootKind, value: float):
+    """Alternative trigonometric branch expressions, evaluated literally.
+
+    Returns three values (None where the expression is not real) plus
+    evaluation notes.  These are verification targets only; the cubic
+    solver is authoritative.
+    """
+    notes = []
+    if kind is RootKind.PRESSURE:
+        p = value
+        h = math.asin(math.sqrt(p)) / 3.0
+        rt = math.sqrt(p)
+        sign = math.copysign(1.0, p)
+        v1 = (math.sqrt(3.0) * sign * math.cos(h) - math.sin(h)) / rt
+        v2 = -v1
+        v3 = 2.0 * h / rt
+        return (v1, v2, v3), tuple(notes)
+
+    t = value
+    f = 9.0 - 8.0 * t
+    num = (8.0 * t * t - 36.0 * t + 27.0) * cmath.exp(
+        1.5 * cmath.log(complex(-f, 0.0)))
+    den = 8.0 * cmath.exp(1.5 * cmath.log(complex(f, 0.0))) * cmath.sqrt(
+        complex(t ** 3 * (t - 1.0), 0.0))
+    if den == 0:
+        notes.append("branch argument divides by zero at the critical point")
+        return (None, None, None), tuple(notes)
+    arg = num / den
+    if abs(arg.imag) > 1e-9 * (1.0 + abs(arg.real)):
+        notes.append("branch argument is not real; forms skipped")
+        return (None, None, None), tuple(notes)
+    g = math.atan(arg.real)
+    sf = math.sqrt(f)
+    v1 = (math.sqrt(3.0 * f) * math.cos(g / 3.0) / (4.0 * abs(t))
+          + sf * math.sin(g / 3.0) / (4.0 * t) + 3.0 / (4.0 * t))
+    v2 = -v1
+    v3 = 3.0 / (4.0 * t) - sf * math.sin(g / 3.0) / (2.0 * t)
+    return (v1, v2, v3), tuple(notes)
+
+
+def vdw_volume_roots(kind: RootKind, value: float) -> VolumeRoots:
+    """Volume branches of the reduced van der Waals state equations.
+
+    Solves the cubic numerically (authoritative), keeps physical roots
+    v_r > 1/3 ascending with multiplicity, evaluates the trigonometric
+    branch forms alongside, and records any mismatch.
+    """
+    if kind is RootKind.PRESSURE:
+        if not 0.0 < value <= 1.0:
+            raise DomainError(f"reduced pressure must lie in (0, 1], got {value}")
+        coeffs = np.array([value, 0.0, -3.0, 2.0])
+    else:
+        if not 0.0 < value <= 1.0 + _REDUCED_MARGIN:
+            raise DomainError(
+                f"reduced temperature must lie in (0, 1], got {value}")
+        coeffs = np.array([4.0 * value, -9.0, 6.0, -1.0])
+
+    all_roots = _real_roots(coeffs)
+    physical = tuple(v for v in all_roots if v > 1.0 / 3.0)
+
+    trig, notes = trig_root_forms(kind, value)
+    collected = list(notes)
+    for i, tv in enumerate(trig, start=1):
+        if tv is None:
+            continue
+        nearest = min(all_roots, key=lambda r: abs(r - tv))
+        if abs(nearest - tv) > 1e-8 * max(1.0, abs(tv)):
+            collected.append(
+                f"trigonometric branch {i} value {tv:.6g} does not solve "
+                f"the cubic (nearest root {nearest:.6g})")
+    for note in collected:
+        log.debug("%s-form at %g: %s", kind.value, value, note)
+    return VolumeRoots(values=physical, trig_values=trig,
+                       notes=tuple(collected))
+
+
+def coexistence_curve(model_kind: str, t_r_samples) -> CoexistenceCurve:
+    """Branchwise reduced pressure against reduced temperature.
+
+    For each temperature the physical volume branches of the reduced
+    state equation are pushed through the spinodal pressure curve.  All
+    branches meet at (1, 1).
+    """
+    samples = []
+    for t_r in t_r_samples:
+        t_r = float(t_r)
+        if model_kind == "vdw":
+            vols = vdw_volume_roots(RootKind.TEMPERATURE, t_r).values
+        elif model_kind == "berthelot":
+            if not 0.0 < t_r <= 1.0 + _REDUCED_MARGIN:
+                raise DomainError(
+                    f"reduced temperature must lie in (0, 1], got {t_r}")
+            w_roots = _real_roots(np.array([2.0 * t_r, -3.0, 0.0, 1.0]))
+            vols = tuple(w * w for w in w_roots if w > 1.0 / math.sqrt(3.0))
+        else:
+            raise DomainError(f"unknown model kind {model_kind!r}")
+        pressures = tuple(reduced_curves(model_kind, v).p_r for v in vols)
+        samples.append(CoexistenceSample(t_r=t_r, volumes=vols,
+                                         pressures=pressures))
+    return CoexistenceCurve(samples=tuple(samples))
+
+
+def spinodal_slope(v_r: float) -> float:
+    """Slope dp_r/dt_r along the reduced van der Waals spinodal."""
+    den = 3.0 * v_r - 1.0
+    if den == 0.0:
+        raise DomainError("slope is undefined at v_r = 1/3")
+    return 8.0 / den

@@ -1,0 +1,47 @@
+"""Exception types shared across the package."""
+
+
+class ThermogeomError(Exception):
+    """Base class for all package-specific errors."""
+
+
+class DomainError(ThermogeomError):
+    """State or argument outside the admissible domain (V <= b, T <= 0, log of
+    a non-positive number, reduced variable out of range, ...)."""
+
+
+class SingularState(ThermogeomError):
+    """A coefficient denominator vanishes or the metric determinant is below
+    the degeneracy tolerance: the state sits on (or numerically too close to)
+    the degeneracy locus.
+
+    Carries the offending determinant and state when known.
+    """
+
+    def __init__(self, msg, det=None, state=None):
+        super().__init__(msg)
+        self.det = det
+        self.state = state
+
+
+class UnsupportedModel(ThermogeomError):
+    """Operation not defined for this model variant (e.g. the non-interaction
+    measure for a model whose heat capacity is not constant)."""
+
+
+class FrameSingular(ThermogeomError):
+    """The tangent frame of the Hessian map is degenerate (r1 parallel to r2,
+    normal below tolerance)."""
+
+
+class NoRoot(ThermogeomError):
+    """Bracketed root search found no sign change (e.g. the degeneracy locus is
+    empty at the requested volume)."""
+
+
+class NoCriticalPoint(ThermogeomError):
+    """The degeneracy locus is empty or monotone; no interior extremum."""
+
+
+class StepFailure(ThermogeomError):
+    """Adaptive integrator could not meet the local error tolerance."""

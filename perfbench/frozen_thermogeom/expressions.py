@@ -1,0 +1,467 @@
+"""Tiny expression grammar for volume-dependent coefficient functions.
+
+Grammar (used by the CLI and by ConstantCv model construction):
+
+    expr   := term (('+' | '-') term)*
+    term   := factor (('*' | '/') factor)*
+    factor := '-' factor | power
+    power  := atom ('^' factor)?          # right-associative
+    atom   := NUMBER | 'V' | '(' expr ')' | ('exp' | 'ln') '(' expr ')'
+
+The only identifier is the molar volume ``V``.  Parsed expressions are
+differentiated symbolically, so a parsed function supplies exact derivatives
+up to order 3 (the order every model needs).
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from typing import Protocol, runtime_checkable
+
+
+@runtime_checkable
+class SmoothFunction(Protocol):
+    """Anything that can report its value and first three derivatives."""
+
+    def eval_derivs(self, v: float) -> tuple[float, float, float, float]:
+        ...
+
+
+class ExpressionError(ValueError):
+    """Malformed expression text."""
+
+
+# ---------------------------------------------------------------------------
+# AST nodes.  Constructors fold constants so repeated differentiation does not
+# balloon the tree.
+
+
+class _Node:
+    def eval(self, v):
+        raise NotImplementedError
+
+    def diff(self):
+        raise NotImplementedError
+
+
+class _Num(_Node):
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = float(c)
+
+    def eval(self, v):
+        return self.c
+
+    def diff(self):
+        return _Num(0.0)
+
+    def __repr__(self):
+        return repr(self.c)
+
+
+class _Var(_Node):
+    __slots__ = ()
+
+    def eval(self, v):
+        return v
+
+    def diff(self):
+        return _Num(1.0)
+
+    def __repr__(self):
+        return "V"
+
+
+def _is_num(n, value=None):
+    return isinstance(n, _Num) and (value is None or n.c == value)
+
+
+def _add(a, b):
+    if _is_num(a) and _is_num(b):
+        return _Num(a.c + b.c)
+    if _is_num(a, 0.0):
+        return b
+    if _is_num(b, 0.0):
+        return a
+    return _Add(a, b)
+
+
+def _sub(a, b):
+    if _is_num(a) and _is_num(b):
+        return _Num(a.c - b.c)
+    if _is_num(b, 0.0):
+        return a
+    return _Sub(a, b)
+
+
+def _mul(a, b):
+    if _is_num(a) and _is_num(b):
+        return _Num(a.c * b.c)
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return _Num(0.0)
+    if _is_num(a, 1.0):
+        return b
+    if _is_num(b, 1.0):
+        return a
+    return _Mul(a, b)
+
+
+def _div(a, b):
+    if _is_num(a, 0.0):
+        return _Num(0.0)
+    if _is_num(b, 1.0):
+        return a
+    if _is_num(a) and _is_num(b) and b.c != 0.0:
+        return _Num(a.c / b.c)
+    return _Div(a, b)
+
+
+class _Add(_Node):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def eval(self, v):
+        return self.a.eval(v) + self.b.eval(v)
+
+    def diff(self):
+        return _add(self.a.diff(), self.b.diff())
+
+    def __repr__(self):
+        return f"({self.a!r} + {self.b!r})"
+
+
+class _Sub(_Node):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def eval(self, v):
+        return self.a.eval(v) - self.b.eval(v)
+
+    def diff(self):
+        return _sub(self.a.diff(), self.b.diff())
+
+    def __repr__(self):
+        return f"({self.a!r} - {self.b!r})"
+
+
+class _Mul(_Node):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def eval(self, v):
+        return self.a.eval(v) * self.b.eval(v)
+
+    def diff(self):
+        return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
+
+    def __repr__(self):
+        return f"({self.a!r} * {self.b!r})"
+
+
+class _Div(_Node):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def eval(self, v):
+        den = self.b.eval(v)
+        if den == 0.0:
+            raise ZeroDivisionError("expression division by zero")
+        return self.a.eval(v) / den
+
+    def diff(self):
+        num = _sub(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
+        return _div(num, _mul(self.b, self.b))
+
+    def __repr__(self):
+        return f"({self.a!r} / {self.b!r})"
+
+
+class _PowConst(_Node):
+    """base ^ c with a constant exponent."""
+
+    __slots__ = ("a", "c")
+
+    def __init__(self, a, c):
+        self.a, self.c = a, float(c)
+
+    def eval(self, v):
+        return self.a.eval(v) ** self.c
+
+    def diff(self):
+        # d(a^c) = c * a^(c-1) * a'
+        if self.c == 0.0:
+            return _Num(0.0)
+        if self.c == 1.0:
+            return self.a.diff()
+        inner = self.a if self.c == 2.0 else _PowConst(self.a, self.c - 1.0)
+        return _mul(_mul(_Num(self.c), inner), self.a.diff())
+
+    def __repr__(self):
+        return f"({self.a!r} ^ {self.c!r})"
+
+
+class _Exp(_Node):
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    def eval(self, v):
+        return math.exp(self.a.eval(v))
+
+    def diff(self):
+        return _mul(self.a.diff(), _Exp(self.a))
+
+    def __repr__(self):
+        return f"exp({self.a!r})"
+
+
+class _Ln(_Node):
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    def eval(self, v):
+        x = self.a.eval(v)
+        if x <= 0.0:
+            raise ValueError(f"ln of non-positive value {x}")
+        return math.log(x)
+
+    def diff(self):
+        return _div(self.a.diff(), self.a)
+
+    def __repr__(self):
+        return f"ln({self.a!r})"
+
+
+def _pow(a, b):
+    if _is_num(b):
+        if _is_num(a):
+            return _Num(a.c ** b.c)
+        if b.c == 1.0:
+            return a
+        if b.c == 0.0:
+            return _Num(1.0)
+        return _PowConst(a, b.c)
+    # variable exponent: a^b = exp(b * ln a)
+    return _Exp(_mul(b, _Ln(a)))
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer / parser
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+)
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    text = text.rstrip()
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ExpressionError(f"bad character at position {pos}: {text[pos:]!r}")
+        pos = m.end()
+        if m.lastgroup == "num":
+            tokens.append(("num", float(m.group("num"))))
+        elif m.lastgroup == "name":
+            tokens.append(("name", m.group("name")))
+        else:
+            tokens.append(("op", m.group("op")))
+    if text[pos:].strip():
+        raise ExpressionError(f"trailing junk: {text[pos:]!r}")
+    tokens.append(("end", None))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self, kind=None, value=None):
+        tok = self.tokens[self.i]
+        if kind is not None and tok[0] != kind:
+            raise ExpressionError(f"expected {kind}, got {tok}")
+        if value is not None and tok[1] != value:
+            raise ExpressionError(f"expected {value!r}, got {tok}")
+        self.i += 1
+        return tok
+
+    def parse(self):
+        node = self.expr()
+        if self.peek()[0] != "end":
+            raise ExpressionError(f"unexpected token {self.peek()}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+            op = self.take()[1]
+            rhs = self.term()
+            node = _add(node, rhs) if op == "+" else _sub(node, rhs)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
+            op = self.take()[1]
+            rhs = self.factor()
+            node = _mul(node, rhs) if op == "*" else _div(node, rhs)
+        return node
+
+    def factor(self):
+        if self.peek() == ("op", "-"):
+            self.take()
+            return _sub(_Num(0.0), self.factor())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == ("op", "^"):
+            self.take()
+            expo = self.factor()
+            return _pow(base, expo)
+        return base
+
+    def atom(self):
+        kind, value = self.peek()
+        if kind == "num":
+            self.take()
+            return _Num(value)
+        if kind == "name":
+            self.take()
+            if value == "V":
+                return _Var()
+            if value in ("exp", "ln"):
+                self.take("op", "(")
+                inner = self.expr()
+                self.take("op", ")")
+                return _Exp(inner) if value == "exp" else _Ln(inner)
+            raise ExpressionError(f"unknown identifier {value!r} (only V, exp, ln)")
+        if (kind, value) == ("op", "("):
+            self.take()
+            inner = self.expr()
+            self.take("op", ")")
+            return inner
+        raise ExpressionError(f"unexpected token {(kind, value)}")
+
+
+class Expression:
+    """A parsed function of V with exact derivatives to order 3."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self._ast = _Parser(_tokenize(text)).parse()
+        d1 = self._ast.diff()
+        d2 = d1.diff()
+        d3 = d2.diff()
+        self._stack = (self._ast, d1, d2, d3)
+
+    def __call__(self, v: float) -> float:
+        return self._ast.eval(v)
+
+    def eval_derivs(self, v: float) -> tuple[float, float, float, float]:
+        return tuple(node.eval(v) for node in self._stack)
+
+    def __repr__(self):
+        return f"Expression({self.text!r})"
+
+
+def parse_expression(text: str) -> Expression:
+    return Expression(text)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form smooth functions used by the built-in gas models.  These avoid
+# parser round-off surprises and keep model evaluation exact.
+
+
+class ShiftedPower:
+    """coeff * (V - shift) ** exponent."""
+
+    def __init__(self, coeff: float, shift: float, exponent: float):
+        self.coeff = float(coeff)
+        self.shift = float(shift)
+        self.exponent = float(exponent)
+
+    def eval_derivs(self, v):
+        w = v - self.shift
+        p = self.exponent
+        f = self.coeff * w ** p
+        f1 = self.coeff * p * w ** (p - 1.0)
+        f2 = self.coeff * p * (p - 1.0) * w ** (p - 2.0)
+        f3 = self.coeff * p * (p - 1.0) * (p - 2.0) * w ** (p - 3.0)
+        return f, f1, f2, f3
+
+    def __call__(self, v):
+        return self.coeff * (v - self.shift) ** self.exponent
+
+    def __repr__(self):
+        return f"ShiftedPower({self.coeff}, {self.shift}, {self.exponent})"
+
+
+class Affine:
+    """slope * V + intercept (second and third derivatives vanish)."""
+
+    def __init__(self, slope: float, intercept: float):
+        self.slope = float(slope)
+        self.intercept = float(intercept)
+
+    def eval_derivs(self, v):
+        return self.slope * v + self.intercept, self.slope, 0.0, 0.0
+
+    def __call__(self, v):
+        return self.slope * v + self.intercept
+
+
+class ScaledExp:
+    """coeff * exp(rate * V)."""
+
+    def __init__(self, coeff: float, rate: float):
+        self.coeff = float(coeff)
+        self.rate = float(rate)
+
+    def eval_derivs(self, v):
+        f = self.coeff * math.exp(self.rate * v)
+        r = self.rate
+        return f, r * f, r * r * f, r * r * r * f
+
+    def __call__(self, v):
+        return self.coeff * math.exp(self.rate * v)
+
+
+class ZeroFunction:
+    """Identically zero."""
+
+    def eval_derivs(self, v):
+        return 0.0, 0.0, 0.0, 0.0
+
+    def __call__(self, v):
+        return 0.0
+
+
+def as_smooth(obj) -> SmoothFunction:
+    """Coerce a string (expression text) or SmoothFunction into a SmoothFunction."""
+    if isinstance(obj, str):
+        return Expression(obj)
+    if isinstance(obj, SmoothFunction):
+        return obj
+    raise TypeError(f"not a smooth function: {obj!r}")

@@ -1,0 +1,149 @@
+"""The Hessian map into symmetric 2x2 matrices and its surface geometry.
+
+A state maps to its metric entries; with the off-diagonal scaled by sqrt(2)
+the matrix trace pairing becomes the Euclidean dot product, so the image is
+an honest surface in R^3 with tangent frame and normal.  The sign of the
+pairing between a surface point and its normal classifies radial convexity
+and tracks the sign of the scalar curvature.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass
+
+from .eos_models import ConstitutiveModel, GasParameters, StatePoint
+from .errors import FrameSingular
+from .metric_core import MetricTensor2
+
+_SQRT2 = math.sqrt(2.0)
+
+# Radially convex must coincide with positive scalar curvature; with this
+# frame order (r1 = entropy direction) the pairing carries the opposite sign
+# of the curvature, so the calibrated orientation constant is -1.
+ORIENTATION_SIGN = -1.0
+
+TANGENT_BAND = 1e-9
+
+
+class RadialClass(enum.Enum):
+    RADIALLY_CONVEX = "radially_convex"
+    RADIALLY_CONCAVE = "radially_concave"
+    TANGENT = "tangent"
+
+
+@dataclass(frozen=True)
+class HessianPoint:
+    """Image of one state under the Hessian map, with frame and normal."""
+
+    matrix: tuple[float, float, float]          # (e11, e12, e22)
+    euclid: tuple[float, float, float]          # (e11, sqrt2 e12, e22)
+    r1: tuple[float, float, float]              # d(euclid)/dS
+    r2: tuple[float, float, float]              # d(euclid)/dV
+    normal: tuple[float, float, float]          # r1 x r2
+
+
+@dataclass(frozen=True)
+class RadialPairing:
+    pairing: float
+    kind: RadialClass
+
+
+def embed(e11: float, e12: float, e22: float) -> tuple[float, float, float]:
+    """Euclidean coordinates in which the trace pairing is the dot product."""
+    return (e11, _SQRT2 * e12, e22)
+
+
+def trace_pairing(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    """Tr(AB) for symmetric matrices given as (a11, a12, a22)."""
+    return a[0] * b[0] + 2.0 * a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _norm(u):
+    return math.sqrt(_dot(u, u))
+
+
+def hessian_point_from_metric(metric: MetricTensor2) -> HessianPoint:
+    """Build the surface point from a metric-plus-partials stack."""
+    d111, d112, _, d122, _, d222 = metric.d
+    r1 = (d111, _SQRT2 * d112, d122)
+    r2 = (d112, _SQRT2 * d122, d222)
+    normal = _cross(r1, r2)
+    scale = max(1.0, _norm(r1) * _norm(r2))
+    if _norm(normal) < 1e-12 * scale:
+        raise FrameSingular(
+            f"tangent frame is degenerate (|r1 x r2| = {_norm(normal):.3e})")
+    return HessianPoint(
+        matrix=(metric.e11, metric.e12, metric.e22),
+        euclid=embed(metric.e11, metric.e12, metric.e22),
+        r1=r1, r2=r2, normal=normal)
+
+
+def hessian_map(model: ConstitutiveModel, state: StatePoint) -> HessianPoint:
+    from .metric_core import weinhold_metric
+    return hessian_point_from_metric(weinhold_metric(model, state))
+
+
+def radial_pairing(hp: HessianPoint) -> RadialPairing:
+    """Pairing of the surface point with its normal, and the radial class.
+
+    The class follows the calibrated orientation: convex matches positive
+    curvature.  A scale-aware band around zero reports Tangent, the conical
+    (flat) situation.
+    """
+    pairing = _dot(hp.euclid, hp.normal)
+    band = TANGENT_BAND * _norm(hp.euclid) * _norm(hp.normal)
+    if abs(pairing) < band:
+        kind = RadialClass.TANGENT
+    elif ORIENTATION_SIGN * pairing > 0.0:
+        kind = RadialClass.RADIALLY_CONVEX
+    else:
+        kind = RadialClass.RADIALLY_CONCAVE
+    return RadialPairing(pairing=pairing, kind=kind)
+
+
+def cone_residual(metric: MetricTensor2) -> float:
+    """Distance-to-cone quantity: the metric determinant.
+
+    Zero exactly when the state maps onto the cone of singular symmetric
+    matrices, i.e. on the degeneracy locus.
+    """
+    return metric.e11 * metric.e22 - metric.e12 * metric.e12
+
+
+def ideal_conic_residual(metric: MetricTensor2, cp: float, r_gas: float) -> float:
+    """Residual of the conic every ideal-gas image point satisfies."""
+    return r_gas * metric.e11 * metric.e22 - cp * metric.e12 * metric.e12
+
+
+def vdw_surface_residual(metric: MetricTensor2,
+                         params: GasParameters) -> tuple[float, float]:
+    """Residual of the quintic surface equation for the van der Waals image.
+
+    The heat-capacity constant entering the equation is the fixed combination
+    cv0 + r_gas, not the state-dependent isobaric capacity; the surface
+    equation comes from eliminating the state variables at constant cv.
+
+    Returns (raw, relative); relative divides by the magnitude sum of the
+    constituent terms, so it is scale-free.
+    """
+    e11, e12, e22 = metric.e11, metric.e12, metric.e22
+    a, b, r = params.a, params.b, params.r_gas
+    cp = params.cv0 + r
+    term1 = (b * e12 - r * e11) ** 3 * (r * e22 * e11 - cp * e12 * e12)
+    term2 = 2.0 * a * r * e11 * e12 ** 3
+    raw = term1 + term2
+    scale = abs(term1) + abs(term2)
+    rel = raw / scale if scale > 0.0 else 0.0
+    return raw, rel
