@@ -14,20 +14,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .critical_locus import critical_point, degeneracy_locus
+from .critical_locus import (
+    closed_form_critical_point,
+    critical_point,
+    degeneracy_locus,
+)
 from .curvature import (
     curvature_report,
     ruppeiner_direct_curvature,
     ruppeiner_from_weinhold,
 )
 from .eos_models import (
-    Berthelot,
     ConstantCv,
     GasParameters,
     IdealGas,
@@ -69,12 +72,7 @@ from .metric_core import (
 
 _DEFAULTS = {
     "model": "ideal",
-    "a": 0.0,
-    "b": 0.0,
-    "r_gas": 8.314,
-    "cv0": 1.5 * 8.314,
-    "u0": 0.0,
-    "s0": 0.0,
+    **asdict(GasParameters()),
     "chart": "sv",
     "smin": 1.0,
     "smax": 3.0,
@@ -181,11 +179,7 @@ def _effective_config(args) -> dict:
         with open(args.config, "r", encoding="utf-8") as fh:
             eff.update(parse_config_text(fh.read()))
     for key in ("model", "a", "b", "r_gas", "cv0", "chart",
-                "smin", "smax", "vmin", "vmax", "n", "format"):
-        value = getattr(args, key, None)
-        if value is not None:
-            eff[key] = value
-    for key in ("f1", "f2"):
+                "smin", "smax", "vmin", "vmax", "n", "format", "f1", "f2"):
         value = getattr(args, key, None)
         if value is not None:
             eff[key] = value
@@ -213,7 +207,7 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
     vmin, vmax = float(eff["vmin"]), float(eff["vmax"])
     if not (smax > smin and vmax > vmin):
         raise DomainError("ranges must satisfy smin < smax and vmin < vmax")
-    b = getattr(getattr(model, "params", None), "b", 0.0)
+    b = model.covolume
     if vmin <= b:
         clipped = b + 0.05 * (vmax - b)
         if clipped >= vmax:
@@ -260,6 +254,21 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_table(args, meta: dict, columns: list[str], rows: list[list],
+                svg, notes: list[str] | None = None) -> None:
+    """Render a table in the chosen format and write it out.
+
+    ``svg`` draws the picture; it is called only when svg is chosen.
+    """
+    if meta["format"] == "svg":
+        text = svg()
+    elif meta["format"] == "json":
+        text = _render_json(meta, columns, rows, notes)
+    else:
+        text = _render_csv(meta, columns, rows, notes)
+    _emit(text, args.out)
 
 
 def _render_csv(meta: dict, columns: list[str], rows: list[list],
@@ -379,7 +388,7 @@ def cmd_curvature_grid(args, eff, model) -> int:
                 report = curvature_report(model, state)
                 stack = model.derivative_stack(state)
                 sig = eigen_signature(weinhold_metric(model, state),
-                                      model.coefficients(state))
+                                      stack.coefficients)
                 rows.append([x1, x2, stack.det, report.r_tensorial,
                              report.r_closed2d, report.r_elementary,
                              report.r_model_closed, sig.kind.value])
@@ -390,12 +399,8 @@ def cmd_curvature_grid(args, eff, model) -> int:
                              "singular", "singular", "degenerate"])
                 colors.append(_cell_color(None, True))
     meta = _meta(eff)
-    if eff["format"] == "svg":
-        _emit(_render_svg_heatmap(meta, x1s, x2s, colors), args.out)
-    elif eff["format"] == "json":
-        _emit(_render_json(meta, columns, rows), args.out)
-    else:
-        _emit(_render_csv(meta, columns, rows), args.out)
+    _emit_table(args, meta, columns, rows,
+                lambda: _render_svg_heatmap(meta, x1s, x2s, colors))
     return 0
 
 
@@ -407,37 +412,16 @@ def cmd_locus(args, eff, model) -> int:
         line = degeneracy_locus(model, (eff["vmin"], eff["vmax"]),
                                 int(eff["n"]), method=args.method)
     except NoRoot as exc:
-        note = f"empty locus: {exc}"
         print("empty locus", file=sys.stderr)
-        if eff["format"] == "svg":
-            _emit(_render_svg_polyline(meta, [], "v", "p"), args.out)
-        elif eff["format"] == "json":
-            _emit(_render_json(meta, columns, [], notes=[note]), args.out)
-        else:
-            _emit(_render_csv(meta, columns, [], notes=[note]), args.out)
-        return 0
-    rows = [[smp.v, smp.s, smp.t, smp.p] for smp in line.samples]
-    notes = [f"branch: {line.branch}", line.note]
-    if eff["format"] == "svg":
-        pts = [(smp.v, smp.p) for smp in line.samples]
-        _emit(_render_svg_polyline(meta, pts, "v", "p"), args.out)
-    elif eff["format"] == "json":
-        _emit(_render_json(meta, columns, rows, notes=notes), args.out)
+        samples, notes = (), [f"empty locus: {exc}"]
     else:
-        _emit(_render_csv(meta, columns, rows, notes=notes), args.out)
+        samples, notes = line.samples, [f"branch: {line.branch}", line.note]
+    rows = [[smp.v, smp.s, smp.t, smp.p] for smp in samples]
+    _emit_table(args, meta, columns, rows,
+                lambda: _render_svg_polyline(
+                    meta, [(smp.v, smp.p) for smp in samples], "v", "p"),
+                notes)
     return 0
-
-
-def _closed_form_critical(model):
-    params = getattr(model, "params", None)
-    if isinstance(model, VanDerWaals) and params.a > 0 and params.b > 0:
-        return (3.0 * params.b, params.a / (27.0 * params.b ** 2),
-                8.0 * params.a / (27.0 * params.b * params.r_gas))
-    if isinstance(model, Berthelot) and params.a > 0 and params.b > 0:
-        return (3.0 * params.b,
-                math.sqrt(params.a * params.r_gas / (216.0 * params.b ** 3)),
-                math.sqrt(8.0 * params.a / (27.0 * params.r_gas * params.b)))
-    return None
 
 
 def cmd_critical(args, eff, model) -> int:
@@ -446,10 +430,11 @@ def cmd_critical(args, eff, model) -> int:
         raise DomainError("critical does not support svg output")
     try:
         cp = critical_point(model, method=args.method)
+        exact = closed_form_critical_point(model)
     except NoCriticalPoint as exc:
         print(f"no critical point: {exc}")
         return 0
-    closed = _closed_form_critical(model)
+    closed = None if exact is None else (exact.v_c, exact.p_c, exact.t_c)
     lines = [f"V_c = {_fmt(cp.v_c)}",
              f"p_c = {_fmt(cp.p_c)}",
              f"T_c = {_fmt(cp.t_c)}"]
@@ -500,13 +485,9 @@ def cmd_geodesic(args, eff, model) -> int:
         pts.append((gs.s, gs.v))
     meta = _meta(eff)
     meta["termination"] = traj.termination.value
-    notes = [f"termination: {traj.termination.value}"]
-    if eff["format"] == "svg":
-        _emit(_render_svg_polyline(meta, pts, "s", "v"), args.out)
-    elif eff["format"] == "json":
-        _emit(_render_json(meta, columns, rows, notes=notes), args.out)
-    else:
-        _emit(_render_csv(meta, columns, rows, notes=notes), args.out)
+    _emit_table(args, meta, columns, rows,
+                lambda: _render_svg_polyline(meta, pts, "s", "v"),
+                [f"termination: {traj.termination.value}"])
     return 0
 
 
@@ -540,17 +521,13 @@ def cmd_surface(args, eff, model) -> int:
                 rows.append([x1, x2, None, marker, None, None])
                 colors.append(_cell_color(None, True))
     meta = _meta(eff)
-    if eff["format"] == "svg":
-        _emit(_render_svg_heatmap(meta, x1s, x2s, colors), args.out)
-    elif eff["format"] == "json":
-        _emit(_render_json(meta, columns, rows), args.out)
-    else:
-        _emit(_render_csv(meta, columns, rows), args.out)
+    _emit_table(args, meta, columns, rows,
+                lambda: _render_svg_heatmap(meta, x1s, x2s, colors))
     return 0
 
 
 def _verify_checks(model, eff, rng, n_states):
-    b = getattr(getattr(model, "params", None), "b", 0.0)
+    b = model.covolume
     v_lo = max(eff["vmin"], b + 0.1 * max(1.0, b))
     v_hi = max(eff["vmax"], v_lo + 1.0)
     s_lo, s_hi = eff["smin"], eff["smax"]
@@ -588,9 +565,8 @@ def _verify_checks(model, eff, rng, n_states):
         detres = max(detres, abs(rep.residual_kvc), abs(rep.residual_dpdv))
 
         stack = model.derivative_stack(state)
-        ce = christoffel_elementary(model.coefficients(state),
-                                    model.coefficient_partials(state),
-                                    state.volume)
+        ce = christoffel_elementary(stack.coefficients,
+                                    stack.coefficient_partials, state.volume)
         ck = christoffel_from_stack(stack)
         for got, want in ((ce.g111, ck.g111), (ce.g112, ck.g112),
                           (ce.g122, ck.g122), (ce.g211, ck.g211),

@@ -25,7 +25,7 @@ from .eos_models import (
     ConstitutiveModel,
     StatePoint,
     VanDerWaals,
-    _det_scale,
+    degeneracy_scale,
 )
 from .errors import DomainError, NoCriticalPoint, NoRoot
 
@@ -211,14 +211,27 @@ def _berthelot_locus_state(model: Berthelot, v: float):
     return s, t, p
 
 
+def _closed_form_locus_state(model: ConstitutiveModel, v: float):
+    """(s, t, p) of the locus at volume v from the model's closed form, or
+    None for a model without one.  Raises NoRoot when the determinant
+    cannot vanish at v."""
+    if isinstance(model, ConstantCv):
+        hit = _constant_cv_locus_state(model, v)
+    elif isinstance(model, Berthelot):
+        hit = _berthelot_locus_state(model, v)
+    else:
+        return None
+    if hit is None:
+        raise NoRoot(f"determinant never vanishes at V={v}")
+    return hit
+
+
 def _scan_window(model) -> tuple[float, float]:
     scale = 1.0
     if isinstance(model, ConstantCv):
         scale = model.cv
-    else:
-        params = getattr(model, "params", None)
-        if params is not None:
-            scale = params.cv0
+    elif model.params is not None:
+        scale = model.params.cv0
     return (-50.0 * scale, 50.0 * scale)
 
 
@@ -230,15 +243,8 @@ def locus_entropy(model: ConstitutiveModel, v: float, *,
     otherwise a bracketed scan over ``s_window``.  Raises NoRoot when the
     determinant keeps one sign.
     """
-    if isinstance(model, ConstantCv):
-        hit = _constant_cv_locus_state(model, v)
-        if hit is None:
-            raise NoRoot(f"determinant never vanishes at V={v}")
-        return hit[0]
-    if isinstance(model, Berthelot):
-        hit = _berthelot_locus_state(model, v)
-        if hit is None:
-            raise NoRoot(f"determinant never vanishes at V={v}")
+    hit = _closed_form_locus_state(model, v)
+    if hit is not None:
         return hit[0]
     return _scan_locus_entropy(model, v, s_window or _scan_window(model))
 
@@ -290,7 +296,7 @@ def degeneracy_locus(model: ConstitutiveModel,
         raise DomainError(f"bad volume range {v_range}")
     if n_samples < 2:
         raise DomainError("need at least two samples")
-    b = getattr(getattr(model, "params", None), "b", 0.0)
+    b = model.covolume
     if vmin <= b:
         raise DomainError(f"volume range must sit above the covolume {b}")
 
@@ -300,15 +306,8 @@ def degeneracy_locus(model: ConstitutiveModel,
     if method == "auto" and isinstance(model, Berthelot):
         branch = "positive-temperature"
     for v in map(float, grid):
-        if method == "auto" and isinstance(model, ConstantCv):
-            hit = _constant_cv_locus_state(model, v)
-            if hit is None:
-                raise NoRoot(f"determinant never vanishes at V={v}")
-            s, t, p = hit
-        elif method == "auto" and isinstance(model, Berthelot):
-            hit = _berthelot_locus_state(model, v)
-            if hit is None:
-                raise NoRoot(f"determinant never vanishes at V={v}")
+        hit = _closed_form_locus_state(model, v) if method == "auto" else None
+        if hit is not None:
             s, t, p = hit
         else:
             s = _scan_locus_entropy(model, v, s_window or _scan_window(model))
@@ -323,7 +322,7 @@ def locus_det_residual(model: ConstitutiveModel, sample: LocusSample) -> float:
     """Relative metric-determinant residual of a locus sample."""
     stack = model.derivative_stack(
         StatePoint.entropy_volume(sample.s, sample.v), check_singular=False)
-    return abs(stack.det) / _det_scale(stack.e11, stack.e12, stack.e22)
+    return abs(stack.det) / degeneracy_scale(stack.e11, stack.e12, stack.e22)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +355,27 @@ def _critical_volume_numeric(dtdv, v_window) -> float:
     raise NoCriticalPoint("locus temperature is monotone over the window")
 
 
+def closed_form_critical_point(model: ConstitutiveModel) -> CriticalPoint | None:
+    """Exact critical point of the van der Waals and Berthelot gases, or
+    None for a model without a closed form.
+
+    Raises NoCriticalPoint when a or b vanishes: the locus is then empty or
+    monotone.
+    """
+    if not isinstance(model, (VanDerWaals, Berthelot)):
+        return None
+    a, b, r = model.params.a, model.params.b, model.params.r_gas
+    if a <= 0.0 or b <= 0.0:
+        raise NoCriticalPoint("locus is empty or monotone")
+    if isinstance(model, VanDerWaals):
+        return CriticalPoint(v_c=3.0 * b, p_c=a / (27.0 * b * b),
+                             t_c=8.0 * a / (27.0 * b * r))
+    t_c = math.sqrt(8.0 * a / (27.0 * r * b))
+    p_c = math.sqrt(a * r / (216.0 * b ** 3))
+    return CriticalPoint(v_c=3.0 * b, p_c=p_c, t_c=t_c,
+                         negative_branch=(-p_c, -t_c))
+
+
 def critical_point(model: ConstitutiveModel, *,
                    method: str = "auto",
                    v_window: tuple[float, float] | None = None
@@ -366,34 +386,25 @@ def critical_point(model: ConstitutiveModel, *,
     and Berthelot gases; ``method="numeric"`` forces the derivative-root
     path (used to cross-check the closed forms).
     """
-    params = getattr(model, "params", None)
-
-    if method == "auto" and isinstance(model, VanDerWaals):
-        a, b, r = params.a, params.b, params.r_gas
-        if a <= 0.0 or b <= 0.0:
-            raise NoCriticalPoint("locus is empty or monotone")
-        return CriticalPoint(v_c=3.0 * b, p_c=a / (27.0 * b * b),
-                             t_c=8.0 * a / (27.0 * b * r))
+    if method == "auto":
+        closed = closed_form_critical_point(model)
+        if closed is not None:
+            return closed
     if isinstance(model, Berthelot):
-        a, b, r = params.a, params.b, params.r_gas
+        a, b, r = model.params.a, model.params.b, model.params.r_gas
         if a <= 0.0 or b <= 0.0:
             raise NoCriticalPoint("locus is empty or monotone")
-        if method == "auto":
-            v_c = 3.0 * b
-            t_c = math.sqrt(8.0 * a / (27.0 * r * b))
-            p_c = math.sqrt(a * r / (216.0 * b ** 3))
-        else:
-            def dtdv(v):
-                return math.sqrt(2.0 * a / r) * v ** -2.5 * (3.0 * b - v) / 2.0
-            v_c = _critical_volume_numeric(
-                dtdv, v_window or (1.01 * b, 100.0 * b))
-            _, t_c, p_c = _berthelot_locus_state(model, v_c)
+
+        def dtdv(v):
+            return math.sqrt(2.0 * a / r) * v ** -2.5 * (3.0 * b - v) / 2.0
+        v_c = _critical_volume_numeric(dtdv, v_window or (1.01 * b, 100.0 * b))
+        _, t_c, p_c = _berthelot_locus_state(model, v_c)
         return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c,
                              negative_branch=(-p_c, -t_c))
 
     if isinstance(model, ConstantCv):
         if v_window is None:
-            b = getattr(params, "b", 0.0) if params is not None else 0.0
+            b = model.covolume
             v_window = (1.01 * b, 100.0 * b) if b > 0.0 else (1e-2, 1e2)
         v_c = _critical_volume_numeric(
             lambda v: _constant_cv_locus_dtdv(model, v), v_window)

@@ -435,13 +435,8 @@ def curvature_report(model: ConstitutiveModel, state: StatePoint) -> CurvatureRe
     metric = weinhold_metric(model, state)
     r_closed2d = scalar_curvature_closed2d(metric)
     r_tensorial = scalar_curvature_tensorial(HessianMetricField.from_metric(metric))
-    coeffs = Coefficients(t=st.t, p=st.p, cv=st.cv, cp=st.cp,
-                          alpha=st.alpha, k=st.k)
-    partials = CoefficientPartials(
-        dcv_dS=st.dcv_ds, dcv_dV=st.dcv_dv,
-        dalpha_dS=st.dalpha_ds, dalpha_dV=st.dalpha_dv,
-        dk_dS=st.dk_ds, dk_dV=st.dk_dv)
-    r_elementary, breakdown = scalar_curvature_elementary(coeffs, partials, st.v)
+    r_elementary, breakdown = scalar_curvature_elementary(
+        st.coefficients, st.coefficient_partials, st.v)
     r_model = model_closed_form(model, state)
 
     discrepancy = None

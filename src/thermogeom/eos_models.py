@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, SingularState, UnsupportedModel
-from .expressions import Affine, ShiftedPower, SmoothFunction, ZeroFunction, as_smooth
+from .expressions import ShiftedPower, SmoothFunction, ZeroFunction, as_smooth
 
 _EPS = math.ulp(1.0)
 
@@ -158,28 +158,76 @@ class DerivativeStack:
         return (self.c112 * self.e22 + self.e11 * self.c222
                 - 2.0 * self.e12 * self.c122)
 
+    @property
+    def coefficients(self) -> Coefficients:
+        return Coefficients(t=self.t, p=self.p, cv=self.cv, cp=self.cp,
+                            alpha=self.alpha, k=self.k)
 
-def _det_scale(e11, e12, e22):
+    @property
+    def coefficient_partials(self) -> CoefficientPartials:
+        return CoefficientPartials(
+            dcv_dS=self.dcv_ds, dcv_dV=self.dcv_dv,
+            dalpha_dS=self.dalpha_ds, dalpha_dV=self.dalpha_dv,
+            dk_dS=self.dk_ds, dk_dV=self.dk_dv)
+
+
+def degeneracy_scale(e11: float, e12: float, e22: float) -> float:
+    """Size of the Hessian entries that a determinant is compared against."""
     return max(abs(e11 * e22), e12 * e12, 1.0)
 
 
-def _partials_from_stack(v, t, e11, e12, e22, c111, c112, c122, c222):
-    """Coefficient partials from the Hessian stack by exact algebra.
-
-    Uses cv = T/e11, k = e11/(V det), alpha = -e12/(V det) and
-    differentiates through, so no finite differencing is layered on top of
-    an already-noisy stack.
-    """
+def _determinant(state, check_singular, e11, e12, e22) -> float:
+    """Hessian determinant; with ``check_singular`` a state on the
+    degeneracy locus raises SingularState."""
     det = e11 * e22 - e12 * e12
-    det_s = c111 * e22 + e11 * c122 - 2.0 * e12 * c112
-    det_v = c112 * e22 + e11 * c222 - 2.0 * e12 * c122
-    dcv_ds = 1.0 - t * c111 / (e11 * e11)
-    dcv_dv = (e11 * e12 - t * c112) / (e11 * e11)
-    dk_ds = (c111 * det - e11 * det_s) / (v * det * det)
-    dk_dv = (c112 * v * det - e11 * det - e11 * v * det_v) / (v * v * det * det)
-    dalpha_ds = -(c112 * det - e12 * det_s) / (v * det * det)
-    dalpha_dv = (-c122 * v * det + e12 * det + e12 * v * det_v) / (v * v * det * det)
-    return dcv_ds, dcv_dv, dalpha_ds, dalpha_dv, dk_ds, dk_dv
+    if check_singular and abs(det) < 1e-12 * degeneracy_scale(e11, e12, e22):
+        raise SingularState("state lies on the degeneracy locus",
+                            det=det, state=state)
+    return det
+
+
+def _stack_from_hessian(state, check_singular, s, v, u, t, p,
+                        e11, e12, e22, c111, c112, c122, c222,
+                        cv=None) -> DerivativeStack:
+    """Complete a stack from the energy, its first, second and third partials.
+
+    k, alpha and cp, and the partials of cv, alpha and k, follow by exact
+    algebra from cv = T/e11, k = e11/(V det) and alpha = -e12/(V det), so no
+    finite differencing is layered on top of an already-noisy stack.  A
+    given ``cv`` is a constant heat capacity: its partials are reported as
+    exact zeros.  Without one, cv = T/e11.
+    """
+    det = _determinant(state, check_singular, e11, e12, e22)
+    constant_cv = cv is not None
+    if not constant_cv:
+        if e11 == 0.0:
+            raise SingularState("vanishing second entropy derivative",
+                                det=det, state=state)
+        cv = t / e11
+    if det == 0.0:
+        k = alpha = cp = math.nan
+        dcv_ds = dcv_dv = da_s = da_v = dk_s = dk_v = math.nan
+    else:
+        k = e11 / (v * det)
+        alpha = -e12 / (v * det)
+        cp = cv + t * v * alpha * alpha / k
+        det_s = c111 * e22 + e11 * c122 - 2.0 * e12 * c112
+        det_v = c112 * e22 + e11 * c222 - 2.0 * e12 * c122
+        dcv_ds = 1.0 - t * c111 / (e11 * e11)
+        dcv_dv = (e11 * e12 - t * c112) / (e11 * e11)
+        dk_s = (c111 * det - e11 * det_s) / (v * det * det)
+        dk_v = (c112 * v * det - e11 * det - e11 * v * det_v) / (v * v * det * det)
+        da_s = -(c112 * det - e12 * det_s) / (v * det * det)
+        da_v = (-c122 * v * det + e12 * det + e12 * v * det_v) / (v * v * det * det)
+    if constant_cv:
+        dcv_ds = dcv_dv = 0.0
+    return DerivativeStack(
+        s=s, v=v, u=u, t=t, p=p,
+        e11=e11, e12=e12, e22=e22,
+        c111=c111, c112=c112, c122=c122, c222=c222,
+        cv=cv, cp=cp, alpha=alpha, k=k,
+        dcv_ds=dcv_ds, dcv_dv=dcv_dv,
+        dalpha_ds=da_s, dalpha_dv=da_v, dk_ds=dk_s, dk_dv=dk_v)
 
 
 class ConstitutiveModel:
@@ -187,39 +235,23 @@ class ConstitutiveModel:
 
     name = "abstract"
     is_constant_cv = False
+    params: GasParameters | None = None
 
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
         raise NotImplementedError
 
-    # -- conveniences shared by all variants -------------------------------
-
-    def energy(self, state: StatePoint) -> float:
-        return self.derivative_stack(state).u
-
-    def first_derivatives(self, state: StatePoint) -> tuple[float, float]:
-        st = self.derivative_stack(state)
-        return st.t, st.p
+    @property
+    def covolume(self) -> float:
+        """Volume floor of the admissible domain: ``params.b`` for a model
+        with gas parameters, 0 otherwise."""
+        return self.params.b if self.params is not None else 0.0
 
     def coefficients(self, state: StatePoint) -> Coefficients:
-        st = self.derivative_stack(state)
-        return Coefficients(t=st.t, p=st.p, cv=st.cv, cp=st.cp,
-                            alpha=st.alpha, k=st.k)
+        return self.derivative_stack(state).coefficients
 
     def coefficient_partials(self, state: StatePoint) -> CoefficientPartials:
-        st = self.derivative_stack(state)
-        return CoefficientPartials(
-            dcv_dS=st.dcv_ds, dcv_dV=st.dcv_dv,
-            dalpha_dS=st.dalpha_ds, dalpha_dV=st.dalpha_dv,
-            dk_dS=st.dk_ds, dk_dV=st.dk_dv)
-
-    def to_entropy_volume(self, state: StatePoint) -> StatePoint:
-        st = self.derivative_stack(state)
-        return StatePoint.entropy_volume(st.s, st.v)
-
-    def to_temperature_volume(self, state: StatePoint) -> StatePoint:
-        st = self.derivative_stack(state)
-        return StatePoint.temperature_volume(st.t, st.v)
+        return self.derivative_stack(state).coefficient_partials
 
 
 class ConstantCv(ConstitutiveModel):
@@ -244,26 +276,19 @@ class ConstantCv(ConstitutiveModel):
         if v <= 0.0:
             raise DomainError(f"volume must be positive, got {v}")
 
-    def _entropy_from_temperature(self, t, v):
-        f1, _, _, _ = self.f1.eval_derivs(v)
-        if f1 <= 0.0:
-            raise DomainError(f"f1(V) must be positive, got {f1} at V={v}")
-        return self.cv * math.log(self.cv * t / f1)
-
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
         v = state.x2
         self._check_volume(v)
+        cv = self.cv
+        f1, f1p, f1pp, f1ppp = self.f1.eval_derivs(v)
+        if f1 <= 0.0:
+            raise DomainError(f"f1(V) must be positive, got {f1} at V={v}")
         if state.chart is Chart.ENTROPY_VOLUME:
             s = state.x1
         else:
-            s = self._entropy_from_temperature(state.x1, v)
-
-        cv = self.cv
-        f1, f1p, f1pp, f1ppp = self.f1.eval_derivs(v)
+            s = cv * math.log(cv * state.x1 / f1)
         f2, f2p, f2pp, f2ppp = self.f2.eval_derivs(v)
-        if f1 <= 0.0:
-            raise DomainError(f"f1(V) must be positive, got {f1} at V={v}")
         e = math.exp(s / cv)
 
         u = f1 * e - cv * f2 + self.u0
@@ -278,27 +303,9 @@ class ConstantCv(ConstitutiveModel):
         c122 = f1pp * e / cv
         c222 = f1ppp * e - cv * f2ppp
 
-        det = e11 * e22 - e12 * e12
-        if check_singular and abs(det) < 1e-12 * _det_scale(e11, e12, e22):
-            raise SingularState("state lies on the degeneracy locus",
-                                det=det, state=state)
-
-        if det == 0.0:
-            k = alpha = cp = da_s = da_v = dk_s = dk_v = math.nan
-        else:
-            k = e11 / (v * det)
-            alpha = -e12 / (v * det)
-            cp = cv + t * v * alpha * alpha / k
-            _, _, da_s, da_v, dk_s, dk_v = _partials_from_stack(
-                v, t, e11, e12, e22, c111, c112, c122, c222)
-
-        return DerivativeStack(
-            s=s, v=v, u=u, t=t, p=p,
-            e11=e11, e12=e12, e22=e22,
-            c111=c111, c112=c112, c122=c122, c222=c222,
-            cv=cv, cp=cp, alpha=alpha, k=k,
-            dcv_ds=0.0, dcv_dv=0.0,
-            dalpha_ds=da_s, dalpha_dv=da_v, dk_ds=dk_s, dk_dv=dk_v)
+        return _stack_from_hessian(
+            state, check_singular, s, v, u, t, p, e11, e12, e22,
+            c111, c112, c122, c222, cv=cv)
 
 
 class IdealGas(ConstantCv):
@@ -344,13 +351,6 @@ class Berthelot(ConstitutiveModel):
     def __init__(self, params: GasParameters):
         self.params = params
 
-    def _check(self, t, v):
-        if v <= self.params.b:
-            raise DomainError(
-                f"volume must exceed the covolume b={self.params.b}, got {v}")
-        if t <= 0.0:
-            raise DomainError(f"temperature must be positive, got {t}")
-
     def _entropy(self, t, v):
         q = self.params
         return (q.s0 + q.cv0 * math.log(t) + q.r_gas * math.log(v - q.b)
@@ -382,15 +382,15 @@ class Berthelot(ConstitutiveModel):
                          check_singular: bool = True) -> DerivativeStack:
         q = self.params
         v = state.x2
+        if v <= q.b:
+            raise DomainError(
+                f"volume must exceed the covolume b={q.b}, got {v}")
+        # a temperature-volume state carries T > 0 already
         if state.chart is Chart.TEMPERATURE_VOLUME:
             t = state.x1
-            self._check(t, v)
             s = self._entropy(t, v)
         else:
             s = state.x1
-            if v <= q.b:
-                raise DomainError(
-                    f"volume must exceed the covolume b={q.b}, got {v}")
             t = self._temperature_from_entropy(s, v)
 
         a, b, r = q.a, q.b, q.r_gas
@@ -437,11 +437,7 @@ class Berthelot(ConstitutiveModel):
         c122 = d_v(e12_v, e12_t)
         c222 = d_v(e22_v, e22_t)
 
-        det = e11 * e22 - e12 * e12
-        if check_singular and abs(det) < 1e-12 * _det_scale(e11, e12, e22):
-            raise SingularState("state lies on the degeneracy locus",
-                                det=det, state=state)
-
+        det = _determinant(state, check_singular, e11, e12, e22)
         if p_v == 0.0:
             if check_singular:
                 raise SingularState("isothermal compressibility diverges",
@@ -529,55 +525,13 @@ class NumericEnergy(ConstitutiveModel):
         else:
             parts = self.scheme(s, v)
         u, u_s, u_v, e11, e12, e22, c111, c112, c122, c222 = parts
-
-        det = e11 * e22 - e12 * e12
-        if check_singular and abs(det) < 1e-12 * _det_scale(e11, e12, e22):
-            raise SingularState("state lies on the degeneracy locus",
-                                det=det, state=state)
-        t, p = u_s, -u_v
-        if e11 == 0.0:
-            raise SingularState("vanishing second entropy derivative",
-                                det=det, state=state)
-        cv = t / e11
-        if det == 0.0:
-            k = alpha = cp = math.nan
-            dcv_s = dcv_v = da_s = da_v = dk_s = dk_v = math.nan
-        else:
-            k = e11 / (v * det)
-            alpha = -e12 / (v * det)
-            cp = cv + t * v * alpha * alpha / k
-            dcv_s, dcv_v, da_s, da_v, dk_s, dk_v = _partials_from_stack(
-                v, t, e11, e12, e22, c111, c112, c122, c222)
-
-        return DerivativeStack(
-            s=s, v=v, u=u, t=t, p=p,
-            e11=e11, e12=e12, e22=e22,
-            c111=c111, c112=c112, c122=c122, c222=c222,
-            cv=cv, cp=cp, alpha=alpha, k=k,
-            dcv_ds=dcv_s, dcv_dv=dcv_v,
-            dalpha_ds=da_s, dalpha_dv=da_v, dk_ds=dk_s, dk_dv=dk_v)
+        return _stack_from_hessian(
+            state, check_singular, s, v, u, u_s, -u_v, e11, e12, e22,
+            c111, c112, c122, c222)
 
 
 # ---------------------------------------------------------------------------
 # Module-level operations
-
-
-def energy(model: ConstitutiveModel, state: StatePoint) -> float:
-    """Molar internal energy at the state."""
-    return model.energy(state)
-
-
-def first_derivatives(model: ConstitutiveModel, state: StatePoint) -> tuple[float, float]:
-    """(T, p) with T = dU/dS and p = -dU/dV."""
-    return model.first_derivatives(state)
-
-
-def coefficients(model: ConstitutiveModel, state: StatePoint) -> Coefficients:
-    return model.coefficients(state)
-
-
-def coefficient_partials(model: ConstitutiveModel, state: StatePoint) -> CoefficientPartials:
-    return model.coefficient_partials(state)
 
 
 def vdw_entropy(params: GasParameters, u: float, v: float) -> float:

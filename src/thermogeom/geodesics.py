@@ -25,7 +25,7 @@ from .eos_models import (
     ConstitutiveModel,
     DerivativeStack,
     StatePoint,
-    _det_scale,
+    degeneracy_scale,
 )
 from .errors import SingularState, StepFailure, ThermogeomError
 
@@ -168,11 +168,6 @@ class GeodesicTrajectory:
                              s_dot=float(sd), v_dot=float(vd), t=t)
 
 
-def _domain_floor(model: ConstitutiveModel) -> float:
-    params = getattr(model, "params", None)
-    return getattr(params, "b", 0.0) if params is not None else 0.0
-
-
 def integrate_geodesic(model: ConstitutiveModel,
                        init: GeodesicState,
                        t_end: float,
@@ -189,14 +184,20 @@ def integrate_geodesic(model: ConstitutiveModel,
     det_sign = math.copysign(1.0, start_stack.det)
 
     nan4 = [math.nan] * 4
-    floor = _domain_floor(model)
+    floor = model.covolume
+
+    def stack_at(s, v):
+        # trial states may already be inadmissible; None marks those
+        try:
+            return model.derivative_stack(
+                StatePoint.entropy_volume(s, v), check_singular=False)
+        except (ThermogeomError, ValueError, OverflowError):
+            return None
 
     def rhs(_t, y):
         s, v, sd, vd = y
-        try:
-            stack = model.derivative_stack(
-                StatePoint.entropy_volume(s, v), check_singular=False)
-        except (ThermogeomError, ValueError, OverflowError):
+        stack = stack_at(s, v)
+        if stack is None:
             return nan4
         det = stack.det
         if det == 0.0 or not math.isfinite(det):
@@ -213,12 +214,10 @@ def integrate_geodesic(model: ConstitutiveModel,
         # between step endpoints (|det| is large on both sides of the
         # locus).  Trial states may already be inadmissible, hence the
         # crossed-sentinel fallback.
-        try:
-            stack = model.derivative_stack(
-                StatePoint.entropy_volume(y[0], y[1]), check_singular=False)
-        except (ThermogeomError, ValueError, OverflowError):
+        stack = stack_at(y[0], y[1])
+        if stack is None:
             return -1.0
-        scale = _det_scale(stack.e11, stack.e12, stack.e22)
+        scale = degeneracy_scale(stack.e11, stack.e12, stack.e22)
         return det_sign * stack.det / scale - LOCUS_GUARD_BAND
 
     locus_event.terminal = True
@@ -247,15 +246,10 @@ def integrate_geodesic(model: ConstitutiveModel,
             sol.status = 1
             sol.t_events = [np.array([]), np.array([sol.t[-1]])]
         else:
-            near_locus = False
-            try:
-                stack = model.derivative_stack(
-                    StatePoint.entropy_volume(s_last, v_last),
-                    check_singular=False)
-                scale = _det_scale(stack.e11, stack.e12, stack.e22)
-                near_locus = abs(stack.det) / scale <= 10.0 * LOCUS_GUARD_BAND
-            except (ThermogeomError, ValueError, OverflowError):
-                pass
+            stack = stack_at(s_last, v_last)
+            near_locus = stack is not None and (
+                abs(stack.det) / degeneracy_scale(stack.e11, stack.e12, stack.e22)
+                <= 10.0 * LOCUS_GUARD_BAND)
             if near_locus:
                 sol.status = 1
                 sol.t_events = [np.array([sol.t[-1]]), np.array([])]
@@ -276,12 +270,9 @@ def integrate_geodesic(model: ConstitutiveModel,
     for t, col in zip(times, np.transpose(sol.y)):
         s, v, sd, vd = map(float, col)
         states.append(GeodesicState(s=s, v=v, s_dot=sd, v_dot=vd, t=t))
-        try:
-            stack = model.derivative_stack(
-                StatePoint.entropy_volume(s, v), check_singular=False)
-            speeds.append(metric_speed(stack, sd, vd))
-        except (ThermogeomError, ValueError, OverflowError):
-            speeds.append(math.nan)
+        stack = stack_at(s, v)
+        speeds.append(math.nan if stack is None
+                      else metric_speed(stack, sd, vd))
     return GeodesicTrajectory(times=times, states=tuple(states),
                               speeds=tuple(speeds),
                               termination=termination,

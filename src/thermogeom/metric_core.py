@@ -14,15 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos_models import Coefficients, ConstitutiveModel, DerivativeStack, StatePoint
+from .eos_models import (
+    Coefficients,
+    ConstitutiveModel,
+    DerivativeStack,
+    StatePoint,
+    degeneracy_scale,
+)
 from .errors import DomainError, SingularState, UnsupportedModel
 
 # a state counts as degenerate when |det| drops below this times the entry scale
 DEGENERACY_FACTOR = 1e-9
-
-
-def degeneracy_scale(e11: float, e12: float, e22: float) -> float:
-    return max(abs(e11 * e22), e12 * e12, 1.0)
 
 
 def is_degenerate(e11: float, e12: float, e22: float) -> bool:
@@ -44,7 +46,9 @@ class MetricTensor2:
     ``d`` holds (d111, d112, d121, d122, d221, d222) where dijk is the
     derivative of entry (i, j) along coordinate k.  Hessian closure demands
     d112 = d121 and d122 = d221; construction rejects stacks that break
-    this beyond finite-difference noise.
+    this beyond finite-difference noise.  The Weinhold metric passes each
+    pair from one stack entry, while the Ruppeiner chain rule computes the
+    two members of a pair independently, so there the check is a real one.
     """
 
     e11: float
@@ -73,15 +77,6 @@ class MetricTensor2:
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.e11, self.e12], [self.e12, self.e22]])
-
-    def third(self, i: int, j: int, k: int) -> float:
-        """Partial of entry (i, j) along coordinate k, indices in {1, 2}."""
-        d111, d112, d121, d122, d221, d222 = self.d
-        table = {(1, 1, 1): d111, (1, 1, 2): d112,
-                 (1, 2, 1): d121, (2, 1, 1): d121,
-                 (1, 2, 2): d122, (2, 1, 2): d122,
-                 (2, 2, 1): d221, (2, 2, 2): d222}
-        return table[(i, j, k)]
 
 
 class SignatureKind(enum.Enum):
@@ -196,15 +191,6 @@ class _Dual:
 
 def _as_dual(x):
     return x if isinstance(x, _Dual) else _Dual(float(x))
-
-
-def ruppeiner_from_coefficients(coeffs: Coefficients, v: float) -> tuple[float, float, float]:
-    """Entries of Hess S(U, V) in coefficient form."""
-    t, cv, alpha, k, p = coeffs.t, coeffs.cv, coeffs.alpha, coeffs.k, coeffs.p
-    s11 = -1.0 / (cv * t * t)
-    s12 = (t * alpha - k * p) / (k * t * t * cv)
-    s22 = -((t * alpha - k * p) / (t * k)) ** 2 / cv - 1.0 / (v * k * t)
-    return s11, s12, s22
 
 
 def _ruppeiner_stack(st: DerivativeStack):
