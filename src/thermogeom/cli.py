@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -90,7 +91,16 @@ def _fmt(x) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad flags; the contract wants 1."""
+    """argparse exits with code 2 on bad flags; the contract wants 1.
+
+    A negative number in exponent notation ("-1e-05") is a flag value, not
+    an option name.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -639,7 +649,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SingularState, NoRoot, NoCriticalPoint, StepFailure,
-            FrameSingular) as exc:
+            FrameSingular, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

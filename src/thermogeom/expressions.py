@@ -195,7 +195,11 @@ class _PowConst(_Node):
         self.a, self.c = a, float(c)
 
     def eval(self, v):
-        return self.a.eval(v) ** self.c
+        x = self.a.eval(v)
+        # ** would return a complex number here
+        if x < 0.0 and not self.c.is_integer():
+            raise ValueError(f"non-integer power {self.c} of negative value {x}")
+        return x ** self.c
 
     def diff(self):
         # d(a^c) = c * a^(c-1) * a'
@@ -369,10 +373,13 @@ class Expression:
 
     def __init__(self, text: str):
         self.text = text
-        self._ast = _Parser(_tokenize(text)).parse()
-        d1 = self._ast.diff()
-        d2 = d1.diff()
-        d3 = d2.diff()
+        try:
+            self._ast = _Parser(_tokenize(text)).parse()
+            d1 = self._ast.diff()
+            d2 = d1.diff()
+            d3 = d2.diff()
+        except RecursionError:
+            raise ExpressionError("expression is nested too deeply") from None
         self._stack = (self._ast, d1, d2, d3)
 
     def __call__(self, v: float) -> float:
