@@ -59,7 +59,7 @@ from .geodesics import (
     metric_speed,
 )
 from .hessian_surface import (
-    hessian_map,
+    hessian_point_from_metric,
     ideal_conic_residual,
     radial_pairing,
     vdw_surface_residual,
@@ -68,7 +68,7 @@ from .metric_core import (
     determinant_report,
     eigen_signature,
     identity_residuals,
-    weinhold_metric,
+    weinhold_from_stack,
 )
 
 _DEFAULTS = {
@@ -393,13 +393,11 @@ def cmd_curvature_grid(args, eff, model) -> int:
     colors = []
     for x1 in x1s:
         for x2 in x2s:
-            state = _state(eff, x1, x2)
             try:
-                report = curvature_report(model, state)
-                stack = model.derivative_stack(state)
-                sig = eigen_signature(weinhold_metric(model, state),
-                                      stack.coefficients)
-                rows.append([x1, x2, stack.det, report.r_tensorial,
+                report = curvature_report(model, _state(eff, x1, x2))
+                sig = eigen_signature(report.metric,
+                                      report.stack.coefficients)
+                rows.append([x1, x2, report.metric.det, report.r_tensorial,
                              report.r_closed2d, report.r_elementary,
                              report.r_model_closed, sig.kind.value])
                 colors.append(_cell_color(report.r_closed2d, False))
@@ -510,20 +508,18 @@ def cmd_surface(args, eff, model) -> int:
     colors = []
     for x1 in x1s:
         for x2 in x2s:
-            state = _state(eff, x1, x2)
             try:
-                hp = hessian_map(model, state)
-                rp = radial_pairing(hp)
-                metric = weinhold_metric(model, state)
-                det = metric.det
+                stack = model.derivative_stack(_state(eff, x1, x2))
+                metric = weinhold_from_stack(stack)
+                rp = radial_pairing(hessian_point_from_metric(metric))
                 extra = None
                 if isinstance(model, VanDerWaals):
                     extra = vdw_surface_residual(metric, model.params)[1]
                 elif isinstance(model, IdealGas):
-                    coeffs = model.coefficients(state)
-                    extra = ideal_conic_residual(metric, coeffs.cp,
+                    extra = ideal_conic_residual(metric, stack.cp,
                                                  model.params.r_gas)
-                rows.append([x1, x2, rp.pairing, rp.kind.value, det, extra])
+                rows.append([x1, x2, rp.pairing, rp.kind.value, metric.det,
+                             extra])
                 colors.append(_cell_color(-rp.pairing, False))
             except (SingularState, FrameSingular) as exc:
                 marker = ("degenerate" if isinstance(exc, SingularState)
@@ -574,7 +570,7 @@ def _verify_checks(model, eff, rng, n_states):
         rep = determinant_report(model, state)
         detres = max(detres, abs(rep.residual_kvc), abs(rep.residual_dpdv))
 
-        stack = model.derivative_stack(state)
+        stack = report.stack
         ce = christoffel_elementary(stack.coefficients,
                                     stack.coefficient_partials, state.volume)
         ck = christoffel_from_stack(stack)

@@ -30,6 +30,7 @@ from .eos_models import (
     CoefficientPartials,
     ConstantCv,
     ConstitutiveModel,
+    DerivativeStack,
     IdealGas,
     StatePoint,
     VanDerWaals,
@@ -39,7 +40,7 @@ from .metric_core import (
     MetricTensor2,
     is_degenerate,
     ruppeiner_metric,
-    weinhold_metric,
+    weinhold_from_stack,
 )
 
 
@@ -68,11 +69,11 @@ class HessianMetricField:
         dg = np.asarray(self.third, dtype=float)
         if g.shape != (self.n, self.n) or dg.shape != (self.n, self.n, self.n):
             raise ValueError(f"shape mismatch for n={self.n}: {g.shape}, {dg.shape}")
-        scale = max(1.0, float(np.max(np.abs(dg))))
+        scale = max(1.0, float(abs(dg).max()))
         for perm in ((0, 2, 1), (1, 0, 2)):
-            if np.max(np.abs(dg - np.transpose(dg, perm))) > 1e-8 * scale:
+            if abs(dg - dg.transpose(perm)).max() > 1e-8 * scale:
                 raise ValueError("third partials are not fully symmetric")
-        if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+        if abs(g - g.T).max() > 1e-12 * max(1.0, float(abs(g).max())):
             raise ValueError("metric entries are not symmetric")
         object.__setattr__(self, "second", g)
         object.__setattr__(self, "third", dg)
@@ -106,19 +107,23 @@ class ConstantCvCurvature:
 
 @dataclass(frozen=True)
 class CurvatureReport:
+    """Every route's curvature, with the one stack and metric they share."""
+
     r_tensorial: float
     r_closed2d: float
     r_elementary: float
     r_model_closed: float | None
     breakdown: dict
     max_pairwise_residual: float
+    stack: DerivativeStack
+    metric: MetricTensor2
     discrepancy: str | None = None
 
 
 def _inverse(field: HessianMetricField) -> np.ndarray:
     g = field.second
     det = float(np.linalg.det(g))
-    scale = max(1.0, float(np.prod([np.linalg.norm(g[i]) for i in range(field.n)])))
+    scale = max(1.0, float(np.sqrt((g * g).sum(axis=1)).prod()))
     if abs(det) < 1e-12 * scale:
         raise SingularState("metric not invertible", det=det)
     return np.linalg.inv(g)
@@ -126,18 +131,19 @@ def _inverse(field: HessianMetricField) -> np.ndarray:
 
 def christoffel(field: HessianMetricField) -> np.ndarray:
     """Connection coefficients gamma[k, i, j] = (1/2) dg[i, j, m] ginv[k, m]."""
-    n = field.n
-    dg = field.third
-    ginv = _inverse(field)
-    gamma = np.zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for m in range(n):
-                    acc += dg[i, j, m] * ginv[k, m]
-                gamma[k, i, j] = 0.5 * acc
-    return gamma
+    return 0.5 * np.einsum("ijm,km->kij", field.third, _inverse(field))
+
+
+def _riemann_ricci(dg: np.ndarray, ginv: np.ndarray) -> RiemannRicci:
+    # riemann[l, i, j, k] = (1/4) sum over m, s, nn of
+    #   (dg[i, j, m] dg[s, nn, k] - dg[s, nn, j] dg[k, i, m]) ginv[m, nn] ginv[l, s],
+    # contracted through a[i, j, nn] = dg[i, j, m] ginv[m, nn] and
+    # b[l, nn, k] = ginv[l, s] dg[s, nn, k].
+    a = np.einsum("ijm,mn->ijn", dg, ginv)
+    b = np.einsum("ls,snk->lnk", ginv, dg)
+    riem = 0.25 * (np.einsum("ijn,lnk->lijk", a, b)
+                   - np.einsum("kin,lnj->lijk", a, b))
+    return RiemannRicci(riemann=riem, ricci=np.einsum("lilk->ik", riem))
 
 
 def riemann_ricci(field: HessianMetricField) -> RiemannRicci:
@@ -146,36 +152,12 @@ def riemann_ricci(field: HessianMetricField) -> RiemannRicci:
     riemann[l, i, j, k] is antisymmetric in (j, k); ricci[i, k] contracts
     the upper index against the first lower derivative slot.
     """
-    n = field.n
-    dg = field.third
-    ginv = _inverse(field)
-    riem = np.zeros((n, n, n, n))
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = 0.0
-                    for m in range(n):
-                        for s in range(n):
-                            for nn in range(n):
-                                acc += (dg[i, j, m] * dg[s, nn, k]
-                                        - dg[s, nn, j] * dg[k, i, m]) \
-                                    * ginv[m, nn] * ginv[l, s]
-                    riem[l, i, j, k] = 0.25 * acc
-    ricci = np.zeros((n, n))
-    for i in range(n):
-        for k in range(n):
-            acc = 0.0
-            for l in range(n):
-                acc += riem[l, i, l, k]
-            ricci[i, k] = acc
-    return RiemannRicci(riemann=riem, ricci=ricci)
+    return _riemann_ricci(field.third, _inverse(field))
 
 
 def scalar_curvature_tensorial(field: HessianMetricField) -> float:
     ginv = _inverse(field)
-    ricci = riemann_ricci(field).ricci
-    return float(np.sum(ginv * ricci))
+    return float(np.sum(ginv * _riemann_ricci(field.third, ginv).ricci))
 
 
 def scalar_curvature_closed2d(metric: MetricTensor2) -> float:
@@ -232,7 +214,11 @@ def scalar_curvature_constant_cv(model: ConstitutiveModel,
     """
     if not isinstance(model, ConstantCv):
         raise UnsupportedModel("constant-cv curvature forms need a ConstantCv model")
-    st = model.derivative_stack(state)
+    return _constant_cv_curvature(model, model.derivative_stack(state))
+
+
+def _constant_cv_curvature(model: ConstantCv,
+                           st: DerivativeStack) -> ConstantCvCurvature:
     cv, t = st.cv, st.t
 
     f1, f1p, f1pp, _ = model.f1.eval_derivs(st.v)
@@ -240,7 +226,7 @@ def scalar_curvature_constant_cv(model: ConstitutiveModel,
     x_struct = f1 * f1pp - f1p * f1p
     denom = t * x_struct - f1 * f1 * f2pp
     if denom == 0.0:
-        raise SingularState("degenerate metric", det=0.0, state=state)
+        raise SingularState("degenerate metric", det=0.0)
     r_structural = f1 * f1 * f2pp * x_struct / (2.0 * cv * denom * denom)
 
     x = st.dk_ds / st.k
@@ -326,7 +312,7 @@ def ruppeiner_from_weinhold(model: ConstitutiveModel, state: StatePoint,
     R(entropy metric) = T R(energy metric) + T Lap(ln T).
     """
     st = model.derivative_stack(state)
-    r_energy = scalar_curvature_closed2d(weinhold_metric(model, state))
+    r_energy = scalar_curvature_closed2d(weinhold_from_stack(st))
     lap = laplace_beltrami_log_t(model, state, scheme=scheme)
     return st.t * (r_energy + lap)
 
@@ -413,31 +399,38 @@ def berthelot_printed_closed_form(model: Berthelot, t: float, v: float) -> float
 
 def model_closed_form(model: ConstitutiveModel, state: StatePoint) -> float | None:
     """Per-model closed-form curvature, or None when no closed form exists."""
+    return _model_closed_form(model, model.derivative_stack(state))
+
+
+def _model_closed_form(model: ConstitutiveModel,
+                       st: DerivativeStack) -> float | None:
     if isinstance(model, IdealGas):
         return 0.0
     if isinstance(model, VanDerWaals):
-        st = model.derivative_stack(state)
         q = model.params
         a, b, r = q.a, q.b, q.r_gas
         den = st.p * st.v ** 3 - a * st.v + 2.0 * a * b
         return a * r * st.v ** 3 / (st.cv * den * den)
     if isinstance(model, Berthelot):
-        st = model.derivative_stack(state)
         return _berthelot_closed(model, st.t, st.v)
     if isinstance(model, ConstantCv):
-        return scalar_curvature_constant_cv(model, state).r_structural
+        return _constant_cv_curvature(model, st).r_structural
     return None
 
 
 def curvature_report(model: ConstitutiveModel, state: StatePoint) -> CurvatureReport:
-    """Evaluate every applicable curvature route and their agreement."""
+    """Evaluate every applicable curvature route and their agreement.
+
+    The routes share one derivative stack: a Hessian metric's curvature
+    needs only second and third potential derivatives.
+    """
     st = model.derivative_stack(state)
-    metric = weinhold_metric(model, state)
+    metric = weinhold_from_stack(st)
     r_closed2d = scalar_curvature_closed2d(metric)
     r_tensorial = scalar_curvature_tensorial(HessianMetricField.from_metric(metric))
     r_elementary, breakdown = scalar_curvature_elementary(
         st.coefficients, st.coefficient_partials, st.v)
-    r_model = model_closed_form(model, state)
+    r_model = _model_closed_form(model, st)
 
     discrepancy = None
     if isinstance(model, Berthelot):
@@ -457,4 +450,4 @@ def curvature_report(model: ConstitutiveModel, state: StatePoint) -> CurvatureRe
         r_elementary=r_elementary, r_model_closed=r_model,
         breakdown=breakdown,
         max_pairwise_residual=spread / scale,
-        discrepancy=discrepancy)
+        stack=st, metric=metric, discrepancy=discrepancy)

@@ -129,7 +129,11 @@ def weinhold_from_coefficients(coeffs: Coefficients, v: float) -> tuple[float, f
 
 def weinhold_metric(model: ConstitutiveModel, state: StatePoint) -> MetricTensor2:
     """Hessian of U(S, V) with its derivative stack."""
-    st = model.derivative_stack(state)
+    return weinhold_from_stack(model.derivative_stack(state))
+
+
+def weinhold_from_stack(st: DerivativeStack) -> MetricTensor2:
+    """The Weinhold metric of a stack already evaluated."""
     return MetricTensor2(
         e11=st.e11, e12=st.e12, e22=st.e22,
         d=(st.c111, st.c112, st.c112, st.c122, st.c122, st.c222),

@@ -124,7 +124,7 @@ def run_case(name: str) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _numbers_agree(got: str, want: str) -> bool:
@@ -135,9 +135,9 @@ def _numbers_agree(got: str, want: str) -> bool:
 def _line_matches(got: str, want: str) -> bool:
     if got == want:
         return True
-    if _NUMBER.split(got) != _NUMBER.split(want):
+    if NUMBER.split(got) != NUMBER.split(want):
         return False
-    got_nums, want_nums = _NUMBER.findall(got), _NUMBER.findall(want)
+    got_nums, want_nums = NUMBER.findall(got), NUMBER.findall(want)
     return all(_numbers_agree(g, w) for g, w in zip(got_nums, want_nums))
 
 

@@ -8,7 +8,12 @@ It imports thermogeom from this checkout's ``src``, runs every case in
 ``cases.py`` in-process, writes each ``<case>.out`` whose bytes changed,
 deletes recordings that no case names, and lists every file it touched.
 A changed file is marked "within tolerance" when the old recording would
-still have passed the golden test.  Not collected by pytest.
+still have passed the golden test.  For each changed file it also prints
+the largest relative change of a number, and the largest absolute change
+among numbers recorded below ``TINY`` in magnitude (where a relative change
+means nothing, e.g. a curvature of 0), each with its line and column, so a
+rounding-only regeneration can be reviewed at a glance.  Not collected by
+pytest.
 """
 
 from __future__ import annotations
@@ -20,7 +25,52 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 sys.path.insert(0, str(HERE))
 
-from cases import CASES, GOLDEN_DIR, golden_path, mismatches, run_case  # noqa: E402
+from cases import (  # noqa: E402
+    CASES,
+    GOLDEN_DIR,
+    NUMBER,
+    golden_path,
+    mismatches,
+    run_case,
+)
+
+TINY = 1e-12
+
+
+def number_changes(new: str, old: str) -> list[str]:
+    """Largest changes of the numbers between two recordings, with places.
+
+    Lines are compared pairwise; a line whose text outside numbers differs
+    is reported as a text change instead.  Columns count characters of the
+    new line from 1.
+    """
+    rel = tiny = (0.0, None)
+    text_changes = []
+    new_lines, old_lines = new.split("\n"), old.split("\n")
+    for lineno, (got, want) in enumerate(zip(new_lines, old_lines), 1):
+        if got == want:
+            continue
+        if NUMBER.split(got) != NUMBER.split(want):
+            text_changes.append(lineno)
+            continue
+        for match, recorded in zip(NUMBER.finditer(got), NUMBER.findall(want)):
+            x, y = float(match.group()), float(recorded)
+            place = (lineno, match.start() + 1)
+            if abs(y) < TINY:
+                if abs(x - y) > tiny[0]:
+                    tiny = (abs(x - y), place)
+            elif abs(x - y) > rel[0] * max(abs(x), abs(y)):
+                rel = (abs(x - y) / max(abs(x), abs(y)), place)
+    out = [f"largest {kind} change {change:.2g} at line {place[0]} col {place[1]}"
+           for kind, (change, place) in (("relative", rel),
+                                         (f"absolute below {TINY:g}", tiny))
+           if place is not None]
+    if text_changes:
+        out.append(f"text changed on {len(text_changes)} line(s), "
+                   f"first line {text_changes[0]}")
+    if len(new_lines) != len(old_lines):
+        out.append(f"{len(new_lines)} lines vs {len(old_lines)} recorded")
+    return out
 
 
 def main() -> int:
@@ -34,6 +84,7 @@ def main() -> int:
                 continue
             how = ("within tolerance" if not mismatches(text, old)
                    else "outside tolerance")
+            how = "; ".join([how, *number_changes(text, old)])
         else:
             how = "new"
         path.write_text(text, encoding="utf-8")

@@ -10,8 +10,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from thermogeom import Berthelot, ConstantCv
 from thermogeom.cli import main
 from thermogeom.critical_locus import locus_entropy
+
+from golden import cases
 
 VDW_FLAGS = ["--model", "vdw", "--a", "1.5", "--b", "0.2",
              "--r-gas", "2.0", "--cv", "2.5"]
@@ -249,6 +252,44 @@ class TestSurface:
         for row in rows:
             assert float(row["pairing"]) < 0.0
             assert abs(float(row["model_surface_residual"])) < 1e-12
+
+
+class TestOneStackPerCell:
+    """Every route of a grid cell is fed from one derivative stack."""
+
+    N = 4
+    # the golden windows straddle the degeneracy locus, so definite and
+    # indefinite cells both occur
+    MODELS = {
+        "vdw-sv": [*cases.VDW, *cases.VDW_SV],
+        "vdw-tv": [*cases.VDW, *cases.VDW_TV],
+        "custom-sv": [*cases.CUSTOM, *cases.VDW_SV],
+        "custom-tv": [*cases.CUSTOM, *cases.VDW_TV],
+        "berthelot-sv": [*cases.BERTHELOT, *cases.BERTHELOT_SV],
+        "berthelot-tv": [*cases.BERTHELOT, *cases.BERTHELOT_TV],
+        "ideal-sv": cases.IDEAL,
+        "ideal-tv": [*cases.IDEAL, *cases.IDEAL_TV],
+    }
+
+    @pytest.fixture
+    def stack_calls(self, monkeypatch):
+        calls = []
+        for cls in (ConstantCv, Berthelot):
+            def counted(model, state, *, _original=cls.derivative_stack,
+                        **kwargs):
+                calls.append(state)
+                return _original(model, state, **kwargs)
+            monkeypatch.setattr(cls, "derivative_stack", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["curvature-grid", "surface"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_stack_calls_per_grid(self, capsys, stack_calls, command, model):
+        rc, out, _ = run(capsys, [command, *self.MODELS[model],
+                                  "--n", str(self.N)])
+        assert rc == 0
+        assert len(parse_csv(out)[2]) == self.N ** 2
+        assert len(stack_calls) == self.N ** 2
 
 
 class TestVerify:

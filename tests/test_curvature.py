@@ -1,6 +1,8 @@
 """Curvature routes against frozen references and finite-difference geometry."""
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from thermogeom import (
@@ -20,8 +22,10 @@ from thermogeom import (
 from thermogeom.curvature import (
     HessianMetricField,
     berthelot_printed_closed_form,
+    christoffel,
     riemann_ricci,
     scalar_curvature_constant_cv,
+    scalar_curvature_tensorial,
 )
 from thermogeom.expressions import ScaledExp, ShiftedPower, ZeroFunction
 
@@ -254,3 +258,114 @@ class TestLocusBlowUp:
         # |R| ~ d**-2: one decade in closer distance, two decades in magnitude
         ratio = r_values[1e-4] / r_values[1e-3]
         assert ratio == pytest.approx(100.0, rel=0.05)
+
+
+# Reference loops: the index formulas written out one term at a time.  The
+# einsum contractions of the tensorial route must reproduce them.
+
+
+def _christoffel_loops(field):
+    n = field.n
+    dg = field.third
+    ginv = np.linalg.inv(field.second)
+    gamma = np.zeros((n, n, n))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                acc = 0.0
+                for m in range(n):
+                    acc += dg[i, j, m] * ginv[k, m]
+                gamma[k, i, j] = 0.5 * acc
+    return gamma
+
+
+def _riemann_ricci_loops(field):
+    n = field.n
+    dg = field.third
+    ginv = np.linalg.inv(field.second)
+    riem = np.zeros((n, n, n, n))
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    acc = 0.0
+                    for m in range(n):
+                        for s in range(n):
+                            for nn in range(n):
+                                acc += (dg[i, j, m] * dg[s, nn, k]
+                                        - dg[s, nn, j] * dg[k, i, m]) \
+                                    * ginv[m, nn] * ginv[l, s]
+                    riem[l, i, j, k] = 0.25 * acc
+    ricci = np.zeros((n, n))
+    for i in range(n):
+        for k in range(n):
+            acc = 0.0
+            for l in range(n):
+                acc += riem[l, i, l, k]
+            ricci[i, k] = acc
+    return riem, ricci
+
+
+def _random_hessian_field(n, seed):
+    """SPD metric and fully symmetric third partials, both exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    g = a @ a.T + n * np.eye(n)
+    base = rng.normal(size=(n, n, n))
+    dg = np.empty((n, n, n))
+    for idx in itertools.product(range(n), repeat=3):
+        dg[idx] = base[tuple(sorted(idx))]
+    return HessianMetricField(n=n, second=0.5 * (g + g.T), third=dg)
+
+
+def _assert_close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestContractionAgainstLoops:
+    # in 2D the symmetries of the index formula can hide a slipped index,
+    # so the contraction is checked at n = 3 and 4 as well
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_riemann_ricci_scalar(self, n, seed):
+        field = _random_hessian_field(n, seed)
+        riem, ricci = _riemann_ricci_loops(field)
+        rr = riemann_ricci(field)
+        _assert_close(rr.riemann, riem)
+        _assert_close(rr.ricci, ricci)
+        ginv = np.linalg.inv(field.second)
+        want = float(np.sum(ginv * ricci))
+        assert scalar_curvature_tensorial(field) == pytest.approx(want,
+                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_christoffel(self, n, seed):
+        field = _random_hessian_field(n, seed)
+        _assert_close(christoffel(field), _christoffel_loops(field))
+
+
+class TestFieldChecks:
+    def test_rejects_asymmetric_third_partials(self):
+        field = _random_hessian_field(3, 0)
+        dg = field.third.copy()
+        dg[0, 1, 2] += 1e-3
+        with pytest.raises(ValueError, match="fully symmetric"):
+            HessianMetricField(n=3, second=field.second, third=dg)
+
+    def test_rejects_asymmetric_metric(self):
+        field = _random_hessian_field(3, 0)
+        g = field.second.copy()
+        g[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="metric entries"):
+            HessianMetricField(n=3, second=g, third=field.third)
+
+    @pytest.mark.parametrize("route", [christoffel, riemann_ricci,
+                                       scalar_curvature_tensorial])
+    def test_singular_metric_raises(self, route):
+        field = _random_hessian_field(3, 0)
+        g = np.ones((3, 3))
+        with pytest.raises(SingularState, match="not invertible"):
+            route(HessianMetricField(n=3, second=g, third=field.third))
