@@ -3,8 +3,12 @@
 The degeneracy locus is the curve in state space where the metric
 determinant vanishes (the spinodal, where the isothermal compressibility
 diverges).  Closed forms exist for the constant-heat-capacity family and
-the Berthelot gas; any other model falls back to a bracketed scan in
-entropy at each sampled volume.  Reduced-coordinate curves, the cubic
+the Berthelot gas; any other model is traced by continuation with scan
+fallback (natural-parameter continuation in volume, Allgower and Georg,
+*Numerical Continuation Methods*, 1990): each sample is predicted along
+the locus tangent dS/dV = -det_V/det_S and corrected by Newton on det in
+entropy, and an entropy scan finds the first sample and any the corrector
+misses.  Reduced-coordinate curves, the cubic
 volume-root branches, the branchwise coexistence-style curve, and the
 spinodal slope live here too.
 """
@@ -33,6 +37,15 @@ log = logging.getLogger(__name__)
 
 # Relative determinant residual a refined locus sample must satisfy.
 LOCUS_DET_TOL = 1e-9
+
+# The locus corrector stops on a step below _STEP_TOL times max(1, |S|) or
+# when its step stops shrinking, at det's noise floor: rounding for exact
+# stacks, up to about 2e-7 of the degeneracy scale for NumericEnergy's
+# finite differences.  A relative residual above _CORRECTOR_RESIDUAL there
+# is a miss, which the scan redoes.
+_STEP_TOL = 1e-13
+_CORRECTOR_RESIDUAL = 1e-6
+_CORRECTOR_STEPS = 30
 
 # Temperature window upper margin for the reduced cubics.
 _REDUCED_MARGIN = 1e-9
@@ -106,11 +119,13 @@ class CoexistenceCurve:
 # ---------------------------------------------------------------------------
 # root refinement helpers
 
-def _bisect_newton(f, lo, hi, df=None, coarse=1e-6, fine=1e-12, max_newton=40):
-    """Bracketed bisection to ``coarse`` width, then guarded Newton polish.
+def _bisect_newton(f, lo, hi, df=None, coarse=1e-6, fine=1e-12, max_polish=40):
+    """Bracketed bisection to ``coarse`` width, then a polish inside the
+    bracket to ``fine``: guarded Newton with the derivative ``df``, else
+    Illinois false position.  Newton also stops when its step stops
+    shrinking, where a noisy ``f`` has reached its floor.
 
-    ``f(lo)`` and ``f(hi)`` must have opposite signs.  ``df`` defaults to a
-    central finite difference.
+    ``f(lo)`` and ``f(hi)`` must have opposite signs.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -128,23 +143,52 @@ def _bisect_newton(f, lo, hi, df=None, coarse=1e-6, fine=1e-12, max_newton=40):
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-    x = 0.5 * (lo + hi)
     if df is None:
-        def df(y, _f=f):
-            h = 1e-6 * max(1.0, abs(y))
-            return (_f(y + h) - _f(y - h)) / (2.0 * h)
-    for _ in range(max_newton):
+        return _illinois(f, lo, hi, flo, fhi, fine, max_polish)
+    x = 0.5 * (lo + hi)
+    last = math.inf
+    for _ in range(max_polish):
         slope = df(x)
         if slope == 0.0 or not math.isfinite(slope):
             break
-        step = f(x) / slope
-        nxt = x - step
+        nxt = x - f(x) / slope
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= fine * max(1.0, abs(x)):
-            x = nxt
+        step = abs(nxt - x)
+        if not step < last:
             break
         x = nxt
+        if step <= fine * max(1.0, abs(x)):
+            break
+        last = step
+    return x
+
+
+def _illinois(f, lo, hi, flo, fhi, fine, max_steps):
+    """False position on a sign-changing bracket, halving the value kept at
+    an end that survives twice in a row (the Illinois rule), so both ends
+    close in superlinearly."""
+    x = math.nan
+    kept = 0  # -1: lo survived the last step, +1: hi did
+    for _ in range(max_steps):
+        nxt = (lo * fhi - hi * flo) / (fhi - flo)
+        tol = fine * max(1.0, abs(nxt))
+        if abs(nxt - x) <= tol or hi - lo <= tol:
+            return nxt
+        x = nxt
+        fx = f(x)
+        if fx == 0.0:
+            break
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
+        else:
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
     return x
 
 
@@ -279,6 +323,82 @@ def _scan_locus_entropy(model, v, s_window, n_scan=181):
         f"determinant keeps one sign over S in {s_window} at V={v}")
 
 
+def _correct_locus(model, v, s, s_window):
+    """Newton on det in S at fixed volume v from the guess s.
+
+    Returns the stack on the locus, or None when the corrector fails: a
+    DomainError, det_S zero or not finite, S outside ``s_window``, no
+    convergence, or a residual that is not small at the noise floor.
+    """
+    lo, hi = s_window
+    last = math.inf
+    done = False
+    for _ in range(_CORRECTOR_STEPS):
+        try:
+            stack = model.derivative_stack(
+                StatePoint.entropy_volume(s, v), check_singular=False)
+        except DomainError:
+            return None
+        if done:
+            break
+        det_s = stack.det_s
+        if det_s == 0.0 or not math.isfinite(det_s):
+            return None
+        step = stack.det / det_s
+        if not abs(step) < last:
+            break  # noise floor: keep the stack at s
+        s -= step
+        if not lo <= s <= hi:
+            return None
+        done = abs(step) <= _STEP_TOL * max(1.0, abs(s))
+        last = abs(step)
+    else:
+        return None
+    scale = degeneracy_scale(stack.e11, stack.e12, stack.e22)
+    if not abs(stack.det) <= _CORRECTOR_RESIDUAL * scale:
+        return None
+    return stack
+
+
+def _locus_stack(model, v, s_window, near=None):
+    """Stack on the locus at volume v: the corrector started from the
+    tangent prediction off the locus stack ``near``, or the scan when there
+    is no ``near`` or the corrector fails."""
+    if near is not None:
+        s = near.s
+        if near.det_s != 0.0:
+            slope = -near.det_v / near.det_s  # dS/dV along det = 0
+            if math.isfinite(slope):
+                s += slope * (v - near.v)
+        stack = _correct_locus(model, v, s, s_window)
+        if stack is not None:
+            return stack
+    s = _scan_locus_entropy(model, v, s_window)
+    return model.derivative_stack(
+        StatePoint.entropy_volume(s, v), check_singular=False)
+
+
+def _trace_locus(model, volumes, s_window) -> list:
+    """Locus stacks at ascending volumes, each predicted from the last."""
+    stacks = []
+    for v in volumes:
+        stacks.append(_locus_stack(model, v, s_window,
+                                   stacks[-1] if stacks else None))
+    return stacks
+
+
+def _locus_volumes(model, v_range, n_samples) -> list[float]:
+    vmin, vmax = v_range
+    if not (vmin > 0.0 and vmax > vmin):
+        raise DomainError(f"bad volume range {v_range}")
+    if n_samples < 2:
+        raise DomainError("need at least two samples")
+    b = model.covolume
+    if vmin <= b:
+        raise DomainError(f"volume range must sit above the covolume {b}")
+    return [float(v) for v in np.geomspace(vmin, vmax, n_samples)]
+
+
 def degeneracy_locus(model: ConstitutiveModel,
                      v_range: tuple[float, float],
                      n_samples: int = 64,
@@ -289,32 +409,23 @@ def degeneracy_locus(model: ConstitutiveModel,
     """Trace det eta = 0 over a volume range, ordered by volume.
 
     ``method="auto"`` uses closed forms where the model provides them;
-    ``method="scan"`` forces the generic entropy-bracketing path.
+    ``method="scan"`` forces the generic path, continuation with scan
+    fallback: each sample is corrected from the tangent prediction off the
+    one before, and an entropy scan over ``s_window`` finds the first
+    sample and any the corrector misses.  The continuation follows the
+    branch the first sample lies on.
     """
-    vmin, vmax = v_range
-    if not (vmin > 0.0 and vmax > vmin):
-        raise DomainError(f"bad volume range {v_range}")
-    if n_samples < 2:
-        raise DomainError("need at least two samples")
-    b = model.covolume
-    if vmin <= b:
-        raise DomainError(f"volume range must sit above the covolume {b}")
-
-    grid = np.geomspace(vmin, vmax, n_samples)
-    samples = []
+    volumes = _locus_volumes(model, v_range, n_samples)
+    if method == "auto" and isinstance(model, (ConstantCv, Berthelot)):
+        samples = [LocusSample(v, *_closed_form_locus_state(model, v))
+                   for v in volumes]
+    else:
+        samples = [LocusSample(v=st.v, s=st.s, t=st.t, p=st.p)
+                   for st in _trace_locus(model, volumes,
+                                          s_window or _scan_window(model))]
     branch = "principal"
     if method == "auto" and isinstance(model, Berthelot):
         branch = "positive-temperature"
-    for v in map(float, grid):
-        hit = _closed_form_locus_state(model, v) if method == "auto" else None
-        if hit is not None:
-            s, t, p = hit
-        else:
-            s = _scan_locus_entropy(model, v, s_window or _scan_window(model))
-            stack = model.derivative_stack(
-                StatePoint.entropy_volume(s, v), check_singular=False)
-            t, p = stack.t, stack.p
-        samples.append(LocusSample(v=v, s=s, t=t, p=p))
     return LocusPolyline(samples=tuple(samples), branch=branch)
 
 
@@ -337,7 +448,7 @@ def _constant_cv_locus_dtdv(model: ConstantCv, v: float) -> float:
     return num / x_disc - f1 * f1 * f2pp * x_slope / (x_disc * x_disc)
 
 
-def _critical_volume_numeric(dtdv, v_window) -> float:
+def _critical_volume_numeric(dtdv, v_window, d2tdv2=None) -> float:
     def safe(v):
         try:
             return dtdv(v)
@@ -351,7 +462,8 @@ def _critical_volume_numeric(dtdv, v_window) -> float:
         raise NoCriticalPoint("degeneracy locus is empty")
     for i in range(len(grid) - 1):
         if values[i] > 0.0 and values[i + 1] < 0.0:
-            return _bisect_newton(dtdv, float(grid[i]), float(grid[i + 1]))
+            return _bisect_newton(dtdv, float(grid[i]), float(grid[i + 1]),
+                                  df=d2tdv2)
     raise NoCriticalPoint("locus temperature is monotone over the window")
 
 
@@ -384,7 +496,9 @@ def critical_point(model: ConstitutiveModel, *,
 
     ``method="auto"`` returns the exact closed form for the van der Waals
     and Berthelot gases; ``method="numeric"`` forces the derivative-root
-    path (used to cross-check the closed forms).
+    path (used to cross-check the closed forms).  A model without a
+    closed-form locus traces it over ``v_window`` by continuation and
+    solves dT/dV = e11 dS/dV + e12 = 0 along it from the stack partials.
     """
     if method == "auto":
         closed = closed_form_critical_point(model)
@@ -395,9 +509,15 @@ def critical_point(model: ConstitutiveModel, *,
         if a <= 0.0 or b <= 0.0:
             raise NoCriticalPoint("locus is empty or monotone")
 
+        k = math.sqrt(2.0 * a / r)
+
         def dtdv(v):
-            return math.sqrt(2.0 * a / r) * v ** -2.5 * (3.0 * b - v) / 2.0
-        v_c = _critical_volume_numeric(dtdv, v_window or (1.01 * b, 100.0 * b))
+            return k * v ** -2.5 * (3.0 * b - v) / 2.0
+
+        def d2tdv2(v):
+            return 0.75 * k * v ** -3.5 * (v - 5.0 * b)
+        v_c = _critical_volume_numeric(dtdv, v_window or (1.01 * b, 100.0 * b),
+                                       d2tdv2)
         _, t_c, p_c = _berthelot_locus_state(model, v_c)
         return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c,
                              negative_branch=(-p_c, -t_c))
@@ -414,34 +534,31 @@ def critical_point(model: ConstitutiveModel, *,
         _, t_c, p_c = hit
         return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c)
 
-    # generic model: maximize sampled locus temperature
+    # generic model: trace the locus, bracket the hottest sample, and solve
+    # dT/dV = e11 dS/dV + e12 = 0 along the locus there
     if v_window is None:
         v_window = (1e-2, 1e2)
+    s_window = _scan_window(model)
     try:
-        line = degeneracy_locus(model, v_window, n_samples=200,
-                                method="scan")
+        trace = _trace_locus(model, _locus_volumes(model, v_window, 200),
+                             s_window)
     except NoRoot as exc:
         raise NoCriticalPoint("degeneracy locus is empty") from exc
-    temps = [smp.t for smp in line.samples]
-    i = int(np.argmax(temps))
-    if i in (0, len(temps) - 1):
+    i = int(np.argmax([st.t for st in trace]))
+    if i in (0, len(trace) - 1):
         raise NoCriticalPoint("locus temperature is monotone over the window")
-    vols = [smp.v for smp in line.samples]
+    near = trace[i - 1:i + 2]
 
-    def slope(v):
-        h = 1e-5 * max(1.0, abs(v))
-        s_hi = locus_entropy(model, v + h)
-        s_lo = locus_entropy(model, v - h)
-        t_hi = model.derivative_stack(
-            StatePoint.entropy_volume(s_hi, v + h), check_singular=False).t
-        t_lo = model.derivative_stack(
-            StatePoint.entropy_volume(s_lo, v - h), check_singular=False).t
-        return (t_hi - t_lo) / (2.0 * h)
+    def locus_stack(v):
+        start = min(near, key=lambda st: abs(st.v - v))
+        return _locus_stack(model, v, s_window, start)
 
-    v_c = _bisect_newton(slope, vols[i - 1], vols[i + 1], fine=1e-10)
-    s_c = locus_entropy(model, v_c)
-    stack = model.derivative_stack(
-        StatePoint.entropy_volume(s_c, v_c), check_singular=False)
+    def dtdv(v):
+        stack = locus_stack(v)
+        return stack.e12 - stack.e11 * stack.det_v / stack.det_s
+
+    v_c = _bisect_newton(dtdv, near[0].v, near[2].v)
+    stack = locus_stack(v_c)
     return CriticalPoint(v_c=v_c, p_c=stack.p, t_c=stack.t)
 
 

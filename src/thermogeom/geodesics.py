@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .eos_models import (
     Coefficients,
@@ -179,6 +178,10 @@ def integrate_geodesic(model: ConstitutiveModel,
     terminal events stop the run on domain exit or when the metric
     determinant falls under the locus guard band.
     """
+    # scipy.integrate is most of the package's import time and nothing
+    # else needs it, so it loads on the first geodesic
+    from scipy.integrate import solve_ivp
+
     start = StatePoint.entropy_volume(init.s, init.v)
     start_stack = model.derivative_stack(start)  # validates admissibility
     det_sign = math.copysign(1.0, start_stack.det)

@@ -6,10 +6,15 @@ exercised exactly as a shell user would see them.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import thermogeom
 from thermogeom import Berthelot, ConstantCv
 from thermogeom.cli import main
 from thermogeom.critical_locus import locus_entropy
@@ -363,3 +368,16 @@ class TestJsonFormat:
         root = ET.fromstring(out)
         assert root.tag.endswith("svg")
         assert len(list(root)) > 16
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is most of the import time and only geodesic needs it
+    src = str(Path(thermogeom.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, thermogeom.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

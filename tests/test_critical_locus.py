@@ -1,16 +1,21 @@
 """Degeneracy locus, critical points, reduced curves, cubic root machinery."""
 import math
+import random
 
 import numpy as np
 import pytest
 
 from thermogeom import (
+    Berthelot,
     Chart,
+    ConstantCv,
     DomainError,
     NoCriticalPoint,
     NoRoot,
+    NumericEnergy,
     RootKind,
     StatePoint,
+    VanDerWaals,
     coexistence_curve,
     critical_point,
     degeneracy_locus,
@@ -18,7 +23,13 @@ from thermogeom import (
     spinodal_slope,
     vdw_volume_roots,
 )
-from thermogeom.critical_locus import locus_det_residual, locus_entropy
+from thermogeom.critical_locus import (
+    _bisect_newton,
+    _scan_locus_entropy,
+    _scan_window,
+    locus_det_residual,
+    locus_entropy,
+)
 from thermogeom.metric_core import degeneracy_scale
 
 from conftest import PARAMS
@@ -26,6 +37,33 @@ from conftest import PARAMS
 
 def sv(s, v):
     return StatePoint(Chart.ENTROPY_VOLUME, s, v)
+
+
+def custom_vdw():
+    """The van der Waals gas of PARAMS written as a custom model."""
+    return ConstantCv("(V-0.2)^-0.8", "0.6/V", cv=2.5)
+
+
+def vdw_energy(s, v):
+    """U(S, V) of the van der Waals gas of PARAMS, for NumericEnergy."""
+    a, b, r, cv = PARAMS.a, PARAMS.b, PARAMS.r_gas, PARAMS.cv0
+    if v <= b:
+        raise DomainError(f"volume {v} is below the covolume {b}")
+    return (v - b) ** (-r / cv) * math.exp(s / cv) - a / v
+
+
+def vdw_partials(s, v):
+    """The ten exact partials of ``vdw_energy``, a NumericEnergy scheme."""
+    a, b, r, cv = PARAMS.a, PARAMS.b, PARAMS.r_gas, PARAMS.cv0
+    if v <= b:
+        raise DomainError(f"volume {v} is below the covolume {b}")
+    n, w, e = -r / cv, v - b, math.exp(s / cv)
+    f, f1 = w ** n * e, n * w ** (n - 1) * e
+    f2 = n * (n - 1) * w ** (n - 2) * e
+    f3 = n * (n - 1) * (n - 2) * w ** (n - 3) * e
+    return (f - a / v, f / cv, f1 + a / v ** 2,
+            f / cv ** 2, f1 / cv, f2 - 2.0 * a / v ** 3,
+            f / cv ** 3, f1 / cv ** 2, f2 / cv, f3 + 6.0 * a / v ** 4)
 
 
 class TestDegeneracyLocus:
@@ -73,6 +111,97 @@ class TestDegeneracyLocus:
     def test_polyline_parameterization_note(self, vdw_model):
         poly = degeneracy_locus(vdw_model, (0.8, 2.0), n_samples=4)
         assert "volume" in poly.note
+
+
+# models with a closed-form locus and critical point
+MODELS = {"vdw": lambda: VanDerWaals(PARAMS), "custom": custom_vdw,
+          "berthelot": lambda: Berthelot(PARAMS)}
+
+
+class TestLocusContinuation:
+    """``method="scan"``: continuation in V with scan fallback."""
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_closed_form_at_every_sample(self, name):
+        model = MODELS[name]()
+        exact = degeneracy_locus(model, (0.5, 4.0), n_samples=24)
+        traced = degeneracy_locus(model, (0.5, 4.0), n_samples=24,
+                                  method="scan")
+        for want, got in zip(exact.samples, traced.samples):
+            assert got.v == want.v
+            for field in ("s", "t", "p"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-12), (field, got.v)
+
+    def test_ideal_gas_has_empty_locus(self, ideal_model):
+        with pytest.raises(NoRoot):
+            degeneracy_locus(ideal_model, (0.5, 4.0), method="scan")
+
+    def test_corrector_failure_falls_back_to_scan(self):
+        class MissesEachNewVolume(VanDerWaals):
+            # the first stack at each volume is the corrector's predicted S
+            def __init__(self, params):
+                super().__init__(params)
+                self.seen = set()
+
+            def derivative_stack(self, state, **kwargs):
+                if state.x2 not in self.seen:
+                    self.seen.add(state.x2)
+                    raise DomainError("first probe at this volume")
+                return super().derivative_stack(state, **kwargs)
+
+        model = MissesEachNewVolume(PARAMS)
+        line = degeneracy_locus(model, (0.5, 4.0), n_samples=12,
+                                method="scan")
+        plain = VanDerWaals(PARAMS)
+        window = _scan_window(plain)
+        for smp in line.samples:
+            assert smp.s == _scan_locus_entropy(plain, smp.v, window)
+            assert abs(locus_det_residual(plain, smp)) < 1e-12
+        assert len(model.seen) == 12
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_stack_calls(self, monkeypatch, name, n):
+        # one scan (181 probes plus its refinement) for the first volume,
+        # then a few corrector steps per sample
+        calls = []
+        for cls in (ConstantCv, Berthelot):
+            def counted(model, state, *, _original=cls.derivative_stack,
+                        **kwargs):
+                calls.append(state)
+                return _original(model, state, **kwargs)
+            monkeypatch.setattr(cls, "derivative_stack", counted)
+        line = degeneracy_locus(MODELS[name](), (0.5, 4.0), n_samples=n,
+                                method="scan")
+        assert len(line.samples) == n
+        assert len(calls) <= 181 + 30 + 6 * n
+
+
+class TestBracketedRoot:
+    def test_secant_polish_without_derivative(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x ** 3 - 2.0
+        root = _bisect_newton(f, 1.0, 2.0)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+        assert len(calls) < 40
+
+    def test_newton_stops_at_noise_floor(self):
+        slopes = []
+
+        def f(x):
+            # deterministic noise of 1e-9, like a finite-difference floor
+            return x - 1.0 / 3.0 + random.Random(x).uniform(-1e-9, 1e-9)
+
+        def df(x):
+            slopes.append(x)
+            return 1.0
+        assert _bisect_newton(f, 0.0, 1.0, df=df) == pytest.approx(
+            1.0 / 3.0, abs=1e-8)
+        assert len(slopes) < 10
 
 
 class TestCriticalPoints:
@@ -125,6 +254,38 @@ class TestCriticalPoints:
     def test_ideal_gas_has_no_critical_point(self, ideal_model):
         with pytest.raises(NoCriticalPoint):
             critical_point(ideal_model)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_numeric_path_matches_closed_form_to_1e_12(self, name):
+        # dT/dV of the closed-form locus is polished by Illinois steps
+        # (vdW, custom) or by Newton on its exact derivative (Berthelot)
+        model = MODELS[name]()
+        exact = critical_point(
+            Berthelot(PARAMS) if name == "berthelot" else VanDerWaals(PARAMS))
+        numeric = critical_point(model, method="numeric")
+        for field in ("v_c", "t_c", "p_c"):
+            assert getattr(numeric, field) == pytest.approx(
+                getattr(exact, field), rel=1e-12), field
+
+    def test_generic_path_with_exact_partials(self, params):
+        # the generic path solves dT/dV = 0 along the traced locus; with
+        # exact partials nothing but rounding limits it
+        a, b, r = params.a, params.b, params.r_gas
+        model = NumericEnergy(vdw_energy, scheme=vdw_partials)
+        cp = critical_point(model, v_window=(1.5 * b, 15.0 * b))
+        assert cp.v_c == pytest.approx(3.0 * b, rel=1e-12)
+        assert cp.t_c == pytest.approx(8.0 * a / (27.0 * b * r), rel=1e-12)
+        assert cp.p_c == pytest.approx(a / (27.0 * b * b), rel=1e-12)
+
+    def test_generic_path_with_finite_differences(self, params):
+        # finite-difference stacks carry about 1e-8 noise; the critical
+        # volume sits at a flat maximum, so it is known to about the
+        # square root of the temperature error
+        a, b, r = params.a, params.b, params.r_gas
+        cp = critical_point(NumericEnergy(vdw_energy),
+                            v_window=(1.5 * b, 15.0 * b))
+        assert cp.v_c == pytest.approx(3.0 * b, rel=3.2e-3)
+        assert cp.t_c == pytest.approx(8.0 * a / (27.0 * b * r), rel=1e-5)
 
 
 class TestReducedCurves:
