@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -108,6 +109,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # parsing leaves no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="thermogeom",
@@ -477,20 +479,19 @@ def cmd_geodesic(args, eff, model) -> int:
     init = GeodesicState(s=args.start_s, v=args.start_v,
                          s_dot=args.start_sdot, v_dot=args.start_vdot)
     traj = integrate_geodesic(model, init, args.t_end, tol=args.tol)
-    t_lo, t_hi = traj.times[0], traj.times[-1]
     columns = ["t", "s", "v", "s_dot", "v_dot", "speed"]
     rows = []
     pts = []
-    for t in np.linspace(t_lo, t_hi, args.samples):
-        gs = traj.at(float(t))
+    ts = np.linspace(traj.times[0], traj.times[-1], args.samples)
+    for t, (s, v, sd, vd) in zip(ts.tolist(), traj.interpolant(ts).T.tolist()):
         try:
             stack = model.derivative_stack(
-                StatePoint.entropy_volume(gs.s, gs.v), check_singular=False)
-            speed = metric_speed(stack, gs.s_dot, gs.v_dot)
+                StatePoint.entropy_volume(s, v), check_singular=False)
+            speed = metric_speed(stack, sd, vd)
         except ThermogeomError:
             speed = None
-        rows.append([gs.t, gs.s, gs.v, gs.s_dot, gs.v_dot, speed])
-        pts.append((gs.s, gs.v))
+        rows.append([t, s, v, sd, vd, speed])
+        pts.append((s, v))
     meta = _meta(eff)
     meta["termination"] = traj.termination.value
     _emit_table(args, meta, columns, rows,

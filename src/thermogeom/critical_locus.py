@@ -311,6 +311,8 @@ def _scan_locus_entropy(model, v, s_window, n_scan=181):
 
     grid = np.linspace(s_window[0], s_window[1], n_scan)
     values = [det_at(s) for s in grid]
+    if all(math.isnan(val) for val in values):
+        raise DomainError(f"no admissible state over S in {s_window} at V={v}")
     for i in range(n_scan - 1):
         if math.isnan(values[i]) or math.isnan(values[i + 1]):
             continue
@@ -378,12 +380,17 @@ def _locus_stack(model, v, s_window, near=None):
         StatePoint.entropy_volume(s, v), check_singular=False)
 
 
-def _trace_locus(model, volumes, s_window) -> list:
-    """Locus stacks at ascending volumes, each predicted from the last."""
+def _trace_locus(model, volumes, s_window, *, skip_inadmissible=False) -> list:
+    """Locus stacks at ascending volumes, each predicted from the last;
+    with ``skip_inadmissible``, from the first admissible volume on."""
     stacks = []
     for v in volumes:
-        stacks.append(_locus_stack(model, v, s_window,
-                                   stacks[-1] if stacks else None))
+        try:
+            stacks.append(_locus_stack(model, v, s_window,
+                                       stacks[-1] if stacks else None))
+        except DomainError:
+            if stacks or not skip_inadmissible or v == volumes[-1]:
+                raise
     return stacks
 
 
@@ -539,9 +546,9 @@ def critical_point(model: ConstitutiveModel, *,
     if v_window is None:
         v_window = (1e-2, 1e2)
     s_window = _scan_window(model)
-    try:
+    try:  # the window may reach below where the energy is defined
         trace = _trace_locus(model, _locus_volumes(model, v_window, 200),
-                             s_window)
+                             s_window, skip_inadmissible=True)
     except NoRoot as exc:
         raise NoCriticalPoint("degeneracy locus is empty") from exc
     i = int(np.argmax([st.t for st in trace]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ class TerminationReason(enum.Enum):
     LOCUS_PROXIMITY = "locus_proximity"
 
 
-@dataclass(frozen=True)
-class GeodesicState:
+class GeodesicState(NamedTuple):
     """Position and velocity along a geodesic; ``t`` is the affine
     parameter (not temperature)."""
 
@@ -50,8 +49,7 @@ class GeodesicState:
     t: float = 0.0
 
 
-@dataclass(frozen=True)
-class ChristoffelSet:
+class ChristoffelSet(NamedTuple):
     """Connection coefficients g^k_ij, symmetric in the lower pair.
 
     ``aux`` carries the intermediate response-function combinations the
@@ -188,14 +186,21 @@ def integrate_geodesic(model: ConstitutiveModel,
 
     nan4 = [math.nan] * 4
     floor = model.covolume
+    # Stacks by (S, V): the locus event and the speeds reuse those of the
+    # right-hand side (RK45's last stage is the accepted point).  The solver
+    # holds rhs in a reference cycle, so the memo is cleared on return.
+    memo = {(float(init.s), float(init.v)): start_stack}
 
     def stack_at(s, v):
-        # trial states may already be inadmissible; None marks those
-        try:
-            return model.derivative_stack(
-                StatePoint.entropy_volume(s, v), check_singular=False)
-        except (ThermogeomError, ValueError, OverflowError):
-            return None
+        key = (float(s), float(v))
+        if key not in memo:
+            # trial states may already be inadmissible; None marks those
+            try:
+                memo[key] = model.derivative_stack(
+                    StatePoint.entropy_volume(*key), check_singular=False)
+            except (ThermogeomError, ValueError, OverflowError):
+                memo[key] = None
+        return memo[key]
 
     def rhs(_t, y):
         s, v, sd, vd = y
@@ -237,10 +242,19 @@ def integrate_geodesic(model: ConstitutiveModel,
     domain_event.terminal = True
     domain_event.direction = -1.0
 
-    sol = solve_ivp(rhs, (init.t, init.t + t_end),
-                    [init.s, init.v, init.s_dot, init.v_dot],
-                    method="RK45", rtol=tol, atol=tol,
-                    dense_output=True, events=[locus_event, domain_event])
+    try:
+        return _trajectory(solve_ivp(
+            rhs, (init.t, init.t + t_end),
+            [init.s, init.v, init.s_dot, init.v_dot],
+            method="RK45", rtol=tol, atol=tol,
+            dense_output=True, events=[locus_event, domain_event]),
+            floor, stack_at)
+    finally:
+        memo.clear()
+
+
+def _trajectory(sol, floor, stack_at) -> GeodesicTrajectory:
+    """Termination reason, nodes and speeds of a finished solver run."""
     if sol.status == -1:
         # Step collapse right at a boundary is a domain/locus report, not
         # an integrator failure.
@@ -267,16 +281,12 @@ def integrate_geodesic(model: ConstitutiveModel,
     else:
         termination = TerminationReason.COMPLETED
 
-    times = tuple(float(t) for t in sol.t)
-    states = []
-    speeds = []
-    for t, col in zip(times, np.transpose(sol.y)):
-        s, v, sd, vd = map(float, col)
-        states.append(GeodesicState(s=s, v=v, s_dot=sd, v_dot=vd, t=t))
-        stack = stack_at(s, v)
-        speeds.append(math.nan if stack is None
-                      else metric_speed(stack, sd, vd))
-    return GeodesicTrajectory(times=times, states=tuple(states),
-                              speeds=tuple(speeds),
+    times = tuple(sol.t.tolist())
+    states = tuple(GeodesicState(s, v, sd, vd, t)
+                   for t, (s, v, sd, vd) in zip(times, sol.y.T.tolist()))
+    speeds = tuple(math.nan if (stack := stack_at(st.s, st.v)) is None
+                   else metric_speed(stack, st.s_dot, st.v_dot)
+                   for st in states)
+    return GeodesicTrajectory(times=times, states=states, speeds=speeds,
                               termination=termination,
                               interpolant=sol.sol)

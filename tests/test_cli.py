@@ -16,7 +16,7 @@ import pytest
 
 import thermogeom
 from thermogeom import Berthelot, ConstantCv
-from thermogeom.cli import main
+from thermogeom.cli import build_parser, main
 from thermogeom.critical_locus import locus_entropy
 
 from golden import cases
@@ -370,14 +370,49 @@ class TestJsonFormat:
         assert len(list(root)) > 16
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is most of the import time and only geodesic needs it
+def _fresh_interpreter(*args):
+    """Run python with ``args`` in a new process that imports this tree."""
     src = str(Path(thermogeom.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, thermogeom.cli; print('scipy.integrate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is most of the import time and only geodesic needs it
+    code = "import sys, thermogeom.cli; print('scipy.integrate' in sys.modules)"
+    done = _fresh_interpreter("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+class TestCachedParser:
+    """One parser per process: parsing must leave no state in it."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_golden_case(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["geodesic", "--model", "bogus", "--start-s", "2.5",
+                  "--start-v", "1.4"])
+        assert err.value.code == 1
+        capsys.readouterr()
+        name = "geodesic-vdw-csv"
+        assert cases.run_case(name) == cases.golden_path(name).read_text(
+            encoding="utf-8")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["geodesic", "--help"]])
+    def test_help_matches_fresh_interpreter(self, capsys, monkeypatch,
+                                            argv):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal
+        main(["curvature-grid", "--model", "ideal", "--n", "2"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        fresh = _fresh_interpreter("-m", "thermogeom.cli", *argv)
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out == fresh.stdout

@@ -49,6 +49,15 @@ class TestNegativeBasePower:
         assert out == ""
         assert one_line(err).startswith("error: ")
 
+    def test_scan_without_admissible_state_exits_one(self, capsys):
+        # f1 < 0 at every volume: no state of the window exists, which is
+        # a domain error, not an empty locus
+        rc, out, err = run(capsys, ["locus", "--model", "custom",
+                                    "--f1", "0-1", "--method", "scan"])
+        assert rc == 1
+        assert out == ""
+        assert one_line(err).startswith("error: no admissible state")
+
 
 def test_negative_exponent_flag_value(capsys):
     argv = ["geodesic", "--model", "vdw", "--a", "1.5", "--b", "0.2",

@@ -277,6 +277,25 @@ class TestCriticalPoints:
         assert cp.t_c == pytest.approx(8.0 * a / (27.0 * b * r), rel=1e-12)
         assert cp.p_c == pytest.approx(a / (27.0 * b * b), rel=1e-12)
 
+    def test_generic_path_starts_at_first_admissible_volume(self, params):
+        # the default window (1e-2, 1e2) begins below the covolume, where
+        # the energy raises DomainError at every entropy
+        a, b, r = params.a, params.b, params.r_gas
+        cp = critical_point(NumericEnergy(vdw_energy, scheme=vdw_partials))
+        assert cp.v_c == pytest.approx(3.0 * b, rel=1e-12)
+        assert cp.t_c == pytest.approx(8.0 * a / (27.0 * b * r), rel=1e-12)
+        assert cp.p_c == pytest.approx(a / (27.0 * b * b), rel=1e-12)
+
+    def test_generic_path_with_no_admissible_volume(self, params):
+        model = NumericEnergy(vdw_energy, scheme=vdw_partials)
+        with pytest.raises(DomainError, match="no admissible state"):
+            critical_point(model, v_window=(0.5 * params.b, 0.9 * params.b))
+
+    def test_scan_without_admissible_state_is_a_domain_error(self, params):
+        model = NumericEnergy(vdw_energy, scheme=vdw_partials)
+        with pytest.raises(DomainError, match="no admissible state"):
+            _scan_locus_entropy(model, 0.5 * params.b, _scan_window(model))
+
     def test_generic_path_with_finite_differences(self, params):
         # finite-difference stacks carry about 1e-8 noise; the critical
         # volume sits at a flat maximum, so it is known to about the

@@ -19,7 +19,14 @@ from thermogeom import (
     vdw_entropy,
 )
 from thermogeom.critical_locus import locus_entropy
-from thermogeom.eos_models import load_model, make_model, parse_config_text
+from thermogeom.eos_models import (
+    CoefficientPartials,
+    Coefficients,
+    DerivativeStack,
+    load_model,
+    make_model,
+    parse_config_text,
+)
 from thermogeom.expressions import ShiftedPower
 
 from conftest import PARAMS
@@ -261,6 +268,46 @@ class TestNumericEnergy:
         numeric = NumericEnergy(lambda s, v: math.exp(s) / v)
         with pytest.raises(UnsupportedModel):
             numeric.derivative_stack(tv(1.0, 1.0))
+
+
+class TestDerivativeStackRecord:
+    """The stack is an immutable NamedTuple with the former dataclass's
+    fields, in order, and the same derived properties."""
+
+    FIELDS = ("s", "v", "u", "t", "p", "e11", "e12", "e22",
+              "c111", "c112", "c122", "c222", "cv", "cp", "alpha", "k",
+              "dcv_ds", "dcv_dv", "dalpha_ds", "dalpha_dv", "dk_ds", "dk_dv")
+
+    @pytest.fixture
+    def stack(self, berthelot_model):
+        # Berthelot: the heat capacity and all its partials vary
+        return berthelot_model.derivative_stack(sv(-2.0, 1.4))
+
+    def test_field_order(self, stack):
+        assert DerivativeStack._fields == self.FIELDS
+        assert tuple(stack) == tuple(getattr(stack, f) for f in self.FIELDS)
+
+    @pytest.mark.parametrize("field", ["s", "e11", "dk_dv"])
+    def test_fields_cannot_be_assigned(self, stack, field):
+        with pytest.raises(AttributeError):
+            setattr(stack, field, 0.0)
+
+    def test_determinant_and_its_partials(self, stack):
+        st = stack
+        assert st.det == st.e11 * st.e22 - st.e12 * st.e12
+        assert st.det_s == (st.c111 * st.e22 + st.e11 * st.c122
+                            - 2.0 * st.e12 * st.c112)
+        assert st.det_v == (st.c112 * st.e22 + st.e11 * st.c222
+                            - 2.0 * st.e12 * st.c122)
+
+    def test_coefficient_records(self, stack):
+        st = stack
+        assert st.coefficients == Coefficients(
+            t=st.t, p=st.p, cv=st.cv, cp=st.cp, alpha=st.alpha, k=st.k)
+        assert st.coefficient_partials == CoefficientPartials(
+            dcv_dS=st.dcv_ds, dcv_dV=st.dcv_dv, dalpha_dS=st.dalpha_ds,
+            dalpha_dV=st.dalpha_dv, dk_dS=st.dk_ds, dk_dV=st.dk_dv)
+        assert st.dcv_ds != 0.0 and st.dcv_dv != 0.0
 
 
 class TestConfigHandling:

@@ -172,6 +172,66 @@ class TestIntegration:
             traj.at(2.5)
 
 
+class TestStackReuse:
+    """The locus event and the speeds reuse the right-hand side's stacks."""
+
+    # the README example: vdW, t_end = 10
+    INIT = GeodesicState(2.5, 1.4, 0.05, 0.1)
+
+    @pytest.fixture
+    def stack_calls(self, monkeypatch):
+        calls = []
+
+        def counted(model, state, *, _original=ConstantCv.derivative_stack,
+                    **kwargs):
+            calls.append(state)
+            return _original(model, state, **kwargs)
+        monkeypatch.setattr(ConstantCv, "derivative_stack", counted)
+        return calls
+
+    def test_stack_count(self, vdw_model, stack_calls):
+        # one stack per right-hand-side point: 218 for 36 steps (293 when
+        # the event and the speeds evaluated the accepted points again)
+        traj = integrate_geodesic(vdw_model, self.INIT, 10.0)
+        assert traj.termination is TerminationReason.COMPLETED
+        assert len(stack_calls) <= 230
+
+    @pytest.mark.parametrize("fixture,init,t_end", [
+        ("vdw_model", INIT, 10.0),
+        ("berthelot_model", GeodesicState(-1.0, 1.4, 0.05, 0.1), 2.0),
+        # ends at the locus guard band
+        ("vdw_model", GeodesicState(2.5, 1.2, -0.2, 0.0), 40.0),
+    ])
+    def test_speeds_match_fresh_stacks(self, request, fixture, init, t_end):
+        model = request.getfixturevalue(fixture)
+        traj = integrate_geodesic(model, init, t_end)
+        assert len(traj.speeds) == len(traj.states) == len(traj.times)
+        for st, speed in zip(traj.states, traj.speeds):
+            stack = model.derivative_stack(sv(st.s, st.v),
+                                           check_singular=False)
+            assert speed == metric_speed(stack, st.s_dot, st.v_dot)
+
+
+class TestRecords:
+    """ChristoffelSet and GeodesicState are immutable NamedTuples with the
+    former dataclass fields, in order."""
+
+    def test_geodesic_state_fields(self):
+        st = GeodesicState(2.5, 1.4, 0.05, 0.1)
+        assert GeodesicState._fields == ("s", "v", "s_dot", "v_dot", "t")
+        assert st == GeodesicState(s=2.5, v=1.4, s_dot=0.05, v_dot=0.1,
+                                   t=0.0)
+        with pytest.raises(AttributeError):
+            st.s = 1.0
+
+    def test_christoffel_set_fields(self, vdw_model):
+        gam = christoffel_from_stack(vdw_model.derivative_stack(sv(2.5, 1.4)))
+        assert ChristoffelSet._fields == (*SYMBOL_FIELDS, "aux")
+        assert gam.aux == {}
+        with pytest.raises(AttributeError):
+            gam.g111 = 0.0
+
+
 class TestTermination:
     def test_signature_wall_stops_integration(self, vdw_model):
         # drive entropy downward toward the degeneracy locus at fixed heading
