@@ -539,50 +539,49 @@ def _verify_checks(model, eff, rng, n_states):
     v_hi = max(eff["vmax"], v_lo + 1.0)
     s_lo, s_hi = eff["smin"], eff["smax"]
 
-    states = []
+    # the admissibility probe's stacks feed every check of their state
+    stacks = []
     attempts = 0
-    while len(states) < n_states and attempts < 100 * n_states:
+    while len(stacks) < n_states and attempts < 100 * n_states:
         attempts += 1
         s = float(rng.uniform(s_lo, s_hi))
         v = float(rng.uniform(v_lo, v_hi))
-        state = StatePoint.entropy_volume(s, v)
         try:
-            model.derivative_stack(state)
+            stacks.append(model.derivative_stack(
+                StatePoint.entropy_volume(s, v)))
         except ThermogeomError:
             continue
-        states.append(state)
-    if not states:
+    if not stacks:
         raise SingularState("no admissible states found for verification")
 
     route = ident1 = ident2 = ident3 = cpcv = 0.0
     detres = chris = conf = flat = 0.0
-    for state in states:
-        report = curvature_report(model, state)
+    for stack in stacks:
+        report = curvature_report(model, stack)
         route = max(route, report.max_pairwise_residual)
         flat = max(flat, abs(report.r_closed2d))
 
-        res = identity_residuals(model, state)
+        res = identity_residuals(model, stack)
         ident1 = max(ident1, abs(res.id1))
         ident2 = max(ident2, abs(res.id2))
         if res.id3 is not None:
             ident3 = max(ident3, abs(res.id3))
         cpcv = max(cpcv, abs(res.cp_cv))
 
-        rep = determinant_report(model, state)
+        rep = determinant_report(model, stack)
         detres = max(detres, abs(rep.residual_kvc), abs(rep.residual_dpdv))
 
-        stack = report.stack
         ce = christoffel_elementary(stack.coefficients,
-                                    stack.coefficient_partials, state.volume)
+                                    stack.coefficient_partials, stack.v)
         ck = christoffel_from_stack(stack)
         for got, want in ((ce.g111, ck.g111), (ce.g112, ck.g112),
                           (ce.g122, ck.g122), (ce.g211, ck.g211),
                           (ce.g212, ck.g212), (ce.g222, ck.g222)):
             chris = max(chris, abs(got - want) / max(1.0, abs(want)))
 
-        direct = ruppeiner_direct_curvature(model, state)
+        direct = ruppeiner_direct_curvature(model, stack)
         conf = max(conf, abs(
-            direct - ruppeiner_from_weinhold(model, state,
+            direct - ruppeiner_from_weinhold(model, stack,
                                              scheme="analytic")))
 
     checks = [

@@ -230,6 +230,8 @@ def _constant_cv_locus_state(model: ConstantCv, v: float):
     """(s, t, p) of the locus at volume v, or None when the determinant
     cannot vanish there."""
     f1, f1p, f1pp, _ = model.f1.eval_derivs(v)
+    if f1 <= 0.0:
+        raise DomainError(f"f1(V) must be positive, got {f1} at V={v}")
     f2, f2p, f2pp, _ = model.f2.eval_derivs(v)
     x_disc = f1 * f1pp - f1p * f1p
     if x_disc == 0.0:
@@ -434,13 +436,6 @@ def degeneracy_locus(model: ConstitutiveModel,
     if method == "auto" and isinstance(model, Berthelot):
         branch = "positive-temperature"
     return LocusPolyline(samples=tuple(samples), branch=branch)
-
-
-def locus_det_residual(model: ConstitutiveModel, sample: LocusSample) -> float:
-    """Relative metric-determinant residual of a locus sample."""
-    stack = model.derivative_stack(
-        StatePoint.entropy_volume(sample.s, sample.v), check_singular=False)
-    return abs(stack.det) / degeneracy_scale(stack.e11, stack.e12, stack.e22)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .eos_models import (
     IdealGas,
     StatePoint,
     VanDerWaals,
+    stack_at,
 )
 from .errors import SingularState, UnsupportedModel
 from .metric_core import (
@@ -204,21 +205,10 @@ def scalar_curvature_elementary(coeffs: Coefficients,
     return r, {"H": h, "G": g, "F": f, "J": j, "D": d, "B": b}
 
 
-def scalar_curvature_constant_cv(model: ConstitutiveModel,
-                                 state: StatePoint) -> ConstantCvCurvature:
-    """Both constant-cv closed forms.
-
-    The structural form is written in f1, f2 and T; the other uses only the
-    compressibility and its entropy rate.  Their difference is the
-    cross-check residual.
-    """
-    if not isinstance(model, ConstantCv):
-        raise UnsupportedModel("constant-cv curvature forms need a ConstantCv model")
-    return _constant_cv_curvature(model, model.derivative_stack(state))
-
-
 def _constant_cv_curvature(model: ConstantCv,
                            st: DerivativeStack) -> ConstantCvCurvature:
+    """The constant-cv closed forms, structural (in f1, f2 and T) and from
+    the entropy rate of ln k, and their difference."""
     cv, t = st.cv, st.t
 
     f1, f1p, f1pp, _ = model.f1.eval_derivs(st.v)
@@ -261,7 +251,8 @@ def negativity_test(model: ConstitutiveModel, state: StatePoint) -> bool:
 # Conformal bridge between the energy and entropy metrics
 
 
-def laplace_beltrami_log_t(model: ConstitutiveModel, state: StatePoint,
+def laplace_beltrami_log_t(model: ConstitutiveModel,
+                           state: StatePoint | DerivativeStack,
                            scheme: str = "analytic") -> float:
     """Laplace-Beltrami of ln T under the energy metric, in (S, V).
 
@@ -269,7 +260,7 @@ def laplace_beltrami_log_t(model: ConstitutiveModel, state: StatePoint,
     scheme differentiates the flux components centrally, using analytic
     inner gradients.
     """
-    st = model.derivative_stack(state)
+    st = stack_at(model, state)
     if scheme == "analytic":
         det = st.det
         return st.det_s / (2.0 * det * st.t) - st.e11 / (st.t * st.t)
@@ -296,24 +287,26 @@ def laplace_beltrami_log_t(model: ConstitutiveModel, state: StatePoint,
     return div / math.sqrt(abs(st.det))
 
 
-def ruppeiner_direct_curvature(model: ConstitutiveModel, state: StatePoint) -> float:
+def ruppeiner_direct_curvature(model: ConstitutiveModel,
+                               state: StatePoint | DerivativeStack) -> float:
     """Curvature of the entropy metric computed directly in the (U, V) chart.
 
     The stability-oriented metric is the negated Hessian of S, and negating
     a metric negates its 2D scalar curvature.
     """
-    return -scalar_curvature_closed2d(ruppeiner_metric(model, state))
+    return -scalar_curvature_closed2d(ruppeiner_metric(stack_at(model, state)))
 
 
-def ruppeiner_from_weinhold(model: ConstitutiveModel, state: StatePoint,
+def ruppeiner_from_weinhold(model: ConstitutiveModel,
+                            state: StatePoint | DerivativeStack,
                             scheme: str = "analytic") -> float:
     """Entropy-metric curvature via the conformal relation.
 
     R(entropy metric) = T R(energy metric) + T Lap(ln T).
     """
-    st = model.derivative_stack(state)
+    st = stack_at(model, state)
     r_energy = scalar_curvature_closed2d(weinhold_from_stack(st))
-    lap = laplace_beltrami_log_t(model, state, scheme=scheme)
+    lap = laplace_beltrami_log_t(model, st, scheme=scheme)
     return st.t * (r_energy + lap)
 
 
@@ -418,13 +411,14 @@ def _model_closed_form(model: ConstitutiveModel,
     return None
 
 
-def curvature_report(model: ConstitutiveModel, state: StatePoint) -> CurvatureReport:
+def curvature_report(model: ConstitutiveModel,
+                     state: StatePoint | DerivativeStack) -> CurvatureReport:
     """Evaluate every applicable curvature route and their agreement.
 
     The routes share one derivative stack: a Hessian metric's curvature
     needs only second and third potential derivatives.
     """
-    st = model.derivative_stack(state)
+    st = stack_at(model, state)
     metric = weinhold_from_stack(st)
     r_closed2d = scalar_curvature_closed2d(metric)
     r_tensorial = scalar_curvature_tensorial(HessianMetricField.from_metric(metric))

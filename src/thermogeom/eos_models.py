@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, SingularState, UnsupportedModel
@@ -249,6 +249,13 @@ class ConstitutiveModel:
 
     def coefficient_partials(self, state: StatePoint) -> CoefficientPartials:
         return self.derivative_stack(state).coefficient_partials
+
+
+def stack_at(model: ConstitutiveModel,
+             at: StatePoint | DerivativeStack) -> DerivativeStack:
+    """``at`` itself when it is a stack already evaluated, else the model's
+    stack at the state ``at``."""
+    return at if isinstance(at, DerivativeStack) else model.derivative_stack(at)
 
 
 class ConstantCv(ConstitutiveModel):
@@ -525,25 +532,6 @@ class NumericEnergy(ConstitutiveModel):
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations
-
-
-def vdw_entropy(params: GasParameters, u: float, v: float) -> float:
-    """Entropy of the van der Waals gas from (U, V).
-
-    S = r_gas ln[(V-b) ((U-u0) + a/V)^{cv0/r_gas}] + s0, defined where the
-    shifted energy and volume arguments are positive.
-    """
-    if v <= params.b:
-        raise DomainError(f"volume must exceed the covolume b={params.b}, got {v}")
-    y = (u - params.u0) + params.a / v
-    if y <= 0.0:
-        raise DomainError(f"energy argument U + a/V - u0 = {y} must be positive")
-    return (params.r_gas * math.log(v - params.b)
-            + params.cv0 * math.log(y) + params.s0)
-
-
-# ---------------------------------------------------------------------------
 # Config-file loading
 
 _MODEL_NAMES = ("ideal", "vdw", "berthelot")
@@ -584,18 +572,3 @@ def make_model(name: str, params: GasParameters) -> ConstitutiveModel:
     if name == "berthelot":
         return Berthelot(params)
     raise ValueError(f"unknown model {name!r}, expected one of {_MODEL_NAMES}")
-
-
-def load_model(path, overrides: dict | None = None) -> ConstitutiveModel:
-    """Build a model from a config file, with optional key overrides."""
-    with open(path, "r", encoding="utf-8") as fh:
-        values = parse_config_text(fh.read())
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    name = values.pop("model", None)
-    if name is None:
-        raise ValueError("config gives no model")
-    defaults = GasParameters()
-    params = replace(defaults, **{k: values.get(k, getattr(defaults, k))
-                                  for k in _PARAM_KEYS})
-    return make_model(name, params)

@@ -425,20 +425,6 @@ class ShiftedPower:
         return f"ShiftedPower({self.coeff}, {self.shift}, {self.exponent})"
 
 
-class Affine:
-    """slope * V + intercept (second and third derivatives vanish)."""
-
-    def __init__(self, slope: float, intercept: float):
-        self.slope = float(slope)
-        self.intercept = float(intercept)
-
-    def eval_derivs(self, v):
-        return self.slope * v + self.intercept, self.slope, 0.0, 0.0
-
-    def __call__(self, v):
-        return self.slope * v + self.intercept
-
-
 class ScaledExp:
     """coeff * exp(rate * V)."""
 

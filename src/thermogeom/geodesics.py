@@ -186,25 +186,33 @@ def integrate_geodesic(model: ConstitutiveModel,
 
     nan4 = [math.nan] * 4
     floor = model.covolume
-    # Stacks by (S, V): the locus event and the speeds reuse those of the
-    # right-hand side (RK45's last stage is the accepted point).  The solver
-    # holds rhs in a reference cycle, so the memo is cleared on return.
+    # Stacks by (S, V) of the points the locus event reads: the accepted
+    # nodes, which the speeds reuse.  Of the right-hand-side stacks only the
+    # latest is kept; RK45's last stage is the accepted point, so the event
+    # finds its stack there.  The solver holds rhs in a reference cycle, so
+    # the memo is cleared on return.
     memo = {(float(init.s), float(init.v)): start_stack}
+    last = [None, None]  # key and stack of the latest evaluation
 
-    def stack_at(s, v):
+    def stack_at(s, v, node=True):
         key = (float(s), float(v))
-        if key not in memo:
+        if key in memo:
+            return memo[key]
+        if last[0] != key:
             # trial states may already be inadmissible; None marks those
             try:
-                memo[key] = model.derivative_stack(
+                stack = model.derivative_stack(
                     StatePoint.entropy_volume(*key), check_singular=False)
             except (ThermogeomError, ValueError, OverflowError):
-                memo[key] = None
-        return memo[key]
+                stack = None
+            last[:] = key, stack
+        if node:
+            memo[key] = last[1]
+        return last[1]
 
     def rhs(_t, y):
         s, v, sd, vd = y
-        stack = stack_at(s, v)
+        stack = stack_at(s, v, node=False)
         if stack is None:
             return nan4
         det = stack.det

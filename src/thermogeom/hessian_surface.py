@@ -86,11 +86,6 @@ def embed(e11: float, e12: float, e22: float) -> tuple[float, float, float]:
     return (e11, _SQRT2 * e12, e22)
 
 
-def trace_pairing(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
-    """Tr(AB) for symmetric matrices given as (a11, a12, a22)."""
-    return a[0] * b[0] + 2.0 * a[1] * b[1] + a[2] * b[2]
-
-
 def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],

@@ -12,16 +12,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .eos_models import (
     Coefficients,
     ConstitutiveModel,
     DerivativeStack,
     StatePoint,
     degeneracy_scale,
+    stack_at,
 )
-from .errors import DomainError, SingularState, UnsupportedModel
+from .errors import DomainError
 
 # a state counts as degenerate when |det| drops below this times the entry scale
 DEGENERACY_FACTOR = 1e-9
@@ -75,9 +74,6 @@ class MetricTensor2:
     def trace(self) -> float:
         return self.e11 + self.e22
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.e11, self.e12], [self.e12, self.e22]])
-
 
 class SignatureKind(enum.Enum):
     POSITIVE_DEFINITE = "positive_definite"
@@ -111,20 +107,8 @@ class IdentityResiduals:
     cp_cv: float
 
 
-@dataclass(frozen=True)
-class SoundSpeeds:
-    adiabatic: float
-    isothermal: float
-
-
 # ---------------------------------------------------------------------------
 # Weinhold
-
-
-def weinhold_from_coefficients(coeffs: Coefficients, v: float) -> tuple[float, float, float]:
-    """Metric entries in coefficient form, (1/cv)[[T, -Ta/k], [-Ta/k, cp/(Vk)]]."""
-    t, cv, cp, alpha, k = coeffs.t, coeffs.cv, coeffs.cp, coeffs.alpha, coeffs.k
-    return t / cv, -t * alpha / (k * cv), cp / (v * k * cv)
 
 
 def weinhold_metric(model: ConstitutiveModel, state: StatePoint) -> MetricTensor2:
@@ -161,14 +145,9 @@ class _Dual:
         other = _as_dual(other)
         return _Dual(self.val + other.val, self.ds + other.ds, self.dv + other.dv)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _as_dual(other)
         return _Dual(self.val - other.val, self.ds - other.ds, self.dv - other.dv)
-
-    def __rsub__(self, other):
-        return _as_dual(other) - self
 
     def __mul__(self, other):
         other = _as_dual(other)
@@ -185,9 +164,6 @@ class _Dual:
         return _Dual(val,
                      (self.ds - val * other.ds) * inv,
                      (self.dv - val * other.dv) * inv)
-
-    def __rtruediv__(self, other):
-        return _as_dual(other) / self
 
     def __neg__(self):
         return _Dual(-self.val, -self.ds, -self.dv)
@@ -219,9 +195,8 @@ def _ruppeiner_stack(st: DerivativeStack):
     return entries, thirds
 
 
-def ruppeiner_metric(model: ConstitutiveModel, state: StatePoint) -> MetricTensor2:
+def ruppeiner_metric(st: DerivativeStack) -> MetricTensor2:
     """Hessian of S(U, V) with its derivative stack, in the (U, V) chart."""
-    st = model.derivative_stack(state)
     if st.t <= 0.0:
         raise DomainError(f"temperature must be positive, got {st.t}")
     entries, thirds = _ruppeiner_stack(st)
@@ -231,11 +206,12 @@ def ruppeiner_metric(model: ConstitutiveModel, state: StatePoint) -> MetricTenso
 
 
 # ---------------------------------------------------------------------------
-# Determinant, inverse, signature, identities
+# Determinant, signature, identities
 
 
-def determinant_report(model: ConstitutiveModel, state: StatePoint) -> DeterminantReport:
-    st = model.derivative_stack(state)
+def determinant_report(model: ConstitutiveModel,
+                       state: StatePoint | DerivativeStack) -> DeterminantReport:
+    st = stack_at(model, state)
     det = st.det
     residual_kvc = det - st.t / (st.k * st.v * st.cv)
     # (dp/dV)_T from the entropy-volume stack
@@ -255,15 +231,6 @@ def determinant_report(model: ConstitutiveModel, state: StatePoint) -> Determina
                              residual_dpdv=residual_dpdv,
                              det_ideal_part=det_ideal_part,
                              det_correction=det_correction)
-
-
-def inverse_metric(model: ConstitutiveModel, state: StatePoint) -> np.ndarray:
-    """Inverse Weinhold metric [[cp/T, V alpha], [V alpha, k V]]."""
-    st = model.derivative_stack(state)
-    if is_degenerate(st.e11, st.e12, st.e22):
-        raise SingularState("metric is degenerate", det=st.det, state=state)
-    return np.array([[st.cp / st.t, st.v * st.alpha],
-                     [st.v * st.alpha, st.k * st.v]])
 
 
 def eigen_signature(metric: MetricTensor2, coeffs: Coefficients | None = None) -> SignatureClass:
@@ -292,7 +259,8 @@ def eigen_signature(metric: MetricTensor2, coeffs: Coefficients | None = None) -
                           lambda_minus=lam_minus, discriminant=disc)
 
 
-def identity_residuals(model: ConstitutiveModel, state: StatePoint) -> IdentityResiduals:
+def identity_residuals(model: ConstitutiveModel,
+                       st: DerivativeStack) -> IdentityResiduals:
     """Residuals of the closure identities among coefficient partials.
 
     id1: (dcv/dV)_S + (a/k)(dcv/dS)_V - (cv/k)(da/dS)_V + (cv a/k^2)(dk/dS)_V
@@ -300,7 +268,6 @@ def identity_residuals(model: ConstitutiveModel, state: StatePoint) -> IdentityR
     id3 (constant cv only): (da/dk)_V - a/k
     cp_cv: cp - cv - VT a^2/k
     """
-    st = model.derivative_stack(state)
     t, v, cv, cp, alpha, k = st.t, st.v, st.cv, st.cp, st.alpha, st.k
 
     id1 = (st.dcv_dv + (alpha / k) * st.dcv_ds
@@ -317,28 +284,3 @@ def identity_residuals(model: ConstitutiveModel, state: StatePoint) -> IdentityR
 
     cp_cv = cp - cv - v * t * alpha * alpha / k
     return IdentityResiduals(id1=id1, id2=id2, id3=id3, cp_cv=cp_cv)
-
-
-def speed_of_sound(model: ConstitutiveModel, state: StatePoint, rho: float) -> SoundSpeeds:
-    """Isothermal and adiabatic sound speeds for mass density rho."""
-    if rho <= 0.0:
-        raise DomainError(f"density must be positive, got {rho}")
-    st = model.derivative_stack(state)
-    det = st.det
-    if det <= 0.0:
-        raise DomainError(f"metric determinant must be positive, got {det}")
-    isothermal = math.sqrt(st.v * st.cv * det / (st.t * rho))
-    adiabatic = math.sqrt(st.v * st.cp * det / (st.t * rho))
-    return SoundSpeeds(adiabatic=adiabatic, isothermal=isothermal)
-
-
-def delta_measure(model: ConstitutiveModel, state: StatePoint) -> float:
-    """Deviation of the volume-volume entry from pure exponential growth in S.
-
-    (d eta22/dS)_V - eta22/cv; vanishes exactly when the volume part of the
-    energy is absent (ideal gas) and measures the interaction term otherwise.
-    """
-    if not model.is_constant_cv:
-        raise UnsupportedModel("delta measure is defined for constant-cv models")
-    st = model.derivative_stack(state)
-    return st.c122 - st.e22 / st.cv

@@ -259,6 +259,19 @@ class TestSurface:
             assert abs(float(row["model_surface_residual"])) < 1e-12
 
 
+@pytest.fixture
+def stack_calls(monkeypatch):
+    """The states of every derivative_stack call, in call order."""
+    calls = []
+    for cls in (ConstantCv, Berthelot):
+        def counted(model, state, *, _original=cls.derivative_stack,
+                    **kwargs):
+            calls.append(state)
+            return _original(model, state, **kwargs)
+        monkeypatch.setattr(cls, "derivative_stack", counted)
+    return calls
+
+
 class TestOneStackPerCell:
     """Every route of a grid cell is fed from one derivative stack."""
 
@@ -276,17 +289,6 @@ class TestOneStackPerCell:
         "ideal-tv": [*cases.IDEAL, *cases.IDEAL_TV],
     }
 
-    @pytest.fixture
-    def stack_calls(self, monkeypatch):
-        calls = []
-        for cls in (ConstantCv, Berthelot):
-            def counted(model, state, *, _original=cls.derivative_stack,
-                        **kwargs):
-                calls.append(state)
-                return _original(model, state, **kwargs)
-            monkeypatch.setattr(cls, "derivative_stack", counted)
-        return calls
-
     @pytest.mark.parametrize("command", ["curvature-grid", "surface"])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_stack_calls_per_grid(self, capsys, stack_calls, command, model):
@@ -295,6 +297,24 @@ class TestOneStackPerCell:
         assert rc == 0
         assert len(parse_csv(out)[2]) == self.N ** 2
         assert len(stack_calls) == self.N ** 2
+
+
+class TestOneStackPerVerifyState:
+    """Every check of a verify state reads the admissibility probe's stack."""
+
+    N = 10
+    MODELS = {"ideal": cases.IDEAL, "vdw": cases.VDW,
+              "berthelot": cases.BERTHELOT, "custom": cases.CUSTOM}
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_stack_calls_per_state(self, capsys, stack_calls, model):
+        rc, out, _ = run(capsys, ["verify", *self.MODELS[model],
+                                  "--states", str(self.N)])
+        assert rc == 0
+        assert out.count("PASS") >= 7
+        # every probe of these windows is admissible
+        assert len(stack_calls) == self.N
+        assert len(set(stack_calls)) == self.N
 
 
 class TestVerify:

@@ -58,6 +58,15 @@ class TestNegativeBasePower:
         assert out == ""
         assert one_line(err).startswith("error: no admissible state")
 
+    def test_closed_form_without_admissible_state_exits_one(self, capsys):
+        # the closed-form locus of --method auto rejects f1 <= 0 as the
+        # model's own stack does, instead of reporting an empty locus
+        rc, out, err = run(capsys, ["locus", "--model", "custom",
+                                    "--f1", "0-1"])
+        assert rc == 1
+        assert out == ""
+        assert one_line(err) == "error: f1(V) must be positive, got -1.0 at V=1.0"
+
 
 def test_negative_exponent_flag_value(capsys):
     argv = ["geodesic", "--model", "vdw", "--a", "1.5", "--b", "0.2",

@@ -27,7 +27,6 @@ from thermogeom.critical_locus import (
     _bisect_newton,
     _scan_locus_entropy,
     _scan_window,
-    locus_det_residual,
     locus_entropy,
 )
 from thermogeom.metric_core import degeneracy_scale
@@ -37,6 +36,12 @@ from conftest import PARAMS
 
 def sv(s, v):
     return StatePoint(Chart.ENTROPY_VOLUME, s, v)
+
+
+def locus_det_residual(model, smp):
+    """|det| of the metric at a locus sample, relative to its entry scale."""
+    stack = model.derivative_stack(sv(smp.s, smp.v), check_singular=False)
+    return abs(stack.det) / degeneracy_scale(stack.e11, stack.e12, stack.e22)
 
 
 def custom_vdw():

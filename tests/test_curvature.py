@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from thermogeom import (
+    Berthelot,
     Chart,
     ConstantCv,
+    IdealGas,
+    NumericEnergy,
     SingularState,
     StatePoint,
     FlatnessClass,
+    VanDerWaals,
     curvature_report,
+    determinant_report,
+    laplace_beltrami_log_t,
     negativity_test,
     parse_expression,
     ruppeiner_direct_curvature,
@@ -21,10 +27,10 @@ from thermogeom import (
 )
 from thermogeom.curvature import (
     HessianMetricField,
+    _constant_cv_curvature,
     berthelot_printed_closed_form,
     christoffel,
     riemann_ricci,
-    scalar_curvature_constant_cv,
     scalar_curvature_tensorial,
 )
 from thermogeom.expressions import ScaledExp, ShiftedPower, ZeroFunction
@@ -154,7 +160,8 @@ class TestConstantCvClosedForm:
     @pytest.mark.parametrize("s,v,r_ref,det_ref", VDW_CURVATURE_TABLE)
     def test_structural_equals_log_compressibility(self, vdw_model, s, v,
                                                    r_ref, det_ref):
-        out = scalar_curvature_constant_cv(vdw_model, sv(s, v))
+        out = _constant_cv_curvature(vdw_model,
+                                     vdw_model.derivative_stack(sv(s, v)))
         assert out.residual < 1e-12 * max(1.0, abs(out.r_structural))
         assert out.r_structural == pytest.approx(r_ref, rel=1e-12)
         assert out.r_log_compressibility == pytest.approx(r_ref, rel=1e-12)
@@ -224,6 +231,44 @@ class TestEntropyRepresentation:
         fd = ruppeiner_from_weinhold(vdw_model, sv(s, v), scheme="fd")
         assert analytic == pytest.approx(direct, rel=1e-10)
         assert fd == pytest.approx(direct, rel=1e-5)
+
+
+def _vdw_energy(s, v):
+    q = PARAMS
+    return (v - q.b) ** (-q.r_gas / q.cv0) * math.exp(s / q.cv0) - q.a / v
+
+
+class TestStackOrState:
+    """The per-state functions give the same result from a state as from
+    the stack already evaluated there."""
+
+    MODELS = {
+        "ideal": (IdealGas(PARAMS), sv(1.5, 2.0)),
+        "vdw": (VanDerWaals(PARAMS), sv(2.5, 1.4)),
+        "berthelot-sv": (Berthelot(PARAMS), sv(2.4, 2.2)),
+        "berthelot-tv": (Berthelot(PARAMS), tv(1.2, 2.2)),
+        "custom": (ConstantCv("(V-0.2)^-0.8", "0.6/V", cv=2.5),
+                   sv(2.5, 1.4)),
+        "numeric": (NumericEnergy(_vdw_energy), sv(2.5, 1.4)),
+    }
+    ROUTES = {
+        "curvature_report": curvature_report,
+        "determinant_report": determinant_report,
+        "ruppeiner_direct_curvature": ruppeiner_direct_curvature,
+        "ruppeiner_from_weinhold": ruppeiner_from_weinhold,
+        "ruppeiner_from_weinhold-fd":
+            lambda model, at: ruppeiner_from_weinhold(model, at, scheme="fd"),
+        "laplace_beltrami_log_t": laplace_beltrami_log_t,
+        "laplace_beltrami_log_t-fd":
+            lambda model, at: laplace_beltrami_log_t(model, at, scheme="fd"),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_stack_gives_state_result(self, model, route):
+        model, state = self.MODELS[model]
+        fn = self.ROUTES[route]
+        assert fn(model, model.derivative_stack(state)) == fn(model, state)
 
 
 class TestRiemannConsistency:

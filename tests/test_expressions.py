@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thermogeom.expressions import (
-    Affine,
     Expression,
     ExpressionError,
     ScaledExp,
@@ -53,11 +52,6 @@ class TestShiftedPower:
         got = f.eval_derivs(v)
         for g, e in zip(got, expected):
             assert g == pytest.approx(e, rel=1e-14)
-
-
-def test_affine_derivs_terminate():
-    f = Affine(3.0, 1.0)
-    assert f.eval_derivs(2.0) == (7.0, 3.0, 0.0, 0.0)
 
 
 def test_scaled_exp_self_similar():

@@ -6,25 +6,19 @@ import pytest
 
 from thermogeom import (
     Chart,
-    DomainError,
     MetricTensor2,
     SignatureKind,
     StatePoint,
-    UnsupportedModel,
     determinant_report,
     eigen_signature,
     identity_residuals,
     ruppeiner_metric,
-    speed_of_sound,
     weinhold_metric,
 )
 from thermogeom.metric_core import (
     MetricChart,
     degeneracy_scale,
-    delta_measure,
-    inverse_metric,
     is_degenerate,
-    weinhold_from_coefficients,
 )
 from thermogeom.curvature import laplace_beltrami_log_t
 
@@ -56,9 +50,10 @@ class TestWeinholdAssembly:
 
     @pytest.mark.parametrize("s,v", GOOD_STATES)
     def test_coefficient_form_agrees(self, vdw_model, s, v):
+        # (1/cv) [[T, -T alpha/k], [-T alpha/k, cp/(V k)]]
         st_ = vdw_model.derivative_stack(sv(s, v))
-        coeffs = vdw_model.coefficients(sv(s, v))
-        e11, e12, e22 = weinhold_from_coefficients(coeffs, v)
+        t, cv, cp, alpha, k = st_.t, st_.cv, st_.cp, st_.alpha, st_.k
+        e11, e12, e22 = t / cv, -t * alpha / (k * cv), cp / (v * k * cv)
         assert e11 == pytest.approx(st_.e11, rel=1e-12)
         assert e12 == pytest.approx(st_.e12, rel=1e-12)
         assert e22 == pytest.approx(st_.e22, rel=1e-12)
@@ -73,14 +68,14 @@ class TestEntropyChartMetric:
     @pytest.mark.parametrize("s,v", GOOD_STATES)
     def test_entries_match_analytic_entropy_hessian(self, vdw_model, s, v):
         st_ = vdw_model.derivative_stack(sv(s, v))
-        r = ruppeiner_metric(vdw_model, sv(s, v))
+        r = ruppeiner_metric(st_)
         s_uu, s_uv, s_vv = vdw_entropy_hessian_fn(PARAMS)(st_.u, st_.v)
         assert r.e11 == pytest.approx(s_uu, rel=1e-12)
         assert r.e12 == pytest.approx(s_uv, rel=1e-12)
         assert r.e22 == pytest.approx(s_vv, rel=1e-12)
 
     def test_lives_in_energy_chart(self, vdw_model):
-        r = ruppeiner_metric(vdw_model, sv(2.5, 1.4))
+        r = ruppeiner_metric(vdw_model.derivative_stack(sv(2.5, 1.4)))
         assert r.chart is MetricChart.ENERGY_VOLUME
 
 
@@ -116,18 +111,20 @@ class TestCoefficientIdentities:
     def test_structural_identities_vanish(self, fixture, request):
         model = request.getfixturevalue(fixture)
         s, v = (2.4, 2.2) if fixture == "berthelot_model" else (2.5, 1.6)
-        res = identity_residuals(model, sv(s, v))
+        res = identity_residuals(model, model.derivative_stack(sv(s, v)))
         assert abs(res.id1) < 1e-10
         assert abs(res.id2) < 1e-10
         assert abs(res.cp_cv) < 1e-10
 
     def test_log_slope_identity_constant_cv(self, vdw_model):
-        res = identity_residuals(vdw_model, sv(2.5, 1.6))
+        res = identity_residuals(vdw_model,
+                                 vdw_model.derivative_stack(sv(2.5, 1.6)))
         assert res.id3 is not None
         assert abs(res.id3) < 1e-10
 
     def test_log_slope_identity_absent_otherwise(self, berthelot_model):
-        res = identity_residuals(berthelot_model, sv(2.4, 2.2))
+        res = identity_residuals(
+            berthelot_model, berthelot_model.derivative_stack(sv(2.4, 2.2)))
         assert res.id3 is None
 
 
@@ -158,42 +155,30 @@ class TestSignature:
 
 
 class TestSoundSpeeds:
-    def test_ratio_is_heat_capacity_ratio(self, vdw_model):
-        st_ = vdw_model.derivative_stack(sv(2.5, 1.4))
-        speeds = speed_of_sound(vdw_model, sv(2.5, 1.4), rho=2.0)
-        assert (speeds.adiabatic / speeds.isothermal) ** 2 == pytest.approx(
-            st_.cp / st_.cv, rel=1e-12)
-
     def test_ideal_gas_closed_forms(self, ideal_model):
-        state = sv(1.5, 2.0)
-        st_ = ideal_model.derivative_stack(state)
-        rho = 3.0
-        speeds = speed_of_sound(ideal_model, state, rho=rho)
+        # squared isothermal and adiabatic speeds times the density,
+        # V cv det/T and V cp det/T, are p and gamma p for the ideal gas
+        st_ = ideal_model.derivative_stack(sv(1.5, 2.0))
         gamma = st_.cp / st_.cv
-        assert speeds.isothermal ** 2 == pytest.approx(st_.p / rho, rel=1e-12)
-        assert speeds.adiabatic ** 2 == pytest.approx(
-            gamma * st_.p / rho, rel=1e-12)
-
-    def test_rejects_bad_density_and_unstable_states(self, vdw_model):
-        with pytest.raises(DomainError):
-            speed_of_sound(vdw_model, sv(2.5, 1.4), rho=0.0)
-        with pytest.raises(DomainError):
-            speed_of_sound(vdw_model, sv(2.0, 2.0), rho=1.0)
+        assert st_.v * st_.cv * st_.det / st_.t == pytest.approx(
+            st_.p, rel=1e-12)
+        assert st_.v * st_.cp * st_.det / st_.t == pytest.approx(
+            gamma * st_.p, rel=1e-12)
 
 
 class TestExponentialDeviation:
+    """(d e22/dS)_V - e22/cv: zero without the interaction term."""
+
     def test_vanishes_for_ideal_gas(self, ideal_model):
-        assert delta_measure(ideal_model, sv(1.4, 1.8)) == 0.0
+        st_ = ideal_model.derivative_stack(sv(1.4, 1.8))
+        assert st_.c122 - st_.e22 / st_.cv == 0.0
 
     def test_vdw_equals_interaction_second_derivative(self, vdw_model, params):
         v = 1.4
+        st_ = vdw_model.derivative_stack(sv(2.5, v))
         expected = 2.0 * params.a / (params.cv0 * v ** 3)
-        assert delta_measure(vdw_model, sv(2.5, v)) == pytest.approx(
+        assert st_.c122 - st_.e22 / st_.cv == pytest.approx(
             expected, rel=1e-13)
-
-    def test_needs_constant_cv(self, berthelot_model):
-        with pytest.raises(UnsupportedModel):
-            delta_measure(berthelot_model, sv(2.4, 2.2))
 
 
 class TestLogTemperatureLaplacian:
@@ -219,8 +204,11 @@ class TestDegeneracyHelpers:
         assert not is_degenerate(1.0, 0.0, 1.0)
 
     def test_inverse_metric_inverts(self, vdw_model):
+        # the coefficient form [[cp/T, V alpha], [V alpha, k V]]
         state = sv(2.5, 1.4)
         m = weinhold_metric(vdw_model, state)
-        inv = inverse_metric(vdw_model, state)
-        prod = m.as_matrix() @ inv
+        st_ = vdw_model.derivative_stack(state)
+        inv = np.array([[st_.cp / st_.t, st_.v * st_.alpha],
+                        [st_.v * st_.alpha, st_.k * st_.v]])
+        prod = np.array([[m.e11, m.e12], [m.e12, m.e22]]) @ inv
         assert np.allclose(prod, np.eye(2), atol=1e-12)
