@@ -29,7 +29,7 @@ from .eos_models import (
     ConstitutiveModel,
     StatePoint,
     VanDerWaals,
-    degeneracy_scale,
+    relative_det,
 )
 from .errors import DomainError, NoCriticalPoint, NoRoot
 
@@ -40,9 +40,9 @@ LOCUS_DET_TOL = 1e-9
 
 # The locus corrector stops on a step below _STEP_TOL times max(1, |S|) or
 # when its step stops shrinking, at det's noise floor: rounding for exact
-# stacks, up to about 2e-7 of the degeneracy scale for NumericEnergy's
-# finite differences.  A relative residual above _CORRECTOR_RESIDUAL there
-# is a miss, which the scan redoes.
+# stacks, up to about 2e-7 in relative determinant (eos_models.relative_det)
+# for NumericEnergy's finite differences.  A relative determinant above
+# _CORRECTOR_RESIDUAL there is a miss, which the scan redoes.
 _STEP_TOL = 1e-13
 _CORRECTOR_RESIDUAL = 1e-6
 _CORRECTOR_STEPS = 30
@@ -226,12 +226,19 @@ def _real_roots(coeffs):
 # ---------------------------------------------------------------------------
 # degeneracy locus
 
+def _positive_f1(model: ConstantCv, v: float):
+    """f1 and its three derivatives at v; DomainError, as the model's own
+    stack raises, where f1 <= 0."""
+    derivs = model.f1.eval_derivs(v)
+    if derivs[0] <= 0.0:
+        raise DomainError(f"f1(V) must be positive, got {derivs[0]} at V={v}")
+    return derivs
+
+
 def _constant_cv_locus_state(model: ConstantCv, v: float):
     """(s, t, p) of the locus at volume v, or None when the determinant
     cannot vanish there."""
-    f1, f1p, f1pp, _ = model.f1.eval_derivs(v)
-    if f1 <= 0.0:
-        raise DomainError(f"f1(V) must be positive, got {f1} at V={v}")
+    f1, f1p, f1pp, _ = _positive_f1(model, v)
     f2, f2p, f2pp, _ = model.f2.eval_derivs(v)
     x_disc = f1 * f1pp - f1p * f1p
     if x_disc == 0.0:
@@ -358,8 +365,8 @@ def _correct_locus(model, v, s, s_window):
         last = abs(step)
     else:
         return None
-    scale = degeneracy_scale(stack.e11, stack.e12, stack.e22)
-    if not abs(stack.det) <= _CORRECTOR_RESIDUAL * scale:
+    if not abs(relative_det(stack.e11, stack.e12,
+                            stack.e22)) <= _CORRECTOR_RESIDUAL:
         return None
     return stack
 
@@ -442,7 +449,7 @@ def degeneracy_locus(model: ConstitutiveModel,
 # critical point
 
 def _constant_cv_locus_dtdv(model: ConstantCv, v: float) -> float:
-    f1, f1p, f1pp, f1ppp = model.f1.eval_derivs(v)
+    f1, f1p, f1pp, f1ppp = _positive_f1(model, v)
     _, _, f2pp, f2ppp = model.f2.eval_derivs(v)
     x_disc = f1 * f1pp - f1p * f1p
     x_slope = f1 * f1ppp - f1p * f1pp
@@ -451,15 +458,26 @@ def _constant_cv_locus_dtdv(model: ConstantCv, v: float) -> float:
 
 
 def _critical_volume_numeric(dtdv, v_window, d2tdv2=None) -> float:
+    """Volume where dT/dV along the locus falls through zero; a volume
+    where ``dtdv`` fails is a gap, and DomainError follows when every
+    volume is inadmissible."""
+    inadmissible = None
+
     def safe(v):
+        nonlocal inadmissible
         try:
             return dtdv(v)
+        except DomainError as exc:
+            inadmissible = inadmissible or exc
         except (ValueError, ZeroDivisionError, OverflowError):
-            return math.nan
+            pass
+        return math.nan
 
     lo, hi = v_window
     grid = np.geomspace(lo, hi, 400)
     values = [safe(float(v)) for v in grid]
+    if inadmissible is not None and all(math.isnan(val) for val in values):
+        raise inadmissible
     if all(val == 0.0 for val in values):
         raise NoCriticalPoint("degeneracy locus is empty")
     for i in range(len(grid) - 1):

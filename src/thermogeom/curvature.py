@@ -32,14 +32,15 @@ from .eos_models import (
     ConstitutiveModel,
     DerivativeStack,
     IdealGas,
+    SINGULAR_BAND,
     StatePoint,
     VanDerWaals,
+    relative_det,
     stack_at,
 )
 from .errors import SingularState, UnsupportedModel
 from .metric_core import (
     MetricTensor2,
-    is_degenerate,
     ruppeiner_metric,
     weinhold_from_stack,
 )
@@ -92,12 +93,6 @@ class HessianMetricField:
 
 
 @dataclass(frozen=True)
-class RiemannRicci:
-    riemann: np.ndarray  # indexed [l, i, j, k]
-    ricci: np.ndarray    # indexed [i, k]
-
-
-@dataclass(frozen=True)
 class ConstantCvCurvature:
     """Both constant-cv closed forms and their disagreement."""
 
@@ -122,48 +117,34 @@ class CurvatureReport:
 
 
 def _inverse(field: HessianMetricField) -> np.ndarray:
-    g = field.second
-    det = float(np.linalg.det(g))
-    scale = max(1.0, float(np.sqrt((g * g).sum(axis=1)).prod()))
-    if abs(det) < 1e-12 * scale:
-        raise SingularState("metric not invertible", det=det)
-    return np.linalg.inv(g)
+    try:
+        return np.linalg.inv(field.second)
+    except np.linalg.LinAlgError:
+        raise SingularState("metric not invertible") from None
 
 
-def christoffel(field: HessianMetricField) -> np.ndarray:
-    """Connection coefficients gamma[k, i, j] = (1/2) dg[i, j, m] ginv[k, m]."""
-    return 0.5 * np.einsum("ijm,km->kij", field.third, _inverse(field))
-
-
-def _riemann_ricci(dg: np.ndarray, ginv: np.ndarray) -> RiemannRicci:
+def _ricci(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     # riemann[l, i, j, k] = (1/4) sum over m, s, nn of
-    #   (dg[i, j, m] dg[s, nn, k] - dg[s, nn, j] dg[k, i, m]) ginv[m, nn] ginv[l, s],
-    # contracted through a[i, j, nn] = dg[i, j, m] ginv[m, nn] and
-    # b[l, nn, k] = ginv[l, s] dg[s, nn, k].
+    #   (dg[i, j, m] dg[s, nn, k] - dg[s, nn, j] dg[k, i, m]) ginv[m, nn] ginv[l, s];
+    # fourth-derivative terms cancel for Hessian metrics.  It is contracted
+    # through a[i, j, nn] = dg[i, j, m] ginv[m, nn] and
+    # b[l, nn, k] = ginv[l, s] dg[s, nn, k]; ricci[i, k] contracts the upper
+    # index against the first lower derivative slot.
     a = np.einsum("ijm,mn->ijn", dg, ginv)
     b = np.einsum("ls,snk->lnk", ginv, dg)
     riem = 0.25 * (np.einsum("ijn,lnk->lijk", a, b)
                    - np.einsum("kin,lnj->lijk", a, b))
-    return RiemannRicci(riemann=riem, ricci=np.einsum("lilk->ik", riem))
-
-
-def riemann_ricci(field: HessianMetricField) -> RiemannRicci:
-    """Curvature tensors; fourth-derivative terms cancel for Hessian metrics.
-
-    riemann[l, i, j, k] is antisymmetric in (j, k); ricci[i, k] contracts
-    the upper index against the first lower derivative slot.
-    """
-    return _riemann_ricci(field.third, _inverse(field))
+    return np.einsum("lilk->ik", riem)
 
 
 def scalar_curvature_tensorial(field: HessianMetricField) -> float:
     ginv = _inverse(field)
-    return float(np.sum(ginv * _riemann_ricci(field.third, ginv).ricci))
+    return float(np.sum(ginv * _ricci(field.third, ginv)))
 
 
 def scalar_curvature_closed2d(metric: MetricTensor2) -> float:
     """2D scalar curvature from the metric and its six partials."""
-    if is_degenerate(metric.e11, metric.e12, metric.e22):
+    if abs(relative_det(metric.e11, metric.e12, metric.e22)) < SINGULAR_BAND:
         raise SingularState("curvature diverges on the degeneracy locus",
                             det=metric.det)
     d111, d112, _, d122, _, d222 = metric.d
@@ -322,7 +303,10 @@ def zero_curvature_classify(model: ConstitutiveModel,
 
     The window must lie in the admissible volume range.  Checks, in order:
     f1 identically zero; f1 f1'' - (f1')^2 identically zero (exponential
-    f1); f2'' identically zero (affine f2, the ideal-gas case).
+    f1); f2'' identically zero (affine f2, the ideal-gas case).  Each
+    quantity counts as zero when it is below ``tol`` times the size of the
+    terms it is built from or compared with, so rescaling f1, f2 or V does
+    not change the class.
     """
     if not isinstance(model, ConstantCv):
         raise UnsupportedModel("flatness classification needs a ConstantCv model")
@@ -331,21 +315,20 @@ def zero_curvature_classify(model: ConstitutiveModel,
         raise ValueError(f"bad sampling window {v_window} x {samples}")
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
 
-    f1_vals, x_vals, x_scales, f2_flat = [], [], [], True
+    f1_zero = f1_exponential = f2_affine = True
     for v in grid:
         f1, f1p, f1pp, _ = model.f1.eval_derivs(v)
-        f2, _, f2pp, _ = model.f2.eval_derivs(v)
-        f1_vals.append(abs(f1))
-        x_vals.append(abs(f1 * f1pp - f1p * f1p))
-        x_scales.append(max(abs(f1 * f1pp), f1p * f1p, 1.0))
-        if abs(f2pp) * v * v > tol * max(1.0, abs(f2)):
-            f2_flat = False
+        f2, f2p, f2pp, _ = model.f2.eval_derivs(v)
+        f1_zero &= abs(f1) <= tol * (abs(f1p * v) + abs(f1pp * v * v))
+        f1_exponential &= (abs(f1 * f1pp - f1p * f1p)
+                           <= tol * max(abs(f1 * f1pp), f1p * f1p))
+        f2_affine &= abs(f2pp * v * v) <= tol * (abs(f2) + abs(f2p * v))
 
-    if max(f1_vals) < 1e-12:
+    if f1_zero:
         return FlatnessClass.DEGENERATE_F1_ZERO
-    if all(x <= tol * s for x, s in zip(x_vals, x_scales)):
+    if f1_exponential:
         return FlatnessClass.EXPONENTIAL_F1
-    if f2_flat:
+    if f2_affine:
         return FlatnessClass.AFFINE_F2
     return FlatnessClass.NON_FLAT
 

@@ -171,16 +171,27 @@ class DerivativeStack(NamedTuple):
             dk_dS=self.dk_ds, dk_dV=self.dk_dv)
 
 
-def degeneracy_scale(e11: float, e12: float, e22: float) -> float:
-    """Size of the Hessian entries that a determinant is compared against."""
-    return max(abs(e11 * e22), e12 * e12, 1.0)
+# A state is degenerate when its relative determinant lies inside this band.
+SINGULAR_BAND = 1e-9
+
+
+def relative_det(e11: float, e12: float, e22: float) -> float:
+    """det / max(|e11 e22|, e12^2): the Hessian determinant against the
+    larger of its two terms.
+
+    Rescaling U, S or V multiplies both terms by the same factor, so the
+    measure, and every degeneracy decision read from it, is unit-free.
+    Entries whose terms both vanish give 0, a degenerate state.
+    """
+    scale = max(abs(e11 * e22), e12 * e12)
+    return (e11 * e22 - e12 * e12) / scale if scale > 0.0 else 0.0
 
 
 def _determinant(state, check_singular, e11, e12, e22) -> float:
-    """Hessian determinant; with ``check_singular`` a state on the
-    degeneracy locus raises SingularState."""
+    """Hessian determinant; with ``check_singular`` a degenerate state
+    raises SingularState."""
     det = e11 * e22 - e12 * e12
-    if check_singular and abs(det) < 1e-12 * degeneracy_scale(e11, e12, e22):
+    if check_singular and abs(relative_det(e11, e12, e22)) < SINGULAR_BAND:
         raise SingularState("state lies on the degeneracy locus",
                             det=det, state=state)
     return det
@@ -441,11 +452,10 @@ class Berthelot(ConstitutiveModel):
         c122 = d_v(e12_v, e12_t)
         c222 = d_v(e22_v, e22_t)
 
-        det = _determinant(state, check_singular, e11, e12, e22)
+        # det = -T p_v / cv is rounding-sized where p_v = 0, so with
+        # check_singular the stack check has raised before that branch
+        _determinant(state, check_singular, e11, e12, e22)
         if p_v == 0.0:
-            if check_singular:
-                raise SingularState("isothermal compressibility diverges",
-                                    det=det, state=state)
             k = alpha = cp = math.nan
             da_s = da_v = dk_s = dk_v = math.nan
         else:

@@ -24,11 +24,12 @@ from .eos_models import (
     ConstitutiveModel,
     DerivativeStack,
     StatePoint,
-    degeneracy_scale,
+    relative_det,
 )
 from .errors import SingularState, StepFailure, ThermogeomError
 
-# Integration stops when |det| falls below this fraction of its scale.
+# Integration stops when the relative determinant (eos_models.relative_det)
+# falls below this margin, well outside eos_models.SINGULAR_BAND.
 LOCUS_GUARD_BAND = 1e-6
 
 
@@ -233,8 +234,8 @@ def integrate_geodesic(model: ConstitutiveModel,
         stack = stack_at(y[0], y[1])
         if stack is None:
             return -1.0
-        scale = degeneracy_scale(stack.e11, stack.e12, stack.e22)
-        return det_sign * stack.det / scale - LOCUS_GUARD_BAND
+        return (det_sign * relative_det(stack.e11, stack.e12, stack.e22)
+                - LOCUS_GUARD_BAND)
 
     locus_event.terminal = True
     locus_event.direction = -1.0
@@ -273,7 +274,7 @@ def _trajectory(sol, floor, stack_at) -> GeodesicTrajectory:
         else:
             stack = stack_at(s_last, v_last)
             near_locus = stack is not None and (
-                abs(stack.det) / degeneracy_scale(stack.e11, stack.e12, stack.e22)
+                abs(relative_det(stack.e11, stack.e12, stack.e22))
                 <= 10.0 * LOCUS_GUARD_BAND)
             if near_locus:
                 sol.status = 1

@@ -106,8 +106,8 @@ def hessian_point_from_metric(metric: MetricTensor2) -> HessianPoint:
     r1 = (d111, _SQRT2 * d112, d122)
     r2 = (d112, _SQRT2 * d122, d222)
     normal = _cross(r1, r2)
-    scale = max(1.0, _norm(r1) * _norm(r2))
-    if _norm(normal) < 1e-12 * scale:
+    # |r1 x r2| / (|r1| |r2|) is the sine of the frame angle
+    if _norm(normal) <= 1e-12 * _norm(r1) * _norm(r2):
         raise FrameSingular(
             f"tangent frame is degenerate (|r1 x r2| = {_norm(normal):.3e})")
     return HessianPoint(
@@ -138,15 +138,6 @@ def radial_pairing(hp: HessianPoint) -> RadialPairing:
     else:
         kind = RadialClass.RADIALLY_CONCAVE
     return RadialPairing(pairing=pairing, kind=kind)
-
-
-def cone_residual(metric: MetricTensor2) -> float:
-    """Distance-to-cone quantity: the metric determinant.
-
-    Zero exactly when the state maps onto the cone of singular symmetric
-    matrices, i.e. on the degeneracy locus.
-    """
-    return metric.e11 * metric.e22 - metric.e12 * metric.e12
 
 
 def ideal_conic_residual(metric: MetricTensor2, cp: float, r_gas: float) -> float:

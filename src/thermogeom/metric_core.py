@@ -16,19 +16,12 @@ from .eos_models import (
     Coefficients,
     ConstitutiveModel,
     DerivativeStack,
+    SINGULAR_BAND,
     StatePoint,
-    degeneracy_scale,
+    relative_det,
     stack_at,
 )
 from .errors import DomainError
-
-# a state counts as degenerate when |det| drops below this times the entry scale
-DEGENERACY_FACTOR = 1e-9
-
-
-def is_degenerate(e11: float, e12: float, e22: float) -> bool:
-    det = e11 * e22 - e12 * e12
-    return abs(det) < DEGENERACY_FACTOR * degeneracy_scale(e11, e12, e22)
 
 
 class MetricChart(enum.Enum):
@@ -247,7 +240,7 @@ def eigen_signature(metric: MetricTensor2, coeffs: Coefficients | None = None) -
     lam_plus = 0.5 * (metric.trace + root)
     lam_minus = 0.5 * (metric.trace - root)
 
-    if is_degenerate(e11, e12, e22):
+    if abs(relative_det(e11, e12, e22)) < SINGULAR_BAND:
         kind = SignatureKind.DEGENERATE
     elif det < 0.0:
         kind = SignatureKind.INDEFINITE

@@ -67,6 +67,15 @@ class TestNegativeBasePower:
         assert out == ""
         assert one_line(err) == "error: f1(V) must be positive, got -1.0 at V=1.0"
 
+    def test_critical_without_admissible_state_exits_one(self, capsys):
+        # no volume of the window is admissible: a domain error, not a
+        # monotone locus temperature
+        rc, out, err = run(capsys, ["critical", "--model", "custom",
+                                    "--f1", "0-1"])
+        assert rc == 1
+        assert out == ""
+        assert one_line(err) == "error: f1(V) must be positive, got -1.0 at V=0.01"
+
 
 def test_negative_exponent_flag_value(capsys):
     argv = ["geodesic", "--model", "vdw", "--a", "1.5", "--b", "0.2",

@@ -25,11 +25,12 @@ from thermogeom import (
 )
 from thermogeom.critical_locus import (
     _bisect_newton,
+    _critical_volume_numeric,
     _scan_locus_entropy,
     _scan_window,
     locus_entropy,
 )
-from thermogeom.metric_core import degeneracy_scale
+from thermogeom.eos_models import relative_det
 
 from conftest import PARAMS
 
@@ -39,9 +40,9 @@ def sv(s, v):
 
 
 def locus_det_residual(model, smp):
-    """|det| of the metric at a locus sample, relative to its entry scale."""
+    """|relative determinant| of the metric at a locus sample."""
     stack = model.derivative_stack(sv(smp.s, smp.v), check_singular=False)
-    return abs(stack.det) / degeneracy_scale(stack.e11, stack.e12, stack.e22)
+    return abs(relative_det(stack.e11, stack.e12, stack.e22))
 
 
 def custom_vdw():
@@ -207,6 +208,28 @@ class TestBracketedRoot:
         assert _bisect_newton(f, 0.0, 1.0, df=df) == pytest.approx(
             1.0 / 3.0, abs=1e-8)
         assert len(slopes) < 10
+
+
+class TestCriticalVolumeGaps:
+    def test_inadmissible_volumes_are_gaps(self):
+        def dtdv(v):
+            # locus temperature peaks at V = 0.6; no locus below V = 0.3
+            if v < 0.3:
+                raise DomainError(f"f1(V) must be positive at V={v}")
+            return 0.6 - v
+        assert _critical_volume_numeric(dtdv, (1e-2, 1e2)) == pytest.approx(
+            0.6, rel=1e-10)
+
+    def test_no_admissible_volume_is_a_domain_error(self):
+        def dtdv(v):
+            raise DomainError(f"f1(V) must be positive at V={v}")
+        with pytest.raises(DomainError, match="at V=0.01$"):
+            _critical_volume_numeric(dtdv, (1e-2, 1e2))
+
+    def test_custom_model_with_negative_f1(self):
+        model = ConstantCv("0-1", None, cv=2.5)
+        with pytest.raises(DomainError, match="must be positive"):
+            critical_point(model)
 
 
 class TestCriticalPoints:

@@ -29,8 +29,6 @@ from thermogeom.curvature import (
     HessianMetricField,
     _constant_cv_curvature,
     berthelot_printed_closed_form,
-    christoffel,
-    riemann_ricci,
     scalar_curvature_tensorial,
 )
 from thermogeom.expressions import ScaledExp, ShiftedPower, ZeroFunction
@@ -204,6 +202,17 @@ class TestFlatnessClassifier:
     def test_vdw_not_flat(self, vdw_model):
         assert zero_curvature_classify(vdw_model) is FlatnessClass.NON_FLAT
 
+    @pytest.mark.parametrize("scale", ["1e-8", "1", "1e8"])
+    @pytest.mark.parametrize("f1,f2,expected", [
+        ("(V-0.2)^-0.8", "0.6/V", FlatnessClass.NON_FLAT),
+        ("0.7*exp(-0.4*V)", "0.3*V^2", FlatnessClass.EXPONENTIAL_F1),
+        ("(V-0.2)^-0.8", "0.3*V + 0.1", FlatnessClass.AFFINE_F2),
+    ])
+    def test_class_does_not_depend_on_the_energy_unit(self, f1, f2, expected,
+                                                      scale):
+        model = ConstantCv(f"{scale}*({f1})", f"{scale}*({f2})", cv=2.5)
+        assert zero_curvature_classify(model) is expected
+
     def test_vanishing_leading_function_degenerate(self):
         model = ConstantCv(ZeroFunction(), None, cv=2.0)
         assert (zero_curvature_classify(model)
@@ -272,23 +281,23 @@ class TestStackOrState:
 
 
 class TestRiemannConsistency:
+    # the index formula of the tensorial route, written out in
+    # _riemann_ricci_loops, against the closed 2D route and itself
     def test_scalar_from_full_tensor(self, vdw_model):
         state = sv(2.5, 1.4)
         m = weinhold_metric(vdw_model, state)
-        field = HessianMetricField.from_metric(m)
-        rr = riemann_ricci(field)
+        riemann, _ = _riemann_ricci_loops(HessianMetricField.from_metric(m))
         # two-dimensional identity: R = 2 R_1212 / det
-        r1212 = rr.riemann[0][1][0][1]
-        lowered = m.e11 * r1212 + m.e12 * rr.riemann[1][1][0][1]
+        r1212 = riemann[0][1][0][1]
+        lowered = m.e11 * r1212 + m.e12 * riemann[1][1][0][1]
         rep = curvature_report(vdw_model, state)
         assert 2.0 * lowered / m.det == pytest.approx(
             rep.r_closed2d, rel=1e-10)
 
     def test_ricci_symmetric(self, vdw_model):
-        field = HessianMetricField.from_metric(
-            weinhold_metric(vdw_model, sv(2.2, 0.9)))
-        rr = riemann_ricci(field)
-        assert rr.ricci[0][1] == pytest.approx(rr.ricci[1][0], rel=1e-12)
+        _, ricci = _riemann_ricci_loops(HessianMetricField.from_metric(
+            weinhold_metric(vdw_model, sv(2.2, 0.9))))
+        assert ricci[0][1] == pytest.approx(ricci[1][0], rel=1e-12)
 
 
 class TestLocusBlowUp:
@@ -307,21 +316,6 @@ class TestLocusBlowUp:
 
 # Reference loops: the index formulas written out one term at a time.  The
 # einsum contractions of the tensorial route must reproduce them.
-
-
-def _christoffel_loops(field):
-    n = field.n
-    dg = field.third
-    ginv = np.linalg.inv(field.second)
-    gamma = np.zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for m in range(n):
-                    acc += dg[i, j, m] * ginv[k, m]
-                gamma[k, i, j] = 0.5 * acc
-    return gamma
 
 
 def _riemann_ricci_loops(field):
@@ -363,12 +357,6 @@ def _random_hessian_field(n, seed):
     return HessianMetricField(n=n, second=0.5 * (g + g.T), third=dg)
 
 
-def _assert_close(got, want, rel=1e-12):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
-
-
 class TestContractionAgainstLoops:
     # in 2D the symmetries of the index formula can hide a slipped index,
     # so the contraction is checked at n = 3 and 4 as well
@@ -376,20 +364,11 @@ class TestContractionAgainstLoops:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_riemann_ricci_scalar(self, n, seed):
         field = _random_hessian_field(n, seed)
-        riem, ricci = _riemann_ricci_loops(field)
-        rr = riemann_ricci(field)
-        _assert_close(rr.riemann, riem)
-        _assert_close(rr.ricci, ricci)
+        _, ricci = _riemann_ricci_loops(field)
         ginv = np.linalg.inv(field.second)
         want = float(np.sum(ginv * ricci))
         assert scalar_curvature_tensorial(field) == pytest.approx(want,
                                                                   rel=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_christoffel(self, n, seed):
-        field = _random_hessian_field(n, seed)
-        _assert_close(christoffel(field), _christoffel_loops(field))
 
 
 class TestFieldChecks:
@@ -407,10 +386,9 @@ class TestFieldChecks:
         with pytest.raises(ValueError, match="metric entries"):
             HessianMetricField(n=3, second=g, third=field.third)
 
-    @pytest.mark.parametrize("route", [christoffel, riemann_ricci,
-                                       scalar_curvature_tensorial])
-    def test_singular_metric_raises(self, route):
+    def test_singular_metric_raises(self):
         field = _random_hessian_field(3, 0)
         g = np.ones((3, 3))
         with pytest.raises(SingularState, match="not invertible"):
-            route(HessianMetricField(n=3, second=g, third=field.third))
+            scalar_curvature_tensorial(
+                HessianMetricField(n=3, second=g, third=field.third))

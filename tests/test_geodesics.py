@@ -1,6 +1,7 @@
 """Christoffel symbols and geodesic integration on the energy metric."""
 import math
 
+import numpy as np
 import pytest
 
 from thermogeom import (
@@ -14,8 +15,12 @@ from thermogeom import (
     TerminationReason,
     integrate_geodesic,
 )
-from thermogeom.curvature import HessianMetricField, christoffel as christoffel_array
-from thermogeom.eos_models import CoefficientPartials, Coefficients
+from thermogeom.curvature import HessianMetricField
+from thermogeom.eos_models import (
+    CoefficientPartials,
+    Coefficients,
+    relative_det,
+)
 from thermogeom.expressions import ShiftedPower
 from thermogeom.geodesics import (
     LOCUS_GUARD_BAND,
@@ -23,7 +28,7 @@ from thermogeom.geodesics import (
     christoffel_from_stack,
     metric_speed,
 )
-from thermogeom.metric_core import degeneracy_scale, weinhold_metric
+from thermogeom.metric_core import weinhold_metric
 from thermogeom.critical_locus import locus_entropy
 
 from fd_oracles import fd_christoffels, second_derivative, weinhold_entry_fn
@@ -42,6 +47,12 @@ def from_array(arr):
         g211=arr[1][0][0], g212=arr[1][0][1], g222=arr[1][1][1], aux={})
 
 
+def index_form(field):
+    """The generic formula gamma[k, i, j] = (1/2) dg[i, j, m] ginv[k, m]."""
+    return 0.5 * np.einsum("ijm,km->kij", field.third,
+                           np.linalg.inv(field.second))
+
+
 class TestChristoffelRoutes:
     @pytest.mark.parametrize("fixture,state", [
         ("ideal_model", (1.4, 1.8)),
@@ -56,7 +67,7 @@ class TestChristoffelRoutes:
         by_coeffs = christoffel_elementary(
             model.coefficients(sv(s, v)),
             model.coefficient_partials(sv(s, v)), v)
-        by_field = from_array(christoffel_array(
+        by_field = from_array(index_form(
             HessianMetricField.from_metric(weinhold_metric(model, sv(s, v)))))
         for name in SYMBOL_FIELDS:
             ref = getattr(by_stack, name)
@@ -242,8 +253,7 @@ class TestTermination:
         assert final.t < 40.0
         stack = vdw_model.derivative_stack(sv(final.s, final.v),
                                            check_singular=False)
-        rel_det = abs(stack.det) / degeneracy_scale(stack.e11, stack.e12,
-                                                    stack.e22)
+        rel_det = abs(relative_det(stack.e11, stack.e12, stack.e22))
         assert rel_det == pytest.approx(LOCUS_GUARD_BAND, rel=1e-3)
         s_star = locus_entropy(vdw_model, final.v)
         assert final.s > s_star

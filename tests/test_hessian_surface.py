@@ -19,7 +19,6 @@ from thermogeom import (
 )
 from thermogeom.expressions import ScaledExp
 from thermogeom.hessian_surface import (
-    cone_residual,
     embed,
     ideal_conic_residual,
     vdw_surface_residual,
@@ -148,10 +147,6 @@ class TestPairingIdentity:
 
 
 class TestSurfaceResiduals:
-    def test_cone_residual_is_determinant(self, vdw_model):
-        m = weinhold_metric(vdw_model, sv(2.5, 1.4))
-        assert cone_residual(m) == m.det
-
     @pytest.mark.parametrize("s,v", [(1.0, 1.0), (2.0, 3.0), (0.7, 2.2)])
     def test_ideal_image_sits_on_conic(self, ideal_model, s, v):
         m = weinhold_metric(ideal_model, sv(s, v))

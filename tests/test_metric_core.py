@@ -15,11 +15,8 @@ from thermogeom import (
     ruppeiner_metric,
     weinhold_metric,
 )
-from thermogeom.metric_core import (
-    MetricChart,
-    degeneracy_scale,
-    is_degenerate,
-)
+from thermogeom.eos_models import SINGULAR_BAND, relative_det
+from thermogeom.metric_core import MetricChart
 from thermogeom.curvature import laplace_beltrami_log_t
 
 from conftest import PARAMS
@@ -194,14 +191,23 @@ class TestLogTemperatureLaplacian:
 
 
 class TestDegeneracyHelpers:
-    def test_scale_is_positively_homogeneous(self):
-        base = degeneracy_scale(1.0, 0.5, 2.0)
-        assert degeneracy_scale(3.0, 1.5, 6.0) == pytest.approx(
-            9.0 * base, rel=1e-12)
+    def test_relative_det_is_scale_free(self):
+        base = relative_det(1.0, 0.5, 2.0)
+        # U scaled by 3, then V scaled by 1e-3
+        assert relative_det(3.0, 1.5, 6.0) == pytest.approx(base, rel=1e-12)
+        assert relative_det(1.0, 0.5e3, 2.0e6) == pytest.approx(base,
+                                                               rel=1e-12)
+        assert relative_det(1e-8, 0.5e-8, 2e-8) == pytest.approx(base,
+                                                                rel=1e-12)
 
-    def test_is_degenerate_boundary(self):
-        assert is_degenerate(1.0, 1.0, 1.0)
-        assert not is_degenerate(1.0, 0.0, 1.0)
+    def test_relative_det_boundary(self):
+        assert relative_det(1.0, 1.0, 1.0) == 0.0
+        assert relative_det(1.0, 0.0, 1.0) == 1.0
+        assert relative_det(1.0, 2.0, 1.0) == -0.75
+        # both terms vanish: degenerate
+        assert relative_det(0.0, 0.0, 5.0) == 0.0
+        assert abs(relative_det(1.0, 1.0, 1.0 + 1e-10)) < SINGULAR_BAND
+        assert not abs(relative_det(1.0, 1.0, 1.0 + 1e-8)) < SINGULAR_BAND
 
     def test_inverse_metric_inverts(self, vdw_model):
         # the coefficient form [[cp/T, V alpha], [V alpha, k V]]

@@ -1,22 +1,25 @@
-"""Every exported function has a caller outside the unit tests.
+"""Every public function has a caller outside the unit tests.
 
-A function in ``thermogeom.__all__`` must be called somewhere in the
-package (outside its own definition and the package ``__init__``), by the
-acceptance suite, or be one the benchmark tracer wraps by name.  Anything
-else is public API that nothing uses.
+A public module-level function of the package (one whose name has no
+leading underscore) must be used somewhere in the package outside its own
+definition and the package ``__init__``, by the acceptance suite, or be
+one the benchmark tracer wraps by name.  A use is a call or any other
+load of the name: the ``cli.cmd_*`` functions are reached only through
+the dispatch table.  Anything else is public API that nothing uses.
 """
 import ast
-import inspect
 from pathlib import Path
 
 import thermogeom
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(thermogeom.__file__).resolve().parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py")
+                 if path.name != "__init__.py")
 
 
-class _Calls(ast.NodeVisitor):
-    """Names called in a module, except calls a function makes to itself."""
+class _Uses(ast.NodeVisitor):
+    """Names loaded in a module, except a function's loads of itself."""
 
     def __init__(self):
         self.names = set()
@@ -29,25 +32,32 @@ class _Calls(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_Call(self, node):
-        func = node.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
-        if name is not None and name not in self._enclosing:
+    def _use(self, name):
+        if name not in self._enclosing:
             self.names.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.attr)
         self.generic_visit(node)
 
 
-def _called(path: Path) -> set[str]:
-    calls = _Calls()
-    calls.visit(ast.parse(path.read_text(encoding="utf-8")))
-    return calls.names
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _used(path: Path) -> set[str]:
+    uses = _Uses()
+    uses.visit(_parse(path))
+    return uses.names
 
 
 def _traced() -> set[str]:
-    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(
-        encoding="utf-8"))
-    for node in tree.body:
+    for node in _parse(ROOT / "perfbench" / "tracer.py").body:
         if (isinstance(node, ast.Assign)
                 and [t.id for t in node.targets] == ["FUNCTIONS"]):
             return {name for names in ast.literal_eval(node.value).values()
@@ -55,11 +65,16 @@ def _traced() -> set[str]:
     raise AssertionError("perfbench/tracer.py defines no FUNCTIONS")
 
 
-def test_every_exported_function_is_called():
-    used = _traced() | _called(ROOT / "tests" / "test_acceptance.py")
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "__init__.py":
-            used |= _called(path)
-    exported = {name for name in thermogeom.__all__
-                if inspect.isfunction(getattr(thermogeom, name))}
-    assert sorted(exported - used) == []
+def _public_functions(path: Path) -> set[str]:
+    return {node.name for node in _parse(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
+def test_every_public_function_is_used():
+    used = _traced() | _used(ROOT / "tests" / "test_acceptance.py")
+    for path in MODULES:
+        used |= _used(path)
+    unused = {f"{path.stem}.{name}" for path in MODULES
+              for name in _public_functions(path) - used}
+    assert sorted(unused) == []
