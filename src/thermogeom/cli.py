@@ -29,10 +29,12 @@ from .critical_locus import (
 )
 from .curvature import (
     curvature_report,
+    curvature_routes,
     ruppeiner_direct_curvature,
     ruppeiner_from_weinhold,
 )
 from .eos_models import (
+    Chart,
     ConstantCv,
     GasParameters,
     IdealGas,
@@ -67,8 +69,8 @@ from .hessian_surface import (
 )
 from .metric_core import (
     determinant_report,
-    eigen_signature,
     identity_residuals,
+    signature_kind,
     weinhold_from_stack,
 )
 
@@ -240,10 +242,19 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
     return x1, x2
 
 
-def _state(eff: dict, x1: float, x2: float) -> StatePoint:
-    if eff["chart"] == "tv":
-        return StatePoint.temperature_volume(x1, x2)
-    return StatePoint.entropy_volume(x1, x2)
+def _grid(eff: dict, model, cell_values):
+    """Axes, grid and per-cell values of a grid command.
+
+    ``cell_values(stack)`` evaluates the live cells in one array pass; its
+    values come back per cell, row-major, None for an ended cell.
+    """
+    x1s, x2s = _grid_axes(eff, model)
+    chart = (Chart.TEMPERATURE_VOLUME if eff["chart"] == "tv"
+             else Chart.ENTROPY_VOLUME)
+    grid = model.grid_stack(chart, x1s, x2s)
+    values = zip(*(grid.scatter(x) for x in grid.run(cell_values)))
+    cells = ((x1, x2) for x1 in x1s for x2 in x2s)
+    return x1s, x2s, zip(cells, grid.errors, grid.det, values)
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +398,28 @@ def _cell_color(value, singular: bool) -> str:
 # subcommands
 
 def cmd_curvature_grid(args, eff, model) -> int:
-    x1s, x2s = _grid_axes(eff, model)
+    def cell_values(st):
+        metric, r_tensorial, r_closed2d, r_elementary, _, r_model = (
+            curvature_routes(model, st))
+        return (metric.det, r_tensorial, r_closed2d, r_elementary, r_model,
+                signature_kind(metric, st.cv))
+
+    x1s, x2s, cells = _grid(eff, model, cell_values)
     c1 = "t" if eff["chart"] == "tv" else "s"
     columns = [c1, "v", "det", "r_tensorial", "r_closed2d", "r_elementary",
                "r_model_closed", "signature"]
     rows = []
     colors = []
-    for x1 in x1s:
-        for x2 in x2s:
-            try:
-                report = curvature_report(model, _state(eff, x1, x2))
-                sig = eigen_signature(report.metric,
-                                      report.stack.coefficients)
-                rows.append([x1, x2, report.metric.det, report.r_tensorial,
-                             report.r_closed2d, report.r_elementary,
-                             report.r_model_closed, sig.kind.value])
-                colors.append(_cell_color(report.r_closed2d, False))
-            except SingularState as exc:
-                det = exc.det if exc.det is not None else 0.0
-                rows.append([x1, x2, det, "singular", "singular",
-                             "singular", "singular", "degenerate"])
-                colors.append(_cell_color(None, True))
+    for (x1, x2), exc, ended_det, values in cells:
+        if exc is None:
+            det, r_tensorial, r_closed2d, r_elementary, r_model, kind = values
+            rows.append([x1, x2, det, r_tensorial, r_closed2d, r_elementary,
+                         r_model, kind.value])
+            colors.append(_cell_color(r_closed2d, False))
+        else:
+            rows.append([x1, x2, ended_det, "singular", "singular",
+                         "singular", "singular", "degenerate"])
+            colors.append(_cell_color(None, True))
     meta = _meta(eff)
     _emit_table(args, meta, columns, rows,
                 lambda: _render_svg_heatmap(meta, x1s, x2s, colors))
@@ -501,32 +513,31 @@ def cmd_geodesic(args, eff, model) -> int:
 
 
 def cmd_surface(args, eff, model) -> int:
-    x1s, x2s = _grid_axes(eff, model)
+    def cell_values(st):
+        metric = weinhold_from_stack(st)
+        rp = radial_pairing(hessian_point_from_metric(metric))
+        extra = None
+        if isinstance(model, VanDerWaals):
+            extra = vdw_surface_residual(metric, model.params)[1]
+        elif isinstance(model, IdealGas):
+            extra = ideal_conic_residual(metric, st.cp, model.params.r_gas)
+        return rp.pairing, rp.kind, metric.det, extra
+
+    x1s, x2s, cells = _grid(eff, model, cell_values)
     c1 = "t" if eff["chart"] == "tv" else "s"
     columns = [c1, "v", "pairing", "radial_class", "cone_residual",
                "model_surface_residual"]
     rows = []
     colors = []
-    for x1 in x1s:
-        for x2 in x2s:
-            try:
-                stack = model.derivative_stack(_state(eff, x1, x2))
-                metric = weinhold_from_stack(stack)
-                rp = radial_pairing(hessian_point_from_metric(metric))
-                extra = None
-                if isinstance(model, VanDerWaals):
-                    extra = vdw_surface_residual(metric, model.params)[1]
-                elif isinstance(model, IdealGas):
-                    extra = ideal_conic_residual(metric, stack.cp,
-                                                 model.params.r_gas)
-                rows.append([x1, x2, rp.pairing, rp.kind.value, metric.det,
-                             extra])
-                colors.append(_cell_color(-rp.pairing, False))
-            except (SingularState, FrameSingular) as exc:
-                marker = ("degenerate" if isinstance(exc, SingularState)
-                          else "frame_singular")
-                rows.append([x1, x2, None, marker, None, None])
-                colors.append(_cell_color(None, True))
+    for (x1, x2), exc, _, (pairing, kind, det, extra) in cells:
+        if exc is None:
+            rows.append([x1, x2, pairing, kind.value, det, extra])
+            colors.append(_cell_color(-pairing, False))
+        else:
+            marker = ("degenerate" if isinstance(exc, SingularState)
+                      else "frame_singular")
+            rows.append([x1, x2, None, marker, None, None])
+            colors.append(_cell_color(None, True))
     meta = _meta(eff)
     _emit_table(args, meta, columns, rows,
                 lambda: _render_svg_heatmap(meta, x1s, x2s, colors))

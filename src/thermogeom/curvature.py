@@ -35,6 +35,9 @@ from .eos_models import (
     SINGULAR_BAND,
     StatePoint,
     VanDerWaals,
+    anywhere,
+    libm_for,
+    raise_where,
     relative_det,
     stack_at,
 )
@@ -55,11 +58,12 @@ class FlatnessClass(enum.Enum):
 
 @dataclass(frozen=True)
 class HessianMetricField:
-    """Metric g = Hess(potential) and its first partials at one point.
+    """Metric g = Hess(potential) and its first partials at one point, or
+    at each point of a leading batch axis.
 
-    ``second[i, j]`` is the metric entry, ``third[i, j, k]`` its partial
-    along coordinate k; both are fully symmetric because they are bare
-    potential derivatives.
+    ``second[..., i, j]`` is the metric entry, ``third[..., i, j, k]`` its
+    partial along coordinate k; both are fully symmetric because they are
+    bare potential derivatives.
     """
 
     n: int
@@ -69,13 +73,17 @@ class HessianMetricField:
     def __post_init__(self):
         g = np.asarray(self.second, dtype=float)
         dg = np.asarray(self.third, dtype=float)
-        if g.shape != (self.n, self.n) or dg.shape != (self.n, self.n, self.n):
-            raise ValueError(f"shape mismatch for n={self.n}: {g.shape}, {dg.shape}")
-        scale = max(1.0, float(abs(dg).max()))
-        for perm in ((0, 2, 1), (1, 0, 2)):
-            if abs(dg - dg.transpose(perm)).max() > 1e-8 * scale:
+        n = self.n
+        if (g.shape[-2:] != (n, n) or dg.shape[-3:] != (n, n, n)
+                or g.shape[:-2] != dg.shape[:-3]):
+            raise ValueError(f"shape mismatch for n={n}: {g.shape}, {dg.shape}")
+        # each point against its largest entry compared, with no floor
+        scale = abs(dg).max(axis=(-3, -2, -1))
+        for swapped in (np.swapaxes(dg, -1, -2), np.swapaxes(dg, -3, -2)):
+            if anywhere(abs(dg - swapped).max(axis=(-3, -2, -1)) > 1e-8 * scale):
                 raise ValueError("third partials are not fully symmetric")
-        if abs(g - g.T).max() > 1e-12 * max(1.0, float(abs(g).max())):
+        if anywhere(abs(g - np.swapaxes(g, -1, -2)).max(axis=(-2, -1))
+                    > 1e-12 * abs(g).max(axis=(-2, -1))):
             raise ValueError("metric entries are not symmetric")
         object.__setattr__(self, "second", g)
         object.__setattr__(self, "third", dg)
@@ -83,12 +91,16 @@ class HessianMetricField:
     @classmethod
     def from_metric(cls, metric: MetricTensor2) -> "HessianMetricField":
         d111, d112, _, d122, _, d222 = metric.d
-        g = np.array([[metric.e11, metric.e12], [metric.e12, metric.e22]])
-        dg = np.empty((2, 2, 2))
-        dg[0, 0, 0] = d111
-        dg[0, 0, 1] = dg[0, 1, 0] = dg[1, 0, 0] = d112
-        dg[0, 1, 1] = dg[1, 0, 1] = dg[1, 1, 0] = d122
-        dg[1, 1, 1] = d222
+        batch = np.broadcast(metric.e11, metric.e12, metric.e22, *metric.d).shape
+        g = np.empty(batch + (2, 2))
+        g[..., 0, 0] = metric.e11
+        g[..., 0, 1] = g[..., 1, 0] = metric.e12
+        g[..., 1, 1] = metric.e22
+        dg = np.empty(batch + (2, 2, 2))
+        dg[..., 0, 0, 0] = d111
+        dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = dg[..., 1, 0, 0] = d112
+        dg[..., 0, 1, 1] = dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = d122
+        dg[..., 1, 1, 1] = d222
         return cls(n=2, second=g, third=dg)
 
 
@@ -129,24 +141,29 @@ def _ricci(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     # fourth-derivative terms cancel for Hessian metrics.  It is contracted
     # through a[i, j, nn] = dg[i, j, m] ginv[m, nn] and
     # b[l, nn, k] = ginv[l, s] dg[s, nn, k]; ricci[i, k] contracts the upper
-    # index against the first lower derivative slot.
-    a = np.einsum("ijm,mn->ijn", dg, ginv)
-    b = np.einsum("ls,snk->lnk", ginv, dg)
-    riem = 0.25 * (np.einsum("ijn,lnk->lijk", a, b)
-                   - np.einsum("kin,lnj->lijk", a, b))
-    return np.einsum("lilk->ik", riem)
+    # index against the first lower derivative slot.  A leading batch axis
+    # rides along.
+    a = np.einsum("...ijm,...mn->...ijn", dg, ginv)
+    b = np.einsum("...ls,...snk->...lnk", ginv, dg)
+    riem = 0.25 * (np.einsum("...ijn,...lnk->...lijk", a, b)
+                   - np.einsum("...kin,...lnj->...lijk", a, b))
+    return np.einsum("...lilk->...ik", riem)
 
 
-def scalar_curvature_tensorial(field: HessianMetricField) -> float:
+def scalar_curvature_tensorial(field: HessianMetricField):
+    """Scalar curvature by the generic index contraction: a float, or an
+    array over the field's batch axis.  The batched LAPACK inverse and
+    contraction round each point exactly as a single one."""
     ginv = _inverse(field)
-    return float(np.sum(ginv * _ricci(field.third, ginv)))
+    r = np.sum(ginv * _ricci(field.third, ginv), axis=(-2, -1))
+    return float(r) if r.ndim == 0 else r
 
 
 def scalar_curvature_closed2d(metric: MetricTensor2) -> float:
     """2D scalar curvature from the metric and its six partials."""
-    if abs(relative_det(metric.e11, metric.e12, metric.e22)) < SINGULAR_BAND:
-        raise SingularState("curvature diverges on the degeneracy locus",
-                            det=metric.det)
+    raise_where(abs(relative_det(metric.e11, metric.e12, metric.e22))
+                < SINGULAR_BAND, SingularState,
+                "curvature diverges on the degeneracy locus", det=metric.det)
     d111, d112, _, d122, _, d222 = metric.d
     det3 = (metric.e11 * (d112 * d222 - d122 * d122)
             - metric.e12 * (d111 * d222 - d112 * d122)
@@ -165,11 +182,10 @@ def scalar_curvature_elementary(coeffs: Coefficients,
     entries directly.
     """
     t, cv, cp, alpha, k = coeffs.t, coeffs.cv, coeffs.cp, coeffs.alpha, coeffs.k
-    if cv == 0.0 or alpha == 0.0 or k == 0.0:
-        raise SingularState("elementary curvature needs cv, alpha, k nonzero")
+    raise_where((cv == 0.0) | (alpha == 0.0) | (k == 0.0), SingularState,
+                "elementary curvature needs cv, alpha, k nonzero")
     det = t / (k * v * cv)
-    if det == 0.0:
-        raise SingularState("degenerate metric", det=det)
+    raise_where(det == 0.0, SingularState, "degenerate metric", det=det)
 
     h = (alpha / k - cv / v
          + ((cp - cv) / alpha) * partials.dalpha_dV
@@ -182,7 +198,7 @@ def scalar_curvature_elementary(coeffs: Coefficients,
     b = alpha / v + partials.dalpha_dV
 
     bracket = h * g + (cv * alpha / (k * k)) * f * (t * v * alpha * f / k - j)
-    r = t / (2.0 * cv ** 3 * det) * bracket
+    r = t / (2.0 * libm_for(cv).pow(cv, 3) * det) * bracket
     return r, {"H": h, "G": g, "F": f, "J": j, "D": d, "B": b}
 
 
@@ -192,12 +208,10 @@ def _constant_cv_curvature(model: ConstantCv,
     the entropy rate of ln k, and their difference."""
     cv, t = st.cv, st.t
 
-    f1, f1p, f1pp, _ = model.f1.eval_derivs(st.v)
-    _, _, f2pp, _ = model.f2.eval_derivs(st.v)
+    f1, f1p, f1pp, _, _, _, f2pp, _ = model.volume_terms(st.v)
     x_struct = f1 * f1pp - f1p * f1p
     denom = t * x_struct - f1 * f1 * f2pp
-    if denom == 0.0:
-        raise SingularState("degenerate metric", det=0.0)
+    raise_where(denom == 0.0, SingularState, "degenerate metric", det=0.0)
     r_structural = f1 * f1 * f2pp * x_struct / (2.0 * cv * denom * denom)
 
     x = st.dk_ds / st.k
@@ -340,13 +354,15 @@ def zero_curvature_classify(model: ConstitutiveModel,
 def _berthelot_closed(model: Berthelot, t: float, v: float) -> float:
     q = model.params
     a, b, r = q.a, q.b, q.r_gas
+    pow_ = libm_for(v).pow
     cv = q.cv0 + 2.0 * a / (v * t * t)
     w = v - b
     p_poly = (2.0 * cv - r) * v * v - 3.0 * cv * b * v + cv * b * b
-    num = 2.0 * a * (t ** 4 * v ** 4 * r * cv * p_poly
+    num = 2.0 * a * (pow_(t, 4) * pow_(v, 4) * r * cv * p_poly
                      + t * t * a * cv * v * w * w * (r * v * v - cv * w * w)
-                     + a * a * 2.0 * cv * w ** 4)
-    den = cv ** 3 * t ** 3 * v * (r * t * t * v ** 3 - 2.0 * a * w * w) ** 2
+                     + a * a * 2.0 * cv * pow_(w, 4))
+    den = (pow_(cv, 3) * pow_(t, 3) * v
+           * pow_(r * t * t * pow_(v, 3) - 2.0 * a * w * w, 2))
     return num / den
 
 
@@ -385,8 +401,9 @@ def _model_closed_form(model: ConstitutiveModel,
     if isinstance(model, VanDerWaals):
         q = model.params
         a, b, r = q.a, q.b, q.r_gas
-        den = st.p * st.v ** 3 - a * st.v + 2.0 * a * b
-        return a * r * st.v ** 3 / (st.cv * den * den)
+        v3 = libm_for(st.v).pow(st.v, 3)
+        den = st.p * v3 - a * st.v + 2.0 * a * b
+        return a * r * v3 / (st.cv * den * den)
     if isinstance(model, Berthelot):
         return _berthelot_closed(model, st.t, st.v)
     if isinstance(model, ConstantCv):
@@ -394,25 +411,35 @@ def _model_closed_form(model: ConstitutiveModel,
     return None
 
 
-def curvature_report(model: ConstitutiveModel,
-                     state: StatePoint | DerivativeStack) -> CurvatureReport:
-    """Evaluate every applicable curvature route and their agreement.
+def curvature_routes(model: ConstitutiveModel, st: DerivativeStack):
+    """The Weinhold metric of a stack and its curvature by every route:
+    (metric, r_tensorial, r_closed2d, r_elementary, breakdown,
+    r_model_closed).  Over a grid's arrays, each is an array over its live
+    cells.
 
     The routes share one derivative stack: a Hessian metric's curvature
     needs only second and third potential derivatives.
     """
-    st = stack_at(model, state)
     metric = weinhold_from_stack(st)
     r_closed2d = scalar_curvature_closed2d(metric)
     r_tensorial = scalar_curvature_tensorial(HessianMetricField.from_metric(metric))
     r_elementary, breakdown = scalar_curvature_elementary(
         st.coefficients, st.coefficient_partials, st.v)
-    r_model = _model_closed_form(model, st)
+    return (metric, r_tensorial, r_closed2d, r_elementary, breakdown,
+            _model_closed_form(model, st))
+
+
+def curvature_report(model: ConstitutiveModel,
+                     state: StatePoint | DerivativeStack) -> CurvatureReport:
+    """Evaluate every applicable curvature route and their agreement."""
+    st = stack_at(model, state)
+    (metric, r_tensorial, r_closed2d, r_elementary, breakdown,
+     r_model) = curvature_routes(model, st)
 
     discrepancy = None
     if isinstance(model, Berthelot):
         printed = berthelot_printed_closed_form(model, st.t, st.v)
-        scale = max(abs(r_elementary), abs(printed), 1e-12)
+        scale = max(abs(r_elementary), abs(printed))
         if abs(printed - r_elementary) > 1e-6 * scale:
             discrepancy = (
                 f"published polynomial form gives {printed!r}, "

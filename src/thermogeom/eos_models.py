@@ -11,16 +11,43 @@ constant-cv) share one closed-form engine.  The Berthelot gas lives natively
 in the temperature-volume chart and builds the same stack through the chain
 rule.  ``NumericEnergy`` wraps an arbitrary U(S, V) callback with central
 finite differences or a user-supplied analytic derivative callback.
+
+One state or a whole grid
+-------------------------
+``derivative_stack`` evaluates one state on plain Python floats.
+``grid_stack`` evaluates every state of a grid in one pass: the same
+formulas run on broadcast numpy arrays, with the volume terms once per
+volume, the entropy terms once per entropy, and per cell only what depends
+on both coordinates.  The curvature, signature and surface routes likewise
+take either floats or the arrays of a :class:`CellGrid`.
+
+The two must print the same digits, and numpy's +, -, *, / and sqrt are
+IEEE 754 operations, correctly rounded exactly as the float ones are.  Its
+``exp``, ``log`` and ``power`` are not: their SIMD kernels round
+differently from the C library's ``exp``, ``log`` and ``pow`` in the last
+bit for a few percent of arguments.  So every transcendental and every
+``**`` goes through :func:`libm_for`, whose array functions call the scalar
+libm function once per element, and a grid cell is bit-identical to the
+scalar route at that state.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .errors import DomainError, SingularState, UnsupportedModel
+import numpy as np
+
+from .errors import (
+    DomainError,
+    FrameSingular,
+    SingularState,
+    ThermogeomError,
+    UnsupportedModel,
+)
 from .expressions import ShiftedPower, SmoothFunction, ZeroFunction, as_smooth
 
 _EPS = math.ulp(1.0)
@@ -116,7 +143,9 @@ class DerivativeStack(NamedTuple):
 
     Hessian entries and third partials are those of U as a function of
     (S, V) regardless of which chart the query used; ``s`` and ``v`` give
-    the entropy-volume coordinates of the state.
+    the entropy-volume coordinates of the state.  In a :class:`CellGrid`
+    the fields are arrays over its live cells (a model constant, such as a
+    constant cv, stays a float).
     """
 
     s: float
@@ -175,7 +204,7 @@ class DerivativeStack(NamedTuple):
 SINGULAR_BAND = 1e-9
 
 
-def relative_det(e11: float, e12: float, e22: float) -> float:
+def relative_det(e11, e12, e22):
     """det / max(|e11 e22|, e12^2): the Hessian determinant against the
     larger of its two terms.
 
@@ -183,17 +212,117 @@ def relative_det(e11: float, e12: float, e22: float) -> float:
     measure, and every degeneracy decision read from it, is unit-free.
     Entries whose terms both vanish give 0, a degenerate state.
     """
-    scale = max(abs(e11 * e22), e12 * e12)
+    a, b = abs(e11 * e22), e12 * e12
+    if isinstance(a, np.ndarray):
+        # max(a, b) elementwise, taking NaN as max() does
+        return ratio_or_zero(e11 * e22 - e12 * e12, np.where(b > a, b, a))
+    scale = max(a, b)
     return (e11 * e22 - e12 * e12) / scale if scale > 0.0 else 0.0
 
 
-def _determinant(state, check_singular, e11, e12, e22) -> float:
+def ratio_or_zero(num, den):
+    """num / den where den > 0, else 0.0; elementwise over arrays."""
+    if isinstance(den, np.ndarray):
+        return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape),
+                         where=den > 0.0)
+    return num / den if den > 0.0 else 0.0
+
+
+def choose(conditions, choices, default):
+    """The choice of the first condition that holds, else ``default``;
+    elementwise, as an object array, when a condition is an array."""
+    if any(isinstance(c, np.ndarray) for c in conditions):
+        return np.select(conditions, choices, default)
+    for cond, choice in zip(conditions, choices):
+        if cond:
+            return choice
+    return default
+
+
+class Libm(NamedTuple):
+    """exp, log, ``**`` and sqrt as the C library rounds them."""
+
+    exp: Callable
+    log: Callable
+    pow: Callable
+    sqrt: Callable
+
+
+def _per_element(fn):
+    def apply(x, *args):
+        return np.array([fn(a, *args) for a in x.ravel().tolist()]
+                        ).reshape(x.shape)
+    return apply
+
+
+_FLOAT_LIBM = Libm(math.exp, math.log, operator.pow, math.sqrt)
+# IEEE 754 rounds sqrt correctly, so numpy's sqrt is the C library's
+_ARRAY_LIBM = Libm(_per_element(math.exp), _per_element(math.log),
+                   _per_element(operator.pow), np.sqrt)
+
+
+def libm_for(x) -> Libm:
+    """The C library's functions for ``x``: themselves for a float, called
+    once per element for an array (see the module docstring)."""
+    return _ARRAY_LIBM if isinstance(x, np.ndarray) else _FLOAT_LIBM
+
+
+# What the scalar route can raise at a state: a domain or stack check, a
+# libm call, a float division by zero.  Over a grid, numpy's division and
+# invalid-operation flags stand in for the last.
+_CELL_ERRORS = (ThermogeomError, ArithmeticError, ValueError)
+
+
+def _array_pass(over_arrays, per_cell):
+    """``over_arrays()``, a pass over a grid's arrays, bound to fail where
+    the scalar route fails.
+
+    It runs with numpy's division-by-zero and invalid-operation flags
+    raising (overflow and underflow are silent, as for floats).  On any
+    error ``per_cell()`` evaluates the cells once more one at a time, on
+    floats, which is the scalar route: the first error it meets in
+    row-major order is raised.  If it raises none (inf - inf, say, is NaN
+    for floats too), the pass is repeated with the flags off.
+    """
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="ignore",
+                         under="ignore"):
+            return over_arrays()
+    except _CELL_ERRORS:
+        per_cell()
+        with np.errstate(all="ignore"):
+            return over_arrays()
+
+
+def anywhere(cond) -> bool:
+    """Whether ``cond`` holds, for one state or for any cell of a grid."""
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def raise_where(cond, error, *args, **kwargs):
+    """Raise ``error(*args, **kwargs)`` where ``cond`` holds.
+
+    For one state that is a plain raise.  Over the cells of a grid the
+    error is raised when any cell holds, with the mask in ``cells``, so
+    :meth:`CellGrid.run` ends those cells and evaluates the rest again.
+    """
+    if isinstance(cond, np.ndarray):
+        if cond.any():
+            raise error(*args, cells=cond, **kwargs)
+    elif cond:
+        raise error(*args, **kwargs)
+
+
+def _determinant(state, check_singular, e11, e12, e22):
     """Hessian determinant; with ``check_singular`` a degenerate state
     raises SingularState."""
     det = e11 * e22 - e12 * e12
-    if check_singular and abs(relative_det(e11, e12, e22)) < SINGULAR_BAND:
-        raise SingularState("state lies on the degeneracy locus",
-                            det=det, state=state)
+    if check_singular:
+        degenerate = abs(relative_det(e11, e12, e22)) < SINGULAR_BAND
+        if anywhere(degenerate):  # spares every admissible state the call
+            raise_where(degenerate, SingularState,
+                        "state lies on the degeneracy locus",
+                        det=det, state=state)
     return det
 
 
@@ -210,32 +339,112 @@ def _stack_from_hessian(state, check_singular, s, v, u, t, p,
     """
     det = _determinant(state, check_singular, e11, e12, e22)
     constant_cv = cv is not None
-    if not constant_cv:
-        if e11 == 0.0:
-            raise SingularState("vanishing second entropy derivative",
-                                det=det, state=state)
+    if constant_cv:
+        dcv_ds = dcv_dv = 0.0
+    else:
+        raise_where(e11 == 0.0, SingularState,
+                    "vanishing second entropy derivative", det=det, state=state)
         cv = t / e11
-    if det == 0.0:
+    # only an unchecked state gets here with det = 0; the cells of a grid
+    # are checked
+    if isinstance(det, float) and det == 0.0:
         k = alpha = cp = math.nan
-        dcv_ds = dcv_dv = da_s = da_v = dk_s = dk_v = math.nan
+        da_s = da_v = dk_s = dk_v = math.nan
+        if not constant_cv:
+            dcv_ds = dcv_dv = math.nan
     else:
         k = e11 / (v * det)
         alpha = -e12 / (v * det)
         cp = cv + t * v * alpha * alpha / k
         det_s = c111 * e22 + e11 * c122 - 2.0 * e12 * c112
         det_v = c112 * e22 + e11 * c222 - 2.0 * e12 * c122
-        dcv_ds = 1.0 - t * c111 / (e11 * e11)
-        dcv_dv = (e11 * e12 - t * c112) / (e11 * e11)
+        if not constant_cv:
+            dcv_ds = 1.0 - t * c111 / (e11 * e11)
+            dcv_dv = (e11 * e12 - t * c112) / (e11 * e11)
         dk_s = (c111 * det - e11 * det_s) / (v * det * det)
         dk_v = (c112 * v * det - e11 * det - e11 * v * det_v) / (v * v * det * det)
         da_s = -(c112 * det - e12 * det_s) / (v * det * det)
         da_v = (-c122 * v * det + e12 * det + e12 * v * det_v) / (v * v * det * det)
-    if constant_cv:
-        dcv_ds = dcv_dv = 0.0
     # positional, in field order: a third of the cost of keywords
     return DerivativeStack(s, v, u, t, p, e11, e12, e22,
                            c111, c112, c122, c222, cv, cp, alpha, k,
                            dcv_ds, dcv_dv, da_s, da_v, dk_s, dk_v)
+
+
+class CellGrid:
+    """The states of a grid, and the stack of the cells no check has ended.
+
+    Cells are numbered row-major with x1 outer, the order the commands print
+    them.  ``errors[i]`` is the error that ended cell i (None while it
+    lives) and ``det[i]`` the determinant that error carried, 0.0 when it
+    carried none.
+    """
+
+    def __init__(self, size: int, stack):
+        self.live = np.arange(size)
+        self.errors = [None] * size
+        self.det = [0.0] * size
+        self.stack = stack
+
+    def run(self, fn):
+        """``fn(stack)`` over the live cells, in one :func:`_array_pass`.
+
+        A check that fails on some cells raises with their mask in
+        ``cells`` (:func:`raise_where`); those cells end with that error
+        and the rest are evaluated again, as the scalar route ends a state
+        at its first error.  Evaluated one at a time, on floats, a cell the
+        scalar route ends is ended.
+        """
+        return _array_pass(lambda: self._masked(fn),
+                           lambda: self._per_cell(fn))
+
+    def _masked(self, fn):
+        while True:
+            try:
+                return fn(self.stack)
+            except (SingularState, FrameSingular) as exc:
+                if exc.cells is None:
+                    raise
+                n = int(exc.cells.sum())
+                det = getattr(exc, "det", None)
+                self._end(exc.cells, [exc] * n,
+                          det[exc.cells].tolist()
+                          if isinstance(det, np.ndarray) else [det] * n)
+
+    def _per_cell(self, fn):
+        columns = [f.tolist() if isinstance(f, np.ndarray) else f
+                   for f in self.stack]
+        make = (self.stack._make if isinstance(self.stack, DerivativeStack)
+                else list)
+        ended = np.zeros(len(self.live), dtype=bool)
+        errors = []
+        for i in range(len(self.live)):
+            try:
+                fn(make([c[i] if isinstance(c, list) else c
+                         for c in columns]))
+            except (SingularState, FrameSingular) as exc:
+                ended[i] = True
+                errors.append(exc)
+        self._end(ended, errors, [getattr(e, "det", None) for e in errors])
+
+    def _end(self, cells, errors, dets):
+        for i, exc, det in zip(self.live[cells].tolist(), errors, dets):
+            self.errors[i] = exc
+            self.det[i] = 0.0 if det is None else det
+        keep = ~cells
+        self.live = self.live[keep]
+        fields = [f[keep] if isinstance(f, np.ndarray) else f
+                  for f in self.stack]
+        self.stack = (self.stack._make(fields)
+                      if isinstance(self.stack, DerivativeStack) else fields)
+
+    def scatter(self, values) -> list:
+        """Per cell, row-major: the value of a live cell, None else."""
+        out = [None] * len(self.errors)
+        for i, x in zip(self.live.tolist(),
+                        np.broadcast_to(values, self.live.shape).tolist()):
+            out[i] = x
+        return out
 
 
 class ConstitutiveModel:
@@ -247,6 +456,44 @@ class ConstitutiveModel:
 
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
+        raise NotImplementedError
+
+    def grid_stack(self, chart: Chart, x1s: list[float],
+                   x2s: list[float]) -> CellGrid:
+        """The stacks of every state (x1, x2) of a grid, x1 outer, in one
+        pass over broadcast arrays; each cell equals ``derivative_stack``
+        at its state.  A state outside the domain raises as the scalar
+        route does; a degenerate cell is ended with SingularState."""
+        def over_arrays():
+            # the state checks of the scalar route's first row and column,
+            # then the fields of every cell from the axes
+            for b in x2s:
+                StatePoint(chart, x1s[0], b)
+            for a in x1s:
+                StatePoint(chart, a, x2s[0])
+            return self._fields(chart, np.array(x1s, dtype=float)[:, None],
+                                np.array(x2s, dtype=float))
+
+        def per_cell():
+            for a in x1s:
+                for b in x2s:
+                    StatePoint(chart, a, b)
+                    self._fields(chart, a, b)
+
+        fields = _array_pass(over_arrays, per_cell)
+        shape = (len(x1s), len(x2s))
+        grid = CellGrid(shape[0] * shape[1], [
+            np.broadcast_to(f, shape).ravel()
+            if isinstance(f, np.ndarray) else f for f in fields])
+        grid.stack = grid.run(lambda f: self._complete(None, True, *f))
+        return grid
+
+    def _fields(self, chart: Chart, x1, v) -> tuple:
+        """The inputs of ``_complete`` at (x1, v): floats for one state,
+        arrays broadcast from the axes for a grid."""
+        raise NotImplementedError
+
+    def _complete(self, state, check_singular, *fields) -> DerivativeStack:
         raise NotImplementedError
 
     @property
@@ -291,20 +538,30 @@ class ConstantCv(ConstitutiveModel):
         if v <= 0.0:
             raise DomainError(f"volume must be positive, got {v}")
 
-    def derivative_stack(self, state: StatePoint, *,
-                         check_singular: bool = True) -> DerivativeStack:
-        v = state.x2
+    def volume_terms(self, v):
+        """f1 and f2 with their three derivatives at v, eight values; over
+        an array, one scalar evaluation per distinct volume, ascending."""
+        if isinstance(v, np.ndarray):
+            values, inverse = np.unique(v, return_inverse=True)
+            table = np.array([self.volume_terms(x)
+                              for x in values.tolist()]).reshape(-1, 8)
+            return tuple(table[inverse.reshape(v.shape)].transpose(
+                v.ndim, *range(v.ndim)))
         self._check_volume(v)
+        f1 = self.f1.eval_derivs(v)
+        if f1[0] <= 0.0:
+            raise DomainError(f"f1(V) must be positive, got {f1[0]} at V={v}")
+        return (*f1, *self.f2.eval_derivs(v))
+
+    def _fields(self, chart, x1, v):
         cv = self.cv
-        f1, f1p, f1pp, f1ppp = self.f1.eval_derivs(v)
-        if f1 <= 0.0:
-            raise DomainError(f"f1(V) must be positive, got {f1} at V={v}")
-        if state.chart is Chart.ENTROPY_VOLUME:
-            s = state.x1
+        m = libm_for(v)
+        f1, f1p, f1pp, f1ppp, f2, f2p, f2pp, f2ppp = self.volume_terms(v)
+        if chart is Chart.ENTROPY_VOLUME:
+            s = x1
         else:
-            s = cv * math.log(cv * state.x1 / f1)
-        f2, f2p, f2pp, f2ppp = self.f2.eval_derivs(v)
-        e = math.exp(s / cv)
+            s = cv * m.log(cv * x1 / f1)
+        e = m.exp(s / cv)
 
         u = f1 * e - cv * f2 + self.u0
         t = f1 * e / cv
@@ -317,10 +574,16 @@ class ConstantCv(ConstitutiveModel):
         c112 = f1p * e / (cv * cv)
         c122 = f1pp * e / cv
         c222 = f1ppp * e - cv * f2ppp
+        return s, v, u, t, p, e11, e12, e22, c111, c112, c122, c222
 
+    def derivative_stack(self, state: StatePoint, *,
+                         check_singular: bool = True) -> DerivativeStack:
         return _stack_from_hessian(
-            state, check_singular, s, v, u, t, p, e11, e12, e22,
-            c111, c112, c122, c222, cv=cv)
+            state, check_singular,
+            *self._fields(state.chart, state.x1, state.x2), cv=self.cv)
+
+    def _complete(self, state, check_singular, *fields):
+        return _stack_from_hessian(state, check_singular, *fields, cv=self.cv)
 
 
 class IdealGas(ConstantCv):
@@ -368,7 +631,8 @@ class Berthelot(ConstitutiveModel):
 
     def _entropy(self, t, v):
         q = self.params
-        return (q.s0 + q.cv0 * math.log(t) + q.r_gas * math.log(v - q.b)
+        log = libm_for(v).log
+        return (q.s0 + q.cv0 * log(t) + q.r_gas * log(v - q.b)
                 - q.a / (v * t * t))
 
     def _temperature_from_entropy(self, s, v):
@@ -395,32 +659,42 @@ class Berthelot(ConstitutiveModel):
 
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
+        return self._complete(state, check_singular,
+                              *self._fields(state.chart, state.x1, state.x2))
+
+    def _fields(self, chart, x1, v):
         q = self.params
-        v = state.x2
-        if v <= q.b:
-            raise DomainError(
-                f"volume must exceed the covolume b={q.b}, got {v}")
+        for x in (v.tolist() if isinstance(v, np.ndarray) else (v,)):
+            if x <= q.b:
+                raise DomainError(
+                    f"volume must exceed the covolume b={q.b}, got {x}")
         # a temperature-volume state carries T > 0 already
-        if state.chart is Chart.TEMPERATURE_VOLUME:
-            t = state.x1
+        if chart is Chart.TEMPERATURE_VOLUME:
+            t = x1
             s = self._entropy(t, v)
+        elif isinstance(x1, np.ndarray):
+            s = x1
+            t = np.array([[self._temperature_from_entropy(a, b)
+                           for b in v.tolist()] for a in x1.ravel().tolist()])
         else:
-            s = state.x1
+            s = x1
             t = self._temperature_from_entropy(s, v)
 
         a, b, r = q.a, q.b, q.r_gas
         w = v - b
+        pow_ = libm_for(v).pow
+        v3, t3 = pow_(v, 3), pow_(t, 3)
         u = q.u0 + q.cv0 * t - 2.0 * a / (t * v)
         p = r * t / w - a / (t * v * v)
 
         p_t = r / w + a / (t * t * v * v)
-        p_v = -r * t / (w * w) + 2.0 * a / (t * v ** 3)
-        p_tt = -2.0 * a / (t ** 3 * v * v)
-        p_tv = -r / (w * w) - 2.0 * a / (t * t * v ** 3)
-        p_vv = 2.0 * r * t / (w ** 3) - 6.0 * a / (t * v ** 4)
+        p_v = -r * t / (w * w) + 2.0 * a / (t * v3)
+        p_tt = -2.0 * a / (t3 * v * v)
+        p_tv = -r / (w * w) - 2.0 * a / (t * t * v3)
+        p_vv = 2.0 * r * t / pow_(w, 3) - 6.0 * a / (t * pow_(v, 4))
 
         cv = q.cv0 + 2.0 * a / (v * t * t)
-        cv_t = -4.0 * a / (v * t ** 3)
+        cv_t = -4.0 * a / (v * t3)
         cv_v = -2.0 * a / (v * v * t * t)
 
         # Hessian of U(S, V) through the chart change.  e22 is written in
@@ -439,6 +713,19 @@ class Berthelot(ConstitutiveModel):
         e22_v = (-p_vv + 2.0 * t * p_t * p_tv / cv
                  - t * p_t * p_t * cv_v / (cv * cv))
 
+        # (d/dS)|_V = (T/cv) (d/dT)|_V; (d/dV)|_S = (d/dV)|_T + e12 (d/dT)|_V
+        c111 = t * e11_t / cv
+        c112 = e11_v + e12 * e11_t
+        c122 = e12_v + e12 * e12_t
+        c222 = e22_v + e12 * e22_t
+        return (s, v, u, t, p, e11, e12, e22, c111, c112, c122, c222,
+                cv, cv_t, cv_v, p_t, p_v, p_tt, p_tv, p_vv)
+
+    def _complete(self, state, check_singular, s, v, u, t, p,
+                  e11, e12, e22, c111, c112, c122, c222,
+                  cv, cv_t, cv_v, p_t, p_v, p_tt, p_tv, p_vv):
+        _determinant(state, check_singular, e11, e12, e22)
+
         def d_s(f_t):
             # (d/dS)|_V = (T/cv) (d/dT)|_V
             return t * f_t / cv
@@ -447,15 +734,9 @@ class Berthelot(ConstitutiveModel):
             # (d/dV)|_S = (d/dV)|_T + (dT/dV)|_S (d/dT)|_V, slope = e12
             return f_v + e12 * f_t
 
-        c111 = d_s(e11_t)
-        c112 = d_v(e11_v, e11_t)
-        c122 = d_v(e12_v, e12_t)
-        c222 = d_v(e22_v, e22_t)
-
-        # det = -T p_v / cv is rounding-sized where p_v = 0, so with
-        # check_singular the stack check has raised before that branch
-        _determinant(state, check_singular, e11, e12, e22)
-        if p_v == 0.0:
+        # det = -T p_v / cv is rounding-sized where p_v = 0, so a checked
+        # state, and every cell of a grid, has raised before that branch
+        if isinstance(p_v, float) and p_v == 0.0:
             k = alpha = cp = math.nan
             da_s = da_v = dk_s = dk_v = math.nan
         else:

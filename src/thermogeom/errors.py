@@ -15,13 +15,15 @@ class SingularState(ThermogeomError):
     the degeneracy tolerance: the state sits on (or numerically too close to)
     the degeneracy locus.
 
-    Carries the offending determinant and state when known.
+    Carries the offending determinant and state when known.  Raised over
+    the cells of a grid, ``cells`` is the mask of the cells it marks.
     """
 
-    def __init__(self, msg, det=None, state=None):
+    def __init__(self, msg, det=None, state=None, cells=None):
         super().__init__(msg)
         self.det = det
         self.state = state
+        self.cells = cells
 
 
 class UnsupportedModel(ThermogeomError):
@@ -31,7 +33,11 @@ class UnsupportedModel(ThermogeomError):
 
 class FrameSingular(ThermogeomError):
     """The tangent frame of the Hessian map is degenerate (r1 parallel to r2,
-    normal below tolerance)."""
+    normal below tolerance).  ``cells`` as for :class:`SingularState`."""
+
+    def __init__(self, msg, cells=None):
+        super().__init__(msg)
+        self.cells = cells
 
 
 class NoRoot(ThermogeomError):

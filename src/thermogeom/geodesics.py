@@ -242,8 +242,10 @@ def integrate_geodesic(model: ConstitutiveModel,
 
     # The event fires a hair inside the admissible region so the solver
     # can complete a bracketing step before the right-hand side goes
-    # undefined at the boundary itself.
-    floor_eff = floor + 1e-9
+    # undefined at the boundary itself.  Distances to the floor count in
+    # units of the start's, so neither guard depends on the volume unit.
+    reach = init.v - floor
+    floor_eff = floor + 1e-9 * reach
 
     def domain_event(_t, y):
         return y[1] - floor_eff
@@ -257,18 +259,19 @@ def integrate_geodesic(model: ConstitutiveModel,
             [init.s, init.v, init.s_dot, init.v_dot],
             method="RK45", rtol=tol, atol=tol,
             dense_output=True, events=[locus_event, domain_event]),
-            floor, stack_at)
+            floor, reach, stack_at)
     finally:
         memo.clear()
 
 
-def _trajectory(sol, floor, stack_at) -> GeodesicTrajectory:
-    """Termination reason, nodes and speeds of a finished solver run."""
+def _trajectory(sol, floor, reach, stack_at) -> GeodesicTrajectory:
+    """Termination reason, nodes and speeds of a finished solver run;
+    ``reach`` is the start's distance to the volume floor."""
     if sol.status == -1:
         # Step collapse right at a boundary is a domain/locus report, not
         # an integrator failure.
         s_last, v_last = float(sol.y[0, -1]), float(sol.y[1, -1])
-        if v_last - floor <= 1e-6 * max(1.0, abs(v_last)):
+        if v_last - floor <= 1e-6 * reach:
             sol.status = 1
             sol.t_events = [np.array([]), np.array([sol.t[-1]])]
         else:

@@ -43,7 +43,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .eos_models import ConstitutiveModel, GasParameters, StatePoint
+from .eos_models import (
+    ConstitutiveModel,
+    GasParameters,
+    StatePoint,
+    choose,
+    libm_for,
+    raise_where,
+    ratio_or_zero,
+)
 from .errors import FrameSingular
 from .metric_core import MetricTensor2
 
@@ -66,7 +74,8 @@ class RadialClass(enum.Enum):
 
 @dataclass(frozen=True)
 class HessianPoint:
-    """Image of one state under the Hessian map, with frame and normal."""
+    """Image of one state under the Hessian map, with frame and normal
+    (each coordinate an array over the cells of a grid)."""
 
     matrix: tuple[float, float, float]          # (e11, e12, e22)
     euclid: tuple[float, float, float]          # (e11, sqrt2 e12, e22)
@@ -97,7 +106,8 @@ def _dot(u, v):
 
 
 def _norm(u):
-    return math.sqrt(_dot(u, u))
+    x = _dot(u, u)
+    return libm_for(x).sqrt(x)
 
 
 def hessian_point_from_metric(metric: MetricTensor2) -> HessianPoint:
@@ -107,9 +117,8 @@ def hessian_point_from_metric(metric: MetricTensor2) -> HessianPoint:
     r2 = (d112, _SQRT2 * d122, d222)
     normal = _cross(r1, r2)
     # |r1 x r2| / (|r1| |r2|) is the sine of the frame angle
-    if _norm(normal) <= 1e-12 * _norm(r1) * _norm(r2):
-        raise FrameSingular(
-            f"tangent frame is degenerate (|r1 x r2| = {_norm(normal):.3e})")
+    raise_where(_norm(normal) <= 1e-12 * _norm(r1) * _norm(r2), FrameSingular,
+                "tangent frame is degenerate (r1 parallel to r2)")
     return HessianPoint(
         matrix=(metric.e11, metric.e12, metric.e22),
         euclid=embed(metric.e11, metric.e12, metric.e22),
@@ -131,12 +140,9 @@ def radial_pairing(hp: HessianPoint) -> RadialPairing:
     """
     pairing = _dot(hp.euclid, hp.normal)
     band = TANGENT_BAND * _norm(hp.euclid) * _norm(hp.normal)
-    if abs(pairing) < band:
-        kind = RadialClass.TANGENT
-    elif ORIENTATION_SIGN * pairing > 0.0:
-        kind = RadialClass.RADIALLY_CONVEX
-    else:
-        kind = RadialClass.RADIALLY_CONCAVE
+    kind = choose([abs(pairing) < band, ORIENTATION_SIGN * pairing > 0.0],
+                  [RadialClass.TANGENT, RadialClass.RADIALLY_CONVEX],
+                  RadialClass.RADIALLY_CONCAVE)
     return RadialPairing(pairing=pairing, kind=kind)
 
 
@@ -159,9 +165,8 @@ def vdw_surface_residual(metric: MetricTensor2,
     e11, e12, e22 = metric.e11, metric.e12, metric.e22
     a, b, r = params.a, params.b, params.r_gas
     cp = params.cv0 + r
-    term1 = (b * e12 - r * e11) ** 3 * (r * e22 * e11 - cp * e12 * e12)
-    term2 = 2.0 * a * r * e11 * e12 ** 3
+    pow_ = libm_for(e12).pow
+    term1 = pow_(b * e12 - r * e11, 3) * (r * e22 * e11 - cp * e12 * e12)
+    term2 = 2.0 * a * r * e11 * pow_(e12, 3)
     raw = term1 + term2
-    scale = abs(term1) + abs(term2)
-    rel = raw / scale if scale > 0.0 else 0.0
-    return raw, rel
+    return raw, ratio_or_zero(raw, abs(term1) + abs(term2))

@@ -12,12 +12,16 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .eos_models import (
     Coefficients,
     ConstitutiveModel,
     DerivativeStack,
     SINGULAR_BAND,
     StatePoint,
+    anywhere,
+    choose,
     relative_det,
     stack_at,
 )
@@ -33,7 +37,8 @@ class MetricChart(enum.Enum):
 
 @dataclass(frozen=True)
 class MetricTensor2:
-    """Symmetric 2x2 metric with its six first partials.
+    """Symmetric 2x2 metric with its six first partials (floats, or arrays
+    over the cells of a grid).
 
     ``d`` holds (d111, d112, d121, d122, d221, d222) where dijk is the
     derivative of entry (i, j) along coordinate k.  Hessian closure demands
@@ -53,8 +58,14 @@ class MetricTensor2:
         if len(self.d) != 6:
             raise ValueError(f"expected six partials, got {len(self.d)}")
         d111, d112, d121, d122, d221, d222 = self.d
-        scale = max(*(abs(x) for x in self.d), 1.0)
-        if abs(d112 - d121) > 1e-8 * scale or abs(d122 - d221) > 1e-8 * scale:
+        # against the largest partial, with no floor, so the check is
+        # unit-free; over a grid's arrays, per cell
+        if isinstance(d111, np.ndarray):
+            scale = np.max(np.abs(self.d), axis=0)
+        else:
+            scale = max(abs(x) for x in self.d)
+        if anywhere((abs(d112 - d121) > 1e-8 * scale)
+                    | (abs(d122 - d221) > 1e-8 * scale)):
             raise ValueError(
                 "third partials violate Hessian closure: "
                 f"{d112} vs {d121}, {d122} vs {d221}")
@@ -226,30 +237,33 @@ def determinant_report(model: ConstitutiveModel,
                              det_correction=det_correction)
 
 
-def eigen_signature(metric: MetricTensor2, coeffs: Coefficients | None = None) -> SignatureClass:
-    """Classify the metric against the Euclidean background.
+def signature_kind(metric: MetricTensor2, cv=None):
+    """The :class:`SignatureKind` of the metric; over a grid's arrays, an
+    object array of kinds.
 
-    With coefficients supplied, the definite cases follow the sign of cv
-    (positive determinant splits on cv > 0 versus cv < 0); without them the
-    trace decides.
+    With the heat capacity supplied, the definite cases follow the sign of
+    cv (positive determinant splits on cv > 0 versus cv < 0); without it
+    the trace decides.
     """
     e11, e12, e22 = metric.e11, metric.e12, metric.e22
-    det = metric.det
-    disc = (e11 - e22) ** 2 + 4.0 * e12 * e12
-    root = math.sqrt(disc)
-    lam_plus = 0.5 * (metric.trace + root)
-    lam_minus = 0.5 * (metric.trace - root)
+    degenerate = abs(relative_det(e11, e12, e22)) < SINGULAR_BAND
+    positive = cv > 0.0 if cv is not None else metric.trace > 0.0
+    return choose([degenerate, metric.det < 0.0, positive],
+                  [SignatureKind.DEGENERATE, SignatureKind.INDEFINITE,
+                   SignatureKind.POSITIVE_DEFINITE],
+                  SignatureKind.NEGATIVE_DEFINITE)
 
-    if abs(relative_det(e11, e12, e22)) < SINGULAR_BAND:
-        kind = SignatureKind.DEGENERATE
-    elif det < 0.0:
-        kind = SignatureKind.INDEFINITE
-    else:
-        positive = coeffs.cv > 0.0 if coeffs is not None else metric.trace > 0.0
-        kind = (SignatureKind.POSITIVE_DEFINITE if positive
-                else SignatureKind.NEGATIVE_DEFINITE)
-    return SignatureClass(kind=kind, lambda_plus=lam_plus,
-                          lambda_minus=lam_minus, discriminant=disc)
+
+def eigen_signature(metric: MetricTensor2, coeffs: Coefficients | None = None) -> SignatureClass:
+    """Classify the metric against the Euclidean background
+    (:func:`signature_kind`, with cv from ``coeffs`` when given) and report
+    its eigenvalues."""
+    disc = (metric.e11 - metric.e22) ** 2 + 4.0 * metric.e12 * metric.e12
+    root = math.sqrt(disc)
+    return SignatureClass(
+        kind=signature_kind(metric, coeffs.cv if coeffs is not None else None),
+        lambda_plus=0.5 * (metric.trace + root),
+        lambda_minus=0.5 * (metric.trace - root), discriminant=disc)
 
 
 def identity_residuals(model: ConstitutiveModel,

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import thermogeom
-from thermogeom import Berthelot, ConstantCv
+from thermogeom import Berthelot, ConstantCv, ConstitutiveModel
 from thermogeom.cli import build_parser, main
 from thermogeom.critical_locus import locus_entropy
 
@@ -272,8 +272,22 @@ def stack_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """The grid shape of every grid_stack call, in call order."""
+    calls = []
+
+    def counted(model, chart, x1s, x2s, *,
+                _original=ConstitutiveModel.grid_stack):
+        calls.append((len(x1s), len(x2s)))
+        return _original(model, chart, x1s, x2s)
+    monkeypatch.setattr(ConstitutiveModel, "grid_stack", counted)
+    return calls
+
+
 class TestOneStackPerCell:
-    """Every route of a grid cell is fed from one derivative stack."""
+    """Every route of a grid cell is fed from one derivative stack, and the
+    stacks of all cells come from one array pass over the grid."""
 
     N = 4
     # the golden windows straddle the degeneracy locus, so definite and
@@ -291,12 +305,14 @@ class TestOneStackPerCell:
 
     @pytest.mark.parametrize("command", ["curvature-grid", "surface"])
     @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_stack_calls_per_grid(self, capsys, stack_calls, command, model):
+    def test_stack_calls_per_grid(self, capsys, stack_calls, grid_calls,
+                                  command, model):
         rc, out, _ = run(capsys, [command, *self.MODELS[model],
                                   "--n", str(self.N)])
         assert rc == 0
         assert len(parse_csv(out)[2]) == self.N ** 2
-        assert len(stack_calls) == self.N ** 2
+        assert grid_calls == [(self.N, self.N)]
+        assert stack_calls == []
 
 
 class TestOneStackPerVerifyState:

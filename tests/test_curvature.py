@@ -386,6 +386,21 @@ class TestFieldChecks:
         with pytest.raises(ValueError, match="metric entries"):
             HessianMetricField(n=3, second=g, third=field.third)
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    def test_symmetry_checks_are_scale_free(self, scale):
+        # a 1e-3 relative asymmetry at any scale; a floor of 1 on the
+        # comparison hid it at small scales
+        field = _random_hessian_field(3, 0)
+        g, dg = scale * field.second, scale * field.third
+        bad_dg = dg.copy()
+        bad_dg[0, 1, 2] += 1e-3 * abs(dg).max()
+        with pytest.raises(ValueError, match="fully symmetric"):
+            HessianMetricField(n=3, second=g, third=bad_dg)
+        bad_g = g.copy()
+        bad_g[0, 1] += 1e-3 * abs(g).max()
+        with pytest.raises(ValueError, match="metric entries"):
+            HessianMetricField(n=3, second=bad_g, third=dg)
+
     def test_singular_metric_raises(self):
         field = _random_hessian_field(3, 0)
         g = np.ones((3, 3))

@@ -278,3 +278,22 @@ class TestTermination:
         with pytest.raises(DomainError):
             integrate_geodesic(vdw_model,
                                GeodesicState(2.0, 0.1, 0.0, 0.0), 1.0)
+
+    def test_domain_exit_does_not_depend_on_the_volume_unit(self):
+        # the gas above with V in units of mu: U depends on V/mu only, so
+        # the geodesic in (S, V/mu) is the same and must stop at the same
+        # V/mu and affine time (at mu = 1e-6 the absolute guards stopped it
+        # at V/mu = 1e-3, t = 19.990)
+        def stop(mu):
+            model = ConstantCv(ShiftedPower(mu ** 0.8, -0.5 * mu, -0.8))
+            traj = integrate_geodesic(
+                model, GeodesicState(1.0, 0.5 * mu, 0.0, -0.05 * mu), 30.0)
+            assert traj.termination is TerminationReason.DOMAIN_EXIT
+            return traj.final_state.v / mu, traj.final_state.t
+
+        v_ref, t_ref = stop(1.0)
+        assert v_ref == pytest.approx(5e-10, rel=1e-6)
+        for mu in (1e-3, 1e-6):
+            v_mu, t_mu = stop(mu)
+            assert v_mu == pytest.approx(v_ref, rel=1e-6)
+            assert t_mu == pytest.approx(t_ref, rel=1e-8)

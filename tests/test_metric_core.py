@@ -60,6 +60,14 @@ class TestWeinholdAssembly:
             MetricTensor2(1.0, 0.0, 1.0, (0.0, 1.0, 2.0, 0.0, 0.0, 0.0),
                           Chart.ENTROPY_VOLUME)
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    def test_closure_check_is_scale_free(self, scale):
+        # d112 and d121 differ by 100% at every scale, which a floor of 1
+        # on the comparison hid at small scales
+        d = tuple(scale * x for x in (1.0, 1.0, 2.0, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="closure"):
+            MetricTensor2(scale, 0.0, scale, d, Chart.ENTROPY_VOLUME)
+
 
 class TestEntropyChartMetric:
     @pytest.mark.parametrize("s,v", GOOD_STATES)
