@@ -342,8 +342,11 @@ def _stack_from_hessian(state, check_singular, s, v, u, t, p,
     if constant_cv:
         dcv_ds = dcv_dv = 0.0
     else:
-        raise_where(e11 == 0.0, SingularState,
-                    "vanishing second entropy derivative", det=det, state=state)
+        # a grid's model has a heat capacity (constant, or its own
+        # completion), so only a single state gets here
+        if e11 == 0.0:
+            raise SingularState("vanishing second entropy derivative",
+                                det=det, state=state)
         cv = t / e11
     # only an unchecked state gets here with det = 0; the cells of a grid
     # are checked
