@@ -6,8 +6,8 @@ and a verification suite, as CSV, JSON, or simple SVG.  Output is
 deterministic: fixed float formatting, fixed row order, and a metadata
 header carrying the library version and the effective configuration.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 numeric failure.
+Exit codes: 0 success, 1 validation error or a request too large for
+memory, 2 verification failure, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .metric_core import (
     determinant_report,
     identity_residuals,
     signature_kind,
-    weinhold_from_stack,
+    weinhold_metric,
 )
 
 _DEFAULTS = {
@@ -237,8 +237,10 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
         print(f"warning: clipping temperature minimum from {smin} to "
               f"{clipped}", file=sys.stderr)
         smin = clipped
-    x1 = [float(x) for x in np.linspace(smin, smax, n)]
-    x2 = [float(x) for x in np.linspace(vmin, vmax, n)]
+    # an overflowing span gives non-finite values, which StatePoint rejects
+    with np.errstate(all="ignore"):
+        x1 = [float(x) for x in np.linspace(smin, smax, n)]
+        x2 = [float(x) for x in np.linspace(vmin, vmax, n)]
     return x1, x2
 
 
@@ -399,7 +401,7 @@ def _cell_color(value, singular: bool) -> str:
 
 def cmd_curvature_grid(args, eff, model) -> int:
     def cell_values(st):
-        metric, r_tensorial, r_closed2d, r_elementary, _, r_model = (
+        metric, r_tensorial, r_closed2d, r_elementary, r_model = (
             curvature_routes(model, st))
         return (metric.det, r_tensorial, r_closed2d, r_elementary, r_model,
                 signature_kind(metric, st.cv))
@@ -514,7 +516,7 @@ def cmd_geodesic(args, eff, model) -> int:
 
 def cmd_surface(args, eff, model) -> int:
     def cell_values(st):
-        metric = weinhold_from_stack(st)
+        metric = weinhold_metric(model, st)
         rp = radial_pairing(hessian_point_from_metric(metric))
         extra = None
         if isinstance(model, VanDerWaals):
@@ -659,6 +661,9 @@ def main(argv=None) -> int:
             FrameSingular, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -35,9 +35,6 @@ from .errors import DomainError, NoCriticalPoint, NoRoot
 
 log = logging.getLogger(__name__)
 
-# Relative determinant residual a refined locus sample must satisfy.
-LOCUS_DET_TOL = 1e-9
-
 # The locus corrector stops on a step below _STEP_TOL times max(1, |S|) or
 # when its step stops shrinking, at det's noise floor: rounding for exact
 # stacks, up to about 2e-7 in relative determinant (eos_models.relative_det)
@@ -49,6 +46,12 @@ _CORRECTOR_STEPS = 30
 
 # Temperature window upper margin for the reduced cubics.
 _REDUCED_MARGIN = 1e-9
+
+# Root refinement: bisection width, polish tolerance (both times
+# max(1, |x|)) and polish steps; entropy scan samples; polynomial Newton steps.
+_BISECT_COARSE, _BISECT_FINE, _POLISH_STEPS = 1e-6, 1e-12, 40
+_SCAN_POINTS = 181
+_POLY_POLISH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,11 @@ class CoexistenceCurve:
 # ---------------------------------------------------------------------------
 # root refinement helpers
 
-def _bisect_newton(f, lo, hi, df=None, coarse=1e-6, fine=1e-12, max_polish=40):
-    """Bracketed bisection to ``coarse`` width, then a polish inside the
-    bracket to ``fine``: guarded Newton with the derivative ``df``, else
-    Illinois false position.  Newton also stops when its step stops
-    shrinking, where a noisy ``f`` has reached its floor.
+def _bisect_newton(f, lo, hi, df=None):
+    """Bracketed bisection to ``_BISECT_COARSE`` width, then a polish inside
+    the bracket to ``_BISECT_FINE``: guarded Newton with the derivative
+    ``df``, else Illinois false position.  Newton also stops when its step
+    stops shrinking, where a noisy ``f`` has reached its floor.
 
     ``f(lo)`` and ``f(hi)`` must have opposite signs.
     """
@@ -134,7 +137,7 @@ def _bisect_newton(f, lo, hi, df=None, coarse=1e-6, fine=1e-12, max_polish=40):
         return hi
     if flo * fhi > 0.0:
         raise NoRoot(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > coarse * max(1.0, abs(lo), abs(hi)):
+    while hi - lo > _BISECT_COARSE * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
@@ -144,10 +147,10 @@ def _bisect_newton(f, lo, hi, df=None, coarse=1e-6, fine=1e-12, max_polish=40):
         else:
             lo, flo = mid, fmid
     if df is None:
-        return _illinois(f, lo, hi, flo, fhi, fine, max_polish)
+        return _illinois(f, lo, hi, flo, fhi)
     x = 0.5 * (lo + hi)
     last = math.inf
-    for _ in range(max_polish):
+    for _ in range(_POLISH_STEPS):
         slope = df(x)
         if slope == 0.0 or not math.isfinite(slope):
             break
@@ -158,21 +161,21 @@ def _bisect_newton(f, lo, hi, df=None, coarse=1e-6, fine=1e-12, max_polish=40):
         if not step < last:
             break
         x = nxt
-        if step <= fine * max(1.0, abs(x)):
+        if step <= _BISECT_FINE * max(1.0, abs(x)):
             break
         last = step
     return x
 
 
-def _illinois(f, lo, hi, flo, fhi, fine, max_steps):
+def _illinois(f, lo, hi, flo, fhi):
     """False position on a sign-changing bracket, halving the value kept at
     an end that survives twice in a row (the Illinois rule), so both ends
     close in superlinearly."""
     x = math.nan
     kept = 0  # -1: lo survived the last step, +1: hi did
-    for _ in range(max_steps):
+    for _ in range(_POLISH_STEPS):
         nxt = (lo * fhi - hi * flo) / (fhi - flo)
-        tol = fine * max(1.0, abs(nxt))
+        tol = _BISECT_FINE * max(1.0, abs(nxt))
         if abs(nxt - x) <= tol or hi - lo <= tol:
             return nxt
         x = nxt
@@ -192,14 +195,14 @@ def _illinois(f, lo, hi, flo, fhi, fine, max_steps):
     return x
 
 
-def _polish_polynomial_root(coeffs, x0, iterations=8):
+def _polish_polynomial_root(coeffs, x0):
     # Accept Newton steps only while the residual shrinks: near multiple
     # roots both f and f' sit at rounding noise and an unguarded step can
     # kick a perfect root away.
     deriv = np.polyder(coeffs)
     x = x0
     fx = np.polyval(coeffs, x)
-    for _ in range(iterations):
+    for _ in range(_POLY_POLISH_STEPS):
         if fx == 0.0:
             break
         dfx = np.polyval(deriv, x)
@@ -226,20 +229,10 @@ def _real_roots(coeffs):
 # ---------------------------------------------------------------------------
 # degeneracy locus
 
-def _positive_f1(model: ConstantCv, v: float):
-    """f1 and its three derivatives at v; DomainError, as the model's own
-    stack raises, where f1 <= 0."""
-    derivs = model.f1.eval_derivs(v)
-    if derivs[0] <= 0.0:
-        raise DomainError(f"f1(V) must be positive, got {derivs[0]} at V={v}")
-    return derivs
-
-
 def _constant_cv_locus_state(model: ConstantCv, v: float):
     """(s, t, p) of the locus at volume v, or None when the determinant
     cannot vanish there."""
-    f1, f1p, f1pp, _ = _positive_f1(model, v)
-    f2, f2p, f2pp, _ = model.f2.eval_derivs(v)
+    f1, f1p, f1pp, _, _, f2p, f2pp, _ = model.volume_terms(v)
     x_disc = f1 * f1pp - f1p * f1p
     if x_disc == 0.0:
         return None
@@ -288,21 +281,20 @@ def _scan_window(model) -> tuple[float, float]:
     return (-50.0 * scale, 50.0 * scale)
 
 
-def locus_entropy(model: ConstitutiveModel, v: float, *,
-                  s_window: tuple[float, float] | None = None) -> float:
+def locus_entropy(model: ConstitutiveModel, v: float) -> float:
     """Entropy at which det eta vanishes for the given volume.
 
     Closed form for the constant-heat-capacity family and Berthelot;
-    otherwise a bracketed scan over ``s_window``.  Raises NoRoot when the
-    determinant keeps one sign.
+    otherwise a bracketed scan over the model's entropy window.  Raises
+    NoRoot when the determinant keeps one sign.
     """
     hit = _closed_form_locus_state(model, v)
     if hit is not None:
         return hit[0]
-    return _scan_locus_entropy(model, v, s_window or _scan_window(model))
+    return _scan_locus_entropy(model, v, _scan_window(model))
 
 
-def _scan_locus_entropy(model, v, s_window, n_scan=181):
+def _scan_locus_entropy(model, v, s_window):
     def det_at(s):
         # window ends can leave the representable domain (e.g. an entropy the
         # temperature inversion cannot reach); report them as gaps
@@ -318,11 +310,11 @@ def _scan_locus_entropy(model, v, s_window, n_scan=181):
             StatePoint.entropy_volume(s, v), check_singular=False)
         return stack.det_s
 
-    grid = np.linspace(s_window[0], s_window[1], n_scan)
+    grid = np.linspace(s_window[0], s_window[1], _SCAN_POINTS)
     values = [det_at(s) for s in grid]
     if all(math.isnan(val) for val in values):
         raise DomainError(f"no admissible state over S in {s_window} at V={v}")
-    for i in range(n_scan - 1):
+    for i in range(_SCAN_POINTS - 1):
         if math.isnan(values[i]) or math.isnan(values[i + 1]):
             continue
         if values[i] == 0.0:
@@ -419,17 +411,15 @@ def degeneracy_locus(model: ConstitutiveModel,
                      v_range: tuple[float, float],
                      n_samples: int = 64,
                      *,
-                     method: str = "auto",
-                     s_window: tuple[float, float] | None = None
-                     ) -> LocusPolyline:
+                     method: str = "auto") -> LocusPolyline:
     """Trace det eta = 0 over a volume range, ordered by volume.
 
     ``method="auto"`` uses closed forms where the model provides them;
     ``method="scan"`` forces the generic path, continuation with scan
     fallback: each sample is corrected from the tangent prediction off the
-    one before, and an entropy scan over ``s_window`` finds the first
-    sample and any the corrector misses.  The continuation follows the
-    branch the first sample lies on.
+    one before, and an entropy scan over the model's entropy window finds
+    the first sample and any the corrector misses.  The continuation
+    follows the branch the first sample lies on.
     """
     volumes = _locus_volumes(model, v_range, n_samples)
     if method == "auto" and isinstance(model, (ConstantCv, Berthelot)):
@@ -438,7 +428,7 @@ def degeneracy_locus(model: ConstitutiveModel,
     else:
         samples = [LocusSample(v=st.v, s=st.s, t=st.t, p=st.p)
                    for st in _trace_locus(model, volumes,
-                                          s_window or _scan_window(model))]
+                                          _scan_window(model))]
     branch = "principal"
     if method == "auto" and isinstance(model, Berthelot):
         branch = "positive-temperature"
@@ -449,8 +439,7 @@ def degeneracy_locus(model: ConstitutiveModel,
 # critical point
 
 def _constant_cv_locus_dtdv(model: ConstantCv, v: float) -> float:
-    f1, f1p, f1pp, f1ppp = _positive_f1(model, v)
-    _, _, f2pp, f2ppp = model.f2.eval_derivs(v)
+    f1, f1p, f1pp, f1ppp, _, _, f2pp, f2ppp = model.volume_terms(v)
     x_disc = f1 * f1pp - f1p * f1p
     x_slope = f1 * f1ppp - f1p * f1pp
     num = 2.0 * f1 * f1p * f2pp + f1 * f1 * f2ppp

@@ -42,11 +42,7 @@ from .eos_models import (
     stack_at,
 )
 from .errors import SingularState, UnsupportedModel
-from .metric_core import (
-    MetricTensor2,
-    ruppeiner_metric,
-    weinhold_from_stack,
-)
+from .metric_core import MetricTensor2, ruppeiner_metric, weinhold_metric
 
 
 class FlatnessClass(enum.Enum):
@@ -121,7 +117,6 @@ class CurvatureReport:
     r_closed2d: float
     r_elementary: float
     r_model_closed: float | None
-    breakdown: dict
     max_pairwise_residual: float
     stack: DerivativeStack
     metric: MetricTensor2
@@ -174,8 +169,8 @@ def scalar_curvature_closed2d(metric: MetricTensor2) -> float:
 
 def scalar_curvature_elementary(coeffs: Coefficients,
                                 partials: CoefficientPartials,
-                                v: float) -> tuple[float, dict]:
-    """Coefficient-form curvature with the H, G, F, J, D, B breakdown.
+                                v: float) -> float:
+    """Coefficient-form curvature through H, G, F and J.
 
     Needs the volume explicitly; the determinant is taken in its
     coefficient form T/(k V cv), so this route never touches the Hessian
@@ -194,12 +189,9 @@ def scalar_curvature_elementary(coeffs: Coefficients,
     g = partials.dcv_dV + (alpha / k) * partials.dcv_dS
     f = partials.dk_dV - (k / alpha) * partials.dalpha_dV
     j = 1.0 - partials.dcv_dS
-    d = alpha / k + partials.dcv_dV
-    b = alpha / v + partials.dalpha_dV
 
     bracket = h * g + (cv * alpha / (k * k)) * f * (t * v * alpha * f / k - j)
-    r = t / (2.0 * libm_for(cv).pow(cv, 3) * det) * bracket
-    return r, {"H": h, "G": g, "F": f, "J": j, "D": d, "B": b}
+    return t / (2.0 * libm_for(cv).pow(cv, 3) * det) * bracket
 
 
 def _constant_cv_curvature(model: ConstantCv,
@@ -300,7 +292,7 @@ def ruppeiner_from_weinhold(model: ConstitutiveModel,
     R(entropy metric) = T R(energy metric) + T Lap(ln T).
     """
     st = stack_at(model, state)
-    r_energy = scalar_curvature_closed2d(weinhold_from_stack(st))
+    r_energy = scalar_curvature_closed2d(weinhold_metric(model, st))
     lap = laplace_beltrami_log_t(model, st, scheme=scheme)
     return st.t * (r_energy + lap)
 
@@ -309,34 +301,30 @@ def ruppeiner_from_weinhold(model: ConstitutiveModel,
 # Zero-curvature classification
 
 
-def zero_curvature_classify(model: ConstitutiveModel,
-                            v_window: tuple[float, float] = (1.0, 4.0),
-                            samples: int = 17,
-                            tol: float = 1e-10) -> FlatnessClass:
+_FLAT_VOLUMES = [1.0 + 3.0 * i / 16 for i in range(17)]  # V = 1..4
+_FLAT_TOL = 1e-10
+
+
+def zero_curvature_classify(model: ConstitutiveModel) -> FlatnessClass:
     """Grid-level flatness test of a constant-cv model.
 
-    The window must lie in the admissible volume range.  Checks, in order:
-    f1 identically zero; f1 f1'' - (f1')^2 identically zero (exponential
-    f1); f2'' identically zero (affine f2, the ideal-gas case).  Each
-    quantity counts as zero when it is below ``tol`` times the size of the
-    terms it is built from or compared with, so rescaling f1, f2 or V does
-    not change the class.
+    Checks at 17 volumes from 1 to 4, in order: f1 identically zero;
+    f1 f1'' - (f1')^2 identically zero (exponential f1); f2'' identically
+    zero (affine f2, the ideal-gas case).  Each quantity counts as zero
+    when it is below ``_FLAT_TOL`` times the size of the terms it is built
+    from or compared with, so rescaling f1, f2 or V does not change the
+    class.
     """
     if not isinstance(model, ConstantCv):
         raise UnsupportedModel("flatness classification needs a ConstantCv model")
-    lo, hi = v_window
-    if not (0.0 < lo < hi) or samples < 2:
-        raise ValueError(f"bad sampling window {v_window} x {samples}")
-    grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-
     f1_zero = f1_exponential = f2_affine = True
-    for v in grid:
+    for v in _FLAT_VOLUMES:
         f1, f1p, f1pp, _ = model.f1.eval_derivs(v)
         f2, f2p, f2pp, _ = model.f2.eval_derivs(v)
-        f1_zero &= abs(f1) <= tol * (abs(f1p * v) + abs(f1pp * v * v))
+        f1_zero &= abs(f1) <= _FLAT_TOL * (abs(f1p * v) + abs(f1pp * v * v))
         f1_exponential &= (abs(f1 * f1pp - f1p * f1p)
-                           <= tol * max(abs(f1 * f1pp), f1p * f1p))
-        f2_affine &= abs(f2pp * v * v) <= tol * (abs(f2) + abs(f2p * v))
+                           <= _FLAT_TOL * max(abs(f1 * f1pp), f1p * f1p))
+        f2_affine &= abs(f2pp * v * v) <= _FLAT_TOL * (abs(f2) + abs(f2p * v))
 
     if f1_zero:
         return FlatnessClass.DEGENERATE_F1_ZERO
@@ -389,13 +377,11 @@ def berthelot_printed_closed_form(model: Berthelot, t: float, v: float) -> float
     return num / den
 
 
-def model_closed_form(model: ConstitutiveModel, state: StatePoint) -> float | None:
-    """Per-model closed-form curvature, or None when no closed form exists."""
-    return _model_closed_form(model, model.derivative_stack(state))
-
-
-def _model_closed_form(model: ConstitutiveModel,
-                       st: DerivativeStack) -> float | None:
+def model_closed_form(model: ConstitutiveModel,
+                      at: StatePoint | DerivativeStack) -> float | None:
+    """Per-model closed-form curvature, at a state or from the stack
+    already evaluated there, or None when no closed form exists."""
+    st = stack_at(model, at)
     if isinstance(model, IdealGas):
         return 0.0
     if isinstance(model, VanDerWaals):
@@ -413,28 +399,27 @@ def _model_closed_form(model: ConstitutiveModel,
 
 def curvature_routes(model: ConstitutiveModel, st: DerivativeStack):
     """The Weinhold metric of a stack and its curvature by every route:
-    (metric, r_tensorial, r_closed2d, r_elementary, breakdown,
-    r_model_closed).  Over a grid's arrays, each is an array over its live
-    cells.
+    (metric, r_tensorial, r_closed2d, r_elementary, r_model_closed).  Over
+    a grid's arrays, each is an array over its live cells.
 
     The routes share one derivative stack: a Hessian metric's curvature
     needs only second and third potential derivatives.
     """
-    metric = weinhold_from_stack(st)
+    metric = weinhold_metric(model, st)
     r_closed2d = scalar_curvature_closed2d(metric)
     r_tensorial = scalar_curvature_tensorial(HessianMetricField.from_metric(metric))
-    r_elementary, breakdown = scalar_curvature_elementary(
+    r_elementary = scalar_curvature_elementary(
         st.coefficients, st.coefficient_partials, st.v)
-    return (metric, r_tensorial, r_closed2d, r_elementary, breakdown,
-            _model_closed_form(model, st))
+    return (metric, r_tensorial, r_closed2d, r_elementary,
+            model_closed_form(model, st))
 
 
 def curvature_report(model: ConstitutiveModel,
                      state: StatePoint | DerivativeStack) -> CurvatureReport:
     """Evaluate every applicable curvature route and their agreement."""
     st = stack_at(model, state)
-    (metric, r_tensorial, r_closed2d, r_elementary, breakdown,
-     r_model) = curvature_routes(model, st)
+    metric, r_tensorial, r_closed2d, r_elementary, r_model = (
+        curvature_routes(model, st))
 
     discrepancy = None
     if isinstance(model, Berthelot):
@@ -452,6 +437,5 @@ def curvature_report(model: ConstitutiveModel,
     return CurvatureReport(
         r_tensorial=r_tensorial, r_closed2d=r_closed2d,
         r_elementary=r_elementary, r_model_closed=r_model,
-        breakdown=breakdown,
         max_pairwise_residual=spread / scale,
         stack=st, metric=metric, discrepancy=discrepancy)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -202,6 +203,7 @@ class DerivativeStack(NamedTuple):
 
 # A state is degenerate when its relative determinant lies inside this band.
 SINGULAR_BAND = 1e-9
+_NORMAL_MIN = sys.float_info.min  # products below it lose digits to underflow
 
 
 def relative_det(e11, e12, e22):
@@ -210,13 +212,25 @@ def relative_det(e11, e12, e22):
 
     Rescaling U, S or V multiplies both terms by the same factor, so the
     measure, and every degeneracy decision read from it, is unit-free.
-    Entries whose terms both vanish give 0, a degenerate state.
+    Entries whose terms both vanish give 0, a degenerate state.  Terms
+    below the smallest normal float lose digits to underflow, so there the
+    entries are first scaled exactly, by a power of two, to unit size.
     """
     a, b = abs(e11 * e22), e12 * e12
     if isinstance(a, np.ndarray):
         # max(a, b) elementwise, taking NaN as max() does
-        return ratio_or_zero(e11 * e22 - e12 * e12, np.where(b > a, b, a))
+        scale = np.where(b > a, b, a)
+        out = ratio_or_zero(e11 * e22 - e12 * e12, scale)
+        tiny = scale < _NORMAL_MIN
+        if tiny.any():  # the cells whose products underflow, one at a time
+            out[tiny] = [relative_det(*cell) for cell in zip(*(
+                x[tiny].tolist() for x in np.broadcast_arrays(e11, e12, e22)))]
+        return out
     scale = max(a, b)
+    if scale < _NORMAL_MIN:
+        k = -math.frexp(max(abs(e11), abs(e12), abs(e22)))[1]
+        e11, e12, e22 = (math.ldexp(e, k) for e in (e11, e12, e22))
+        scale = max(abs(e11 * e22), e12 * e12)
     return (e11 * e22 - e12 * e12) / scale if scale > 0.0 else 0.0
 
 
@@ -348,9 +362,9 @@ def _stack_from_hessian(state, check_singular, s, v, u, t, p,
             raise SingularState("vanishing second entropy derivative",
                                 det=det, state=state)
         cv = t / e11
-    # only an unchecked state gets here with det = 0; the cells of a grid
-    # are checked
-    if isinstance(det, float) and det == 0.0:
+    # a checked state, as every cell of a grid is, has det = 0 only where
+    # its products underflow, and then fails at the division below
+    if not check_singular and det == 0.0:
         k = alpha = cp = math.nan
         da_s = da_v = dk_s = dk_v = math.nan
         if not constant_cv:
@@ -454,7 +468,6 @@ class ConstitutiveModel:
     """Abstract interface: a fundamental relation with derivatives to order 3."""
 
     name = "abstract"
-    is_constant_cv = False
     params: GasParameters | None = None
 
     def derivative_stack(self, state: StatePoint, *,
@@ -502,8 +515,14 @@ class ConstitutiveModel:
     @property
     def covolume(self) -> float:
         """Volume floor of the admissible domain: ``params.b`` for a model
-        with gas parameters, 0 otherwise."""
+        with gas parameters other than the ideal gas, 0 otherwise."""
         return self.params.b if self.params is not None else 0.0
+
+    def _check_volume(self, v: float):
+        """Reject a volume at or below the covolume."""
+        if v <= self.covolume:
+            raise DomainError(
+                f"volume must exceed the covolume b={self.covolume}, got {v}")
 
     def coefficients(self, state: StatePoint) -> Coefficients:
         return self.derivative_stack(state).coefficients
@@ -527,7 +546,6 @@ class ConstantCv(ConstitutiveModel):
     """
 
     name = "constant_cv"
-    is_constant_cv = True
 
     def __init__(self, f1, f2=None, cv: float = 1.0, u0: float = 0.0):
         if cv <= 0.0:
@@ -536,10 +554,6 @@ class ConstantCv(ConstitutiveModel):
         self.f2: SmoothFunction = as_smooth(f2) if f2 is not None else ZeroFunction()
         self.cv = float(cv)
         self.u0 = float(u0)
-
-    def _check_volume(self, v):
-        if v <= 0.0:
-            raise DomainError(f"volume must be positive, got {v}")
 
     def volume_terms(self, v):
         """f1 and f2 with their three derivatives at v, eight values; over
@@ -590,9 +604,10 @@ class ConstantCv(ConstitutiveModel):
 
 
 class IdealGas(ConstantCv):
-    """Ideal gas: f1 = V^(-r_gas/cv0) with f2 = 0."""
+    """Ideal gas: f1 = V^(-r_gas/cv0) with f2 = 0, and no covolume."""
 
     name = "ideal"
+    covolume = 0.0
 
     def __init__(self, params: GasParameters):
         self.params = params
@@ -612,11 +627,6 @@ class VanDerWaals(ConstantCv):
         f1 = ShiftedPower(coeff, params.b, -params.r_gas / params.cv0)
         f2 = ShiftedPower(params.a / params.cv0, 0.0, -1.0)
         super().__init__(f1, f2, cv=params.cv0, u0=params.u0)
-
-    def _check_volume(self, v):
-        if v <= self.params.b:
-            raise DomainError(
-                f"volume must exceed the covolume b={self.params.b}, got {v}")
 
 
 class Berthelot(ConstitutiveModel):
@@ -667,10 +677,7 @@ class Berthelot(ConstitutiveModel):
 
     def _fields(self, chart, x1, v):
         q = self.params
-        for x in (v.tolist() if isinstance(v, np.ndarray) else (v,)):
-            if x <= q.b:
-                raise DomainError(
-                    f"volume must exceed the covolume b={q.b}, got {x}")
+        self._check_volume(v.min() if isinstance(v, np.ndarray) else v)
         # a temperature-volume state carries T > 0 already
         if chart is Chart.TEMPERATURE_VOLUME:
             t = x1

@@ -57,9 +57,6 @@ class _Num(_Node):
     def diff(self):
         return _Num(0.0)
 
-    def __repr__(self):
-        return repr(self.c)
-
 
 class _Var(_Node):
     __slots__ = ()
@@ -69,9 +66,6 @@ class _Var(_Node):
 
     def diff(self):
         return _Num(1.0)
-
-    def __repr__(self):
-        return "V"
 
 
 def _is_num(n, value=None):
@@ -130,9 +124,6 @@ class _Add(_Node):
     def diff(self):
         return _add(self.a.diff(), self.b.diff())
 
-    def __repr__(self):
-        return f"({self.a!r} + {self.b!r})"
-
 
 class _Sub(_Node):
     __slots__ = ("a", "b")
@@ -146,9 +137,6 @@ class _Sub(_Node):
     def diff(self):
         return _sub(self.a.diff(), self.b.diff())
 
-    def __repr__(self):
-        return f"({self.a!r} - {self.b!r})"
-
 
 class _Mul(_Node):
     __slots__ = ("a", "b")
@@ -161,9 +149,6 @@ class _Mul(_Node):
 
     def diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
-
-    def __repr__(self):
-        return f"({self.a!r} * {self.b!r})"
 
 
 class _Div(_Node):
@@ -181,9 +166,6 @@ class _Div(_Node):
     def diff(self):
         num = _sub(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
         return _div(num, _mul(self.b, self.b))
-
-    def __repr__(self):
-        return f"({self.a!r} / {self.b!r})"
 
 
 class _PowConst(_Node):
@@ -210,9 +192,6 @@ class _PowConst(_Node):
         inner = self.a if self.c == 2.0 else _PowConst(self.a, self.c - 1.0)
         return _mul(_mul(_Num(self.c), inner), self.a.diff())
 
-    def __repr__(self):
-        return f"({self.a!r} ^ {self.c!r})"
-
 
 class _Exp(_Node):
     __slots__ = ("a",)
@@ -225,9 +204,6 @@ class _Exp(_Node):
 
     def diff(self):
         return _mul(self.a.diff(), _Exp(self.a))
-
-    def __repr__(self):
-        return f"exp({self.a!r})"
 
 
 class _Ln(_Node):
@@ -244,9 +220,6 @@ class _Ln(_Node):
 
     def diff(self):
         return _div(self.a.diff(), self.a)
-
-    def __repr__(self):
-        return f"ln({self.a!r})"
 
 
 def _pow(a, b):
@@ -418,9 +391,6 @@ class ShiftedPower:
         f3 = self.coeff * p * (p - 1.0) * (p - 2.0) * w ** (p - 3.0)
         return f, f1, f2, f3
 
-    def __call__(self, v):
-        return self.coeff * (v - self.shift) ** self.exponent
-
     def __repr__(self):
         return f"ShiftedPower({self.coeff}, {self.shift}, {self.exponent})"
 
@@ -437,18 +407,12 @@ class ScaledExp:
         r = self.rate
         return f, r * f, r * r * f, r * r * r * f
 
-    def __call__(self, v):
-        return self.coeff * math.exp(self.rate * v)
-
 
 class ZeroFunction:
     """Identically zero."""
 
     def eval_derivs(self, v):
         return 0.0, 0.0, 0.0, 0.0
-
-    def __call__(self, v):
-        return 0.0
 
 
 def as_smooth(obj) -> SmoothFunction:

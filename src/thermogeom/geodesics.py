@@ -26,7 +26,7 @@ from .eos_models import (
     StatePoint,
     relative_det,
 )
-from .errors import SingularState, StepFailure, ThermogeomError
+from .errors import DomainError, SingularState, StepFailure, ThermogeomError
 
 # Integration stops when the relative determinant (eos_models.relative_det)
 # falls below this margin, well outside eos_models.SINGULAR_BAND.
@@ -177,6 +177,10 @@ def integrate_geodesic(model: ConstitutiveModel,
     terminal events stop the run on domain exit or when the metric
     determinant falls under the locus guard band.
     """
+    if not math.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     # scipy.integrate is most of the package's import time and nothing
     # else needs it, so it loads on the first geodesic
     from scipy.integrate import solve_ivp

@@ -53,7 +53,7 @@ from .eos_models import (
     ratio_or_zero,
 )
 from .errors import FrameSingular
-from .metric_core import MetricTensor2
+from .metric_core import MetricTensor2, weinhold_metric
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -126,7 +126,6 @@ def hessian_point_from_metric(metric: MetricTensor2) -> HessianPoint:
 
 
 def hessian_map(model: ConstitutiveModel, state: StatePoint) -> HessianPoint:
-    from .metric_core import weinhold_metric
     return hessian_point_from_metric(weinhold_metric(model, state))
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .eos_models import (
     Coefficients,
+    ConstantCv,
     ConstitutiveModel,
     DerivativeStack,
     SINGULAR_BAND,
@@ -91,7 +92,6 @@ class SignatureClass:
     kind: SignatureKind
     lambda_plus: float
     lambda_minus: float
-    discriminant: float
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,11 @@ class IdentityResiduals:
 # Weinhold
 
 
-def weinhold_metric(model: ConstitutiveModel, state: StatePoint) -> MetricTensor2:
-    """Hessian of U(S, V) with its derivative stack."""
-    return weinhold_from_stack(model.derivative_stack(state))
-
-
-def weinhold_from_stack(st: DerivativeStack) -> MetricTensor2:
-    """The Weinhold metric of a stack already evaluated."""
+def weinhold_metric(model: ConstitutiveModel,
+                    at: StatePoint | DerivativeStack) -> MetricTensor2:
+    """Hessian of U(S, V) with its derivative stack, at a state or from
+    the stack already evaluated there."""
+    st = stack_at(model, at)
     return MetricTensor2(
         e11=st.e11, e12=st.e12, e22=st.e22,
         d=(st.c111, st.c112, st.c112, st.c122, st.c122, st.c222),
@@ -223,11 +221,10 @@ def determinant_report(model: ConstitutiveModel,
     residual_dpdv = det + (st.t / st.cv) * dpdv_t
 
     det_ideal_part = det_correction = None
-    if model.is_constant_cv:
+    if isinstance(model, ConstantCv):
         cv = st.cv
         e = math.exp(st.s / cv)
-        f1, f1p, f1pp, _ = model.f1.eval_derivs(st.v)
-        _, _, f2pp, _ = model.f2.eval_derivs(st.v)
+        f1, f1p, f1pp, _, _, _, f2pp, _ = model.volume_terms(st.v)
         x = f1 * f1pp - f1p * f1p
         det_ideal_part = e * e * x / (cv * cv)
         det_correction = -e * f1 * f2pp / cv
@@ -263,7 +260,7 @@ def eigen_signature(metric: MetricTensor2, coeffs: Coefficients | None = None) -
     return SignatureClass(
         kind=signature_kind(metric, coeffs.cv if coeffs is not None else None),
         lambda_plus=0.5 * (metric.trace + root),
-        lambda_minus=0.5 * (metric.trace - root), discriminant=disc)
+        lambda_minus=0.5 * (metric.trace - root))
 
 
 def identity_residuals(model: ConstitutiveModel,
@@ -283,7 +280,7 @@ def identity_residuals(model: ConstitutiveModel,
            - st.dalpha_ds + (alpha / k + cv / (t * v * alpha)) * st.dk_ds)
 
     id3 = None
-    if model.is_constant_cv:
+    if isinstance(model, ConstantCv):
         if st.dk_ds != 0.0:
             id3 = st.dalpha_ds / st.dk_ds - alpha / k
         else:

@@ -423,6 +423,22 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
+@pytest.mark.parametrize("flag", [
+    "--t-end=nan", "--t-end=inf", "--t-end=-inf",
+    "--tol=nan", "--tol=inf", "--tol=0", "--tol=-1e-10"])
+def test_bad_geodesic_time_or_tolerance_exits_one(flag):
+    # a NaN time or tolerance, an infinite time or a zero tolerance used to
+    # keep the integrator stepping forever; in a fresh interpreter, such a
+    # hang fails the test at the timeout instead of stalling the suite
+    done = _fresh_interpreter("-m", "thermogeom.cli", "geodesic", *VDW_FLAGS,
+                              "--start-s", "2.5", "--start-v", "1.4", flag)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    name = flag[2:].split("=")[0].replace("-", "_")
+    assert done.stderr.startswith(f"error: {name} must be finite")
+    assert len(done.stderr.splitlines()) == 1
+
+
 
 class TestCachedParser:
     """One parser per process: parsing must leave no state in it."""

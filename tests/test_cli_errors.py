@@ -3,6 +3,7 @@
 Every case goes through ``main(argv)``; a failure must end in its
 documented exit code with a single stderr line, never a traceback.
 """
+import numpy as np
 import pytest
 
 from thermogeom.cli import main
@@ -10,6 +11,9 @@ from thermogeom.expressions import Expression, ExpressionError
 
 CUSTOM = ["--model", "custom", "--cv", "2.5",
           "--f1", "(V-0.2)^-0.8", "--f2", "0.6/V"]
+GEODESIC = ["geodesic", "--model", "vdw", "--a", "1.5", "--b", "0.2",
+            "--r-gas", "2", "--cv", "2.5", "--start-s", "2.5",
+            "--start-v", "1.4"]
 
 
 def run(capsys, argv):
@@ -108,3 +112,58 @@ def test_deep_nesting_is_expression_error(capsys):
                               "--f1", text])
     assert rc == 1
     assert one_line(err) == "error: expression is nested too deeply"
+
+
+def test_allocation_failure_exits_one(capsys, monkeypatch):
+    # as numpy reports an allocation it cannot make, without making it
+    linspace = np.linspace
+
+    def refuse_huge(start, stop, num=50, **kwargs):
+        if num > 10 ** 9:
+            raise MemoryError(f"Unable to allocate {8 * num / 2 ** 30:.0f} "
+                              f"GiB for an array with shape ({num},)")
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", refuse_huge)
+    rc, out, err = run(capsys, [*GEODESIC, "--samples", "100000000000"])
+    assert rc == 1
+    assert out == ""
+    assert one_line(err) == ("error: out of memory: Unable to allocate 745 "
+                             "GiB for an array with shape (100000000000,)")
+
+
+def test_geodesic_step_collapse_off_the_boundaries_is_numeric_failure(capsys):
+    # f1 = 1 - V vanishes at V = 1, past which no state exists; the volume
+    # floor (0 for a custom gas) and the locus are far, so the collapse of
+    # the step there is an integration failure
+    rc, out, err = run(capsys, [
+        "geodesic", "--model", "custom", "--cv", "2.5", "--f1", "1-V",
+        "--f2", "0.6/V", "--start-s", "1", "--start-v", "0.8",
+        "--start-vdot", "0.5"])
+    assert rc == 3
+    assert out == ""
+    assert one_line(err) == ("numeric failure: integration failed: Required "
+                             "step size is less than spacing between numbers.")
+
+
+IDEAL_B = ["--model", "ideal", "--b", "0.5"]
+
+
+def test_ideal_gas_ignores_the_covolume_flag(capsys):
+    # the ideal gas's f1 = V^(-r/cv) has no shift: --b sets no volume floor
+    rc, out, err = run(capsys, ["curvature-grid", *IDEAL_B, "--vmin", "0.3",
+                                "--vmax", "1.3", "--n", "2"])
+    assert (rc, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()
+            if not line.startswith("#")][1:]
+    assert sorted({float(row[1]) for row in rows}) == [0.3, 1.3]
+    assert all(row[-1] == "positive_definite" for row in rows)
+
+    rc, out, err = run(capsys, ["locus", *IDEAL_B, "--vmin", "0.3"])
+    assert (rc, err) == (0, "empty locus\n")
+
+    rc, out, err = run(capsys, ["geodesic", *IDEAL_B, "--start-s", "1.5",
+                                "--start-v", "0.4", "--start-vdot", "0.1",
+                                "--t-end", "1", "--samples", "3"])
+    assert (rc, err) == (0, "")
+    assert "# termination = completed" in out

@@ -248,6 +248,15 @@ class TestCriticalPoints:
         assert numeric.p_c == pytest.approx(exact.p_c, rel=1e-10)
         assert numeric.t_c == pytest.approx(exact.t_c, rel=1e-10)
 
+    def test_vdw_numeric_window_may_start_below_the_covolume(self, vdw_model,
+                                                            params):
+        # volumes at or below b are gaps of the shared volume check; at
+        # them (V - b)^-0.8 used to be complex, and comparing it raised
+        # TypeError
+        numeric = critical_point(vdw_model, method="numeric",
+                                 v_window=(0.5 * params.b, 10.0 * params.b))
+        assert numeric.v_c == pytest.approx(3.0 * params.b, rel=1e-10)
+
     def test_vdw_locus_temperature_peaks_at_critical_volume(self, vdw_model):
         cp = critical_point(vdw_model)
         t_at = {}

@@ -10,13 +10,17 @@ degeneracy locus, plus states on the locus and at relative determinant
 about 5e-12 and 5e-8 to either side of it, inside and outside the
 singular band.
 """
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermogeom import ConstantCv, SingularState, StatePoint, eigen_signature
 from thermogeom.critical_locus import locus_entropy
+from thermogeom.eos_models import relative_det
 from thermogeom.hessian_surface import hessian_point_from_metric, radial_pairing
-from thermogeom.metric_core import weinhold_from_stack
+from thermogeom.metric_core import weinhold_metric
 
 GRID = [(float(s), float(v)) for s in np.linspace(0.0, 4.0, 12)
         for v in np.linspace(0.3, 2.0, 12)]
@@ -44,7 +48,7 @@ def decisions(model, mu=1.0):
         except SingularState:
             stack = model.derivative_stack(state, check_singular=False)
             singular = True
-        metric = weinhold_from_stack(stack)
+        metric = weinhold_metric(model, stack)
         out.append((singular,
                     eigen_signature(metric, stack.coefficients).kind,
                     radial_pairing(hessian_point_from_metric(metric)).kind))
@@ -72,3 +76,15 @@ def test_energy_unit_changes_no_decision(lam):
 def test_volume_unit_changes_no_singular_or_signature_decision(mu):
     got = [row[:2] for row in decisions(gas(mu=mu), mu)]
     assert got == [row[:2] for row in UNSCALED]
+
+
+@pytest.mark.parametrize("k", [-520, -600, -1000])
+def test_relative_det_survives_underflow(k):
+    # entries times 2^k: their products are subnormal (k = -520) or 0, and
+    # a product of 0 would read as a degenerate state
+    entries = [math.ldexp(x, k) for x in (3.0, 1.25, 0.75)]
+    want = relative_det(3.0, 1.25, 0.75)
+    assert relative_det(*entries) == want
+    # over a grid's arrays, an underflowing cell beside a unit-sized one
+    cells = relative_det(*(np.array([x, math.ldexp(x, -k)]) for x in entries))
+    assert cells.tolist() == [want, want]

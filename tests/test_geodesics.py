@@ -267,6 +267,16 @@ class TestTermination:
         assert traj.termination is TerminationReason.DOMAIN_EXIT
         assert traj.final_state.v == pytest.approx(0.0, abs=1e-6)
 
+    def test_step_collapse_next_to_the_volume_floor_is_a_domain_exit(self):
+        # U = V^4 e^(S/cv) - the speed diverges as V -> 0, and the step
+        # collapses at V near 3e-7: within 1e-6 of the start's distance to
+        # the floor, before the domain event at 1e-9 of it
+        model = ConstantCv(ShiftedPower(1.0, 0.0, 4.0), None, cv=2.5)
+        traj = integrate_geodesic(
+            model, GeodesicState(1.0, 1.0, 0.0, -1.0), 10.0)
+        assert traj.termination is TerminationReason.DOMAIN_EXIT
+        assert 1e-8 < traj.final_state.v < 1e-6
+
     def test_singular_start_rejected(self, vdw_model):
         v = 1.2
         s_star = locus_entropy(vdw_model, v)

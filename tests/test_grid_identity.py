@@ -13,6 +13,7 @@ exit code and the same one-line message.
 import contextlib
 import io
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,7 +35,7 @@ from thermogeom.hessian_surface import (
     radial_pairing,
     vdw_surface_residual,
 )
-from thermogeom.metric_core import eigen_signature, weinhold_from_stack
+from thermogeom.metric_core import eigen_signature, weinhold_metric
 
 
 def _state(eff, x1, x2):
@@ -67,7 +68,7 @@ def _surface_rows(model, eff, x1s, x2s):
         for x2 in x2s:
             try:
                 stack = model.derivative_stack(_state(eff, x1, x2))
-                metric = weinhold_from_stack(stack)
+                metric = weinhold_metric(model, stack)
                 rp = radial_pairing(hessian_point_from_metric(metric))
                 extra = None
                 if isinstance(model, VanDerWaals):
@@ -231,12 +232,25 @@ def test_ended_cells_equal_the_scalar_route(argv):
     # division by it raises (where numpy would give inf or NaN)
     (["--model", "vdw", "--chart", "tv", "--smin", "1e-150",
       "--smax", "2e-150"], 3),
+    # entries near 1e-300: det itself underflows to 0; the relative
+    # determinant, taken on rescaled entries, does not call that degenerate
+    (["--model", "vdw", "--chart", "tv", "--smin", "1e-300",
+      "--smax", "1e-299"], 3),
 ], ids=["negative-base", "zero-division", "overflow", "f1-nonpositive",
-        "non-finite-axis", "underflow"])
+        "non-finite-axis", "underflow", "underflow-det"])
 def test_bad_windows_fail_as_the_scalar_route(argv, rc):
     for got_rc, out, err in assert_same_as_scalar(argv):
         assert (got_rc, out) == (rc, "")
         assert err.startswith("error: " if rc == 1 else "numeric failure: ")
+    # the message is all that reaches stderr: no numpy warning comes first
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        cli.main(["curvature-grid", *argv])
+    assert [str(w.message) for w in caught] == []
+    assert len(err.getvalue().splitlines()) == 1
 
 
 def test_grid_evaluates_only_what_it_prints():
