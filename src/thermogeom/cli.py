@@ -244,19 +244,47 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
     return x1, x2
 
 
-def _grid(eff: dict, model, cell_values):
-    """Axes, grid and per-cell values of a grid command.
+# What the scalar route can raise at a state: a domain or stack check, a
+# libm call, a float division by zero.  Over a grid, numpy's division and
+# invalid-operation flags stand in for the last.
+_CELL_ERRORS = (ThermogeomError, ArithmeticError, ValueError)
 
-    ``cell_values(stack)`` evaluates the live cells in one array pass; its
-    values come back per cell, row-major, None for an ended cell.
+
+def _grid(eff: dict, model, cell_values):
+    """Axes and per-cell results of a grid command.
+
+    ``cell_values(stack)`` gives the printed values of a stack's cells.
+    The grid is evaluated in one array pass.  If anything in it raises,
+    the grid is evaluated again on the scalar route, one state at a time:
+    there a SingularState or FrameSingular ends only its own cell, and any
+    other error ends the run, the first one in row-major order.  Each cell
+    comes back row-major as ((x1, x2), error, values), with error None for
+    a cell that printed and values None for one that ended.
     """
     x1s, x2s = _grid_axes(eff, model)
     chart = (Chart.TEMPERATURE_VOLUME if eff["chart"] == "tv"
              else Chart.ENTROPY_VOLUME)
-    grid = model.grid_stack(chart, x1s, x2s)
-    values = zip(*(grid.scatter(x) for x in grid.run(cell_values)))
-    cells = ((x1, x2) for x1 in x1s for x2 in x2s)
-    return x1s, x2s, zip(cells, grid.errors, grid.det, values)
+    states = [(x1, x2) for x1 in x1s for x2 in x2s]
+    try:
+        # overflow and underflow are silent, as for floats
+        with np.errstate(divide="raise", invalid="raise", over="ignore",
+                         under="ignore"):
+            columns = [np.broadcast_to(x, len(states)).tolist() for x in
+                       cell_values(model.grid_stack(chart, x1s, x2s))]
+        return x1s, x2s, [(state, None, values)
+                          for state, values in zip(states, zip(*columns))]
+    except _CELL_ERRORS:
+        pass
+    cells = []
+    # numpy calls on the scalar route stay as silent as its float arithmetic
+    with np.errstate(all="ignore"):
+        for x1, x2 in states:
+            try:
+                cells.append(((x1, x2), None, cell_values(
+                    model.derivative_stack(StatePoint(chart, x1, x2)))))
+            except (SingularState, FrameSingular) as exc:
+                cells.append(((x1, x2), exc, None))
+    return x1s, x2s, cells
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +440,16 @@ def cmd_curvature_grid(args, eff, model) -> int:
                "r_model_closed", "signature"]
     rows = []
     colors = []
-    for (x1, x2), exc, ended_det, values in cells:
+    for (x1, x2), exc, values in cells:
         if exc is None:
             det, r_tensorial, r_closed2d, r_elementary, r_model, kind = values
             rows.append([x1, x2, det, r_tensorial, r_closed2d, r_elementary,
                          r_model, kind.value])
             colors.append(_cell_color(r_closed2d, False))
         else:
-            rows.append([x1, x2, ended_det, "singular", "singular",
-                         "singular", "singular", "degenerate"])
+            rows.append([x1, x2, 0.0 if exc.det is None else exc.det,
+                         "singular", "singular", "singular", "singular",
+                         "degenerate"])
             colors.append(_cell_color(None, True))
     meta = _meta(eff)
     _emit_table(args, meta, columns, rows,
@@ -531,8 +560,9 @@ def cmd_surface(args, eff, model) -> int:
                "model_surface_residual"]
     rows = []
     colors = []
-    for (x1, x2), exc, _, (pairing, kind, det, extra) in cells:
+    for (x1, x2), exc, values in cells:
         if exc is None:
+            pairing, kind, det, extra = values
             rows.append([x1, x2, pairing, kind.value, det, extra])
             colors.append(_cell_color(-pairing, False))
         else:

@@ -400,7 +400,7 @@ def model_closed_form(model: ConstitutiveModel,
 def curvature_routes(model: ConstitutiveModel, st: DerivativeStack):
     """The Weinhold metric of a stack and its curvature by every route:
     (metric, r_tensorial, r_closed2d, r_elementary, r_model_closed).  Over
-    a grid's arrays, each is an array over its live cells.
+    a grid's arrays, each is an array over its cells.
 
     The routes share one derivative stack: a Hessian metric's curvature
     needs only second and third potential derivatives.

@@ -19,7 +19,7 @@ One state or a whole grid
 formulas run on broadcast numpy arrays, with the volume terms once per
 volume, the entropy terms once per entropy, and per cell only what depends
 on both coordinates.  The curvature, signature and surface routes likewise
-take either floats or the arrays of a :class:`CellGrid`.
+take either floats or the arrays of a grid's stack.
 
 The two must print the same digits, and numpy's +, -, *, / and sqrt are
 IEEE 754 operations, correctly rounded exactly as the float ones are.  Its
@@ -29,6 +29,12 @@ bit for a few percent of arguments.  So every transcendental and every
 ``**`` goes through :func:`libm_for`, whose array functions call the scalar
 libm function once per element, and a grid cell is bit-identical to the
 scalar route at that state.
+
+Over a grid, a check raises when it fails at any cell, as it would at that
+one state.  A grid command then evaluates the grid again on the scalar
+route, one state at a time, where a singular state ends only its own cell
+and any other error ends the run (``cli._grid``).  A grid with an ended
+cell thus costs scalar time; none of the benchmark's sweep grids has one.
 """
 
 from __future__ import annotations
@@ -42,13 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FrameSingular,
-    SingularState,
-    ThermogeomError,
-    UnsupportedModel,
-)
+from .errors import DomainError, SingularState, UnsupportedModel
 from .expressions import ShiftedPower, SmoothFunction, ZeroFunction, as_smooth
 
 _EPS = math.ulp(1.0)
@@ -107,6 +107,9 @@ class GasParameters:
     s0: float = 0.0
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{key} must be finite, got {value}")
         if self.a < 0.0 or self.b < 0.0:
             raise DomainError("a and b must be nonnegative")
         if self.r_gas <= 0.0:
@@ -144,9 +147,9 @@ class DerivativeStack(NamedTuple):
 
     Hessian entries and third partials are those of U as a function of
     (S, V) regardless of which chart the query used; ``s`` and ``v`` give
-    the entropy-volume coordinates of the state.  In a :class:`CellGrid`
-    the fields are arrays over its live cells (a model constant, such as a
-    constant cv, stays a float).
+    the entropy-volume coordinates of the state.  From ``grid_stack`` the
+    fields are arrays over every cell of the grid, row-major (a model
+    constant, such as a constant cv, stays a float).
     """
 
     s: float
@@ -281,66 +284,29 @@ def libm_for(x) -> Libm:
     return _ARRAY_LIBM if isinstance(x, np.ndarray) else _FLOAT_LIBM
 
 
-# What the scalar route can raise at a state: a domain or stack check, a
-# libm call, a float division by zero.  Over a grid, numpy's division and
-# invalid-operation flags stand in for the last.
-_CELL_ERRORS = (ThermogeomError, ArithmeticError, ValueError)
-
-
-def _array_pass(over_arrays, per_cell):
-    """``over_arrays()``, a pass over a grid's arrays, bound to fail where
-    the scalar route fails.
-
-    It runs with numpy's division-by-zero and invalid-operation flags
-    raising (overflow and underflow are silent, as for floats).  On any
-    error ``per_cell()`` evaluates the cells once more one at a time, on
-    floats, which is the scalar route: the first error it meets in
-    row-major order is raised.  If it raises none (inf - inf, say, is NaN
-    for floats too), the pass is repeated with the flags off.
-    """
-    try:
-        with np.errstate(divide="raise", invalid="raise", over="ignore",
-                         under="ignore"):
-            return over_arrays()
-    except _CELL_ERRORS:
-        per_cell()
-        with np.errstate(all="ignore"):
-            return over_arrays()
-
-
 def anywhere(cond) -> bool:
     """Whether ``cond`` holds, for one state or for any cell of a grid."""
     return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
 def raise_where(cond, error, *args, **kwargs):
-    """Raise ``error(*args, **kwargs)`` where ``cond`` holds.
-
-    For one state that is a plain raise.  Over the cells of a grid the
-    error is raised when any cell holds, with the mask in ``cells``, so
-    :meth:`CellGrid.run` ends those cells and evaluates the rest again.
-    """
-    if isinstance(cond, np.ndarray):
-        if cond.any():
-            raise error(*args, cells=cond, **kwargs)
-    elif cond:
+    """Raise ``error(*args, **kwargs)`` if ``cond`` holds, at one state or
+    at any cell of a grid."""
+    if anywhere(cond):
         raise error(*args, **kwargs)
 
 
-def _determinant(state, check_singular, e11, e12, e22):
+def _determinant(check_singular, e11, e12, e22):
     """Hessian determinant; with ``check_singular`` a degenerate state
     raises SingularState."""
     det = e11 * e22 - e12 * e12
-    if check_singular:
-        degenerate = abs(relative_det(e11, e12, e22)) < SINGULAR_BAND
-        if anywhere(degenerate):  # spares every admissible state the call
-            raise_where(degenerate, SingularState,
-                        "state lies on the degeneracy locus",
-                        det=det, state=state)
+    if check_singular and anywhere(
+            abs(relative_det(e11, e12, e22)) < SINGULAR_BAND):
+        raise SingularState("state lies on the degeneracy locus", det=det)
     return det
 
 
-def _stack_from_hessian(state, check_singular, s, v, u, t, p,
+def _stack_from_hessian(check_singular, s, v, u, t, p,
                         e11, e12, e22, c111, c112, c122, c222,
                         cv=None) -> DerivativeStack:
     """Complete a stack from the energy, its first, second and third partials.
@@ -351,7 +317,7 @@ def _stack_from_hessian(state, check_singular, s, v, u, t, p,
     given ``cv`` is a constant heat capacity: its partials are reported as
     exact zeros.  Without one, cv = T/e11.
     """
-    det = _determinant(state, check_singular, e11, e12, e22)
+    det = _determinant(check_singular, e11, e12, e22)
     constant_cv = cv is not None
     if constant_cv:
         dcv_ds = dcv_dv = 0.0
@@ -360,7 +326,7 @@ def _stack_from_hessian(state, check_singular, s, v, u, t, p,
         # completion), so only a single state gets here
         if e11 == 0.0:
             raise SingularState("vanishing second entropy derivative",
-                                det=det, state=state)
+                                det=det)
         cv = t / e11
     # a checked state, as every cell of a grid is, has det = 0 only where
     # its products underflow, and then fails at the division below
@@ -388,82 +354,6 @@ def _stack_from_hessian(state, check_singular, s, v, u, t, p,
                            dcv_ds, dcv_dv, da_s, da_v, dk_s, dk_v)
 
 
-class CellGrid:
-    """The states of a grid, and the stack of the cells no check has ended.
-
-    Cells are numbered row-major with x1 outer, the order the commands print
-    them.  ``errors[i]`` is the error that ended cell i (None while it
-    lives) and ``det[i]`` the determinant that error carried, 0.0 when it
-    carried none.
-    """
-
-    def __init__(self, size: int, stack):
-        self.live = np.arange(size)
-        self.errors = [None] * size
-        self.det = [0.0] * size
-        self.stack = stack
-
-    def run(self, fn):
-        """``fn(stack)`` over the live cells, in one :func:`_array_pass`.
-
-        A check that fails on some cells raises with their mask in
-        ``cells`` (:func:`raise_where`); those cells end with that error
-        and the rest are evaluated again, as the scalar route ends a state
-        at its first error.  Evaluated one at a time, on floats, a cell the
-        scalar route ends is ended.
-        """
-        return _array_pass(lambda: self._masked(fn),
-                           lambda: self._per_cell(fn))
-
-    def _masked(self, fn):
-        while True:
-            try:
-                return fn(self.stack)
-            except (SingularState, FrameSingular) as exc:
-                if exc.cells is None:
-                    raise
-                n = int(exc.cells.sum())
-                det = getattr(exc, "det", None)
-                self._end(exc.cells, [exc] * n,
-                          det[exc.cells].tolist()
-                          if isinstance(det, np.ndarray) else [det] * n)
-
-    def _per_cell(self, fn):
-        columns = [f.tolist() if isinstance(f, np.ndarray) else f
-                   for f in self.stack]
-        make = (self.stack._make if isinstance(self.stack, DerivativeStack)
-                else list)
-        ended = np.zeros(len(self.live), dtype=bool)
-        errors = []
-        for i in range(len(self.live)):
-            try:
-                fn(make([c[i] if isinstance(c, list) else c
-                         for c in columns]))
-            except (SingularState, FrameSingular) as exc:
-                ended[i] = True
-                errors.append(exc)
-        self._end(ended, errors, [getattr(e, "det", None) for e in errors])
-
-    def _end(self, cells, errors, dets):
-        for i, exc, det in zip(self.live[cells].tolist(), errors, dets):
-            self.errors[i] = exc
-            self.det[i] = 0.0 if det is None else det
-        keep = ~cells
-        self.live = self.live[keep]
-        fields = [f[keep] if isinstance(f, np.ndarray) else f
-                  for f in self.stack]
-        self.stack = (self.stack._make(fields)
-                      if isinstance(self.stack, DerivativeStack) else fields)
-
-    def scatter(self, values) -> list:
-        """Per cell, row-major: the value of a live cell, None else."""
-        out = [None] * len(self.errors)
-        for i, x in zip(self.live.tolist(),
-                        np.broadcast_to(values, self.live.shape).tolist()):
-            out[i] = x
-        return out
-
-
 class ConstitutiveModel:
     """Abstract interface: a fundamental relation with derivatives to order 3."""
 
@@ -475,41 +365,30 @@ class ConstitutiveModel:
         raise NotImplementedError
 
     def grid_stack(self, chart: Chart, x1s: list[float],
-                   x2s: list[float]) -> CellGrid:
+                   x2s: list[float]) -> DerivativeStack:
         """The stacks of every state (x1, x2) of a grid, x1 outer, in one
         pass over broadcast arrays; each cell equals ``derivative_stack``
-        at its state.  A state outside the domain raises as the scalar
-        route does; a degenerate cell is ended with SingularState."""
-        def over_arrays():
-            # the state checks of the scalar route's first row and column,
-            # then the fields of every cell from the axes
-            for b in x2s:
-                StatePoint(chart, x1s[0], b)
-            for a in x1s:
-                StatePoint(chart, a, x2s[0])
-            return self._fields(chart, np.array(x1s, dtype=float)[:, None],
-                                np.array(x2s, dtype=float))
-
-        def per_cell():
-            for a in x1s:
-                for b in x2s:
-                    StatePoint(chart, a, b)
-                    self._fields(chart, a, b)
-
-        fields = _array_pass(over_arrays, per_cell)
+        at its state.  It raises if any cell fails a check; run under
+        numpy's raising division and invalid-operation flags, it also
+        raises where the scalar route divides by zero."""
+        # the state checks of the scalar route's first row and column
+        for b in x2s:
+            StatePoint(chart, x1s[0], b)
+        for a in x1s:
+            StatePoint(chart, a, x2s[0])
+        fields = self._fields(chart, np.array(x1s, dtype=float)[:, None],
+                              np.array(x2s, dtype=float))
         shape = (len(x1s), len(x2s))
-        grid = CellGrid(shape[0] * shape[1], [
+        return self._complete(True, *(
             np.broadcast_to(f, shape).ravel()
-            if isinstance(f, np.ndarray) else f for f in fields])
-        grid.stack = grid.run(lambda f: self._complete(None, True, *f))
-        return grid
+            if isinstance(f, np.ndarray) else f for f in fields))
 
     def _fields(self, chart: Chart, x1, v) -> tuple:
         """The inputs of ``_complete`` at (x1, v): floats for one state,
         arrays broadcast from the axes for a grid."""
         raise NotImplementedError
 
-    def _complete(self, state, check_singular, *fields) -> DerivativeStack:
+    def _complete(self, check_singular, *fields) -> DerivativeStack:
         raise NotImplementedError
 
     @property
@@ -548,6 +427,8 @@ class ConstantCv(ConstitutiveModel):
     name = "constant_cv"
 
     def __init__(self, f1, f2=None, cv: float = 1.0, u0: float = 0.0):
+        if not (math.isfinite(cv) and math.isfinite(u0)):
+            raise DomainError(f"cv and u0 must be finite, got {cv}, {u0}")
         if cv <= 0.0:
             raise DomainError("cv must be positive")
         self.f1: SmoothFunction = as_smooth(f1)
@@ -596,11 +477,11 @@ class ConstantCv(ConstitutiveModel):
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
         return _stack_from_hessian(
-            state, check_singular,
+            check_singular,
             *self._fields(state.chart, state.x1, state.x2), cv=self.cv)
 
-    def _complete(self, state, check_singular, *fields):
-        return _stack_from_hessian(state, check_singular, *fields, cv=self.cv)
+    def _complete(self, check_singular, *fields):
+        return _stack_from_hessian(check_singular, *fields, cv=self.cv)
 
 
 class IdealGas(ConstantCv):
@@ -672,7 +553,7 @@ class Berthelot(ConstitutiveModel):
 
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
-        return self._complete(state, check_singular,
+        return self._complete(check_singular,
                               *self._fields(state.chart, state.x1, state.x2))
 
     def _fields(self, chart, x1, v):
@@ -731,10 +612,10 @@ class Berthelot(ConstitutiveModel):
         return (s, v, u, t, p, e11, e12, e22, c111, c112, c122, c222,
                 cv, cv_t, cv_v, p_t, p_v, p_tt, p_tv, p_vv)
 
-    def _complete(self, state, check_singular, s, v, u, t, p,
+    def _complete(self, check_singular, s, v, u, t, p,
                   e11, e12, e22, c111, c112, c122, c222,
                   cv, cv_t, cv_v, p_t, p_v, p_tt, p_tv, p_vv):
-        _determinant(state, check_singular, e11, e12, e22)
+        _determinant(check_singular, e11, e12, e22)
 
         def d_s(f_t):
             # (d/dS)|_V = (T/cv) (d/dT)|_V
@@ -828,7 +709,7 @@ class NumericEnergy(ConstitutiveModel):
             parts = self.scheme(s, v)
         u, u_s, u_v, e11, e12, e22, c111, c112, c122, c222 = parts
         return _stack_from_hessian(
-            state, check_singular, s, v, u, u_s, -u_v, e11, e12, e22,
+            check_singular, s, v, u, u_s, -u_v, e11, e12, e22,
             c111, c112, c122, c222)
 
 

@@ -15,15 +15,14 @@ class SingularState(ThermogeomError):
     the degeneracy tolerance: the state sits on (or numerically too close to)
     the degeneracy locus.
 
-    Carries the offending determinant and state when known.  Raised over
-    the cells of a grid, ``cells`` is the mask of the cells it marks.
+    Carries the offending determinant when known.  Over a grid's arrays it
+    is raised when any cell is singular; a grid command then ends each such
+    cell on the scalar route, one state at a time.
     """
 
-    def __init__(self, msg, det=None, state=None, cells=None):
+    def __init__(self, msg, det=None):
         super().__init__(msg)
         self.det = det
-        self.state = state
-        self.cells = cells
 
 
 class UnsupportedModel(ThermogeomError):
@@ -33,11 +32,7 @@ class UnsupportedModel(ThermogeomError):
 
 class FrameSingular(ThermogeomError):
     """The tangent frame of the Hessian map is degenerate (r1 parallel to r2,
-    normal below tolerance).  ``cells`` as for :class:`SingularState`."""
-
-    def __init__(self, msg, cells=None):
-        super().__init__(msg)
-        self.cells = cells
+    normal below tolerance).  Over a grid, as for :class:`SingularState`."""
 
 
 class NoRoot(ThermogeomError):

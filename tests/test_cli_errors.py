@@ -167,3 +167,25 @@ def test_ideal_gas_ignores_the_covolume_flag(capsys):
                                 "--t-end", "1", "--samples", "3"])
     assert (rc, err) == (0, "")
     assert "# termination = completed" in out
+
+
+VDW = ["--model", "vdw", "--a", "1.5", "--b", "0.2", "--r-gas", "2",
+       "--cv", "2.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature-grid", *VDW, "--a", "nan", "--n", "2"],
+    ["curvature-grid", *VDW, "--r-gas", "nan", "--n", "2"],
+    ["curvature-grid", *VDW, "--cv", "nan", "--n", "2"],
+    ["curvature-grid", *CUSTOM, "--cv", "nan", "--n", "2"],
+    ["critical", *VDW, "--a", "nan"],
+    ["locus", *VDW, "--a", "inf"],
+    ["curvature-grid", *VDW, "--b", "inf", "--n", "2"],
+], ids=["grid-a", "grid-r-gas", "grid-cv", "custom-cv", "critical-a",
+        "locus-a", "grid-b"])
+def test_non_finite_gas_parameter_exits_one(capsys, argv):
+    # nan < 0.0 is false, so NaN slips past the sign checks; a parameter
+    # must be finite before any state is built
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert one_line(err).startswith("error: ")

@@ -1,14 +1,18 @@
 """``curvature-grid`` and ``surface`` print, cell for cell, what the scalar
 routes print at each state.
 
-The reference is the per-cell loop the two commands ran before they
-evaluated a grid in one array pass: one ``derivative_stack`` per state and
-every route on it, a failing route ending only that cell.  Its rows go
-through the same CSV writer, and the two texts must be equal, so every
-printed number agrees to the last bit (``.17g`` round-trips a float) and
-every ``singular``, ``degenerate`` and ``frame_singular`` marker sits in the
-same cell.  A window the reference cannot evaluate must end with the same
-exit code and the same one-line message.
+The reference is the per-cell loop of the scalar route: one
+``derivative_stack`` per state and every route on it, a singular state
+ending only that cell and any other error ending the run.  A grid command
+takes that route itself when anything in its array pass raises, so the
+windows with an ended cell or a failing cell check it; every other window
+checks the array pass.  The reference rows go through the same CSV
+writer, and the two texts must be equal, so every printed number agrees to
+the last bit (``.17g`` round-trips a float) and every ``singular``,
+``degenerate`` and ``frame_singular`` marker sits in the same cell.  A
+window the reference cannot evaluate must end with the same exit code and
+the same one-line message: that of its first failing cell in row-major
+order.
 """
 import contextlib
 import io
@@ -236,8 +240,12 @@ def test_ended_cells_equal_the_scalar_route(argv):
     # determinant, taken on rescaled entries, does not call that degenerate
     (["--model", "vdw", "--chart", "tv", "--smin", "1e-300",
       "--smax", "1e-299"], 3),
+    # f1 <= 0 in the last column, and the first cell's det * det
+    # underflows: the scalar route meets the division by zero first
+    ([*CUSTOM, "--f1", "1.5-V", "--chart", "tv", "--smin", "1e-150",
+      "--smax", "2e-150", "--vmin", "0.5", "--vmax", "2", "--n", "4"], 3),
 ], ids=["negative-base", "zero-division", "overflow", "f1-nonpositive",
-        "non-finite-axis", "underflow", "underflow-det"])
+        "non-finite-axis", "underflow", "underflow-det", "stage-order"])
 def test_bad_windows_fail_as_the_scalar_route(argv, rc):
     for got_rc, out, err in assert_same_as_scalar(argv):
         assert (got_rc, out) == (rc, "")
