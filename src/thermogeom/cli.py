@@ -644,6 +644,8 @@ def _verify_checks(model, eff, rng, n_states):
 
 
 def cmd_verify(args, eff, model) -> int:
+    if args.states < 1:
+        raise DomainError(f"need at least 1 state, got {args.states}")
     eff["seed"] = args.seed
     if eff["format"] == "svg":
         raise DomainError("verify does not support svg output")

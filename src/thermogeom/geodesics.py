@@ -3,10 +3,22 @@
 Two Christoffel routes are provided: the generic one straight from the
 metric and its third partials, and the explicit coefficient formulas
 written in terms of the measured response functions.  Both must agree;
-the explicit route doubles as a verification target.  Integration is an
-adaptive embedded Runge-Kutta scheme with terminal guards for domain
-exit and for approach to the degeneracy locus, where the coefficients
-blow up.
+the explicit route doubles as a verification target.
+
+Integration is the Dormand-Prince 5(4) pair with local extrapolation
+(Dormand and Prince, J. Comput. Appl. Math. 6 (1980) 19-26) and quartic
+dense output, with rtol = atol = ``tol``.  Step-size control follows
+Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
+sections II.4-II.6: the initial-step rule of II.4, an RMS error norm, and
+a new step of h * min(10, 0.9 err^(-1/5)) after an accepted step and
+h * max(0.2, 0.9 err^(-1/5)) after a rejected one, with no growth
+straight after a rejection; the run fails when the step falls under ten
+spacings of the floats at t.  The solver is ``_rk45``, a port of scipy
+1.17's RK45 whose results equal scipy's bit for bit, so no scipy is
+needed.  Terminal events stop the run on domain exit and on approach to
+the degeneracy locus, where the coefficients blow up; each event time is
+a Brent root on the step's interpolant (Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 4).
 """
 
 from __future__ import annotations
@@ -16,8 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
-import numpy as np
-
+from . import _rk45
 from .eos_models import (
     Coefficients,
     CoefficientPartials,
@@ -148,7 +159,7 @@ class GeodesicTrajectory:
     states: tuple[GeodesicState, ...]
     speeds: tuple[float, ...]
     termination: TerminationReason
-    interpolant: Callable | None
+    interpolant: Callable
 
     @property
     def final_state(self) -> GeodesicState:
@@ -156,8 +167,6 @@ class GeodesicTrajectory:
 
     def at(self, t: float) -> GeodesicState:
         """Dense-output sample at an affine parameter inside the span."""
-        if self.interpolant is None:
-            raise ValueError("trajectory has no dense output")
         lo, hi = self.times[0], self.times[-1]
         if not lo <= t <= hi:
             raise ValueError(f"t={t} outside integrated span [{lo}, {hi}]")
@@ -173,18 +182,15 @@ def integrate_geodesic(model: ConstitutiveModel,
     """Integrate the geodesic equations from ``init`` to affine time
     ``t_end``.
 
-    The integrator is adaptive embedded Runge-Kutta (order 4/5 pair);
-    terminal events stop the run on domain exit or when the metric
-    determinant falls under the locus guard band.
+    The integrator is the Dormand-Prince 5(4) pair of the module
+    docstring, with atol = ``tol`` and rtol = max(``tol``, 100 machine
+    epsilons); terminal events stop the run on domain exit or when the
+    metric determinant falls under the locus guard band.
     """
     if not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite, got {t_end}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
-    # scipy.integrate is most of the package's import time and nothing
-    # else needs it, so it loads on the first geodesic
-    from scipy.integrate import solve_ivp
-
     start = StatePoint.entropy_volume(init.s, init.v)
     start_stack = model.derivative_stack(start)  # validates admissibility
     det_sign = math.copysign(1.0, start_stack.det)
@@ -194,8 +200,7 @@ def integrate_geodesic(model: ConstitutiveModel,
     # Stacks by (S, V) of the points the locus event reads: the accepted
     # nodes, which the speeds reuse.  Of the right-hand-side stacks only the
     # latest is kept; RK45's last stage is the accepted point, so the event
-    # finds its stack there.  The solver holds rhs in a reference cycle, so
-    # the memo is cleared on return.
+    # finds its stack there.
     memo = {(float(init.s), float(init.v)): start_stack}
     last = [None, None]  # key and stack of the latest evaluation
 
@@ -241,7 +246,6 @@ def integrate_geodesic(model: ConstitutiveModel,
         return (det_sign * relative_det(stack.e11, stack.e12, stack.e22)
                 - LOCUS_GUARD_BAND)
 
-    locus_event.terminal = True
     locus_event.direction = -1.0
 
     # The event fires a hair inside the admissible region so the solver
@@ -254,55 +258,47 @@ def integrate_geodesic(model: ConstitutiveModel,
     def domain_event(_t, y):
         return y[1] - floor_eff
 
-    domain_event.terminal = True
     domain_event.direction = -1.0
 
-    try:
-        return _trajectory(solve_ivp(
-            rhs, (init.t, init.t + t_end),
-            [init.s, init.v, init.s_dot, init.v_dot],
-            method="RK45", rtol=tol, atol=tol,
-            dense_output=True, events=[locus_event, domain_event]),
-            floor, reach, stack_at)
-    finally:
-        memo.clear()
+    run = _rk45._solve(rhs, (init.t, init.t + t_end),
+                       [init.s, init.v, init.s_dot, init.v_dot], tol,
+                       [locus_event, domain_event])
+    return _trajectory(run, _termination(run, floor, reach, stack_at),
+                       stack_at)
 
 
-def _trajectory(sol, floor, reach, stack_at) -> GeodesicTrajectory:
-    """Termination reason, nodes and speeds of a finished solver run;
-    ``reach`` is the start's distance to the volume floor."""
-    if sol.status == -1:
-        # Step collapse right at a boundary is a domain/locus report, not
-        # an integrator failure.
-        s_last, v_last = float(sol.y[0, -1]), float(sol.y[1, -1])
-        if v_last - floor <= 1e-6 * reach:
-            sol.status = 1
-            sol.t_events = [np.array([]), np.array([sol.t[-1]])]
-        else:
-            stack = stack_at(s_last, v_last)
-            near_locus = stack is not None and (
-                abs(relative_det(stack.e11, stack.e12, stack.e22))
-                <= 10.0 * LOCUS_GUARD_BAND)
-            if near_locus:
-                sol.status = 1
-                sol.t_events = [np.array([sol.t[-1]]), np.array([])]
-            else:
-                raise StepFailure(f"integration failed: {sol.message}")
+# by the index of the event in the list integrate_geodesic passes
+_EVENT_REASONS = (TerminationReason.LOCUS_PROXIMITY,
+                  TerminationReason.DOMAIN_EXIT)
 
-    if sol.status == 1:
-        if len(sol.t_events[0]) > 0:
-            termination = TerminationReason.LOCUS_PROXIMITY
-        else:
-            termination = TerminationReason.DOMAIN_EXIT
-    else:
-        termination = TerminationReason.COMPLETED
 
-    times = tuple(sol.t.tolist())
+def _termination(run, floor, reach, stack_at) -> TerminationReason:
+    """Why a solver run stopped; ``reach`` is the start's distance to the
+    volume floor.  A step collapse right at a boundary is a domain or locus
+    report, anywhere else an integrator failure."""
+    if run.status == 0:
+        return TerminationReason.COMPLETED
+    if run.status == 1:
+        return _EVENT_REASONS[run.event]
+    s_last, v_last = float(run.y[0, -1]), float(run.y[1, -1])
+    if v_last - floor <= 1e-6 * reach:
+        return TerminationReason.DOMAIN_EXIT
+    stack = stack_at(s_last, v_last)
+    if stack is not None and (abs(relative_det(stack.e11, stack.e12,
+                                               stack.e22))
+                              <= 10.0 * LOCUS_GUARD_BAND):
+        return TerminationReason.LOCUS_PROXIMITY
+    raise StepFailure(f"integration failed: {_rk45._TOO_SMALL_STEP}")
+
+
+def _trajectory(run, termination, stack_at) -> GeodesicTrajectory:
+    """Nodes, speeds and dense output of a finished solver run."""
+    times = tuple(run.t.tolist())
     states = tuple(GeodesicState(s, v, sd, vd, t)
-                   for t, (s, v, sd, vd) in zip(times, sol.y.T.tolist()))
+                   for t, (s, v, sd, vd) in zip(times, run.y.T.tolist()))
     speeds = tuple(math.nan if (stack := stack_at(st.s, st.v)) is None
                    else metric_speed(stack, st.s_dot, st.v_dot)
                    for st in states)
     return GeodesicTrajectory(times=times, states=states, speeds=speeds,
                               termination=termination,
-                              interpolant=sol.sol)
+                              interpolant=run.sol)

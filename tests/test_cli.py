@@ -416,12 +416,34 @@ def _fresh_interpreter(*args):
                           capture_output=True, text=True, timeout=60)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is most of the import time and only geodesic needs it
-    code = "import sys, thermogeom.cli; print('scipy.integrate' in sys.modules)"
+GEODESIC_STOPS = {
+    "locus_proximity": ["geodesic", "--model", "vdw", "--a", "1.5",
+                        "--b", "0.2", "--r-gas", "2", "--cv", "2.5",
+                        "--start-s", "2.5", "--start-v", "1.4",
+                        "--start-sdot", "-0.3", "--samples", "3"],
+    "domain_exit": ["geodesic", "--model", "custom", "--cv", "2",
+                    "--f1", "(V+0.5)^-0.8", "--start-s", "1",
+                    "--start-v", "0.5", "--start-vdot", "-0.05",
+                    "--t-end", "60", "--samples", "3"],
+}
+
+
+def test_geodesics_load_no_scipy():
+    # geodesics integrate in the package: importing scipy would cost
+    # about twice the rest of a geodesic run's start-up
+    code = "\n".join([
+        "import sys",
+        "from thermogeom import cli",
+        f"for argv in {list(GEODESIC_STOPS.values())!r}:",
+        "    assert cli.main(argv) == 0",
+        "    loaded = [m for m in sys.modules if m.startswith('scipy')]",
+        "    assert loaded == [], loaded",
+    ])
     done = _fresh_interpreter("-c", code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    for reason in GEODESIC_STOPS:
+        assert f"# termination = {reason}\n" in done.stdout
+
 
 @pytest.mark.parametrize("flag", [
     "--t-end=nan", "--t-end=inf", "--t-end=-inf",

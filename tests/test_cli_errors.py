@@ -3,6 +3,8 @@
 Every case goes through ``main(argv)``; a failure must end in its
 documented exit code with a single stderr line, never a traceback.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,28 @@ def test_geodesic_step_collapse_off_the_boundaries_is_numeric_failure(capsys):
     assert out == ""
     assert one_line(err) == ("numeric failure: integration failed: Required "
                              "step size is less than spacing between numbers.")
+
+
+def test_geodesic_tolerance_under_the_rtol_floor_prints_no_warning(capsys):
+    # rtol is raised to 100 machine epsilons, as scipy's RK45 does, but
+    # without its two-line UserWarning on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, [*GEODESIC, "--start-sdot", "0.05",
+                                    "--tol", "1e-15", "--t-end", "0.5",
+                                    "--samples", "3"])
+    assert (rc, err, caught) == (0, "", [])
+    assert "# termination = completed" in out
+
+
+@pytest.mark.parametrize("states", ["0", "-3"])
+def test_verify_without_states_exits_one(capsys, states):
+    # a request for no states is a bad flag value, not a numeric failure
+    rc, out, err = run(capsys, ["verify", "--model", "ideal",
+                                "--states", states])
+    assert rc == 1
+    assert out == ""
+    assert one_line(err) == f"error: need at least 1 state, got {states}"
 
 
 IDEAL_B = ["--model", "ideal", "--b", "0.5"]
