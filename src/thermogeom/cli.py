@@ -614,8 +614,7 @@ def _verify_checks(model, eff, rng, n_states):
         rep = determinant_report(model, stack)
         detres = max(detres, abs(rep.residual_kvc), abs(rep.residual_dpdv))
 
-        ce = christoffel_elementary(stack.coefficients,
-                                    stack.coefficient_partials, stack.v)
+        ce = christoffel_elementary(stack, stack, stack.v)
         ck = christoffel_from_stack(stack)
         for got, want in ((ce.g111, ck.g111), (ce.g112, ck.g112),
                           (ce.g122, ck.g122), (ce.g211, ck.g211),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
@@ -32,8 +31,6 @@ from .eos_models import (
     relative_det,
 )
 from .errors import DomainError, NoCriticalPoint, NoRoot
-
-log = logging.getLogger(__name__)
 
 # The locus corrector stops on a step below _STEP_TOL times max(1, |S|) or
 # when its step stops shrinking, at det's noise floor: rounding for exact
@@ -664,8 +661,6 @@ def vdw_volume_roots(kind: RootKind, value: float) -> VolumeRoots:
             collected.append(
                 f"trigonometric branch {i} value {tv:.6g} does not solve "
                 f"the cubic (nearest root {nearest:.6g})")
-    for note in collected:
-        log.debug("%s-form at %g: %s", kind.value, value, note)
     return VolumeRoots(values=physical, trig_values=trig,
                        notes=tuple(collected))
 

@@ -26,8 +26,6 @@ import numpy as np
 from .eos_models import (
     FD_STEP_FIRST,
     Berthelot,
-    Coefficients,
-    CoefficientPartials,
     ConstantCv,
     ConstitutiveModel,
     DerivativeStack,
@@ -102,11 +100,10 @@ class HessianMetricField:
 
 @dataclass(frozen=True)
 class ConstantCvCurvature:
-    """Both constant-cv closed forms and their disagreement."""
+    """Both constant-cv closed forms."""
 
     r_structural: float
     r_log_compressibility: float
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -167,28 +164,26 @@ def scalar_curvature_closed2d(metric: MetricTensor2) -> float:
     return -det3 / (2.0 * det * det)
 
 
-def scalar_curvature_elementary(coeffs: Coefficients,
-                                partials: CoefficientPartials,
-                                v: float) -> float:
+def scalar_curvature_elementary(st: DerivativeStack) -> float:
     """Coefficient-form curvature through H, G, F and J.
 
-    Needs the volume explicitly; the determinant is taken in its
-    coefficient form T/(k V cv), so this route never touches the Hessian
-    entries directly.
+    Reads the stack's response coefficients, their partials and the
+    volume; the determinant is taken in its coefficient form T/(k V cv), so
+    this route never touches the Hessian entries directly.
     """
-    t, cv, cp, alpha, k = coeffs.t, coeffs.cv, coeffs.cp, coeffs.alpha, coeffs.k
+    t, v, cv, cp, alpha, k = st.t, st.v, st.cv, st.cp, st.alpha, st.k
     raise_where((cv == 0.0) | (alpha == 0.0) | (k == 0.0), SingularState,
                 "elementary curvature needs cv, alpha, k nonzero")
     det = t / (k * v * cv)
     raise_where(det == 0.0, SingularState, "degenerate metric", det=det)
 
     h = (alpha / k - cv / v
-         + ((cp - cv) / alpha) * partials.dalpha_dV
-         - (cp / k) * partials.dk_dV
-         + partials.dcv_dV)
-    g = partials.dcv_dV + (alpha / k) * partials.dcv_dS
-    f = partials.dk_dV - (k / alpha) * partials.dalpha_dV
-    j = 1.0 - partials.dcv_dS
+         + ((cp - cv) / alpha) * st.dalpha_dv
+         - (cp / k) * st.dk_dv
+         + st.dcv_dv)
+    g = st.dcv_dv + (alpha / k) * st.dcv_ds
+    f = st.dk_dv - (k / alpha) * st.dalpha_dv
+    j = 1.0 - st.dcv_ds
 
     bracket = h * g + (cv * alpha / (k * k)) * f * (t * v * alpha * f / k - j)
     return t / (2.0 * libm_for(cv).pow(cv, 3) * det) * bracket
@@ -197,7 +192,7 @@ def scalar_curvature_elementary(coeffs: Coefficients,
 def _constant_cv_curvature(model: ConstantCv,
                            st: DerivativeStack) -> ConstantCvCurvature:
     """The constant-cv closed forms, structural (in f1, f2 and T) and from
-    the entropy rate of ln k, and their difference."""
+    the entropy rate of ln k."""
     cv, t = st.cv, st.t
 
     f1, f1p, f1pp, _, _, _, f2pp, _ = model.volume_terms(st.v)
@@ -210,8 +205,7 @@ def _constant_cv_curvature(model: ConstantCv,
     r_log_k = (cv / (2.0 * t)) * x * (x + 1.0 / cv)
 
     return ConstantCvCurvature(r_structural=r_structural,
-                               r_log_compressibility=r_log_k,
-                               residual=r_structural - r_log_k)
+                               r_log_compressibility=r_log_k)
 
 
 def negativity_test(model: ConstitutiveModel, state: StatePoint) -> bool:
@@ -408,8 +402,7 @@ def curvature_routes(model: ConstitutiveModel, st: DerivativeStack):
     metric = weinhold_metric(model, st)
     r_closed2d = scalar_curvature_closed2d(metric)
     r_tensorial = scalar_curvature_tensorial(HessianMetricField.from_metric(metric))
-    r_elementary = scalar_curvature_elementary(
-        st.coefficients, st.coefficient_partials, st.v)
+    r_elementary = scalar_curvature_elementary(st)
     return (metric, r_tensorial, r_closed2d, r_elementary,
             model_closed_form(model, st))
 

@@ -395,19 +395,6 @@ class ShiftedPower:
         return f"ShiftedPower({self.coeff}, {self.shift}, {self.exponent})"
 
 
-class ScaledExp:
-    """coeff * exp(rate * V)."""
-
-    def __init__(self, coeff: float, rate: float):
-        self.coeff = float(coeff)
-        self.rate = float(rate)
-
-    def eval_derivs(self, v):
-        f = self.coeff * math.exp(self.rate * v)
-        r = self.rate
-        return f, r * f, r * r * f, r * r * r * f
-
-
 class ZeroFunction:
     """Identically zero."""
 

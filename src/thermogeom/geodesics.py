@@ -30,8 +30,6 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import _rk45
 from .eos_models import (
-    Coefficients,
-    CoefficientPartials,
     ConstitutiveModel,
     DerivativeStack,
     StatePoint,
@@ -81,10 +79,12 @@ class ChristoffelSet(NamedTuple):
     aux: Mapping[str, float]
 
 
-def christoffel_elementary(coeffs: Coefficients,
-                           partials: CoefficientPartials,
+def christoffel_elementary(coeffs: DerivativeStack,
+                           partials: DerivativeStack,
                            v: float) -> ChristoffelSet:
-    """Connection coefficients from measured response functions.
+    """Connection coefficients from measured response functions: t, cv,
+    cp, alpha and k of ``coeffs`` and the coefficient partials of
+    ``partials``, which are usually one and the same stack.
 
     When both heat-capacity partials vanish identically (the
     constant-heat-capacity family reports them as exact zeros) the first
@@ -97,10 +97,10 @@ def christoffel_elementary(coeffs: Coefficients,
         raise SingularState(
             "explicit coefficient formulas need nonzero alpha and k")
 
-    aux_f = partials.dk_dV - (k / alpha) * partials.dalpha_dV
-    aux_j = 1.0 - partials.dcv_dS
-    aux_d = alpha / k + partials.dcv_dV
-    aux_b = alpha / v + partials.dalpha_dV
+    aux_f = partials.dk_dv - (k / alpha) * partials.dalpha_dv
+    aux_j = 1.0 - partials.dcv_ds
+    aux_d = alpha / k + partials.dcv_dv
+    aux_b = alpha / v + partials.dalpha_dv
 
     g111 = 0.5 * (cp * aux_j / (cv * cv) - t * v * alpha * aux_d / (cv * cv))
     g112 = -0.5 * (aux_d / cv - t * v * alpha * alpha * aux_f / (k * k * cv))
@@ -112,7 +112,7 @@ def christoffel_elementary(coeffs: Coefficients,
     g212 = 0.5 * t * v * alpha * aux_f / (k * cv)
     g222 = -0.5 * (cp * aux_f / (k * cv) + aux_b / alpha)
 
-    if partials.dcv_dS == 0.0 and partials.dcv_dV == 0.0:
+    if partials.dcv_ds == 0.0 and partials.dcv_dv == 0.0:
         g111 = 0.5 / cv
         g211 = 0.0
 
@@ -260,8 +260,15 @@ def integrate_geodesic(model: ConstitutiveModel,
 
     domain_event.direction = -1.0
 
-    run = _rk45._solve(rhs, (init.t, init.t + t_end),
-                       [init.s, init.v, init.s_dot, init.v_dot], tol,
+    y0 = [init.s, init.v, init.s_dot, init.v_dot]
+    if abs(relative_det(start_stack.e11, start_stack.e12,
+                        start_stack.e22)) <= LOCUS_GUARD_BAND:
+        # The locus event fires only on a sign change, which a start inside
+        # the guard band never shows: stop at the start, on its one node.
+        run = _rk45._solve(rhs, (init.t, init.t), y0, tol, [])
+        return _trajectory(run._replace(t=run.t[:1], y=run.y[:, :1]),
+                           TerminationReason.LOCUS_PROXIMITY, stack_at)
+    run = _rk45._solve(rhs, (init.t, init.t + t_end), y0, tol,
                        [locus_event, domain_event])
     return _trajectory(run, _termination(run, floor, reach, stack_at),
                        stack_at)

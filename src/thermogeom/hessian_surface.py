@@ -77,7 +77,6 @@ class HessianPoint:
     """Image of one state under the Hessian map, with frame and normal
     (each coordinate an array over the cells of a grid)."""
 
-    matrix: tuple[float, float, float]          # (e11, e12, e22)
     euclid: tuple[float, float, float]          # (e11, sqrt2 e12, e22)
     r1: tuple[float, float, float]              # d(euclid)/dS
     r2: tuple[float, float, float]              # d(euclid)/dV
@@ -120,7 +119,6 @@ def hessian_point_from_metric(metric: MetricTensor2) -> HessianPoint:
     raise_where(_norm(normal) <= 1e-12 * _norm(r1) * _norm(r2), FrameSingular,
                 "tangent frame is degenerate (r1 parallel to r2)")
     return HessianPoint(
-        matrix=(metric.e11, metric.e12, metric.e22),
         euclid=embed(metric.e11, metric.e12, metric.e22),
         r1=r1, r2=r2, normal=normal)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos_models import (
-    Coefficients,
     ConstantCv,
     ConstitutiveModel,
     DerivativeStack,
@@ -251,14 +250,15 @@ def signature_kind(metric: MetricTensor2, cv=None):
                   SignatureKind.NEGATIVE_DEFINITE)
 
 
-def eigen_signature(metric: MetricTensor2, coeffs: Coefficients | None = None) -> SignatureClass:
+def eigen_signature(metric: MetricTensor2,
+                    st: DerivativeStack | None = None) -> SignatureClass:
     """Classify the metric against the Euclidean background
-    (:func:`signature_kind`, with cv from ``coeffs`` when given) and report
-    its eigenvalues."""
+    (:func:`signature_kind`, with cv from the stack ``st`` when given) and
+    report its eigenvalues."""
     disc = (metric.e11 - metric.e22) ** 2 + 4.0 * metric.e12 * metric.e12
     root = math.sqrt(disc)
     return SignatureClass(
-        kind=signature_kind(metric, coeffs.cv if coeffs is not None else None),
+        kind=signature_kind(metric, st.cv if st is not None else None),
         lambda_plus=0.5 * (metric.trace + root),
         lambda_minus=0.5 * (metric.trace - root))
 

@@ -231,6 +231,18 @@ class TestGeodesic:
         assert rc == 3
         assert "numeric failure:" in err
 
+    def test_start_inside_the_guard_band_stops_at_once(self, capsys,
+                                                       vdw_model):
+        s = locus_entropy(vdw_model, 1.2) + 1e-6
+        rc, out, _ = run(capsys, [
+            "geodesic", *VDW_FLAGS, "--start-s", repr(s), "--start-v", "1.2",
+            "--start-sdot", "-0.3", "--t-end", "1.0", "--samples", "3"])
+        assert rc == 0
+        meta, notes, rows = parse_csv(out)
+        assert meta["termination"] == "locus_proximity"
+        assert "termination: locus_proximity" in notes
+        assert [float(row["t"]) for row in rows] == [0.0, 0.0, 0.0]
+
     def test_svg_output_is_xml(self, capsys):
         rc, out, _ = run(capsys, self.ARGV[:-2] + ["--format", "svg"])
         assert rc == 0
@@ -443,6 +455,14 @@ def test_geodesics_load_no_scipy():
     assert done.returncode == 0, done.stderr
     for reason in GEODESIC_STOPS:
         assert f"# termination = {reason}\n" in done.stdout
+
+
+def test_cli_import_loads_no_logging():
+    # nothing in the package logs, and importing logging costs about 5 ms
+    # of every command's start-up
+    done = _fresh_interpreter("-c", "import sys, thermogeom.cli; "
+                              "assert 'logging' not in sys.modules")
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("flag", [

@@ -50,7 +50,7 @@ def decisions(model, mu=1.0):
             singular = True
         metric = weinhold_metric(model, stack)
         out.append((singular,
-                    eigen_signature(metric, stack.coefficients).kind,
+                    eigen_signature(metric, stack).kind,
                     radial_pairing(hessian_point_from_metric(metric)).kind))
     return out
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from thermogeom.expressions import (
     Expression,
     ExpressionError,
-    ScaledExp,
     ShiftedPower,
     ZeroFunction,
     as_smooth,
@@ -52,15 +51,6 @@ class TestShiftedPower:
         got = f.eval_derivs(v)
         for g, e in zip(got, expected):
             assert g == pytest.approx(e, rel=1e-14)
-
-
-def test_scaled_exp_self_similar():
-    f = ScaledExp(0.7, -0.4)
-    vals = f.eval_derivs(1.0)
-    assert vals[0] == pytest.approx(0.7 * math.exp(-0.4), rel=1e-15)
-    # each derivative multiplies by the rate
-    for lower, upper in zip(vals, vals[1:]):
-        assert upper == pytest.approx(-0.4 * lower, rel=1e-14)
 
 
 def test_zero_function():

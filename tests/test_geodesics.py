@@ -16,11 +16,7 @@ from thermogeom import (
     integrate_geodesic,
 )
 from thermogeom.curvature import HessianMetricField
-from thermogeom.eos_models import (
-    CoefficientPartials,
-    Coefficients,
-    relative_det,
-)
+from thermogeom.eos_models import relative_det
 from thermogeom.expressions import ShiftedPower
 from thermogeom.geodesics import (
     LOCUS_GUARD_BAND,
@@ -64,9 +60,7 @@ class TestChristoffelRoutes:
         s, v = state
         stack = model.derivative_stack(sv(s, v))
         by_stack = christoffel_from_stack(stack)
-        by_coeffs = christoffel_elementary(
-            model.coefficients(sv(s, v)),
-            model.coefficient_partials(sv(s, v)), v)
+        by_coeffs = christoffel_elementary(stack, stack, v)
         by_field = from_array(index_form(
             HessianMetricField.from_metric(weinhold_metric(model, sv(s, v)))))
         for name in SYMBOL_FIELDS:
@@ -91,26 +85,22 @@ class TestChristoffelRoutes:
                 getattr(analytic, name), rel=1e-5, abs=1e-7), name
 
     def test_constant_cv_exact_entries(self, vdw_model, params):
-        ce = christoffel_elementary(
-            vdw_model.coefficients(sv(2.5, 1.4)),
-            vdw_model.coefficient_partials(sv(2.5, 1.4)), 1.4)
+        stack = vdw_model.derivative_stack(sv(2.5, 1.4))
+        ce = christoffel_elementary(stack, stack, 1.4)
         assert ce.g111 == 1.0 / (2.0 * params.cv0)
         assert ce.g211 == 0.0
 
     def test_constant_cv_aux_structure(self, vdw_model):
-        state = sv(2.5, 1.4)
-        coeffs = vdw_model.coefficients(state)
-        ce = christoffel_elementary(
-            coeffs, vdw_model.coefficient_partials(state), 1.4)
+        stack = vdw_model.derivative_stack(sv(2.5, 1.4))
+        ce = christoffel_elementary(stack, stack, 1.4)
         assert ce.aux["J"] == 1.0
-        assert ce.aux["D"] == pytest.approx(coeffs.alpha / coeffs.k,
+        assert ce.aux["D"] == pytest.approx(stack.alpha / stack.k,
                                             rel=1e-13)
 
-    def test_degenerate_coefficients_rejected(self):
-        zero_partials = CoefficientPartials(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        bad = Coefficients(t=1.0, p=1.0, cv=2.0, cp=3.0, alpha=0.5, k=0.0)
+    def test_degenerate_coefficients_rejected(self, vdw_model):
+        bad = vdw_model.derivative_stack(sv(2.5, 1.4))._replace(k=0.0)
         with pytest.raises(SingularState):
-            christoffel_elementary(bad, zero_partials, 1.0)
+            christoffel_elementary(bad, bad, 1.4)
 
 
 class TestIntegration:
@@ -283,6 +273,21 @@ class TestTermination:
         with pytest.raises(SingularState):
             integrate_geodesic(vdw_model,
                                GeodesicState(s_star, v, 0.1, 0.0), 1.0)
+
+    def test_start_inside_the_guard_band_stops_at_once(self, vdw_model):
+        # relative det 5e-7 at the start: the locus event needs a sign
+        # change, which such a start never shows, so it would cross the locus
+        v = 1.2
+        s = locus_entropy(vdw_model, v) + 1e-6
+        stack = vdw_model.derivative_stack(sv(s, v))
+        assert 0.0 < relative_det(stack.e11, stack.e12,
+                                  stack.e22) < LOCUS_GUARD_BAND
+        traj = integrate_geodesic(vdw_model,
+                                  GeodesicState(s, v, -0.3, 0.0), 1.0)
+        assert traj.termination is TerminationReason.LOCUS_PROXIMITY
+        assert traj.times == (0.0,)
+        assert traj.final_state == GeodesicState(s, v, -0.3, 0.0, 0.0)
+        assert traj.at(0.0) == traj.final_state
 
     def test_out_of_domain_start_rejected(self, vdw_model):
         with pytest.raises(DomainError):

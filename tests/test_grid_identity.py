@@ -54,7 +54,7 @@ def _grid_rows(model, eff, x1s, x2s):
         for x2 in x2s:
             try:
                 report = curvature_report(model, _state(eff, x1, x2))
-                sig = eigen_signature(report.metric, report.stack.coefficients)
+                sig = eigen_signature(report.metric, report.stack)
                 rows.append([x1, x2, report.metric.det, report.r_tensorial,
                              report.r_closed2d, report.r_elementary,
                              report.r_model_closed, sig.kind.value])

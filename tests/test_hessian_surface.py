@@ -17,7 +17,6 @@ from thermogeom import (
     radial_pairing,
     weinhold_metric,
 )
-from thermogeom.expressions import ScaledExp
 from thermogeom.hessian_surface import (
     embed,
     ideal_conic_residual,
@@ -57,7 +56,6 @@ class TestHessianPoint:
         state = sv(2.5, 1.4)
         m = weinhold_metric(vdw_model, state)
         hp = hessian_map(vdw_model, state)
-        assert hp.matrix == (m.e11, m.e12, m.e22)
         assert hp.euclid == embed(m.e11, m.e12, m.e22)
 
     def test_frame_spans_third_derivatives(self, vdw_model):
@@ -78,8 +76,7 @@ class TestHessianPoint:
     def test_parallel_frame_raises(self):
         # exponential leading function with a quadratic interaction keeps the
         # determinant alive but collapses the tangent frame to a line
-        model = ConstantCv(ScaledExp(0.7, -0.4),
-                           parse_expression("0.3*V^2"), cv=2.0)
+        model = ConstantCv("0.7*exp(-0.4*V)", "0.3*V^2", cv=2.0)
         with pytest.raises(FrameSingular):
             hessian_map(model, sv(1.2, 1.5))
 

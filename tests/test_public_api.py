@@ -1,11 +1,13 @@
-"""Every public function has a caller outside the unit tests.
+"""Every public function and class has a user outside the unit tests.
 
 A public module-level function of the package (one whose name has no
 leading underscore) must be used somewhere in the package outside its own
 definition and the package ``__init__``, by the acceptance suite, or be
-one the benchmark tracer wraps by name.  A use is a call or any other
-load of the name: the ``cli.cmd_*`` functions are reached only through
-the dispatch table.  Anything else is public API that nothing uses.
+one the benchmark tracer wraps by name.  A public class must be used in
+the package outside its own body and ``__init__``, by the acceptance
+suite, or by the benchmark's scripts.  A use is a call or any other load
+of the name: the ``cli.cmd_*`` functions are reached only through the
+dispatch table.  Anything else is public API that nothing uses.
 """
 import ast
 from pathlib import Path
@@ -19,7 +21,8 @@ MODULES = sorted(path for path in PACKAGE.glob("*.py")
 
 
 class _Uses(ast.NodeVisitor):
-    """Names loaded in a module, except a function's loads of itself."""
+    """Names loaded in a module, except a function's or a class's loads of
+    itself."""
 
     def __init__(self):
         self.names = set()
@@ -30,7 +33,7 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
         self._enclosing.pop()
 
-    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def _use(self, name):
         if name not in self._enclosing:
@@ -65,16 +68,25 @@ def _traced() -> set[str]:
     raise AssertionError("perfbench/tracer.py defines no FUNCTIONS")
 
 
-def _public_functions(path: Path) -> set[str]:
+def _public(path: Path, kinds) -> set[str]:
     return {node.name for node in _parse(path).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not node.name.startswith("_")}
+            if isinstance(node, kinds) and not node.name.startswith("_")}
+
+
+def _unused(kinds, used: set[str]) -> list[str]:
+    for path in MODULES:
+        used |= _used(path)
+    return sorted(f"{path.stem}.{name}" for path in MODULES
+                  for name in _public(path, kinds) - used)
 
 
 def test_every_public_function_is_used():
     used = _traced() | _used(ROOT / "tests" / "test_acceptance.py")
-    for path in MODULES:
+    assert _unused((ast.FunctionDef, ast.AsyncFunctionDef), used) == []
+
+
+def test_every_public_class_is_used():
+    used = _used(ROOT / "tests" / "test_acceptance.py")
+    for path in (ROOT / "perfbench").glob("*.py"):
         used |= _used(path)
-    unused = {f"{path.stem}.{name}" for path in MODULES
-              for name in _public_functions(path) - used}
-    assert sorted(unused) == []
+    assert _unused(ast.ClassDef, used) == []
