@@ -12,7 +12,9 @@ times, status and the evaluation count equal scipy's bit for bit.
 Every event is terminal and fires on a sign change in its ``direction``
 attribute (-1 falling, +1 rising, 0 either); its time is the root of
 ``event(t, sol(t))`` on the step's interpolant, found by a transcription
-of scipy's ``brentq.c`` with xtol = rtol = 4 EPS.
+of scipy's ``brentq.c`` with xtol = rtol = 4 EPS.  ``critical_locus``
+refines its sign-changing brackets with the same ``_brentq``, with rtol =
+4 EPS and an xtol of 4 EPS times the bracket's larger end.
 
 References: J. R. Dormand and P. J. Prince, J. Comput. Appl. Math. 6
 (1980) 19-26 (the pair); L. F. Shampine, Math. Comp. 46 (1986) 135-150

@@ -8,8 +8,11 @@ fallback (natural-parameter continuation in volume, Allgower and Georg,
 *Numerical Continuation Methods*, 1990): each sample is predicted along
 the locus tangent dS/dV = -det_V/det_S and corrected by Newton on det in
 entropy, and an entropy scan finds the first sample and any the corrector
-misses.  Reduced-coordinate curves, the cubic
-volume-root branches, the branchwise coexistence-style curve, and the
+misses.  Every sign-changing bracket, of a scan or of dT/dV along the locus
+for the critical point, is refined by one Brent root finder (the one the
+geodesic events use, ``_rk45._brentq``) to 4 EPS relative to the bracket,
+so no stopping test depends on the units.  Reduced-coordinate curves, the
+cubic volume-root branches, the branchwise coexistence-style curve, and the
 spinodal slope live here too.
 """
 
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rk45 import _brentq
 from .eos_models import (
     Berthelot,
     ConstantCv,
@@ -44,11 +48,11 @@ _CORRECTOR_STEPS = 30
 # Temperature window upper margin for the reduced cubics.
 _REDUCED_MARGIN = 1e-9
 
-# Root refinement: bisection width, polish tolerance (both times
-# max(1, |x|)) and polish steps; entropy scan samples; polynomial Newton steps.
-_BISECT_COARSE, _BISECT_FINE, _POLISH_STEPS = 1e-6, 1e-12, 40
+# Brent's tolerance on bracketed roots, 4 EPS as for the geodesic events;
+# entropy scan samples; polynomial Newton steps.
+_ROOT_TOL = 4.0 * math.ulp(1.0)
 _SCAN_POINTS = 181
-_POLY_POLISH_STEPS = 8
+_POLY_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -119,77 +123,15 @@ class CoexistenceCurve:
 # ---------------------------------------------------------------------------
 # root refinement helpers
 
-def _bisect_newton(f, lo, hi, df=None):
-    """Bracketed bisection to ``_BISECT_COARSE`` width, then a polish inside
-    the bracket to ``_BISECT_FINE``: guarded Newton with the derivative
-    ``df``, else Illinois false position.  Newton also stops when its step
-    stops shrinking, where a noisy ``f`` has reached its floor.
-
-    ``f(lo)`` and ``f(hi)`` must have opposite signs.
-    """
+def _bracketed_root(f, lo, hi):
+    """Root of ``f`` on [lo, hi] by Brent's method, to 4 EPS relative to
+    the bracket; raises NoRoot when ``f(lo)`` and ``f(hi)`` show no sign
+    change."""
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    if not (flo <= 0.0 <= fhi or fhi <= 0.0 <= flo):
         raise NoRoot(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > _BISECT_COARSE * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    if df is None:
-        return _illinois(f, lo, hi, flo, fhi)
-    x = 0.5 * (lo + hi)
-    last = math.inf
-    for _ in range(_POLISH_STEPS):
-        slope = df(x)
-        if slope == 0.0 or not math.isfinite(slope):
-            break
-        nxt = x - f(x) / slope
-        if not lo <= nxt <= hi:
-            nxt = 0.5 * (lo + hi)
-        step = abs(nxt - x)
-        if not step < last:
-            break
-        x = nxt
-        if step <= _BISECT_FINE * max(1.0, abs(x)):
-            break
-        last = step
-    return x
-
-
-def _illinois(f, lo, hi, flo, fhi):
-    """False position on a sign-changing bracket, halving the value kept at
-    an end that survives twice in a row (the Illinois rule), so both ends
-    close in superlinearly."""
-    x = math.nan
-    kept = 0  # -1: lo survived the last step, +1: hi did
-    for _ in range(_POLISH_STEPS):
-        nxt = (lo * fhi - hi * flo) / (fhi - flo)
-        tol = _BISECT_FINE * max(1.0, abs(nxt))
-        if abs(nxt - x) <= tol or hi - lo <= tol:
-            return nxt
-        x = nxt
-        fx = f(x)
-        if fx == 0.0:
-            break
-        if (fx < 0.0) == (flo < 0.0):
-            lo, flo = x, fx
-            if kept == 1:
-                fhi *= 0.5
-            kept = 1
-        else:
-            hi, fhi = x, fx
-            if kept == -1:
-                flo *= 0.5
-            kept = -1
-    return x
+    return _brentq(f, lo, hi, _ROOT_TOL * max(abs(lo), abs(hi)), _ROOT_TOL,
+                   100)
 
 
 def _polish_polynomial_root(coeffs, x0):
@@ -199,7 +141,7 @@ def _polish_polynomial_root(coeffs, x0):
     deriv = np.polyder(coeffs)
     x = x0
     fx = np.polyval(coeffs, x)
-    for _ in range(_POLY_POLISH_STEPS):
+    for _ in range(_POLY_NEWTON_STEPS):
         if fx == 0.0:
             break
         dfx = np.polyval(deriv, x)
@@ -302,11 +244,6 @@ def _scan_locus_entropy(model, v, s_window):
             return math.nan
         return stack.det
 
-    def det_slope(s):
-        stack = model.derivative_stack(
-            StatePoint.entropy_volume(s, v), check_singular=False)
-        return stack.det_s
-
     grid = np.linspace(s_window[0], s_window[1], _SCAN_POINTS)
     values = [det_at(s) for s in grid]
     if all(math.isnan(val) for val in values):
@@ -317,8 +254,8 @@ def _scan_locus_entropy(model, v, s_window):
         if values[i] == 0.0:
             return float(grid[i])
         if values[i] * values[i + 1] < 0.0:
-            return _bisect_newton(det_at, float(grid[i]), float(grid[i + 1]),
-                                  df=det_slope)
+            return _bracketed_root(det_at, float(grid[i]),
+                                   float(grid[i + 1]))
     raise NoRoot(
         f"determinant keeps one sign over S in {s_window} at V={v}")
 
@@ -443,7 +380,7 @@ def _constant_cv_locus_dtdv(model: ConstantCv, v: float) -> float:
     return num / x_disc - f1 * f1 * f2pp * x_slope / (x_disc * x_disc)
 
 
-def _critical_volume_numeric(dtdv, v_window, d2tdv2=None) -> float:
+def _critical_volume_numeric(dtdv, v_window) -> float:
     """Volume where dT/dV along the locus falls through zero; a volume
     where ``dtdv`` fails is a gap, and DomainError follows when every
     volume is inadmissible."""
@@ -468,8 +405,7 @@ def _critical_volume_numeric(dtdv, v_window, d2tdv2=None) -> float:
         raise NoCriticalPoint("degeneracy locus is empty")
     for i in range(len(grid) - 1):
         if values[i] > 0.0 and values[i + 1] < 0.0:
-            return _bisect_newton(dtdv, float(grid[i]), float(grid[i + 1]),
-                                  df=d2tdv2)
+            return _bracketed_root(dtdv, float(grid[i]), float(grid[i + 1]))
     raise NoCriticalPoint("locus temperature is monotone over the window")
 
 
@@ -519,11 +455,7 @@ def critical_point(model: ConstitutiveModel, *,
 
         def dtdv(v):
             return k * v ** -2.5 * (3.0 * b - v) / 2.0
-
-        def d2tdv2(v):
-            return 0.75 * k * v ** -3.5 * (v - 5.0 * b)
-        v_c = _critical_volume_numeric(dtdv, v_window or (1.01 * b, 100.0 * b),
-                                       d2tdv2)
+        v_c = _critical_volume_numeric(dtdv, v_window or (1.01 * b, 100.0 * b))
         _, t_c, p_c = _berthelot_locus_state(model, v_c)
         return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c,
                              negative_branch=(-p_c, -t_c))
@@ -563,7 +495,7 @@ def critical_point(model: ConstitutiveModel, *,
         stack = locus_stack(v)
         return stack.e12 - stack.e11 * stack.det_v / stack.det_s
 
-    v_c = _bisect_newton(dtdv, near[0].v, near[2].v)
+    v_c = _bracketed_root(dtdv, near[0].v, near[2].v)
     stack = locus_stack(v_c)
     return CriticalPoint(v_c=v_c, p_c=stack.p, t_c=stack.t)
 

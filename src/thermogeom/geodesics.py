@@ -261,13 +261,16 @@ def integrate_geodesic(model: ConstitutiveModel,
     domain_event.direction = -1.0
 
     y0 = [init.s, init.v, init.s_dot, init.v_dot]
-    if abs(relative_det(start_stack.e11, start_stack.e12,
-                        start_stack.e22)) <= LOCUS_GUARD_BAND:
+    near_locus = abs(relative_det(start_stack.e11, start_stack.e12,
+                                  start_stack.e22)) <= LOCUS_GUARD_BAND
+    if near_locus or t_end == 0.0:
         # The locus event fires only on a sign change, which a start inside
-        # the guard band never shows: stop at the start, on its one node.
+        # the guard band never shows: stop at the start, on its one node,
+        # as a zero span ends.
         run = _rk45._solve(rhs, (init.t, init.t), y0, tol, [])
         return _trajectory(run._replace(t=run.t[:1], y=run.y[:, :1]),
-                           TerminationReason.LOCUS_PROXIMITY, stack_at)
+                           TerminationReason.LOCUS_PROXIMITY if near_locus
+                           else TerminationReason.COMPLETED, stack_at)
     run = _rk45._solve(rhs, (init.t, init.t + t_end), y0, tol,
                        [locus_event, domain_event])
     return _trajectory(run, _termination(run, floor, reach, stack_at),

@@ -87,6 +87,11 @@ CASES = {
     "locus-ideal-empty-svg": ["locus", *IDEAL, "--format", "svg"],
     "critical-vdw-auto": ["critical", *VDW],
     "critical-vdw-numeric": ["critical", *VDW, "--method", "numeric"],
+    # the gas above in a unit of length 1e-9: V_c = 3b = 6e-10
+    "critical-vdw-small-numeric": ["critical", "--model", "vdw",
+                                   "--a", "1.5e-18", "--b", "2e-10",
+                                   "--r-gas", "2", "--cv", "2.5",
+                                   "--method", "numeric"],
     "critical-berthelot-auto": ["critical", *BERTHELOT],
     "critical-berthelot-numeric": ["critical", *BERTHELOT,
                                    "--method", "numeric"],

@@ -10,6 +10,7 @@ from thermogeom import (
     Chart,
     ConstantCv,
     DomainError,
+    GasParameters,
     NoCriticalPoint,
     NoRoot,
     NumericEnergy,
@@ -24,7 +25,7 @@ from thermogeom import (
     vdw_volume_roots,
 )
 from thermogeom.critical_locus import (
-    _bisect_newton,
+    _bracketed_root,
     _critical_volume_numeric,
     _scan_locus_entropy,
     _scan_window,
@@ -185,29 +186,30 @@ class TestLocusContinuation:
 
 
 class TestBracketedRoot:
-    def test_secant_polish_without_derivative(self):
+    def test_cube_root_converges_in_few_calls(self):
         calls = []
 
         def f(x):
             calls.append(x)
             return x ** 3 - 2.0
-        root = _bisect_newton(f, 1.0, 2.0)
+        root = _bracketed_root(f, 1.0, 2.0)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
         assert len(calls) < 40
 
-    def test_newton_stops_at_noise_floor(self):
-        slopes = []
+    def test_noisy_function_lands_near_its_root(self):
+        calls = []
 
         def f(x):
             # deterministic noise of 1e-9, like a finite-difference floor
+            calls.append(x)
             return x - 1.0 / 3.0 + random.Random(x).uniform(-1e-9, 1e-9)
+        assert _bracketed_root(f, 0.0, 1.0) == pytest.approx(1.0 / 3.0,
+                                                             abs=1e-8)
+        assert len(calls) < 100
 
-        def df(x):
-            slopes.append(x)
-            return 1.0
-        assert _bisect_newton(f, 0.0, 1.0, df=df) == pytest.approx(
-            1.0 / 3.0, abs=1e-8)
-        assert len(slopes) < 10
+    def test_bracket_without_sign_change_raises(self):
+        with pytest.raises(NoRoot):
+            _bracketed_root(lambda x: x * x + 1.0, -1.0, 2.0)
 
 
 class TestCriticalVolumeGaps:
@@ -247,6 +249,17 @@ class TestCriticalPoints:
         assert numeric.v_c == pytest.approx(exact.v_c, rel=1e-10)
         assert numeric.p_c == pytest.approx(exact.p_c, rel=1e-10)
         assert numeric.t_c == pytest.approx(exact.t_c, rel=1e-10)
+
+    @pytest.mark.parametrize("gas", [VanDerWaals, Berthelot])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3,
+                                       1e6, 1e9, 1e12])
+    def test_numeric_critical_volume_does_not_depend_on_units(self, gas,
+                                                              scale):
+        # b = 0.2 L and a = 1.5 L^2 put V_c at 3b = 0.6 L in any unit L
+        model = gas(GasParameters(a=1.5 * scale ** 2, b=0.2 * scale,
+                                  r_gas=2.0, cv0=2.5))
+        v_c = critical_point(model, method="numeric").v_c
+        assert v_c == pytest.approx(0.6 * scale, rel=1e-13)
 
     def test_vdw_numeric_window_may_start_below_the_covolume(self, vdw_model,
                                                             params):

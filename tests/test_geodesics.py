@@ -289,6 +289,16 @@ class TestTermination:
         assert traj.final_state == GeodesicState(s, v, -0.3, 0.0, 0.0)
         assert traj.at(0.0) == traj.final_state
 
+    def test_zero_span_is_one_node(self, vdw_model):
+        # solve_ivp would repeat the start as a second node at t = 0
+        start = GeodesicState(2.5, 1.4, 0.05, 0.1)
+        traj = integrate_geodesic(vdw_model, start, 0.0)
+        assert traj.termination is TerminationReason.COMPLETED
+        assert traj.times == (0.0,)
+        assert traj.states == (start,)
+        assert len(traj.speeds) == 1
+        assert traj.at(0.0) == start
+
     def test_out_of_domain_start_rejected(self, vdw_model):
         with pytest.raises(DomainError):
             integrate_geodesic(vdw_model,
