@@ -196,14 +196,14 @@ def _find_active_events(g, g_new, directions):
     return active
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter):
+def _brentq(f, xa, xb, xtol, rtol, maxiter, fab=None):
     """Root of ``f`` bracketed by ``xa`` and ``xb``, transcribed from
     scipy's ``brentq.c`` (Brent's method with inverse quadratic
-    extrapolation); ``f`` takes and returns floats."""
+    extrapolation); ``f`` takes and returns floats.  ``fab``, when given,
+    is (f(xa), f(xb)), already evaluated."""
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
+    fpre, fcur = (f(xpre), f(xcur)) if fab is None else fab
     if fpre == 0:
         return xpre
     if fcur == 0:

@@ -28,8 +28,8 @@ from .critical_locus import (
     degeneracy_locus,
 )
 from .curvature import (
-    curvature_report,
     curvature_routes,
+    pairwise_residual,
     ruppeiner_direct_curvature,
     ruppeiner_from_weinhold,
 )
@@ -40,6 +40,7 @@ from .eos_models import (
     IdealGas,
     StatePoint,
     VanDerWaals,
+    choose,
     make_model,
     parse_config_text,
 )
@@ -248,6 +249,9 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
 # libm call, a float division by zero.  Over a grid, numpy's division and
 # invalid-operation flags stand in for the last.
 _CELL_ERRORS = (ThermogeomError, ArithmeticError, ValueError)
+# overflow and underflow are silent, as for floats
+_NUMPY_RAISES = dict(divide="raise", invalid="raise", over="ignore",
+                     under="ignore")
 
 
 def _grid(eff: dict, model, cell_values):
@@ -266,9 +270,7 @@ def _grid(eff: dict, model, cell_values):
              else Chart.ENTROPY_VOLUME)
     states = [(x1, x2) for x1 in x1s for x2 in x2s]
     try:
-        # overflow and underflow are silent, as for floats
-        with np.errstate(divide="raise", invalid="raise", over="ignore",
-                         under="ignore"):
+        with np.errstate(**_NUMPY_RAISES):
             columns = [np.broadcast_to(x, len(states)).tolist() for x in
                        cell_values(model.grid_stack(chart, x1s, x2s))]
         return x1s, x2s, [(state, None, values)
@@ -333,9 +335,16 @@ def _render_csv(meta: dict, columns: list[str], rows: list[list],
         lines.append(f"# note: {note}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join("" if cell is None else _fmt(cell)
-                              for cell in row))
+        lines.append(_row_template(tuple(map(type, row))) % tuple(row))
     return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _row_template(types: tuple) -> str:
+    """The %-template of a CSV row with cells of these types: "%.17g"
+    prints a float as ``_fmt`` does, and "%.0s" a None as an empty field."""
+    return ",".join("%.17g" if issubclass(t, float) else
+                    "%.0s" if t is type(None) else "%s" for t in types)
 
 
 def _render_json(meta: dict, columns: list[str], rows: list[list],
@@ -576,70 +585,100 @@ def cmd_surface(args, eff, model) -> int:
     return 0
 
 
-def _verify_checks(model, eff, rng, n_states):
-    b = model.covolume
-    v_lo = max(eff["vmin"], b + 0.1 * max(1.0, b))
-    v_hi = max(eff["vmax"], v_lo + 1.0)
-    s_lo, s_hi = eff["smin"], eff["smax"]
+# candidate states that verify draws and evaluates at once
+_VERIFY_BATCH = 1024
+# each check in print order, with its tolerance
+_VERIFY_TOLERANCES = {
+    "curvature-route-agreement": 1e-8, "coefficient-identity-1": 1e-10,
+    "coefficient-identity-2": 1e-10, "cp-cv-relation": 1e-10,
+    "coefficient-identity-3": 1e-10, "determinant-identities": 1e-10,
+    "christoffel-route-agreement": 1e-9,
+    "entropy-representation-conformal": 1e-8, "flatness": 1e-10,
+}
 
-    # the admissibility probe's stacks feed every check of their state
+
+def _verify_residuals(model, st) -> dict:
+    """The residuals of each verify check at the stack ``st``, by name:
+    tuples of floats at one state, of arrays over a batch of states; a
+    check that does not apply to the model has none."""
+    _, *routes = curvature_routes(model, st)
+    res = identity_residuals(model, st)
+    rep = determinant_report(model, st)
+    ce = christoffel_elementary(st, st, st.v)
+    ck = christoffel_from_stack(st)
+    direct = ruppeiner_direct_curvature(model, st)
+    conformal = direct - ruppeiner_from_weinhold(model, st, scheme="analytic")
+    return {
+        "curvature-route-agreement": (pairwise_residual(*routes),),
+        "coefficient-identity-1": (abs(res.id1),),
+        "coefficient-identity-2": (abs(res.id2),),
+        "cp-cv-relation": (abs(res.cp_cv),),
+        "coefficient-identity-3": () if res.id3 is None else (abs(res.id3),),
+        "determinant-identities": (abs(rep.residual_kvc),
+                                   abs(rep.residual_dpdv)),
+        "christoffel-route-agreement": tuple(
+            abs(got - want) / choose([abs(want) > 1.0], [abs(want)], 1.0)
+            for got, want in zip(ce[:6], ck[:6])),
+        "entropy-representation-conformal": (abs(conformal),),
+        "flatness": (abs(routes[1]),) if isinstance(model, IdealGas) else (),
+    }
+
+
+def _scalar_stacks(model, states) -> list:
+    """The stacks of the admissible (S, V) states, one at a time."""
     stacks = []
-    attempts = 0
-    while len(stacks) < n_states and attempts < 100 * n_states:
-        attempts += 1
-        s = float(rng.uniform(s_lo, s_hi))
-        v = float(rng.uniform(v_lo, v_hi))
+    for s, v in states:
         try:
             stacks.append(model.derivative_stack(
                 StatePoint.entropy_volume(s, v)))
         except ThermogeomError:
             continue
+    return stacks
+
+
+def _verify_checks(model, eff, rng, n_states):
+    """Each check's name, residual and tolerance.  Every batch of states
+    is one array pass or, if anything in it raises, the scalar route."""
+    b = model.covolume
+    v_lo = max(eff["vmin"], b + 0.1 * max(1.0, b))
+    v_hi = max(eff["vmax"], v_lo + 1.0)
+    s_lo, s_hi = eff["smin"], eff["smax"]
+
+    # the same numbers as one (S, V) pair drawn at a time; the stacks of
+    # the admissible states feed every check of their state
+    stacks = []
+    found = attempts = 0
+    while found < n_states and attempts < 100 * n_states:
+        size = min(_VERIFY_BATCH, n_states - found, 100 * n_states - attempts)
+        attempts += size
+        draws = rng.uniform([s_lo, v_lo] * size, [s_hi, v_hi] * size)
+        try:
+            with np.errstate(**_NUMPY_RAISES):
+                batch = [model.array_stack(Chart.ENTROPY_VOLUME, draws[::2],
+                                           draws[1::2])]
+        except _CELL_ERRORS:
+            batch = _scalar_stacks(model, zip(draws[::2].tolist(),
+                                              draws[1::2].tolist()))
+        found += sum(np.size(st.s) for st in batch)
+        stacks += batch
     if not stacks:
         raise SingularState("no admissible states found for verification")
 
-    route = ident1 = ident2 = ident3 = cpcv = 0.0
-    detres = chris = conf = flat = 0.0
-    for stack in stacks:
-        report = curvature_report(model, stack)
-        route = max(route, report.max_pairwise_residual)
-        flat = max(flat, abs(report.r_closed2d))
-
-        res = identity_residuals(model, stack)
-        ident1 = max(ident1, abs(res.id1))
-        ident2 = max(ident2, abs(res.id2))
-        if res.id3 is not None:
-            ident3 = max(ident3, abs(res.id3))
-        cpcv = max(cpcv, abs(res.cp_cv))
-
-        rep = determinant_report(model, stack)
-        detres = max(detres, abs(rep.residual_kvc), abs(rep.residual_dpdv))
-
-        ce = christoffel_elementary(stack, stack, stack.v)
-        ck = christoffel_from_stack(stack)
-        for got, want in ((ce.g111, ck.g111), (ce.g112, ck.g112),
-                          (ce.g122, ck.g122), (ce.g211, ck.g211),
-                          (ce.g212, ck.g212), (ce.g222, ck.g222)):
-            chris = max(chris, abs(got - want) / max(1.0, abs(want)))
-
-        direct = ruppeiner_direct_curvature(model, stack)
-        conf = max(conf, abs(
-            direct - ruppeiner_from_weinhold(model, stack,
-                                             scheme="analytic")))
-
-    checks = [
-        ("curvature-route-agreement", route, 1e-8),
-        ("coefficient-identity-1", ident1, 1e-10),
-        ("coefficient-identity-2", ident2, 1e-10),
-        ("cp-cv-relation", cpcv, 1e-10),
-        ("determinant-identities", detres, 1e-10),
-        ("christoffel-route-agreement", chris, 1e-9),
-        ("entropy-representation-conformal", conf, 1e-8),
-    ]
-    if isinstance(model, ConstantCv):
-        checks.insert(4, ("coefficient-identity-3", ident3, 1e-10))
-    if isinstance(model, IdealGas):
-        checks.append(("flatness", flat, 1e-10))
-    return checks
+    terms = {name: [] for name in _VERIFY_TOLERANCES}
+    for st in stacks:
+        try:
+            with np.errstate(**_NUMPY_RAISES):
+                per_state = [_verify_residuals(model, st)]
+        except _CELL_ERRORS:
+            per_state = [_verify_residuals(model, x) for x in _scalar_stacks(
+                model, zip(np.ravel(st.s).tolist(), np.ravel(st.v).tolist()))]
+        for residuals in per_state:
+            for name, values in residuals.items():
+                terms[name] += values
+    # the largest over the states, NaN passed over, as Python's max takes
+    # it from a start of 0.0
+    return [(name, max(0.0, float(np.fmax.reduce(np.hstack(terms[name])))),
+             tol) for name, tol in _VERIFY_TOLERANCES.items() if terms[name]]
 
 
 def cmd_verify(args, eff, model) -> int:

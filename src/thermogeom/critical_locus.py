@@ -127,11 +127,12 @@ def _bracketed_root(f, lo, hi):
     """Root of ``f`` on [lo, hi] by Brent's method, to 4 EPS relative to
     the bracket; raises NoRoot when ``f(lo)`` and ``f(hi)`` show no sign
     change."""
+    lo, hi = float(lo), float(hi)
     flo, fhi = f(lo), f(hi)
     if not (flo <= 0.0 <= fhi or fhi <= 0.0 <= flo):
         raise NoRoot(f"no sign change on [{lo}, {hi}]")
     return _brentq(f, lo, hi, _ROOT_TOL * max(abs(lo), abs(hi)), _ROOT_TOL,
-                   100)
+                   100, (flo, fhi))
 
 
 def _polish_polynomial_root(coeffs, x0):

@@ -34,6 +34,7 @@ from .eos_models import (
     StatePoint,
     VanDerWaals,
     anywhere,
+    choose,
     libm_for,
     raise_where,
     relative_det,
@@ -423,12 +424,23 @@ def curvature_report(model: ConstitutiveModel,
                 f"published polynomial form gives {printed!r}, "
                 f"other routes give {r_elementary!r}")
 
-    routes = [r for r in (r_tensorial, r_closed2d, r_elementary, r_model)
-              if r is not None]
-    scale = max(1.0, max(abs(r) for r in routes))
-    spread = max(routes) - min(routes)
     return CurvatureReport(
         r_tensorial=r_tensorial, r_closed2d=r_closed2d,
         r_elementary=r_elementary, r_model_closed=r_model,
-        max_pairwise_residual=spread / scale,
+        max_pairwise_residual=pairwise_residual(
+            r_tensorial, r_closed2d, r_elementary, r_model),
         stack=st, metric=metric, discrepancy=discrepancy)
+
+
+def pairwise_residual(*routes) -> float:
+    """The spread of the routes' curvatures against max(1, max |R|), None
+    routes skipped; elementwise over arrays, with max and min as Python
+    takes them (a NaN first wins, a later one is passed over)."""
+    routes = [r for r in routes if r is not None]
+    hi = lo = routes[0]
+    top = abs(hi)
+    for r in routes[1:]:
+        hi = choose([r > hi], [r], hi)
+        lo = choose([r < lo], [r], lo)
+        top = choose([abs(r) > top], [abs(r)], top)
+    return (hi - lo) / choose([top > 1.0], [top], 1.0)

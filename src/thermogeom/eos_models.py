@@ -12,14 +12,14 @@ in the temperature-volume chart and builds the same stack through the chain
 rule.  ``NumericEnergy`` wraps an arbitrary U(S, V) callback with central
 finite differences or a user-supplied analytic derivative callback.
 
-One state or a whole grid
--------------------------
+One state or many
+-----------------
 ``derivative_stack`` evaluates one state on plain Python floats.
-``grid_stack`` evaluates every state of a grid in one pass: the same
-formulas run on broadcast numpy arrays, with the volume terms once per
-volume, the entropy terms once per entropy, and per cell only what depends
-on both coordinates.  The curvature, signature and surface routes likewise
-take either floats or the arrays of a grid's stack.
+``array_stack`` evaluates many states in one pass, a flat list of them
+(``verify``'s samples) or two axes broadcast into a grid (``grid_stack``,
+with the volume terms once per volume and the entropy terms once per
+entropy): the same formulas run on numpy arrays.  Every route of a state,
+curvature to Christoffel symbols, likewise takes floats or such arrays.
 
 The two must print the same digits, and numpy's +, -, *, / and sqrt are
 IEEE 754 operations, correctly rounded exactly as the float ones are.  Its
@@ -30,11 +30,11 @@ bit for a few percent of arguments.  So every transcendental and every
 libm function once per element, and a grid cell is bit-identical to the
 scalar route at that state.
 
-Over a grid, a check raises when it fails at any cell, as it would at that
-one state.  A grid command then evaluates the grid again on the scalar
-route, one state at a time, where a singular state ends only its own cell
-and any other error ends the run (``cli._grid``).  A grid with an ended
-cell thus costs scalar time; none of the benchmark's sweep grids has one.
+Over many states, a check raises when it fails at any of them, as it
+would at that one state.  The command then evaluates them again on the
+scalar route, one state at a time, where a singular grid cell or verify
+draw ends only itself (``cli._grid``, ``cli._verify_checks``).  That
+costs scalar time; none of the benchmark's sweep jobs needs it.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class DerivativeStack(NamedTuple):
     (S, V) regardless of which chart the query used; ``s`` and ``v`` give
     the entropy-volume coordinates of the state.  ``dcv_ds`` to ``dk_dv``
     are the partials of cv, alpha and k along S (at fixed V) and V (at
-    fixed S).  From ``grid_stack`` the fields are arrays over every cell of
-    the grid, row-major (a model constant, such as a constant cv, stays a
+    fixed S).  From ``array_stack`` the fields are arrays over its states,
+    row-major for a grid (a model constant, such as a constant cv, stays a
     float).
     """
 
@@ -330,24 +330,28 @@ class ConstitutiveModel:
                          check_singular: bool = True) -> DerivativeStack:
         raise NotImplementedError
 
-    def grid_stack(self, chart: Chart, x1s: list[float],
-                   x2s: list[float]) -> DerivativeStack:
-        """The stacks of every state (x1, x2) of a grid, x1 outer, in one
-        pass over broadcast arrays; each cell equals ``derivative_stack``
-        at its state.  It raises if any cell fails a check; run under
-        numpy's raising division and invalid-operation flags, it also
-        raises where the scalar route divides by zero."""
-        # the state checks of the scalar route's first row and column
-        for b in x2s:
-            StatePoint(chart, x1s[0], b)
-        for a in x1s:
-            StatePoint(chart, a, x2s[0])
-        fields = self._fields(chart, np.array(x1s, dtype=float)[:, None],
-                              np.array(x2s, dtype=float))
-        shape = (len(x1s), len(x2s))
+    def array_stack(self, chart: Chart, x1: np.ndarray,
+                    x2: np.ndarray) -> DerivativeStack:
+        """The stacks at the states (x1, x2) of two broadcast arrays,
+        flattened, each equal to ``derivative_stack`` there.  It raises if
+        any state fails a check, and, under numpy's raising division and
+        invalid flags, where the scalar route divides by zero."""
+        # StatePoint's checks, per state
+        raise_where(~(np.isfinite(x1) & np.isfinite(x2) & (x2 > 0.0) & (
+            (x1 > 0.0) if chart is Chart.TEMPERATURE_VOLUME else True)),
+            DomainError, "a state lies outside the domain")
+        fields = self._fields(chart, x1, x2)
+        shape = np.broadcast(x1, x2).shape
         return self._complete(True, *(
             np.broadcast_to(f, shape).ravel()
             if isinstance(f, np.ndarray) else f for f in fields))
+
+    def grid_stack(self, chart: Chart, x1s: list[float],
+                   x2s: list[float]) -> DerivativeStack:
+        """The stacks of every state (x1, x2) of a grid, x1 outer: the
+        ``array_stack`` of its two axes."""
+        return self.array_stack(chart, np.array(x1s, dtype=float)[:, None],
+                                np.array(x2s, dtype=float))
 
     def _fields(self, chart: Chart, x1, v) -> tuple:
         """The inputs of ``_complete`` at (x1, v): floats for one state,
@@ -496,6 +500,11 @@ class Berthelot(ConstitutiveModel):
                 - q.a / (v * t * t))
 
     def _temperature_from_entropy(self, s, v):
+        if isinstance(s, np.ndarray):  # one Newton solve per state
+            shape = np.broadcast(s, v).shape
+            s, v = (x.ravel().tolist() for x in np.broadcast_arrays(s, v))
+            return np.array([self._temperature_from_entropy(a, b)
+                             for a, b in zip(s, v)]).reshape(shape)
         q = self.params
         # initial guess from the a = 0 part, then Newton on S(T) - s
         t = math.exp((s - q.s0 - q.r_gas * math.log(v - q.b)) / q.cv0)
@@ -529,10 +538,6 @@ class Berthelot(ConstitutiveModel):
         if chart is Chart.TEMPERATURE_VOLUME:
             t = x1
             s = self._entropy(t, v)
-        elif isinstance(x1, np.ndarray):
-            s = x1
-            t = np.array([[self._temperature_from_entropy(a, b)
-                           for b in v.tolist()] for a in x1.ravel().tolist()])
         else:
             s = x1
             t = self._temperature_from_entropy(s, v)

@@ -33,6 +33,9 @@ from .eos_models import (
     ConstitutiveModel,
     DerivativeStack,
     StatePoint,
+    choose,
+    libm_for,
+    raise_where,
     relative_det,
 )
 from .errors import DomainError, SingularState, StepFailure, ThermogeomError
@@ -93,9 +96,9 @@ def christoffel_elementary(coeffs: DerivativeStack,
     """
     t, cv, cp = coeffs.t, coeffs.cv, coeffs.cp
     alpha, k = coeffs.alpha, coeffs.k
-    if k == 0.0 or alpha == 0.0:
-        raise SingularState(
-            "explicit coefficient formulas need nonzero alpha and k")
+    raise_where((k == 0.0) | (alpha == 0.0), SingularState,
+                "explicit coefficient formulas need nonzero alpha and k")
+    pow_ = libm_for(alpha).pow
 
     aux_f = partials.dk_dv - (k / alpha) * partials.dalpha_dv
     aux_j = 1.0 - partials.dcv_ds
@@ -105,16 +108,16 @@ def christoffel_elementary(coeffs: DerivativeStack,
     g111 = 0.5 * (cp * aux_j / (cv * cv) - t * v * alpha * aux_d / (cv * cv))
     g112 = -0.5 * (aux_d / cv - t * v * alpha * alpha * aux_f / (k * k * cv))
     g122 = 0.5 * (alpha * aux_d / (k * cv)
-                  - t * v * alpha ** 3 * aux_f / (k ** 3 * cv)
+                  - t * v * pow_(alpha, 3) * aux_f / (pow_(k, 3) * cv)
                   - aux_b / k)
     g211 = 0.5 * (t * v * alpha * aux_j / (cv * cv)
                   - t * v * k * aux_d / (cv * cv))
     g212 = 0.5 * t * v * alpha * aux_f / (k * cv)
     g222 = -0.5 * (cp * aux_f / (k * cv) + aux_b / alpha)
 
-    if partials.dcv_ds == 0.0 and partials.dcv_dv == 0.0:
-        g111 = 0.5 / cv
-        g211 = 0.0
+    constant_cv = (partials.dcv_ds == 0.0) & (partials.dcv_dv == 0.0)
+    g111 = choose([constant_cv], [0.5 / cv], g111)
+    g211 = choose([constant_cv], [0.0], g211)
 
     return ChristoffelSet(g111=g111, g112=g112, g122=g122,
                           g211=g211, g212=g212, g222=g222,
@@ -130,8 +133,7 @@ def christoffel_from_stack(stack: DerivativeStack) -> ChristoffelSet:
     contracted with the inverse metric.
     """
     det = stack.det
-    if det == 0.0:
-        raise SingularState("metric is degenerate", det=det)
+    raise_where(det == 0.0, SingularState, "metric is degenerate", det=det)
     i11 = stack.e22 / det
     i12 = -stack.e12 / det
     i22 = stack.e11 / det

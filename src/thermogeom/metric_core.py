@@ -22,6 +22,7 @@ from .eos_models import (
     StatePoint,
     anywhere,
     choose,
+    libm_for,
     relative_det,
     stack_at,
 )
@@ -198,7 +199,7 @@ def _ruppeiner_stack(st: DerivativeStack):
 
 def ruppeiner_metric(st: DerivativeStack) -> MetricTensor2:
     """Hessian of S(U, V) with its derivative stack, in the (U, V) chart."""
-    if st.t <= 0.0:
+    if anywhere(st.t <= 0.0):
         raise DomainError(f"temperature must be positive, got {st.t}")
     entries, thirds = _ruppeiner_stack(st)
     return MetricTensor2(
@@ -222,7 +223,7 @@ def determinant_report(model: ConstitutiveModel,
     det_ideal_part = det_correction = None
     if isinstance(model, ConstantCv):
         cv = st.cv
-        e = math.exp(st.s / cv)
+        e = libm_for(st.s).exp(st.s / cv)
         f1, f1p, f1pp, _, _, _, f2pp, _ = model.volume_terms(st.v)
         x = f1 * f1pp - f1p * f1p
         det_ideal_part = e * e * x / (cv * cv)
@@ -281,10 +282,9 @@ def identity_residuals(model: ConstitutiveModel,
 
     id3 = None
     if isinstance(model, ConstantCv):
-        if st.dk_ds != 0.0:
-            id3 = st.dalpha_ds / st.dk_ds - alpha / k
-        else:
-            id3 = st.dalpha_ds
+        moves = st.dk_ds != 0.0
+        id3 = choose([moves], [st.dalpha_ds / choose([moves], [st.dk_ds], 1.0)
+                               - alpha / k], st.dalpha_ds)
 
     cp_cv = cp - cv - v * t * alpha * alpha / k
     return IdentityResiduals(id1=id1, id2=id2, id3=id3, cp_cv=cp_cv)

@@ -6,16 +6,19 @@ exercised exactly as a shell user would see them.
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thermogeom
-from thermogeom import Berthelot, ConstantCv, ConstitutiveModel
+from thermogeom import Berthelot, ConstantCv, ConstitutiveModel, cli
 from thermogeom.cli import build_parser, main
 from thermogeom.critical_locus import locus_entropy
 
@@ -327,22 +330,57 @@ class TestOneStackPerCell:
         assert stack_calls == []
 
 
+@pytest.fixture
+def array_calls(monkeypatch):
+    """The state count of every array_stack call, in call order."""
+    calls = []
+
+    def counted(model, chart, x1, x2, *,
+                _original=ConstitutiveModel.array_stack):
+        calls.append(np.broadcast(x1, x2).size)
+        return _original(model, chart, x1, x2)
+    monkeypatch.setattr(ConstitutiveModel, "array_stack", counted)
+    return calls
+
+
 class TestOneStackPerVerifyState:
-    """Every check of a verify state reads the admissibility probe's stack."""
+    """The states of a verify batch come from one array pass, and every
+    check reads that pass's stack: no state is evaluated on the scalar
+    route."""
 
     N = 10
     MODELS = {"ideal": cases.IDEAL, "vdw": cases.VDW,
               "berthelot": cases.BERTHELOT, "custom": cases.CUSTOM}
 
     @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_stack_calls_per_state(self, capsys, stack_calls, model):
+    def test_stack_calls_per_state(self, capsys, stack_calls, array_calls,
+                                   model):
         rc, out, _ = run(capsys, ["verify", *self.MODELS[model],
                                   "--states", str(self.N)])
         assert rc == 0
         assert out.count("PASS") >= 7
-        # every probe of these windows is admissible
-        assert len(stack_calls) == self.N
-        assert len(set(stack_calls)) == self.N
+        # every probe of these windows is admissible: one batch of N
+        assert array_calls == [self.N]
+        assert stack_calls == []
+
+    def test_batches_are_bounded(self):
+        # a huge --states asks for one bounded batch of draws at a time;
+        # the first request ends the run before anything is drawn
+        sizes = []
+
+        class Drawn(Exception):
+            pass
+
+        class Rng:
+            def uniform(self, lo, hi):
+                sizes.append((len(lo), len(hi)))
+                raise Drawn
+
+        eff = cli._effective_config(build_parser().parse_args(["verify"]))
+        with pytest.raises(Drawn):
+            cli._verify_checks(cli._build_model(eff), eff, Rng(), 10 ** 15)
+        assert sizes == [(2 * cli._VERIFY_BATCH, 2 * cli._VERIFY_BATCH)]
+        assert cli._VERIFY_BATCH <= 1024
 
 
 class TestVerify:
@@ -396,6 +434,41 @@ class TestConfigPrecedence:
         meta, _, _ = parse_csv(out)
         assert meta["model"] == "ideal"
         assert float(meta["r_gas"]) == 1.0
+
+
+class TestCsvRows:
+    """A CSV row is printed through one %-template; it is byte for byte
+    the per-cell ``_fmt`` join it replaces."""
+
+    ROWS = [
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 1.0 / 3.0],
+        [1.5, "singular", None, "degenerate", -2.5e-300, None,
+         "positive_definite", None],
+        [None, None, None],
+        ["100%s", True, 7, np.float64(0.1), -np.float64(0.0)],
+        [],
+    ]
+
+    @staticmethod
+    def _per_cell(rows):
+        return [",".join("" if cell is None else cli._fmt(cell)
+                         for cell in row) for row in rows]
+
+    @staticmethod
+    def _rendered(rows):
+        text = cli._render_csv({"version": "0"}, ["c"], rows)
+        return text.splitlines()[2:] if rows else []
+
+    def test_mixed_rows(self):
+        assert self._rendered(self.ROWS) == self._per_cell(self.ROWS)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(), st.none(),
+        st.sampled_from(["singular", "degenerate", "frame_singular"])),
+        min_size=1, max_size=8), min_size=1, max_size=4))
+    def test_random_rows(self, rows):
+        assert self._rendered(rows) == self._per_cell(rows)
 
 
 class TestJsonFormat:

@@ -194,7 +194,11 @@ class TestBracketedRoot:
             return x ** 3 - 2.0
         root = _bracketed_root(f, 1.0, 2.0)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
-        assert len(calls) < 40
+        # each end of the bracket is evaluated once, for the sign check
+        # and for Brent's method both
+        assert len(calls) == 9
+        assert calls[:2] == [1.0, 2.0]
+        assert root == 1.2599210498948732
 
     def test_noisy_function_lands_near_its_root(self):
         calls = []
