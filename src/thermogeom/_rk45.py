@@ -322,7 +322,8 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
                 h_abs = min_step
             rejected = False
             while True:
-                if h_abs < min_step:
+                # a NaN step, from a NaN derivative, fails as a tiny one
+                if not h_abs >= min_step:
                     status = -1
                     break
                 h = h_abs * direction

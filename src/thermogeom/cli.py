@@ -6,15 +6,20 @@ and a verification suite, as CSV, JSON, or simple SVG.  Output is
 deterministic: fixed float formatting, fixed row order, and a metadata
 header carrying the library version and the effective configuration.
 
-Exit codes: 0 success, 1 validation error or a request too large for
-memory, 2 verification failure, 3 numeric failure.
+Exit codes: 0 success, 1 a bad request (flags, parameters, window, or a
+state outside the domain) or one too large for memory, 2 verification
+failure, 3 numeric failure.  A grid command marks a failing cell and
+carries on: it exits 0 when any cell printed, and only when every cell
+failed with the code and message of the first.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -50,11 +55,10 @@ from .errors import (
     NoCriticalPoint,
     NoRoot,
     SingularState,
-    StepFailure,
     ThermogeomError,
     UnsupportedModel,
 )
-from .expressions import ExpressionError, as_smooth
+from .expressions import as_smooth
 from .geodesics import (
     GeodesicState,
     christoffel_elementary,
@@ -238,55 +242,104 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
         print(f"warning: clipping temperature minimum from {smin} to "
               f"{clipped}", file=sys.stderr)
         smin = clipped
-    # an overflowing span gives non-finite values, which StatePoint rejects
-    with np.errstate(all="ignore"):
-        x1 = [float(x) for x in np.linspace(smin, smax, n)]
-        x2 = [float(x) for x in np.linspace(vmin, vmax, n)]
-    return x1, x2
+    with np.errstate(all="ignore"):  # an overflowing span gives inf, NaN
+        axes = [np.linspace(smin, smax, n), np.linspace(vmin, vmax, n)]
+    for name, axis in zip(("t" if eff["chart"] == "tv" else "s", "v"), axes):
+        if not np.isfinite(axis).all():
+            raise DomainError(f"{name} range is too wide: its grid overflows")
+    return [axis.tolist() for axis in axes]
 
 
-# What the scalar route can raise at a state: a domain or stack check, a
-# libm call, a float division by zero.  Over a grid, numpy's division and
-# invalid-operation flags stand in for the last.
-_CELL_ERRORS = (ThermogeomError, ArithmeticError, ValueError)
+# A bad request (its flags, window, parameters or expression, or a state
+# outside the domain) exits 1 and marks a grid cell "domain"; any other
+# error, such as a float division by zero, exits 3 and marks it "numeric".
+# Over many states, numpy's division and invalid flags stand in for floats'.
+_DOMAIN_ERRORS = (DomainError, UnsupportedModel, ValueError, OSError)
+_ERRORS = (*_DOMAIN_ERRORS, ThermogeomError, ArithmeticError)
+
+
 # overflow and underflow are silent, as for floats
 _NUMPY_RAISES = dict(divide="raise", invalid="raise", over="ignore",
                      under="ignore")
 
 
-def _grid(eff: dict, model, cell_values):
-    """Axes and per-cell results of a grid command.
+def _each_state(model, chart, x1, x2, values, *args, check_singular=True):
+    """``values(stack, *args)`` at each state (x1, x2) of two broadcast
+    arrays, row-major, with ``args`` arrays over the same states: one
+    ``array_stack`` pass or, if anything in it raises, the scalar route,
+    one ``derivative_stack`` per state, where an error ends only its own
+    state.  Each state comes back as (value, error, in_stack), value None
+    where the state's stack (in_stack) or ``values`` raised.
+    """
+    states = np.broadcast(x1, x2, *args)
+    try:
+        with np.errstate(**_NUMPY_RAISES):
+            value = values(model.array_stack(
+                chart, x1, x2, check_singular=check_singular), *args)
+        return [(v, None, False) for v in _per_state(value, states.size)]
+    except _ERRORS:
+        pass
+    out = []
+    # numpy calls on the scalar route stay as silent as its float arithmetic
+    with np.errstate(all="ignore"):
+        for y1, y2, *y in zip(*(np.broadcast_to(a, states.shape).ravel()
+                                .tolist() for a in (x1, x2, *args))):
+            stack = None
+            try:
+                stack = model.derivative_stack(
+                    StatePoint(chart, y1, y2), check_singular=check_singular)
+                out.append((values(stack, *y), None, False))
+            except _ERRORS as exc:
+                out.append((None, exc, stack is None))
+    return out
 
-    ``cell_values(stack)`` gives the printed values of a stack's cells.
-    The grid is evaluated in one array pass.  If anything in it raises,
-    the grid is evaluated again on the scalar route, one state at a time:
-    there a SingularState or FrameSingular ends only its own cell, and any
-    other error ends the run, the first one in row-major order.  Each cell
-    comes back row-major as ((x1, x2), error, values), with error None for
-    a cell that printed and values None for one that ended.
+
+def _per_state(value, n: int) -> list:
+    """The value at each of n states of ``value``, nested tuples of arrays
+    over the states or of constants shared by them."""
+    if isinstance(value, tuple):
+        return list(zip(*(_per_state(x, n) for x in value))) or [()] * n
+    return np.broadcast_to(value, n).tolist()
+
+
+def _marker(exc) -> str:
+    """What a grid cell that ``exc`` ended prints."""
+    if isinstance(exc, SingularState):
+        return "degenerate"
+    if isinstance(exc, FrameSingular):
+        return "frame_singular"
+    return "domain" if isinstance(exc, _DOMAIN_ERRORS) else "numeric"
+
+
+def _grid(args, eff: dict, model, columns, cell_values, printed,
+          ended) -> int:
+    """Evaluate a grid command and print it.
+
+    ``cell_values(stack)`` gives the values of a stack's cells, and
+    ``printed(values)`` a cell's printed fields with the value that colours
+    it; ``ended(exc)`` gives the fields of a cell that ``exc`` ended.  The
+    grid exits 0 when any cell printed values or a degeneracy marker; when
+    every cell ended otherwise, it raises the first cell's error.
     """
     x1s, x2s = _grid_axes(eff, model)
     chart = (Chart.TEMPERATURE_VOLUME if eff["chart"] == "tv"
              else Chart.ENTROPY_VOLUME)
-    states = [(x1, x2) for x1 in x1s for x2 in x2s]
-    try:
-        with np.errstate(**_NUMPY_RAISES):
-            columns = [np.broadcast_to(x, len(states)).tolist() for x in
-                       cell_values(model.grid_stack(chart, x1s, x2s))]
-        return x1s, x2s, [(state, None, values)
-                          for state, values in zip(states, zip(*columns))]
-    except _CELL_ERRORS:
-        pass
-    cells = []
-    # numpy calls on the scalar route stay as silent as its float arithmetic
-    with np.errstate(all="ignore"):
-        for x1, x2 in states:
-            try:
-                cells.append(((x1, x2), None, cell_values(
-                    model.derivative_stack(StatePoint(chart, x1, x2)))))
-            except (SingularState, FrameSingular) as exc:
-                cells.append(((x1, x2), exc, None))
-    return x1s, x2s, cells
+    cells = _each_state(model, chart, np.array(x1s)[:, None], np.array(x2s),
+                        cell_values)
+    if all(exc is not None and _marker(exc) in ("domain", "numeric")
+           for _, exc, _ in cells):
+        raise cells[0][1]
+    rows, colors = [], []
+    for state, (values, exc, _) in zip(itertools.product(x1s, x2s), cells):
+        fields, color = (printed(values) if exc is None
+                         else (ended(exc), None))
+        rows.append([*state, *fields])
+        colors.append(_cell_color(color))
+    meta = _meta(eff)
+    c1 = "t" if eff["chart"] == "tv" else "s"
+    _emit_table(args, meta, [c1, "v", *columns], rows,
+                lambda: _render_svg_heatmap(meta, x1s, x2s, colors))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,77 +408,71 @@ def _render_json(meta: dict, columns: list[str], rows: list[list],
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _svg_header(width: int, height: int) -> list[str]:
-    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>']
+_WIDTH, _HEIGHT, _MARGIN = 640, 480, 60  # svg canvas and plot margin
+
+
+def _svg(meta: dict, shapes: list[str]) -> str:
+    """An svg document: a white canvas, the shapes and the plot frame."""
+    width, height, margin = _WIDTH, _HEIGHT, _MARGIN
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f"<!-- thermogeom {meta['version']} "
+        f"command={meta.get('command', '')} -->",
+        *shapes,
+        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
+        f'height="{height - 2 * margin}" fill="none" stroke="#333333"/>',
+        "</svg>"]) + "\n"
 
 
 def _render_svg_polyline(meta: dict, points: list[tuple[float, float]],
                          x_label: str, y_label: str) -> str:
-    width, height, margin = 640, 480, 60
-    body = _svg_header(width, height)
-    body.append(f"<!-- thermogeom {meta['version']} "
-                f"command={meta.get('command', '')} -->")
-    if points:
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-        x_span = (x_hi - x_lo) or 1.0
-        y_span = (y_hi - y_lo) or 1.0
+    width, height, margin = _WIDTH, _HEIGHT, _MARGIN
+    if not points:
+        return _svg(meta, [])
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    x_span = (x_hi - x_lo) or 1.0
+    y_span = (y_hi - y_lo) or 1.0
 
-        def sx(x):
-            return margin + (x - x_lo) / x_span * (width - 2 * margin)
+    def sx(x):
+        return margin + (x - x_lo) / x_span * (width - 2 * margin)
 
-        def sy(y):
-            return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
+    def sy(y):
+        return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
 
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
-        body.append(f'<polyline points="{pts}" fill="none" '
-                    f'stroke="#1f6fb4" stroke-width="1.5"/>')
-        body.append(f'<text x="{width // 2}" y="{height - 12}" '
-                    f'font-size="12" text-anchor="middle">{x_label} '
-                    f'[{_fmt(x_lo)}, {_fmt(x_hi)}]</text>')
-        body.append(f'<text x="14" y="{height // 2}" font-size="12" '
-                    f'transform="rotate(-90 14 {height // 2})" '
-                    f'text-anchor="middle">{y_label} '
-                    f'[{_fmt(y_lo)}, {_fmt(y_hi)}]</text>')
-    body.append(f'<rect x="{margin}" y="{margin}" '
-                f'width="{width - 2 * margin}" height="{height - 2 * margin}" '
-                f'fill="none" stroke="#333333"/>')
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+    return _svg(meta, [
+        f'<polyline points="{pts}" fill="none" '
+        f'stroke="#1f6fb4" stroke-width="1.5"/>',
+        f'<text x="{width // 2}" y="{height - 12}" '
+        f'font-size="12" text-anchor="middle">{x_label} '
+        f'[{_fmt(x_lo)}, {_fmt(x_hi)}]</text>',
+        f'<text x="14" y="{height // 2}" font-size="12" '
+        f'transform="rotate(-90 14 {height // 2})" '
+        f'text-anchor="middle">{y_label} '
+        f'[{_fmt(y_lo)}, {_fmt(y_hi)}]</text>'])
 
 
 def _render_svg_heatmap(meta: dict, x1: list[float], x2: list[float],
                         cells: list[str]) -> str:
-    width, height, margin = 640, 480, 60
     n1, n2 = len(x1), len(x2)
-    cw = (width - 2 * margin) / n2
-    ch = (height - 2 * margin) / n1
-    body = _svg_header(width, height)
-    body.append(f"<!-- thermogeom {meta['version']} "
-                f"command={meta.get('command', '')} -->")
-    for i in range(n1):
-        for j in range(n2):
-            color = cells[i * n2 + j]
-            x = margin + j * cw
-            y = height - margin - (i + 1) * ch
-            body.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
-                        f'height="{ch:.2f}" fill="{color}"/>')
-    body.append(f'<rect x="{margin}" y="{margin}" '
-                f'width="{width - 2 * margin}" height="{height - 2 * margin}" '
-                f'fill="none" stroke="#333333"/>')
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    cw = (_WIDTH - 2 * _MARGIN) / n2
+    ch = (_HEIGHT - 2 * _MARGIN) / n1
+    return _svg(meta, [
+        f'<rect x="{_MARGIN + j * cw:.2f}" '
+        f'y="{_HEIGHT - _MARGIN - (i + 1) * ch:.2f}" width="{cw:.2f}" '
+        f'height="{ch:.2f}" fill="{cells[i * n2 + j]}"/>'
+        for i in range(n1) for j in range(n2)])
 
 
-def _cell_color(value, singular: bool) -> str:
-    if singular:
-        return "#999999"
+def _cell_color(value) -> str:
+    """Red where value > 0, blue where < 0, grey for an ended cell."""
     if value is None:
-        return "#f7f7f7"
+        return "#999999"
     if value > 0.0:
         return "#b2182b"
     if value < 0.0:
@@ -438,32 +485,19 @@ def _cell_color(value, singular: bool) -> str:
 
 def cmd_curvature_grid(args, eff, model) -> int:
     def cell_values(st):
-        metric, r_tensorial, r_closed2d, r_elementary, r_model = (
-            curvature_routes(model, st))
-        return (metric.det, r_tensorial, r_closed2d, r_elementary, r_model,
-                signature_kind(metric, st.cv))
+        metric, *routes = curvature_routes(model, st)
+        return metric.det, *routes, signature_kind(metric, st.cv)
 
-    x1s, x2s, cells = _grid(eff, model, cell_values)
-    c1 = "t" if eff["chart"] == "tv" else "s"
-    columns = [c1, "v", "det", "r_tensorial", "r_closed2d", "r_elementary",
-               "r_model_closed", "signature"]
-    rows = []
-    colors = []
-    for (x1, x2), exc, values in cells:
-        if exc is None:
-            det, r_tensorial, r_closed2d, r_elementary, r_model, kind = values
-            rows.append([x1, x2, det, r_tensorial, r_closed2d, r_elementary,
-                         r_model, kind.value])
-            colors.append(_cell_color(r_closed2d, False))
-        else:
-            rows.append([x1, x2, 0.0 if exc.det is None else exc.det,
-                         "singular", "singular", "singular", "singular",
-                         "degenerate"])
-            colors.append(_cell_color(None, True))
-    meta = _meta(eff)
-    _emit_table(args, meta, columns, rows,
-                lambda: _render_svg_heatmap(meta, x1s, x2s, colors))
-    return 0
+    def ended(exc):
+        if isinstance(exc, SingularState):
+            return [0.0 if exc.det is None else exc.det,
+                    *["singular"] * 4, "degenerate"]
+        return [None, *[_marker(exc)] * 5]
+
+    return _grid(args, eff, model,
+                 ["det", "r_tensorial", "r_closed2d", "r_elementary",
+                  "r_model_closed", "signature"], cell_values,
+                 lambda v: ([*v[:5], v[5].value], v[2]), ended)
 
 
 def cmd_locus(args, eff, model) -> int:
@@ -532,18 +566,15 @@ def cmd_geodesic(args, eff, model) -> int:
                          s_dot=args.start_sdot, v_dot=args.start_vdot)
     traj = integrate_geodesic(model, init, args.t_end, tol=args.tol)
     columns = ["t", "s", "v", "s_dot", "v_dot", "speed"]
-    rows = []
-    pts = []
     ts = np.linspace(traj.times[0], traj.times[-1], args.samples)
-    for t, (s, v, sd, vd) in zip(ts.tolist(), traj.interpolant(ts).T.tolist()):
-        try:
-            stack = model.derivative_stack(
-                StatePoint.entropy_volume(s, v), check_singular=False)
-            speed = metric_speed(stack, sd, vd)
-        except ThermogeomError:
-            speed = None
-        rows.append([t, s, v, sd, vd, speed])
-        pts.append((s, v))
+    samples = traj.interpolant(ts)
+    # a sample whose speed fails prints an empty field
+    speeds = _each_state(model, Chart.ENTROPY_VOLUME, samples[0], samples[1],
+                         metric_speed, samples[2], samples[3],
+                         check_singular=False)
+    rows = [[t, *y, speed] for t, y, (speed, _, _) in
+            zip(ts.tolist(), samples.T.tolist(), speeds)]
+    pts = [(s, v) for _, s, v, *_ in rows]
     meta = _meta(eff)
     meta["termination"] = traj.termination.value
     _emit_table(args, meta, columns, rows,
@@ -563,26 +594,11 @@ def cmd_surface(args, eff, model) -> int:
             extra = ideal_conic_residual(metric, st.cp, model.params.r_gas)
         return rp.pairing, rp.kind, metric.det, extra
 
-    x1s, x2s, cells = _grid(eff, model, cell_values)
-    c1 = "t" if eff["chart"] == "tv" else "s"
-    columns = [c1, "v", "pairing", "radial_class", "cone_residual",
-               "model_surface_residual"]
-    rows = []
-    colors = []
-    for (x1, x2), exc, values in cells:
-        if exc is None:
-            pairing, kind, det, extra = values
-            rows.append([x1, x2, pairing, kind.value, det, extra])
-            colors.append(_cell_color(-pairing, False))
-        else:
-            marker = ("degenerate" if isinstance(exc, SingularState)
-                      else "frame_singular")
-            rows.append([x1, x2, None, marker, None, None])
-            colors.append(_cell_color(None, True))
-    meta = _meta(eff)
-    _emit_table(args, meta, columns, rows,
-                lambda: _render_svg_heatmap(meta, x1s, x2s, colors))
-    return 0
+    return _grid(args, eff, model,
+                 ["pairing", "radial_class", "cone_residual",
+                  "model_surface_residual"], cell_values,
+                 lambda v: ([v[0], v[1].value, v[2], v[3]], -v[0]),
+                 lambda exc: [None, _marker(exc), None, None])
 
 
 # candidate states that verify draws and evaluates at once
@@ -624,61 +640,47 @@ def _verify_residuals(model, st) -> dict:
     }
 
 
-def _scalar_stacks(model, states) -> list:
-    """The stacks of the admissible (S, V) states, one at a time."""
-    stacks = []
-    for s, v in states:
-        try:
-            stacks.append(model.derivative_stack(
-                StatePoint.entropy_volume(s, v)))
-        except ThermogeomError:
-            continue
-    return stacks
-
-
 def _verify_checks(model, eff, rng, n_states):
-    """Each check's name, residual and tolerance.  Every batch of states
-    is one array pass or, if anything in it raises, the scalar route."""
+    """Each check's name, residual and tolerance, over the first
+    ``n_states`` admissible draws.  A draw whose stack raises is skipped;
+    a check that raises ends the run."""
     b = model.covolume
     v_lo = max(eff["vmin"], b + 0.1 * max(1.0, b))
     v_hi = max(eff["vmax"], v_lo + 1.0)
     s_lo, s_hi = eff["smin"], eff["smax"]
+    if not (s_lo <= s_hi and math.isfinite(s_hi - s_lo)
+            and math.isfinite(v_hi - v_lo)):
+        raise DomainError(f"sample window S {s_lo}..{s_hi}, V {v_lo}..{v_hi} "
+                          f"must be finite with smin <= smax")
 
-    # the same numbers as one (S, V) pair drawn at a time; the stacks of
-    # the admissible states feed every check of their state
-    stacks = []
+    def residuals(st):  # in print order
+        by_name = _verify_residuals(model, st)
+        return tuple(by_name[name] for name in _VERIFY_TOLERANCES)
+
+    terms = {name: [] for name in _VERIFY_TOLERANCES}
     found = attempts = 0
     while found < n_states and attempts < 100 * n_states:
         size = min(_VERIFY_BATCH, n_states - found, 100 * n_states - attempts)
         attempts += size
+        # the same numbers as one (S, V) pair drawn at a time
         draws = rng.uniform([s_lo, v_lo] * size, [s_hi, v_hi] * size)
-        try:
-            with np.errstate(**_NUMPY_RAISES):
-                batch = [model.array_stack(Chart.ENTROPY_VOLUME, draws[::2],
-                                           draws[1::2])]
-        except _CELL_ERRORS:
-            batch = _scalar_stacks(model, zip(draws[::2].tolist(),
-                                              draws[1::2].tolist()))
-        found += sum(np.size(st.s) for st in batch)
-        stacks += batch
-    if not stacks:
+        admissible = []
+        for values, exc, in_stack in _each_state(
+                model, Chart.ENTROPY_VOLUME, draws[::2], draws[1::2],
+                residuals):
+            if exc is None:
+                admissible.append(values)
+            elif not in_stack:
+                raise exc
+        found += len(admissible)
+        for values, column in zip(terms.values(), zip(*admissible)):
+            values += itertools.chain.from_iterable(column)
+    if not found:
         raise SingularState("no admissible states found for verification")
-
-    terms = {name: [] for name in _VERIFY_TOLERANCES}
-    for st in stacks:
-        try:
-            with np.errstate(**_NUMPY_RAISES):
-                per_state = [_verify_residuals(model, st)]
-        except _CELL_ERRORS:
-            per_state = [_verify_residuals(model, x) for x in _scalar_stacks(
-                model, zip(np.ravel(st.s).tolist(), np.ravel(st.v).tolist()))]
-        for residuals in per_state:
-            for name, values in residuals.items():
-                terms[name] += values
     # the largest over the states, NaN passed over, as Python's max takes
     # it from a start of 0.0
-    return [(name, max(0.0, float(np.fmax.reduce(np.hstack(terms[name])))),
-             tol) for name, tol in _VERIFY_TOLERANCES.items() if terms[name]]
+    return [(name, max(0.0, float(np.fmax.reduce(terms[name]))), tol)
+            for name, tol in _VERIFY_TOLERANCES.items() if terms[name]]
 
 
 def cmd_verify(args, eff, model) -> int:
@@ -723,17 +725,14 @@ def main(argv=None) -> int:
         eff = _effective_config(args)
         model = _build_model(eff)
         return _DISPATCH[args.command](args, eff, model)
-    except (DomainError, UnsupportedModel, ExpressionError, ValueError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SingularState, NoRoot, NoCriticalPoint, StepFailure,
-            FrameSingular, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except _ERRORS as exc:
+        code = 1 if isinstance(exc, _DOMAIN_ERRORS) else 3
+        print(f"{'error' if code == 1 else 'numeric failure'}: {exc}",
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -332,7 +332,7 @@ def _trace_locus(model, volumes, s_window, *, skip_inadmissible=False) -> list:
 
 def _locus_volumes(model, v_range, n_samples) -> list[float]:
     vmin, vmax = v_range
-    if not (vmin > 0.0 and vmax > vmin):
+    if not 0.0 < vmin < vmax < math.inf:
         raise DomainError(f"bad volume range {v_range}")
     if n_samples < 2:
         raise DomainError("need at least two samples")

@@ -16,8 +16,8 @@ One state or many
 -----------------
 ``derivative_stack`` evaluates one state on plain Python floats.
 ``array_stack`` evaluates many states in one pass, a flat list of them
-(``verify``'s samples) or two axes broadcast into a grid (``grid_stack``,
-with the volume terms once per volume and the entropy terms once per
+(``verify``'s samples, a geodesic's) or two axes broadcast into a grid
+(with the volume terms once per volume and the entropy terms once per
 entropy): the same formulas run on numpy arrays.  Every route of a state,
 curvature to Christoffel symbols, likewise takes floats or such arrays.
 
@@ -32,9 +32,9 @@ scalar route at that state.
 
 Over many states, a check raises when it fails at any of them, as it
 would at that one state.  The command then evaluates them again on the
-scalar route, one state at a time, where a singular grid cell or verify
-draw ends only itself (``cli._grid``, ``cli._verify_checks``).  That
-costs scalar time; none of the benchmark's sweep jobs needs it.
+scalar route, one state at a time, where each failing state is told from
+the others (``cli._each_state``).  That costs scalar time; none of the
+benchmark's sweep jobs needs it.
 """
 
 from __future__ import annotations
@@ -294,9 +294,12 @@ def _stack_from_hessian(check_singular, s, v, u, t, p,
             raise SingularState("vanishing second entropy derivative",
                                 det=det)
         cv = t / e11
-    # a checked state, as every cell of a grid is, has det = 0 only where
-    # its products underflow, and then fails at the division below
-    if not check_singular and det == 0.0:
+    # a checked state has det = 0 only where its products underflow, and
+    # then fails at the division below; an unchecked one has no k, alpha or
+    # cp, NaN on the scalar route, to which an array pass leaves it
+    if not check_singular and anywhere(det == 0.0):
+        raise_where(isinstance(det, np.ndarray), SingularState,
+                    "vanishing determinant")
         k = alpha = cp = math.nan
         da_s = da_v = dk_s = dk_v = math.nan
         if not constant_cv:
@@ -330,28 +333,22 @@ class ConstitutiveModel:
                          check_singular: bool = True) -> DerivativeStack:
         raise NotImplementedError
 
-    def array_stack(self, chart: Chart, x1: np.ndarray,
-                    x2: np.ndarray) -> DerivativeStack:
+    def array_stack(self, chart: Chart, x1: np.ndarray, x2: np.ndarray, *,
+                    check_singular: bool = True) -> DerivativeStack:
         """The stacks at the states (x1, x2) of two broadcast arrays,
-        flattened, each equal to ``derivative_stack`` there.  It raises if
-        any state fails a check, and, under numpy's raising division and
-        invalid flags, where the scalar route divides by zero."""
+        flattened row-major, each equal to ``derivative_stack`` there.  It
+        raises if any state fails a check, and, under numpy's raising
+        division and invalid flags, where the scalar route divides by
+        zero."""
         # StatePoint's checks, per state
         raise_where(~(np.isfinite(x1) & np.isfinite(x2) & (x2 > 0.0) & (
             (x1 > 0.0) if chart is Chart.TEMPERATURE_VOLUME else True)),
             DomainError, "a state lies outside the domain")
         fields = self._fields(chart, x1, x2)
         shape = np.broadcast(x1, x2).shape
-        return self._complete(True, *(
+        return self._complete(check_singular, *(
             np.broadcast_to(f, shape).ravel()
             if isinstance(f, np.ndarray) else f for f in fields))
-
-    def grid_stack(self, chart: Chart, x1s: list[float],
-                   x2s: list[float]) -> DerivativeStack:
-        """The stacks of every state (x1, x2) of a grid, x1 outer: the
-        ``array_stack`` of its two axes."""
-        return self.array_stack(chart, np.array(x1s, dtype=float)[:, None],
-                                np.array(x2s, dtype=float))
 
     def _fields(self, chart: Chart, x1, v) -> tuple:
         """The inputs of ``_complete`` at (x1, v): floats for one state,
@@ -596,9 +593,11 @@ class Berthelot(ConstitutiveModel):
             # (d/dV)|_S = (d/dV)|_T + (dT/dV)|_S (d/dT)|_V, slope = e12
             return f_v + e12 * f_t
 
-        # det = -T p_v / cv is rounding-sized where p_v = 0, so a checked
-        # state, and every cell of a grid, has raised before that branch
-        if isinstance(p_v, float) and p_v == 0.0:
+        # det = -T p_v / cv is rounding-sized where p_v = 0: only an
+        # unchecked state gets here, as in _stack_from_hessian
+        if anywhere(p_v == 0.0):
+            raise_where(isinstance(p_v, np.ndarray), SingularState,
+                        "vanishing pressure slope")
             k = alpha = cp = math.nan
             da_s = da_v = dk_s = dk_v = math.nan
         else:

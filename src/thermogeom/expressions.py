@@ -224,8 +224,8 @@ class _Ln(_Node):
 
 def _pow(a, b):
     if _is_num(b):
-        if _is_num(a):
-            return _Num(a.c ** b.c)
+        if _is_num(a):  # as the node would evaluate it
+            return _Num(_PowConst(a, b.c).eval(None))
         if b.c == 1.0:
             return a
         if b.c == 0.0:

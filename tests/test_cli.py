@@ -288,15 +288,16 @@ def stack_calls(monkeypatch):
 
 
 @pytest.fixture
-def grid_calls(monkeypatch):
-    """The grid shape of every grid_stack call, in call order."""
+def array_calls(monkeypatch):
+    """The broadcast shape of the states of every array_stack call, in
+    call order: (n1, n2) for a grid's two axes, (n,) for a flat list."""
     calls = []
 
-    def counted(model, chart, x1s, x2s, *,
-                _original=ConstitutiveModel.grid_stack):
-        calls.append((len(x1s), len(x2s)))
-        return _original(model, chart, x1s, x2s)
-    monkeypatch.setattr(ConstitutiveModel, "grid_stack", counted)
+    def counted(model, chart, x1, x2, *, check_singular=True,
+                _original=ConstitutiveModel.array_stack):
+        calls.append(np.broadcast(x1, x2).shape)
+        return _original(model, chart, x1, x2, check_singular=check_singular)
+    monkeypatch.setattr(ConstitutiveModel, "array_stack", counted)
     return calls
 
 
@@ -320,27 +321,58 @@ class TestOneStackPerCell:
 
     @pytest.mark.parametrize("command", ["curvature-grid", "surface"])
     @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_stack_calls_per_grid(self, capsys, stack_calls, grid_calls,
+    def test_stack_calls_per_grid(self, capsys, stack_calls, array_calls,
                                   command, model):
         rc, out, _ = run(capsys, [command, *self.MODELS[model],
                                   "--n", str(self.N)])
         assert rc == 0
         assert len(parse_csv(out)[2]) == self.N ** 2
-        assert grid_calls == [(self.N, self.N)]
+        # the axes, broadcast against each other only inside the pass
+        assert array_calls == [(self.N, self.N)]
         assert stack_calls == []
 
 
-@pytest.fixture
-def array_calls(monkeypatch):
-    """The state count of every array_stack call, in call order."""
-    calls = []
+@pytest.mark.parametrize("case", ["geodesic-vdw-csv",
+                                  "geodesic-berthelot-csv"])
+def test_geodesic_samples_are_one_array_pass(capsys, monkeypatch,
+                                             stack_calls, array_calls, case):
+    # the integration evaluates one stack per stage; after it, the samples
+    # take one array pass and no stack of their own
+    during = []
 
-    def counted(model, chart, x1, x2, *,
-                _original=ConstitutiveModel.array_stack):
-        calls.append(np.broadcast(x1, x2).size)
-        return _original(model, chart, x1, x2)
-    monkeypatch.setattr(ConstitutiveModel, "array_stack", counted)
-    return calls
+    def integrate(*args, _original=cli.integrate_geodesic, **kwargs):
+        traj = _original(*args, **kwargs)
+        during.append(len(stack_calls))
+        return traj
+    monkeypatch.setattr(cli, "integrate_geodesic", integrate)
+    rc, out, _ = run(capsys, [*cases.CASES[case], "--samples", "37"])
+    assert rc == 0
+    assert len(parse_csv(out)[2]) == 37
+    assert array_calls == [(37,)]
+    assert during[0] > 0
+    assert len(stack_calls) == during[0]
+
+
+def test_unchecked_states_stay_in_the_array_pass(stack_calls, array_calls,
+                                                 vdw_model):
+    # the first state lies on the degeneracy locus, so it fails the stack
+    # check; the geodesic samples skip that check, and take one pass
+    s = [locus_entropy(vdw_model, 1.2), 2.5]
+    got = cli._each_state(vdw_model, cli.Chart.ENTROPY_VOLUME,
+                          np.array(s), np.array([1.2, 1.4]), cli.metric_speed,
+                          np.ones(2), np.ones(2), check_singular=False)
+    assert [error for _, error, _ in got] == [None, None]
+    assert array_calls == [(2,)]
+    assert stack_calls == []
+    # checked, the array pass raises and the scalar route tells the states
+    # apart: the first one's stack raised
+    got = cli._each_state(vdw_model, cli.Chart.ENTROPY_VOLUME,
+                          np.array(s), np.array([1.2, 1.4]), cli.metric_speed,
+                          np.ones(2), np.ones(2))
+    assert [type(error).__name__ for _, error, _ in got] \
+        == ["SingularState", "NoneType"]
+    assert [in_stack for _, _, in_stack in got] == [True, False]
+    assert len(stack_calls) == 2
 
 
 class TestOneStackPerVerifyState:
@@ -360,7 +392,7 @@ class TestOneStackPerVerifyState:
         assert rc == 0
         assert out.count("PASS") >= 7
         # every probe of these windows is admissible: one batch of N
-        assert array_calls == [self.N]
+        assert array_calls == [(self.N,)]
         assert stack_calls == []
 
     def test_batches_are_bounded(self):

@@ -24,6 +24,13 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def grid_rows(out):
+    """The CSV rows of a curvature grid, as lists of fields, from the v
+    column on."""
+    return [line.split(",")[1:] for line in out.splitlines()
+            if not line.startswith("#")][1:]
+
+
 def one_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1, err
@@ -48,12 +55,23 @@ class TestNegativeBasePower:
         assert float(values["T_c"]) == pytest.approx(
             8.0 * 1.5 / (27.0 * 0.2 * 2.0), rel=1e-8)
 
-    @pytest.mark.parametrize("command", ["curvature-grid", "locus"])
+    @pytest.mark.parametrize("command", ["locus"])
     def test_window_below_covolume_exits_one(self, capsys, command):
         rc, out, err = run(capsys, [command, *CUSTOM, "--vmin", "0.1"])
         assert rc == 1
         assert out == ""
         assert one_line(err).startswith("error: ")
+
+    def test_grid_marks_its_cells_below_the_pole(self, capsys):
+        # a negative base at V = 0.1 ends only the first column's cells
+        rc, out, err = run(capsys, ["curvature-grid", *CUSTOM,
+                                    "--vmin", "0.1", "--n", "3"])
+        assert (rc, err) == (0, "")
+        rows = grid_rows(out)
+        assert [row[1:] for row in rows if row[0] == "0.10000000000000001"] \
+            == [["", *["domain"] * 5]] * 3
+        assert all("domain" not in row for row in rows
+                   if row[0] != "0.10000000000000001")
 
     def test_scan_without_admissible_state_exits_one(self, capsys):
         # f1 < 0 at every volume: no state of the window exists, which is
@@ -100,10 +118,16 @@ def test_overflow_is_numeric_failure(capsys):
     assert one_line(err).startswith("numeric failure: ")
 
 
-def test_zero_to_negative_power_is_numeric_failure(capsys):
-    rc, _, err = run(capsys, ["curvature-grid", *CUSTOM, "--vmin", "0.2"])
-    assert rc == 3
-    assert one_line(err).startswith("numeric failure: ")
+def test_zero_to_negative_power_is_a_numeric_cell(capsys):
+    # f1 has its pole at V = 0.2, the first column
+    rc, out, err = run(capsys, ["curvature-grid", *CUSTOM, "--vmin", "0.2",
+                                "--n", "3"])
+    assert (rc, err) == (0, "")
+    rows = grid_rows(out)
+    assert [row[1:] for row in rows if row[0] == "0.20000000000000001"] \
+        == [["", *["numeric"] * 5]] * 3
+    assert all("numeric" not in row for row in rows
+               if row[0] != "0.20000000000000001")
 
 
 def test_deep_nesting_is_expression_error(capsys):
@@ -213,3 +237,37 @@ def test_non_finite_gas_parameter_exits_one(capsys, argv):
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (1, "")
     assert one_line(err).startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--vmin", "inf", "--vmax", "inf"],
+     "error: sample window S 1.0..3.0, V inf..inf must be finite with "
+     "smin <= smax"),
+    (["verify", "--smin", "3", "--smax", "1"],
+     "error: sample window S 3.0..1.0, V 1.0..4.0 must be finite with "
+     "smin <= smax"),
+    (["locus", "--vmin", "0.1", "--vmax", "inf"],
+     "error: bad volume range (0.1, inf)"),
+    (["curvature-grid", "--model", "custom", "--f1", "(-(1))^(0.2)"],
+     "error: non-integer power 0.2 of negative value -1.0"),
+], ids=["verify-inf", "verify-reversed", "locus-inf", "constant-power"])
+def test_bad_window_or_constant_exits_one(capsys, argv, message):
+    # rejected before numpy warns (inf - inf) or Python folds the constant
+    # to a complex number
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, argv)
+    assert (rc, out, caught) == (1, "", [])
+    assert one_line(err) == message
+
+
+def test_geodesic_with_an_overflowing_start_fails_at_once(capsys):
+    # f1 = V^-133 at V = 0.0625: det overflows, the right-hand side is NaN
+    # from the start, and so is the first step size; the solver used to
+    # retry that NaN step for ever
+    rc, out, err = run(capsys, ["geodesic", "--model", "ideal",
+                                "--cv=0.0625", "--start-s=0.0",
+                                "--start-v=0.0625", "--t-end=1.0"])
+    assert (rc, out) == (3, "")
+    assert one_line(err) == ("numeric failure: integration failed: Required "
+                             "step size is less than spacing between numbers.")

@@ -1,6 +1,7 @@
 """Constitutive models: state functions, derivative stacks, chart changes."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -337,3 +338,16 @@ def test_parameter_validation(overrides):
     kwargs.update(overrides)
     with pytest.raises(DomainError):
         GasParameters(**kwargs)
+
+
+def test_unchecked_zero_determinant_goes_to_the_scalar_route():
+    # f1 = exp(V) with cv = 1 gives e11 = e12 = e22, so det is exactly 0:
+    # the scalar route reports NaN for k, and an array pass raises on
+    # purpose, leaving such states to it
+    model = ConstantCv("exp(V)", cv=1.0)
+    stack = model.derivative_stack(StatePoint.entropy_volume(1.0, 1.0),
+                                   check_singular=False)
+    assert stack.det == 0.0 and math.isnan(stack.k)
+    with pytest.raises(SingularState, match="vanishing determinant"):
+        model.array_stack(Chart.ENTROPY_VOLUME, np.array([1.0, 2.0]),
+                          np.array([1.0, 1.5]), check_singular=False)

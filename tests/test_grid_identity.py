@@ -2,17 +2,18 @@
 routes print at each state.
 
 The reference is the per-cell loop of the scalar route: one
-``derivative_stack`` per state and every route on it, a singular state
-ending only that cell and any other error ending the run.  A grid command
-takes that route itself when anything in its array pass raises, so the
-windows with an ended cell or a failing cell check it; every other window
-checks the array pass.  The reference rows go through the same CSV
-writer, and the two texts must be equal, so every printed number agrees to
-the last bit (``.17g`` round-trips a float) and every ``singular``,
-``degenerate`` and ``frame_singular`` marker sits in the same cell.  A
-window the reference cannot evaluate must end with the same exit code and
-the same one-line message: that of its first failing cell in row-major
-order.
+``derivative_stack`` per state and every route on it, where an error ends
+only its own cell.  A singular state prints a degeneracy marker; any other
+error prints ``domain`` (exit code 1 classes: a state outside the domain,
+a bad expression value) or ``numeric`` (exit code 3 classes).  A window
+whose every cell ends with ``domain`` or ``numeric`` prints nothing and
+ends with the exit code and one-line message of its first cell.  A grid
+command takes that route itself when anything in its array pass raises,
+so the windows with an ended cell check it; every other window checks
+the array pass.  The reference rows go through the same CSV writer, and
+the two texts must be equal, so every printed number agrees to the last
+bit (``.17g`` round-trips a float) and every marker sits in the same
+cell.
 """
 import contextlib
 import io
@@ -48,54 +49,58 @@ def _state(eff, x1, x2):
     return StatePoint.entropy_volume(x1, x2)
 
 
-def _grid_rows(model, eff, x1s, x2s):
-    rows = []
-    for x1 in x1s:
-        for x2 in x2s:
-            try:
-                report = curvature_report(model, _state(eff, x1, x2))
-                sig = eigen_signature(report.metric, report.stack)
-                rows.append([x1, x2, report.metric.det, report.r_tensorial,
-                             report.r_closed2d, report.r_elementary,
-                             report.r_model_closed, sig.kind.value])
-            except SingularState as exc:
-                det = exc.det if exc.det is not None else 0.0
-                rows.append([x1, x2, det, "singular", "singular",
-                             "singular", "singular", "degenerate"])
-    return ["det", "r_tensorial", "r_closed2d", "r_elementary",
-            "r_model_closed", "signature"], rows
+def _grid_cell(model, state):
+    try:
+        report = curvature_report(model, state)
+        sig = eigen_signature(report.metric, report.stack)
+        return [report.metric.det, report.r_tensorial, report.r_closed2d,
+                report.r_elementary, report.r_model_closed, sig.kind.value]
+    except SingularState as exc:
+        det = exc.det if exc.det is not None else 0.0
+        return [det, "singular", "singular", "singular", "singular",
+                "degenerate"]
 
 
-def _surface_rows(model, eff, x1s, x2s):
-    rows = []
-    for x1 in x1s:
-        for x2 in x2s:
-            try:
-                stack = model.derivative_stack(_state(eff, x1, x2))
-                metric = weinhold_metric(model, stack)
-                rp = radial_pairing(hessian_point_from_metric(metric))
-                extra = None
-                if isinstance(model, VanDerWaals):
-                    extra = vdw_surface_residual(metric, model.params)[1]
-                elif isinstance(model, IdealGas):
-                    extra = ideal_conic_residual(metric, stack.cp,
-                                                 model.params.r_gas)
-                rows.append([x1, x2, rp.pairing, rp.kind.value, metric.det,
-                             extra])
-            except (SingularState, FrameSingular) as exc:
-                marker = ("degenerate" if isinstance(exc, SingularState)
-                          else "frame_singular")
-                rows.append([x1, x2, None, marker, None, None])
-    return ["pairing", "radial_class", "cone_residual",
-            "model_surface_residual"], rows
+def _surface_cell(model, state):
+    try:
+        stack = model.derivative_stack(state)
+        metric = weinhold_metric(model, stack)
+        rp = radial_pairing(hessian_point_from_metric(metric))
+        extra = None
+        if isinstance(model, VanDerWaals):
+            extra = vdw_surface_residual(metric, model.params)[1]
+        elif isinstance(model, IdealGas):
+            extra = ideal_conic_residual(metric, stack.cp, model.params.r_gas)
+        return [rp.pairing, rp.kind.value, metric.det, extra]
+    except (SingularState, FrameSingular) as exc:
+        marker = ("degenerate" if isinstance(exc, SingularState)
+                  else "frame_singular")
+        return [None, marker, None, None]
 
 
-REFERENCE = {"curvature-grid": _grid_rows, "surface": _surface_rows}
+# each command's value columns, its cell, and the row of an ended cell
+REFERENCE = {
+    "curvature-grid": (["det", "r_tensorial", "r_closed2d", "r_elementary",
+                        "r_model_closed", "signature"], _grid_cell,
+                       lambda marker: [None, *[marker] * 5]),
+    "surface": (["pairing", "radial_class", "cone_residual",
+                 "model_surface_residual"], _surface_cell,
+                lambda marker: [None, marker, None, None]),
+}
+
+
+def _failure(exc):
+    """The exit code and message that ``exc`` ends a run with."""
+    if isinstance(exc, (DomainError, UnsupportedModel, ExpressionError,
+                        ValueError, OSError)):
+        return 1, f"error: {exc}"
+    return 3, f"numeric failure: {exc}"
 
 
 def _scalar_route(argv):
     """(exit code, stdout, last stderr line) of the per-cell reference,
     with the exit codes and messages of ``cli.main``."""
+    columns, cell, ended = REFERENCE[argv[0]]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
@@ -103,12 +108,23 @@ def _scalar_route(argv):
             eff = cli._effective_config(args)
             model = cli._build_model(eff)
             x1s, x2s = cli._grid_axes(eff, model)
-            columns, rows = REFERENCE[argv[0]](model, eff, x1s, x2s)
-        except (DomainError, UnsupportedModel, ExpressionError, ValueError,
+        except (ThermogeomError, ArithmeticError, ValueError,
                 OSError) as exc:
-            return 1, "", f"error: {exc}"
-        except (ThermogeomError, ArithmeticError) as exc:
-            return 3, "", f"numeric failure: {exc}"
+            code, message = _failure(exc)
+            return code, "", message
+    rows, failures = [], []
+    for x1 in x1s:
+        for x2 in x2s:
+            try:
+                rows.append([x1, x2, *cell(model, _state(eff, x1, x2))])
+            except (ThermogeomError, ArithmeticError, ValueError) as exc:
+                code, _ = _failure(exc)
+                rows.append([x1, x2, *ended("domain" if code == 1
+                                            else "numeric")])
+                failures.append(exc)
+    if len(failures) == len(rows):
+        code, message = _failure(failures[0])
+        return code, "", message
     c1 = "t" if eff["chart"] == "tv" else "s"
     text = cli._render_csv(cli._meta(eff), [c1, "v", *columns], rows)
     return 0, text, (err.getvalue().splitlines() or [""])[-1]
@@ -222,34 +238,63 @@ def test_ended_cells_equal_the_scalar_route(argv):
                for marker in ("singular", "degenerate"))
 
 
-@pytest.mark.parametrize("argv, rc", [
-    # below the pole of f1 from the first cell: a negative base
-    ([*CUSTOM, "--f1", "(V-0.2)^-0.8", "--f2", "0.6/V", "--vmin", "0.1"], 1),
-    # at the pole in the first cell: 0 to a negative power
-    ([*CUSTOM, "--f1", "(V-0.2)^-0.8", "--f2", "0.6/V", "--vmin", "0.2"], 3),
-    ([*CUSTOM, "--f1", "exp(1000*V)"], 3),
-    # f1 <= 0 from the middle of the first row on
-    ([*CUSTOM, "--f1", "1-V", "--vmin", "0.5", "--vmax", "1.3"], 1),
-    # the axis overflows to non-finite states
-    (["--model", "vdw", "--smin=-1e308", "--smax=1e308"], 1),
+@pytest.mark.parametrize("argv, marker", [
+    # below the pole of f1 in the first column: a negative base
+    ([*CUSTOM, "--f1", "(V-0.2)^-0.8", "--f2", "0.6/V", "--vmin", "0.1"],
+     "domain"),
+    # at the pole in the first column: 0 to a negative power
+    ([*CUSTOM, "--f1", "(V-0.2)^-0.8", "--f2", "0.6/V", "--vmin", "0.2"],
+     "numeric"),
+    # f1 <= 0 from the middle of each row on
+    ([*CUSTOM, "--f1", "1-V", "--vmin", "0.5", "--vmax", "1.3"], "domain"),
+    ([*CUSTOM, "--f1", "1-V", "--f2", "0.6/V", "--vmin", "0.5",
+      "--vmax", "1.3", "--smin", "1", "--smax", "2", "--n", "4"], "domain"),
+    # every cell past V = 0.5 is degenerate, and every cell before it
+    # outside the domain: the degeneracy markers print
+    ([*CUSTOM, "--f1", "exp(V)*(V-0.5)^0.5/(V-0.5)^0.5", "--vmin", "0.1",
+      "--vmax", "0.9", "--n", "4"], "domain"),
+], ids=["negative-base", "zero-division", "f1-nonpositive", "reproducer",
+        "degenerate-or-domain"])
+def test_bad_cells_are_marked_as_the_scalar_route(argv, marker):
+    for command, (rc, out, err) in zip(REFERENCE,
+                                       assert_same_as_scalar(argv)):
+        assert (rc, err) == (0, "")
+        rows = [ln.split(",") for ln in out.splitlines()
+                if not ln.startswith("#")][1:]
+        ended = (["", *[marker] * 5] if command == "curvature-grid"
+                 else ["", marker, "", ""])
+        marked = [row for row in rows if row[2:] == ended]
+        assert marked and len(marked) < len(rows)
+
+
+NUMERIC = "numeric failure: "
+
+
+@pytest.mark.parametrize("argv, rc, message", [
+    ([*CUSTOM, "--f1", "exp(1000*V)"], 3, NUMERIC),
+    # the axis overflows to non-finite points: a bad window
+    (["--model", "vdw", "--smin=-1e308", "--smax=1e308"], 1,
+     "error: s range is too wide: its grid overflows"),
     # entries near 1e-150: det * det underflows to 0, and the float
     # division by it raises (where numpy would give inf or NaN)
     (["--model", "vdw", "--chart", "tv", "--smin", "1e-150",
-      "--smax", "2e-150"], 3),
+      "--smax", "2e-150"], 3, NUMERIC),
     # entries near 1e-300: det itself underflows to 0; the relative
     # determinant, taken on rescaled entries, does not call that degenerate
     (["--model", "vdw", "--chart", "tv", "--smin", "1e-300",
-      "--smax", "1e-299"], 3),
-    # f1 <= 0 in the last column, and the first cell's det * det
-    # underflows: the scalar route meets the division by zero first
+      "--smax", "1e-299"], 3, NUMERIC),
+    # f1 <= 0 in the last two columns, a domain error, and det * det
+    # underflows in the others, a numeric one: the first cell decides
     ([*CUSTOM, "--f1", "1.5-V", "--chart", "tv", "--smin", "1e-150",
-      "--smax", "2e-150", "--vmin", "0.5", "--vmax", "2", "--n", "4"], 3),
-], ids=["negative-base", "zero-division", "overflow", "f1-nonpositive",
-        "non-finite-axis", "underflow", "underflow-det", "stage-order"])
-def test_bad_windows_fail_as_the_scalar_route(argv, rc):
+      "--smax", "2e-150", "--vmin", "0.5", "--vmax", "2", "--n", "4"], 3,
+     NUMERIC),
+], ids=["overflow", "non-finite-axis", "underflow", "underflow-det",
+        "stage-order"])
+def test_bad_windows_fail_as_the_scalar_route(argv, rc, message):
+    # no cell prints: the run ends with the first cell's code and message
     for got_rc, out, err in assert_same_as_scalar(argv):
         assert (got_rc, out) == (rc, "")
-        assert err.startswith("error: " if rc == 1 else "numeric failure: ")
+        assert err.startswith(message)
     # the message is all that reaches stderr: no numpy warning comes first
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \

@@ -1,11 +1,12 @@
 """``verify`` prints what the scalar route prints at its sampled states.
 
 The reference is the loop of the scalar route: one (S, V) pair drawn at a
-time, one ``derivative_stack`` per pair with an inadmissible pair skipped,
-every check at each admissible state in draw order, and each residual the
-largest over the states from a start of 0.0.  The command draws its pairs
-in batches and runs every check once over a batch's array stack; it takes
-the scalar route itself when anything in the stack or in a check raises.
+time, one ``derivative_stack`` per pair with a pair whose stack raises
+skipped, every check at each admissible state in draw order, and each
+residual the largest over the states from a start of 0.0.  The command
+draws its pairs in batches and runs every check once over a batch's array
+stack; it takes the scalar route itself when anything in the stack or in
+a check raises.
 So the windows below that make a draw inadmissible or singular, or a check
 raise, test that route, and every other window the array pass: each
 residual it computes equals the scalar route's at that state, bit for
@@ -49,7 +50,7 @@ def _scalar_checks(model, eff, rng, n_states):
         try:
             stacks.append(model.derivative_stack(
                 StatePoint.entropy_volume(s, v)))
-        except ThermogeomError:
+        except (ThermogeomError, ArithmeticError, ValueError):
             continue
     if not stacks:
         raise SingularState("no admissible states found for verification")
@@ -175,7 +176,7 @@ VDW = ["--model", "vdw", "--a", "1.5", "--b", "0.2", "--r-gas", "2",
       "--smax", "100"], 2),
     # degenerate everywhere: no admissible state
     ([*CUSTOM, "--f1", "exp(V)"], 3),
-    # a float division by zero in the first stack
+    # a float division by zero in every stack: no admissible state
     ([*VDW, "--smin=-1700", "--smax=-1600"], 3),
 ], ids=["inadmissible", "singular", "no-admissible-state", "stack-raises"])
 def test_failing_draws_take_the_scalar_route(argv, rc):
