@@ -227,26 +227,28 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
     if not (smax > smin and vmax > vmin):
         raise DomainError("ranges must satisfy smin < smax and vmin < vmax")
     b = model.covolume
+    warnings = []  # printed once both axes are known to be good
     if vmin <= b:
         clipped = b + 0.05 * (vmax - b)
         if clipped >= vmax:
             raise DomainError(f"volume range {vmin}..{vmax} lies outside "
                               f"the admissible domain V > {b}")
-        print(f"warning: clipping vmin from {vmin} to {clipped} "
-              f"(covolume {b})", file=sys.stderr)
+        warnings.append(f"clipping vmin from {vmin} to {clipped} "
+                        f"(covolume {b})")
         vmin = clipped
     if eff["chart"] == "tv" and smin <= 0.0:
         clipped = 0.05 * smax
         if clipped >= smax:
             raise DomainError("temperature range must be positive")
-        print(f"warning: clipping temperature minimum from {smin} to "
-              f"{clipped}", file=sys.stderr)
+        warnings.append(f"clipping temperature minimum from {smin} to "
+                        f"{clipped}")
         smin = clipped
     with np.errstate(all="ignore"):  # an overflowing span gives inf, NaN
         axes = [np.linspace(smin, smax, n), np.linspace(vmin, vmax, n)]
     for name, axis in zip(("t" if eff["chart"] == "tv" else "s", "v"), axes):
         if not np.isfinite(axis).all():
             raise DomainError(f"{name} range is too wide: its grid overflows")
+    sys.stderr.write("".join(f"warning: {w}\n" for w in warnings))
     return [axis.tolist() for axis in axes]
 
 

@@ -12,6 +12,10 @@ in the temperature-volume chart and builds the same stack through the chain
 rule.  ``NumericEnergy`` wraps an arbitrary U(S, V) callback with central
 finite differences or a user-supplied analytic derivative callback.
 
+One ``derivative_stack`` is ``_complete`` of ``_fields``: S, V, U, T, p, the
+Hessian and third partials, then the determinant check and the response
+coefficients.  A geodesic stage reads the Hessian from ``_fields`` alone.
+
 One state or many
 -----------------
 ``derivative_stack`` evaluates one state on plain Python floats.
@@ -331,7 +335,9 @@ class ConstitutiveModel:
 
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
-        raise NotImplementedError
+        # each model class binds it by name, where perfbench's tracer wraps it
+        return self._complete(check_singular,
+                              *self._fields(state.chart, state.x1, state.x2))
 
     def array_stack(self, chart: Chart, x1: np.ndarray, x2: np.ndarray, *,
                     check_singular: bool = True) -> DerivativeStack:
@@ -392,6 +398,7 @@ class ConstantCv(ConstitutiveModel):
     """
 
     name = "constant_cv"
+    derivative_stack = ConstitutiveModel.derivative_stack
 
     def __init__(self, f1, f2=None, cv: float = 1.0, u0: float = 0.0):
         if not (math.isfinite(cv) and math.isfinite(u0)):
@@ -441,12 +448,6 @@ class ConstantCv(ConstitutiveModel):
         c222 = f1ppp * e - cv * f2ppp
         return s, v, u, t, p, e11, e12, e22, c111, c112, c122, c222
 
-    def derivative_stack(self, state: StatePoint, *,
-                         check_singular: bool = True) -> DerivativeStack:
-        return _stack_from_hessian(
-            check_singular,
-            *self._fields(state.chart, state.x1, state.x2), cv=self.cv)
-
     def _complete(self, check_singular, *fields):
         return _stack_from_hessian(check_singular, *fields, cv=self.cv)
 
@@ -486,6 +487,7 @@ class Berthelot(ConstitutiveModel):
     """
 
     name = "berthelot"
+    derivative_stack = ConstitutiveModel.derivative_stack
 
     def __init__(self, params: GasParameters):
         self.params = params
@@ -503,12 +505,18 @@ class Berthelot(ConstitutiveModel):
             return np.array([self._temperature_from_entropy(a, b)
                              for a, b in zip(s, v)]).reshape(shape)
         q = self.params
+        # _entropy(t, v) - s in its order, its T-free term computed once
+        s0, cv0, a, log = q.s0, q.cv0, q.a, math.log
+        r_log_w = q.r_gas * log(v - q.b)
+
+        def newton_step(t):  # f / f' on S(T) - s, with f' = cv / t
+            vtt = v * t * t
+            f = s0 + cv0 * log(t) + r_log_w - a / vtt - s
+            return f * t / (cv0 + 2.0 * a / vtt)
         # initial guess from the a = 0 part, then Newton on S(T) - s
-        t = math.exp((s - q.s0 - q.r_gas * math.log(v - q.b)) / q.cv0)
+        t = math.exp((s - s0 - r_log_w) / cv0)
         for _ in range(200):
-            f = self._entropy(t, v) - s
-            cv = q.cv0 + 2.0 * q.a / (v * t * t)
-            step = f * t / cv
+            step = newton_step(t)
             t_new = t - step
             if t_new <= 0.0:
                 t_new = t * 0.5
@@ -517,16 +525,9 @@ class Berthelot(ConstitutiveModel):
             t = t_new
             if abs(step) <= 4.0 * _EPS * t:
                 # one clean-up pass, then stop
-                f = self._entropy(t, v) - s
-                cv = q.cv0 + 2.0 * q.a / (v * t * t)
-                t2 = t - f * t / cv
+                t2 = t - newton_step(t)
                 return t2 if t2 > 0.0 else t
         raise DomainError(f"entropy inversion failed at S={s}, V={v}")
-
-    def derivative_stack(self, state: StatePoint, *,
-                         check_singular: bool = True) -> DerivativeStack:
-        return self._complete(check_singular,
-                              *self._fields(state.chart, state.x1, state.x2))
 
     def _fields(self, chart, x1, v):
         q = self.params
@@ -626,6 +627,7 @@ class NumericEnergy(ConstitutiveModel):
     """
 
     name = "numeric"
+    derivative_stack = ConstitutiveModel.derivative_stack
 
     def __init__(self, u, scheme="central"):
         self.u = u
@@ -667,20 +669,16 @@ class NumericEnergy(ConstitutiveModel):
 
         return u0, u_s, u_v, u_ss, u_sv, u_vv, u_sss, u_ssv, u_svv, u_vvv
 
-    def derivative_stack(self, state: StatePoint, *,
-                         check_singular: bool = True) -> DerivativeStack:
-        if state.chart is not Chart.ENTROPY_VOLUME:
+    def _fields(self, chart, s, v):
+        if chart is not Chart.ENTROPY_VOLUME:
             raise UnsupportedModel(
                 "NumericEnergy accepts entropy-volume states only")
-        s, v = state.x1, state.x2
-        if self.scheme == "central":
-            parts = self._fd_partials(s, v)
-        else:
-            parts = self.scheme(s, v)
-        u, u_s, u_v, e11, e12, e22, c111, c112, c122, c222 = parts
-        return _stack_from_hessian(
-            check_singular, s, v, u, u_s, -u_v, e11, e12, e22,
-            c111, c112, c122, c222)
+        partials = self._fd_partials if self.scheme == "central" else self.scheme
+        u, u_s, u_v, e11, e12, e22, c111, c112, c122, c222 = partials(s, v)
+        return s, v, u, u_s, -u_v, e11, e12, e22, c111, c112, c122, c222
+
+    def _complete(self, check_singular, *fields):
+        return _stack_from_hessian(check_singular, *fields)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,15 @@ Grammar (used by the CLI and by ConstantCv model construction):
 The only identifier is the molar volume ``V``.  Parsed expressions are
 differentiated symbolically, so a parsed function supplies exact derivatives
 up to order 3 (the order every model needs).
+
+Parsed functions are compiled once to straight-line code: one assignment
+per distinct node, in the order a walk of the trees first evaluates it, with
+the walk's checks and messages.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Protocol, runtime_checkable
@@ -38,9 +43,6 @@ class ExpressionError(ValueError):
 
 
 class _Node:
-    def eval(self, v):
-        raise NotImplementedError
-
     def diff(self):
         raise NotImplementedError
 
@@ -51,18 +53,12 @@ class _Num(_Node):
     def __init__(self, c):
         self.c = float(c)
 
-    def eval(self, v):
-        return self.c
-
     def diff(self):
         return _Num(0.0)
 
 
 class _Var(_Node):
     __slots__ = ()
-
-    def eval(self, v):
-        return v
 
     def diff(self):
         return _Num(1.0)
@@ -118,9 +114,6 @@ class _Add(_Node):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def eval(self, v):
-        return self.a.eval(v) + self.b.eval(v)
-
     def diff(self):
         return _add(self.a.diff(), self.b.diff())
 
@@ -130,9 +123,6 @@ class _Sub(_Node):
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def eval(self, v):
-        return self.a.eval(v) - self.b.eval(v)
 
     def diff(self):
         return _sub(self.a.diff(), self.b.diff())
@@ -144,9 +134,6 @@ class _Mul(_Node):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def eval(self, v):
-        return self.a.eval(v) * self.b.eval(v)
-
     def diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
 
@@ -156,12 +143,6 @@ class _Div(_Node):
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def eval(self, v):
-        den = self.b.eval(v)
-        if den == 0.0:
-            raise ZeroDivisionError("expression division by zero")
-        return self.a.eval(v) / den
 
     def diff(self):
         num = _sub(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
@@ -175,13 +156,6 @@ class _PowConst(_Node):
 
     def __init__(self, a, c):
         self.a, self.c = a, float(c)
-
-    def eval(self, v):
-        x = self.a.eval(v)
-        # ** would return a complex number here
-        if x < 0.0 and not self.c.is_integer():
-            raise ValueError(f"non-integer power {self.c} of negative value {x}")
-        return x ** self.c
 
     def diff(self):
         # d(a^c) = c * a^(c-1) * a'
@@ -199,9 +173,6 @@ class _Exp(_Node):
     def __init__(self, a):
         self.a = a
 
-    def eval(self, v):
-        return math.exp(self.a.eval(v))
-
     def diff(self):
         return _mul(self.a.diff(), _Exp(self.a))
 
@@ -212,12 +183,6 @@ class _Ln(_Node):
     def __init__(self, a):
         self.a = a
 
-    def eval(self, v):
-        x = self.a.eval(v)
-        if x <= 0.0:
-            raise ValueError(f"ln of non-positive value {x}")
-        return math.log(x)
-
     def diff(self):
         return _div(self.a.diff(), self.a)
 
@@ -225,7 +190,7 @@ class _Ln(_Node):
 def _pow(a, b):
     if _is_num(b):
         if _is_num(a):  # as the node would evaluate it
-            return _Num(_PowConst(a, b.c).eval(None))
+            return _Num(_compile([_PowConst(a, b.c)])(None)[0])
         if b.c == 1.0:
             return a
         if b.c == 0.0:
@@ -233,6 +198,58 @@ def _pow(a, b):
         return _PowConst(a, b.c)
     # variable exponent: a^b = exp(b * ln a)
     return _Exp(_mul(b, _Ln(a)))
+
+
+# ---------------------------------------------------------------------------
+# Compilation.  Each distinct node (derivatives share subtrees) is evaluated
+# once.  Constants are globals of the function, never source text: repr(inf)
+# is no literal, and no text of the user reaches the source.
+
+_OPERATORS = {_Add: "+", _Sub: "-", _Mul: "*"}
+
+
+def _compile(roots):
+    """One function of v returning the values of ``roots`` as a tuple."""
+    namespace = {"exp": math.exp, "log": math.log}
+    names, lines = {}, []  # names by id(node)
+
+    def emit(node):
+        if isinstance(node, _Var):
+            return "v"
+        if id(node) in names:
+            return names[id(node)]
+        name = names[id(node)] = f"x{len(names)}"
+        if isinstance(node, _Num):
+            namespace[name] = node.c
+            return name
+        if isinstance(node, _Div):  # the walk tests the denominator first
+            b = emit(node.b)
+            lines.append(f"if {b} == 0.0: raise ZeroDivisionError("
+                         "'expression division by zero')")
+            value = f"{emit(node.a)} / {b}"
+        elif isinstance(node, _PowConst):
+            a = emit(node.a)
+            namespace[f"{name}c"] = node.c
+            if not node.c.is_integer():  # ** would return a complex number
+                lines.append(f"if {a} < 0.0: raise ValueError(f'non-integer "
+                             f"power {{{name}c}} of negative value {{{a}}}')")
+            value = f"{a} ** {name}c"
+        elif isinstance(node, _Ln):
+            a = emit(node.a)
+            lines.append(f"if {a} <= 0.0: raise ValueError("
+                         f"f'ln of non-positive value {{{a}}}')")
+            value = f"log({a})"
+        elif isinstance(node, _Exp):
+            value = f"exp({emit(node.a)})"
+        else:
+            value = f"{emit(node.a)} {_OPERATORS[type(node)]} {emit(node.b)}"
+        lines.append(f"{name} = {value}")
+        return name
+
+    results = ", ".join(emit(root) for root in roots)
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def compiled(v):\n{body}    return ({results},)\n", namespace)
+    return namespace["compiled"]
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +364,24 @@ class Expression:
     def __init__(self, text: str):
         self.text = text
         try:
-            self._ast = _Parser(_tokenize(text)).parse()
-            d1 = self._ast.diff()
+            ast = _Parser(_tokenize(text)).parse()
+            d1 = ast.diff()
             d2 = d1.diff()
             d3 = d2.diff()
+            self._derivs = _compile([ast, d1, d2, d3])
         except RecursionError:
             raise ExpressionError("expression is nested too deeply") from None
-        self._stack = (self._ast, d1, d2, d3)
+        self._stack = (ast, d1, d2, d3)
+
+    @functools.cached_property
+    def _value(self):  # compiled on first use: no model calls it
+        return _compile(self._stack[:1])
 
     def __call__(self, v: float) -> float:
-        return self._ast.eval(v)
+        return self._value(v)[0]
 
     def eval_derivs(self, v: float) -> tuple[float, float, float, float]:
-        return tuple(node.eval(v) for node in self._stack)
+        return self._derivs(v)
 
     def __repr__(self):
         return f"Expression({self.text!r})"

@@ -5,6 +5,10 @@ metric and its third partials, and the explicit coefficient formulas
 written in terms of the measured response functions.  Both must agree;
 the explicit route doubles as a verification target.
 
+Each stage of the geodesic equations reads only e11 to c222, the Hessian of
+U and its third partials, from the model's ``_fields``;
+``christoffel_from_stack`` and ``metric_speed`` share its arithmetic.
+
 Integration is the Dormand-Prince 5(4) pair with local extrapolation
 (Dormand and Prince, J. Comput. Appl. Math. 6 (1980) 19-26) and quartic
 dense output, with rtol = atol = ``tol``.  Step-size control follows
@@ -30,6 +34,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import _rk45
 from .eos_models import (
+    Chart,
     ConstitutiveModel,
     DerivativeStack,
     StatePoint,
@@ -134,25 +139,31 @@ def christoffel_from_stack(stack: DerivativeStack) -> ChristoffelSet:
     """
     det = stack.det
     raise_where(det == 0.0, SingularState, "metric is degenerate", det=det)
-    i11 = stack.e22 / det
-    i12 = -stack.e12 / det
-    i22 = stack.e11 / det
-    c111, c112, c122, c222 = stack.c111, stack.c112, stack.c122, stack.c222
-    return ChristoffelSet(
-        g111=0.5 * (i11 * c111 + i12 * c112),
-        g112=0.5 * (i11 * c112 + i12 * c122),
-        g122=0.5 * (i11 * c122 + i12 * c222),
-        g211=0.5 * (i12 * c111 + i22 * c112),
-        g212=0.5 * (i12 * c112 + i22 * c122),
-        g222=0.5 * (i12 * c122 + i22 * c222),
-        aux={})
+    return ChristoffelSet(*_christoffel(det, *stack[5:12]), aux={})
+
+
+def _christoffel(det, e11, e12, e22, c111, c112, c122, c222) -> tuple:
+    """g111 to g222 from the Hessian, its nonzero det and third partials."""
+    i11 = e22 / det
+    i12 = -e12 / det
+    i22 = e11 / det
+    return (0.5 * (i11 * c111 + i12 * c112),
+            0.5 * (i11 * c112 + i12 * c122),
+            0.5 * (i11 * c122 + i12 * c222),
+            0.5 * (i12 * c111 + i22 * c112),
+            0.5 * (i12 * c112 + i22 * c122),
+            0.5 * (i12 * c122 + i22 * c222))
 
 
 def metric_speed(stack: DerivativeStack, s_dot: float, v_dot: float) -> float:
     """Squared metric length of a velocity vector."""
-    return (stack.e11 * s_dot * s_dot
-            + 2.0 * stack.e12 * s_dot * v_dot
-            + stack.e22 * v_dot * v_dot)
+    return _speed(stack.e11, stack.e12, stack.e22, s_dot, v_dot)
+
+
+def _speed(e11, e12, e22, s_dot, v_dot):
+    return (e11 * s_dot * s_dot
+            + 2.0 * e12 * s_dot * v_dot
+            + e22 * v_dot * v_dot)
 
 
 @dataclass(frozen=True)
@@ -199,42 +210,41 @@ def integrate_geodesic(model: ConstitutiveModel,
 
     nan4 = [math.nan] * 4
     floor = model.covolume
-    # Stacks by (S, V) of the points the locus event reads: the accepted
-    # nodes, which the speeds reuse.  Of the right-hand-side stacks only the
-    # latest is kept; RK45's last stage is the accepted point, so the event
-    # finds its stack there.
-    memo = {(float(init.s), float(init.v)): start_stack}
-    last = [None, None]  # key and stack of the latest evaluation
+    # The Hessian and third partials, (e11, ..., c222), by (S, V) of the
+    # points the locus event reads: the accepted nodes, which the speeds
+    # reuse.  Of the right-hand-side points only the latest is kept; RK45's
+    # last stage is the accepted point, so the event finds it there.
+    memo = {(float(init.s), float(init.v)): start_stack[5:12]}
+    last = [None, None]  # key and entries of the latest evaluation
 
-    def stack_at(s, v, node=True):
-        key = (float(s), float(v))
+    def hessian_at(s, v, node=True):
+        key = s, v = float(s), float(v)
         if key in memo:
             return memo[key]
         if last[0] != key:
             # trial states may already be inadmissible; None marks those
             try:
-                stack = model.derivative_stack(
-                    StatePoint.entropy_volume(*key), check_singular=False)
+                hessian = (model._fields(Chart.ENTROPY_VOLUME, s, v)[5:12]
+                           if math.isfinite(s) and math.isfinite(v)
+                           and v > 0.0 else None)
             except (ThermogeomError, ValueError, OverflowError):
-                stack = None
-            last[:] = key, stack
+                hessian = None
+            last[:] = key, hessian
         if node:
             memo[key] = last[1]
         return last[1]
 
     def rhs(_t, y):
-        s, v, sd, vd = y
-        stack = stack_at(s, v, node=False)
-        if stack is None:
+        s, v, sd, vd = y.tolist()  # floats: numpy scalars cost more per op
+        hessian = hessian_at(s, v, node=False)
+        if hessian is None:
             return nan4
-        det = stack.det
+        det = hessian[0] * hessian[2] - hessian[1] * hessian[1]  # stack.det
         if det == 0.0 or not math.isfinite(det):
             return nan4
-        gam = christoffel_from_stack(stack)
-        sdd = -(gam.g111 * sd * sd + 2.0 * gam.g112 * sd * vd
-                + gam.g122 * vd * vd)
-        vdd = -(gam.g211 * sd * sd + 2.0 * gam.g212 * sd * vd
-                + gam.g222 * vd * vd)
+        g111, g112, g122, g211, g212, g222 = _christoffel(det, *hessian)
+        sdd = -(g111 * sd * sd + 2.0 * g112 * sd * vd + g122 * vd * vd)
+        vdd = -(g211 * sd * sd + 2.0 * g212 * sd * vd + g222 * vd * vd)
         return [sd, vd, sdd, vdd]
 
     def locus_event(_t, y):
@@ -242,11 +252,10 @@ def integrate_geodesic(model: ConstitutiveModel,
         # between step endpoints (|det| is large on both sides of the
         # locus).  Trial states may already be inadmissible, hence the
         # crossed-sentinel fallback.
-        stack = stack_at(y[0], y[1])
-        if stack is None:
+        hessian = hessian_at(y[0], y[1])
+        if hessian is None:
             return -1.0
-        return (det_sign * relative_det(stack.e11, stack.e12, stack.e22)
-                - LOCUS_GUARD_BAND)
+        return det_sign * relative_det(*hessian[:3]) - LOCUS_GUARD_BAND
 
     locus_event.direction = -1.0
 
@@ -272,11 +281,11 @@ def integrate_geodesic(model: ConstitutiveModel,
         run = _rk45._solve(rhs, (init.t, init.t), y0, tol, [])
         return _trajectory(run._replace(t=run.t[:1], y=run.y[:, :1]),
                            TerminationReason.LOCUS_PROXIMITY if near_locus
-                           else TerminationReason.COMPLETED, stack_at)
+                           else TerminationReason.COMPLETED, hessian_at)
     run = _rk45._solve(rhs, (init.t, init.t + t_end), y0, tol,
                        [locus_event, domain_event])
-    return _trajectory(run, _termination(run, floor, reach, stack_at),
-                       stack_at)
+    return _trajectory(run, _termination(run, floor, reach, hessian_at),
+                       hessian_at)
 
 
 # by the index of the event in the list integrate_geodesic passes
@@ -284,7 +293,7 @@ _EVENT_REASONS = (TerminationReason.LOCUS_PROXIMITY,
                   TerminationReason.DOMAIN_EXIT)
 
 
-def _termination(run, floor, reach, stack_at) -> TerminationReason:
+def _termination(run, floor, reach, hessian_at) -> TerminationReason:
     """Why a solver run stopped; ``reach`` is the start's distance to the
     volume floor.  A step collapse right at a boundary is a domain or locus
     report, anywhere else an integrator failure."""
@@ -295,21 +304,20 @@ def _termination(run, floor, reach, stack_at) -> TerminationReason:
     s_last, v_last = float(run.y[0, -1]), float(run.y[1, -1])
     if v_last - floor <= 1e-6 * reach:
         return TerminationReason.DOMAIN_EXIT
-    stack = stack_at(s_last, v_last)
-    if stack is not None and (abs(relative_det(stack.e11, stack.e12,
-                                               stack.e22))
-                              <= 10.0 * LOCUS_GUARD_BAND):
+    hessian = hessian_at(s_last, v_last)
+    if hessian is not None and (abs(relative_det(*hessian[:3]))
+                                <= 10.0 * LOCUS_GUARD_BAND):
         return TerminationReason.LOCUS_PROXIMITY
     raise StepFailure(f"integration failed: {_rk45._TOO_SMALL_STEP}")
 
 
-def _trajectory(run, termination, stack_at) -> GeodesicTrajectory:
+def _trajectory(run, termination, hessian_at) -> GeodesicTrajectory:
     """Nodes, speeds and dense output of a finished solver run."""
     times = tuple(run.t.tolist())
     states = tuple(GeodesicState(s, v, sd, vd, t)
                    for t, (s, v, sd, vd) in zip(times, run.y.T.tolist()))
-    speeds = tuple(math.nan if (stack := stack_at(st.s, st.v)) is None
-                   else metric_speed(stack, st.s_dot, st.v_dot)
+    speeds = tuple(math.nan if (hessian := hessian_at(st.s, st.v)) is None
+                   else _speed(*hessian[:3], st.s_dot, st.v_dot)
                    for st in states)
     return GeodesicTrajectory(times=times, states=states, speeds=speeds,
                               termination=termination,

@@ -336,8 +336,9 @@ class TestOneStackPerCell:
                                   "geodesic-berthelot-csv"])
 def test_geodesic_samples_are_one_array_pass(capsys, monkeypatch,
                                              stack_calls, array_calls, case):
-    # the integration evaluates one stack per stage; after it, the samples
-    # take one array pass and no stack of their own
+    # the integration evaluates the start's stack (each stage reads the
+    # Hessian alone); after it, the samples take one array pass and no
+    # stack of their own
     during = []
 
     def integrate(*args, _original=cli.integrate_geodesic, **kwargs):

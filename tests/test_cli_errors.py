@@ -261,6 +261,16 @@ def test_bad_window_or_constant_exits_one(capsys, argv, message):
     assert one_line(err) == message
 
 
+def test_clipped_window_that_fails_prints_only_its_error(capsys):
+    # vmin is clipped to the covolume, then the s axis overflows: the
+    # clipping warning belongs to a grid that runs, so none is printed
+    rc, out, err = run(capsys, ["curvature-grid", "--model", "vdw",
+                                "--b", "0.5", "--vmin", "0.1", "--vmax", "1",
+                                "--smin=-1e308", "--smax=1e308"])
+    assert (rc, out) == (1, "")
+    assert err == "error: s range is too wide: its grid overflows\n"
+
+
 def test_geodesic_with_an_overflowing_start_fails_at_once(capsys):
     # f1 = V^-133 at V = 0.0625: det overflows, the right-hand side is NaN
     # from the start, and so is the first step size; the solver used to

@@ -1,9 +1,11 @@
 """Expression grammar and the fixed smooth-function families."""
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from thermogeom import expressions as ex
 from thermogeom.expressions import (
     Expression,
     ExpressionError,
@@ -144,3 +146,155 @@ class TestAsSmooth:
 
 def test_expression_repr_mentions_source():
     assert "V^2" in repr(Expression("V^2"))
+
+
+# ---------------------------------------------------------------------------
+# Compiled code against a recursive walk of the trees
+
+
+def walk(node, v):
+    """The value of ``node`` at v by recursion over its tree, with the
+    checks and messages of the grammar."""
+    if isinstance(node, ex._Num):
+        return node.c
+    if isinstance(node, ex._Var):
+        return v
+    if isinstance(node, ex._Add):
+        return walk(node.a, v) + walk(node.b, v)
+    if isinstance(node, ex._Sub):
+        return walk(node.a, v) - walk(node.b, v)
+    if isinstance(node, ex._Mul):
+        return walk(node.a, v) * walk(node.b, v)
+    if isinstance(node, ex._Div):
+        den = walk(node.b, v)
+        if den == 0.0:
+            raise ZeroDivisionError("expression division by zero")
+        return walk(node.a, v) / den
+    if isinstance(node, ex._PowConst):
+        x = walk(node.a, v)
+        if x < 0.0 and not node.c.is_integer():
+            raise ValueError(f"non-integer power {node.c} of negative value {x}")
+        return x ** node.c
+    if isinstance(node, ex._Exp):
+        return math.exp(walk(node.a, v))
+    if isinstance(node, ex._Ln):
+        x = walk(node.a, v)
+        if x <= 0.0:
+            raise ValueError(f"ln of non-positive value {x}")
+        return math.log(x)
+    raise TypeError(node)
+
+
+def outcome(fn, v):
+    """('value', bit patterns with every NaN alike) or ('raise', class,
+    message)."""
+    try:
+        values = fn(v)
+    except Exception as exc:
+        return "raise", type(exc), str(exc)
+    return "value", tuple("nan" if math.isnan(x) else struct.pack("<d", x)
+                          for x in values)
+
+
+def assert_compiled_matches_walk(expr, v):
+    want = outcome(lambda x: tuple(walk(n, x) for n in expr._stack), v)
+    assert outcome(expr.eval_derivs, v) == want
+    want = outcome(lambda x: (walk(expr._stack[0], x),), v)
+    assert outcome(lambda x: (expr(x),), v) == want
+
+
+GRAMMAR_ATOMS = st.one_of(
+    st.just("V"),
+    st.sampled_from(["0", "1", "2", "0.5", "2.5", "1e3", "1e308", "1e-300"]))
+
+GRAMMAR = st.recursive(
+    GRAMMAR_ATOMS,
+    lambda c: st.one_of(
+        st.tuples(c, st.sampled_from("+-*/^"), c).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(st.sampled_from(["exp", "ln", "-"]), c).map(
+            lambda t: f"{t[0]}({t[1]})")),
+    max_leaves=8)
+
+VOLUMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, 1e300,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=400)
+@given(text=GRAMMAR, v=VOLUMES)
+def test_compiled_code_equals_the_tree_walk(text, v):
+    # bit for bit where the walk returns, the same class and message where
+    # it raises
+    try:
+        expr = Expression(text)
+    except (ValueError, ArithmeticError):  # a constant that folds badly
+        assume(False)
+    assert_compiled_matches_walk(expr, v)
+
+
+@pytest.mark.parametrize("text", [
+    "1e308*10*V",  # folds to inf, which has no literal
+    "(0-1e308*10)*V + (1e308*10 - 1e308*10)*V^2",  # -inf and NaN
+    "(-(1))^(2)",  # folds to 1.0 through the power's own rule
+    "(-(1))^(3)*V",
+])
+@pytest.mark.parametrize("v", [2.0, -1.5, 0.0, math.inf])
+def test_folded_constants_that_are_no_literals(text, v):
+    assert_compiled_matches_walk(Expression(text), v)
+
+
+def test_folded_constant_values():
+    assert Expression("1e308*10*V").eval_derivs(2.0) == (
+        math.inf, math.inf, 0.0, 0.0)
+    assert Expression("(-(1))^(2)").eval_derivs(5.0) == (1.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("(-(1))^(0.5)", ValueError, "non-integer power 0.5 of negative value -1.0"),
+    ("(0)^(-1)", ZeroDivisionError, "0.0 cannot be raised to a negative power"),
+])
+def test_constant_power_folds_with_the_walks_checks(text, error, message):
+    with pytest.raises(error, match=message):
+        Expression(text)
+
+
+@pytest.mark.parametrize("text", [
+    "V^V",  # exp(V ln V): its derivatives reuse both factors
+    "exp(V)*exp(V) + ln(V)/ln(V)",
+    "(V-0.2)^-0.8 / (V-0.2)^-0.8",
+    "1/(V-1) + ln(V-2)",  # the denominator's check comes first
+])
+@pytest.mark.parametrize("v", [0.5, 1.0, 1.5, 2.0, 3.0, -1.0])
+def test_shared_subtrees(text, v):
+    assert_compiled_matches_walk(Expression(text), v)
+
+
+@pytest.mark.parametrize("text,v,error", [
+    # a zero denominator is found before its numerator is evaluated
+    ("ln(V-2)/(V-1)", 1.0, ZeroDivisionError),
+    ("V^0.5", -1.0, ValueError),  # or ** would return a complex number
+    ("V^0.5", 0.0, ZeroDivisionError),  # the derivative's 0.0 ** -0.5
+    ("ln(V)", 0.0, ValueError),
+    ("exp(V)", 1e3, OverflowError),
+    ("V^2", 1e300, OverflowError),
+])
+def test_checks_in_the_walks_order(text, v, error):
+    expr = Expression(text)
+    with pytest.raises(error):
+        expr.eval_derivs(v)
+    assert_compiled_matches_walk(expr, v)
+
+
+def test_a_shared_node_is_evaluated_once():
+    shared = ex._Exp(ex._Var())
+    compiled = ex._compile([ex._Mul(shared, shared), shared])
+    calls = []
+
+    def exp(x):
+        calls.append(x)
+        return math.exp(x)
+    compiled.__globals__["exp"] = exp
+    assert compiled(0.5) == (math.exp(0.5) * math.exp(0.5), math.exp(0.5))
+    assert calls == [0.5]

@@ -10,6 +10,7 @@ from thermogeom import (
     ConstantCv,
     DomainError,
     GeodesicState,
+    NumericEnergy,
     SingularState,
     StatePoint,
     TerminationReason,
@@ -174,28 +175,31 @@ class TestIntegration:
 
 
 class TestStackReuse:
-    """The locus event and the speeds reuse the right-hand side's stacks."""
+    """The locus event and the speeds reuse the right-hand side's Hessian
+    evaluations."""
 
     # the README example: vdW, t_end = 10
     INIT = GeodesicState(2.5, 1.4, 0.05, 0.1)
 
     @pytest.fixture
-    def stack_calls(self, monkeypatch):
+    def hessian_calls(self, monkeypatch):
+        # every stage evaluates the model's fields, and the start's stack
+        # completes them once
         calls = []
 
-        def counted(model, state, *, _original=ConstantCv.derivative_stack,
-                    **kwargs):
-            calls.append(state)
-            return _original(model, state, **kwargs)
-        monkeypatch.setattr(ConstantCv, "derivative_stack", counted)
+        def counted(model, chart, x1, x2, *, _original=ConstantCv._fields):
+            calls.append((x1, x2))
+            return _original(model, chart, x1, x2)
+        monkeypatch.setattr(ConstantCv, "_fields", counted)
         return calls
 
-    def test_stack_count(self, vdw_model, stack_calls):
-        # one stack per right-hand-side point: 218 for 36 steps (293 when
-        # the event and the speeds evaluated the accepted points again)
+    def test_stack_count(self, vdw_model, hessian_calls):
+        # one evaluation per right-hand-side point, the start's stack
+        # included: 218 for 36 steps (293 when the event and the speeds
+        # evaluated the accepted points again)
         traj = integrate_geodesic(vdw_model, self.INIT, 10.0)
         assert traj.termination is TerminationReason.COMPLETED
-        assert len(stack_calls) <= 230
+        assert len(hessian_calls) <= 230
 
     @pytest.mark.parametrize("fixture,init,t_end", [
         ("vdw_model", INIT, 10.0),
@@ -211,6 +215,31 @@ class TestStackReuse:
             stack = model.derivative_stack(sv(st.s, st.v),
                                            check_singular=False)
             assert speed == metric_speed(stack, st.s_dot, st.v_dot)
+
+
+class TestNumericEnergy:
+    """A NumericEnergy around the closed-form van der Waals energy follows
+    the VanDerWaals geodesic to its finite-difference error."""
+
+    @staticmethod
+    def energy(s, v, a=1.5, b=0.2, r=2.0, cv=2.5):  # the conftest gas
+        return (v - b) ** (-r / cv) * math.exp(s / cv) - a / v
+
+    @pytest.mark.parametrize("init,t_end,reason", [
+        (TestStackReuse.INIT, 10.0, TerminationReason.COMPLETED),
+        (GeodesicState(2.5, 1.2, -0.2, 0.0), 40.0,
+         TerminationReason.LOCUS_PROXIMITY),
+    ])
+    def test_agrees_with_the_closed_form(self, vdw_model, init, t_end,
+                                         reason):
+        # at tol 1e-10 the differencing noise makes the step control
+        # reject thousands of steps; 1e-7 keeps both runs short
+        numeric = integrate_geodesic(NumericEnergy(self.energy), init, t_end,
+                                     tol=1e-7)
+        exact = integrate_geodesic(vdw_model, init, t_end, tol=1e-7)
+        assert numeric.termination is exact.termination is reason
+        assert numeric.final_state == pytest.approx(exact.final_state,
+                                                    rel=1e-4, abs=1e-6)
 
 
 class TestRecords:
@@ -322,3 +351,20 @@ class TestTermination:
             v_mu, t_mu = stop(mu)
             assert v_mu == pytest.approx(v_ref, rel=1e-6)
             assert t_mu == pytest.approx(t_ref, rel=1e-8)
+
+    def test_locus_stop_does_not_depend_on_the_energy_unit(self):
+        # the custom van der Waals gas with U in units of 1e-78: the metric
+        # scales as a whole, so the geodesic is the same; a completed stack
+        # at each stage divided by det^2, which underflows near the locus
+        # at that scale (ZeroDivisionError), and the stages no longer
+        # complete one
+        def stop(unit):
+            model = ConstantCv(f"{unit}*(V-0.2)^-0.8", f"{unit}*0.6/V",
+                               cv=2.5)
+            traj = integrate_geodesic(
+                model, GeodesicState(2.5, 1.2, -0.2, 0.0), 40.0)
+            assert traj.termination is TerminationReason.LOCUS_PROXIMITY
+            return traj.final_state
+
+        ref = stop("1")
+        assert stop("1e-78") == pytest.approx(ref, rel=1e-12, abs=1e-12)
