@@ -61,10 +61,11 @@ from .errors import (
 from .expressions import as_smooth
 from .geodesics import (
     GeodesicState,
+    _speed,
     christoffel_elementary,
     christoffel_from_stack,
+    hessian_partials,
     integrate_geodesic,
-    metric_speed,
 )
 from .hessian_surface import (
     hessian_point_from_metric,
@@ -265,32 +266,28 @@ _NUMPY_RAISES = dict(divide="raise", invalid="raise", over="ignore",
                      under="ignore")
 
 
-def _each_state(model, chart, x1, x2, values, *args, check_singular=True):
-    """``values(stack, *args)`` at each state (x1, x2) of two broadcast
-    arrays, row-major, with ``args`` arrays over the same states: one
-    ``array_stack`` pass or, if anything in it raises, the scalar route,
-    one ``derivative_stack`` per state, where an error ends only its own
-    state.  Each state comes back as (value, error, in_stack), value None
-    where the state's stack (in_stack) or ``values`` raised.
-    """
-    states = np.broadcast(x1, x2, *args)
+def _each_state(model, chart, x1, x2, values):
+    """``values(stack)`` at each state (x1, x2) of two broadcast arrays,
+    row-major: one ``array_stack`` pass or, if anything in it raises, the
+    scalar route, one ``derivative_stack`` per state, where an error ends
+    only its own state.  Each state comes back as (value, error, in_stack),
+    value None where the state's stack (in_stack) or ``values`` raised."""
+    states = np.broadcast(x1, x2)
     try:
         with np.errstate(**_NUMPY_RAISES):
-            value = values(model.array_stack(
-                chart, x1, x2, check_singular=check_singular), *args)
+            value = values(model.array_stack(chart, x1, x2))
         return [(v, None, False) for v in _per_state(value, states.size)]
     except _ERRORS:
         pass
     out = []
     # numpy calls on the scalar route stay as silent as its float arithmetic
     with np.errstate(all="ignore"):
-        for y1, y2, *y in zip(*(np.broadcast_to(a, states.shape).ravel()
-                                .tolist() for a in (x1, x2, *args))):
+        for y1, y2 in zip(*(np.broadcast_to(a, states.shape).ravel()
+                            .tolist() for a in (x1, x2))):
             stack = None
             try:
-                stack = model.derivative_stack(
-                    StatePoint(chart, y1, y2), check_singular=check_singular)
-                out.append((values(stack, *y), None, False))
+                stack = model.derivative_stack(StatePoint(chart, y1, y2))
+                out.append((values(stack), None, False))
             except _ERRORS as exc:
                 out.append((None, exc, stack is None))
     return out
@@ -569,13 +566,14 @@ def cmd_geodesic(args, eff, model) -> int:
     traj = integrate_geodesic(model, init, args.t_end, tol=args.tol)
     columns = ["t", "s", "v", "s_dot", "v_dot", "speed"]
     ts = np.linspace(traj.times[0], traj.times[-1], args.samples)
-    samples = traj.interpolant(ts)
-    # a sample whose speed fails prints an empty field
-    speeds = _each_state(model, Chart.ENTROPY_VOLUME, samples[0], samples[1],
-                         metric_speed, samples[2], samples[3],
-                         check_singular=False)
-    rows = [[t, *y, speed] for t, y, (speed, _, _) in
-            zip(ts.tolist(), samples.T.tolist(), speeds)]
+    rows = []
+    for t, (s, v, s_dot, v_dot) in zip(ts.tolist(),
+                                       traj.interpolant(ts).T.tolist()):
+        try:  # the Hessian alone, as a stage reads it; empty on an error
+            speed = _speed(*hessian_partials(model, s, v)[:3], s_dot, v_dot)
+        except _ERRORS:
+            speed = None
+        rows.append([t, s, v, s_dot, v_dot, speed])
     pts = [(s, v) for _, s, v, *_ in rows]
     meta = _meta(eff)
     meta["termination"] = traj.termination.value

@@ -374,11 +374,14 @@ def degeneracy_locus(model: ConstitutiveModel,
 # critical point
 
 def _constant_cv_locus_dtdv(model: ConstantCv, v: float) -> float:
-    f1, f1p, f1pp, f1ppp, _, _, f2pp, f2ppp = model.volume_terms(v)
+    terms = model.volume_terms(v)
+    k = -math.frexp(terms[0])[1]  # to unit f1: x_disc^2 has degree 4 in U
+    f1, f1p, f1pp, f1ppp, _, _, f2pp, f2ppp = (math.ldexp(x, k) for x in terms)
     x_disc = f1 * f1pp - f1p * f1p
     x_slope = f1 * f1ppp - f1p * f1pp
     num = 2.0 * f1 * f1p * f2pp + f1 * f1 * f2ppp
-    return num / x_disc - f1 * f1 * f2pp * x_slope / (x_disc * x_disc)
+    return math.ldexp(
+        num / x_disc - f1 * f1 * f2pp * x_slope / (x_disc * x_disc), -k)
 
 
 def _critical_volume_numeric(dtdv, v_window) -> float:

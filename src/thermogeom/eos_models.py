@@ -14,13 +14,13 @@ finite differences or a user-supplied analytic derivative callback.
 
 One ``derivative_stack`` is ``_complete`` of ``_fields``: S, V, U, T, p, the
 Hessian and third partials, then the determinant check and the response
-coefficients.  A geodesic stage reads the Hessian from ``_fields`` alone.
+coefficients.  A geodesic stage or sample reads the Hessian from ``_fields``.
 
 One state or many
 -----------------
 ``derivative_stack`` evaluates one state on plain Python floats.
 ``array_stack`` evaluates many states in one pass, a flat list of them
-(``verify``'s samples, a geodesic's) or two axes broadcast into a grid
+(``verify``'s samples) or two axes broadcast into a grid
 (with the volume terms once per volume and the entropy terms once per
 entropy): the same formulas run on numpy arrays.  Every route of a state,
 curvature to Christoffel symbols, likewise takes floats or such arrays.
@@ -298,12 +298,10 @@ def _stack_from_hessian(check_singular, s, v, u, t, p,
             raise SingularState("vanishing second entropy derivative",
                                 det=det)
         cv = t / e11
-    # a checked state has det = 0 only where its products underflow, and
-    # then fails at the division below; an unchecked one has no k, alpha or
-    # cp, NaN on the scalar route, to which an array pass leaves it
-    if not check_singular and anywhere(det == 0.0):
-        raise_where(isinstance(det, np.ndarray), SingularState,
-                    "vanishing determinant")
+    # a checked state fails at the division below where a denominator
+    # vanishes; an unchecked one, a float, has NaN there for k, alpha, cp
+    if not check_singular and 0.0 in (v * det, v * det * det,
+                                      v * v * det * det):
         k = alpha = cp = math.nan
         da_s = da_v = dk_s = dk_v = math.nan
         if not constant_cv:
@@ -339,20 +337,20 @@ class ConstitutiveModel:
         return self._complete(check_singular,
                               *self._fields(state.chart, state.x1, state.x2))
 
-    def array_stack(self, chart: Chart, x1: np.ndarray, x2: np.ndarray, *,
-                    check_singular: bool = True) -> DerivativeStack:
+    def array_stack(self, chart: Chart, x1: np.ndarray,
+                    x2: np.ndarray) -> DerivativeStack:
         """The stacks at the states (x1, x2) of two broadcast arrays,
         flattened row-major, each equal to ``derivative_stack`` there.  It
-        raises if any state fails a check, and, under numpy's raising
-        division and invalid flags, where the scalar route divides by
-        zero."""
+        raises if any state fails a check, degeneracy included, and, under
+        numpy's raising division and invalid flags, where the scalar route
+        divides by zero."""
         # StatePoint's checks, per state
         raise_where(~(np.isfinite(x1) & np.isfinite(x2) & (x2 > 0.0) & (
             (x1 > 0.0) if chart is Chart.TEMPERATURE_VOLUME else True)),
             DomainError, "a state lies outside the domain")
         fields = self._fields(chart, x1, x2)
         shape = np.broadcast(x1, x2).shape
-        return self._complete(check_singular, *(
+        return self._complete(True, *(
             np.broadcast_to(f, shape).ravel()
             if isinstance(f, np.ndarray) else f for f in fields))
 
@@ -594,11 +592,9 @@ class Berthelot(ConstitutiveModel):
             # (d/dV)|_S = (d/dV)|_T + (dT/dV)|_S (d/dT)|_V, slope = e12
             return f_v + e12 * f_t
 
-        # det = -T p_v / cv is rounding-sized where p_v = 0: only an
-        # unchecked state gets here, as in _stack_from_hessian
-        if anywhere(p_v == 0.0):
-            raise_where(isinstance(p_v, np.ndarray), SingularState,
-                        "vanishing pressure slope")
+        # det = -T p_v / cv; NaN where a denominator vanishes, as above
+        if not check_singular and 0.0 in (v * p_v, v * p_v * p_v,
+                                          v * v * p_v * p_v):
             k = alpha = cp = math.nan
             da_s = da_v = dk_s = dk_v = math.nan
         else:

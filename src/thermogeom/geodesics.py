@@ -5,8 +5,8 @@ metric and its third partials, and the explicit coefficient formulas
 written in terms of the measured response functions.  Both must agree;
 the explicit route doubles as a verification target.
 
-Each stage of the geodesic equations reads only e11 to c222, the Hessian of
-U and its third partials, from the model's ``_fields``;
+Each geodesic stage and sample speed reads only e11 to c222, the Hessian of
+U and its third partials, from ``hessian_partials``;
 ``christoffel_from_stack`` and ``metric_speed`` share its arithmetic.
 
 Integration is the Dormand-Prince 5(4) pair with local extrapolation
@@ -166,6 +166,13 @@ def _speed(e11, e12, e22, s_dot, v_dot):
             + e22 * v_dot * v_dot)
 
 
+def hessian_partials(model: ConstitutiveModel, s: float, v: float) -> tuple:
+    """e11 to c222 at (S, V) after StatePoint's checks, completing no stack."""
+    if not (math.isfinite(s) and math.isfinite(v) and v > 0.0):
+        raise DomainError(f"({s}, {v}) is not a state: non-finite or V <= 0")
+    return model._fields(Chart.ENTROPY_VOLUME, s, v)[5:12]
+
+
 @dataclass(frozen=True)
 class GeodesicTrajectory:
     times: tuple[float, ...]
@@ -222,11 +229,8 @@ def integrate_geodesic(model: ConstitutiveModel,
         if key in memo:
             return memo[key]
         if last[0] != key:
-            # trial states may already be inadmissible; None marks those
-            try:
-                hessian = (model._fields(Chart.ENTROPY_VOLUME, s, v)[5:12]
-                           if math.isfinite(s) and math.isfinite(v)
-                           and v > 0.0 else None)
+            try:  # trial states may be inadmissible; None marks those
+                hessian = hessian_partials(model, s, v)
             except (ThermogeomError, ValueError, OverflowError):
                 hessian = None
             last[:] = key, hessian
@@ -272,8 +276,7 @@ def integrate_geodesic(model: ConstitutiveModel,
     domain_event.direction = -1.0
 
     y0 = [init.s, init.v, init.s_dot, init.v_dot]
-    near_locus = abs(relative_det(start_stack.e11, start_stack.e12,
-                                  start_stack.e22)) <= LOCUS_GUARD_BAND
+    near_locus = abs(relative_det(*start_stack[5:8])) <= LOCUS_GUARD_BAND
     if near_locus or t_end == 0.0:
         # The locus event fires only on a sign change, which a start inside
         # the guard band never shows: stop at the start, on its one node,

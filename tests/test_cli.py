@@ -293,10 +293,10 @@ def array_calls(monkeypatch):
     call order: (n1, n2) for a grid's two axes, (n,) for a flat list."""
     calls = []
 
-    def counted(model, chart, x1, x2, *, check_singular=True,
+    def counted(model, chart, x1, x2, *,
                 _original=ConstitutiveModel.array_stack):
         calls.append(np.broadcast(x1, x2).shape)
-        return _original(model, chart, x1, x2, check_singular=check_singular)
+        return _original(model, chart, x1, x2)
     monkeypatch.setattr(ConstitutiveModel, "array_stack", counted)
     return calls
 
@@ -334,45 +334,48 @@ class TestOneStackPerCell:
 
 @pytest.mark.parametrize("case", ["geodesic-vdw-csv",
                                   "geodesic-berthelot-csv"])
-def test_geodesic_samples_are_one_array_pass(capsys, monkeypatch,
-                                             stack_calls, array_calls, case):
+def test_geodesic_samples_read_the_hessian_alone(capsys, monkeypatch,
+                                                stack_calls, array_calls,
+                                                case):
     # the integration evaluates the start's stack (each stage reads the
-    # Hessian alone); after it, the samples take one array pass and no
-    # stack of their own
-    during = []
+    # Hessian alone); after it, each sample reads the Hessian once, as a
+    # stage does, and takes no array pass and no stack of its own
+    fields, during = [], []
+    for cls in (ConstantCv, Berthelot):
+        def counted(model, chart, x1, v, _original=cls._fields):
+            fields.append((x1, v))
+            return _original(model, chart, x1, v)
+        monkeypatch.setattr(cls, "_fields", counted)
 
     def integrate(*args, _original=cli.integrate_geodesic, **kwargs):
         traj = _original(*args, **kwargs)
-        during.append(len(stack_calls))
+        during.append((len(stack_calls), len(fields)))
         return traj
     monkeypatch.setattr(cli, "integrate_geodesic", integrate)
     rc, out, _ = run(capsys, [*cases.CASES[case], "--samples", "37"])
     assert rc == 0
-    assert len(parse_csv(out)[2]) == 37
-    assert array_calls == [(37,)]
-    assert during[0] > 0
-    assert len(stack_calls) == during[0]
+    rows = parse_csv(out)[2]
+    assert len(rows) == 37
+    assert all(row["speed"] for row in rows)
+    assert array_calls == []
+    assert during[0][0] > 0
+    assert len(stack_calls) == during[0][0]
+    assert len(fields) - during[0][1] == 37
 
 
-def test_unchecked_states_stay_in_the_array_pass(stack_calls, array_calls,
-                                                 vdw_model):
+def test_singular_states_leave_the_array_pass(stack_calls, array_calls,
+                                              vdw_model):
     # the first state lies on the degeneracy locus, so it fails the stack
-    # check; the geodesic samples skip that check, and take one pass
+    # check: the array pass raises and the scalar route tells the states
+    # apart, the first one's stack raised
     s = [locus_entropy(vdw_model, 1.2), 2.5]
     got = cli._each_state(vdw_model, cli.Chart.ENTROPY_VOLUME,
-                          np.array(s), np.array([1.2, 1.4]), cli.metric_speed,
-                          np.ones(2), np.ones(2), check_singular=False)
-    assert [error for _, error, _ in got] == [None, None]
-    assert array_calls == [(2,)]
-    assert stack_calls == []
-    # checked, the array pass raises and the scalar route tells the states
-    # apart: the first one's stack raised
-    got = cli._each_state(vdw_model, cli.Chart.ENTROPY_VOLUME,
-                          np.array(s), np.array([1.2, 1.4]), cli.metric_speed,
-                          np.ones(2), np.ones(2))
+                          np.array(s), np.array([1.2, 1.4]),
+                          lambda st: st.e11)
     assert [type(error).__name__ for _, error, _ in got] \
         == ["SingularState", "NoneType"]
     assert [in_stack for _, _, in_stack in got] == [True, False]
+    assert array_calls == [(2,)]
     assert len(stack_calls) == 2
 
 

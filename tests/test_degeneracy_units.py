@@ -8,8 +8,11 @@ its radial_pairing class must be those of the unscaled gas.  The states
 are a 12 x 12 grid over S in [0, 4], V in [0.3, 2], which straddles the
 degeneracy locus, plus states on the locus and at relative determinant
 about 5e-12 and 5e-8 to either side of it, inside and outside the
-singular band.
+singular band.  The scan locus, the numeric critical point and a
+geodesic's speeds at lam = 1e-78 and 1e78 are those of the unscaled gas,
+with T, p and the speeds times lam.
 """
+import json
 import math
 
 import numpy as np
@@ -17,7 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermogeom import ConstantCv, SingularState, StatePoint, eigen_signature
-from thermogeom.critical_locus import locus_entropy
+from thermogeom.cli import main
+from thermogeom.critical_locus import (
+    critical_point,
+    degeneracy_locus,
+    locus_entropy,
+)
 from thermogeom.eos_models import relative_det
 from thermogeom.hessian_surface import hessian_point_from_metric, radial_pairing
 from thermogeom.metric_core import weinhold_metric
@@ -88,3 +96,41 @@ def test_relative_det_survives_underflow(k):
     # over a grid's arrays, an underflowing cell beside a unit-sized one
     cells = relative_det(*(np.array([x, math.ldexp(x, -k)]) for x in entries))
     assert cells.tolist() == [want, want]
+
+
+def close(got, want):
+    return math.isclose(got, want, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("lam", [1e-78, 1e78])
+def test_energy_unit_moves_no_scan_locus_sample(lam):
+    want = degeneracy_locus(gas(), (0.3, 3.0), 8, method="scan").samples
+    got = degeneracy_locus(gas(lam=lam), (0.3, 3.0), 8, method="scan").samples
+    assert [smp.v for smp in got] == [smp.v for smp in want]
+    for smp, ref in zip(got, want):
+        assert close(smp.s, ref.s)
+        assert close(smp.t, lam * ref.t) and close(smp.p, lam * ref.p)
+
+
+@pytest.mark.parametrize("lam", [1e-78, 1e78])
+def test_energy_unit_moves_no_numeric_critical_point(lam):
+    want = critical_point(gas(), method="numeric")
+    got = critical_point(gas(lam=lam), method="numeric")
+    assert close(got.v_c, want.v_c)
+    assert close(got.t_c, lam * want.t_c) and close(got.p_c, lam * want.p_c)
+
+
+def test_energy_unit_blanks_no_geodesic_speed(capsys):
+    def speeds(lam):
+        assert main(["geodesic", "--model", "custom", "--cv", "2.5",
+                     "--f1", f"{lam!r}*(V-0.2)^-0.8", "--f2", f"{lam!r}*0.6/V",
+                     "--start-s", "2.5", "--start-v", "1.2",
+                     "--start-sdot", "-0.2", "--start-vdot", "0",
+                     "--t-end", "40", "--samples", "11",
+                     "--format", "json"]) == 0
+        return [row[-1] for row in json.loads(capsys.readouterr().out)["rows"]]
+
+    want, got = speeds(1.0), speeds(1e-78)
+    assert len(got) == len(want) == 11 and None not in got
+    for speed, ref in zip(got, want):
+        assert math.isclose(speed, 1e-78 * ref, rel_tol=1e-12)

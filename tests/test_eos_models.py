@@ -340,14 +340,33 @@ def test_parameter_validation(overrides):
         GasParameters(**kwargs)
 
 
-def test_unchecked_zero_determinant_goes_to_the_scalar_route():
+def test_unchecked_zero_determinant_is_nan_and_fails_the_array_pass():
     # f1 = exp(V) with cv = 1 gives e11 = e12 = e22, so det is exactly 0:
-    # the scalar route reports NaN for k, and an array pass raises on
-    # purpose, leaving such states to it
+    # an unchecked stack reports NaN for k, and the array pass, which
+    # always checks, raises
     model = ConstantCv("exp(V)", cv=1.0)
     stack = model.derivative_stack(StatePoint.entropy_volume(1.0, 1.0),
                                    check_singular=False)
     assert stack.det == 0.0 and math.isnan(stack.k)
-    with pytest.raises(SingularState, match="vanishing determinant"):
+    with pytest.raises(SingularState, match="degeneracy locus"):
         model.array_stack(Chart.ENTROPY_VOLUME, np.array([1.0, 2.0]),
-                          np.array([1.0, 1.5]), check_singular=False)
+                          np.array([1.0, 1.5]))
+
+
+def test_unchecked_stack_is_nan_where_a_denominator_underflows():
+    # on the locus of a gas whose energy is scaled by 1e-78, det is a
+    # rounding-sized 1e-172 and v det^2 underflows to 0: NaN, not a float
+    # division by zero, and the Hessian is that of the unscaled gas times
+    # 1e-78
+    scaled, unit = (ConstantCv(f"{lam!r}*(V-0.2)^-0.8", f"{lam!r}*0.6/V",
+                               cv=2.5) for lam in (1e-78, 1.0))
+    state = sv(locus_entropy(scaled, 1.0), 1.0)
+    stack = scaled.derivative_stack(state, check_singular=False)
+    assert stack.det != 0.0 and stack.v * stack.det * stack.det == 0.0
+    assert all(math.isnan(x) for x in (stack.k, stack.alpha, stack.cp,
+                                       stack.dalpha_ds, stack.dalpha_dv,
+                                       stack.dk_ds, stack.dk_dv))
+    want = unit.derivative_stack(state, check_singular=False)
+    assert math.isclose(stack.e11, 1e-78 * want.e11, rel_tol=1e-13)
+    assert math.isclose(stack.t, 1e-78 * want.t, rel_tol=1e-13)
+    assert (stack.dcv_ds, stack.dcv_dv) == (0.0, 0.0)
