@@ -2,11 +2,13 @@
 
 The degeneracy locus is the curve in state space where the metric
 determinant vanishes (the spinodal, where the isothermal compressibility
-diverges).  Closed forms exist for the constant-heat-capacity family and
-the Berthelot gas; any other model is traced by continuation with scan
+diverges).  A model with a closed-form locus (``locus_state`` and
+``locus_dtdv``, the constant-heat-capacity family and the Berthelot gas) or
+critical point (``critical_closed_form``, the van der Waals and Berthelot
+gases) carries it; a model without one is traced by continuation with scan
 fallback (natural-parameter continuation in volume, Allgower and Georg,
-*Numerical Continuation Methods*, 1990): each sample is predicted along
-the locus tangent dS/dV = -det_V/det_S and corrected by Newton on det in
+*Numerical Continuation Methods*, 1990): each sample is predicted along the
+locus tangent dS/dV = -det_V/det_S and corrected by Newton on det in
 entropy, and an entropy scan finds the first sample and any the corrector
 misses.  Every sign-changing bracket, of a scan or of dT/dV along the locus
 for the critical point, is refined by one Brent root finder (the one the
@@ -31,7 +33,6 @@ from .eos_models import (
     ConstantCv,
     ConstitutiveModel,
     StatePoint,
-    VanDerWaals,
     relative_det,
 )
 from .errors import DomainError, NoCriticalPoint, NoRoot
@@ -169,49 +170,6 @@ def _real_roots(coeffs):
 # ---------------------------------------------------------------------------
 # degeneracy locus
 
-def _constant_cv_locus_state(model: ConstantCv, v: float):
-    """(s, t, p) of the locus at volume v, or None when the determinant
-    cannot vanish there."""
-    f1, f1p, f1pp, _, _, f2p, f2pp, _ = model.volume_terms(v)
-    x_disc = f1 * f1pp - f1p * f1p
-    if x_disc == 0.0:
-        return None
-    e_star = model.cv * f1 * f2pp / x_disc
-    if e_star <= 0.0:
-        return None
-    s = model.cv * math.log(e_star)
-    t = f1 * e_star / model.cv
-    p = -f1p * e_star + model.cv * f2p
-    return s, t, p
-
-
-def _berthelot_locus_state(model: Berthelot, v: float):
-    q = model.params
-    if q.a <= 0.0 or v <= q.b:
-        return None
-    t = ((v - q.b) / v) * math.sqrt(2.0 * q.a / (q.r_gas * v))
-    if t <= 0.0:
-        return None
-    s = model._entropy(t, v)
-    p = q.r_gas * t / (v - q.b) - q.a / (t * v * v)
-    return s, t, p
-
-
-def _closed_form_locus_state(model: ConstitutiveModel, v: float):
-    """(s, t, p) of the locus at volume v from the model's closed form, or
-    None for a model without one.  Raises NoRoot when the determinant
-    cannot vanish at v."""
-    if isinstance(model, ConstantCv):
-        hit = _constant_cv_locus_state(model, v)
-    elif isinstance(model, Berthelot):
-        hit = _berthelot_locus_state(model, v)
-    else:
-        return None
-    if hit is None:
-        raise NoRoot(f"determinant never vanishes at V={v}")
-    return hit
-
-
 def _scan_window(model) -> tuple[float, float]:
     scale = 1.0
     if isinstance(model, ConstantCv):
@@ -224,13 +182,12 @@ def _scan_window(model) -> tuple[float, float]:
 def locus_entropy(model: ConstitutiveModel, v: float) -> float:
     """Entropy at which det eta vanishes for the given volume.
 
-    Closed form for the constant-heat-capacity family and Berthelot;
-    otherwise a bracketed scan over the model's entropy window.  Raises
-    NoRoot when the determinant keeps one sign.
+    The model's closed form where it has one; otherwise a bracketed scan
+    over the model's entropy window.  Raises NoRoot when the determinant
+    keeps one sign.
     """
-    hit = _closed_form_locus_state(model, v)
-    if hit is not None:
-        return hit[0]
+    if model.locus_state is not None:
+        return model.locus_state(v)[0]
     return _scan_locus_entropy(model, v, _scan_window(model))
 
 
@@ -356,33 +313,22 @@ def degeneracy_locus(model: ConstitutiveModel,
     the first sample and any the corrector misses.  The continuation
     follows the branch the first sample lies on.
     """
+    _check_method(method, ("auto", "scan"))
     volumes = _locus_volumes(model, v_range, n_samples)
-    if method == "auto" and isinstance(model, (ConstantCv, Berthelot)):
-        samples = [LocusSample(v, *_closed_form_locus_state(model, v))
-                   for v in volumes]
+    closed = method == "auto" and model.locus_state is not None
+    if closed:
+        samples = [LocusSample(v, *model.locus_state(v)) for v in volumes]
     else:
         samples = [LocusSample(v=st.v, s=st.s, t=st.t, p=st.p)
                    for st in _trace_locus(model, volumes,
                                           _scan_window(model))]
-    branch = "principal"
-    if method == "auto" and isinstance(model, Berthelot):
-        branch = "positive-temperature"
+    branch = ("positive-temperature" if closed and _square_root_locus(model)
+              else "principal")
     return LocusPolyline(samples=tuple(samples), branch=branch)
 
 
 # ---------------------------------------------------------------------------
 # critical point
-
-def _constant_cv_locus_dtdv(model: ConstantCv, v: float) -> float:
-    terms = model.volume_terms(v)
-    k = -math.frexp(terms[0])[1]  # to unit f1: x_disc^2 has degree 4 in U
-    f1, f1p, f1pp, f1ppp, _, _, f2pp, f2ppp = (math.ldexp(x, k) for x in terms)
-    x_disc = f1 * f1pp - f1p * f1p
-    x_slope = f1 * f1ppp - f1p * f1pp
-    num = 2.0 * f1 * f1p * f2pp + f1 * f1 * f2ppp
-    return math.ldexp(
-        num / x_disc - f1 * f1 * f2pp * x_slope / (x_disc * x_disc), -k)
-
 
 def _critical_volume_numeric(dtdv, v_window) -> float:
     """Volume where dT/dV along the locus falls through zero; a volume
@@ -413,25 +359,34 @@ def _critical_volume_numeric(dtdv, v_window) -> float:
     raise NoCriticalPoint("locus temperature is monotone over the window")
 
 
+def _check_method(method, allowed):
+    if method not in allowed:
+        raise ValueError(f"unknown method {method!r}, expected one of "
+                         f"{', '.join(map(repr, allowed))}")
+
+
+def _square_root_locus(model) -> bool:
+    """Whether the closed-form locus temperature is a square root, as the
+    Berthelot gas's is: its locus is the positive-temperature branch, and
+    its critical point has a sign-flipped (p, T) twin."""
+    return isinstance(model, Berthelot)
+
+
+def _critical(model, v_c, p_c, t_c) -> CriticalPoint:
+    return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c, negative_branch=(
+        (-p_c, -t_c) if _square_root_locus(model) else None))
+
+
 def closed_form_critical_point(model: ConstitutiveModel) -> CriticalPoint | None:
-    """Exact critical point of the van der Waals and Berthelot gases, or
-    None for a model without a closed form.
+    """Exact critical point of a model with a ``critical_closed_form`` (the
+    van der Waals and Berthelot gases), or None for a model without one.
 
     Raises NoCriticalPoint when a or b vanishes: the locus is then empty or
     monotone.
     """
-    if not isinstance(model, (VanDerWaals, Berthelot)):
+    if model.critical_closed_form is None:
         return None
-    a, b, r = model.params.a, model.params.b, model.params.r_gas
-    if a <= 0.0 or b <= 0.0:
-        raise NoCriticalPoint("locus is empty or monotone")
-    if isinstance(model, VanDerWaals):
-        return CriticalPoint(v_c=3.0 * b, p_c=a / (27.0 * b * b),
-                             t_c=8.0 * a / (27.0 * b * r))
-    t_c = math.sqrt(8.0 * a / (27.0 * r * b))
-    p_c = math.sqrt(a * r / (216.0 * b ** 3))
-    return CriticalPoint(v_c=3.0 * b, p_c=p_c, t_c=t_c,
-                         negative_branch=(-p_c, -t_c))
+    return _critical(model, *model.critical_closed_form())
 
 
 def critical_point(model: ConstitutiveModel, *,
@@ -440,41 +395,28 @@ def critical_point(model: ConstitutiveModel, *,
                    ) -> CriticalPoint:
     """Maximize temperature along the degeneracy locus.
 
-    ``method="auto"`` returns the exact closed form for the van der Waals
-    and Berthelot gases; ``method="numeric"`` forces the derivative-root
-    path (used to cross-check the closed forms).  A model without a
-    closed-form locus traces it over ``v_window`` by continuation and
-    solves dT/dV = e11 dS/dV + e12 = 0 along it from the stack partials.
+    ``method="auto"`` returns the model's exact closed form where it has
+    one (the van der Waals and Berthelot gases); ``method="numeric"``
+    forces the derivative-root path (used to cross-check the closed forms).
+    A model with a closed-form locus solves its ``locus_dtdv`` = 0 over
+    ``v_window``; any other traces the locus by continuation and solves
+    dT/dV = e11 dS/dV + e12 = 0 along it from the stack partials.
     """
+    _check_method(method, ("auto", "numeric"))
     if method == "auto":
         closed = closed_form_critical_point(model)
         if closed is not None:
             return closed
-    if isinstance(model, Berthelot):
-        a, b, r = model.params.a, model.params.b, model.params.r_gas
-        if a <= 0.0 or b <= 0.0:
-            raise NoCriticalPoint("locus is empty or monotone")
-
-        k = math.sqrt(2.0 * a / r)
-
-        def dtdv(v):
-            return k * v ** -2.5 * (3.0 * b - v) / 2.0
-        v_c = _critical_volume_numeric(dtdv, v_window or (1.01 * b, 100.0 * b))
-        _, t_c, p_c = _berthelot_locus_state(model, v_c)
-        return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c,
-                             negative_branch=(-p_c, -t_c))
-
-    if isinstance(model, ConstantCv):
+    if model.locus_dtdv is not None:
         if v_window is None:
             b = model.covolume
             v_window = (1.01 * b, 100.0 * b) if b > 0.0 else (1e-2, 1e2)
-        v_c = _critical_volume_numeric(
-            lambda v: _constant_cv_locus_dtdv(model, v), v_window)
-        hit = _constant_cv_locus_state(model, v_c)
-        if hit is None:
-            raise NoCriticalPoint("locus vanishes at the extremum")
-        _, t_c, p_c = hit
-        return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c)
+        v_c = _critical_volume_numeric(model.locus_dtdv, v_window)
+        try:
+            _, t_c, p_c = model.locus_state(v_c)
+        except NoRoot as exc:
+            raise NoCriticalPoint("locus vanishes at the extremum") from exc
+        return _critical(model, v_c, p_c, t_c)
 
     # generic model: trace the locus, bracket the hottest sample, and solve
     # dT/dV = e11 dS/dV + e12 = 0 along the locus there
@@ -501,7 +443,7 @@ def critical_point(model: ConstitutiveModel, *,
 
     v_c = _bracketed_root(dtdv, near[0].v, near[2].v)
     stack = locus_stack(v_c)
-    return CriticalPoint(v_c=v_c, p_c=stack.p, t_c=stack.t)
+    return _critical(model, v_c, stack.p, stack.t)
 
 
 # ---------------------------------------------------------------------------

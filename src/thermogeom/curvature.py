@@ -7,8 +7,9 @@ Routes implemented:
   terms cancel for Hessian metrics).
 * ``closed2d``: the 2D determinant formula on a metric-plus-partials stack.
 * ``elementary``: the coefficient-form expression through H, G, F, J.
-* ``model_closed``: per-model closed forms (ideal, van der Waals,
-  Berthelot), where one exists.
+* ``model_closed``: the model's own closed form, its
+  ``closed_curvature`` (ideal gas, van der Waals, the constant-cv family,
+  Berthelot), where it has one.
 
 A :func:`curvature_report` bundles every applicable route with the
 pairwise agreement residual, and the conformal bridge between the energy
@@ -29,10 +30,8 @@ from .eos_models import (
     ConstantCv,
     ConstitutiveModel,
     DerivativeStack,
-    IdealGas,
     SINGULAR_BAND,
     StatePoint,
-    VanDerWaals,
     anywhere,
     choose,
     libm_for,
@@ -97,14 +96,6 @@ class HessianMetricField:
         dg[..., 0, 1, 1] = dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = d122
         dg[..., 1, 1, 1] = d222
         return cls(n=2, second=g, third=dg)
-
-
-@dataclass(frozen=True)
-class ConstantCvCurvature:
-    """Both constant-cv closed forms."""
-
-    r_structural: float
-    r_log_compressibility: float
 
 
 @dataclass(frozen=True)
@@ -188,25 +179,6 @@ def scalar_curvature_elementary(st: DerivativeStack) -> float:
 
     bracket = h * g + (cv * alpha / (k * k)) * f * (t * v * alpha * f / k - j)
     return t / (2.0 * libm_for(cv).pow(cv, 3) * det) * bracket
-
-
-def _constant_cv_curvature(model: ConstantCv,
-                           st: DerivativeStack) -> ConstantCvCurvature:
-    """The constant-cv closed forms, structural (in f1, f2 and T) and from
-    the entropy rate of ln k."""
-    cv, t = st.cv, st.t
-
-    f1, f1p, f1pp, _, _, _, f2pp, _ = model.volume_terms(st.v)
-    x_struct = f1 * f1pp - f1p * f1p
-    denom = t * x_struct - f1 * f1 * f2pp
-    raise_where(denom == 0.0, SingularState, "degenerate metric", det=0.0)
-    r_structural = f1 * f1 * f2pp * x_struct / (2.0 * cv * denom * denom)
-
-    x = st.dk_ds / st.k
-    r_log_k = (cv / (2.0 * t)) * x * (x + 1.0 / cv)
-
-    return ConstantCvCurvature(r_structural=r_structural,
-                               r_log_compressibility=r_log_k)
 
 
 def negativity_test(model: ConstitutiveModel, state: StatePoint) -> bool:
@@ -334,21 +306,6 @@ def zero_curvature_classify(model: ConstitutiveModel) -> FlatnessClass:
 # Model closed forms and the aggregate report
 
 
-def _berthelot_closed(model: Berthelot, t: float, v: float) -> float:
-    q = model.params
-    a, b, r = q.a, q.b, q.r_gas
-    pow_ = libm_for(v).pow
-    cv = q.cv0 + 2.0 * a / (v * t * t)
-    w = v - b
-    p_poly = (2.0 * cv - r) * v * v - 3.0 * cv * b * v + cv * b * b
-    num = 2.0 * a * (pow_(t, 4) * pow_(v, 4) * r * cv * p_poly
-                     + t * t * a * cv * v * w * w * (r * v * v - cv * w * w)
-                     + a * a * 2.0 * cv * pow_(w, 4))
-    den = (pow_(cv, 3) * pow_(t, 3) * v
-           * pow_(r * t * t * pow_(v, 3) - 2.0 * a * w * w, 2))
-    return num / den
-
-
 def berthelot_printed_closed_form(model: Berthelot, t: float, v: float) -> float:
     """The long published polynomial form, kept verbatim for cross-checking.
 
@@ -374,22 +331,11 @@ def berthelot_printed_closed_form(model: Berthelot, t: float, v: float) -> float
 
 def model_closed_form(model: ConstitutiveModel,
                       at: StatePoint | DerivativeStack) -> float | None:
-    """Per-model closed-form curvature, at a state or from the stack
-    already evaluated there, or None when no closed form exists."""
+    """The model's closed-form curvature, its ``closed_curvature``, at a
+    state or from the stack already evaluated there, or None when the
+    model has none."""
     st = stack_at(model, at)
-    if isinstance(model, IdealGas):
-        return 0.0
-    if isinstance(model, VanDerWaals):
-        q = model.params
-        a, b, r = q.a, q.b, q.r_gas
-        v3 = libm_for(st.v).pow(st.v, 3)
-        den = st.p * v3 - a * st.v + 2.0 * a * b
-        return a * r * v3 / (st.cv * den * den)
-    if isinstance(model, Berthelot):
-        return _berthelot_closed(model, st.t, st.v)
-    if isinstance(model, ConstantCv):
-        return _constant_cv_curvature(model, st).r_structural
-    return None
+    return None if model.closed_curvature is None else model.closed_curvature(st)
 
 
 def curvature_routes(model: ConstitutiveModel, st: DerivativeStack):

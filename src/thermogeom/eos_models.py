@@ -16,6 +16,23 @@ One ``derivative_stack`` is ``_complete`` of ``_fields``: S, V, U, T, p, the
 Hessian and third partials, then the determinant check and the response
 coefficients.  A geodesic stage or sample reads the Hessian from ``_fields``.
 
+Closed forms
+------------
+Each closed form the paper works out lives on the gas class that has it,
+as one of five hooks.  The base class sets every hook to None, and a model
+without a closed form (``NumericEnergy``) takes the generic routes:
+
+* ``closed_curvature(st)``: the scalar curvature at the stack ``st``
+  (ideal gas, van der Waals, the constant-cv family, Berthelot);
+* ``locus_state(v)``: (S, T, p) on the degeneracy locus at volume v, and
+  ``locus_dtdv(v)``: dT/dV along it (the constant-cv family, Berthelot);
+* ``critical_closed_form()``: (V_c, p_c, T_c) (van der Waals, Berthelot);
+* ``det_split(st)``: the determinant's ideal part and its correction from
+  f2 (the constant-cv family).
+
+A hook given a volume raises DomainError where it is not finite or not
+above the covolume, and NoRoot where the determinant cannot vanish.
+
 One state or many
 -----------------
 ``derivative_stack`` evaluates one state on plain Python floats.
@@ -52,7 +69,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SingularState, UnsupportedModel
+from .errors import (DomainError, NoCriticalPoint, NoRoot, SingularState,
+                     UnsupportedModel)
 from .expressions import ShiftedPower, SmoothFunction, ZeroFunction, as_smooth
 
 _EPS = math.ulp(1.0)
@@ -330,6 +348,9 @@ class ConstitutiveModel:
 
     name = "abstract"
     params: GasParameters | None = None
+    # the closed forms of the module docstring; None where there is none
+    closed_curvature = locus_state = locus_dtdv = None
+    critical_closed_form = det_split = None
 
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
@@ -369,8 +390,10 @@ class ConstitutiveModel:
         return self.params.b if self.params is not None else 0.0
 
     def _check_volume(self, v: float):
-        """Reject a volume at or below the covolume."""
-        if v <= self.covolume:
+        """Reject a volume that is not finite or not above the covolume."""
+        if not math.isfinite(v):
+            raise DomainError(f"volume must be finite, got {v}")
+        if not v > self.covolume:
             raise DomainError(
                 f"volume must exceed the covolume b={self.covolume}, got {v}")
 
@@ -449,6 +472,43 @@ class ConstantCv(ConstitutiveModel):
     def _complete(self, check_singular, *fields):
         return _stack_from_hessian(check_singular, *fields, cv=self.cv)
 
+    def closed_curvature(self, st):
+        """The structural closed form, in f1, f2 and T."""
+        f1, f1p, f1pp, _, _, _, f2pp, _ = self.volume_terms(st.v)
+        x_struct = f1 * f1pp - f1p * f1p
+        denom = st.t * x_struct - f1 * f1 * f2pp
+        raise_where(denom == 0.0, SingularState, "degenerate metric", det=0.0)
+        return f1 * f1 * f2pp * x_struct / (2.0 * st.cv * denom * denom)
+
+    def locus_state(self, v):
+        f1, f1p, f1pp, _, _, f2p, f2pp, _ = self.volume_terms(v)
+        x_disc = f1 * f1pp - f1p * f1p
+        e_star = self.cv * f1 * f2pp / x_disc if x_disc != 0.0 else 0.0
+        if e_star <= 0.0:
+            raise NoRoot(f"determinant never vanishes at V={v}")
+        s = self.cv * math.log(e_star)
+        t = f1 * e_star / self.cv
+        p = -f1p * e_star + self.cv * f2p
+        return s, t, p
+
+    def locus_dtdv(self, v):
+        terms = self.volume_terms(v)
+        k = -math.frexp(terms[0])[1]  # to unit f1: x_disc^2 has degree 4 in U
+        f1, f1p, f1pp, f1ppp, _, _, f2pp, f2ppp = (math.ldexp(x, k)
+                                                   for x in terms)
+        x_disc = f1 * f1pp - f1p * f1p
+        x_slope = f1 * f1ppp - f1p * f1pp
+        num = 2.0 * f1 * f1p * f2pp + f1 * f1 * f2ppp
+        return math.ldexp(
+            num / x_disc - f1 * f1 * f2pp * x_slope / (x_disc * x_disc), -k)
+
+    def det_split(self, st):
+        cv = st.cv
+        e = libm_for(st.s).exp(st.s / cv)
+        f1, f1p, f1pp, _, _, _, f2pp, _ = self.volume_terms(st.v)
+        x = f1 * f1pp - f1p * f1p
+        return e * e * x / (cv * cv), -e * f1 * f2pp / cv
+
 
 class IdealGas(ConstantCv):
     """Ideal gas: f1 = V^(-r_gas/cv0) with f2 = 0, and no covolume."""
@@ -462,6 +522,9 @@ class IdealGas(ConstantCv):
         f1 = ShiftedPower(coeff, 0.0, -params.r_gas / params.cv0)
         super().__init__(f1, None, cv=params.cv0, u0=params.u0)
 
+    def closed_curvature(self, st):
+        return 0.0
+
 
 class VanDerWaals(ConstantCv):
     """Van der Waals gas: f1 = (V-b)^(-r_gas/cv0), f2 = a/(cv0 V)."""
@@ -474,6 +537,19 @@ class VanDerWaals(ConstantCv):
         f1 = ShiftedPower(coeff, params.b, -params.r_gas / params.cv0)
         f2 = ShiftedPower(params.a / params.cv0, 0.0, -1.0)
         super().__init__(f1, f2, cv=params.cv0, u0=params.u0)
+
+    def closed_curvature(self, st):
+        q = self.params
+        a, b, r = q.a, q.b, q.r_gas
+        v3 = libm_for(st.v).pow(st.v, 3)
+        den = st.p * v3 - a * st.v + 2.0 * a * b
+        return a * r * v3 / (st.cv * den * den)
+
+    def critical_closed_form(self):
+        a, b, r = self.params.a, self.params.b, self.params.r_gas
+        if a <= 0.0 or b <= 0.0:
+            raise NoCriticalPoint("locus is empty or monotone")
+        return 3.0 * b, a / (27.0 * b * b), 8.0 * a / (27.0 * b * r)
 
 
 class Berthelot(ConstitutiveModel):
@@ -612,6 +688,45 @@ class Berthelot(ConstitutiveModel):
                                c111, c112, c122, c222, cv, cp, alpha, k,
                                d_s(cv_t), d_v(cv_v, cv_t),
                                da_s, da_v, dk_s, dk_v)
+
+    def closed_curvature(self, st):
+        q = self.params
+        a, b, r = q.a, q.b, q.r_gas
+        t, v = st.t, st.v
+        pow_ = libm_for(v).pow
+        cv = q.cv0 + 2.0 * a / (v * t * t)
+        w = v - b
+        p_poly = (2.0 * cv - r) * v * v - 3.0 * cv * b * v + cv * b * b
+        num = 2.0 * a * (pow_(t, 4) * pow_(v, 4) * r * cv * p_poly
+                         + t * t * a * cv * v * w * w * (r * v * v - cv * w * w)
+                         + a * a * 2.0 * cv * pow_(w, 4))
+        den = (pow_(cv, 3) * pow_(t, 3) * v
+               * pow_(r * t * t * pow_(v, 3) - 2.0 * a * w * w, 2))
+        return num / den
+
+    def locus_state(self, v):
+        """The positive-temperature branch of T = (1 - b/V) sqrt(2a/(rV))."""
+        q = self.params
+        self._check_volume(v)
+        t = ((v - q.b) / v) * math.sqrt(2.0 * q.a / (q.r_gas * v))
+        if t <= 0.0:
+            raise NoRoot(f"determinant never vanishes at V={v}")
+        p = q.r_gas * t / (v - q.b) - q.a / (t * v * v)
+        return self._entropy(t, v), t, p
+
+    def locus_dtdv(self, v):
+        q = self.params
+        self._check_volume(v)
+        k = math.sqrt(2.0 * q.a / q.r_gas)
+        return k * v ** -2.5 * (3.0 * q.b - v) / 2.0
+
+    def critical_closed_form(self):
+        a, b, r = self.params.a, self.params.b, self.params.r_gas
+        if a <= 0.0 or b <= 0.0:
+            raise NoCriticalPoint("locus is empty or monotone")
+        t_c = math.sqrt(8.0 * a / (27.0 * r * b))
+        p_c = math.sqrt(a * r / (216.0 * b ** 3))
+        return 3.0 * b, p_c, t_c
 
 
 class NumericEnergy(ConstitutiveModel):

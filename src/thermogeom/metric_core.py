@@ -22,7 +22,6 @@ from .eos_models import (
     StatePoint,
     anywhere,
     choose,
-    libm_for,
     relative_det,
     stack_at,
 )
@@ -221,13 +220,8 @@ def determinant_report(model: ConstitutiveModel,
     residual_dpdv = det + (st.t / st.cv) * dpdv_t
 
     det_ideal_part = det_correction = None
-    if isinstance(model, ConstantCv):
-        cv = st.cv
-        e = libm_for(st.s).exp(st.s / cv)
-        f1, f1p, f1pp, _, _, _, f2pp, _ = model.volume_terms(st.v)
-        x = f1 * f1pp - f1p * f1p
-        det_ideal_part = e * e * x / (cv * cv)
-        det_correction = -e * f1 * f2pp / cv
+    if model.det_split is not None:
+        det_ideal_part, det_correction = model.det_split(st)
     return DeterminantReport(det=det, residual_kvc=residual_kvc,
                              residual_dpdv=residual_dpdv,
                              det_ideal_part=det_ideal_part,

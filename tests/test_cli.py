@@ -207,6 +207,20 @@ class TestCritical:
         assert rc == 0
         assert "no critical point" in out
 
+    @pytest.mark.parametrize("model", ["vdw", "berthelot"])
+    @pytest.mark.parametrize("a, b, message", [
+        ("0", "0.2", "degeneracy locus is empty"),
+        ("1.5", "0", "locus temperature is monotone over the window"),
+    ])
+    def test_numeric_without_attraction_or_covolume(self, capsys, model, a,
+                                                    b, message):
+        # both gases end the closed-form locus's numeric branch alike
+        rc, out, _ = run(capsys, ["critical", "--model", model, "--a", a,
+                                  "--b", b, "--r-gas", "2.0", "--cv", "2.5",
+                                  "--method", "numeric"])
+        assert rc == 0
+        assert out == f"no critical point: {message}\n"
+
 
 class TestGeodesic:
     ARGV = ["geodesic", *VDW_FLAGS, "--start-s", "2.5", "--start-v", "1.4",

@@ -11,6 +11,7 @@ from thermogeom import (
     ConstantCv,
     DomainError,
     GasParameters,
+    IdealGas,
     NoCriticalPoint,
     NoRoot,
     NumericEnergy,
@@ -29,8 +30,10 @@ from thermogeom.critical_locus import (
     _critical_volume_numeric,
     _scan_locus_entropy,
     _scan_window,
+    closed_form_critical_point,
     locus_entropy,
 )
+from thermogeom.curvature import model_closed_form
 from thermogeom.eos_models import relative_det
 
 from conftest import PARAMS
@@ -359,6 +362,81 @@ class TestCriticalPoints:
                             v_window=(1.5 * b, 15.0 * b))
         assert cp.v_c == pytest.approx(3.0 * b, rel=3.2e-3)
         assert cp.t_c == pytest.approx(8.0 * a / (27.0 * b * r), rel=1e-5)
+
+
+class TestClosedFormHooks:
+    HOOKS = ("closed_curvature", "locus_state", "locus_dtdv",
+             "critical_closed_form", "det_split")
+    CONSTANT_CV = {"closed_curvature", "locus_state", "locus_dtdv",
+                   "det_split"}
+
+    @pytest.mark.parametrize("cls, owned", [
+        (ConstantCv, CONSTANT_CV),
+        (IdealGas, CONSTANT_CV),
+        (VanDerWaals, CONSTANT_CV | {"critical_closed_form"}),
+        (Berthelot, {"closed_curvature", "locus_state", "locus_dtdv",
+                     "critical_closed_form"}),
+        (NumericEnergy, set()),
+    ])
+    def test_each_gas_owns_its_closed_forms(self, cls, owned):
+        for hook in self.HOOKS:
+            assert (getattr(cls, hook) is not None) == (hook in owned), hook
+
+    def test_numeric_energy_takes_the_generic_routes(self, vdw_model):
+        model = NumericEnergy(vdw_energy, scheme=vdw_partials)
+        assert locus_entropy(model, 1.2) == _scan_locus_entropy(
+            model, 1.2, _scan_window(model))
+        assert locus_entropy(model, 1.2) == pytest.approx(
+            locus_entropy(vdw_model, 1.2), rel=1e-12)
+        auto = degeneracy_locus(model, (0.8, 3.0), n_samples=4)
+        assert auto == degeneracy_locus(model, (0.8, 3.0), n_samples=4,
+                                        method="scan")
+        assert auto.branch == "principal"
+        window = (1.5 * PARAMS.b, 15.0 * PARAMS.b)
+        cp = critical_point(model, v_window=window)
+        assert cp == critical_point(model, method="numeric", v_window=window)
+        assert cp.negative_branch is None
+        assert closed_form_critical_point(model) is None
+        assert model_closed_form(model, sv(2.5, 1.4)) is None
+
+    @pytest.mark.parametrize("call, allowed", [
+        (lambda m: degeneracy_locus(m, (0.3, 3.0), 4, method="closed"),
+         "'auto', 'scan'"),
+        (lambda m: degeneracy_locus(m, (0.3, 3.0), 4, method="numeric"),
+         "'auto', 'scan'"),
+        (lambda m: critical_point(m, method="exact"), "'auto', 'numeric'"),
+        (lambda m: critical_point(m, method="scan"), "'auto', 'numeric'"),
+    ])
+    def test_unknown_method_is_rejected(self, vdw_model, call, allowed):
+        with pytest.raises(ValueError, match=f"unknown method .*{allowed}"):
+            call(vdw_model)
+
+    @pytest.mark.parametrize("name", ["vdw", "berthelot", "ideal", "custom"])
+    @pytest.mark.parametrize("at", [
+        lambda b: math.nan, lambda b: math.inf, lambda b: -math.inf,
+        lambda b: 0.5 * b, lambda b: b,
+    ], ids=["nan", "inf", "-inf", "half-covolume", "covolume"])
+    def test_bad_volume_is_a_domain_error(self, name, at):
+        model = {"ideal": lambda: IdealGas(PARAMS), **MODELS}[name]()
+        v = at(model.covolume)
+        match = "exceed the covolume" if math.isfinite(v) else "finite"
+        for hook in (locus_entropy, lambda m, v: m.locus_dtdv(v)):
+            with pytest.raises(DomainError, match=match):
+                hook(model, v)
+
+    @pytest.mark.parametrize("name", ["vdw", "berthelot"])
+    @pytest.mark.parametrize("a, b, message", [
+        (0.0, 0.2, "degeneracy locus is empty"),
+        (1.5, 0.0, "locus temperature is monotone over the window"),
+    ])
+    def test_numeric_branch_without_attraction_or_covolume(self, name, a, b,
+                                                           message):
+        gas = {"vdw": VanDerWaals, "berthelot": Berthelot}[name]
+        model = gas(GasParameters(a=a, b=b, r_gas=2.0, cv0=2.5))
+        with pytest.raises(NoCriticalPoint, match=message):
+            critical_point(model, method="numeric")
+        with pytest.raises(NoCriticalPoint, match="locus is empty or monotone"):
+            closed_form_critical_point(model)
 
 
 class TestReducedCurves:

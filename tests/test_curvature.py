@@ -27,7 +27,6 @@ from thermogeom import (
 )
 from thermogeom.curvature import (
     HessianMetricField,
-    _constant_cv_curvature,
     berthelot_printed_closed_form,
     scalar_curvature_tensorial,
 )
@@ -158,12 +157,15 @@ class TestConstantCvClosedForm:
     @pytest.mark.parametrize("s,v,r_ref,det_ref", VDW_CURVATURE_TABLE)
     def test_structural_equals_log_compressibility(self, vdw_model, s, v,
                                                    r_ref, det_ref):
-        out = _constant_cv_curvature(vdw_model,
-                                     vdw_model.derivative_stack(sv(s, v)))
-        assert (out.r_structural - out.r_log_compressibility
-                < 1e-12 * max(1.0, abs(out.r_structural)))
-        assert out.r_structural == pytest.approx(r_ref, rel=1e-12)
-        assert out.r_log_compressibility == pytest.approx(r_ref, rel=1e-12)
+        st = vdw_model.derivative_stack(sv(s, v))
+        # the family's structural form, not van der Waals's own
+        r_structural = ConstantCv.closed_curvature(vdw_model, st)
+        x = st.dk_ds / st.k  # (d ln k / dS)_V
+        r_log_k = (st.cv / (2.0 * st.t)) * x * (x + 1.0 / st.cv)
+        assert (abs(r_structural - r_log_k)
+                < 1e-12 * max(1.0, abs(r_structural)))
+        assert r_structural == pytest.approx(r_ref, rel=1e-12)
+        assert r_log_k == pytest.approx(r_ref, rel=1e-12)
 
 
 class TestCurvatureSign:
