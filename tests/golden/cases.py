@@ -68,6 +68,11 @@ CASES = {
     "grid-vdw-vmin-clip-csv": ["curvature-grid", *VDW, "--smin", "1.5",
                                "--smax", "2.5", "--vmin", "0.1",
                                "--vmax", "1.3", "--n", "3"],
+    # f1 = 1 - V stops being positive past V = 1: those cells print "domain"
+    "grid-custom-sv-json": ["curvature-grid", "--model", "custom",
+                            "--cv", "2.5", "--f1", "1-V", "--f2", "0.6/V",
+                            "--smin", "1", "--smax", "2", "--vmin", "0.5",
+                            "--vmax", "1.3", "--n", "4", "--format", "json"],
     **_grid("surface", "surface"),
     "locus-vdw-csv": ["locus", *VDW, "--vmin", "0.3", "--vmax", "3.0",
                       "--n", "6"],
