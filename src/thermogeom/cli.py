@@ -268,37 +268,39 @@ _NUMPY_RAISES = dict(divide="raise", invalid="raise", over="ignore",
 
 def _each_state(model, chart, x1, x2, values):
     """``values(stack)`` at each state (x1, x2) of two broadcast arrays,
-    row-major: one ``array_stack`` pass or, if anything in it raises, the
-    scalar route, one ``derivative_stack`` per state, where an error ends
-    only its own state.  Each state comes back as (value, error, in_stack),
-    value None where the state's stack (in_stack) or ``values`` raised."""
-    states = np.broadcast(x1, x2)
+    row-major, in columns, with each state's (error, in_stack): one
+    ``array_stack`` pass (nested tuples of arrays or shared constants, and
+    no state ended) or, if anything in it raises, the scalar route, lists
+    from one ``derivative_stack`` per state, where an error, raised by the
+    stack (in_stack) or by ``values``, ends only its own state; an ended
+    state repeats the first unended state's values (None if none is)."""
     try:
         with np.errstate(**_NUMPY_RAISES):
-            value = values(model.array_stack(chart, x1, x2))
-        return [(v, None, False) for v in _per_state(value, states.size)]
+            return values(model.array_stack(chart, x1, x2)), []
     except _ERRORS:
         pass
-    out = []
+    out, ended = [], []
     # numpy calls on the scalar route stay as silent as its float arithmetic
     with np.errstate(all="ignore"):
-        for y1, y2 in zip(*(np.broadcast_to(a, states.shape).ravel()
-                            .tolist() for a in (x1, x2))):
+        for y1, y2 in zip(*(a.ravel().tolist()
+                            for a in np.broadcast_arrays(x1, x2))):
             stack = None
             try:
                 stack = model.derivative_stack(StatePoint(chart, y1, y2))
-                out.append((values(stack), None, False))
+                out.append(values(stack))
+                ended.append((None, False))
             except _ERRORS as exc:
-                out.append((None, exc, stack is None))
-    return out
+                out.append(None)
+                ended.append((exc, stack is None))
+    fill = next((v for v in out if v is not None), None)
+    return (None if fill is None else
+            _columns([fill if v is None else v for v in out])), ended
 
 
-def _per_state(value, n: int) -> list:
-    """The value at each of n states of ``value``, nested tuples of arrays
-    over the states or of constants shared by them."""
-    if isinstance(value, tuple):
-        return list(zip(*(_per_state(x, n) for x in value))) or [()] * n
-    return np.broadcast_to(value, n).tolist()
+def _columns(per_state: list):
+    """Nested tuples, one per state, as one nested tuple of lists."""
+    return (tuple(map(_columns, map(list, zip(*per_state))))
+            if isinstance(per_state[0], tuple) else per_state)
 
 
 def _marker(exc) -> str:
@@ -315,25 +317,31 @@ def _grid(args, eff: dict, model, columns, cell_values, printed,
     """Evaluate a grid command and print it.
 
     ``cell_values(stack)`` gives the values of a stack's cells, and
-    ``printed(values)`` a cell's printed fields with the value that colours
-    it; ``ended(exc)`` gives the fields of a cell that ``exc`` ended.  The
-    grid exits 0 when any cell printed values or a degeneracy marker; when
-    every cell ended otherwise, it raises the first cell's error.
+    ``printed(*values)``, given each value as a list over the cells, the
+    printed columns and the column whose sign colours a cell; ``ended(exc)``
+    gives the fields of a cell that ``exc`` ended.  The grid exits 0 when
+    any cell printed values or a degeneracy marker; when every cell ended
+    otherwise, it raises the first cell's error.
     """
     x1s, x2s = _grid_axes(eff, model)
     chart = (Chart.TEMPERATURE_VOLUME if eff["chart"] == "tv"
              else Chart.ENTROPY_VOLUME)
-    cells = _each_state(model, chart, np.array(x1s)[:, None], np.array(x2s),
-                        cell_values)
-    if all(exc is not None and _marker(exc) in ("domain", "numeric")
-           for _, exc, _ in cells):
-        raise cells[0][1]
-    rows, colors = [], []
-    for state, (values, exc, _) in zip(itertools.product(x1s, x2s), cells):
-        fields, color = (printed(values) if exc is None
-                         else (ended(exc), None))
-        rows.append([*state, *fields])
-        colors.append(_cell_color(color))
+    value, ends = _each_state(model, chart, np.array(x1s)[:, None],
+                              np.array(x2s), cell_values)
+    if value is None and all(_marker(exc) in ("domain", "numeric")
+                             for exc, _ in ends):
+        raise ends[0][0]
+    n = len(x1s) * len(x2s)
+    fields, color = (([], [math.nan] * n) if value is None else
+                     printed(*(np.broadcast_to(x, n).tolist() for x in value)))
+    rows = list(map(list, zip(np.repeat(x1s, len(x2s)).tolist(),
+                              x2s * len(x1s), *fields)))
+    colors = np.select([np.greater(color, 0.0), np.less(color, 0.0)],
+                       ["#b2182b", "#2166ac"], "#f7f7f7").tolist()
+    for i, (exc, _) in enumerate(ends):
+        if exc is not None:
+            rows[i][2:] = ended(exc)
+            colors[i] = "#999999"
     meta = _meta(eff)
     c1 = "t" if eff["chart"] == "tv" else "s"
     _emit_table(args, meta, [c1, "v", *columns], rows,
@@ -386,8 +394,10 @@ def _render_csv(meta: dict, columns: list[str], rows: list[list],
     for note in notes or []:
         lines.append(f"# note: {note}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(_row_template(tuple(map(type, row))) % tuple(row))
+    if rows:
+        template = "\n".join([_row_template(tuple(map(type, row)))
+                              for row in rows])
+        lines.append(template % tuple(itertools.chain.from_iterable(rows)))
     return "\n".join(lines) + "\n"
 
 
@@ -399,12 +409,24 @@ def _row_template(types: tuple) -> str:
                     "%.0s" if t is type(None) else "%s" for t in types)
 
 
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def _render_json(meta: dict, columns: list[str], rows: list[list],
                  notes: list[str] | None = None) -> str:
-    doc = {"meta": meta, "columns": columns, "rows": rows}
+    """``json.dumps(doc, indent=2, sort_keys=True)`` of the table, its rows
+    of scalars (the last key) encoded a scalar to a line at their indent by
+    the C encoder, which takes no indent."""
+    doc = {"meta": meta, "columns": columns, "rows": []}
     if notes:
         doc["notes"] = notes
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if rows:  # a newline inside a string is escaped, so "],\n" ends a row
+        body = (_ROWS_ENCODER.encode(rows)[2:-2]
+                .replace("],\n      [", "\n    ],\n    [\n      "))
+        text = (f"{text[:-4]}[\n    [\n      {body}\n    ]\n  ]\n}}"
+                .replace("[\n      \n    ]", "[]"))
+    return text + "\n"
 
 
 _WIDTH, _HEIGHT, _MARGIN = 640, 480, 60  # svg canvas and plot margin
@@ -458,25 +480,14 @@ def _render_svg_polyline(meta: dict, points: list[tuple[float, float]],
 
 def _render_svg_heatmap(meta: dict, x1: list[float], x2: list[float],
                         cells: list[str]) -> str:
-    n1, n2 = len(x1), len(x2)
-    cw = (_WIDTH - 2 * _MARGIN) / n2
-    ch = (_HEIGHT - 2 * _MARGIN) / n1
+    cw = (_WIDTH - 2 * _MARGIN) / len(x2)
+    ch = (_HEIGHT - 2 * _MARGIN) / len(x1)
+    xs = [f"{_MARGIN + j * cw:.2f}" for j in range(len(x2))]
+    ys = [f"{_HEIGHT - _MARGIN - (i + 1) * ch:.2f}" for i in range(len(x1))]
+    size = f'width="{cw:.2f}" height="{ch:.2f}"'
     return _svg(meta, [
-        f'<rect x="{_MARGIN + j * cw:.2f}" '
-        f'y="{_HEIGHT - _MARGIN - (i + 1) * ch:.2f}" width="{cw:.2f}" '
-        f'height="{ch:.2f}" fill="{cells[i * n2 + j]}"/>'
-        for i in range(n1) for j in range(n2)])
-
-
-def _cell_color(value) -> str:
-    """Red where value > 0, blue where < 0, grey for an ended cell."""
-    if value is None:
-        return "#999999"
-    if value > 0.0:
-        return "#b2182b"
-    if value < 0.0:
-        return "#2166ac"
-    return "#f7f7f7"
+        f'<rect x="{x}" y="{y}" {size} fill="{fill}"/>'
+        for (y, x), fill in zip(itertools.product(ys, xs), cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +507,7 @@ def cmd_curvature_grid(args, eff, model) -> int:
     return _grid(args, eff, model,
                  ["det", "r_tensorial", "r_closed2d", "r_elementary",
                   "r_model_closed", "signature"], cell_values,
-                 lambda v: ([*v[:5], v[5].value], v[2]), ended)
+                 lambda *v: ([*v[:5], [k.value for k in v[5]]], v[2]), ended)
 
 
 def cmd_locus(args, eff, model) -> int:
@@ -597,7 +608,9 @@ def cmd_surface(args, eff, model) -> int:
     return _grid(args, eff, model,
                  ["pairing", "radial_class", "cone_residual",
                   "model_surface_residual"], cell_values,
-                 lambda v: ([v[0], v[1].value, v[2], v[3]], -v[0]),
+                 lambda pairing, kinds, det, extra: (
+                     [pairing, [k.value for k in kinds], det, extra],
+                     np.negative(pairing)),
                  lambda exc: [None, _marker(exc), None, None])
 
 
@@ -657,30 +670,29 @@ def _verify_checks(model, eff, rng, n_states):
         by_name = _verify_residuals(model, st)
         return tuple(by_name[name] for name in _VERIFY_TOLERANCES)
 
-    terms = {name: [] for name in _VERIFY_TOLERANCES}
+    # each check's largest residual over each batch, NaN passed over
+    maxima = {name: [] for name in _VERIFY_TOLERANCES}
     found = attempts = 0
     while found < n_states and attempts < 100 * n_states:
         size = min(_VERIFY_BATCH, n_states - found, 100 * n_states - attempts)
         attempts += size
         # the same numbers as one (S, V) pair drawn at a time
         draws = rng.uniform([s_lo, v_lo] * size, [s_hi, v_hi] * size)
-        admissible = []
-        for values, exc, in_stack in _each_state(
-                model, Chart.ENTROPY_VOLUME, draws[::2], draws[1::2],
-                residuals):
-            if exc is None:
-                admissible.append(values)
-            elif not in_stack:
+        value, ended = _each_state(model, Chart.ENTROPY_VOLUME, draws[::2],
+                                   draws[1::2], residuals)
+        for exc, in_stack in ended:
+            if exc is not None and not in_stack:
                 raise exc
-        found += len(admissible)
-        for values, column in zip(terms.values(), zip(*admissible)):
-            values += itertools.chain.from_iterable(column)
+        found += size - sum(exc is not None for exc, _ in ended)
+        # an ended state repeats an admissible one's residuals
+        for check, column in zip(value or (), maxima.values()):
+            column += [np.fmax.reduce(np.broadcast_to(x, size)) for x in check]
     if not found:
         raise SingularState("no admissible states found for verification")
-    # the largest over the states, NaN passed over, as Python's max takes
-    # it from a start of 0.0
-    return [(name, max(0.0, float(np.fmax.reduce(terms[name]))), tol)
-            for name, tol in _VERIFY_TOLERANCES.items() if terms[name]]
+    # the largest over the states, as Python's max takes it from a start
+    # of 0.0
+    return [(name, max(0.0, float(np.fmax.reduce(maxima[name]))), tol)
+            for name, tol in _VERIFY_TOLERANCES.items() if maxima[name]]
 
 
 def cmd_verify(args, eff, model) -> int:

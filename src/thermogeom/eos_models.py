@@ -573,11 +573,8 @@ class Berthelot(ConstitutiveModel):
                 - q.a / (v * t * t))
 
     def _temperature_from_entropy(self, s, v):
-        if isinstance(s, np.ndarray):  # one Newton solve per state
-            shape = np.broadcast(s, v).shape
-            s, v = (x.ravel().tolist() for x in np.broadcast_arrays(s, v))
-            return np.array([self._temperature_from_entropy(a, b)
-                             for a, b in zip(s, v)]).reshape(shape)
+        if isinstance(s, np.ndarray):
+            return self._temperatures_from_entropy(s, v)
         q = self.params
         # _entropy(t, v) - s in its order, its T-free term computed once
         s0, cv0, a, log = q.s0, q.cv0, q.a, math.log
@@ -602,6 +599,33 @@ class Berthelot(ConstitutiveModel):
                 t2 = t - newton_step(t)
                 return t2 if t2 > 0.0 else t
         raise DomainError(f"entropy inversion failed at S={s}, V={v}")
+
+    def _temperatures_from_entropy(self, s, v):
+        """The iteration above, its libm through ``_ARRAY_LIBM``, at once on
+        two broadcast arrays: each T is the float one bit for bit."""
+        q, log, shape = self.params, _ARRAY_LIBM.log, np.broadcast(s, v).shape
+        s, v = (x.ravel() for x in np.broadcast_arrays(s, v))
+        r_log_w = q.r_gas * log(v - q.b)
+
+        def newton_step(i, t):  # at the states i
+            vtt = v[i] * t * t
+            f = q.s0 + q.cv0 * log(t) + r_log_w[i] - q.a / vtt - s[i]
+            return f * t / (q.cv0 + 2.0 * q.a / vtt)
+        t = _ARRAY_LIBM.exp((s - q.s0 - r_log_w) / q.cv0)
+        out, i = np.empty_like(t), np.arange(t.size)  # i: states iterating
+        for _ in range(200):
+            step = newton_step(i, t)
+            t_new = np.where(t - step <= 0.0, t * 0.5, t - step)
+            done, t = t_new == t, t_new  # equal and positive: the same bits
+            clean = ~done & (abs(step) <= 4.0 * _EPS * t)  # then clean up
+            t2 = t[clean] - newton_step(i[clean], t[clean])
+            out[i[done]] = t[done]
+            out[i[clean]] = np.where(t2 > 0.0, t2, t[clean])
+            i, t = i[~(done | clean)], t[~(done | clean)]
+            if not i.size:
+                return out.reshape(shape)
+        raise DomainError(f"entropy inversion failed at S={float(s[i[0]])}, "
+                          f"V={float(v[i[0]])}")
 
     def _fields(self, chart, x1, v):
         q = self.params

@@ -206,6 +206,9 @@ def _pow(a, b):
 # is no literal, and no text of the user reaches the source.
 
 _OPERATORS = {_Add: "+", _Sub: "-", _Mul: "*"}
+# expressions of one shape, whatever their constants, share one code object
+_code = functools.lru_cache(maxsize=256)(
+    functools.partial(compile, filename="<string>", mode="exec"))
 
 
 def _compile(roots):
@@ -233,6 +236,9 @@ def _compile(roots):
             if not node.c.is_integer():  # ** would return a complex number
                 lines.append(f"if {a} < 0.0: raise ValueError(f'non-integer "
                              f"power {{{name}c}} of negative value {{{a}}}')")
+            if node.c < 0.0:  # a pole: outside the domain, as ln(0) is
+                lines.append(f"if {a} == 0.0: raise ValueError("
+                             f"f'negative power {{{name}c}} of zero')")
             value = f"{a} ** {name}c"
         elif isinstance(node, _Ln):
             a = emit(node.a)
@@ -248,7 +254,8 @@ def _compile(roots):
 
     results = ", ".join(emit(root) for root in roots)
     body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def compiled(v):\n{body}    return ({results},)\n", namespace)
+    exec(_code(f"def compiled(v):\n{body}    return ({results},)\n"),
+         namespace)
     return namespace["compiled"]
 
 

@@ -383,14 +383,17 @@ def test_singular_states_leave_the_array_pass(stack_calls, array_calls,
     # check: the array pass raises and the scalar route tells the states
     # apart, the first one's stack raised
     s = [locus_entropy(vdw_model, 1.2), 2.5]
-    got = cli._each_state(vdw_model, cli.Chart.ENTROPY_VOLUME,
-                          np.array(s), np.array([1.2, 1.4]),
-                          lambda st: st.e11)
-    assert [type(error).__name__ for _, error, _ in got] \
+    value, ended = cli._each_state(vdw_model, cli.Chart.ENTROPY_VOLUME,
+                                   np.array(s), np.array([1.2, 1.4]),
+                                   lambda st: st.e11)
+    assert [type(error).__name__ for error, _ in ended] \
         == ["SingularState", "NoneType"]
-    assert [in_stack for _, _, in_stack in got] == [True, False]
+    assert [in_stack for _, in_stack in ended] == [True, False]
     assert array_calls == [(2,)]
     assert len(stack_calls) == 2
+    # the ended state repeats the second state's value
+    second = cli.StatePoint.entropy_volume(2.5, 1.4)
+    assert value == [vdw_model.derivative_stack(second).e11] * 2
 
 
 class TestOneStackPerVerifyState:
@@ -519,6 +522,86 @@ class TestCsvRows:
         min_size=1, max_size=8), min_size=1, max_size=4))
     def test_random_rows(self, rows):
         assert self._rendered(rows) == self._per_cell(rows)
+
+
+class TestJsonRows:
+    """A JSON table's rows go through the C encoder and are spliced into
+    the document, which stays byte for byte
+    ``json.dumps(doc, indent=2, sort_keys=True)``."""
+
+    CELLS = st.one_of(
+        st.floats(), st.none(), st.booleans(), st.integers(), st.text(),
+        st.sampled_from([-0.0, math.nan, math.inf, -math.inf, '"', "\n",
+                         "],\n      [", "[]", "{}", "\\", "é → ☃", ""]))
+    META = {"version": "0", "command": "curvature-grid", "f1": "1-V"}
+
+    @staticmethod
+    def _dumped(meta, columns, rows, notes):
+        doc = {"meta": meta, "columns": columns, "rows": rows}
+        if notes:
+            doc["notes"] = notes
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("notes", [None, [], ["termination: completed"]])
+    @pytest.mark.parametrize("rows", [
+        [], [[]], [[1.0], []], [[], [None, -0.0]],
+        [[0.0, -0.0, math.nan, math.inf, -math.inf, None, 7, True,
+          "degenerate", 'a "quoted"\nline', "[1, 2]", "Ünïcödé"]],
+    ])
+    def test_tables(self, rows, notes):
+        assert cli._render_json(self.META, ["s", "v"], rows, notes) \
+            == self._dumped(self.META, ["s", "v"], rows, notes)
+
+    @settings(max_examples=300)
+    @given(rows=st.lists(st.lists(CELLS, max_size=6), max_size=5),
+           notes=st.one_of(st.none(), st.lists(st.text(), max_size=3)))
+    def test_random_tables(self, rows, notes):
+        columns = [f"c{i}" for i in range(max(map(len, rows), default=0))]
+        assert cli._render_json(self.META, columns, rows, notes) \
+            == self._dumped(self.META, columns, rows, notes)
+
+
+def _per_cell_heatmap(meta, x1, x2, cells):
+    """The heatmap as it was drawn before, one formatted rectangle a cell."""
+    n1, n2 = len(x1), len(x2)
+    cw = (cli._WIDTH - 2 * cli._MARGIN) / n2
+    ch = (cli._HEIGHT - 2 * cli._MARGIN) / n1
+    return cli._svg(meta, [
+        f'<rect x="{cli._MARGIN + j * cw:.2f}" '
+        f'y="{cli._HEIGHT - cli._MARGIN - (i + 1) * ch:.2f}" '
+        f'width="{cw:.2f}" height="{ch:.2f}" fill="{cells[i * n2 + j]}"/>'
+        for i in range(n1) for j in range(n2)])
+
+
+@settings(max_examples=100)
+@given(n1=st.integers(1, 80), n2=st.integers(1, 80))
+def test_heatmap_equals_the_per_cell_drawing(n1, n2):
+    meta = {"version": "0", "command": "surface"}
+    cells = [f"#{k:06x}" for k in range(n1 * n2)]
+    assert cli._render_svg_heatmap(meta, [0.0] * n1, [0.0] * n2, cells) \
+        == _per_cell_heatmap(meta, [0.0] * n1, [0.0] * n2, cells)
+
+
+def test_heatmap_colours_follow_the_cells(capsys):
+    # f1 = 1 - V ends every cell past V = 1 ("domain", grey); r_closed2d
+    # colours the others, red where positive and blue where negative
+    argv = ["curvature-grid", "--model", "custom", "--cv", "2.5",
+            "--f1", "1-V", "--f2", "0.6/V", "--vmin", "0.5",
+            "--vmax", "1.3", "--smin", "1", "--smax", "2", "--n", "4"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    rows = parse_csv(out)[2]
+    want = ["#999999" if row["signature"] == "domain"
+            else "#b2182b" if float(row["r_closed2d"]) > 0.0
+            else "#2166ac" if float(row["r_closed2d"]) < 0.0
+            else "#f7f7f7" for row in rows]
+    assert "#999999" in want and len(set(want)) > 1
+    rc, out, _ = run(capsys, [*argv, "--format", "svg"])
+    assert rc == 0
+    fills = [el.get("fill") for el in ET.fromstring(out)
+             if el.tag.endswith("rect") and el.get("fill") != "white"
+             and el.get("fill") != "none"]
+    assert fills == want
 
 
 class TestJsonFormat:

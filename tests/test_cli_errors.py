@@ -118,16 +118,27 @@ def test_overflow_is_numeric_failure(capsys):
     assert one_line(err).startswith("numeric failure: ")
 
 
-def test_zero_to_negative_power_is_a_numeric_cell(capsys):
-    # f1 has its pole at V = 0.2, the first column
+def test_zero_to_negative_power_is_a_domain_cell(capsys):
+    # f1 has its pole at V = 0.2, the first column: outside the domain
     rc, out, err = run(capsys, ["curvature-grid", *CUSTOM, "--vmin", "0.2",
                                 "--n", "3"])
     assert (rc, err) == (0, "")
     rows = grid_rows(out)
     assert [row[1:] for row in rows if row[0] == "0.20000000000000001"] \
-        == [["", *["numeric"] * 5]] * 3
-    assert all("numeric" not in row for row in rows
+        == [["", *["domain"] * 5]] * 3
+    assert all("domain" not in row for row in rows
                if row[0] != "0.20000000000000001")
+
+
+@pytest.mark.parametrize("method", ["auto", "scan"])
+def test_locus_from_the_pole_is_a_bad_request(capsys, method):
+    # the custom gas has no covolume, so its window may start at the pole
+    # of f1; the vdW gas rejects the same window as a bad request too
+    rc, out, err = run(capsys, ["locus", *CUSTOM, "--vmin", "0.2",
+                                "--vmax", "3", "--n", "4",
+                                "--method", method])
+    assert (rc, out) == (1, "")
+    assert one_line(err) == "error: negative power -0.8 of zero"
 
 
 def test_deep_nesting_is_expression_error(capsys):

@@ -1,5 +1,6 @@
 """Constitutive models: state functions, derivative stacks, chart changes."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from thermogeom import (
     UnsupportedModel,
     VanDerWaals,
 )
+from thermogeom import eos_models
 from thermogeom.critical_locus import locus_entropy
 from thermogeom.eos_models import (
     DerivativeStack,
@@ -142,6 +144,115 @@ class TestBerthelot:
     def test_positive_temperature_required(self, berthelot_model):
         with pytest.raises(DomainError):
             berthelot_model.derivative_stack(tv(-1.0, 1.0))
+
+
+def _inversion_path(q, s, v):
+    """Which branches the float inversion of S(T, V) = s takes: whether it
+    halves a step, and whether it stops at t_new == t ("equal"), after its
+    clean-up pass ("clean") or not at all ("fail").  Its loop, copied."""
+    r_log_w = q.r_gas * math.log(v - q.b)
+
+    def newton_step(t):
+        vtt = v * t * t
+        f = q.s0 + q.cv0 * math.log(t) + r_log_w - q.a / vtt - s
+        return f * t / (q.cv0 + 2.0 * q.a / vtt)
+    t, halved = math.exp((s - q.s0 - r_log_w) / q.cv0), False
+    for _ in range(200):
+        step = newton_step(t)
+        t_new = t - step
+        if t_new <= 0.0:
+            t_new, halved = t * 0.5, True
+        if t_new == t:
+            return halved, "equal"
+        t = t_new
+        if abs(step) <= 4.0 * math.ulp(1.0) * t:
+            return halved, "clean"
+    return halved, "fail"
+
+
+class TestBerthelotArrayInversion:
+    """Over arrays, the entropy inversion runs on every state at once and
+    gives each state the float inversion's temperature, bit for bit."""
+
+    @staticmethod
+    def _float_temperatures(model, s, v):
+        return np.array([model._temperature_from_entropy(a, b)
+                         for a, b in zip(s.ravel().tolist(),
+                                         v.ravel().tolist())]).reshape(s.shape)
+
+    def test_random_states(self, berthelot_model):
+        rng = np.random.default_rng(20)
+        s, v = rng.uniform(-40.0, 8.0, 3000), rng.uniform(0.21, 10.0, 3000)
+        paths = Counter(_inversion_path(PARAMS, a, b)
+                        for a, b in zip(s.tolist(), v.tolist()))
+        # both stops occur, and every state is invertible
+        assert set(paths) == {(False, "equal"), (False, "clean")}
+        got = berthelot_model._temperature_from_entropy(s, v)
+        want = self._float_temperatures(berthelot_model, s, v)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_broadcast_axes(self, berthelot_model):
+        rng = np.random.default_rng(21)
+        s = rng.uniform(-6.0, 3.0, 7)[:, None]
+        v = rng.uniform(0.25, 3.0, 5)
+        got = berthelot_model._temperature_from_entropy(s, v)
+        want = self._float_temperatures(berthelot_model,
+                                        *np.broadcast_arrays(s, v))
+        assert got.shape == (7, 5)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_halving_takes_the_float_path(self, monkeypatch):
+        # a negative attraction, outside the admissible parameters, makes
+        # S(T) fall at low T: there Newton steps to T <= 0 and halves, and
+        # no root exists.  The array iteration evaluates the same
+        # temperatures as the float one and fails as it does.
+        q = GasParameters(a=1.5, b=0.2, r_gas=2.0, cv0=2.5)
+        object.__setattr__(q, "a", -1.5)
+        model = Berthelot(q)
+        rng = np.random.default_rng(22)
+        s, v = rng.uniform(-20.0, 20.0, 400), rng.uniform(0.21, 10.0, 400)
+        states = [(a, b) for a, b in zip(s.tolist(), v.tolist())
+                  if _inversion_path(q, a, b)[0]][:10]
+        assert states
+
+        logs = []
+
+        class Recorded:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                logs.append(x)
+                return math.log(x)
+        array_log = eos_models._ARRAY_LIBM.log
+
+        def recorded(x):
+            logs.extend(x.tolist())
+            return array_log(x)
+        monkeypatch.setattr(eos_models, "math", Recorded())
+        monkeypatch.setattr(eos_models, "_ARRAY_LIBM",
+                            eos_models._ARRAY_LIBM._replace(log=recorded))
+        for a, b in states:
+            runs = []
+            for s, v in ((a, b), (np.array([a]), np.array([b]))):
+                logs.clear()
+                with pytest.raises(DomainError) as err:
+                    model._temperature_from_entropy(s, v)
+                runs.append((list(logs), str(err.value)))
+            assert runs[0] == runs[1]
+            assert runs[0][1] == f"entropy inversion failed at S={a}, V={b}"
+
+    def test_a_state_without_a_root_fails_the_array(self, berthelot_model):
+        # at high entropy the iteration cycles in its last bits and never
+        # stops, for the float and for the array inversion alike
+        s, v = 23.074296274272342, 6.840118956852457
+        assert _inversion_path(PARAMS, s, v) == (False, "fail")
+        message = f"entropy inversion failed at S={s}, V={v}"
+        with pytest.raises(DomainError, match=message):
+            berthelot_model._temperature_from_entropy(s, v)
+        with pytest.raises(DomainError, match=message):
+            berthelot_model._temperature_from_entropy(
+                np.array([-2.0, s, 1.0]), np.array([1.0, v, 2.0]))
 
 
 @pytest.mark.parametrize("model_name", ["ideal", "vdw", "berthelot"])

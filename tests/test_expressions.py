@@ -174,6 +174,8 @@ def walk(node, v):
         x = walk(node.a, v)
         if x < 0.0 and not node.c.is_integer():
             raise ValueError(f"non-integer power {node.c} of negative value {x}")
+        if x == 0.0 and node.c < 0.0:
+            raise ValueError(f"negative power {node.c} of zero")
         return x ** node.c
     if isinstance(node, ex._Exp):
         return math.exp(walk(node.a, v))
@@ -253,7 +255,8 @@ def test_folded_constant_values():
 
 @pytest.mark.parametrize("text,error,message", [
     ("(-(1))^(0.5)", ValueError, "non-integer power 0.5 of negative value -1.0"),
-    ("(0)^(-1)", ZeroDivisionError, "0.0 cannot be raised to a negative power"),
+    ("(0)^(-1)", ValueError, "negative power -1.0 of zero"),
+    ("(0)^(-0.5)", ValueError, "negative power -0.5 of zero"),
 ])
 def test_constant_power_folds_with_the_walks_checks(text, error, message):
     with pytest.raises(error, match=message):
@@ -275,7 +278,7 @@ def test_shared_subtrees(text, v):
     # a zero denominator is found before its numerator is evaluated
     ("ln(V-2)/(V-1)", 1.0, ZeroDivisionError),
     ("V^0.5", -1.0, ValueError),  # or ** would return a complex number
-    ("V^0.5", 0.0, ZeroDivisionError),  # the derivative's 0.0 ** -0.5
+    ("V^0.5", 0.0, ValueError),  # the derivative's 0.0 ** -0.5: a pole
     ("ln(V)", 0.0, ValueError),
     ("exp(V)", 1e3, OverflowError),
     ("V^2", 1e300, OverflowError),
@@ -285,6 +288,27 @@ def test_checks_in_the_walks_order(text, v, error):
     with pytest.raises(error):
         expr.eval_derivs(v)
     assert_compiled_matches_walk(expr, v)
+
+
+def test_expressions_of_one_shape_share_their_code():
+    # the constants are globals of each function, not source text, so the
+    # compiled code is shared, and each expression keeps its own values
+    # and messages
+    a = Expression("(V-0.2)^-0.8 + 0.6/V")
+    b = Expression("(V-0.25)^-0.75 + 0.7/V")
+    assert a._derivs.__code__ is b._derivs.__code__
+    assert a._derivs.__globals__ is not b._derivs.__globals__
+    for expr in (a, b):
+        assert_compiled_matches_walk(expr, 1.3)
+    assert a.eval_derivs(1.3) != b.eval_derivs(1.3)
+    for expr, v, message in (
+            (a, 0.1, "non-integer power -0.8 of negative value -0.1"),
+            (b, 0.1, "non-integer power -0.75 of negative value -0.15"),
+            (a, 0.2, "negative power -0.8 of zero"),
+            (b, 0.25, "negative power -0.75 of zero")):
+        with pytest.raises(ValueError, match=message):
+            expr.eval_derivs(v)
+        assert_compiled_matches_walk(expr, v)
 
 
 def test_a_shared_node_is_evaluated_once():

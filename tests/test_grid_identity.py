@@ -244,7 +244,7 @@ def test_ended_cells_equal_the_scalar_route(argv):
      "domain"),
     # at the pole in the first column: 0 to a negative power
     ([*CUSTOM, "--f1", "(V-0.2)^-0.8", "--f2", "0.6/V", "--vmin", "0.2"],
-     "numeric"),
+     "domain"),
     # f1 <= 0 from the middle of each row on
     ([*CUSTOM, "--f1", "1-V", "--vmin", "0.5", "--vmax", "1.3"], "domain"),
     ([*CUSTOM, "--f1", "1-V", "--f2", "0.6/V", "--vmin", "0.5",
@@ -253,7 +253,7 @@ def test_ended_cells_equal_the_scalar_route(argv):
     # outside the domain: the degeneracy markers print
     ([*CUSTOM, "--f1", "exp(V)*(V-0.5)^0.5/(V-0.5)^0.5", "--vmin", "0.1",
       "--vmax", "0.9", "--n", "4"], "domain"),
-], ids=["negative-base", "zero-division", "f1-nonpositive", "reproducer",
+], ids=["negative-base", "pole", "f1-nonpositive", "reproducer",
         "degenerate-or-domain"])
 def test_bad_cells_are_marked_as_the_scalar_route(argv, marker):
     for command, (rc, out, err) in zip(REFERENCE,
