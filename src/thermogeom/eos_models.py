@@ -9,8 +9,10 @@ curvature code never recomputes or re-differentiates anything.
 Models in the entropy-volume family (ideal, van der Waals, generic
 constant-cv) share one closed-form engine.  The Berthelot gas lives natively
 in the temperature-volume chart and builds the same stack through the chain
-rule.  ``NumericEnergy`` wraps an arbitrary U(S, V) callback with central
-finite differences or a user-supplied analytic derivative callback.
+rule; an entropy-volume state first inverts S(T, V) = s by Newton in log T
+on floats, mapped over the states of an array.  ``NumericEnergy`` wraps an
+arbitrary U(S, V) callback with central finite differences or a
+user-supplied analytic derivative callback.
 
 One ``derivative_stack`` is ``_complete`` of ``_fields``: S, V, U, T, p, the
 Hessian and third partials, then the determinant check and the response
@@ -61,6 +63,7 @@ benchmark's sweep jobs needs it.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 import sys
@@ -255,7 +258,8 @@ class Libm(NamedTuple):
 
 def _per_element(fn):
     def apply(x, *args):
-        return np.array([fn(a, *args) for a in x.ravel().tolist()]
+        return np.array(list(map(fn, x.ravel().tolist(),
+                                 *map(itertools.repeat, args)))
                         ).reshape(x.shape)
     return apply
 
@@ -556,8 +560,10 @@ class Berthelot(ConstitutiveModel):
     """Berthelot gas, native to the temperature-volume chart.
 
     p = r T/(V-b) - a/(T V^2) and cv = cv0 + 2a/(V T^2).  Entropy-volume
-    queries invert S(T, V) by a guarded Newton iteration; the entropy is
-    strictly increasing in T, so the root is unique.
+    queries invert S(T, V) by Newton in u = log T, where S is increasing and
+    concave for a >= 0: from a start below the root the iterates rise to it
+    without overshoot, and the root is unique.  An array of states maps the
+    float iteration over its elements, so each T is the float one.
     """
 
     name = "berthelot"
@@ -574,58 +580,24 @@ class Berthelot(ConstitutiveModel):
 
     def _temperature_from_entropy(self, s, v):
         if isinstance(s, np.ndarray):
-            return self._temperatures_from_entropy(s, v)
+            s, v = np.broadcast_arrays(s, v)
+            return np.array(list(map(self._temperature_from_entropy,
+                                     s.ravel().tolist(), v.ravel().tolist()))
+                            ).reshape(s.shape)
         q = self.params
-        # _entropy(t, v) - s in its order, its T-free term computed once
-        s0, cv0, a, log = q.s0, q.cv0, q.a, math.log
-        r_log_w = q.r_gas * log(v - q.b)
-
-        def newton_step(t):  # f / f' on S(T) - s, with f' = cv / t
-            vtt = v * t * t
-            f = s0 + cv0 * log(t) + r_log_w - a / vtt - s
-            return f * t / (cv0 + 2.0 * a / vtt)
-        # initial guess from the a = 0 part, then Newton on S(T) - s
-        t = math.exp((s - s0 - r_log_w) / cv0)
+        # Newton on f(u) = S - s in u = log T: f = c + cv0 u - A e^(-2u) rises
+        # and is concave, so from f <= 0 it climbs to the root
+        c, a_v = q.s0 + q.r_gas * math.log(v - q.b) - s, q.a / v
+        u = -c / q.cv0  # the a = 0 root
+        if 0.0 < a_v < c:  # where the attraction balances c, f <= 0 too
+            u = max(u, -0.5 * math.log(c / a_v))
         for _ in range(200):
-            step = newton_step(t)
-            t_new = t - step
-            if t_new <= 0.0:
-                t_new = t * 0.5
-            if t_new == t:
-                return t
-            t = t_new
-            if abs(step) <= 4.0 * _EPS * t:
-                # one clean-up pass, then stop
-                t2 = t - newton_step(t)
-                return t2 if t2 > 0.0 else t
+            g = a_v * math.exp(-2.0 * u)
+            du = (c + q.cv0 * u - g) / (q.cv0 + 2.0 * g)
+            u -= du
+            if abs(du) <= 4.0 * _EPS * max(1.0, abs(u)):
+                return math.exp(u)
         raise DomainError(f"entropy inversion failed at S={s}, V={v}")
-
-    def _temperatures_from_entropy(self, s, v):
-        """The iteration above, its libm through ``_ARRAY_LIBM``, at once on
-        two broadcast arrays: each T is the float one bit for bit."""
-        q, log, shape = self.params, _ARRAY_LIBM.log, np.broadcast(s, v).shape
-        s, v = (x.ravel() for x in np.broadcast_arrays(s, v))
-        r_log_w = q.r_gas * log(v - q.b)
-
-        def newton_step(i, t):  # at the states i
-            vtt = v[i] * t * t
-            f = q.s0 + q.cv0 * log(t) + r_log_w[i] - q.a / vtt - s[i]
-            return f * t / (q.cv0 + 2.0 * q.a / vtt)
-        t = _ARRAY_LIBM.exp((s - q.s0 - r_log_w) / q.cv0)
-        out, i = np.empty_like(t), np.arange(t.size)  # i: states iterating
-        for _ in range(200):
-            step = newton_step(i, t)
-            t_new = np.where(t - step <= 0.0, t * 0.5, t - step)
-            done, t = t_new == t, t_new  # equal and positive: the same bits
-            clean = ~done & (abs(step) <= 4.0 * _EPS * t)  # then clean up
-            t2 = t[clean] - newton_step(i[clean], t[clean])
-            out[i[done]] = t[done]
-            out[i[clean]] = np.where(t2 > 0.0, t2, t[clean])
-            i, t = i[~(done | clean)], t[~(done | clean)]
-            if not i.size:
-                return out.reshape(shape)
-        raise DomainError(f"entropy inversion failed at S={float(s[i[0]])}, "
-                          f"V={float(v[i[0]])}")
 
     def _fields(self, chart, x1, v):
         q = self.params

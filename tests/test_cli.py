@@ -155,6 +155,22 @@ class TestCurvatureGrid:
             assert closed == pytest.approx(float(row["r_tensorial"]),
                                            rel=1e-8)
 
+    @pytest.mark.parametrize("window", [
+        ["--smin", "20", "--smax", "25", "--vmin", "5", "--vmax", "7",
+         "--n", "4"],
+        ["--smin", "-300", "--smax", "-250", "--vmin", "0.3", "--vmax", "10"],
+    ])
+    def test_berthelot_inverts_at_high_and_low_entropy(self, capsys, window):
+        # every cell inverts S(T, V) = s: at high entropy (T ~ 1e3-1e5) and
+        # at low entropy, where the attraction a/(V T^2) carries S
+        rc, out, _ = run(capsys, [
+            "curvature-grid", "--model", "berthelot", "--a", "1.5",
+            "--b", "0.2", "--r-gas", "2", "--cv", "2.5", *window])
+        assert rc == 0
+        _, _, rows = parse_csv(out)
+        assert rows
+        assert all(row["signature"] != "domain" for row in rows)
+
 
 class TestLocus:
     def test_vdw_rows_sit_on_locus(self, capsys, vdw_model):

@@ -1,6 +1,5 @@
 """Constitutive models: state functions, derivative stacks, chart changes."""
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from thermogeom import (
     UnsupportedModel,
     VanDerWaals,
 )
-from thermogeom import eos_models
 from thermogeom.critical_locus import locus_entropy
 from thermogeom.eos_models import (
     DerivativeStack,
@@ -146,33 +144,10 @@ class TestBerthelot:
             berthelot_model.derivative_stack(tv(-1.0, 1.0))
 
 
-def _inversion_path(q, s, v):
-    """Which branches the float inversion of S(T, V) = s takes: whether it
-    halves a step, and whether it stops at t_new == t ("equal"), after its
-    clean-up pass ("clean") or not at all ("fail").  Its loop, copied."""
-    r_log_w = q.r_gas * math.log(v - q.b)
-
-    def newton_step(t):
-        vtt = v * t * t
-        f = q.s0 + q.cv0 * math.log(t) + r_log_w - q.a / vtt - s
-        return f * t / (q.cv0 + 2.0 * q.a / vtt)
-    t, halved = math.exp((s - q.s0 - r_log_w) / q.cv0), False
-    for _ in range(200):
-        step = newton_step(t)
-        t_new = t - step
-        if t_new <= 0.0:
-            t_new, halved = t * 0.5, True
-        if t_new == t:
-            return halved, "equal"
-        t = t_new
-        if abs(step) <= 4.0 * math.ulp(1.0) * t:
-            return halved, "clean"
-    return halved, "fail"
-
-
-class TestBerthelotArrayInversion:
-    """Over arrays, the entropy inversion runs on every state at once and
-    gives each state the float inversion's temperature, bit for bit."""
+class TestBerthelotInversion:
+    """S(T, V) = s inverts to T at every admissible state, as near the root
+    as a float can sit; over arrays each state gets the float T bit for
+    bit."""
 
     @staticmethod
     def _float_temperatures(model, s, v):
@@ -183,10 +158,6 @@ class TestBerthelotArrayInversion:
     def test_random_states(self, berthelot_model):
         rng = np.random.default_rng(20)
         s, v = rng.uniform(-40.0, 8.0, 3000), rng.uniform(0.21, 10.0, 3000)
-        paths = Counter(_inversion_path(PARAMS, a, b)
-                        for a, b in zip(s.tolist(), v.tolist()))
-        # both stops occur, and every state is invertible
-        assert set(paths) == {(False, "equal"), (False, "clean")}
         got = berthelot_model._temperature_from_entropy(s, v)
         want = self._float_temperatures(berthelot_model, s, v)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -201,58 +172,69 @@ class TestBerthelotArrayInversion:
         assert got.shape == (7, 5)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
-    def test_halving_takes_the_float_path(self, monkeypatch):
-        # a negative attraction, outside the admissible parameters, makes
-        # S(T) fall at low T: there Newton steps to T <= 0 and halves, and
-        # no root exists.  The array iteration evaluates the same
-        # temperatures as the float one and fails as it does.
-        q = GasParameters(a=1.5, b=0.2, r_gas=2.0, cv0=2.5)
-        object.__setattr__(q, "a", -1.5)
-        model = Berthelot(q)
-        rng = np.random.default_rng(22)
-        s, v = rng.uniform(-20.0, 20.0, 400), rng.uniform(0.21, 10.0, 400)
-        states = [(a, b) for a, b in zip(s.tolist(), v.tolist())
-                  if _inversion_path(q, a, b)[0]][:10]
-        assert states
+    # roots of S(T, V) = s to 20 digits, from mpmath at 50 digits with the
+    # float arguments taken as exact
+    @pytest.mark.parametrize("s, v, root", [
+        (-3.333333333333333, 0.7, 1.0298287350348808373),  # near the locus
+        (-250.0, 1.0, 0.078536201906363139677),  # attraction-dominated
+        (40.0, 0.21, 353762431.65450593035),  # high entropy, tiny V - b
+    ])
+    def test_against_a_50_digit_root(self, berthelot_model, s, v, root):
+        t = berthelot_model._temperature_from_entropy(s, v)
+        assert t == pytest.approx(root, rel=4e-15, abs=0.0)
 
-        logs = []
-
-        class Recorded:
-            def __getattr__(self, name):
-                return getattr(math, name)
-
-            def log(self, x):
-                logs.append(x)
-                return math.log(x)
-        array_log = eos_models._ARRAY_LIBM.log
-
-        def recorded(x):
-            logs.extend(x.tolist())
-            return array_log(x)
-        monkeypatch.setattr(eos_models, "math", Recorded())
-        monkeypatch.setattr(eos_models, "_ARRAY_LIBM",
-                            eos_models._ARRAY_LIBM._replace(log=recorded))
-        for a, b in states:
-            runs = []
-            for s, v in ((a, b), (np.array([a]), np.array([b]))):
-                logs.clear()
-                with pytest.raises(DomainError) as err:
-                    model._temperature_from_entropy(s, v)
-                runs.append((list(logs), str(err.value)))
-            assert runs[0] == runs[1]
-            assert runs[0][1] == f"entropy inversion failed at S={a}, V={b}"
-
-    def test_a_state_without_a_root_fails_the_array(self, berthelot_model):
-        # at high entropy the iteration cycles in its last bits and never
-        # stops, for the float and for the array inversion alike
+    def test_high_entropy_state(self, berthelot_model):
+        # T ~ 2000: a Newton step in T rounds to more than 4 eps T here, so
+        # only a step in log T stops
         s, v = 23.074296274272342, 6.840118956852457
-        assert _inversion_path(PARAMS, s, v) == (False, "fail")
-        message = f"entropy inversion failed at S={s}, V={v}"
-        with pytest.raises(DomainError, match=message):
-            berthelot_model._temperature_from_entropy(s, v)
-        with pytest.raises(DomainError, match=message):
-            berthelot_model._temperature_from_entropy(
-                np.array([-2.0, s, 1.0]), np.array([1.0, v, 2.0]))
+        root = 2242.2040777222534199
+        assert berthelot_model._temperature_from_entropy(s, v) == \
+            pytest.approx(root, rel=4e-15, abs=0.0)
+        got = berthelot_model._temperature_from_entropy(
+            np.array([-2.0, s, 1.0]), np.array([1.0, v, 2.0]))
+        assert got[1] == pytest.approx(root, rel=4e-15, abs=0.0)
+
+    def test_uniform_sample_inverts(self, berthelot_model):
+        rng = np.random.default_rng(0)
+        s, v = rng.uniform(-40.0, 40.0, 20000), rng.uniform(0.21, 10.0, 20000)
+        t = berthelot_model._temperature_from_entropy(s, v)
+        assert np.all(t > 0.0) and np.all(np.isfinite(t))
+        residual = berthelot_model._entropy(t, v) - s
+        assert np.all(np.abs(residual) <= 1e-13 * np.maximum(1.0, np.abs(s)))
+
+    @pytest.mark.parametrize("v", [0.21, 1.0, 10.0])
+    def test_wide_entropy_scan(self, berthelot_model, v):
+        s, v = np.linspace(-2000.0, 1000.0, 3001), np.full(3001, v)
+        t = berthelot_model._temperature_from_entropy(s, v)
+        assert np.all(t > 0.0) and np.all(np.isfinite(t))
+        assert np.all(np.diff(t) > 0.0)  # S rises strictly with T
+        with np.errstate(over="ignore"):  # V T^2 = inf where T ~ 1e175
+            residual = berthelot_model._entropy(t, v) - s
+        assert np.all(np.abs(residual) <= 1e-13 * np.maximum(1.0, np.abs(s)))
+
+    @pytest.mark.parametrize("s0", [1e6, -1e6])
+    def test_large_entropy_offset(self, s0):
+        # the T-free part of S - s is formed once, so its rounding does not
+        # enter each step
+        model = Berthelot(GasParameters(a=1.5, b=0.2, r_gas=2.0, cv0=2.5,
+                                        s0=s0))
+        rng = np.random.default_rng(23)
+        s = s0 + rng.uniform(-40.0, 40.0, 2000)
+        v = rng.uniform(0.21, 10.0, 2000)
+        t = model._temperature_from_entropy(s, v)
+        assert np.all(t > 0.0) and np.all(np.isfinite(t))
+        shifted = Berthelot(PARAMS)._temperature_from_entropy(s - s0, v)
+        np.testing.assert_allclose(t, shifted, rtol=1e-8)
+
+    def test_no_attraction_is_the_ideal_gas_law(self):
+        # with a = 0, S = s0 + cv0 log T + r log(V - b) inverts in closed form
+        q = GasParameters(a=0.0, b=0.2, r_gas=2.0, cv0=2.5, s0=0.7)
+        rng = np.random.default_rng(24)
+        for s, v in zip(rng.uniform(-40.0, 40.0, 200).tolist(),
+                        rng.uniform(0.21, 10.0, 200).tolist()):
+            ideal = math.exp((s - q.s0 - q.r_gas * math.log(v - q.b)) / q.cv0)
+            assert Berthelot(q)._temperature_from_entropy(s, v) == \
+                pytest.approx(ideal, rel=4e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("model_name", ["ideal", "vdw", "berthelot"])
