@@ -2,9 +2,10 @@
 
 Routes implemented:
 
-* ``tensorial``: generic-n Christoffel / Riemann / Ricci contraction built
-  from second and third potential partials only (the fourth-derivative
-  terms cancel for Hessian metrics).
+* ``tensorial``: the Riemann / Ricci index contraction of the 2D metric
+  record's arrays, built from second and third potential partials only
+  (the fourth-derivative terms cancel for Hessian metrics).  ``_ricci``
+  is written for any dimension and tested at n = 2, 3 and 4.
 * ``closed2d``: the 2D determinant formula on a metric-plus-partials stack.
 * ``elementary``: the coefficient-form expression through H, G, F, J.
 * ``model_closed``: the model's own closed form, its
@@ -32,7 +33,6 @@ from .eos_models import (
     DerivativeStack,
     SINGULAR_BAND,
     StatePoint,
-    anywhere,
     choose,
     libm_for,
     raise_where,
@@ -51,72 +51,16 @@ class FlatnessClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class HessianMetricField:
-    """Metric g = Hess(potential) and its first partials at one point, or
-    at each point of a leading batch axis.
-
-    ``second[..., i, j]`` is the metric entry, ``third[..., i, j, k]`` its
-    partial along coordinate k; both are fully symmetric because they are
-    bare potential derivatives.
-    """
-
-    n: int
-    second: np.ndarray
-    third: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.second, dtype=float)
-        dg = np.asarray(self.third, dtype=float)
-        n = self.n
-        if (g.shape[-2:] != (n, n) or dg.shape[-3:] != (n, n, n)
-                or g.shape[:-2] != dg.shape[:-3]):
-            raise ValueError(f"shape mismatch for n={n}: {g.shape}, {dg.shape}")
-        # each point against its largest entry compared, with no floor
-        scale = abs(dg).max(axis=(-3, -2, -1))
-        for swapped in (np.swapaxes(dg, -1, -2), np.swapaxes(dg, -3, -2)):
-            if anywhere(abs(dg - swapped).max(axis=(-3, -2, -1)) > 1e-8 * scale):
-                raise ValueError("third partials are not fully symmetric")
-        if anywhere(abs(g - np.swapaxes(g, -1, -2)).max(axis=(-2, -1))
-                    > 1e-12 * abs(g).max(axis=(-2, -1))):
-            raise ValueError("metric entries are not symmetric")
-        object.__setattr__(self, "second", g)
-        object.__setattr__(self, "third", dg)
-
-    @classmethod
-    def from_metric(cls, metric: MetricTensor2) -> "HessianMetricField":
-        d111, d112, _, d122, _, d222 = metric.d
-        batch = np.broadcast(metric.e11, metric.e12, metric.e22, *metric.d).shape
-        g = np.empty(batch + (2, 2))
-        g[..., 0, 0] = metric.e11
-        g[..., 0, 1] = g[..., 1, 0] = metric.e12
-        g[..., 1, 1] = metric.e22
-        dg = np.empty(batch + (2, 2, 2))
-        dg[..., 0, 0, 0] = d111
-        dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = dg[..., 1, 0, 0] = d112
-        dg[..., 0, 1, 1] = dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = d122
-        dg[..., 1, 1, 1] = d222
-        return cls(n=2, second=g, third=dg)
-
-
-@dataclass(frozen=True)
 class CurvatureReport:
-    """Every route's curvature, with the one stack and metric they share."""
+    """Every route's curvature at one state, their spread and, for
+    Berthelot, the published polynomial form's mismatch."""
 
     r_tensorial: float
     r_closed2d: float
     r_elementary: float
     r_model_closed: float | None
     max_pairwise_residual: float
-    stack: DerivativeStack
-    metric: MetricTensor2
     discrepancy: str | None = None
-
-
-def _inverse(field: HessianMetricField) -> np.ndarray:
-    try:
-        return np.linalg.inv(field.second)
-    except np.linalg.LinAlgError:
-        raise SingularState("metric not invertible") from None
 
 
 def _ricci(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -134,12 +78,26 @@ def _ricci(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.einsum("...lilk->...ik", riem)
 
 
-def scalar_curvature_tensorial(field: HessianMetricField):
-    """Scalar curvature by the generic index contraction: a float, or an
-    array over the field's batch axis.  The batched LAPACK inverse and
-    contraction round each point exactly as a single one."""
-    ginv = _inverse(field)
-    r = np.sum(ginv * _ricci(field.third, ginv), axis=(-2, -1))
+def scalar_curvature_tensorial(metric: MetricTensor2):
+    """Scalar curvature by the index contraction of the metric's arrays: a
+    float, or an array over a grid's cells.  The batched LAPACK inverse
+    and contraction round each cell exactly as a single one."""
+    d111, d112, _, d122, _, d222 = metric.d
+    batch = np.broadcast(metric.e11, metric.e12, metric.e22, *metric.d).shape
+    g = np.empty(batch + (2, 2))
+    g[..., 0, 0] = metric.e11
+    g[..., 0, 1] = g[..., 1, 0] = metric.e12
+    g[..., 1, 1] = metric.e22
+    dg = np.empty(batch + (2, 2, 2))
+    dg[..., 0, 0, 0] = d111
+    dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = dg[..., 1, 0, 0] = d112
+    dg[..., 0, 1, 1] = dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = d122
+    dg[..., 1, 1, 1] = d222
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise SingularState("metric not invertible") from None
+    r = np.sum(ginv * _ricci(dg, ginv), axis=(-2, -1))
     return float(r) if r.ndim == 0 else r
 
 
@@ -348,7 +306,7 @@ def curvature_routes(model: ConstitutiveModel, st: DerivativeStack):
     """
     metric = weinhold_metric(model, st)
     r_closed2d = scalar_curvature_closed2d(metric)
-    r_tensorial = scalar_curvature_tensorial(HessianMetricField.from_metric(metric))
+    r_tensorial = scalar_curvature_tensorial(metric)
     r_elementary = scalar_curvature_elementary(st)
     return (metric, r_tensorial, r_closed2d, r_elementary,
             model_closed_form(model, st))
@@ -358,7 +316,7 @@ def curvature_report(model: ConstitutiveModel,
                      state: StatePoint | DerivativeStack) -> CurvatureReport:
     """Evaluate every applicable curvature route and their agreement."""
     st = stack_at(model, state)
-    metric, r_tensorial, r_closed2d, r_elementary, r_model = (
+    _, r_tensorial, r_closed2d, r_elementary, r_model = (
         curvature_routes(model, st))
 
     discrepancy = None
@@ -375,7 +333,7 @@ def curvature_report(model: ConstitutiveModel,
         r_elementary=r_elementary, r_model_closed=r_model,
         max_pairwise_residual=pairwise_residual(
             r_tensorial, r_closed2d, r_elementary, r_model),
-        stack=st, metric=metric, discrepancy=discrepancy)
+        discrepancy=discrepancy)
 
 
 def pairwise_residual(*routes) -> float:

@@ -592,7 +592,7 @@ class Berthelot(ConstitutiveModel):
         if 0.0 < a_v < c:  # where the attraction balances c, f <= 0 too
             u = max(u, -0.5 * math.log(c / a_v))
         for _ in range(200):
-            g = a_v * math.exp(-2.0 * u)
+            g = a_v * math.exp(-2.0 * u) if a_v else 0.0
             du = (c + q.cv0 * u - g) / (q.cv0 + 2.0 * g)
             u -= du
             if abs(du) <= 4.0 * _EPS * max(1.0, abs(u)):
@@ -614,6 +614,9 @@ class Berthelot(ConstitutiveModel):
         w = v - b
         pow_ = libm_for(v).pow
         v3, t3 = pow_(v, 3), pow_(t, 3)
+        if anywhere(t3 < _NORMAL_MIN):
+            raise DomainError(
+                f"temperature {t} is too small: its cube underflows")
         u = q.u0 + q.cv0 * t - 2.0 * a / (t * v)
         p = r * t / w - a / (t * v * v)
 

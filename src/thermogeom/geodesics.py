@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import _rk45
 from .eos_models import (
@@ -68,15 +68,8 @@ class GeodesicState(NamedTuple):
 
 
 class ChristoffelSet(NamedTuple):
-    """Connection coefficients g^k_ij, symmetric in the lower pair.
-
-    ``aux`` carries the intermediate response-function combinations the
-    explicit formulas are built from:
-      F = dk_dV - (k/alpha) dalpha_dV
-      J = 1 - dcv_dS
-      D = alpha/k + dcv_dV
-      B = alpha/V + dalpha_dV
-    """
+    """Connection coefficients g^k_ij, symmetric in the lower pair: the
+    six values gkij, floats or arrays over a batch."""
 
     g111: float
     g112: float
@@ -84,7 +77,6 @@ class ChristoffelSet(NamedTuple):
     g211: float
     g212: float
     g222: float
-    aux: Mapping[str, float]
 
 
 def christoffel_elementary(coeffs: DerivativeStack,
@@ -125,9 +117,7 @@ def christoffel_elementary(coeffs: DerivativeStack,
     g211 = choose([constant_cv], [0.0], g211)
 
     return ChristoffelSet(g111=g111, g112=g112, g122=g122,
-                          g211=g211, g212=g212, g222=g222,
-                          aux={"F": aux_f, "J": aux_j,
-                               "D": aux_d, "B": aux_b})
+                          g211=g211, g212=g212, g222=g222)
 
 
 def christoffel_from_stack(stack: DerivativeStack) -> ChristoffelSet:
@@ -139,7 +129,7 @@ def christoffel_from_stack(stack: DerivativeStack) -> ChristoffelSet:
     """
     det = stack.det
     raise_where(det == 0.0, SingularState, "metric is degenerate", det=det)
-    return ChristoffelSet(*_christoffel(det, *stack[5:12]), aux={})
+    return ChristoffelSet(*_christoffel(det, *stack[5:12]))
 
 
 def _christoffel(det, e11, e12, e22, c111, c112, c122, c222) -> tuple:

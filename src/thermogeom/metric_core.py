@@ -28,13 +28,6 @@ from .eos_models import (
 from .errors import DomainError
 
 
-class MetricChart(enum.Enum):
-    """Which coordinates the metric entries differentiate against."""
-
-    ENTROPY_VOLUME = "entropy_volume"
-    ENERGY_VOLUME = "energy_volume"
-
-
 @dataclass(frozen=True)
 class MetricTensor2:
     """Symmetric 2x2 metric with its six first partials (floats, or arrays
@@ -46,13 +39,14 @@ class MetricTensor2:
     this beyond finite-difference noise.  The Weinhold metric passes each
     pair from one stack entry, while the Ruppeiner chain rule computes the
     two members of a pair independently, so there the check is a real one.
+    It carries no chart: every curvature route reads the Weinhold metric
+    in (S, V) and the Ruppeiner metric in (U, V) alike.
     """
 
     e11: float
     e12: float
     e22: float
     d: tuple[float, float, float, float, float, float]
-    chart: MetricChart
 
     def __post_init__(self):
         if len(self.d) != 6:
@@ -121,8 +115,7 @@ def weinhold_metric(model: ConstitutiveModel,
     st = stack_at(model, at)
     return MetricTensor2(
         e11=st.e11, e12=st.e12, e22=st.e22,
-        d=(st.c111, st.c112, st.c112, st.c122, st.c122, st.c222),
-        chart=MetricChart.ENTROPY_VOLUME)
+        d=(st.c111, st.c112, st.c112, st.c122, st.c122, st.c222))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +194,8 @@ def ruppeiner_metric(st: DerivativeStack) -> MetricTensor2:
     if anywhere(st.t <= 0.0):
         raise DomainError(f"temperature must be positive, got {st.t}")
     entries, thirds = _ruppeiner_stack(st)
-    return MetricTensor2(
-        e11=entries[0], e12=entries[1], e22=entries[2],
-        d=thirds, chart=MetricChart.ENERGY_VOLUME)
+    return MetricTensor2(e11=entries[0], e12=entries[1], e22=entries[2],
+                         d=thirds)
 
 
 # ---------------------------------------------------------------------------

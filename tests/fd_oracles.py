@@ -8,7 +8,19 @@ stencils, roughly 1e-7 relative at well-conditioned states.
 """
 import math
 
+import numpy as np
+
 from thermogeom import Chart, StatePoint
+
+
+def metric_arrays(m):
+    """A 2D metric record laid out as the index formulas read it: g[i, j]
+    and dg[i, j, k], the partial of g[i, j] along coordinate k."""
+    d111, d112, d121, d122, d221, d222 = m.d
+    g = np.array([[m.e11, m.e12], [m.e12, m.e22]])
+    dg = np.array([[[d111, d112], [d121, d122]],
+                   [[d112, d122], [d221, d222]]])
+    return g, dg
 
 
 def weinhold_entry_fn(model):

@@ -272,6 +272,26 @@ def test_bad_window_or_constant_exits_one(capsys, argv, message):
     assert one_line(err) == message
 
 
+@pytest.mark.parametrize("window", [
+    ["--smin=-2000", "--smax=-1900", "--a", "0"],
+    ["--smin=-700", "--smax=-650", "--a", "0"],
+    ["--chart", "tv", "--smin", "1e-120", "--smax", "1e-110", "--a", "1.5"],
+], ids=["a0-exp-overflow", "a0-cube-underflow", "tv-cube-underflow"])
+def test_berthelot_temperature_whose_cube_underflows_exits_one(capsys,
+                                                                window):
+    # at a = 0 the inversion's zero attraction term must not overflow, and
+    # a T^3 that underflows must not reach p_tt as 0/0; every cell is
+    # outside the domain
+    rc, out, err = run(capsys, ["curvature-grid", "--model", "berthelot",
+                                "--b", "0.2", "--r-gas", "2", "--cv", "2.5",
+                                "--vmin", "0.3", "--vmax", "10", "--n", "3",
+                                *window])
+    assert (rc, out) == (1, "")
+    line = one_line(err)
+    assert line.startswith("error: temperature ")
+    assert line.endswith(" is too small: its cube underflows")
+
+
 def test_clipped_window_that_fails_prints_only_its_error(capsys):
     # vmin is clipped to the covolume, then the s axis overflows: the
     # clipping warning belongs to a grid that runs, so none is printed

@@ -10,6 +10,7 @@ from thermogeom import (
     Chart,
     ConstantCv,
     IdealGas,
+    MetricTensor2,
     NumericEnergy,
     SingularState,
     StatePoint,
@@ -22,12 +23,14 @@ from thermogeom import (
     parse_expression,
     ruppeiner_direct_curvature,
     ruppeiner_from_weinhold,
+    ruppeiner_metric,
     weinhold_metric,
     zero_curvature_classify,
 )
 from thermogeom.curvature import (
-    HessianMetricField,
+    _ricci,
     berthelot_printed_closed_form,
+    scalar_curvature_closed2d,
     scalar_curvature_tensorial,
 )
 from thermogeom.expressions import ShiftedPower, ZeroFunction
@@ -35,6 +38,7 @@ from thermogeom.expressions import ShiftedPower, ZeroFunction
 from conftest import PARAMS
 from fd_oracles import (
     fd_scalar_curvature,
+    metric_arrays,
     sphere_metric,
     vdw_entropy_hessian_fn,
     weinhold_entry_fn,
@@ -288,7 +292,7 @@ class TestRiemannConsistency:
     def test_scalar_from_full_tensor(self, vdw_model):
         state = sv(2.5, 1.4)
         m = weinhold_metric(vdw_model, state)
-        riemann, _ = _riemann_ricci_loops(HessianMetricField.from_metric(m))
+        riemann, _ = _riemann_ricci_loops(*metric_arrays(m))
         # two-dimensional identity: R = 2 R_1212 / det
         r1212 = riemann[0][1][0][1]
         lowered = m.e11 * r1212 + m.e12 * riemann[1][1][0][1]
@@ -297,7 +301,7 @@ class TestRiemannConsistency:
             rep.r_closed2d, rel=1e-10)
 
     def test_ricci_symmetric(self, vdw_model):
-        _, ricci = _riemann_ricci_loops(HessianMetricField.from_metric(
+        _, ricci = _riemann_ricci_loops(*metric_arrays(
             weinhold_metric(vdw_model, sv(2.2, 0.9))))
         assert ricci[0][1] == pytest.approx(ricci[1][0], rel=1e-12)
 
@@ -320,10 +324,9 @@ class TestLocusBlowUp:
 # einsum contractions of the tensorial route must reproduce them.
 
 
-def _riemann_ricci_loops(field):
-    n = field.n
-    dg = field.third
-    ginv = np.linalg.inv(field.second)
+def _riemann_ricci_loops(g, dg):
+    n = len(g)
+    ginv = np.linalg.inv(g)
     riem = np.zeros((n, n, n, n))
     for l in range(n):
         for i in range(n):
@@ -348,7 +351,8 @@ def _riemann_ricci_loops(field):
 
 
 def _random_hessian_field(n, seed):
-    """SPD metric and fully symmetric third partials, both exactly symmetric."""
+    """SPD metric g and fully symmetric third partials dg, both exactly
+    symmetric."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
     g = a @ a.T + n * np.eye(n)
@@ -356,56 +360,47 @@ def _random_hessian_field(n, seed):
     dg = np.empty((n, n, n))
     for idx in itertools.product(range(n), repeat=3):
         dg[idx] = base[tuple(sorted(idx))]
-    return HessianMetricField(n=n, second=0.5 * (g + g.T), third=dg)
+    return 0.5 * (g + g.T), dg
 
 
 class TestContractionAgainstLoops:
     # in 2D the symmetries of the index formula can hide a slipped index,
-    # so the contraction is checked at n = 3 and 4 as well
+    # so the dimension-free contraction is checked at n = 3 and 4 as well
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_riemann_ricci_scalar(self, n, seed):
-        field = _random_hessian_field(n, seed)
-        _, ricci = _riemann_ricci_loops(field)
-        ginv = np.linalg.inv(field.second)
+        g, dg = _random_hessian_field(n, seed)
+        _, ricci = _riemann_ricci_loops(g, dg)
+        ginv = np.linalg.inv(g)
         want = float(np.sum(ginv * ricci))
-        assert scalar_curvature_tensorial(field) == pytest.approx(want,
-                                                                  rel=1e-12)
+        got = float(np.sum(ginv * _ricci(dg, ginv)))
+        assert got == pytest.approx(want, rel=1e-12)
+        if n == 2:  # and the route, from the record's layout of g and dg
+            d = tuple(dg[i, j, k] for i, j, k in
+                      [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0),
+                       (1, 1, 1)])
+            metric = MetricTensor2(g[0, 0], g[0, 1], g[1, 1], d)
+            assert scalar_curvature_tensorial(metric) == pytest.approx(
+                want, rel=1e-12)
 
 
-class TestFieldChecks:
-    def test_rejects_asymmetric_third_partials(self):
-        field = _random_hessian_field(3, 0)
-        dg = field.third.copy()
-        dg[0, 1, 2] += 1e-3
-        with pytest.raises(ValueError, match="fully symmetric"):
-            HessianMetricField(n=3, second=field.second, third=dg)
-
-    def test_rejects_asymmetric_metric(self):
-        field = _random_hessian_field(3, 0)
-        g = field.second.copy()
-        g[0, 1] += 1e-6
-        with pytest.raises(ValueError, match="metric entries"):
-            HessianMetricField(n=3, second=g, third=field.third)
-
-    @pytest.mark.parametrize("scale", [1e-10, 1e10])
-    def test_symmetry_checks_are_scale_free(self, scale):
-        # a 1e-3 relative asymmetry at any scale; a floor of 1 on the
-        # comparison hid it at small scales
-        field = _random_hessian_field(3, 0)
-        g, dg = scale * field.second, scale * field.third
-        bad_dg = dg.copy()
-        bad_dg[0, 1, 2] += 1e-3 * abs(dg).max()
-        with pytest.raises(ValueError, match="fully symmetric"):
-            HessianMetricField(n=3, second=g, third=bad_dg)
-        bad_g = g.copy()
-        bad_g[0, 1] += 1e-3 * abs(g).max()
-        with pytest.raises(ValueError, match="metric entries"):
-            HessianMetricField(n=3, second=bad_g, third=dg)
-
+class TestTensorialRoute:
     def test_singular_metric_raises(self):
-        field = _random_hessian_field(3, 0)
-        g = np.ones((3, 3))
         with pytest.raises(SingularState, match="not invertible"):
             scalar_curvature_tensorial(
-                HessianMetricField(n=3, second=g, third=field.third))
+                MetricTensor2(1.0, 1.0, 1.0, (1.0, 2.0, 2.0, 3.0, 3.0, 4.0)))
+
+    @pytest.mark.parametrize("fixture,state", [
+        ("vdw_model", (2.5, 1.4)),
+        ("vdw_model", (2.2, 0.9)),
+        ("berthelot_model", (8 / 3, 1.4)),
+        ("berthelot_model", (2.4, 2.2)),
+    ], ids=["vdw-2.5-1.4", "vdw-2.2-0.9", "berthelot-2.67-1.4",
+            "berthelot-2.4-2.2"])
+    def test_ruppeiner_metric(self, request, fixture, state):
+        # the chain-rule record, closure-checked on construction, is all
+        # the contraction needs
+        model = request.getfixturevalue(fixture)
+        metric = ruppeiner_metric(model.derivative_stack(sv(*state)))
+        assert scalar_curvature_tensorial(metric) == pytest.approx(
+            scalar_curvature_closed2d(metric), rel=1e-10)

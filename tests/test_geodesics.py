@@ -16,7 +16,6 @@ from thermogeom import (
     TerminationReason,
     integrate_geodesic,
 )
-from thermogeom.curvature import HessianMetricField
 from thermogeom.eos_models import relative_det
 from thermogeom.expressions import ShiftedPower
 from thermogeom.geodesics import (
@@ -28,7 +27,12 @@ from thermogeom.geodesics import (
 from thermogeom.metric_core import weinhold_metric
 from thermogeom.critical_locus import locus_entropy
 
-from fd_oracles import fd_christoffels, second_derivative, weinhold_entry_fn
+from fd_oracles import (
+    fd_christoffels,
+    metric_arrays,
+    second_derivative,
+    weinhold_entry_fn,
+)
 
 
 def sv(s, v):
@@ -41,13 +45,13 @@ SYMBOL_FIELDS = ("g111", "g112", "g122", "g211", "g212", "g222")
 def from_array(arr):
     return ChristoffelSet(
         g111=arr[0][0][0], g112=arr[0][0][1], g122=arr[0][1][1],
-        g211=arr[1][0][0], g212=arr[1][0][1], g222=arr[1][1][1], aux={})
+        g211=arr[1][0][0], g212=arr[1][0][1], g222=arr[1][1][1])
 
 
-def index_form(field):
+def index_form(metric):
     """The generic formula gamma[k, i, j] = (1/2) dg[i, j, m] ginv[k, m]."""
-    return 0.5 * np.einsum("ijm,km->kij", field.third,
-                           np.linalg.inv(field.second))
+    g, dg = metric_arrays(metric)
+    return 0.5 * np.einsum("ijm,km->kij", dg, np.linalg.inv(g))
 
 
 class TestChristoffelRoutes:
@@ -62,8 +66,7 @@ class TestChristoffelRoutes:
         stack = model.derivative_stack(sv(s, v))
         by_stack = christoffel_from_stack(stack)
         by_coeffs = christoffel_elementary(stack, stack, v)
-        by_field = from_array(index_form(
-            HessianMetricField.from_metric(weinhold_metric(model, sv(s, v)))))
+        by_field = from_array(index_form(weinhold_metric(model, sv(s, v))))
         for name in SYMBOL_FIELDS:
             ref = getattr(by_stack, name)
             assert getattr(by_coeffs, name) == pytest.approx(
@@ -90,13 +93,6 @@ class TestChristoffelRoutes:
         ce = christoffel_elementary(stack, stack, 1.4)
         assert ce.g111 == 1.0 / (2.0 * params.cv0)
         assert ce.g211 == 0.0
-
-    def test_constant_cv_aux_structure(self, vdw_model):
-        stack = vdw_model.derivative_stack(sv(2.5, 1.4))
-        ce = christoffel_elementary(stack, stack, 1.4)
-        assert ce.aux["J"] == 1.0
-        assert ce.aux["D"] == pytest.approx(stack.alpha / stack.k,
-                                            rel=1e-13)
 
     def test_degenerate_coefficients_rejected(self, vdw_model):
         bad = vdw_model.derivative_stack(sv(2.5, 1.4))._replace(k=0.0)
@@ -256,8 +252,7 @@ class TestRecords:
 
     def test_christoffel_set_fields(self, vdw_model):
         gam = christoffel_from_stack(vdw_model.derivative_stack(sv(2.5, 1.4)))
-        assert ChristoffelSet._fields == (*SYMBOL_FIELDS, "aux")
-        assert gam.aux == {}
+        assert ChristoffelSet._fields == SYMBOL_FIELDS
         with pytest.raises(AttributeError):
             gam.g111 = 0.0
 

@@ -51,9 +51,11 @@ def _state(eff, x1, x2):
 
 def _grid_cell(model, state):
     try:
-        report = curvature_report(model, state)
-        sig = eigen_signature(report.metric, report.stack)
-        return [report.metric.det, report.r_tensorial, report.r_closed2d,
+        stack = model.derivative_stack(state)
+        metric = weinhold_metric(model, stack)
+        report = curvature_report(model, stack)
+        sig = eigen_signature(metric, stack)
+        return [metric.det, report.r_tensorial, report.r_closed2d,
                 report.r_elementary, report.r_model_closed, sig.kind.value]
     except SingularState as exc:
         det = exc.det if exc.det is not None else 0.0

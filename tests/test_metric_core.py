@@ -16,7 +16,6 @@ from thermogeom import (
     weinhold_metric,
 )
 from thermogeom.eos_models import SINGULAR_BAND, relative_det
-from thermogeom.metric_core import MetricChart
 from thermogeom.curvature import laplace_beltrami_log_t
 
 from conftest import PARAMS
@@ -57,8 +56,7 @@ class TestWeinholdAssembly:
 
     def test_closure_violation_rejected(self):
         with pytest.raises(ValueError):
-            MetricTensor2(1.0, 0.0, 1.0, (0.0, 1.0, 2.0, 0.0, 0.0, 0.0),
-                          Chart.ENTROPY_VOLUME)
+            MetricTensor2(1.0, 0.0, 1.0, (0.0, 1.0, 2.0, 0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("scale", [1e-10, 1e10])
     def test_closure_check_is_scale_free(self, scale):
@@ -66,7 +64,7 @@ class TestWeinholdAssembly:
         # on the comparison hid at small scales
         d = tuple(scale * x for x in (1.0, 1.0, 2.0, 1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="closure"):
-            MetricTensor2(scale, 0.0, scale, d, Chart.ENTROPY_VOLUME)
+            MetricTensor2(scale, 0.0, scale, d)
 
 
 class TestEntropyChartMetric:
@@ -78,10 +76,6 @@ class TestEntropyChartMetric:
         assert r.e11 == pytest.approx(s_uu, rel=1e-12)
         assert r.e12 == pytest.approx(s_uv, rel=1e-12)
         assert r.e22 == pytest.approx(s_vv, rel=1e-12)
-
-    def test_lives_in_energy_chart(self, vdw_model):
-        r = ruppeiner_metric(vdw_model.derivative_stack(sv(2.5, 1.4)))
-        assert r.chart is MetricChart.ENERGY_VOLUME
 
 
 @pytest.mark.parametrize("model_name", ["ideal", "vdw", "berthelot"])
@@ -155,7 +149,7 @@ class TestSignature:
             m.trace, rel=1e-12)
 
     def test_degenerate_matrix_flagged(self):
-        m = MetricTensor2(1.0, 1.0, 1.0, (0.0,) * 6, Chart.ENTROPY_VOLUME)
+        m = MetricTensor2(1.0, 1.0, 1.0, (0.0,) * 6)
         assert eigen_signature(m).kind is SignatureKind.DEGENERATE
 
 
