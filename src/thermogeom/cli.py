@@ -496,7 +496,7 @@ def _render_svg_heatmap(meta: dict, x1: list[float], x2: list[float],
 def cmd_curvature_grid(args, eff, model) -> int:
     def cell_values(st):
         metric, *routes = curvature_routes(model, st)
-        return metric.det, *routes, signature_kind(metric, st.cv)
+        return metric.det, *routes, signature_kind(metric)
 
     def ended(exc):
         if isinstance(exc, SingularState):

@@ -82,17 +82,16 @@ def scalar_curvature_tensorial(metric: MetricTensor2):
     """Scalar curvature by the index contraction of the metric's arrays: a
     float, or an array over a grid's cells.  The batched LAPACK inverse
     and contraction round each cell exactly as a single one."""
-    d111, d112, _, d122, _, d222 = metric.d
-    batch = np.broadcast(metric.e11, metric.e12, metric.e22, *metric.d).shape
+    batch = np.broadcast(*metric).shape
     g = np.empty(batch + (2, 2))
     g[..., 0, 0] = metric.e11
     g[..., 0, 1] = g[..., 1, 0] = metric.e12
     g[..., 1, 1] = metric.e22
     dg = np.empty(batch + (2, 2, 2))
-    dg[..., 0, 0, 0] = d111
-    dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = dg[..., 1, 0, 0] = d112
-    dg[..., 0, 1, 1] = dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = d122
-    dg[..., 1, 1, 1] = d222
+    dg[..., 0, 0, 0] = metric.c111
+    dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = dg[..., 1, 0, 0] = metric.c112
+    dg[..., 0, 1, 1] = dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = metric.c122
+    dg[..., 1, 1, 1] = metric.c222
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
@@ -102,14 +101,15 @@ def scalar_curvature_tensorial(metric: MetricTensor2):
 
 
 def scalar_curvature_closed2d(metric: MetricTensor2) -> float:
-    """2D scalar curvature from the metric and its six partials."""
-    raise_where(abs(relative_det(metric.e11, metric.e12, metric.e22))
-                < SINGULAR_BAND, SingularState,
-                "curvature diverges on the degeneracy locus", det=metric.det)
-    d111, d112, _, d122, _, d222 = metric.d
-    det3 = (metric.e11 * (d112 * d222 - d122 * d122)
-            - metric.e12 * (d111 * d222 - d112 * d122)
-            + metric.e22 * (d111 * d122 - d112 * d112))
+    """2D scalar curvature -det3 / (2 det^2) from the Hessian jet: the
+    metric's three entries and its four third partials."""
+    e11, e12, e22, c111, c112, c122, c222 = metric
+    raise_where(abs(relative_det(e11, e12, e22)) < SINGULAR_BAND,
+                SingularState, "curvature diverges on the degeneracy locus",
+                det=metric.det)
+    det3 = (e11 * (c112 * c222 - c122 * c122)
+            - e12 * (c111 * c222 - c112 * c122)
+            + e22 * (c111 * c122 - c112 * c112))
     det = metric.det
     return -det3 / (2.0 * det * det)
 

@@ -14,9 +14,11 @@ on floats, mapped over the states of an array.  ``NumericEnergy`` wraps an
 arbitrary U(S, V) callback with central finite differences or a
 user-supplied analytic derivative callback.
 
-One ``derivative_stack`` is ``_complete`` of ``_fields``: S, V, U, T, p, the
-Hessian and third partials, then the determinant check and the response
-coefficients.  A geodesic stage or sample reads the Hessian from ``_fields``.
+The first 12 of ``_fields`` are the Hessian jet: S, V, U, T, p, the Hessian
+and third partials.  A checked ``derivative_stack`` is ``_complete`` of
+``_fields``: the determinant check, then the response coefficients.  An
+unchecked one is the jet alone, its response coefficients NaN.  A
+geodesic stage or sample reads the Hessian from ``_fields``.
 
 Closed forms
 ------------
@@ -111,10 +113,6 @@ class StatePoint:
     def entropy_volume(cls, s: float, v: float) -> "StatePoint":
         return cls(Chart.ENTROPY_VOLUME, float(s), float(v))
 
-    @classmethod
-    def temperature_volume(cls, t: float, v: float) -> "StatePoint":
-        return cls(Chart.TEMPERATURE_VOLUME, float(t), float(v))
-
     @property
     def volume(self) -> float:
         return self.x2
@@ -150,9 +148,10 @@ class DerivativeStack(NamedTuple):
     (S, V) regardless of which chart the query used; ``s`` and ``v`` give
     the entropy-volume coordinates of the state.  ``dcv_ds`` to ``dk_dv``
     are the partials of cv, alpha and k along S (at fixed V) and V (at
-    fixed S).  From ``array_stack`` the fields are arrays over its states,
-    row-major for a grid (a model constant, such as a constant cv, stays a
-    float).
+    fixed S).  An unchecked stack holds the first 12 fields only, and
+    ``cv`` to ``dk_dv`` are NaN.  From ``array_stack`` the fields are arrays
+    over its states, row-major for a grid (a model constant, such as a
+    constant cv, stays a float).
     """
 
     s: float
@@ -288,20 +287,18 @@ def raise_where(cond, error, *args, **kwargs):
         raise error(*args, **kwargs)
 
 
-def _determinant(check_singular, e11, e12, e22):
-    """Hessian determinant; with ``check_singular`` a degenerate state
-    raises SingularState."""
+def _determinant(e11, e12, e22):
+    """Hessian determinant; a degenerate state raises SingularState."""
     det = e11 * e22 - e12 * e12
-    if check_singular and anywhere(
-            abs(relative_det(e11, e12, e22)) < SINGULAR_BAND):
+    if anywhere(abs(relative_det(e11, e12, e22)) < SINGULAR_BAND):
         raise SingularState("state lies on the degeneracy locus", det=det)
     return det
 
 
-def _stack_from_hessian(check_singular, s, v, u, t, p,
-                        e11, e12, e22, c111, c112, c122, c222,
-                        cv=None) -> DerivativeStack:
-    """Complete a stack from the energy, its first, second and third partials.
+def _stack_from_hessian(s, v, u, t, p, e11, e12, e22,
+                        c111, c112, c122, c222, cv=None) -> DerivativeStack:
+    """Complete a stack from the energy, its first, second and third
+    partials, after the degeneracy check.
 
     k, alpha and cp, and the partials of cv, alpha and k, follow by exact
     algebra from cv = T/e11, k = e11/(V det) and alpha = -e12/(V det), so no
@@ -309,9 +306,8 @@ def _stack_from_hessian(check_singular, s, v, u, t, p,
     given ``cv`` is a constant heat capacity: its partials are reported as
     exact zeros.  Without one, cv = T/e11.
     """
-    det = _determinant(check_singular, e11, e12, e22)
-    constant_cv = cv is not None
-    if constant_cv:
+    det = _determinant(e11, e12, e22)
+    if cv is not None:
         dcv_ds = dcv_dv = 0.0
     else:
         # a grid's model has a heat capacity (constant, or its own
@@ -320,27 +316,17 @@ def _stack_from_hessian(check_singular, s, v, u, t, p,
             raise SingularState("vanishing second entropy derivative",
                                 det=det)
         cv = t / e11
-    # a checked state fails at the division below where a denominator
-    # vanishes; an unchecked one, a float, has NaN there for k, alpha, cp
-    if not check_singular and 0.0 in (v * det, v * det * det,
-                                      v * v * det * det):
-        k = alpha = cp = math.nan
-        da_s = da_v = dk_s = dk_v = math.nan
-        if not constant_cv:
-            dcv_ds = dcv_dv = math.nan
-    else:
-        k = e11 / (v * det)
-        alpha = -e12 / (v * det)
-        cp = cv + t * v * alpha * alpha / k
-        det_s = c111 * e22 + e11 * c122 - 2.0 * e12 * c112
-        det_v = c112 * e22 + e11 * c222 - 2.0 * e12 * c122
-        if not constant_cv:
-            dcv_ds = 1.0 - t * c111 / (e11 * e11)
-            dcv_dv = (e11 * e12 - t * c112) / (e11 * e11)
-        dk_s = (c111 * det - e11 * det_s) / (v * det * det)
-        dk_v = (c112 * v * det - e11 * det - e11 * v * det_v) / (v * v * det * det)
-        da_s = -(c112 * det - e12 * det_s) / (v * det * det)
-        da_v = (-c122 * v * det + e12 * det + e12 * v * det_v) / (v * v * det * det)
+        dcv_ds = 1.0 - t * c111 / (e11 * e11)
+        dcv_dv = (e11 * e12 - t * c112) / (e11 * e11)
+    k = e11 / (v * det)
+    alpha = -e12 / (v * det)
+    cp = cv + t * v * alpha * alpha / k
+    det_s = c111 * e22 + e11 * c122 - 2.0 * e12 * c112
+    det_v = c112 * e22 + e11 * c222 - 2.0 * e12 * c122
+    dk_s = (c111 * det - e11 * det_s) / (v * det * det)
+    dk_v = (c112 * v * det - e11 * det - e11 * v * det_v) / (v * v * det * det)
+    da_s = -(c112 * det - e12 * det_s) / (v * det * det)
+    da_v = (-c122 * v * det + e12 * det + e12 * v * det_v) / (v * v * det * det)
     # positional, in field order: a third of the cost of keywords
     return DerivativeStack(s, v, u, t, p, e11, e12, e22,
                            c111, c112, c122, c222, cv, cp, alpha, k,
@@ -359,8 +345,11 @@ class ConstitutiveModel:
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
         # each model class binds it by name, where perfbench's tracer wraps it
-        return self._complete(check_singular,
-                              *self._fields(state.chart, state.x1, state.x2))
+        fields = self._fields(state.chart, state.x1, state.x2)
+        if check_singular:
+            return self._complete(*fields)
+        # the Hessian jet alone: no response coefficients
+        return DerivativeStack(*fields[:12], *(math.nan,) * 10)
 
     def array_stack(self, chart: Chart, x1: np.ndarray,
                     x2: np.ndarray) -> DerivativeStack:
@@ -375,16 +364,17 @@ class ConstitutiveModel:
             DomainError, "a state lies outside the domain")
         fields = self._fields(chart, x1, x2)
         shape = np.broadcast(x1, x2).shape
-        return self._complete(True, *(
+        return self._complete(*(
             np.broadcast_to(f, shape).ravel()
             if isinstance(f, np.ndarray) else f for f in fields))
 
     def _fields(self, chart: Chart, x1, v) -> tuple:
         """The inputs of ``_complete`` at (x1, v): floats for one state,
-        arrays broadcast from the axes for a grid."""
+        arrays broadcast from the axes for a grid.  The first 12 are the
+        stack's first 12 fields, in every model."""
         raise NotImplementedError
 
-    def _complete(self, check_singular, *fields) -> DerivativeStack:
+    def _complete(self, *fields) -> DerivativeStack:
         raise NotImplementedError
 
     @property
@@ -473,8 +463,8 @@ class ConstantCv(ConstitutiveModel):
         c222 = f1ppp * e - cv * f2ppp
         return s, v, u, t, p, e11, e12, e22, c111, c112, c122, c222
 
-    def _complete(self, check_singular, *fields):
-        return _stack_from_hessian(check_singular, *fields, cv=self.cv)
+    def _complete(self, *fields):
+        return _stack_from_hessian(*fields, cv=self.cv)
 
     def closed_curvature(self, st):
         """The structural closed form, in f1, f2 and T."""
@@ -654,10 +644,9 @@ class Berthelot(ConstitutiveModel):
         return (s, v, u, t, p, e11, e12, e22, c111, c112, c122, c222,
                 cv, cv_t, cv_v, p_t, p_v, p_tt, p_tv, p_vv)
 
-    def _complete(self, check_singular, s, v, u, t, p,
-                  e11, e12, e22, c111, c112, c122, c222,
+    def _complete(self, s, v, u, t, p, e11, e12, e22, c111, c112, c122, c222,
                   cv, cv_t, cv_v, p_t, p_v, p_tt, p_tv, p_vv):
-        _determinant(check_singular, e11, e12, e22)
+        _determinant(e11, e12, e22)
 
         def d_s(f_t):
             # (d/dS)|_V = (T/cv) (d/dT)|_V
@@ -667,26 +656,19 @@ class Berthelot(ConstitutiveModel):
             # (d/dV)|_S = (d/dV)|_T + (dT/dV)|_S (d/dT)|_V, slope = e12
             return f_v + e12 * f_t
 
-        # det = -T p_v / cv; NaN where a denominator vanishes, as above
-        if not check_singular and 0.0 in (v * p_v, v * p_v * p_v,
-                                          v * v * p_v * p_v):
-            k = alpha = cp = math.nan
-            da_s = da_v = dk_s = dk_v = math.nan
-        else:
-            k = -1.0 / (v * p_v)
-            k_t = p_tv / (v * p_v * p_v)
-            k_v = (p_v + v * p_vv) / (v * v * p_v * p_v)
-            alpha = k * p_t
-            alpha_t = k_t * p_t + k * p_tt
-            alpha_v = k_v * p_t + k * p_tv
-            cp = cv + t * v * k * p_t * p_t
-            da_s, da_v = d_s(alpha_t), d_v(alpha_v, alpha_t)
-            dk_s, dk_v = d_s(k_t), d_v(k_v, k_t)
-
+        # det = -T p_v / cv
+        k = -1.0 / (v * p_v)
+        k_t = p_tv / (v * p_v * p_v)
+        k_v = (p_v + v * p_vv) / (v * v * p_v * p_v)
+        alpha = k * p_t
+        alpha_t = k_t * p_t + k * p_tt
+        alpha_v = k_v * p_t + k * p_tv
+        cp = cv + t * v * k * p_t * p_t
         return DerivativeStack(s, v, u, t, p, e11, e12, e22,
                                c111, c112, c122, c222, cv, cp, alpha, k,
                                d_s(cv_t), d_v(cv_v, cv_t),
-                               da_s, da_v, dk_s, dk_v)
+                               d_s(alpha_t), d_v(alpha_v, alpha_t),
+                               d_s(k_t), d_v(k_v, k_t))
 
     def closed_curvature(self, st):
         q = self.params
@@ -787,8 +769,8 @@ class NumericEnergy(ConstitutiveModel):
         u, u_s, u_v, e11, e12, e22, c111, c112, c122, c222 = partials(s, v)
         return s, v, u, u_s, -u_v, e11, e12, e22, c111, c112, c122, c222
 
-    def _complete(self, check_singular, *fields):
-        return _stack_from_hessian(check_singular, *fields)
+    def _complete(self, *fields):
+        return _stack_from_hessian(*fields)
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,8 @@ class _PowConst(_Node):
         self.a, self.c = a, float(c)
 
     def diff(self):
-        # d(a^c) = c * a^(c-1) * a'
-        if self.c == 0.0:
-            return _Num(0.0)
-        if self.c == 1.0:
-            return self.a.diff()
+        # d(a^c) = c * a^(c-1) * a'; c is never 0 or 1, since _pow folds
+        # those exponents and c - 1 is built only for c outside {0, 1, 2}
         inner = self.a if self.c == 2.0 else _PowConst(self.a, self.c - 1.0)
         return _mul(_mul(_Num(self.c), inner), self.a.diff())
 
@@ -379,13 +376,6 @@ class Expression:
         except RecursionError:
             raise ExpressionError("expression is nested too deeply") from None
         self._stack = (ast, d1, d2, d3)
-
-    @functools.cached_property
-    def _value(self):  # compiled on first use: no model calls it
-        return _compile(self._stack[:1])
-
-    def __call__(self, v: float) -> float:
-        return self._value(v)[0]
 
     def eval_derivs(self, v: float) -> tuple[float, float, float, float]:
         return self._derivs(v)

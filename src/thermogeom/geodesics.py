@@ -171,19 +171,6 @@ class GeodesicTrajectory:
     termination: TerminationReason
     interpolant: Callable
 
-    @property
-    def final_state(self) -> GeodesicState:
-        return self.states[-1]
-
-    def at(self, t: float) -> GeodesicState:
-        """Dense-output sample at an affine parameter inside the span."""
-        lo, hi = self.times[0], self.times[-1]
-        if not lo <= t <= hi:
-            raise ValueError(f"t={t} outside integrated span [{lo}, {hi}]")
-        s, v, sd, vd = self.interpolant(t)
-        return GeodesicState(s=float(s), v=float(v),
-                             s_dot=float(sd), v_dot=float(vd), t=t)
-
 
 def integrate_geodesic(model: ConstitutiveModel,
                        init: GeodesicState,

@@ -110,16 +110,16 @@ def _norm(u):
 
 
 def hessian_point_from_metric(metric: MetricTensor2) -> HessianPoint:
-    """Build the surface point from a metric-plus-partials stack."""
-    d111, d112, _, d122, _, d222 = metric.d
-    r1 = (d111, _SQRT2 * d112, d122)
-    r2 = (d112, _SQRT2 * d122, d222)
+    """Build the surface point from the Hessian jet."""
+    e11, e12, e22, c111, c112, c122, c222 = metric
+    r1 = (c111, _SQRT2 * c112, c122)
+    r2 = (c112, _SQRT2 * c122, c222)
     normal = _cross(r1, r2)
     # |r1 x r2| / (|r1| |r2|) is the sine of the frame angle
     raise_where(_norm(normal) <= 1e-12 * _norm(r1) * _norm(r2), FrameSingular,
                 "tangent frame is degenerate (r1 parallel to r2)")
     return HessianPoint(
-        euclid=embed(metric.e11, metric.e12, metric.e22),
+        euclid=embed(e11, e12, e22),
         r1=r1, r2=r2, normal=normal)
 
 

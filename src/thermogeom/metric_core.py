@@ -1,9 +1,9 @@
 """Metric assembly, determinants, signature, and algebraic identity checks.
 
 The Weinhold metric is the Hessian of U(S, V); the Ruppeiner metric is the
-Hessian of S(U, V).  Both are returned as :class:`MetricTensor2` carrying
-the full stack of first partials of the metric entries, which is everything
-2D curvature formulas ever need.
+Hessian of S(U, V).  Both are returned as :class:`MetricTensor2`, the
+Hessian jet: the three entries and the four third partials of the
+potential, which is everything 2D curvature formulas ever need.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,41 +29,22 @@ from .eos_models import (
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class MetricTensor2:
-    """Symmetric 2x2 metric with its six first partials (floats, or arrays
-    over the cells of a grid).
-
-    ``d`` holds (d111, d112, d121, d122, d221, d222) where dijk is the
-    derivative of entry (i, j) along coordinate k.  Hessian closure demands
-    d112 = d121 and d122 = d221; construction rejects stacks that break
-    this beyond finite-difference noise.  The Weinhold metric passes each
-    pair from one stack entry, while the Ruppeiner chain rule computes the
-    two members of a pair independently, so there the check is a real one.
-    It carries no chart: every curvature route reads the Weinhold metric
-    in (S, V) and the Ruppeiner metric in (U, V) alike.
+class MetricTensor2(NamedTuple):
+    """The Hessian jet of a potential: the symmetric 2x2 metric e11, e12,
+    e22 and its partials c111, c112, c122, c222, cijk that of entry (i, j)
+    along coordinate k, which a Hessian keeps symmetric in i, j, k (floats,
+    or arrays over the cells of a grid).  It carries no chart: every
+    curvature route reads the Weinhold metric in (S, V) and the Ruppeiner
+    metric in (U, V) alike.
     """
 
     e11: float
     e12: float
     e22: float
-    d: tuple[float, float, float, float, float, float]
-
-    def __post_init__(self):
-        if len(self.d) != 6:
-            raise ValueError(f"expected six partials, got {len(self.d)}")
-        d111, d112, d121, d122, d221, d222 = self.d
-        # against the largest partial, with no floor, so the check is
-        # unit-free; over a grid's arrays, per cell
-        if isinstance(d111, np.ndarray):
-            scale = np.max(np.abs(self.d), axis=0)
-        else:
-            scale = max(abs(x) for x in self.d)
-        if anywhere((abs(d112 - d121) > 1e-8 * scale)
-                    | (abs(d122 - d221) > 1e-8 * scale)):
-            raise ValueError(
-                "third partials violate Hessian closure: "
-                f"{d112} vs {d121}, {d122} vs {d221}")
+    c111: float
+    c112: float
+    c122: float
+    c222: float
 
     @property
     def det(self) -> float:
@@ -71,6 +53,12 @@ class MetricTensor2:
     @property
     def trace(self) -> float:
         return self.e11 + self.e22
+
+    @property
+    def d(self) -> tuple[float, float, float, float, float, float]:
+        """(d111, d112, d121, d122, d221, d222): each symmetric pair twice."""
+        return (self.c111, self.c112, self.c112,
+                self.c122, self.c122, self.c222)
 
 
 class SignatureKind(enum.Enum):
@@ -112,10 +100,7 @@ def weinhold_metric(model: ConstitutiveModel,
                     at: StatePoint | DerivativeStack) -> MetricTensor2:
     """Hessian of U(S, V) with its derivative stack, at a state or from
     the stack already evaluated there."""
-    st = stack_at(model, at)
-    return MetricTensor2(
-        e11=st.e11, e12=st.e12, e22=st.e22,
-        d=(st.c111, st.c112, st.c112, st.c122, st.c122, st.c222))
+    return MetricTensor2(*stack_at(model, at)[5:12])
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +175,29 @@ def _ruppeiner_stack(st: DerivativeStack):
 
 
 def ruppeiner_metric(st: DerivativeStack) -> MetricTensor2:
-    """Hessian of S(U, V) with its derivative stack, in the (U, V) chart."""
+    """Hessian of S(U, V) with its derivative stack, in the (U, V) chart.
+
+    The chain rule gives (d111, d112, d121, d122, d221, d222), dijk the
+    derivative of entry (i, j) along coordinate k, computing the two
+    members of each pair independently; a stack whose pairs differ beyond
+    finite-difference noise breaks Hessian closure and raises ValueError.
+    """
     if anywhere(st.t <= 0.0):
         raise DomainError(f"temperature must be positive, got {st.t}")
-    entries, thirds = _ruppeiner_stack(st)
-    return MetricTensor2(e11=entries[0], e12=entries[1], e22=entries[2],
-                         d=thirds)
+    entries, d = _ruppeiner_stack(st)
+    d111, d112, d121, d122, d221, d222 = d
+    # against the largest partial, with no floor, so the check is
+    # unit-free; over a grid's arrays, per cell
+    if isinstance(d111, np.ndarray):
+        scale = np.max(np.abs(d), axis=0)
+    else:
+        scale = max(abs(x) for x in d)
+    if anywhere((abs(d112 - d121) > 1e-8 * scale)
+                | (abs(d122 - d221) > 1e-8 * scale)):
+        raise ValueError(
+            "third partials violate Hessian closure: "
+            f"{d112} vs {d121}, {d122} vs {d221}")
+    return MetricTensor2(*entries, d111, d112, d122, d222)
 
 
 # ---------------------------------------------------------------------------
@@ -220,32 +222,29 @@ def determinant_report(model: ConstitutiveModel,
                              det_correction=det_correction)
 
 
-def signature_kind(metric: MetricTensor2, cv=None):
+def signature_kind(metric: MetricTensor2):
     """The :class:`SignatureKind` of the metric; over a grid's arrays, an
     object array of kinds.
 
-    With the heat capacity supplied, the definite cases follow the sign of
-    cv (positive determinant splits on cv > 0 versus cv < 0); without it
-    the trace decides.
+    A metric whose relative determinant lies in the singular band is
+    degenerate, one with a negative determinant indefinite; a definite
+    metric is positive where its trace is positive.
     """
     e11, e12, e22 = metric.e11, metric.e12, metric.e22
     degenerate = abs(relative_det(e11, e12, e22)) < SINGULAR_BAND
-    positive = cv > 0.0 if cv is not None else metric.trace > 0.0
-    return choose([degenerate, metric.det < 0.0, positive],
+    return choose([degenerate, metric.det < 0.0, metric.trace > 0.0],
                   [SignatureKind.DEGENERATE, SignatureKind.INDEFINITE,
                    SignatureKind.POSITIVE_DEFINITE],
                   SignatureKind.NEGATIVE_DEFINITE)
 
 
-def eigen_signature(metric: MetricTensor2,
-                    st: DerivativeStack | None = None) -> SignatureClass:
+def eigen_signature(metric: MetricTensor2) -> SignatureClass:
     """Classify the metric against the Euclidean background
-    (:func:`signature_kind`, with cv from the stack ``st`` when given) and
-    report its eigenvalues."""
+    (:func:`signature_kind`) and report its eigenvalues."""
     disc = (metric.e11 - metric.e22) ** 2 + 4.0 * metric.e12 * metric.e12
     root = math.sqrt(disc)
     return SignatureClass(
-        kind=signature_kind(metric, st.cv if st is not None else None),
+        kind=signature_kind(metric),
         lambda_plus=0.5 * (metric.trace + root),
         lambda_minus=0.5 * (metric.trace - root))
 

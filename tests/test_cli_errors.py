@@ -44,7 +44,7 @@ class TestNegativeBasePower:
             f.eval_derivs(0.1)
 
     def test_integer_power_of_negative_value_is_real(self):
-        assert Expression("(V-1)^3")(0.5) == -0.125
+        assert Expression("(V-1)^3").eval_derivs(0.5)[0] == -0.125
 
     def test_custom_critical_skips_volumes_below_covolume(self, capsys):
         # the default volume window starts below b = 0.2

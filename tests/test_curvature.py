@@ -376,10 +376,8 @@ class TestContractionAgainstLoops:
         got = float(np.sum(ginv * _ricci(dg, ginv)))
         assert got == pytest.approx(want, rel=1e-12)
         if n == 2:  # and the route, from the record's layout of g and dg
-            d = tuple(dg[i, j, k] for i, j, k in
-                      [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 0),
-                       (1, 1, 1)])
-            metric = MetricTensor2(g[0, 0], g[0, 1], g[1, 1], d)
+            metric = MetricTensor2(g[0, 0], g[0, 1], g[1, 1], dg[0, 0, 0],
+                                   dg[0, 0, 1], dg[0, 1, 1], dg[1, 1, 1])
             assert scalar_curvature_tensorial(metric) == pytest.approx(
                 want, rel=1e-12)
 
@@ -388,7 +386,7 @@ class TestTensorialRoute:
     def test_singular_metric_raises(self):
         with pytest.raises(SingularState, match="not invertible"):
             scalar_curvature_tensorial(
-                MetricTensor2(1.0, 1.0, 1.0, (1.0, 2.0, 2.0, 3.0, 3.0, 4.0)))
+                MetricTensor2(1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 4.0))
 
     @pytest.mark.parametrize("fixture,state", [
         ("vdw_model", (2.5, 1.4)),
@@ -398,8 +396,8 @@ class TestTensorialRoute:
     ], ids=["vdw-2.5-1.4", "vdw-2.2-0.9", "berthelot-2.67-1.4",
             "berthelot-2.4-2.2"])
     def test_ruppeiner_metric(self, request, fixture, state):
-        # the chain-rule record, closure-checked on construction, is all
-        # the contraction needs
+        # the chain-rule record, closure-checked as it is built, is all the
+        # contraction needs
         model = request.getfixturevalue(fixture)
         metric = ruppeiner_metric(model.derivative_stack(sv(*state)))
         assert scalar_curvature_tensorial(metric) == pytest.approx(

@@ -58,7 +58,7 @@ def decisions(model, mu=1.0):
             singular = True
         metric = weinhold_metric(model, stack)
         out.append((singular,
-                    eigen_signature(metric, stack).kind,
+                    eigen_signature(metric).kind,
                     radial_pairing(hessian_point_from_metric(metric)).kind))
     return out
 

@@ -1,5 +1,6 @@
 """Constitutive models: state functions, derivative stacks, chart changes."""
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -462,4 +463,26 @@ def test_unchecked_stack_is_nan_where_a_denominator_underflows():
     want = unit.derivative_stack(state, check_singular=False)
     assert math.isclose(stack.e11, 1e-78 * want.e11, rel_tol=1e-13)
     assert math.isclose(stack.t, 1e-78 * want.t, rel_tol=1e-13)
-    assert (stack.dcv_ds, stack.dcv_dv) == (0.0, 0.0)
+
+
+def _vdw_energy(s, v, a=1.5, b=0.2, r=2.0, cv=2.5):  # the conftest gas
+    return (v - b) ** (-r / cv) * math.exp(s / cv) - a / v
+
+
+@pytest.mark.parametrize("model,state", [
+    (IdealGas(PARAMS), sv(1.5, 2.0)),
+    (VanDerWaals(PARAMS), sv(2.5, 1.4)),
+    (ConstantCv("(V-0.2)^-0.8", "0.6/V", cv=2.5), sv(2.5, 1.4)),
+    (Berthelot(PARAMS), sv(2.4, 2.2)),
+    (Berthelot(PARAMS), tv(1.1, 0.9)),
+    (NumericEnergy(_vdw_energy), sv(2.5, 1.4)),
+], ids=["ideal", "vdw", "custom", "berthelot-sv", "berthelot-tv", "numeric"])
+def test_unchecked_stack_is_the_hessian_jet(model, state):
+    # S, V, U, T, p, the Hessian and the third partials, bit for bit those
+    # of the checked stack; no response coefficient
+    checked = model.derivative_stack(state)
+    unchecked = model.derivative_stack(state, check_singular=False)
+    assert struct.pack("<12d", *unchecked[:12]) == struct.pack(
+        "<12d", *checked[:12])
+    assert all(math.isnan(x) for x in unchecked[12:])
+    assert len(unchecked[12:]) == 10

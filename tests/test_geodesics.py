@@ -105,7 +105,7 @@ class TestIntegration:
         traj = integrate_geodesic(vdw_model,
                                   GeodesicState(2.5, 1.4, 0.0, 0.0), 5.0)
         assert traj.termination is TerminationReason.COMPLETED
-        final = traj.final_state
+        final = traj.states[-1]
         assert final.s == 2.5 and final.v == 1.4
 
     @pytest.mark.parametrize("fixture,init", [
@@ -133,12 +133,12 @@ class TestIntegration:
         init = GeodesicState(2.5, 1.4, 0.05, 0.1)
         traj = integrate_geodesic(vdw_model, init, 2.0, tol=1e-12)
         t_mid = 1.0
-        here = traj.at(t_mid)
-        gam = fd_christoffels(weinhold_entry_fn(vdw_model), here.s, here.v)
-        vel = (here.s_dot, here.v_dot)
+        s, v, s_dot, v_dot = traj.interpolant(t_mid)
+        gam = fd_christoffels(weinhold_entry_fn(vdw_model), s, v)
+        vel = (s_dot, v_dot)
         for comp, coord in enumerate(("s", "v")):
             acc = second_derivative(
-                lambda t, c=coord: getattr(traj.at(t), c), t_mid, 1e-3)
+                lambda t, c=comp: traj.interpolant(t)[c], t_mid, 1e-3)
             quad = sum(gam[comp][i][j] * vel[i] * vel[j]
                        for i in range(2) for j in range(2))
             assert acc == pytest.approx(-quad, rel=1e-5, abs=1e-7), coord
@@ -148,8 +148,8 @@ class TestIntegration:
             vdw_model, GeodesicState(2.5, 1.4, 0.05, 0.1), 2.0, tol=1e-12)
         fast = integrate_geodesic(
             vdw_model, GeodesicState(2.5, 1.4, 0.10, 0.2), 1.0, tol=1e-12)
-        end_base = base.final_state
-        end_fast = fast.final_state
+        end_base = base.states[-1]
+        end_fast = fast.states[-1]
         assert end_fast.s == pytest.approx(end_base.s, rel=1e-9)
         assert end_fast.v == pytest.approx(end_base.v, rel=1e-9)
         assert end_fast.s_dot == pytest.approx(2.0 * end_base.s_dot, rel=1e-8)
@@ -159,15 +159,9 @@ class TestIntegration:
         traj = integrate_geodesic(
             vdw_model, GeodesicState(2.5, 1.4, 0.05, 0.1), 2.0)
         for t, node in zip(traj.times, traj.states):
-            here = traj.at(t)
-            assert here.s == pytest.approx(node.s, rel=1e-12)
-            assert here.v == pytest.approx(node.v, rel=1e-12)
-
-    def test_interpolant_span_enforced(self, vdw_model):
-        traj = integrate_geodesic(
-            vdw_model, GeodesicState(2.5, 1.4, 0.05, 0.1), 2.0)
-        with pytest.raises(ValueError):
-            traj.at(2.5)
+            s, v, _, _ = traj.interpolant(t)
+            assert s == pytest.approx(node.s, rel=1e-12)
+            assert v == pytest.approx(node.v, rel=1e-12)
 
 
 class TestStackReuse:
@@ -234,7 +228,7 @@ class TestNumericEnergy:
                                      tol=1e-7)
         exact = integrate_geodesic(vdw_model, init, t_end, tol=1e-7)
         assert numeric.termination is exact.termination is reason
-        assert numeric.final_state == pytest.approx(exact.final_state,
+        assert numeric.states[-1] == pytest.approx(exact.states[-1],
                                                     rel=1e-4, abs=1e-6)
 
 
@@ -263,7 +257,7 @@ class TestTermination:
         traj = integrate_geodesic(
             vdw_model, GeodesicState(2.5, 1.2, -0.2, 0.0), 40.0)
         assert traj.termination is TerminationReason.LOCUS_PROXIMITY
-        final = traj.final_state
+        final = traj.states[-1]
         assert final.t < 40.0
         stack = vdw_model.derivative_stack(sv(final.s, final.v),
                                            check_singular=False)
@@ -279,7 +273,7 @@ class TestTermination:
         traj = integrate_geodesic(
             model, GeodesicState(1.0, 0.5, 0.0, -0.05), 60.0)
         assert traj.termination is TerminationReason.DOMAIN_EXIT
-        assert traj.final_state.v == pytest.approx(0.0, abs=1e-6)
+        assert traj.states[-1].v == pytest.approx(0.0, abs=1e-6)
 
     def test_step_collapse_next_to_the_volume_floor_is_a_domain_exit(self):
         # U = V^4 e^(S/cv) - the speed diverges as V -> 0, and the step
@@ -289,7 +283,7 @@ class TestTermination:
         traj = integrate_geodesic(
             model, GeodesicState(1.0, 1.0, 0.0, -1.0), 10.0)
         assert traj.termination is TerminationReason.DOMAIN_EXIT
-        assert 1e-8 < traj.final_state.v < 1e-6
+        assert 1e-8 < traj.states[-1].v < 1e-6
 
     def test_singular_start_rejected(self, vdw_model):
         v = 1.2
@@ -310,8 +304,8 @@ class TestTermination:
                                   GeodesicState(s, v, -0.3, 0.0), 1.0)
         assert traj.termination is TerminationReason.LOCUS_PROXIMITY
         assert traj.times == (0.0,)
-        assert traj.final_state == GeodesicState(s, v, -0.3, 0.0, 0.0)
-        assert traj.at(0.0) == traj.final_state
+        assert traj.states[-1] == GeodesicState(s, v, -0.3, 0.0, 0.0)
+        assert tuple(traj.interpolant(0.0)) == (s, v, -0.3, 0.0)
 
     def test_zero_span_is_one_node(self, vdw_model):
         # solve_ivp would repeat the start as a second node at t = 0
@@ -321,7 +315,7 @@ class TestTermination:
         assert traj.times == (0.0,)
         assert traj.states == (start,)
         assert len(traj.speeds) == 1
-        assert traj.at(0.0) == start
+        assert tuple(traj.interpolant(0.0)) == start[:4]
 
     def test_out_of_domain_start_rejected(self, vdw_model):
         with pytest.raises(DomainError):
@@ -338,7 +332,7 @@ class TestTermination:
             traj = integrate_geodesic(
                 model, GeodesicState(1.0, 0.5 * mu, 0.0, -0.05 * mu), 30.0)
             assert traj.termination is TerminationReason.DOMAIN_EXIT
-            return traj.final_state.v / mu, traj.final_state.t
+            return traj.states[-1].v / mu, traj.states[-1].t
 
         v_ref, t_ref = stop(1.0)
         assert v_ref == pytest.approx(5e-10, rel=1e-6)
@@ -359,7 +353,7 @@ class TestTermination:
             traj = integrate_geodesic(
                 model, GeodesicState(2.5, 1.2, -0.2, 0.0), 40.0)
             assert traj.termination is TerminationReason.LOCUS_PROXIMITY
-            return traj.final_state
+            return traj.states[-1]
 
         ref = stop("1")
         assert stop("1e-78") == pytest.approx(ref, rel=1e-12, abs=1e-12)

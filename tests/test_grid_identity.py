@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from thermogeom import cli
 from thermogeom.curvature import curvature_report
-from thermogeom.eos_models import IdealGas, StatePoint, VanDerWaals
+from thermogeom.eos_models import Chart, IdealGas, StatePoint, VanDerWaals
 from thermogeom.errors import (
     DomainError,
     FrameSingular,
@@ -45,7 +45,7 @@ from thermogeom.metric_core import eigen_signature, weinhold_metric
 
 def _state(eff, x1, x2):
     if eff["chart"] == "tv":
-        return StatePoint.temperature_volume(x1, x2)
+        return StatePoint(Chart.TEMPERATURE_VOLUME, x1, x2)
     return StatePoint.entropy_volume(x1, x2)
 
 
@@ -54,7 +54,7 @@ def _grid_cell(model, state):
         stack = model.derivative_stack(state)
         metric = weinhold_metric(model, stack)
         report = curvature_report(model, stack)
-        sig = eigen_signature(metric, stack)
+        sig = eigen_signature(metric)
         return [metric.det, report.r_tensorial, report.r_closed2d,
                 report.r_elementary, report.r_model_closed, sig.kind.value]
     except SingularState as exc:

@@ -6,6 +6,7 @@ import pytest
 
 from thermogeom import (
     Chart,
+    metric_core,
     MetricTensor2,
     SignatureKind,
     StatePoint,
@@ -16,6 +17,7 @@ from thermogeom import (
     weinhold_metric,
 )
 from thermogeom.eos_models import SINGULAR_BAND, relative_det
+from thermogeom.metric_core import signature_kind
 from thermogeom.curvature import laplace_beltrami_log_t
 
 from conftest import PARAMS
@@ -54,18 +56,6 @@ class TestWeinholdAssembly:
         assert e12 == pytest.approx(st_.e12, rel=1e-12)
         assert e22 == pytest.approx(st_.e22, rel=1e-12)
 
-    def test_closure_violation_rejected(self):
-        with pytest.raises(ValueError):
-            MetricTensor2(1.0, 0.0, 1.0, (0.0, 1.0, 2.0, 0.0, 0.0, 0.0))
-
-    @pytest.mark.parametrize("scale", [1e-10, 1e10])
-    def test_closure_check_is_scale_free(self, scale):
-        # d112 and d121 differ by 100% at every scale, which a floor of 1
-        # on the comparison hid at small scales
-        d = tuple(scale * x for x in (1.0, 1.0, 2.0, 1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="closure"):
-            MetricTensor2(scale, 0.0, scale, d)
-
 
 class TestEntropyChartMetric:
     @pytest.mark.parametrize("s,v", GOOD_STATES)
@@ -76,6 +66,20 @@ class TestEntropyChartMetric:
         assert r.e11 == pytest.approx(s_uu, rel=1e-12)
         assert r.e12 == pytest.approx(s_uv, rel=1e-12)
         assert r.e22 == pytest.approx(s_vv, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    @pytest.mark.parametrize("pair", [1, 3], ids=["d121", "d221"])
+    def test_closure_violation_rejected(self, vdw_model, monkeypatch,
+                                        scale, pair):
+        # the chain rule computes both members of each pair (d112, d121)
+        # and (d122, d221); one twice the other is rejected at every scale,
+        # as no floor on the comparison hides it at small scales
+        d = [scale] * 6
+        d[pair + 1] = 2.0 * scale
+        monkeypatch.setattr(metric_core, "_ruppeiner_stack",
+                            lambda st: ((scale, 0.0, scale), tuple(d)))
+        with pytest.raises(ValueError, match="closure"):
+            ruppeiner_metric(vdw_model.derivative_stack(sv(2.5, 1.4)))
 
 
 @pytest.mark.parametrize("model_name", ["ideal", "vdw", "berthelot"])
@@ -149,8 +153,39 @@ class TestSignature:
             m.trace, rel=1e-12)
 
     def test_degenerate_matrix_flagged(self):
-        m = MetricTensor2(1.0, 1.0, 1.0, (0.0,) * 6)
+        m = MetricTensor2(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         assert eigen_signature(m).kind is SignatureKind.DEGENERATE
+
+    @pytest.mark.parametrize("fixture,chart,x1,x2", [
+        ("vdw_model", Chart.ENTROPY_VOLUME, (1.8, 3.0), (0.35, 3.0)),
+        ("vdw_model", Chart.TEMPERATURE_VOLUME, (0.3, 1.5), (0.35, 3.0)),
+        ("berthelot_model", Chart.ENTROPY_VOLUME, (-3.0, 1.0), (0.35, 3.0)),
+        ("berthelot_model", Chart.TEMPERATURE_VOLUME, (0.5, 1.5),
+         (0.35, 3.0)),
+    ], ids=["vdw-sv", "vdw-tv", "berthelot-sv", "berthelot-tv"])
+    def test_trace_decides_as_the_heat_capacity(self, request, fixture,
+                                                chart, x1, x2):
+        # the definite kind from the trace is the one the sign of cv gave,
+        # cell by cell, over grids on both sides of the locus
+        model = request.getfixturevalue(fixture)
+        st_ = model.array_stack(chart, np.linspace(*x1, 23)[:, None],
+                                np.linspace(*x2, 29)[None, :])
+        kinds = signature_kind(weinhold_metric(model, st_))
+        e11, e12, e22, cv = (np.broadcast_to(x, kinds.shape).tolist()
+                             for x in (st_.e11, st_.e12, st_.e22, st_.cv))
+        want = []
+        for cell in zip(e11, e12, e22, cv):
+            if abs(relative_det(*cell[:3])) < SINGULAR_BAND:
+                want.append(SignatureKind.DEGENERATE)
+            elif cell[0] * cell[2] - cell[1] * cell[1] < 0.0:
+                want.append(SignatureKind.INDEFINITE)
+            elif cell[3] > 0.0:
+                want.append(SignatureKind.POSITIVE_DEFINITE)
+            else:
+                want.append(SignatureKind.NEGATIVE_DEFINITE)
+        assert kinds.tolist() == want
+        assert {SignatureKind.INDEFINITE,
+                SignatureKind.POSITIVE_DEFINITE} <= set(want)
 
 
 class TestSoundSpeeds:

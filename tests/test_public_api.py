@@ -5,9 +5,11 @@ leading underscore) must be used somewhere in the package outside its own
 definition and the package ``__init__``, by the acceptance suite, or be
 one the benchmark tracer wraps by name.  A public class must be used in
 the package outside its own body and ``__init__``, by the acceptance
-suite, or by the benchmark's scripts.  A use is a call or any other load
-of the name: the ``cli.cmd_*`` functions are reached only through the
-dispatch table.  Anything else is public API that nothing uses.
+suite, or by the benchmark's scripts, and so must each public method and
+property of a public class, as an attribute.  A use is a call or any
+other load of the name: the ``cli.cmd_*`` functions are reached only
+through the dispatch table.  Anything else is public API that nothing
+uses.
 """
 import ast
 from pathlib import Path
@@ -21,11 +23,12 @@ MODULES = sorted(path for path in PACKAGE.glob("*.py")
 
 
 class _Uses(ast.NodeVisitor):
-    """Names loaded in a module, except a function's or a class's loads of
-    itself."""
+    """Names loaded in a module, and among them those loaded as an
+    attribute, except a function's or a class's loads of itself."""
 
     def __init__(self):
         self.names = set()
+        self.attributes = set()
         self._enclosing = []
 
     def visit_FunctionDef(self, node):
@@ -44,8 +47,9 @@ class _Uses(ast.NodeVisitor):
             self._use(node.id)
 
     def visit_Attribute(self, node):
-        if isinstance(node.ctx, ast.Load):
-            self._use(node.attr)
+        if isinstance(node.ctx, ast.Load) and node.attr not in self._enclosing:
+            self.names.add(node.attr)
+            self.attributes.add(node.attr)
         self.generic_visit(node)
 
 
@@ -53,10 +57,14 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _used(path: Path) -> set[str]:
+def _uses(path: Path) -> _Uses:
     uses = _Uses()
     uses.visit(_parse(path))
-    return uses.names
+    return uses
+
+
+def _used(path: Path) -> set[str]:
+    return _uses(path).names
 
 
 def _traced() -> set[str]:
@@ -85,8 +93,26 @@ def test_every_public_function_is_used():
     assert _unused((ast.FunctionDef, ast.AsyncFunctionDef), used) == []
 
 
+def _users() -> list[Path]:
+    """The acceptance suite and the benchmark's scripts."""
+    return [ROOT / "tests" / "test_acceptance.py",
+            *(ROOT / "perfbench").glob("*.py")]
+
+
 def test_every_public_class_is_used():
-    used = _used(ROOT / "tests" / "test_acceptance.py")
-    for path in (ROOT / "perfbench").glob("*.py"):
-        used |= _used(path)
+    used = set().union(*map(_used, _users()))
     assert _unused(ast.ClassDef, used) == []
+
+
+def test_every_public_method_is_used():
+    # an attribute of that name loaded anywhere counts: a name alone
+    # cannot tell whose attribute a load reads
+    used = set().union(*(_uses(path).attributes
+                         for path in [*MODULES, *_users()]))
+    unused = [f"{path.stem}.{cls.name}.{node.name}" for path in MODULES
+              for cls in _parse(path).body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []
