@@ -2,12 +2,23 @@
 
 A port of the path that ``scipy.integrate.solve_ivp(method="RK45",
 dense_output=True, events=...)`` takes in scipy 1.17, so geodesics need
-no scipy.  It keeps scipy's numpy operations (the stage sums by
-``np.dot``, the RMS norm, the dense-output matrix ``Q = K.T.dot(P)``)
-rather than rewriting them as float loops: the error estimate is a
-cancellation, so a reordered sum moves the step size and, from the third
-step on, the nodes by up to 3e-9.  Nodes, states, dense samples, event
-times, status and the evaluation count equal scipy's bit for bit.
+no scipy.  Nodes, states, dense samples, event times, status and the
+evaluation count equal scipy's bit for bit.
+
+The reductions whose rounding depends on the BLAS kernel stay numpy
+calls on scipy's shapes and memory layouts: the five stage sums
+``K[:s].T.dot(a)``, the new state's ``K[:-1].T.dot(B)``, the error
+estimate's ``K.T.dot(E)``, the ``x.dot(x)`` of the RMS norm, the
+dense-output matrix ``Q = K.T.dot(P)`` of each step, and ``Q.dot(p)`` on
+the powers p of each run of samples that one step serves.  The error
+estimate is a cancellation, so a reordered sum would move the step size
+and, from the third step on, the nodes by up to 3e-9.  All other work is
+one IEEE operation at a time, or the C library's pow that numpy's scalar
+power calls too, with the same bits as scipy's: on floats (the step
+size, the times, the step factor and their tests), on numpy scalars in
+the initial-step rule, and elementwise, in place, on arrays (the stage
+states, the error scale, the sample powers).  Overflow and invalid
+operations give inf and NaN silently, as float arithmetic does.
 
 Every event is terminal and fires on a sign change in its ``direction``
 attribute (-1 falling, +1 rising, 0 either); its time is the root of
@@ -27,7 +38,6 @@ Derivatives (1973), ch. 4 (the root).
 from __future__ import annotations
 
 import math
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +77,7 @@ _P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 # Stage rows 1..5: (the row's coefficients below the diagonal, c)
-_STAGES = tuple((_A[s][:s], _C[s]) for s in range(1, 6))
+_STAGES = tuple((_A[s][:s], float(_C[s])) for s in range(1, 6))
 
 
 def _norm(x):
@@ -98,90 +108,68 @@ def _select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-class _RkDenseOutput:
-    """Quartic interpolant over one step: y_old + h Q (x, x^2, x^3, x^4)."""
-
-    def __init__(self, t_old, t, y_old, Q):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.Q = Q
-        self.order = Q.shape[1] - 1
-        self.y_old = y_old
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            p = np.tile(x, self.order + 1)
-            p = np.cumprod(p)
-        else:
-            p = np.tile(x, (self.order + 1, 1))
-            p = np.cumprod(p, axis=0)
-        y = self.h * np.dot(self.Q, p)
-        if y.ndim == 2:
-            y += self.y_old[:, None]
-        else:
-            y += self.y_old
-        return y
-
-
-class _ConstantDenseOutput:
-    """Interpolant of a zero-length span."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        if t.ndim == 0:
-            return self.value
-        ret = np.empty((self.value.shape[0], t.shape[0]))
-        ret[:] = self.value[:, None]
-        return ret
+def _quartic(t, t_old, h, y_old, Q):
+    """One step's interpolant y_old + h Q (x, x^2, x^3, x^4), x = (t -
+    t_old) / h, at the float time ``t``."""
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    y = Q.dot(np.array([x, x2, x3, x3 * x]))
+    y *= h
+    y += y_old
+    return y
 
 
 class _OdeSolution:
-    """The step interpolants joined at the nodes ``ts``; at a node the
-    segment with the lower index is used.  Takes a scalar or a 1-D array."""
+    """Dense output of a run with nodes ``ts`` and states ``ys`` (one
+    column per node): over step i, of size ``hs[i]``, the quartic of
+    ``Qs[i]`` from node i.  At a node the step with the lower index serves;
+    a run of no step, over a zero-length span, is constant.  Takes a scalar
+    or a 1-D array."""
 
-    def __init__(self, ts, interpolants):
-        self.n_segments = len(interpolants)
-        self.interpolants = interpolants
-        if ts[-1] >= ts[0]:
-            self.ascending = True
-            self.side = "left"
-            self.ts_sorted = ts
-        else:
-            self.ascending = False
-            self.side = "right"
-            self.ts_sorted = ts[::-1]
+    def __init__(self, ts, ys, hs, Qs):
+        self.ts, self.ys, self.hs, self.Qs = ts, ys, hs, Qs
+        self.ascending = ts[-1] >= ts[0]
+
+    def _step(self, t):
+        """Index of the step that serves each time of ``t``."""
+        last = len(self.Qs) - 1
+        if self.ascending:
+            return np.clip(np.searchsorted(self.ts, t) - 1, 0, last)
+        ind = np.searchsorted(self.ts[::-1], t, side="right")
+        return last - np.clip(ind - 1, 0, last)
 
     def __call__(self, t):
         t = np.asarray(t)
+        if not self.Qs:
+            value = self.ys[:, -1]
+            return value if t.ndim == 0 else np.repeat(value[:, None],
+                                                       t.size, axis=1)
         if t.ndim == 0:
-            ind = np.searchsorted(self.ts_sorted, t, side=self.side)
-            segment = min(max(ind - 1, 0), self.n_segments - 1)
-            if not self.ascending:
-                segment = self.n_segments - 1 - segment
-            return self.interpolants[segment](t)
+            i = int(self._step(t))
+            return _quartic(float(t), float(self.ts[i]), self.hs[i],
+                            self.ys[:, i], self.Qs[i])
 
+        # scipy sorts the samples and forms h Q.p + y_old on each run of
+        # them that one step serves.  Here the elementwise steps, each one
+        # IEEE operation per sample, are done for all runs at once; only
+        # the product Q.p is formed per run, on the same shapes.
         order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
         t_sorted = t[order]
-        segments = np.searchsorted(self.ts_sorted, t_sorted, side=self.side)
-        segments -= 1
-        segments[segments < 0] = 0
-        segments[segments > self.n_segments - 1] = self.n_segments - 1
-        if not self.ascending:
-            segments = self.n_segments - 1 - segments
-        ys = []
-        group_start = 0
-        for segment, group in groupby(segments):
-            group_end = group_start + len(list(group))
-            ys.append(self.interpolants[segment](t_sorted[group_start:group_end]))
-            group_start = group_end
-        return np.hstack(ys)[:, reverse]
+        steps = self._step(t_sorted)
+        h = np.array(self.hs)[steps]
+        x = (t_sorted - self.ts[steps]) / h
+        p = np.cumprod(np.tile(x, (_P.shape[1], 1)), axis=0)
+        y = np.empty((self.ys.shape[0], t.size))
+        starts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist()]
+        for a, b, i in zip(starts, [*starts[1:], t.size],
+                           steps[starts].tolist()):
+            y[:, a:b] = self.Qs[i].dot(p[:, a:b])
+        y *= h
+        y += self.ys[:, steps]
+        out = np.empty_like(y)
+        out[:, order] = y
+        return out
 
 
 def _find_active_events(g, g_new, directions):
@@ -282,6 +270,7 @@ class _Run(NamedTuple):
     event: int | None
 
 
+@np.errstate(all="ignore")  # inf and NaN arise silently, as for floats
 def _solve(fun, t_span, y0, tol, events) -> _Run:
     """Integrate ``y' = fun(t, y)`` over ``t_span`` from ``y0`` with
     rtol = atol = ``tol``, until the end of the span or the first event.
@@ -294,30 +283,33 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
     rtol = max(tol, 100 * _EPS)
     atol = np.asarray(tol)
     directions = [event.direction for event in events]
-
-    def f_of(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
-    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-    f = f_of(t0, y)
-    h_abs = _select_initial_step(f_of, t0, y, t_bound, f, direction,
-                                 rtol, atol)
-    nfev = 1 if t_bound == t0 else 2
+    direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
     K = np.empty((7, y.size))
-    K_rows = [K[:s].T for s in range(1, 6)]
+    K[0] = fun(t0, y)
+    h_abs = float(_select_initial_step(fun, t0, y, t_bound, K[0], direction,
+                                       rtol, atol))
+    nfev = 1 if t_bound == t0 else 2
+    # stage s: the row of K it fills, the sum's K[:s].T, its a and c
+    stages = [(s, K[:s].T, a, c) for s, (a, c) in enumerate(_STAGES, 1)]
     K_steps, K_all = K[:-1].T, K.T
+    # numpy multiplies by a 0-d array in less time than by a float
+    h_0d, rtol_0d = np.empty(()), np.asarray(rtol)
+    abs_y = np.abs(y)
+    root_n = y.size ** 0.5
 
     t = t0
-    ts, ys, interpolants = [t0], [y0], []
+    ts, ys, hs, Qs = [t0], [y0], [], []
     g = [event(t0, y0) for event in events]
     status = event_index = None
     while status is None:
         t_old = t
         if t == t_bound:  # zero-length span
             status = 0
-            sol = _ConstantDenseOutput(y)
+
+            def sol(_):
+                return y
         else:
-            min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             if h_abs < min_step:
                 h_abs = min_step
             rejected = False
@@ -326,24 +318,32 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
                 if not h_abs >= min_step:
                     status = -1
                     break
-                h = h_abs * direction
-                t_new = t + h
+                t_new = t + h_abs * direction
                 if direction * (t_new - t_bound) > 0:
                     t_new = t_bound
                 h = t_new - t
-                h_abs = np.abs(h)
+                h_abs = abs(h)
+                h_0d[()] = h
 
-                K[0] = f
-                for row, (a, c) in zip(K_rows, _STAGES):
-                    dy = np.dot(row, a) * h
-                    K[len(a)] = fun(t + c * h, y + dy)
-                y_new = y + h * np.dot(K_steps, _B)
-                f_new = f_of(t + h, y_new)
-                K[-1] = f_new
+                for s, K_s, a, c in stages:
+                    dy = K_s.dot(a)
+                    dy *= h_0d
+                    dy += y
+                    K[s] = fun(t + c * h, dy)
+                y_new = K_steps.dot(_B)
+                y_new *= h_0d
+                y_new += y
+                K[6] = fun(t + h, y_new)
                 nfev += 6
 
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                error_norm = _norm(np.dot(K_all, _E) * h / scale)
+                abs_new = np.abs(y_new)
+                scale = np.maximum(abs_y, abs_new)
+                scale *= rtol_0d
+                scale += atol
+                error = K_all.dot(_E)
+                error *= h_0d
+                error /= scale
+                error_norm = math.sqrt(error.dot(error)) / root_n
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = _MAX_FACTOR
@@ -359,11 +359,16 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
                 rejected = True
             if status == -1:
                 break
-            y_old, t, y, f = y, t_new, y_new, f_new
+            y_old, t, y, abs_y = y, t_new, y_new, abs_new
             if direction * (t - t_bound) >= 0:
                 status = 0
-            sol = _RkDenseOutput(t_old, t, y_old, K_all.dot(_P))
-        interpolants.append(sol)
+            Q = K_all.dot(_P)
+            K[0] = K[6]
+            hs.append(h)
+            Qs.append(Q)
+
+            def sol(x):
+                return _quartic(x, t_old, h, y_old, Q)
 
         g_new = [event(t, y) for event in events]
         active = _find_active_events(g, g_new, directions)
@@ -376,13 +381,13 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
             y = sol(t)
         g = g_new
 
-        if len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()  # the event fell on the previous node
+        if len(ts) > 1 and ts[-1] == t:  # the event fell on the last node
+            hs.pop()
+            Qs.pop()
         else:
             ts.append(t)
             ys.append(y)
 
-    ts = np.array(ts)
-    return _Run(t=ts, y=np.vstack(ys).T,
-                sol=_OdeSolution(ts, interpolants), nfev=nfev,
+    ts, ys = np.array(ts), np.vstack(ys).T
+    return _Run(t=ts, y=ys, sol=_OdeSolution(ts, ys, hs, Qs), nfev=nfev,
                 status=status, event=event_index)

@@ -6,7 +6,7 @@ written in terms of the measured response functions.  Both must agree;
 the explicit route doubles as a verification target.
 
 Each geodesic stage and sample speed reads only e11 to c222, the Hessian of
-U and its third partials, from ``hessian_partials``;
+U and its third partials, after the checks of ``hessian_partials``;
 ``christoffel_from_stack`` and ``metric_speed`` share its arithmetic.
 
 Integration is the Dormand-Prince 5(4) pair with local extrapolation
@@ -194,30 +194,40 @@ def integrate_geodesic(model: ConstitutiveModel,
 
     nan4 = [math.nan] * 4
     floor = model.covolume
+    fields = model._fields
     # The Hessian and third partials, (e11, ..., c222), by (S, V) of the
     # points the locus event reads: the accepted nodes, which the speeds
     # reuse.  Of the right-hand-side points only the latest is kept; RK45's
-    # last stage is the accepted point, so the event finds it there.
+    # last stage is the accepted point, so the event finds it there.  None
+    # marks a point that is no state.
     memo = {(float(init.s), float(init.v)): start_stack[5:12]}
     last = [None, None]  # key and entries of the latest evaluation
 
-    def hessian_at(s, v, node=True):
+    def hessian_at(s, v):
         key = s, v = float(s), float(v)
-        if key in memo:
-            return memo[key]
-        if last[0] != key:
-            try:  # trial states may be inadmissible; None marks those
-                hessian = hessian_partials(model, s, v)
+        if key not in memo:
+            try:
+                memo[key] = (last[1] if last[0] == key
+                             else hessian_partials(model, s, v))
             except (ThermogeomError, ValueError, OverflowError):
-                hessian = None
-            last[:] = key, hessian
-        if node:
-            memo[key] = last[1]
-        return last[1]
+                memo[key] = None
+        return memo[key]
 
     def rhs(_t, y):
         s, v, sd, vd = y.tolist()  # floats: numpy scalars cost more per op
-        hessian = hessian_at(s, v, node=False)
+        key = s, v
+        if key in memo:
+            hessian = memo[key]
+        elif key == last[0]:
+            hessian = last[1]
+        else:  # hessian_partials, inline; trial states may be no state
+            hessian = None
+            if math.isfinite(s) and math.isfinite(v) and v > 0.0:
+                try:
+                    hessian = fields(Chart.ENTROPY_VOLUME, s, v)[5:12]
+                except (ThermogeomError, ValueError, OverflowError):
+                    pass
+            last[:] = key, hessian
         if hessian is None:
             return nan4
         det = hessian[0] * hessian[2] - hessian[1] * hessian[1]  # stack.det

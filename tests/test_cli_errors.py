@@ -312,3 +312,19 @@ def test_geodesic_with_an_overflowing_start_fails_at_once(capsys):
     assert (rc, out) == (3, "")
     assert one_line(err) == ("numeric failure: integration failed: Required "
                              "step size is less than spacing between numbers.")
+
+
+@pytest.mark.parametrize("velocity", [["--start-sdot=1e200", "--start-vdot=0"],
+                                      ["--start-sdot=1e300",
+                                       "--start-vdot=1e300"]])
+def test_geodesic_with_an_overflowing_velocity_prints_one_line(capsys,
+                                                               velocity):
+    # the error norm (and, at 1e300, the first step's) overflows; the
+    # solver goes on with inf and NaN as float arithmetic does, without a
+    # numpy warning, until the step collapses
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, [*GEODESIC, *velocity])
+    assert (rc, out, caught) == (3, "", [])
+    assert one_line(err) == ("numeric failure: integration failed: Required "
+                             "step size is less than spacing between numbers.")

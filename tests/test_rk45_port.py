@@ -4,8 +4,8 @@
 captures that call, runs ``solve_ivp(method="RK45", dense_output=True,
 events=...)`` on the same right-hand side and events, and compares node
 times, states, evaluation counts, event times, status and dense samples
-(200 array points, and scalar points that include every node) by their
-bytes.
+(200 array points in order, reversed and shuffled, the nodes as one array,
+and scalar points that include every node) by their bytes.
 """
 from unittest import mock
 
@@ -85,6 +85,10 @@ def assert_same_run(run, ref):
     assert same_bits(run.sol(samples[::-1]), ref.sol(samples[::-1]))
     for t in [*ref.t.tolist(), *samples[::9].tolist()]:
         assert same_bits(run.sol(t), ref.sol(t))
+    # every node starts a run of samples on one segment
+    assert same_bits(run.sol(ref.t), ref.sol(ref.t))
+    shuffled = np.random.default_rng(0).permutation(samples)
+    assert same_bits(run.sol(shuffled), ref.sol(shuffled))
 
 
 @given(gas=st.sampled_from(sorted(GASES)),
