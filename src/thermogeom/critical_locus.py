@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ _SCAN_POINTS = 181
 _POLY_NEWTON_STEPS = 8
 
 
-@dataclass(frozen=True)
-class LocusSample:
+class LocusSample(NamedTuple):
     """One point on the degeneracy locus."""
 
     v: float
@@ -66,15 +65,13 @@ class LocusSample:
     p: float
 
 
-@dataclass(frozen=True)
-class LocusPolyline:
+class LocusPolyline(NamedTuple):
     samples: tuple[LocusSample, ...]
     branch: str
     note: str = "parameterized by volume"
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """Top of the degeneracy locus, where dT/dV and dp/dV vanish along it.
 
     ``negative_branch`` carries the sign-flipped (p, T) pair for models
@@ -87,8 +84,7 @@ class CriticalPoint:
     negative_branch: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class ReducedCurvePoint:
+class ReducedCurvePoint(NamedTuple):
     p_r: float
     t_r: float
 
@@ -98,8 +94,7 @@ class RootKind(enum.Enum):
     TEMPERATURE = "temperature"
 
 
-@dataclass(frozen=True)
-class VolumeRoots:
+class VolumeRoots(NamedTuple):
     """Physical volume roots of a reduced cubic, ascending, with the
     alternative trigonometric branch values and reconciliation notes."""
 
@@ -108,15 +103,13 @@ class VolumeRoots:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CoexistenceSample:
+class CoexistenceSample(NamedTuple):
     t_r: float
     volumes: tuple[float, ...]
     pressures: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CoexistenceCurve:
+class CoexistenceCurve(NamedTuple):
     samples: tuple[CoexistenceSample, ...]
     note: str = "branches ordered by volume; the last is the large-volume one"
 

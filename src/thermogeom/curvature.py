@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class FlatnessClass(enum.Enum):
     NON_FLAT = "non_flat"
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Every route's curvature at one state, their spread and, for
     Berthelot, the published polynomial form's mismatch."""
 

@@ -4,7 +4,11 @@ Every model reports, at an admissible state, the energy, the first
 derivatives (T, -p), the Hessian of U(S, V), the four third partials, the
 six thermodynamic coefficients, and the coefficient partials.  These are
 bundled in one immutable NamedTuple, :class:`DerivativeStack`, so metric and
-curvature code never recomputes or re-differentiates anything.
+curvature code never recomputes or re-differentiates anything.  Every
+result record of the package is a NamedTuple; only :class:`StatePoint` and
+:class:`GasParameters`, which check their fields, are frozen dataclasses, so
+that ``__post_init__`` runs on every construction, ``dataclasses.replace``
+included, where a NamedTuple's ``_make`` and ``_replace`` would skip it.
 
 Models in the entropy-volume family (ideal, van der Waals, generic
 constant-cv) share one closed-form engine.  The Berthelot gas lives natively
@@ -593,12 +597,8 @@ class Berthelot(ConstitutiveModel):
         q = self.params
         self._check_volume(v.min() if isinstance(v, np.ndarray) else v)
         # a temperature-volume state carries T > 0 already
-        if chart is Chart.TEMPERATURE_VOLUME:
-            t = x1
-            s = self._entropy(t, v)
-        else:
-            s = x1
-            t = self._temperature_from_entropy(s, v)
+        tv = chart is Chart.TEMPERATURE_VOLUME
+        t = x1 if tv else self._temperature_from_entropy(x1, v)
 
         a, b, r = q.a, q.b, q.r_gas
         w = v - b
@@ -607,6 +607,8 @@ class Berthelot(ConstitutiveModel):
         if anywhere(t3 < _NORMAL_MIN):
             raise DomainError(
                 f"temperature {t} is too small: its cube underflows")
+        # after the check: the entropy's T * T underflows below ~1.5e-154
+        s = self._entropy(t, v) if tv else x1
         u = q.u0 + q.cv0 * t - 2.0 * a / (t * v)
         p = r * t / w - a / (t * v * v)
 

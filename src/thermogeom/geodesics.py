@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import _rk45
@@ -163,8 +162,7 @@ def hessian_partials(model: ConstitutiveModel, s: float, v: float) -> tuple:
     return model._fields(Chart.ENTROPY_VOLUME, s, v)[5:12]
 
 
-@dataclass(frozen=True)
-class GeodesicTrajectory:
+class GeodesicTrajectory(NamedTuple):
     times: tuple[float, ...]
     states: tuple[GeodesicState, ...]
     speeds: tuple[float, ...]

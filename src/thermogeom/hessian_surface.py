@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .eos_models import (
     ConstitutiveModel,
@@ -72,8 +72,7 @@ class RadialClass(enum.Enum):
     TANGENT = "tangent"
 
 
-@dataclass(frozen=True)
-class HessianPoint:
+class HessianPoint(NamedTuple):
     """Image of one state under the Hessian map, with frame and normal
     (each coordinate an array over the cells of a grid)."""
 
@@ -83,8 +82,7 @@ class HessianPoint:
     normal: tuple[float, float, float]          # r1 x r2
 
 
-@dataclass(frozen=True)
-class RadialPairing:
+class RadialPairing(NamedTuple):
     pairing: float
     kind: RadialClass
 

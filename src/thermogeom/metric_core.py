@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,15 +67,13 @@ class SignatureKind(enum.Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class SignatureClass:
+class SignatureClass(NamedTuple):
     kind: SignatureKind
     lambda_plus: float
     lambda_minus: float
 
 
-@dataclass(frozen=True)
-class DeterminantReport:
+class DeterminantReport(NamedTuple):
     det: float
     residual_kvc: float
     residual_dpdv: float
@@ -84,8 +81,7 @@ class DeterminantReport:
     det_correction: float | None
 
 
-@dataclass(frozen=True)
-class IdentityResiduals:
+class IdentityResiduals(NamedTuple):
     id1: float
     id2: float
     id3: float | None

@@ -5,10 +5,11 @@ Run by hand from anywhere:
     python3 tests/golden/regen.py
 
 It imports thermogeom from this checkout's ``src``, runs every case in
-``cases.py`` in-process, writes each ``<case>.out`` whose bytes changed,
-deletes recordings that no case names, and lists every file it touched.
-A changed file is marked "within tolerance" when the old recording would
-still have passed the golden test.  For each changed file it also prints
+``cases.py`` in-process, writes each ``<case>.out`` that is new or that the
+golden test would fail, and deletes recordings that no case names.  A
+recording whose bytes changed but which would still pass the golden test is
+kept as it is and listed as "kept, within tolerance", so rounding noise of
+one machine never rewrites a recording.  For each changed output it prints
 the largest relative change of a number, and the largest absolute change
 among numbers recorded below ``TINY`` in magnitude (where a relative change
 means nothing, e.g. a curvature of 0), each with its line and column, so a
@@ -74,7 +75,7 @@ def number_changes(new: str, old: str) -> list[str]:
 
 
 def main() -> int:
-    changed = []
+    changed, touched = [], 0
     for name in CASES:
         path = golden_path(name)
         text = run_case(name)
@@ -82,20 +83,24 @@ def main() -> int:
             old = path.read_text(encoding="utf-8")
             if old == text:
                 continue
-            how = ("within tolerance" if not mismatches(text, old)
-                   else "outside tolerance")
-            how = "; ".join([how, *number_changes(text, old)])
+            kept = not mismatches(text, old)
+            how = "; ".join(["kept, within tolerance" if kept
+                             else "outside tolerance",
+                             *number_changes(text, old)])
         else:
-            how = "new"
-        path.write_text(text, encoding="utf-8")
+            kept, how = False, "new"
+        if not kept:
+            path.write_text(text, encoding="utf-8")
+            touched += 1
         changed.append(f"{path.name}: {how}")
     for path in sorted(GOLDEN_DIR.glob("*.out")):
         if path.stem not in CASES:
             path.unlink()
+            touched += 1
             changed.append(f"{path.name}: deleted, no such case")
     for line in changed:
         print(line)
-    print(f"{len(changed)} of {len(CASES)} recordings changed")
+    print(f"{touched} of {len(CASES)} recordings written or deleted")
     return 0
 
 

@@ -276,12 +276,14 @@ def test_bad_window_or_constant_exits_one(capsys, argv, message):
     ["--smin=-2000", "--smax=-1900", "--a", "0"],
     ["--smin=-700", "--smax=-650", "--a", "0"],
     ["--chart", "tv", "--smin", "1e-120", "--smax", "1e-110", "--a", "1.5"],
-], ids=["a0-exp-overflow", "a0-cube-underflow", "tv-cube-underflow"])
+    ["--chart", "tv", "--smin", "1e-200", "--smax", "2e-200", "--a", "1.5"],
+], ids=["a0-exp-overflow", "a0-cube-underflow", "tv-cube-underflow",
+        "tv-square-underflow"])
 def test_berthelot_temperature_whose_cube_underflows_exits_one(capsys,
                                                                 window):
     # at a = 0 the inversion's zero attraction term must not overflow, and
     # a T^3 that underflows must not reach p_tt as 0/0; every cell is
-    # outside the domain
+    # outside the domain, also where T^2 underflows in the entropy
     rc, out, err = run(capsys, ["curvature-grid", "--model", "berthelot",
                                 "--b", "0.2", "--r-gas", "2", "--cv", "2.5",
                                 "--vmin", "0.3", "--vmax", "10", "--n", "3",
@@ -290,6 +292,19 @@ def test_berthelot_temperature_whose_cube_underflows_exits_one(capsys,
     line = one_line(err)
     assert line.startswith("error: temperature ")
     assert line.endswith(" is too small: its cube underflows")
+
+
+def test_berthelot_tv_cells_whose_square_underflows_are_domain(capsys):
+    # T = 1e-200 fails its T^3 check before the entropy's T * T underflows
+    rc, out, err = run(capsys, ["curvature-grid", "--model", "berthelot",
+                                "--a", "1.5", "--b", "0.2", "--r-gas", "2",
+                                "--cv", "2.5", "--chart", "tv",
+                                "--smin", "1e-200", "--smax", "1",
+                                "--vmin", "1", "--vmax", "2", "--n", "2"])
+    assert (rc, err) == (0, "")
+    rows = grid_rows(out)
+    assert [row[1:] for row in rows[:2]] == [["", *["domain"] * 5]] * 2
+    assert all("domain" not in row for row in rows[2:])
 
 
 def test_clipped_window_that_fails_prints_only_its_error(capsys):

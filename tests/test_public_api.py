@@ -10,6 +10,10 @@ property of a public class, as an attribute.  A use is a call or any
 other load of the name: the ``cli.cmd_*`` functions are reached only
 through the dispatch table.  Anything else is public API that nothing
 uses.
+
+A record that checks its fields is a frozen dataclass, whose
+``__post_init__`` runs on every construction; every other record is a
+NamedTuple.
 """
 import ast
 from pathlib import Path
@@ -116,3 +120,23 @@ def test_every_public_method_is_used():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               and not node.name.startswith("_") and node.name not in used]
     assert unused == []
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return "dataclass" in (getattr(decorator, "id", None),
+                           getattr(decorator, "attr", None))
+
+
+def test_every_dataclass_checks_its_fields():
+    # a NamedTuple's _make and _replace would skip the check
+    unchecked = [f"{path.stem}.{node.name}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(_parse(path))
+                 if isinstance(node, ast.ClassDef)
+                 and any(map(_is_dataclass, node.decorator_list))
+                 and "__post_init__" not in {
+                     item.name for item in node.body
+                     if isinstance(item, ast.FunctionDef)}]
+    assert unchecked == []
