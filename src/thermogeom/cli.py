@@ -500,8 +500,7 @@ def cmd_curvature_grid(args, eff, model) -> int:
 
     def ended(exc):
         if isinstance(exc, SingularState):
-            return [0.0 if exc.det is None else exc.det,
-                    *["singular"] * 4, "degenerate"]
+            return [exc.det, *["singular"] * 4, "degenerate"]
         return [None, *[_marker(exc)] * 5]
 
     return _grid(args, eff, model,
@@ -656,7 +655,8 @@ def _verify_residuals(model, st) -> dict:
 def _verify_checks(model, eff, rng, n_states):
     """Each check's name, residual and tolerance, over the first
     ``n_states`` admissible draws.  A draw whose stack raises is skipped;
-    a check that raises ends the run."""
+    a check that raises ends the run, and so does the first draw's error
+    when no draw is admissible."""
     b = model.covolume
     v_lo = max(eff["vmin"], b + 0.1 * max(1.0, b))
     v_hi = max(eff["vmax"], v_lo + 1.0)
@@ -673,6 +673,7 @@ def _verify_checks(model, eff, rng, n_states):
     # each check's largest residual over each batch, NaN passed over
     maxima = {name: [] for name in _VERIFY_TOLERANCES}
     found = attempts = 0
+    first = None  # the error that ended the first draw, if one did
     while found < n_states and attempts < 100 * n_states:
         size = min(_VERIFY_BATCH, n_states - found, 100 * n_states - attempts)
         attempts += size
@@ -683,12 +684,14 @@ def _verify_checks(model, eff, rng, n_states):
         for exc, in_stack in ended:
             if exc is not None and not in_stack:
                 raise exc
+        if first is None and ended:
+            first = ended[0][0]
         found += size - sum(exc is not None for exc, _ in ended)
         # an ended state repeats an admissible one's residuals
         for check, column in zip(value or (), maxima.values()):
             column += [np.fmax.reduce(np.broadcast_to(x, size)) for x in check]
     if not found:
-        raise SingularState("no admissible states found for verification")
+        raise first
     # the largest over the states, as Python's max takes it from a start
     # of 0.0
     return [(name, max(0.0, float(np.fmax.reduce(maxima[name]))), tol)

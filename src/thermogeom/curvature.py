@@ -31,15 +31,13 @@ from .eos_models import (
     ConstantCv,
     ConstitutiveModel,
     DerivativeStack,
-    SINGULAR_BAND,
     StatePoint,
+    checked_det,
     choose,
     libm_for,
-    raise_where,
-    relative_det,
     stack_at,
 )
-from .errors import SingularState, UnsupportedModel
+from .errors import UnsupportedModel
 from .metric_core import MetricTensor2, ruppeiner_metric, weinhold_metric
 
 
@@ -80,7 +78,9 @@ def _ricci(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 def scalar_curvature_tensorial(metric: MetricTensor2):
     """Scalar curvature by the index contraction of the metric's arrays: a
     float, or an array over a grid's cells.  The batched LAPACK inverse
-    and contraction round each cell exactly as a single one."""
+    and contraction round each cell exactly as a single one.  A degenerate
+    metric raises SingularState before the inverse is taken."""
+    checked_det(metric.e11, metric.e12, metric.e22, "metric not invertible")
     batch = np.broadcast(*metric).shape
     g = np.empty(batch + (2, 2))
     g[..., 0, 0] = metric.e11
@@ -91,10 +91,7 @@ def scalar_curvature_tensorial(metric: MetricTensor2):
     dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = dg[..., 1, 0, 0] = metric.c112
     dg[..., 0, 1, 1] = dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = metric.c122
     dg[..., 1, 1, 1] = metric.c222
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        raise SingularState("metric not invertible") from None
+    ginv = np.linalg.inv(g)
     r = np.sum(ginv * _ricci(dg, ginv), axis=(-2, -1))
     return float(r) if r.ndim == 0 else r
 
@@ -103,13 +100,11 @@ def scalar_curvature_closed2d(metric: MetricTensor2) -> float:
     """2D scalar curvature -det3 / (2 det^2) from the Hessian jet: the
     metric's three entries and its four third partials."""
     e11, e12, e22, c111, c112, c122, c222 = metric
-    raise_where(abs(relative_det(e11, e12, e22)) < SINGULAR_BAND,
-                SingularState, "curvature diverges on the degeneracy locus",
-                det=metric.det)
+    det = checked_det(e11, e12, e22,
+                      "curvature diverges on the degeneracy locus")
     det3 = (e11 * (c112 * c222 - c122 * c122)
             - e12 * (c111 * c222 - c112 * c122)
             + e22 * (c111 * c122 - c112 * c112))
-    det = metric.det
     return -det3 / (2.0 * det * det)
 
 
@@ -118,13 +113,11 @@ def scalar_curvature_elementary(st: DerivativeStack) -> float:
 
     Reads the stack's response coefficients, their partials and the
     volume; the determinant is taken in its coefficient form T/(k V cv), so
-    this route never touches the Hessian entries directly.
+    this route never touches the Hessian entries directly.  Where alpha,
+    k or cv vanishes it divides by zero, as floats do.
     """
     t, v, cv, cp, alpha, k = st.t, st.v, st.cv, st.cp, st.alpha, st.k
-    raise_where((cv == 0.0) | (alpha == 0.0) | (k == 0.0), SingularState,
-                "elementary curvature needs cv, alpha, k nonzero")
     det = t / (k * v * cv)
-    raise_where(det == 0.0, SingularState, "degenerate metric", det=det)
 
     h = (alpha / k - cv / v
          + ((cp - cv) / alpha) * st.dalpha_dv

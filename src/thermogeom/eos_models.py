@@ -291,11 +291,19 @@ def raise_where(cond, error, *args, **kwargs):
         raise error(*args, **kwargs)
 
 
-def _determinant(e11, e12, e22):
-    """Hessian determinant; a degenerate state raises SingularState."""
+def is_degenerate(e11, e12, e22):
+    """Whether the Hessian is degenerate: its relative determinant lies
+    inside ``SINGULAR_BAND``; elementwise over arrays.  This is the one
+    test behind every ``SingularState`` and the degenerate signature."""
+    return abs(relative_det(e11, e12, e22)) < SINGULAR_BAND
+
+
+def checked_det(e11, e12, e22, why="state lies on the degeneracy locus"):
+    """The Hessian determinant, for a caller about to divide by it; a
+    degenerate Hessian, at one state or at any cell of a grid, raises
+    SingularState(why) carrying it."""
     det = e11 * e22 - e12 * e12
-    if anywhere(abs(relative_det(e11, e12, e22)) < SINGULAR_BAND):
-        raise SingularState("state lies on the degeneracy locus", det=det)
+    raise_where(is_degenerate(e11, e12, e22), SingularState, why, det=det)
     return det
 
 
@@ -310,15 +318,10 @@ def _stack_from_hessian(s, v, u, t, p, e11, e12, e22,
     given ``cv`` is a constant heat capacity: its partials are reported as
     exact zeros.  Without one, cv = T/e11.
     """
-    det = _determinant(e11, e12, e22)
+    det = checked_det(e11, e12, e22)
     if cv is not None:
         dcv_ds = dcv_dv = 0.0
     else:
-        # a grid's model has a heat capacity (constant, or its own
-        # completion), so only a single state gets here
-        if e11 == 0.0:
-            raise SingularState("vanishing second entropy derivative",
-                                det=det)
         cv = t / e11
         dcv_ds = 1.0 - t * c111 / (e11 * e11)
         dcv_dv = (e11 * e12 - t * c112) / (e11 * e11)
@@ -475,7 +478,6 @@ class ConstantCv(ConstitutiveModel):
         f1, f1p, f1pp, _, _, _, f2pp, _ = self.volume_terms(st.v)
         x_struct = f1 * f1pp - f1p * f1p
         denom = st.t * x_struct - f1 * f1 * f2pp
-        raise_where(denom == 0.0, SingularState, "degenerate metric", det=0.0)
         return f1 * f1 * f2pp * x_struct / (2.0 * st.cv * denom * denom)
 
     def locus_state(self, v):
@@ -648,7 +650,7 @@ class Berthelot(ConstitutiveModel):
 
     def _complete(self, s, v, u, t, p, e11, e12, e22, c111, c112, c122, c222,
                   cv, cv_t, cv_v, p_t, p_v, p_tt, p_tv, p_vv):
-        _determinant(e11, e12, e22)
+        checked_det(e11, e12, e22)
 
         def d_s(f_t):
             # (d/dS)|_V = (T/cv) (d/dT)|_V
@@ -675,9 +677,8 @@ class Berthelot(ConstitutiveModel):
     def closed_curvature(self, st):
         q = self.params
         a, b, r = q.a, q.b, q.r_gas
-        t, v = st.t, st.v
+        t, v, cv = st.t, st.v, st.cv
         pow_ = libm_for(v).pow
-        cv = q.cv0 + 2.0 * a / (v * t * t)
         w = v - b
         p_poly = (2.0 * cv - r) * v * v - 3.0 * cv * b * v + cv * b * b
         num = 2.0 * a * (pow_(t, 4) * pow_(v, 4) * r * cv * p_poly

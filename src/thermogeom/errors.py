@@ -11,16 +11,18 @@ class DomainError(ThermogeomError):
 
 
 class SingularState(ThermogeomError):
-    """A coefficient denominator vanishes or the metric determinant is below
-    the degeneracy tolerance: the state sits on (or numerically too close to)
-    the degeneracy locus.
+    """The Hessian is degenerate: its relative determinant lies inside
+    ``eos_models.SINGULAR_BAND``, on (or numerically too close to) the
+    degeneracy locus.  Only ``eos_models.checked_det`` raises it, with
+    ``det`` that determinant; a division by zero at a nondegenerate state,
+    such as the elementary route's at alpha = 0, stays a ZeroDivisionError.
 
-    Carries the offending determinant when known.  Over a grid's arrays it
-    is raised when any cell is singular; a grid command then ends each such
-    cell on the scalar route, one state at a time.
+    Over a grid's arrays it is raised when any cell is degenerate; a grid
+    command then ends each such cell on the scalar route, one state at a
+    time.
     """
 
-    def __init__(self, msg, det=None):
+    def __init__(self, msg, det):
         super().__init__(msg)
         self.det = det
 

@@ -39,10 +39,9 @@ from .eos_models import (
     StatePoint,
     choose,
     libm_for,
-    raise_where,
     relative_det,
 )
-from .errors import DomainError, SingularState, StepFailure, ThermogeomError
+from .errors import DomainError, StepFailure, ThermogeomError
 
 # Integration stops when the relative determinant (eos_models.relative_det)
 # falls below this margin, well outside eos_models.SINGULAR_BAND.
@@ -92,8 +91,6 @@ def christoffel_elementary(coeffs: DerivativeStack,
     """
     t, cv, cp = coeffs.t, coeffs.cv, coeffs.cp
     alpha, k = coeffs.alpha, coeffs.k
-    raise_where((k == 0.0) | (alpha == 0.0), SingularState,
-                "explicit coefficient formulas need nonzero alpha and k")
     pow_ = libm_for(alpha).pow
 
     aux_f = partials.dk_dv - (k / alpha) * partials.dalpha_dv
@@ -124,11 +121,10 @@ def christoffel_from_stack(stack: DerivativeStack) -> ChristoffelSet:
 
     For a metric that is itself a Hessian the derivative combination in
     the Christoffel symbol collapses to half the third-derivative array
-    contracted with the inverse metric.
+    contracted with the inverse metric.  It divides by the determinant
+    that the stack's completion checked.
     """
-    det = stack.det
-    raise_where(det == 0.0, SingularState, "metric is degenerate", det=det)
-    return ChristoffelSet(*_christoffel(det, *stack[5:12]))
+    return ChristoffelSet(*_christoffel(stack.det, *stack[5:12]))
 
 
 def _christoffel(det, e11, e12, e22, c111, c112, c122, c222) -> tuple:

@@ -18,11 +18,10 @@ from .eos_models import (
     ConstantCv,
     ConstitutiveModel,
     DerivativeStack,
-    SINGULAR_BAND,
     StatePoint,
     anywhere,
     choose,
-    relative_det,
+    is_degenerate,
     stack_at,
 )
 from .errors import DomainError
@@ -222,12 +221,11 @@ def signature_kind(metric: MetricTensor2):
     """The :class:`SignatureKind` of the metric; over a grid's arrays, an
     object array of kinds.
 
-    A metric whose relative determinant lies in the singular band is
-    degenerate, one with a negative determinant indefinite; a definite
-    metric is positive where its trace is positive.
+    A metric that ``is_degenerate`` is degenerate, one with a negative
+    determinant indefinite; a definite metric is positive where its trace
+    is positive.
     """
-    e11, e12, e22 = metric.e11, metric.e12, metric.e22
-    degenerate = abs(relative_det(e11, e12, e22)) < SINGULAR_BAND
+    degenerate = is_degenerate(metric.e11, metric.e12, metric.e22)
     return choose([degenerate, metric.det < 0.0, metric.trace > 0.0],
                   [SignatureKind.DEGENERATE, SignatureKind.INDEFINITE,
                    SignatureKind.POSITIVE_DEFINITE],

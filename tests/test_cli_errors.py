@@ -82,6 +82,16 @@ class TestNegativeBasePower:
         assert out == ""
         assert one_line(err).startswith("error: no admissible state")
 
+    def test_verify_without_admissible_draw_exits_one(self, capsys):
+        # f1 < 0 at every volume: no draw is admissible, and the run ends
+        # with the first draw's error, as a grid whose every cell ended
+        rc, out, err = run(capsys, ["verify", "--model", "custom",
+                                    "--cv", "2.5", "--f1", "0-1"])
+        assert rc == 1
+        assert out == ""
+        assert one_line(err).startswith(
+            "error: f1(V) must be positive, got -1.0 at V=")
+
     def test_closed_form_without_admissible_state_exits_one(self, capsys):
         # the closed-form locus of --method auto rejects f1 <= 0 as the
         # model's own stack does, instead of reporting an empty locus

@@ -388,6 +388,20 @@ class TestTensorialRoute:
             scalar_curvature_tensorial(
                 MetricTensor2(1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 4.0))
 
+    @pytest.mark.parametrize("eps, singular", [(5e-10, True), (2e-9, False)])
+    def test_metric_routes_agree_on_degeneracy(self, eps, singular):
+        # relative det = eps, inside the singular band at 5e-10 and
+        # outside it at 2e-9: both routes decide by the band alone, and a
+        # raise carries the metric's own determinant
+        metric = MetricTensor2(1.0, 1.0, 1.0 + eps, 1.0, 2.0, 3.0, 4.0)
+        for route in (scalar_curvature_closed2d, scalar_curvature_tensorial):
+            if singular:
+                with pytest.raises(SingularState) as info:
+                    route(metric)
+                assert info.value.det == metric.det
+            else:
+                assert math.isfinite(route(metric))
+
     @pytest.mark.parametrize("fixture,state", [
         ("vdw_model", (2.5, 1.4)),
         ("vdw_model", (2.2, 0.9)),

@@ -25,7 +25,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from thermogeom import cli
 from thermogeom.curvature import curvature_report
-from thermogeom.eos_models import Chart, IdealGas, StatePoint, VanDerWaals
+from thermogeom.eos_models import (
+    SINGULAR_BAND,
+    Chart,
+    IdealGas,
+    StatePoint,
+    VanDerWaals,
+    relative_det,
+)
 from thermogeom.errors import (
     DomainError,
     FrameSingular,
@@ -58,8 +65,7 @@ def _grid_cell(model, state):
         return [metric.det, report.r_tensorial, report.r_closed2d,
                 report.r_elementary, report.r_model_closed, sig.kind.value]
     except SingularState as exc:
-        det = exc.det if exc.det is not None else 0.0
-        return [det, "singular", "singular", "singular", "singular",
+        return [exc.det, "singular", "singular", "singular", "singular",
                 "degenerate"]
 
 
@@ -214,30 +220,43 @@ def test_grid_cells_equal_the_scalar_route(argv):
 
 
 CUSTOM = ["--model", "custom", "--cv", "2.5"]
+# alpha = 0 at V = 1, the middle column, where det is -0.0039, 0.188 and
+# 0.517: a nondegenerate state at which the elementary route divides by 0
+ALPHA_ZERO = [*CUSTOM, "--f1", "(V-1)^2+1", "--f2", "0.6/V", "--smin", "1",
+              "--smax", "2", "--vmin", "0.5", "--vmax", "1.5", "--n", "3"]
+# f2'' = 0 at V = 1, the middle column: degenerate there only
+DEGENERATE_COLUMN = [*CUSTOM, "--f1", "exp(V)", "--f2", "0.01*(V-1)^3",
+                     "--vmin", "0.5", "--vmax", "1.5", "--n", "5"]
 
 
-@pytest.mark.parametrize("argv", [
-    # f1 constant: alpha = 0, so the elementary route ends every cell and
-    # the printed det is 0.0
-    [*CUSTOM, "--f1", "2", "--f2", "0.6/V"],
+PRINTED = (0, "")
+
+
+@pytest.mark.parametrize("argv, grid_end", [
+    # f1 constant: alpha = 0 at an indefinite Hessian, which is no
+    # degeneracy, so the elementary route divides by zero in every cell
+    # and curvature-grid ends with the first cell's numeric failure;
+    # surface reads no response coefficient and prints every cell
+    ([*CUSTOM, "--f1", "2", "--f2", "0.6/V"],
+     (3, "numeric failure: float division by zero")),
     # exponential f1 with a quadratic f2 collapses every tangent frame
-    [*CUSTOM, "--f1", "0.7*exp(0-0.4*V)", "--f2", "0.3*V^2"],
+    ([*CUSTOM, "--f1", "0.7*exp(0-0.4*V)", "--f2", "0.3*V^2"], PRINTED),
     # exponential f1 alone is degenerate everywhere: the stack check ends
     # every cell, each printing its own rounding-sized det
-    [*CUSTOM, "--f1", "exp(V)"],
-    # f2'' = 0 at V = 1, the middle column: degenerate there only
-    [*CUSTOM, "--f1", "exp(V)", "--f2", "0.01*(V-1)^3",
-     "--vmin", "0.5", "--vmax", "1.5", "--n", "5"],
-    [*CUSTOM, "--f1", "exp(V)", "--f2", "0.01*(V-1)^3", "--chart", "tv",
-     "--smin", "1", "--smax", "3", "--vmin", "0.5", "--vmax", "1.5",
-     "--n", "5"],
+    ([*CUSTOM, "--f1", "exp(V)"], PRINTED),
+    (DEGENERATE_COLUMN, PRINTED),
+    ([*CUSTOM, "--f1", "exp(V)", "--f2", "0.01*(V-1)^3", "--chart", "tv",
+      "--smin", "1", "--smax", "3", "--vmin", "0.5", "--vmax", "1.5",
+      "--n", "5"], PRINTED),
 ], ids=["elementary-singular", "frame-singular", "all-degenerate",
         "degenerate-column-sv", "degenerate-column-tv"])
-def test_ended_cells_equal_the_scalar_route(argv):
-    results = assert_same_as_scalar(argv)
-    assert [rc for rc, _, _ in results] == [0, 0]
-    assert any(marker in out for _, out, _ in results
-               for marker in ("singular", "degenerate"))
+def test_ended_cells_equal_the_scalar_route(argv, grid_end):
+    (grid_rc, grid_out, grid_err), (surface_rc, surface_out, _) = (
+        assert_same_as_scalar(argv))
+    assert ((grid_rc, grid_err), surface_rc) == (grid_end, 0)
+    assert grid_end != PRINTED or any(
+        marker in out for out in (grid_out, surface_out)
+        for marker in ("singular", "degenerate"))
 
 
 @pytest.mark.parametrize("argv, marker", [
@@ -267,6 +286,55 @@ def test_bad_cells_are_marked_as_the_scalar_route(argv, marker):
                  else ["", marker, "", ""])
         marked = [row for row in rows if row[2:] == ended]
         assert marked and len(marked) < len(rows)
+
+
+def _golden_grid_windows():
+    """The flags of each recorded ``curvature-grid`` golden case."""
+    from golden.cases import CASES
+    return {name: argv[1:] for name, argv in sorted(CASES.items())
+            if argv[0] == "curvature-grid"}
+
+
+def _table(out):
+    return [line.split(",") for line in out.splitlines()
+            if not line.startswith("#")][1:]
+
+
+def _is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("argv", [ALPHA_ZERO, DEGENERATE_COLUMN,
+                                  *_golden_grid_windows().values()],
+                         ids=["alpha-zero", "degenerate-column",
+                              *_golden_grid_windows()])
+def test_two_commands_print_one_determinant(argv):
+    # curvature-grid's det is surface's cone_residual wherever both print a
+    # number, and a cell is degenerate only inside the singular band
+    argv = [*argv, "--format", "csv"]
+    tables = []
+    for command in REFERENCE:
+        rc, out, _ = _array_pass([command, *argv])
+        assert rc == 0
+        tables.append(_table(out))
+    eff = cli._effective_config(
+        cli.build_parser().parse_args(["curvature-grid", *argv]))
+    model = cli._build_model(eff)
+    for grid_row, surface_row in zip(*tables, strict=True):
+        assert grid_row[:2] == surface_row[:2]
+        det, cone = grid_row[2], surface_row[4]
+        if _is_number(det) and _is_number(cone):
+            assert det == cone
+        if "degenerate" in grid_row + surface_row:
+            jet = model.derivative_stack(
+                _state(eff, float(grid_row[0]), float(grid_row[1])),
+                check_singular=False)
+            assert abs(relative_det(jet.e11, jet.e12, jet.e22)) \
+                < SINGULAR_BAND
 
 
 NUMERIC = "numeric failure: "

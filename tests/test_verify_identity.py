@@ -30,7 +30,7 @@ from thermogeom.curvature import (
     ruppeiner_from_weinhold,
 )
 from thermogeom.eos_models import ConstantCv, IdealGas, StatePoint
-from thermogeom.errors import SingularState, ThermogeomError
+from thermogeom.errors import ThermogeomError
 from thermogeom.geodesics import christoffel_elementary, christoffel_from_stack
 from thermogeom.metric_core import determinant_report, identity_residuals
 
@@ -43,6 +43,7 @@ def _scalar_checks(model, eff, rng, n_states):
     s_lo, s_hi = eff["smin"], eff["smax"]
     stacks = []
     attempts = 0
+    first = None  # the error that ended the first draw
     while len(stacks) < n_states and attempts < 100 * n_states:
         attempts += 1
         s = float(rng.uniform(s_lo, s_hi))
@@ -50,10 +51,10 @@ def _scalar_checks(model, eff, rng, n_states):
         try:
             stacks.append(model.derivative_stack(
                 StatePoint.entropy_volume(s, v)))
-        except (ThermogeomError, ArithmeticError, ValueError):
-            continue
+        except (ThermogeomError, ArithmeticError, ValueError) as exc:
+            first = first or exc
     if not stacks:
-        raise SingularState("no admissible states found for verification")
+        raise first
 
     route = ident1 = ident2 = ident3 = cpcv = 0.0
     detres = chris = conf = flat = 0.0
