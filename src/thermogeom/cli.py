@@ -50,13 +50,14 @@ from .eos_models import (
     parse_config_text,
 )
 from .errors import (
+    DOMAIN_ERRORS,
+    STATE_ERRORS,
     DomainError,
     FrameSingular,
     NoCriticalPoint,
     NoRoot,
     SingularState,
     ThermogeomError,
-    UnsupportedModel,
 )
 from .expressions import as_smooth
 from .geodesics import (
@@ -198,8 +199,7 @@ def _effective_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             eff.update(parse_config_text(fh.read()))
-    for key in ("model", "a", "b", "r_gas", "cv0", "chart",
-                "smin", "smax", "vmin", "vmax", "n", "format", "f1", "f2"):
+    for key in (*_DEFAULTS, "f1", "f2"):
         value = getattr(args, key, None)
         if value is not None:
             eff[key] = value
@@ -253,12 +253,10 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
     return [axis.tolist() for axis in axes]
 
 
-# A bad request (its flags, window, parameters or expression, or a state
-# outside the domain) exits 1 and marks a grid cell "domain"; any other
-# error, such as a float division by zero, exits 3 and marks it "numeric".
+# What ends a command or one of its states: a state error or any other
+# package error, such as SingularState; errors.DOMAIN_ERRORS exit 1, others 3.
 # Over many states, numpy's division and invalid flags stand in for floats'.
-_DOMAIN_ERRORS = (DomainError, UnsupportedModel, ValueError, OSError)
-_ERRORS = (*_DOMAIN_ERRORS, ThermogeomError, ArithmeticError)
+_ERRORS = (*STATE_ERRORS, ThermogeomError)
 
 
 # overflow and underflow are silent, as for floats
@@ -309,7 +307,7 @@ def _marker(exc) -> str:
         return "degenerate"
     if isinstance(exc, FrameSingular):
         return "frame_singular"
-    return "domain" if isinstance(exc, _DOMAIN_ERRORS) else "numeric"
+    return "domain" if isinstance(exc, DOMAIN_ERRORS) else "numeric"
 
 
 def _grid(args, eff: dict, model, columns, cell_values, printed,
@@ -353,14 +351,7 @@ def _grid(args, eff: dict, model, columns, cell_values, printed,
 # output plumbing
 
 def _meta(eff: dict) -> dict:
-    keys = ("command", "model", "a", "b", "r_gas", "cv0", "u0", "s0",
-            "chart", "smin", "smax", "vmin", "vmax", "n", "format",
-            "f1", "f2", "method", "seed")
-    out = {"version": __version__}
-    for key in keys:
-        if key in eff:
-            out[key] = eff[key]
-    return out
+    return {"version": __version__, **eff}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -744,7 +735,7 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except _ERRORS as exc:
-        code = 1 if isinstance(exc, _DOMAIN_ERRORS) else 3
+        code = 1 if isinstance(exc, DOMAIN_ERRORS) else 3
         print(f"{'error' if code == 1 else 'numeric failure'}: {exc}",
               file=sys.stderr)
         return code

@@ -35,7 +35,7 @@ from .eos_models import (
     StatePoint,
     relative_det,
 )
-from .errors import DomainError, NoCriticalPoint, NoRoot
+from .errors import STATE_ERRORS, DomainError, NoCriticalPoint, NoRoot
 
 # The locus corrector stops on a step below _STEP_TOL times max(1, |S|) or
 # when its step stops shrinking, at det's noise floor: rounding for exact
@@ -129,6 +129,21 @@ def _bracketed_root(f, lo, hi):
                    100, (flo, fhi))
 
 
+def _sample(f, xs) -> list:
+    """``f`` at each of ``xs``, where a state error (errors.STATE_ERRORS) is
+    a NaN gap; when every value is a gap, the first error is raised."""
+    values, first = [], None
+    for x in xs:
+        try:
+            values.append(f(x))
+        except STATE_ERRORS as exc:
+            first = first or exc
+            values.append(math.nan)
+    if first is not None and all(math.isnan(val) for val in values):
+        raise first
+    return values
+
+
 def _polish_polynomial_root(coeffs, x0):
     # Accept Newton steps only while the residual shrinks: near multiple
     # roots both f and f' sit at rounding noise and an unguarded step can
@@ -186,46 +201,33 @@ def locus_entropy(model: ConstitutiveModel, v: float) -> float:
 
 def _scan_locus_entropy(model, v, s_window):
     def det_at(s):
-        # window ends can leave the representable domain (e.g. an entropy the
-        # temperature inversion cannot reach); report them as gaps
-        try:
-            stack = model.derivative_stack(
-                StatePoint.entropy_volume(s, v), check_singular=False)
-        except DomainError:
-            return math.nan
-        return stack.det
+        return model.derivative_stack(StatePoint.entropy_volume(s, v),
+                                      check_singular=False).det
 
-    grid = np.linspace(s_window[0], s_window[1], _SCAN_POINTS)
-    values = [det_at(s) for s in grid]
-    if all(math.isnan(val) for val in values):
-        raise DomainError(f"no admissible state over S in {s_window} at V={v}")
+    # the window can leave the domain; a gap there compares false
+    grid = np.linspace(s_window[0], s_window[1], _SCAN_POINTS).tolist()
+    values = _sample(det_at, grid)
     for i in range(_SCAN_POINTS - 1):
-        if math.isnan(values[i]) or math.isnan(values[i + 1]):
-            continue
-        if values[i] == 0.0:
-            return float(grid[i])
+        if values[i] == 0.0 and not math.isnan(values[i + 1]):
+            return grid[i]
         if values[i] * values[i + 1] < 0.0:
-            return _bracketed_root(det_at, float(grid[i]),
-                                   float(grid[i + 1]))
-    raise NoRoot(
-        f"determinant keeps one sign over S in {s_window} at V={v}")
+            return _bracketed_root(det_at, grid[i], grid[i + 1])
+    raise NoRoot(f"determinant keeps one sign over S in {s_window} at V={v}")
 
 
 def _correct_locus(model, v, s, s_window):
     """Newton on det in S at fixed volume v from the guess s.
 
     Returns the stack on the locus, or None when the corrector fails: a
-    DomainError, det_S zero or not finite, S outside ``s_window``, no
+    state error, det_S zero or not finite, S outside ``s_window``, no
     convergence, or a residual that is not small at the noise floor.
     """
-    lo, hi = s_window
-    last = math.inf
-    done = False
+    last, done = math.inf, False
     for _ in range(_CORRECTOR_STEPS):
         try:
             stack = model.derivative_stack(
                 StatePoint.entropy_volume(s, v), check_singular=False)
-        except DomainError:
+        except STATE_ERRORS:
             return None
         if done:
             break
@@ -236,16 +238,14 @@ def _correct_locus(model, v, s, s_window):
         if not abs(step) < last:
             break  # noise floor: keep the stack at s
         s -= step
-        if not lo <= s <= hi:
+        if not s_window[0] <= s <= s_window[1]:
             return None
         done = abs(step) <= _STEP_TOL * max(1.0, abs(s))
         last = abs(step)
     else:
         return None
-    if not abs(relative_det(stack.e11, stack.e12,
-                            stack.e22)) <= _CORRECTOR_RESIDUAL:
-        return None
-    return stack
+    return (stack if abs(relative_det(*stack[5:8])) <= _CORRECTOR_RESIDUAL
+            else None)
 
 
 def _locus_stack(model, v, s_window, near=None):
@@ -266,18 +266,23 @@ def _locus_stack(model, v, s_window, near=None):
         StatePoint.entropy_volume(s, v), check_singular=False)
 
 
-def _trace_locus(model, volumes, s_window, *, skip_inadmissible=False) -> list:
-    """Locus stacks at ascending volumes, each predicted from the last;
-    with ``skip_inadmissible``, from the first admissible volume on."""
-    stacks = []
+def _locus_points(point_at, volumes, *, skip_inadmissible=False):
+    """``point_at(v, last)`` at ascending volumes, ``last`` the point before
+    or None, and how many volumes lack one: their point raised NoRoot, and
+    the first NoRoot is raised if none has one.  With ``skip_inadmissible``,
+    a state error before the first point skips its volume, save the last."""
+    points, missing = [], []
     for v in volumes:
         try:
-            stacks.append(_locus_stack(model, v, s_window,
-                                       stacks[-1] if stacks else None))
-        except DomainError:
-            if stacks or not skip_inadmissible or v == volumes[-1]:
+            points.append(point_at(v, points[-1] if points else None))
+        except NoRoot as exc:
+            missing.append(exc)
+        except STATE_ERRORS:
+            if points or not skip_inadmissible or v == volumes[-1]:
                 raise
-    return stacks
+    if not points:
+        raise missing[0]
+    return points, len(missing)
 
 
 def _locus_volumes(model, v_range, n_samples) -> list[float]:
@@ -305,19 +310,26 @@ def degeneracy_locus(model: ConstitutiveModel,
     one before, and an entropy scan over the model's entropy window finds
     the first sample and any the corrector misses.  The continuation
     follows the branch the first sample lies on.
+
+    A volume without a locus point (NoRoot) is left out, and the note says
+    how many are; when no volume has one, the first NoRoot is raised.
     """
     _check_method(method, ("auto", "scan"))
     volumes = _locus_volumes(model, v_range, n_samples)
     closed = method == "auto" and model.locus_state is not None
     if closed:
-        samples = [LocusSample(v, *model.locus_state(v)) for v in volumes]
+        samples, missing = _locus_points(
+            lambda v, _: LocusSample(v, *model.locus_state(v)), volumes)
     else:
-        samples = [LocusSample(v=st.v, s=st.s, t=st.t, p=st.p)
-                   for st in _trace_locus(model, volumes,
-                                          _scan_window(model))]
+        s_window = _scan_window(model)
+        stacks, missing = _locus_points(
+            lambda v, near: _locus_stack(model, v, s_window, near), volumes)
+        samples = [LocusSample(st.v, st.s, st.t, st.p) for st in stacks]
     branch = ("positive-temperature" if closed and _square_root_locus(model)
               else "principal")
-    return LocusPolyline(samples=tuple(samples), branch=branch)
+    line = LocusPolyline(samples=tuple(samples), branch=branch)
+    return line._replace(note=f"{line.note}; no locus point at {missing} of "
+                              f"{len(volumes)} volumes") if missing else line
 
 
 # ---------------------------------------------------------------------------
@@ -325,30 +337,15 @@ def degeneracy_locus(model: ConstitutiveModel,
 
 def _critical_volume_numeric(dtdv, v_window) -> float:
     """Volume where dT/dV along the locus falls through zero; a volume
-    where ``dtdv`` fails is a gap, and DomainError follows when every
-    volume is inadmissible."""
-    inadmissible = None
-
-    def safe(v):
-        nonlocal inadmissible
-        try:
-            return dtdv(v)
-        except DomainError as exc:
-            inadmissible = inadmissible or exc
-        except (ValueError, ZeroDivisionError, OverflowError):
-            pass
-        return math.nan
-
-    lo, hi = v_window
-    grid = np.geomspace(lo, hi, 400)
-    values = [safe(float(v)) for v in grid]
-    if inadmissible is not None and all(math.isnan(val) for val in values):
-        raise inadmissible
+    where ``dtdv`` raises a state error is a gap, and when every volume is
+    one its first error is raised."""
+    grid = np.geomspace(*v_window, 400).tolist()
+    values = _sample(dtdv, grid)
     if all(val == 0.0 for val in values):
         raise NoCriticalPoint("degeneracy locus is empty")
     for i in range(len(grid) - 1):
         if values[i] > 0.0 and values[i + 1] < 0.0:
-            return _bracketed_root(dtdv, float(grid[i]), float(grid[i + 1]))
+            return _bracketed_root(dtdv, grid[i], grid[i + 1])
     raise NoCriticalPoint("locus temperature is monotone over the window")
 
 
@@ -413,12 +410,12 @@ def critical_point(model: ConstitutiveModel, *,
 
     # generic model: trace the locus, bracket the hottest sample, and solve
     # dT/dV = e11 dS/dV + e12 = 0 along the locus there
-    if v_window is None:
-        v_window = (1e-2, 1e2)
+    v_window = v_window or (1e-2, 1e2)
     s_window = _scan_window(model)
     try:  # the window may reach below where the energy is defined
-        trace = _trace_locus(model, _locus_volumes(model, v_window, 200),
-                             s_window, skip_inadmissible=True)
+        trace, _ = _locus_points(
+            lambda v, near: _locus_stack(model, v, s_window, near),
+            _locus_volumes(model, v_window, 200), skip_inadmissible=True)
     except NoRoot as exc:
         raise NoCriticalPoint("degeneracy locus is empty") from exc
     i = int(np.argmax([st.t for st in trace]))

@@ -28,8 +28,9 @@ class SingularState(ThermogeomError):
 
 
 class UnsupportedModel(ThermogeomError):
-    """Operation not defined for this model variant (e.g. the non-interaction
-    measure for a model whose heat capacity is not constant)."""
+    """Operation not defined for this model variant (e.g.
+    ``negativity_test`` or ``zero_curvature_classify`` on a model without
+    constant cv, or a temperature-volume state for ``NumericEnergy``)."""
 
 
 class FrameSingular(ThermogeomError):
@@ -48,3 +49,13 @@ class NoCriticalPoint(ThermogeomError):
 
 class StepFailure(ThermogeomError):
     """Adaptive integrator could not meet the local error tolerance."""
+
+
+DOMAIN_ERRORS = (DomainError, UnsupportedModel, ValueError, OSError)
+"""A bad request or a state outside the domain, such as an expression's ln
+of a non-positive value (a ValueError): exit 1, grid cell ``domain``."""
+
+STATE_ERRORS = (*DOMAIN_ERRORS, ArithmeticError)
+"""What ends one state: a domain error or a float fault, such as a division
+by zero (exit 3, cell ``numeric``).  A scan over many states reads it as a
+gap and, when every state is one, raises the first state's error."""

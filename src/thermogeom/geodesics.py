@@ -41,7 +41,7 @@ from .eos_models import (
     libm_for,
     relative_det,
 )
-from .errors import DomainError, StepFailure, ThermogeomError
+from .errors import STATE_ERRORS, DomainError, StepFailure
 
 # Integration stops when the relative determinant (eos_models.relative_det)
 # falls below this margin, well outside eos_models.SINGULAR_BAND.
@@ -203,7 +203,7 @@ def integrate_geodesic(model: ConstitutiveModel,
             try:
                 memo[key] = (last[1] if last[0] == key
                              else hessian_partials(model, s, v))
-            except (ThermogeomError, ValueError, OverflowError):
+            except STATE_ERRORS:
                 memo[key] = None
         return memo[key]
 
@@ -219,7 +219,7 @@ def integrate_geodesic(model: ConstitutiveModel,
             if math.isfinite(s) and math.isfinite(v) and v > 0.0:
                 try:
                     hessian = fields(Chart.ENTROPY_VOLUME, s, v)[5:12]
-                except (ThermogeomError, ValueError, OverflowError):
+                except STATE_ERRORS:
                     pass
             last[:] = key, hessian
         if hessian is None:

@@ -192,6 +192,22 @@ class TestLocus:
         assert rows == []
         assert any("empty locus" in note for note in notes)
 
+    @pytest.mark.parametrize("method", ["auto", "scan"])
+    def test_volumes_without_a_point_are_left_out(self, capsys, method):
+        # the locus exists where f2'' > 0, below V = 6^(1/3): four of the
+        # six volumes have a point
+        rc, out, err = run(capsys, [
+            "locus", "--model", "custom", "--cv", "2.5",
+            "--f1", "(V-0.2)^-0.8", "--f2", "0.6/V-0.1*V^2",
+            "--vmin", "0.5", "--vmax", "3", "--n", "6", "--method", method])
+        assert (rc, err) == (0, "")
+        _, notes, rows = parse_csv(out)
+        assert [row["v"] for row in rows] == [
+            "0.5", "0.71548454055262778", "1.0238362555396097",
+            "1.4650780257917608"]
+        assert notes == ["branch: principal", "parameterized by volume; "
+                         "no locus point at 2 of 6 volumes"]
+
     def test_svg_output_is_xml(self, capsys):
         rc, out, _ = run(capsys, ["locus", *VDW_FLAGS, "--format", "svg"])
         assert rc == 0

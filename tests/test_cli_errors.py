@@ -80,7 +80,21 @@ class TestNegativeBasePower:
                                     "--f1", "0-1", "--method", "scan"])
         assert rc == 1
         assert out == ""
-        assert one_line(err).startswith("error: no admissible state")
+        assert one_line(err).startswith(
+            "error: f1(V) must be positive, got -1.0 at V=")
+
+    @pytest.mark.parametrize("f1, code, line", [
+        ("ln(0-V)", 1, "error: ln of non-positive value -0.01"),
+        ("1/(V-V)", 3, "numeric failure: expression division by zero"),
+    ])
+    def test_critical_without_admissible_volume(self, capsys, f1, code,
+                                                line):
+        # every volume of the critical scan raises: the command ends with
+        # the first volume's error, as curvature-grid and locus do
+        rc, out, err = run(capsys, ["critical", "--model", "custom",
+                                    "--cv", "2.5", "--f1", f1,
+                                    "--f2", "0.6/V"])
+        assert (rc, out, one_line(err)) == (code, "", line)
 
     def test_verify_without_admissible_draw_exits_one(self, capsys):
         # f1 < 0 at every volume: no draw is admissible, and the run ends

@@ -28,6 +28,7 @@ from thermogeom import (
 from thermogeom.critical_locus import (
     _bracketed_root,
     _critical_volume_numeric,
+    _sample,
     _scan_locus_entropy,
     _scan_window,
     closed_form_critical_point,
@@ -121,6 +122,21 @@ class TestDegeneracyLocus:
     def test_polyline_parameterization_note(self, vdw_model):
         poly = degeneracy_locus(vdw_model, (0.8, 2.0), n_samples=4)
         assert "volume" in poly.note
+
+    @pytest.mark.parametrize("method", ["auto", "scan"])
+    def test_volumes_without_a_point_are_left_out(self, method):
+        # f2'' = (V-1)^2 - 0.01 < 0 on (0.9, 1.1): no locus at V = 1.0,
+        # and the continuation goes on past it from the sample before
+        model = ConstantCv("(V-0.2)^-0.8", "(V-1)^4/12-0.005*V^2", cv=2.5)
+        poly = degeneracy_locus(model, (0.5, 2.0), n_samples=9,
+                                method=method)
+        volumes = np.geomspace(0.5, 2.0, 9).tolist()
+        assert [smp.v for smp in poly.samples] == volumes[:4] + volumes[5:]
+        assert poly.note == ("parameterized by volume; no locus point at "
+                             "1 of 9 volumes")
+        for smp in poly.samples:
+            assert smp.s == pytest.approx(model.locus_state(smp.v)[0],
+                                          rel=1e-12)
 
 
 # models with a closed-form locus and critical point
@@ -217,6 +233,35 @@ class TestBracketedRoot:
     def test_bracket_without_sign_change_raises(self):
         with pytest.raises(NoRoot):
             _bracketed_root(lambda x: x * x + 1.0, -1.0, 2.0)
+
+
+class TestStateSampler:
+    """``_sample``, the rule of both scans: a state error is a gap."""
+
+    def test_state_error_is_a_gap(self):
+        def f(x):
+            if x < 0.0:
+                raise ZeroDivisionError(f"at x={x}")
+            return x
+        values = _sample(f, [-1.0, 0.0, 2.0])
+        assert math.isnan(values[0])
+        assert values[1:] == [0.0, 2.0]
+
+    @pytest.mark.parametrize("error", [DomainError, ValueError,
+                                       ZeroDivisionError, OverflowError])
+    def test_error_at_every_state_raises_the_first(self, error):
+        def f(x):
+            raise error(f"at x={x}")
+        with pytest.raises(error, match="at x=-1.0$"):
+            _sample(f, [-1.0, 0.0, 2.0])
+
+    def test_search_outcome_is_no_state_error(self):
+        def f(x):
+            if x > 0.0:
+                raise NoRoot(f"at x={x}")
+            return x
+        with pytest.raises(NoRoot):
+            _sample(f, [-1.0, 0.0, 2.0])
 
 
 class TestCriticalVolumeGaps:
@@ -343,14 +388,24 @@ class TestCriticalPoints:
         assert cp.t_c == pytest.approx(8.0 * a / (27.0 * b * r), rel=1e-12)
         assert cp.p_c == pytest.approx(a / (27.0 * b * b), rel=1e-12)
 
+    def test_generic_path_below_a_math_domain_error(self):
+        # log(V - b) raises ValueError below b: every entropy of those
+        # volumes is a gap, and the trace starts above b
+        a, b, r, cv = 1.5, 0.2, 2.0, 2.5
+
+        def energy(s, v):
+            return math.exp((s - r * math.log(v - b)) / cv) - a / v
+        cp = critical_point(NumericEnergy(energy))
+        assert cp.v_c == pytest.approx(3.0 * b, abs=1e-4)
+
     def test_generic_path_with_no_admissible_volume(self, params):
         model = NumericEnergy(vdw_energy, scheme=vdw_partials)
-        with pytest.raises(DomainError, match="no admissible state"):
+        with pytest.raises(DomainError, match="below the covolume"):
             critical_point(model, v_window=(0.5 * params.b, 0.9 * params.b))
 
     def test_scan_without_admissible_state_is_a_domain_error(self, params):
         model = NumericEnergy(vdw_energy, scheme=vdw_partials)
-        with pytest.raises(DomainError, match="no admissible state"):
+        with pytest.raises(DomainError, match="below the covolume"):
             _scan_locus_entropy(model, 0.5 * params.b, _scan_window(model))
 
     def test_generic_path_with_finite_differences(self, params):
