@@ -219,6 +219,19 @@ def _build_model(eff: dict):
     return make_model(eff["model"], params)
 
 
+def _clip_vmin(vmin, vmax, model) -> tuple[float, list[str]]:
+    """``vmin``, raised to 5% of the way from the covolume b to ``vmax``
+    when it is at or below b, with that warning."""
+    b = model.covolume
+    if vmin > b:
+        return vmin, []
+    clipped = b + 0.05 * (vmax - b)
+    if clipped >= vmax:
+        raise DomainError(f"volume range {vmin}..{vmax} lies outside "
+                          f"the admissible domain V > {b}")
+    return clipped, [f"clipping vmin from {vmin} to {clipped} (covolume {b})"]
+
+
 def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
     n = int(eff["n"])
     if n < 2:
@@ -227,16 +240,8 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
     vmin, vmax = float(eff["vmin"]), float(eff["vmax"])
     if not (smax > smin and vmax > vmin):
         raise DomainError("ranges must satisfy smin < smax and vmin < vmax")
-    b = model.covolume
-    warnings = []  # printed once both axes are known to be good
-    if vmin <= b:
-        clipped = b + 0.05 * (vmax - b)
-        if clipped >= vmax:
-            raise DomainError(f"volume range {vmin}..{vmax} lies outside "
-                              f"the admissible domain V > {b}")
-        warnings.append(f"clipping vmin from {vmin} to {clipped} "
-                        f"(covolume {b})")
-        vmin = clipped
+    # warnings are printed once both axes are known to be good
+    vmin, warnings = _clip_vmin(vmin, vmax, model)
     if eff["chart"] == "tv" and smin <= 0.0:
         clipped = 0.05 * smax
         if clipped >= smax:
@@ -648,14 +653,14 @@ def _verify_checks(model, eff, rng, n_states):
     ``n_states`` admissible draws.  A draw whose stack raises is skipped;
     a check that raises ends the run, and so does the first draw's error
     when no draw is admissible."""
-    b = model.covolume
-    v_lo = max(eff["vmin"], b + 0.1 * max(1.0, b))
-    v_hi = max(eff["vmax"], v_lo + 1.0)
     s_lo, s_hi = eff["smin"], eff["smax"]
-    if not (s_lo <= s_hi and math.isfinite(s_hi - s_lo)
+    v_lo, v_hi = eff["vmin"], eff["vmax"]
+    if not (s_lo <= s_hi and v_lo <= v_hi and math.isfinite(s_hi - s_lo)
             and math.isfinite(v_hi - v_lo)):
         raise DomainError(f"sample window S {s_lo}..{s_hi}, V {v_lo}..{v_hi} "
-                          f"must be finite with smin <= smax")
+                          f"must be finite with smin <= smax and vmin <= vmax")
+    v_lo, warnings = _clip_vmin(v_lo, v_hi, model)
+    sys.stderr.write("".join(f"warning: {w}\n" for w in warnings))
 
     def residuals(st):  # in print order
         by_name = _verify_residuals(model, st)

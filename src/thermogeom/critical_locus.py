@@ -10,12 +10,13 @@ fallback (natural-parameter continuation in volume, Allgower and Georg,
 *Numerical Continuation Methods*, 1990): each sample is predicted along the
 locus tangent dS/dV = -det_V/det_S and corrected by Newton on det in
 entropy, and an entropy scan finds the first sample and any the corrector
-misses.  Every sign-changing bracket, of a scan or of dT/dV along the locus
-for the critical point, is refined by one Brent root finder (the one the
-geodesic events use, ``_rk45._brentq``) to 4 EPS relative to the bracket,
-so no stopping test depends on the units.  Reduced-coordinate curves, the
-cubic volume-root branches, the branchwise coexistence-style curve, and the
-spinodal slope live here too.
+misses.  Every root search is one scan that stops at its first sign change
+and refines it by Brent's method (``_rk45._brentq``, as geodesic events do)
+to 4 EPS relative to the bracket, so no stopping test depends on the units:
+over entropy, and for dT/dV = 0 over 400 volumes of ``locus_dtdv`` or 200
+of the continued locus; without that root the locus is empty if dT/dV is 0
+or a gap at every volume, and monotone otherwise.  Reduced curves, cubic
+volume roots, the coexistence curve and the spinodal slope live here too.
 """
 
 from __future__ import annotations
@@ -117,31 +118,27 @@ class CoexistenceCurve(NamedTuple):
 # ---------------------------------------------------------------------------
 # root refinement helpers
 
-def _bracketed_root(f, lo, hi):
-    """Root of ``f`` on [lo, hi] by Brent's method, to 4 EPS relative to
-    the bracket; raises NoRoot when ``f(lo)`` and ``f(hi)`` show no sign
-    change."""
-    lo, hi = float(lo), float(hi)
-    flo, fhi = f(lo), f(hi)
-    if not (flo <= 0.0 <= fhi or fhi <= 0.0 <= flo):
-        raise NoRoot(f"no sign change on [{lo}, {hi}]")
-    return _brentq(f, lo, hi, _ROOT_TOL * max(abs(lo), abs(hi)), _ROOT_TOL,
-                   100, (flo, fhi))
-
-
-def _sample(f, xs) -> list:
-    """``f`` at each of ``xs``, where a state error (errors.STATE_ERRORS) is
-    a NaN gap; when every value is a gap, the first error is raised."""
-    values, first = [], None
+def _first_root(f, xs, *, falling=False):
+    """First root of ``f`` along ``xs``, evaluated in order up to the first
+    neighbours that bracket one (a strict sign change or an exact 0 and a
+    value; with ``falling``, + then -), refined by Brent's method from the
+    values held.  A state error (errors.STATE_ERRORS) is a NaN gap.  None
+    when nothing brackets a root; the first error when every point raised."""
+    first, raised = None, 0
+    x0 = f0 = math.nan
     for x in xs:
         try:
-            values.append(f(x))
+            fx = f(x)
         except STATE_ERRORS as exc:
-            first = first or exc
-            values.append(math.nan)
-    if first is not None and all(math.isnan(val) for val in values):
+            first, fx, raised = first or exc, math.nan, raised + 1
+        if (f0 > 0.0 > fx if falling else
+                f0 * fx < 0.0 or f0 == 0.0 and not math.isnan(fx)):
+            return _brentq(f, x0, x, _ROOT_TOL * max(abs(x0), abs(x)),
+                           _ROOT_TOL, 100, (f0, fx))
+        x0, f0 = x, fx
+    if first is not None and raised == len(xs):
         raise first
-    return values
+    return None
 
 
 def _polish_polynomial_root(coeffs, x0):
@@ -204,14 +201,10 @@ def _scan_locus_entropy(model, v, s_window):
         return model.derivative_stack(StatePoint.entropy_volume(s, v),
                                       check_singular=False).det
 
-    # the window can leave the domain; a gap there compares false
-    grid = np.linspace(s_window[0], s_window[1], _SCAN_POINTS).tolist()
-    values = _sample(det_at, grid)
-    for i in range(_SCAN_POINTS - 1):
-        if values[i] == 0.0 and not math.isnan(values[i + 1]):
-            return grid[i]
-        if values[i] * values[i + 1] < 0.0:
-            return _bracketed_root(det_at, grid[i], grid[i + 1])
+    # the window can leave the domain; a gap there brackets nothing
+    s = _first_root(det_at, np.linspace(*s_window, _SCAN_POINTS).tolist())
+    if s is not None:
+        return s
     raise NoRoot(f"determinant keeps one sign over S in {s_window} at V={v}")
 
 
@@ -248,7 +241,7 @@ def _correct_locus(model, v, s, s_window):
             else None)
 
 
-def _locus_stack(model, v, s_window, near=None):
+def _locus_stack(model, v, s_window, near):
     """Stack on the locus at volume v: the corrector started from the
     tangent prediction off the locus stack ``near``, or the scan when there
     is no ``near`` or the corrector fails."""
@@ -266,20 +259,16 @@ def _locus_stack(model, v, s_window, near=None):
         StatePoint.entropy_volume(s, v), check_singular=False)
 
 
-def _locus_points(point_at, volumes, *, skip_inadmissible=False):
+def _locus_points(point_at, volumes):
     """``point_at(v, last)`` at ascending volumes, ``last`` the point before
     or None, and how many volumes lack one: their point raised NoRoot, and
-    the first NoRoot is raised if none has one.  With ``skip_inadmissible``,
-    a state error before the first point skips its volume, save the last."""
+    the first NoRoot is raised if none has one."""
     points, missing = [], []
     for v in volumes:
         try:
             points.append(point_at(v, points[-1] if points else None))
         except NoRoot as exc:
             missing.append(exc)
-        except STATE_ERRORS:
-            if points or not skip_inadmissible or v == volumes[-1]:
-                raise
     if not points:
         raise missing[0]
     return points, len(missing)
@@ -335,18 +324,22 @@ def degeneracy_locus(model: ConstitutiveModel,
 # ---------------------------------------------------------------------------
 # critical point
 
-def _critical_volume_numeric(dtdv, v_window) -> float:
-    """Volume where dT/dV along the locus falls through zero; a volume
-    where ``dtdv`` raises a state error is a gap, and when every volume is
-    one its first error is raised."""
-    grid = np.geomspace(*v_window, 400).tolist()
-    values = _sample(dtdv, grid)
-    if all(val == 0.0 for val in values):
-        raise NoCriticalPoint("degeneracy locus is empty")
-    for i in range(len(grid) - 1):
-        if values[i] > 0.0 and values[i + 1] < 0.0:
-            return _bracketed_root(dtdv, grid[i], grid[i + 1])
-    raise NoCriticalPoint("locus temperature is monotone over the window")
+def _critical_volume(dtdv, volumes) -> float:
+    """Volume where dT/dV along the locus first falls through zero, or
+    NoCriticalPoint: an empty locus or a monotone one."""
+    flat = True
+
+    def noted(v):
+        nonlocal flat
+        value = dtdv(v)
+        flat = flat and (value == 0.0 or math.isnan(value))
+        return value
+
+    v_c = _first_root(noted, volumes, falling=True)
+    if v_c is None:
+        raise NoCriticalPoint("degeneracy locus is empty" if flat else
+                              "locus temperature is monotone over the window")
+    return v_c
 
 
 def _check_method(method, allowed):
@@ -389,7 +382,7 @@ def critical_point(model: ConstitutiveModel, *,
     one (the van der Waals and Berthelot gases); ``method="numeric"``
     forces the derivative-root path (used to cross-check the closed forms).
     A model with a closed-form locus solves its ``locus_dtdv`` = 0 over
-    ``v_window``; any other traces the locus by continuation and solves
+    ``v_window``; any other continues the locus over it and solves
     dT/dV = e11 dS/dV + e12 = 0 along it from the stack partials.
     """
     _check_method(method, ("auto", "numeric"))
@@ -401,38 +394,30 @@ def critical_point(model: ConstitutiveModel, *,
         if v_window is None:
             b = model.covolume
             v_window = (1.01 * b, 100.0 * b) if b > 0.0 else (1e-2, 1e2)
-        v_c = _critical_volume_numeric(model.locus_dtdv, v_window)
+        v_c = _critical_volume(model.locus_dtdv,
+                               np.geomspace(*v_window, 400).tolist())
         try:
             _, t_c, p_c = model.locus_state(v_c)
         except NoRoot as exc:
             raise NoCriticalPoint("locus vanishes at the extremum") from exc
         return _critical(model, v_c, p_c, t_c)
 
-    # generic model: trace the locus, bracket the hottest sample, and solve
-    # dT/dV = e11 dS/dV + e12 = 0 along the locus there
-    v_window = v_window or (1e-2, 1e2)
+    # any other model: dT/dV = e11 dS/dV + e12 on locus stacks, each one
+    # continued from the last; a volume without a locus point is a gap
     s_window = _scan_window(model)
-    try:  # the window may reach below where the energy is defined
-        trace, _ = _locus_points(
-            lambda v, near: _locus_stack(model, v, s_window, near),
-            _locus_volumes(model, v_window, 200), skip_inadmissible=True)
-    except NoRoot as exc:
-        raise NoCriticalPoint("degeneracy locus is empty") from exc
-    i = int(np.argmax([st.t for st in trace]))
-    if i in (0, len(trace) - 1):
-        raise NoCriticalPoint("locus temperature is monotone over the window")
-    near = trace[i - 1:i + 2]
-
-    def locus_stack(v):
-        start = min(near, key=lambda st: abs(st.v - v))
-        return _locus_stack(model, v, s_window, start)
+    last = None
 
     def dtdv(v):
-        stack = locus_stack(v)
-        return stack.e12 - stack.e11 * stack.det_v / stack.det_s
+        nonlocal last
+        try:
+            last = _locus_stack(model, v, s_window, last)
+        except NoRoot:
+            return math.nan
+        return last.e12 - last.e11 * last.det_v / last.det_s
 
-    v_c = _bracketed_root(dtdv, near[0].v, near[2].v)
-    stack = locus_stack(v_c)
+    v_c = _critical_volume(
+        dtdv, _locus_volumes(model, v_window or (1e-2, 1e2), 200))
+    stack = _locus_stack(model, v_c, s_window, last)
     return _critical(model, v_c, stack.p, stack.t)
 
 

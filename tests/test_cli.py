@@ -253,6 +253,15 @@ class TestCritical:
         assert rc == 0
         assert out == f"no critical point: {message}\n"
 
+    def test_no_locus_beside_inadmissible_volumes_is_empty(self, capsys):
+        # f2 is affine, so dT/dV along the locus is 0 above the pole of f1
+        # and a gap below it: the locus is empty, not monotone
+        rc, out, _ = run(capsys, ["critical", "--model", "custom", "--cv",
+                                  "2.5", "--f1", "(V-0.5)^-0.8", "--f2",
+                                  "0.6*V"])
+        assert (rc, out) == (0, "no critical point: degeneracy locus is "
+                                "empty\n")
+
 
 class TestGeodesic:
     ARGV = ["geodesic", *VDW_FLAGS, "--start-s", "2.5", "--start-v", "1.4",
@@ -489,6 +498,38 @@ class TestVerify:
         doc = json.loads(target.read_text())
         assert all(chk["pass"] for chk in doc["checks"])
         assert all(chk["residual"] <= chk["tol"] for chk in doc["checks"])
+
+
+    @pytest.mark.parametrize("window, ran", [
+        (["--vmin", "0.25", "--vmax", "0.28"], True),
+        (["--vmin", "5", "--vmax", "1"], False),
+        (["--a", "1.5e-12", "--b", "2e-7", "--vmin", "1e-6", "--vmax",
+          "4e-6"], True),
+    ], ids=["near-covolume", "reversed", "small-units"])
+    def test_samples_only_its_window(self, monkeypatch, capsys, window, ran):
+        volumes = []
+
+        def array_stack(model, chart, x1, x2, *,
+                        _original=ConstitutiveModel.array_stack):
+            volumes.extend(np.ravel(x2).tolist())
+            return _original(model, chart, x1, x2)
+
+        def derivative_stack(model, state, *,
+                             _original=ConstantCv.derivative_stack,
+                             **kwargs):
+            volumes.append(state.x2)
+            return _original(model, state, **kwargs)
+        monkeypatch.setattr(ConstitutiveModel, "array_stack", array_stack)
+        monkeypatch.setattr(ConstantCv, "derivative_stack", derivative_stack)
+        argv = ["verify", *VDW_FLAGS, *window, "--states", "20"]
+        rc, _, err = run(capsys, argv)
+        # a run exits 0, or 2 where an absolute tolerance fails in small
+        # units; a reversed window is a bad request
+        assert (rc in (0, 2), rc == 1) == (ran, not ran), err
+        vmin = float(argv[argv.index("--vmin") + 1])
+        vmax = float(argv[argv.index("--vmax") + 1])
+        assert all(vmin <= v <= vmax for v in volumes)
+        assert bool(volumes) == ran
 
 
 class TestConfigPrecedence:

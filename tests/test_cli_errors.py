@@ -277,10 +277,10 @@ def test_non_finite_gas_parameter_exits_one(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--vmin", "inf", "--vmax", "inf"],
      "error: sample window S 1.0..3.0, V inf..inf must be finite with "
-     "smin <= smax"),
+     "smin <= smax and vmin <= vmax"),
     (["verify", "--smin", "3", "--smax", "1"],
      "error: sample window S 3.0..1.0, V 1.0..4.0 must be finite with "
-     "smin <= smax"),
+     "smin <= smax and vmin <= vmax"),
     (["locus", "--vmin", "0.1", "--vmax", "inf"],
      "error: bad volume range (0.1, inf)"),
     (["curvature-grid", "--model", "custom", "--f1", "(-(1))^(0.2)"],

@@ -26,9 +26,8 @@ from thermogeom import (
     vdw_volume_roots,
 )
 from thermogeom.critical_locus import (
-    _bracketed_root,
-    _critical_volume_numeric,
-    _sample,
+    _critical_volume,
+    _first_root,
     _scan_locus_entropy,
     _scan_window,
     closed_form_critical_point,
@@ -204,17 +203,19 @@ class TestLocusContinuation:
         assert len(calls) <= 181 + 30 + 6 * n
 
 
-class TestBracketedRoot:
+class TestFirstRoot:
+    """``_first_root``, the one scan of every root search."""
+
     def test_cube_root_converges_in_few_calls(self):
         calls = []
 
         def f(x):
             calls.append(x)
             return x ** 3 - 2.0
-        root = _bracketed_root(f, 1.0, 2.0)
+        root = _first_root(f, [1.0, 2.0])
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
-        # each end of the bracket is evaluated once, for the sign check
-        # and for Brent's method both
+        # each end of the bracket is evaluated once: Brent's method starts
+        # from the values the scan holds
         assert len(calls) == 9
         assert calls[:2] == [1.0, 2.0]
         assert root == 1.2599210498948732
@@ -226,26 +227,44 @@ class TestBracketedRoot:
             # deterministic noise of 1e-9, like a finite-difference floor
             calls.append(x)
             return x - 1.0 / 3.0 + random.Random(x).uniform(-1e-9, 1e-9)
-        assert _bracketed_root(f, 0.0, 1.0) == pytest.approx(1.0 / 3.0,
-                                                             abs=1e-8)
+        assert _first_root(f, [0.0, 1.0]) == pytest.approx(1.0 / 3.0,
+                                                           abs=1e-8)
         assert len(calls) < 100
 
-    def test_bracket_without_sign_change_raises(self):
-        with pytest.raises(NoRoot):
-            _bracketed_root(lambda x: x * x + 1.0, -1.0, 2.0)
+    def test_no_sign_change_is_no_root(self):
+        assert _first_root(lambda x: x * x + 1.0, [-1.0, 0.5, 2.0]) is None
+        # a falling scan takes no rise
+        assert _first_root(lambda x: x, [-1.0, 1.0], falling=True) is None
 
+    def test_stops_at_its_first_bracket(self):
+        calls = []
 
-class TestStateSampler:
-    """``_sample``, the rule of both scans: a state error is a gap."""
+        def f(x):
+            calls.append(x)
+            return (x - 2.5) * (x - 6.5)
+        assert _first_root(f, [float(x) for x in range(10)]) == 2.5
+        assert max(calls) <= 3.0
+
+    def test_exact_zero_followed_by_a_value(self):
+        def scan(values, **kwargs):
+            return _first_root(lambda x: values[int(x)],
+                               [float(x) for x in range(len(values))],
+                               **kwargs)
+        assert scan([1.0, 0.0, 1.0]) == 1.0
+        assert scan([1.0, 0.0, math.nan]) is None
+        # a falling scan takes only + to -
+        assert scan([1.0, 0.0, -1.0], falling=True) is None
+        assert scan([1.0, -1.0, 0.0], falling=True) is not None
 
     def test_state_error_is_a_gap(self):
         def f(x):
             if x < 0.0:
                 raise ZeroDivisionError(f"at x={x}")
-            return x
-        values = _sample(f, [-1.0, 0.0, 2.0])
-        assert math.isnan(values[0])
-        assert values[1:] == [0.0, 2.0]
+            return x - 1.0
+        assert _first_root(f, [-1.0, 0.0, 2.0]) == 1.0
+        # a gap between opposite signs brackets nothing
+        assert _first_root(lambda x: f(x) if x else f(-1.0),
+                           [-1.0, 0.0, 2.0]) is None
 
     @pytest.mark.parametrize("error", [DomainError, ValueError,
                                        ZeroDivisionError, OverflowError])
@@ -253,7 +272,14 @@ class TestStateSampler:
         def f(x):
             raise error(f"at x={x}")
         with pytest.raises(error, match="at x=-1.0$"):
-            _sample(f, [-1.0, 0.0, 2.0])
+            _first_root(f, [-1.0, 0.0, 2.0])
+
+    def test_raises_only_when_every_point_raised(self):
+        def f(x):
+            if x < 0.0:
+                raise DomainError(f"at x={x}")
+            return math.nan
+        assert _first_root(f, [-1.0, 0.0, 2.0]) is None
 
     def test_search_outcome_is_no_state_error(self):
         def f(x):
@@ -261,7 +287,25 @@ class TestStateSampler:
                 raise NoRoot(f"at x={x}")
             return x
         with pytest.raises(NoRoot):
-            _sample(f, [-1.0, 0.0, 2.0])
+            _first_root(f, [-1.0, 0.0, 2.0])
+
+    def test_vdw_entropy_scan_stops_at_its_bracket(self, monkeypatch):
+        # 181 entropies and the refinement's ends twice over, before the
+        # scan stopped at its first bracket
+        calls = []
+
+        def counted(model, state, *, _original=VanDerWaals.derivative_stack,
+                    **kwargs):
+            calls.append(state)
+            return _original(model, state, **kwargs)
+        monkeypatch.setattr(VanDerWaals, "derivative_stack", counted)
+        model = VanDerWaals(PARAMS)
+        s = _scan_locus_entropy(model, 1.0, _scan_window(model))
+        assert s == 1.7423847407563309
+        assert len(calls) <= 110
+
+
+VOLUMES = np.geomspace(1e-2, 1e2, 400).tolist()
 
 
 class TestCriticalVolumeGaps:
@@ -271,14 +315,25 @@ class TestCriticalVolumeGaps:
             if v < 0.3:
                 raise DomainError(f"f1(V) must be positive at V={v}")
             return 0.6 - v
-        assert _critical_volume_numeric(dtdv, (1e-2, 1e2)) == pytest.approx(
-            0.6, rel=1e-10)
+        assert _critical_volume(dtdv, VOLUMES) == pytest.approx(0.6,
+                                                               rel=1e-10)
 
     def test_no_admissible_volume_is_a_domain_error(self):
         def dtdv(v):
             raise DomainError(f"f1(V) must be positive at V={v}")
         with pytest.raises(DomainError, match="at V=0.01$"):
-            _critical_volume_numeric(dtdv, (1e-2, 1e2))
+            _critical_volume(dtdv, VOLUMES)
+
+    def test_zero_or_gap_at_every_volume_is_an_empty_locus(self):
+        def dtdv(v):
+            if v < 0.3:
+                raise DomainError(f"f1(V) must be positive at V={v}")
+            return 0.0
+        with pytest.raises(NoCriticalPoint, match="^degeneracy locus is "
+                                                  "empty$"):
+            _critical_volume(dtdv, VOLUMES)
+        with pytest.raises(NoCriticalPoint, match="monotone"):
+            _critical_volume(lambda v: dtdv(v) - v, VOLUMES)
 
     def test_custom_model_with_negative_f1(self):
         model = ConstantCv("0-1", None, cv=2.5)
@@ -407,6 +462,32 @@ class TestCriticalPoints:
         model = NumericEnergy(vdw_energy, scheme=vdw_partials)
         with pytest.raises(DomainError, match="below the covolume"):
             _scan_locus_entropy(model, 0.5 * params.b, _scan_window(model))
+
+    def test_generic_path_stops_at_its_bracket(self, monkeypatch):
+        # one locus stack per volume up to the bracket and per refinement
+        # step, where the hottest of 200 traced volumes was bracketed
+        calls = []
+
+        def counted(model, state, *, _original=NumericEnergy.derivative_stack,
+                    **kwargs):
+            calls.append(state)
+            return _original(model, state, **kwargs)
+        monkeypatch.setattr(NumericEnergy, "derivative_stack", counted)
+        cp = critical_point(NumericEnergy(vdw_energy, scheme=vdw_partials),
+                            v_window=(0.3, 3.0))
+        assert cp.v_c == pytest.approx(0.6, rel=1e-12)
+        assert len(calls) <= 500
+
+    def test_generic_path_with_inadmissible_volumes_and_no_locus(self):
+        # the ideal gas raises below V = 0.5 and has no locus above it:
+        # every volume is a gap, and only some raised
+        def energy(s, v):
+            if v < 0.5:
+                raise DomainError(f"volume {v} is below 0.5")
+            return math.exp(s / 1.5) * v ** (-2.0 / 3.0)
+        with pytest.raises(NoCriticalPoint,
+                           match="^degeneracy locus is empty$"):
+            critical_point(NumericEnergy(energy), v_window=(0.1, 10.0))
 
     def test_generic_path_with_finite_differences(self, params):
         # finite-difference stacks carry about 1e-8 noise; the critical

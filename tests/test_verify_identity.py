@@ -38,8 +38,9 @@ from thermogeom.metric_core import determinant_report, identity_residuals
 def _scalar_checks(model, eff, rng, n_states):
     """The scalar route of ``cli._verify_checks``."""
     b = model.covolume
-    v_lo = max(eff["vmin"], b + 0.1 * max(1.0, b))
-    v_hi = max(eff["vmax"], v_lo + 1.0)
+    v_lo, v_hi = eff["vmin"], eff["vmax"]
+    if v_lo <= b:
+        v_lo = b + 0.05 * (v_hi - b)
     s_lo, s_hi = eff["smin"], eff["smax"]
     stacks = []
     attempts = 0
