@@ -46,6 +46,7 @@ from .eos_models import (
     StatePoint,
     VanDerWaals,
     choose,
+    hessian_jet,
     make_model,
     parse_config_text,
 )
@@ -65,7 +66,6 @@ from .geodesics import (
     _speed,
     christoffel_elementary,
     christoffel_from_stack,
-    hessian_partials,
     integrate_geodesic,
 )
 from .hessian_surface import (
@@ -576,7 +576,7 @@ def cmd_geodesic(args, eff, model) -> int:
     for t, (s, v, s_dot, v_dot) in zip(ts.tolist(),
                                        traj.interpolant(ts).T.tolist()):
         try:  # the Hessian alone, as a stage reads it; empty on an error
-            speed = _speed(*hessian_partials(model, s, v)[:3], s_dot, v_dot)
+            speed = _speed(*hessian_jet(model, s, v)[5:8], s_dot, v_dot)
         except _ERRORS:
             speed = None
         rows.append([t, s, v, s_dot, v_dot, speed])

@@ -15,7 +15,8 @@ and refines it by Brent's method (``_rk45._brentq``, as geodesic events do)
 to 4 EPS relative to the bracket, so no stopping test depends on the units:
 over entropy, and for dT/dV = 0 over 400 volumes of ``locus_dtdv`` or 200
 of the continued locus; without that root the locus is empty if dT/dV is 0
-or a gap at every volume, and monotone otherwise.  Reduced curves, cubic
+or a gap at every volume, and monotone otherwise.  Each probe reads the
+Hessian jet alone (``eos_models.hessian_jet``).  Reduced curves, cubic
 volume roots, the coexistence curve and the spinodal slope live here too.
 """
 
@@ -33,7 +34,8 @@ from .eos_models import (
     Berthelot,
     ConstantCv,
     ConstitutiveModel,
-    StatePoint,
+    DerivativeStack,
+    hessian_jet,
     relative_det,
 )
 from .errors import STATE_ERRORS, DomainError, NoCriticalPoint, NoRoot
@@ -55,6 +57,7 @@ _REDUCED_MARGIN = 1e-9
 _ROOT_TOL = 4.0 * math.ulp(1.0)
 _SCAN_POINTS = 181
 _POLY_NEWTON_STEPS = 8
+_NAN_TAIL = (math.nan,) * 10  # an unchecked stack's response coefficients
 
 
 class LocusSample(NamedTuple):
@@ -193,13 +196,17 @@ def locus_entropy(model: ConstitutiveModel, v: float) -> float:
     """
     if model.locus_state is not None:
         return model.locus_state(v)[0]
-    return _scan_locus_entropy(model, v, _scan_window(model))
+    return _scan_locus_entropy(model, float(v), _scan_window(model))
+
+
+def _probe(model, s, v) -> DerivativeStack:
+    """The unchecked stack at (S, V), read through ``hessian_jet``."""
+    return DerivativeStack._make(hessian_jet(model, s, v) + _NAN_TAIL)
 
 
 def _scan_locus_entropy(model, v, s_window):
     def det_at(s):
-        return model.derivative_stack(StatePoint.entropy_volume(s, v),
-                                      check_singular=False).det
+        return _probe(model, s, v).det
 
     # the window can leave the domain; a gap there brackets nothing
     s = _first_root(det_at, np.linspace(*s_window, _SCAN_POINTS).tolist())
@@ -218,8 +225,7 @@ def _correct_locus(model, v, s, s_window):
     last, done = math.inf, False
     for _ in range(_CORRECTOR_STEPS):
         try:
-            stack = model.derivative_stack(
-                StatePoint.entropy_volume(s, v), check_singular=False)
+            stack = _probe(model, s, v)
         except STATE_ERRORS:
             return None
         if done:
@@ -254,9 +260,7 @@ def _locus_stack(model, v, s_window, near):
         stack = _correct_locus(model, v, s, s_window)
         if stack is not None:
             return stack
-    s = _scan_locus_entropy(model, v, s_window)
-    return model.derivative_stack(
-        StatePoint.entropy_volume(s, v), check_singular=False)
+    return _probe(model, _scan_locus_entropy(model, v, s_window), v)
 
 
 def _locus_points(point_at, volumes):

@@ -21,8 +21,8 @@ user-supplied analytic derivative callback.
 The first 12 of ``_fields`` are the Hessian jet: S, V, U, T, p, the Hessian
 and third partials.  A checked ``derivative_stack`` is ``_complete`` of
 ``_fields``: the determinant check, then the response coefficients.  An
-unchecked one is the jet alone, its response coefficients NaN.  A
-geodesic stage or sample reads the Hessian from ``_fields``.
+unchecked one is the jet alone, its response coefficients NaN.  Scalar
+probes and geodesic samples read the jet alone through ``hessian_jet``.
 
 Closed forms
 ------------
@@ -120,6 +120,16 @@ class StatePoint:
     @property
     def volume(self) -> float:
         return self.x2
+
+
+def hessian_jet(model: ConstitutiveModel, s: float, v: float) -> tuple:
+    """The first 12 fields of the unchecked stack at (S, V), after
+    StatePoint's checks made inline: a scalar probe builds no StatePoint."""
+    if not math.isfinite(s) or not math.isfinite(v):
+        raise DomainError(f"non-finite state ({s}, {v})")
+    if v <= 0.0:
+        raise DomainError(f"volume must be positive, got {v}")
+    return model._fields(Chart.ENTROPY_VOLUME, s, v)[:12]
 
 
 @dataclass(frozen=True)
@@ -584,14 +594,15 @@ class Berthelot(ConstitutiveModel):
         # Newton on f(u) = S - s in u = log T: f = c + cv0 u - A e^(-2u) rises
         # and is concave, so from f <= 0 it climbs to the root
         c, a_v = q.s0 + q.r_gas * math.log(v - q.b) - s, q.a / v
-        u = -c / q.cv0  # the a = 0 root
+        cv0, tol = q.cv0, 4.0 * _EPS
+        u = -c / cv0  # the a = 0 root
         if 0.0 < a_v < c:  # where the attraction balances c, f <= 0 too
             u = max(u, -0.5 * math.log(c / a_v))
         for _ in range(200):
             g = a_v * math.exp(-2.0 * u) if a_v else 0.0
-            du = (c + q.cv0 * u - g) / (q.cv0 + 2.0 * g)
+            du = (c + cv0 * u - g) / (cv0 + 2.0 * g)
             u -= du
-            if abs(du) <= 4.0 * _EPS * max(1.0, abs(u)):
+            if abs(du) <= tol * max(1.0, abs(u)):
                 return math.exp(u)
         raise DomainError(f"entropy inversion failed at S={s}, V={v}")
 
@@ -716,9 +727,9 @@ class Berthelot(ConstitutiveModel):
 class NumericEnergy(ConstitutiveModel):
     """Wraps a plain U(S, V) callback.
 
-    ``scheme`` is either the string ``"central"`` (finite differences with
-    order-matched steps) or a callable returning the ten partials
-    (u, u_S, u_V, u_SS, u_SV, u_VV, u_SSS, u_SSV, u_SVV, u_VVV).
+    ``scheme`` is either ``"central"`` (finite differences, order-matched
+    steps, one call of U at each of 25 points) or a callable returning the
+    ten partials (u, u_S, u_V, u_SS, u_SV, u_VV, u_SSS, u_SSV, u_SVV, u_VVV).
     """
 
     name = "numeric"
@@ -748,19 +759,19 @@ class NumericEnergy(ConstitutiveModel):
         u_sv = (u(s + h2s, v + h2v) - u(s + h2s, v - h2v)
                 - u(s - h2s, v + h2v) + u(s - h2s, v - h2v)) / (4.0 * h2s * h2v)
 
-        u_sss = (u(s + 2 * h3s, v) - 2.0 * u(s + h3s, v)
-                 + 2.0 * u(s - h3s, v) - u(s - 2 * h3s, v)) / (2.0 * h3s ** 3)
-        u_vvv = (u(s, v + 2 * h3v) - 2.0 * u(s, v + h3v)
-                 + 2.0 * u(s, v - h3v) - u(s, v - 2 * h3v)) / (2.0 * h3v ** 3)
-
-        def dss_at(vv):
-            return (u(s + h3s, vv) - 2.0 * u(s, vv) + u(s - h3s, vv)) / (h3s * h3s)
-
-        def dvv_at(ss):
-            return (u(ss, v + h3v) - 2.0 * u(ss, v) + u(ss, v - h3v)) / (h3v * h3v)
-
-        u_ssv = (dss_at(v + h3v) - dss_at(v - h3v)) / (2.0 * h3v)
-        u_svv = (dvv_at(s + h3s) - dvv_at(s - h3s)) / (2.0 * h3s)
+        # 12 third-order points, once each; call order picks the error reported
+        sp, sm, vp, vm = s + h3s, s - h3s, v + h3v, v - h3v
+        u_s2p, u_p0, u_m0, u_s2m = (u(s + 2 * h3s, v), u(sp, v), u(sm, v),
+                                   u(s - 2 * h3s, v))
+        u_v2p, u_0p, u_0m, u_v2m = (u(s, v + 2 * h3v), u(s, vp), u(s, vm),
+                                   u(s, v - 2 * h3v))
+        u_pp, u_mp, u_pm, u_mm = u(sp, vp), u(sm, vp), u(sp, vm), u(sm, vm)
+        u_sss = (u_s2p - 2.0 * u_p0 + 2.0 * u_m0 - u_s2m) / (2.0 * h3s ** 3)
+        u_vvv = (u_v2p - 2.0 * u_0p + 2.0 * u_0m - u_v2m) / (2.0 * h3v ** 3)
+        u_ssv = ((u_pp - 2.0 * u_0p + u_mp) / (h3s * h3s)
+                 - (u_pm - 2.0 * u_0m + u_mm) / (h3s * h3s)) / (2.0 * h3v)
+        u_svv = ((u_pp - 2.0 * u_p0 + u_pm) / (h3v * h3v)
+                 - (u_mp - 2.0 * u_m0 + u_mm) / (h3v * h3v)) / (2.0 * h3s)
 
         return u0, u_s, u_v, u_ss, u_sv, u_vv, u_sss, u_ssv, u_svv, u_vvv
 

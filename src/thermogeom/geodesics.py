@@ -6,8 +6,8 @@ written in terms of the measured response functions.  Both must agree;
 the explicit route doubles as a verification target.
 
 Each geodesic stage and sample speed reads only e11 to c222, the Hessian of
-U and its third partials, after the checks of ``hessian_partials``;
-``christoffel_from_stack`` and ``metric_speed`` share its arithmetic.
+U and its third partials, through ``eos_models.hessian_jet`` (inline in a
+stage); ``christoffel_from_stack`` and ``metric_speed`` share its arithmetic.
 
 Integration is the Dormand-Prince 5(4) pair with local extrapolation
 (Dormand and Prince, J. Comput. Appl. Math. 6 (1980) 19-26) and quartic
@@ -38,6 +38,7 @@ from .eos_models import (
     DerivativeStack,
     StatePoint,
     choose,
+    hessian_jet,
     libm_for,
     relative_det,
 )
@@ -151,13 +152,6 @@ def _speed(e11, e12, e22, s_dot, v_dot):
             + e22 * v_dot * v_dot)
 
 
-def hessian_partials(model: ConstitutiveModel, s: float, v: float) -> tuple:
-    """e11 to c222 at (S, V) after StatePoint's checks, completing no stack."""
-    if not (math.isfinite(s) and math.isfinite(v) and v > 0.0):
-        raise DomainError(f"({s}, {v}) is not a state: non-finite or V <= 0")
-    return model._fields(Chart.ENTROPY_VOLUME, s, v)[5:12]
-
-
 class GeodesicTrajectory(NamedTuple):
     times: tuple[float, ...]
     states: tuple[GeodesicState, ...]
@@ -202,7 +196,7 @@ def integrate_geodesic(model: ConstitutiveModel,
         if key not in memo:
             try:
                 memo[key] = (last[1] if last[0] == key
-                             else hessian_partials(model, s, v))
+                             else hessian_jet(model, s, v)[5:12])
             except STATE_ERRORS:
                 memo[key] = None
         return memo[key]
@@ -214,7 +208,7 @@ def integrate_geodesic(model: ConstitutiveModel,
             hessian = memo[key]
         elif key == last[0]:
             hessian = last[1]
-        else:  # hessian_partials, inline; trial states may be no state
+        else:  # hessian_jet, inline; trial states may be no state
             hessian = None
             if math.isfinite(s) and math.isfinite(v) and v > 0.0:
                 try:

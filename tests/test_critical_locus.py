@@ -49,6 +49,18 @@ def locus_det_residual(model, smp):
     return abs(relative_det(stack.e11, stack.e12, stack.e22))
 
 
+def count_probes(monkeypatch):
+    """The (S, V) of every evaluation of a model, in call order: each
+    probe, by whatever route it reads the model."""
+    calls = []
+    for cls in (ConstantCv, Berthelot, NumericEnergy):
+        def counted(model, chart, x1, v, _original=cls._fields):
+            calls.append((x1, v))
+            return _original(model, chart, x1, v)
+        monkeypatch.setattr(cls, "_fields", counted)
+    return calls
+
+
 def custom_vdw():
     """The van der Waals gas of PARAMS written as a custom model."""
     return ConstantCv("(V-0.2)^-0.8", "0.6/V", cv=2.5)
@@ -164,16 +176,16 @@ class TestLocusContinuation:
 
     def test_corrector_failure_falls_back_to_scan(self):
         class MissesEachNewVolume(VanDerWaals):
-            # the first stack at each volume is the corrector's predicted S
+            # the first probe at each volume is the corrector's predicted S
             def __init__(self, params):
                 super().__init__(params)
                 self.seen = set()
 
-            def derivative_stack(self, state, **kwargs):
-                if state.x2 not in self.seen:
-                    self.seen.add(state.x2)
+            def _fields(self, chart, x1, v):
+                if v not in self.seen:
+                    self.seen.add(v)
                     raise DomainError("first probe at this volume")
-                return super().derivative_stack(state, **kwargs)
+                return super()._fields(chart, x1, v)
 
         model = MissesEachNewVolume(PARAMS)
         line = degeneracy_locus(model, (0.5, 4.0), n_samples=12,
@@ -189,18 +201,14 @@ class TestLocusContinuation:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_stack_calls(self, monkeypatch, name, n):
         # one scan (181 probes plus its refinement) for the first volume,
-        # then a few corrector steps per sample
-        calls = []
-        for cls in (ConstantCv, Berthelot):
-            def counted(model, state, *, _original=cls.derivative_stack,
-                        **kwargs):
-                calls.append(state)
-                return _original(model, state, **kwargs)
-            monkeypatch.setattr(cls, "derivative_stack", counted)
+        # then a few corrector steps per sample; at least the hundred or so
+        # entropies up to the scan's bracket, and two corrector probes, a
+        # step and its check, per later sample
+        calls = count_probes(monkeypatch)
         line = degeneracy_locus(MODELS[name](), (0.5, 4.0), n_samples=n,
                                 method="scan")
         assert len(line.samples) == n
-        assert len(calls) <= 181 + 30 + 6 * n
+        assert 100 + 2 * (n - 1) <= len(calls) <= 181 + 30 + 6 * n
 
 
 class TestFirstRoot:
@@ -290,19 +298,13 @@ class TestFirstRoot:
             _first_root(f, [-1.0, 0.0, 2.0])
 
     def test_vdw_entropy_scan_stops_at_its_bracket(self, monkeypatch):
-        # 181 entropies and the refinement's ends twice over, before the
-        # scan stopped at its first bracket
-        calls = []
-
-        def counted(model, state, *, _original=VanDerWaals.derivative_stack,
-                    **kwargs):
-            calls.append(state)
-            return _original(model, state, **kwargs)
-        monkeypatch.setattr(VanDerWaals, "derivative_stack", counted)
+        # the scan stops at its first bracket: 100 probes with Brent's
+        # refinement, against the 181 grid points of a full scan
+        calls = count_probes(monkeypatch)
         model = VanDerWaals(PARAMS)
         s = _scan_locus_entropy(model, 1.0, _scan_window(model))
         assert s == 1.7423847407563309
-        assert len(calls) <= 110
+        assert 90 <= len(calls) <= 110
 
 
 VOLUMES = np.geomspace(1e-2, 1e2, 400).tolist()
@@ -465,18 +467,12 @@ class TestCriticalPoints:
 
     def test_generic_path_stops_at_its_bracket(self, monkeypatch):
         # one locus stack per volume up to the bracket and per refinement
-        # step, where the hottest of 200 traced volumes was bracketed
-        calls = []
-
-        def counted(model, state, *, _original=NumericEnergy.derivative_stack,
-                    **kwargs):
-            calls.append(state)
-            return _original(model, state, **kwargs)
-        monkeypatch.setattr(NumericEnergy, "derivative_stack", counted)
+        # step, not the hottest of all 200 traced volumes: 392 probes
+        calls = count_probes(monkeypatch)
         cp = critical_point(NumericEnergy(vdw_energy, scheme=vdw_partials),
                             v_window=(0.3, 3.0))
         assert cp.v_c == pytest.approx(0.6, rel=1e-12)
-        assert len(calls) <= 500
+        assert 300 <= len(calls) <= 500
 
     def test_generic_path_with_inadmissible_volumes_and_no_locus(self):
         # the ideal gas raises below V = 0.5 and has no locus above it:

@@ -21,7 +21,11 @@ from thermogeom import (
 )
 from thermogeom.critical_locus import locus_entropy
 from thermogeom.eos_models import (
+    FD_STEP_FIRST,
+    FD_STEP_SECOND,
+    FD_STEP_THIRD,
     DerivativeStack,
+    hessian_jet,
     make_model,
     parse_config_text,
 )
@@ -366,6 +370,115 @@ class TestNumericEnergy:
             numeric.derivative_stack(tv(1.0, 1.0))
 
 
+def _stencil_33(u, s, v):
+    """The central stencil as it was written with 33 calls of U, the third
+    order re-evaluating 8 points: the partials every change must keep."""
+    h1s = max(abs(s), 1.0) * FD_STEP_FIRST
+    h1v = max(abs(v), 1.0) * FD_STEP_FIRST
+    h2s = max(abs(s), 1.0) * FD_STEP_SECOND
+    h2v = max(abs(v), 1.0) * FD_STEP_SECOND
+    h3s = max(abs(s), 1.0) * FD_STEP_THIRD
+    h3v = max(abs(v), 1.0) * FD_STEP_THIRD
+
+    u0 = u(s, v)
+    u_s = (u(s + h1s, v) - u(s - h1s, v)) / (2.0 * h1s)
+    u_v = (u(s, v + h1v) - u(s, v - h1v)) / (2.0 * h1v)
+
+    u_ss = (u(s + h2s, v) - 2.0 * u0 + u(s - h2s, v)) / (h2s * h2s)
+    u_vv = (u(s, v + h2v) - 2.0 * u0 + u(s, v - h2v)) / (h2v * h2v)
+    u_sv = (u(s + h2s, v + h2v) - u(s + h2s, v - h2v)
+            - u(s - h2s, v + h2v) + u(s - h2s, v - h2v)) / (4.0 * h2s * h2v)
+
+    u_sss = (u(s + 2 * h3s, v) - 2.0 * u(s + h3s, v)
+             + 2.0 * u(s - h3s, v) - u(s - 2 * h3s, v)) / (2.0 * h3s ** 3)
+    u_vvv = (u(s, v + 2 * h3v) - 2.0 * u(s, v + h3v)
+             + 2.0 * u(s, v - h3v) - u(s, v - 2 * h3v)) / (2.0 * h3v ** 3)
+
+    def dss_at(vv):
+        return (u(s + h3s, vv) - 2.0 * u(s, vv) + u(s - h3s, vv)) / (h3s * h3s)
+
+    def dvv_at(ss):
+        return (u(ss, v + h3v) - 2.0 * u(ss, v) + u(ss, v - h3v)) / (h3v * h3v)
+
+    u_ssv = (dss_at(v + h3v) - dss_at(v - h3v)) / (2.0 * h3v)
+    u_svv = (dvv_at(s + h3s) - dvv_at(s - h3s)) / (2.0 * h3s)
+
+    return u0, u_s, u_v, u_ss, u_sv, u_vv, u_sss, u_ssv, u_svv, u_vvv
+
+
+def _stencil_states(seed, n):
+    """(S, V) with |S| up to 20 and V from just past the stencil's reach
+    above the covolume 0.2 up to 10."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(-20.0, 20.0, n)
+    v = np.where(rng.random(n) < 0.3, rng.uniform(0.2016, 0.21, n),
+                 rng.uniform(0.21, 10.0, n))
+    return list(zip(s.tolist(), v.tolist()))
+
+
+class TestNumericEnergyStencil:
+    """The central stencil calls U once per point, 25 points, and gives the
+    partials and the first error of the 33-call stencil, bit for bit."""
+
+    def test_one_call_of_u_per_point(self):
+        calls = []
+
+        def energy(s, v):
+            calls.append((s, v))
+            return _vdw_energy(s, v)
+        model = NumericEnergy(energy)
+        for s, v in _stencil_states(30, 20):
+            calls.clear()
+            model.derivative_stack(sv(s, v))
+            assert len(calls) == 25
+            assert len(set(calls)) == 25
+
+    def test_partials_equal_the_33_call_stencil(self):
+        model = NumericEnergy(_vdw_energy)
+        for s, v in _stencil_states(31, 2000):
+            got = model._fd_partials(s, v)
+            want = _stencil_33(_vdw_energy, s, v)
+            assert struct.pack("<10d", *got) == struct.pack("<10d", *want), \
+                (s, v)
+
+    # Offsets in units of the third-order steps are 0.008 (first order),
+    # 0.16 (second order), 1 and 2 along an axis and (+-1, +-1) at the
+    # corners.  A state raises in a half-plane beyond a threshold between
+    # them, or where the product of its offsets passes one, which catches
+    # two corners and no axis point.
+    REGIONS = {
+        **{f"half-plane-{a}-{b}-{level}":
+           (lambda x, y, a=a, b=b, level=level: a * x + b * y > level)
+           for a, b in [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+                        (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0),
+                        (0.3, 1.0), (1.0, -0.4)]
+           for level in (-0.5, 0.004, 0.1, 0.5, 1.2, 1.7, 2.5, 3.5)},
+        **{f"product-{sign}-{level}":
+           (lambda x, y, sign=sign, level=level: sign * x * y > level)
+           for sign in (1.0, -1.0) for level in (0.01, 0.5)},
+    }
+
+    @pytest.mark.parametrize("region", sorted(REGIONS))
+    def test_first_error_is_the_33_call_stencils(self, region):
+        s, v = 2.5, 1.4
+        h3s = max(abs(s), 1.0) * FD_STEP_THIRD
+        h3v = max(abs(v), 1.0) * FD_STEP_THIRD
+        raises = self.REGIONS[region]
+
+        def energy(x, y):
+            if raises((x - s) / h3s, (y - v) / h3v):
+                raise DomainError(f"no energy at ({x!r}, {y!r})")
+            return _vdw_energy(x, y)
+
+        def outcome(partials):
+            try:
+                return struct.pack("<10d", *partials(energy, s, v))
+            except DomainError as exc:
+                return str(exc)
+        assert outcome(lambda u, *state: NumericEnergy(u)._fd_partials(
+            *state)) == outcome(_stencil_33)
+
+
 class TestDerivativeStackRecord:
     """The stack is an immutable NamedTuple with the former dataclass's
     fields, in order, and the same derived properties."""
@@ -486,3 +599,20 @@ def test_unchecked_stack_is_the_hessian_jet(model, state):
         "<12d", *checked[:12])
     assert all(math.isnan(x) for x in unchecked[12:])
     assert len(unchecked[12:]) == 10
+    if state.chart is Chart.ENTROPY_VOLUME:  # the probes' reader
+        assert struct.pack("<12d", *hessian_jet(model, state.x1, state.x2)
+                           ) == struct.pack("<12d", *unchecked[:12])
+
+
+@pytest.mark.parametrize("s, v, message", [
+    (math.nan, 1.0, r"^non-finite state \(nan, 1.0\)$"),
+    (1.0, math.inf, r"^non-finite state \(1.0, inf\)$"),
+    (1.0, 0.0, "^volume must be positive, got 0.0$"),
+    (1.0, -2.0, "^volume must be positive, got -2.0$"),
+])
+def test_hessian_jet_makes_the_state_checks(s, v, message):
+    # StatePoint's checks and messages, before the model is evaluated
+    with pytest.raises(DomainError, match=message):
+        StatePoint.entropy_volume(s, v)
+    with pytest.raises(DomainError, match=message):
+        hessian_jet(IdealGas(PARAMS), s, v)
