@@ -66,13 +66,13 @@ def _ricci(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     # fourth-derivative terms cancel for Hessian metrics.  It is contracted
     # through a[i, j, nn] = dg[i, j, m] ginv[m, nn] and
     # b[l, nn, k] = ginv[l, s] dg[s, nn, k]; ricci[i, k] contracts the upper
-    # index against the first lower derivative slot.  A leading batch axis
-    # rides along.
-    a = np.einsum("...ijm,...mn->...ijn", dg, ginv)
-    b = np.einsum("...ls,...snk->...lnk", ginv, dg)
-    riem = 0.25 * (np.einsum("...ijn,...lnk->...lijk", a, b)
-                   - np.einsum("...kin,...lnj->...lijk", a, b))
-    return np.einsum("...lilk->...ik", riem)
+    # index against the first lower derivative slot.  A batch's cells ride
+    # on the last axes, so numpy's inner loop runs over the cells.
+    a = np.einsum("ijm...,mn...->ijn...", dg, ginv)
+    b = np.einsum("ls...,snk...->lnk...", ginv, dg)
+    riem = 0.25 * (np.einsum("ijn...,lnk...->lijk...", a, b)
+                   - np.einsum("kin...,lnj...->lijk...", a, b))
+    return np.einsum("lilk...->ik...", riem)
 
 
 def scalar_curvature_tensorial(metric: MetricTensor2):
@@ -82,17 +82,18 @@ def scalar_curvature_tensorial(metric: MetricTensor2):
     metric raises SingularState before the inverse is taken."""
     checked_det(metric.e11, metric.e12, metric.e22, "metric not invertible")
     batch = np.broadcast(*metric).shape
-    g = np.empty(batch + (2, 2))
-    g[..., 0, 0] = metric.e11
-    g[..., 0, 1] = g[..., 1, 0] = metric.e12
-    g[..., 1, 1] = metric.e22
-    dg = np.empty(batch + (2, 2, 2))
-    dg[..., 0, 0, 0] = metric.c111
-    dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = dg[..., 1, 0, 0] = metric.c112
-    dg[..., 0, 1, 1] = dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = metric.c122
-    dg[..., 1, 1, 1] = metric.c222
-    ginv = np.linalg.inv(g)
-    r = np.sum(ginv * _ricci(dg, ginv), axis=(-2, -1))
+    g = np.empty((2, 2) + batch)
+    g[0, 0] = metric.e11
+    g[0, 1] = g[1, 0] = metric.e12
+    g[1, 1] = metric.e22
+    dg = np.empty((2, 2, 2) + batch)
+    dg[0, 0, 0] = metric.c111
+    dg[0, 0, 1] = dg[0, 1, 0] = dg[1, 0, 0] = metric.c112
+    dg[0, 1, 1] = dg[1, 0, 1] = dg[1, 1, 0] = metric.c122
+    dg[1, 1, 1] = metric.c222
+    # LAPACK takes the cells first: g.T, as each cell's matrix is symmetric
+    ginv = np.linalg.inv(g.T).T.swapaxes(0, 1).copy()
+    r = np.sum(ginv * _ricci(dg, ginv), axis=(0, 1))
     return float(r) if r.ndim == 0 else r
 
 

@@ -13,8 +13,8 @@ included, where a NamedTuple's ``_make`` and ``_replace`` would skip it.
 Models in the entropy-volume family (ideal, van der Waals, generic
 constant-cv) share one closed-form engine.  The Berthelot gas lives natively
 in the temperature-volume chart and builds the same stack through the chain
-rule; an entropy-volume state first inverts S(T, V) = s by Newton in log T
-on floats, mapped over the states of an array.  ``NumericEnergy`` wraps an
+rule; an entropy-volume state first inverts S(T, V) = s by Newton in log T,
+masked over the states of an array.  ``NumericEnergy`` wraps an
 arbitrary U(S, V) callback with central finite differences or a
 user-supplied analytic derivative callback.
 
@@ -562,14 +562,23 @@ class VanDerWaals(ConstantCv):
         return 3.0 * b, a / (27.0 * b * b), 8.0 * a / (27.0 * b * r)
 
 
+def _log_t_step(c, a_v, cv0, u, e, tol=4.0 * _EPS):
+    # Berthelot's S-V inversion, on floats or arrays: u = log T after one
+    # Newton step, given e = exp(-2u), and whether to stop there
+    g = a_v * e
+    du = (c + cv0 * u - g) / (cv0 + 2.0 * g)
+    u, du = u - du, abs(du)
+    return u, (du <= tol) | (du <= tol * abs(u))
+
+
 class Berthelot(ConstitutiveModel):
     """Berthelot gas, native to the temperature-volume chart.
 
     p = r T/(V-b) - a/(T V^2) and cv = cv0 + 2a/(V T^2).  Entropy-volume
     queries invert S(T, V) by Newton in u = log T, where S is increasing and
     concave for a >= 0: from a start below the root the iterates rise to it
-    without overshoot, and the root is unique.  An array of states maps the
-    float iteration over its elements, so each T is the float one.
+    without overshoot, and the root is unique.  An array of states runs the
+    float start, steps and stop masked, so each T is the float one.
     """
 
     name = "berthelot"
@@ -584,26 +593,44 @@ class Berthelot(ConstitutiveModel):
         return (q.s0 + q.cv0 * log(t) + q.r_gas * log(v - q.b)
                 - q.a / (v * t * t))
 
+    def _log_t_start(self, s, v, log):
+        # f(u) = S - s = c + cv0 u - a_v e^(-2u): c, a_v, the a = 0 root, cv0
+        q = self.params
+        c = q.s0 + q.r_gas * log(v - q.b) - s
+        return c, q.a / v, -c / q.cv0, q.cv0
+
     def _temperature_from_entropy(self, s, v):
         if isinstance(s, np.ndarray):
-            s, v = np.broadcast_arrays(s, v)
-            return np.array(list(map(self._temperature_from_entropy,
-                                     s.ravel().tolist(), v.ravel().tolist()))
-                            ).reshape(s.shape)
-        q = self.params
-        # Newton on f(u) = S - s in u = log T: f = c + cv0 u - A e^(-2u) rises
-        # and is concave, so from f <= 0 it climbs to the root
-        c, a_v = q.s0 + q.r_gas * math.log(v - q.b) - s, q.a / v
-        cv0, tol = q.cv0, 4.0 * _EPS
-        u = -c / cv0  # the a = 0 root
+            return self._temperatures_from_entropy(s, np.asarray(v))
+        c, a_v, u, cv0 = self._log_t_start(s, v, math.log)
         if 0.0 < a_v < c:  # where the attraction balances c, f <= 0 too
             u = max(u, -0.5 * math.log(c / a_v))
+        # no attraction, no exp: at low entropy it would overflow
+        exp = math.exp if a_v else (lambda x: 0.0)
         for _ in range(200):
-            g = a_v * math.exp(-2.0 * u) if a_v else 0.0
-            du = (c + cv0 * u - g) / (cv0 + 2.0 * g)
-            u -= du
-            if abs(du) <= tol * max(1.0, abs(u)):
+            u, stop = _log_t_step(c, a_v, cv0, u, exp(-2.0 * u))
+            if stop:
                 return math.exp(u)
+        raise DomainError(f"entropy inversion failed at S={s}, V={v}")
+
+    def _temperatures_from_entropy(self, s, v):
+        # the float path, masked: a state leaves the active set as it stops
+        shape, libm = np.broadcast(s, v).shape, _ARRAY_LIBM
+        *start, cv0 = self._log_t_start(s, v, libm.log)
+        c, a_v, u = (np.broadcast_to(x, shape).flatten() for x in start)
+        up = (0.0 < a_v) & (a_v < c)
+        w = -0.5 * libm.log(c[up] / a_v[up])
+        u[up] = np.where(w > u[up], w, u[up])  # max(u, w), NaN included
+        t, live = np.empty(u.shape), np.arange(u.size)
+        for _ in range(200):
+            e, nz = np.zeros(u.shape), a_v != 0.0  # exp only where a_v != 0
+            e[nz] = libm.exp(-2.0 * u[nz])
+            u, stop = _log_t_step(c, a_v, cv0, u, e)
+            t[live[stop]] = u[stop]
+            live, c, a_v, u = (x[~stop] for x in (live, c, a_v, u))
+            if not live.size:
+                return libm.exp(t).reshape(shape)
+        s, v = (np.broadcast_to(x, shape).flat[live[0]] for x in (s, v))
         raise DomainError(f"entropy inversion failed at S={s}, V={v}")
 
     def _fields(self, chart, x1, v):

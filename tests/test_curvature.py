@@ -382,6 +382,59 @@ class TestContractionAgainstLoops:
                 want, rel=1e-12)
 
 
+def _spread(rng, shape):
+    """Signed entries whose magnitudes span 10^-20 to 10^20."""
+    return (rng.choice([-1.0, 1.0], shape)
+            * 10.0 ** rng.uniform(-20.0, 20.0, shape))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+class TestBatchedContraction:
+    # a batch's cells ride on the contraction's last axes; each must round
+    # exactly as a single cell does, whatever the magnitudes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_equals_the_scalar_route(self, seed):
+        rng = np.random.default_rng(seed)
+        metric = MetricTensor2(*(_spread(rng, 4000) for _ in range(7)))
+        batch = scalar_curvature_tensorial(metric)
+        cells = [scalar_curvature_tensorial(MetricTensor2(*cell))
+                 for cell in zip(*(f.tolist() for f in metric))]
+        assert _bits(batch) == _bits(cells)
+
+    def test_broadcast_grid_equals_the_scalar_route(self):
+        # a grid's fields vary along one axis or the other, as its
+        # entropy and volume terms do
+        rng = np.random.default_rng(3)
+        shapes = [(30, 1), (1, 40), (30, 1), (1, 40), (30, 40), (30, 1),
+                  (1, 40)]
+        metric = MetricTensor2(*(_spread(rng, shape) for shape in shapes))
+        batch = scalar_curvature_tensorial(metric)
+        cells = [scalar_curvature_tensorial(MetricTensor2(*cell))
+                 for cell in zip(*(np.broadcast_to(f, (30, 40)).ravel()
+                                   .tolist() for f in metric))]
+        assert batch.shape == (30, 40)
+        assert _bits(batch.ravel()) == _bits(cells)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ricci_batch_equals_each_cell(self, n):
+        rng = np.random.default_rng(n)
+        cells = []
+        for seed in range(200):
+            g, dg = _random_hessian_field(n, seed)
+            scale = 10.0 ** rng.uniform(-20.0, 20.0, 2)
+            cells.append((np.linalg.inv(scale[0] * g), scale[1] * dg))
+        ginv = np.stack([c[0] for c in cells], axis=-1)
+        dg = np.stack([c[1] for c in cells], axis=-1)
+        batch = _ricci(dg, ginv)
+        assert batch.shape == (n, n, len(cells))
+        assert _bits(np.moveaxis(batch, -1, 0)) == _bits(
+            [_ricci(dg_k, ginv_k) for ginv_k, dg_k in cells])
+
+
 class TestTensorialRoute:
     def test_singular_metric_raises(self):
         with pytest.raises(SingularState, match="not invertible"):

@@ -160,9 +160,14 @@ class TestBerthelotInversion:
                          for a, b in zip(s.ravel().tolist(),
                                          v.ravel().tolist())]).reshape(s.shape)
 
-    def test_random_states(self, berthelot_model):
-        rng = np.random.default_rng(20)
-        s, v = rng.uniform(-40.0, 8.0, 3000), rng.uniform(0.21, 10.0, 3000)
+    @pytest.mark.parametrize("seed, n, s_lo, s_hi", [
+        (20, 3000, -40.0, 8.0),
+        (31, 20000, -125.0, 125.0),  # T from e^-50 to e^50
+    ], ids=["3000", "20000"])
+    def test_random_states(self, berthelot_model, seed, n, s_lo, s_hi):
+        # the masked Newton takes each state's float start, steps and stop
+        rng = np.random.default_rng(seed)
+        s, v = rng.uniform(s_lo, s_hi, n), rng.uniform(0.21, 10.0, n)
         got = berthelot_model._temperature_from_entropy(s, v)
         want = self._float_temperatures(berthelot_model, s, v)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -176,6 +181,43 @@ class TestBerthelotInversion:
                                         *np.broadcast_arrays(s, v))
         assert got.shape == (7, 5)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("a, s_window, v_window", [
+        (0.0, (-2000.0, -1900.0), (0.3, 10.0)),  # no exp: it would overflow
+        (1.5, (20.0, 25.0), (5.0, 7.0)),  # high entropy, T ~ 2000
+        (1.5, (-300.0, -250.0), (0.3, 10.0)),  # attraction-dominated
+    ], ids=["a0-low-entropy", "high-entropy", "low-entropy"])
+    def test_grid_windows_bit_for_bit(self, a, s_window, v_window):
+        model = Berthelot(GasParameters(a=a, b=0.2, r_gas=2.0, cv0=2.5))
+        s = np.linspace(*s_window, 64)[:, None]
+        v = np.linspace(*v_window, 64)
+        got = model._temperature_from_entropy(s, v)
+        want = self._float_temperatures(model, *np.broadcast_arrays(s, v))
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("a", [1.5, 0.0])
+    @pytest.mark.parametrize("s, v", [(math.nan, 1.4), (2.5, math.nan),
+                                      (math.nan, math.nan)])
+    def test_nan_state_fails_as_the_float_path_does(self, a, s, v):
+        # a NaN never stops Newton: both paths end with the same error
+        model = Berthelot(GasParameters(a=a, b=0.2, r_gas=2.0, cv0=2.5))
+        with pytest.raises(DomainError) as want:
+            model._temperature_from_entropy(s, v)
+        with pytest.raises(DomainError) as got:
+            model._temperature_from_entropy(np.array([2.5, s]),
+                                            np.array([1.4, v]))
+        assert str(got.value) == str(want.value)
+
+    def test_failure_names_the_first_state_left(self, berthelot_model):
+        # row-major over the broadcast grid, (1.0, nan) comes before every
+        # state of the nan row, and the float path names it alike
+        s = np.array([1.0, math.nan, -2.0])[:, None]
+        v = np.array([1.4, 2.5, math.nan])
+        message = r"^entropy inversion failed at S=1\.0, V=nan$"
+        with pytest.raises(DomainError, match=message):
+            berthelot_model._temperature_from_entropy(s, v)
+        with pytest.raises(DomainError, match=message):
+            berthelot_model._temperature_from_entropy(1.0, math.nan)
 
     # roots of S(T, V) = s to 20 digits, from mpmath at 50 digits with the
     # float arguments taken as exact
