@@ -17,7 +17,8 @@ one IEEE operation at a time, or the C library's pow that numpy's scalar
 power calls too, with the same bits as scipy's: on floats (the step
 size, the times, the step factor and their tests), on numpy scalars in
 the initial-step rule, and elementwise, in place, on arrays (the stage
-states, the error scale, the sample powers).  Overflow and invalid
+states, the error scale, the sample powers); each stage's derivative
+enters its row as a copy of its floats' bits.  Overflow and invalid
 operations give inf and NaN silently, as float arithmetic does.
 
 Every event is terminal and fires on a sign change in its ``direction``
@@ -38,6 +39,7 @@ Derivatives (1973), ch. 4 (the root).
 from __future__ import annotations
 
 import math
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -289,8 +291,11 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
     h_abs = float(_select_initial_step(fun, t0, y, t_bound, K[0], direction,
                                        rtol, atol))
     nfev = 1 if t_bound == t0 else 2
-    # stage s: the row of K it fills, the sum's K[:s].T, its a and c
-    stages = [(s, K[:s].T, a, c) for s, (a, c) in enumerate(_STAGES, 1)]
+    # stage s: the byte offset of the row of K that one C call fills with
+    # its derivative's floats, the sum's K[:s].T, its a and c
+    put, row = struct.Struct(f"{y.size}d").pack_into, K.strides[0]
+    K_bytes = memoryview(K).cast("B")
+    stages = [(s * row, K[:s].T, *ac) for s, ac in enumerate(_STAGES, 1)]
     K_steps, K_all = K[:-1].T, K.T
     # numpy multiplies by a 0-d array in less time than by a float
     h_0d, rtol_0d = np.empty(()), np.asarray(rtol)
@@ -325,15 +330,15 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
                 h_abs = abs(h)
                 h_0d[()] = h
 
-                for s, K_s, a, c in stages:
+                for at, K_s, a, c in stages:
                     dy = K_s.dot(a)
                     dy *= h_0d
                     dy += y
-                    K[s] = fun(t + c * h, dy)
+                    put(K_bytes, at, *fun(t + c * h, dy))
                 y_new = K_steps.dot(_B)
                 y_new *= h_0d
                 y_new += y
-                K[6] = fun(t + h, y_new)
+                put(K_bytes, 6 * row, *fun(t + h, y_new))
                 nfev += 6
 
                 abs_new = np.abs(y_new)
@@ -363,7 +368,7 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
             if direction * (t - t_bound) >= 0:
                 status = 0
             Q = K_all.dot(_P)
-            K[0] = K[6]
+            K_bytes[:row] = K_bytes[6 * row:]
             hs.append(h)
             Qs.append(Q)
 

@@ -69,12 +69,14 @@ from .geodesics import (
     integrate_geodesic,
 )
 from .hessian_surface import (
+    RadialClass,
     hessian_point_from_metric,
     ideal_conic_residual,
     radial_pairing,
     vdw_surface_residual,
 )
 from .metric_core import (
+    SignatureKind,
     determinant_report,
     identity_residuals,
     signature_kind,
@@ -262,6 +264,8 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
 # package error, such as SingularState; errors.DOMAIN_ERRORS exit 1, others 3.
 # Over many states, numpy's division and invalid flags stand in for floats'.
 _ERRORS = (*STATE_ERRORS, ThermogeomError)
+# each signature and radial class by its printed text: one lookup per cell
+_KIND_TEXT = {kind: kind.value for kind in (*SignatureKind, *RadialClass)}
 
 
 # overflow and underflow are silent, as for floats
@@ -502,7 +506,8 @@ def cmd_curvature_grid(args, eff, model) -> int:
     return _grid(args, eff, model,
                  ["det", "r_tensorial", "r_closed2d", "r_elementary",
                   "r_model_closed", "signature"], cell_values,
-                 lambda *v: ([*v[:5], [k.value for k in v[5]]], v[2]), ended)
+                 lambda *v: ([*v[:5], [_KIND_TEXT[k] for k in v[5]]], v[2]),
+                 ended)
 
 
 def cmd_locus(args, eff, model) -> int:
@@ -604,7 +609,7 @@ def cmd_surface(args, eff, model) -> int:
                  ["pairing", "radial_class", "cone_residual",
                   "model_surface_residual"], cell_values,
                  lambda pairing, kinds, det, extra: (
-                     [pairing, [k.value for k in kinds], det, extra],
+                     [pairing, [_KIND_TEXT[k] for k in kinds], det, extra],
                      np.negative(pairing)),
                  lambda exc: [None, _marker(exc), None, None])
 

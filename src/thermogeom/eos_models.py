@@ -97,6 +97,10 @@ class Chart(enum.Enum):
     TEMPERATURE_VOLUME = "temperature_volume"
 
 
+# per-state paths read these: under Python 3.11 Chart.X costs 0.16 us
+_SV, _TV = Chart.ENTROPY_VOLUME, Chart.TEMPERATURE_VOLUME
+
+
 @dataclass(frozen=True)
 class StatePoint:
     """A point on the constitutive surface in one of the two charts."""
@@ -129,7 +133,7 @@ def hessian_jet(model: ConstitutiveModel, s: float, v: float) -> tuple:
         raise DomainError(f"non-finite state ({s}, {v})")
     if v <= 0.0:
         raise DomainError(f"volume must be positive, got {v}")
-    return model._fields(Chart.ENTROPY_VOLUME, s, v)[:12]
+    return model._fields(_SV, s, v)[:12]
 
 
 @dataclass(frozen=True)
@@ -461,7 +465,7 @@ class ConstantCv(ConstitutiveModel):
         cv = self.cv
         m = libm_for(v)
         f1, f1p, f1pp, f1ppp, f2, f2p, f2pp, f2ppp = self.volume_terms(v)
-        if chart is Chart.ENTROPY_VOLUME:
+        if chart is _SV:
             s = x1
         else:
             s = cv * m.log(cv * x1 / f1)
@@ -613,6 +617,7 @@ class Berthelot(ConstitutiveModel):
                 return math.exp(u)
         raise DomainError(f"entropy inversion failed at S={s}, V={v}")
 
+    @np.errstate(invalid="ignore", over="ignore")  # silent, as for floats
     def _temperatures_from_entropy(self, s, v):
         # the float path, masked: a state leaves the active set as it stops
         shape, libm = np.broadcast(s, v).shape, _ARRAY_LIBM
@@ -637,7 +642,7 @@ class Berthelot(ConstitutiveModel):
         q = self.params
         self._check_volume(v.min() if isinstance(v, np.ndarray) else v)
         # a temperature-volume state carries T > 0 already
-        tv = chart is Chart.TEMPERATURE_VOLUME
+        tv = chart is _TV
         t = x1 if tv else self._temperature_from_entropy(x1, v)
 
         a, b, r = q.a, q.b, q.r_gas
@@ -803,7 +808,7 @@ class NumericEnergy(ConstitutiveModel):
         return u0, u_s, u_v, u_ss, u_sv, u_vv, u_sss, u_ssv, u_svv, u_vvv
 
     def _fields(self, chart, s, v):
-        if chart is not Chart.ENTROPY_VOLUME:
+        if chart is not _SV:
             raise UnsupportedModel(
                 "NumericEnergy accepts entropy-volume states only")
         partials = self._fd_partials if self.scheme == "central" else self.scheme

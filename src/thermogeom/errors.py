@@ -48,7 +48,7 @@ class NoCriticalPoint(ThermogeomError):
 
 
 class StepFailure(ThermogeomError):
-    """Adaptive integrator could not meet the local error tolerance."""
+    """The integrator's step collapsed, or a run exceeded its step budget."""
 
 
 DOMAIN_ERRORS = (DomainError, UnsupportedModel, ValueError, OSError)

@@ -28,15 +28,16 @@ Minimization without Derivatives, 1973, ch. 4).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from typing import Callable, NamedTuple
 
 from . import _rk45
 from .eos_models import (
-    Chart,
     ConstitutiveModel,
     DerivativeStack,
     StatePoint,
+    _SV,
     choose,
     hessian_jet,
     libm_for,
@@ -47,6 +48,8 @@ from .errors import STATE_ERRORS, DomainError, StepFailure
 # Integration stops when the relative determinant (eos_models.relative_det)
 # falls below this margin, well outside eos_models.SINGULAR_BAND.
 LOCUS_GUARD_BAND = 1e-6
+# A run fails after this many accepted steps: the longest tested run takes 978.
+STEP_BUDGET = 100_000
 
 
 class TerminationReason(enum.Enum):
@@ -184,9 +187,9 @@ def integrate_geodesic(model: ConstitutiveModel,
     floor = model.covolume
     fields = model._fields
     # The Hessian and third partials, (e11, ..., c222), by (S, V) of the
-    # points the locus event reads: the accepted nodes, which the speeds
-    # reuse.  Of the right-hand-side points only the latest is kept; RK45's
-    # last stage is the accepted point, so the event finds it there.  None
+    # points that the events, their roots and the speeds read.  The
+    # right-hand side reads no memo and keeps only its latest point: RK45's
+    # last stage is the accepted one, where the locus event finds it.  None
     # marks a point that is no state.
     memo = {(float(init.s), float(init.v)): start_stack[5:12]}
     last = [None, None]  # key and entries of the latest evaluation
@@ -203,19 +206,13 @@ def integrate_geodesic(model: ConstitutiveModel,
 
     def rhs(_t, y):
         s, v, sd, vd = y.tolist()  # floats: numpy scalars cost more per op
-        key = s, v
-        if key in memo:
-            hessian = memo[key]
-        elif key == last[0]:
-            hessian = last[1]
-        else:  # hessian_jet, inline; trial states may be no state
-            hessian = None
-            if math.isfinite(s) and math.isfinite(v) and v > 0.0:
-                try:
-                    hessian = fields(Chart.ENTROPY_VOLUME, s, v)[5:12]
-                except STATE_ERRORS:
-                    pass
-            last[:] = key, hessian
+        hessian = None  # hessian_jet, inline; trial states may be no state
+        if math.isfinite(s) and math.isfinite(v) and v > 0.0:
+            try:
+                hessian = fields(_SV, s, v)[5:12]
+            except STATE_ERRORS:
+                pass
+        last[0], last[1] = (s, v), hessian
         if hessian is None:
             return nan4
         det = hessian[0] * hessian[2] - hessian[1] * hessian[1]  # stack.det
@@ -226,11 +223,16 @@ def integrate_geodesic(model: ConstitutiveModel,
         vdd = -(g211 * sd * sd + 2.0 * g212 * sd * vd + g222 * vd * vd)
         return [sd, vd, sdd, vdd]
 
+    steps = itertools.count()  # the event runs once per accepted step
+
     def locus_event(_t, y):
         # Signed relative determinant so the zero crossing cannot hide
         # between step endpoints (|det| is large on both sides of the
         # locus).  Trial states may already be inadmissible, hence the
         # crossed-sentinel fallback.
+        if next(steps) > STEP_BUDGET:
+            raise StepFailure(f"integration failed: {STEP_BUDGET} steps "
+                              f"did not reach t_end = {t_end}")
         hessian = hessian_at(y[0], y[1])
         if hessian is None:
             return -1.0

@@ -21,6 +21,7 @@ import thermogeom
 from thermogeom import Berthelot, ConstantCv, ConstitutiveModel, cli
 from thermogeom.cli import build_parser, main
 from thermogeom.critical_locus import locus_entropy
+from thermogeom.geodesics import STEP_BUDGET
 
 from golden import cases
 
@@ -697,14 +698,37 @@ class TestJsonFormat:
         assert len(list(root)) > 16
 
 
-def _fresh_interpreter(*args):
-    """Run python with ``args`` in a new process that imports this tree."""
+def _fresh_interpreter(*args, **run_args):
+    """Run python with ``args`` in a new process that imports this tree;
+    ``run_args`` go to ``subprocess.run``."""
     src = str(Path(thermogeom.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          **run_args)
+
+
+def test_geodesic_past_its_step_budget_fails_in_bounded_memory():
+    # t_end = 1e300 from the README start is never reached: the run fails
+    # after STEP_BUDGET accepted steps, within the timeout and under an
+    # address-space limit of 1.5 GiB, set on the child alone
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**29
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = _fresh_interpreter(
+        "-m", "thermogeom.cli", "geodesic", "--model", "vdw", "--a", "1.5",
+        "--b", "0.2", "--r-gas", "2", "--cv", "2.5", "--start-s", "2.5",
+        "--start-v", "1.4", "--start-sdot", "0.05", "--start-vdot", "0.1",
+        "--t-end", "1e300", preexec_fn=cap_address_space)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (f"numeric failure: integration failed: "
+                           f"{STEP_BUDGET} steps did not reach "
+                           f"t_end = 1e+300\n")
 
 
 GEODESIC_STOPS = {

@@ -1,6 +1,7 @@
 """Constitutive models: state functions, derivative stacks, chart changes."""
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -197,15 +198,19 @@ class TestBerthelotInversion:
 
     @pytest.mark.parametrize("a", [1.5, 0.0])
     @pytest.mark.parametrize("s, v", [(math.nan, 1.4), (2.5, math.nan),
-                                      (math.nan, math.nan)])
+                                      (math.nan, math.nan),
+                                      (math.inf, 1.4), (-math.inf, 1.4)])
     def test_nan_state_fails_as_the_float_path_does(self, a, s, v):
-        # a NaN never stops Newton: both paths end with the same error
+        # a NaN never stops Newton, and an infinite S makes one at the
+        # first step: both paths end with the same error, and silently
         model = Berthelot(GasParameters(a=a, b=0.2, r_gas=2.0, cv0=2.5))
-        with pytest.raises(DomainError) as want:
-            model._temperature_from_entropy(s, v)
-        with pytest.raises(DomainError) as got:
-            model._temperature_from_entropy(np.array([2.5, s]),
-                                            np.array([1.4, v]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as want:
+                model._temperature_from_entropy(s, v)
+            with pytest.raises(DomainError) as got:
+                model._temperature_from_entropy(np.array([2.5, s]),
+                                                np.array([1.4, v]))
         assert str(got.value) == str(want.value)
 
     def test_failure_names_the_first_state_left(self, berthelot_model):

@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 
 from thermogeom import (
+    Berthelot,
     Chart,
     ChristoffelSet,
     ConstantCv,
     DomainError,
+    GasParameters,
     GeodesicState,
+    IdealGas,
     NumericEnergy,
     SingularState,
     StatePoint,
+    StepFailure,
     TerminationReason,
+    VanDerWaals,
     integrate_geodesic,
 )
+from thermogeom import _rk45, geodesics
 from thermogeom.eos_models import relative_det
 from thermogeom.expressions import ShiftedPower
 from thermogeom.geodesics import (
@@ -33,6 +39,9 @@ from fd_oracles import (
     second_derivative,
     weinhold_entry_fn,
 )
+
+
+GAS = GasParameters(a=1.5, b=0.2, r_gas=2.0, cv0=2.5)  # the conftest gas
 
 
 def sv(s, v):
@@ -186,12 +195,42 @@ class TestStackReuse:
         return calls
 
     def test_stack_count(self, vdw_model, hessian_calls):
-        # one evaluation per right-hand-side point, the start's stack
-        # included: 218 for 36 steps (293 when the event and the speeds
-        # evaluated the accepted points again)
+        # one evaluation per right-hand-side point, plus the start's stack:
+        # 219 for 36 steps (293 when the event and the speeds evaluated the
+        # accepted points again)
         traj = integrate_geodesic(vdw_model, self.INIT, 10.0)
         assert traj.termination is TerminationReason.COMPLETED
         assert len(hessian_calls) <= 230
+
+    @pytest.mark.parametrize("model,init", [
+        (IdealGas(GAS), GeodesicState(1.5, 1.4, 0.05, 0.1)),
+        (VanDerWaals(GAS), INIT),
+        (ConstantCv("(V-0.2)^-0.8", "0.6/V", cv=2.5), INIT),
+        (Berthelot(GAS), GeodesicState(-1.0, 1.4, 0.05, 0.1)),
+    ], ids=["ideal", "vdw", "custom", "berthelot"])
+    def test_each_stage_evaluates_the_model_once(self, monkeypatch, model,
+                                                 init):
+        # A run that completes finds no event root, so the model is
+        # evaluated once for the start's stack and once per right-hand-side
+        # call.  One fewer means a stage read a memo's row, one more that a
+        # stage or an event evaluated a point again.
+        calls, runs = [], []
+        fields, solve = type(model)._fields, _rk45._solve
+
+        def counted(*args):
+            calls.append(args)
+            return fields(*args)
+
+        def spy(*args):
+            runs.append(solve(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(type(model), "_fields", counted)
+        monkeypatch.setattr(_rk45, "_solve", spy)
+        traj = integrate_geodesic(model, init, 10.0)
+        assert traj.termination is TerminationReason.COMPLETED
+        [run] = runs
+        assert len(calls) == run.nfev + 1
 
     @pytest.mark.parametrize("fixture,init,t_end", [
         ("vdw_model", INIT, 10.0),
@@ -286,6 +325,16 @@ class TestTermination:
             model, GeodesicState(1.0, 1.0, 0.0, -1.0), 10.0)
         assert traj.termination is TerminationReason.DOMAIN_EXIT
         assert 1e-8 < traj.states[-1].v < 1e-6
+
+    def test_step_budget_counts_accepted_steps(self, vdw_model, monkeypatch):
+        # the README start reaches t_end = 10 in 36 accepted steps
+        init = TestStackReuse.INIT
+        monkeypatch.setattr(geodesics, "STEP_BUDGET", 36)
+        assert len(integrate_geodesic(vdw_model, init, 10.0).times) == 37
+        monkeypatch.setattr(geodesics, "STEP_BUDGET", 35)
+        with pytest.raises(StepFailure, match="^integration failed: 35 steps "
+                           "did not reach t_end = 10.0$"):
+            integrate_geodesic(vdw_model, init, 10.0)
 
     def test_singular_start_rejected(self, vdw_model):
         v = 1.2
