@@ -1,9 +1,10 @@
-"""Dormand-Prince 5(4) with dense output and terminal events.
+"""Dormand-Prince 5(4) with dense output and terminal falling events.
 
 A port of the path that ``scipy.integrate.solve_ivp(method="RK45",
-dense_output=True, events=...)`` takes in scipy 1.17, so geodesics need
-no scipy.  Nodes, states, dense samples, event times, status and the
-evaluation count equal scipy's bit for bit.
+dense_output=True, events=...)`` takes in scipy 1.17 on what geodesics ask:
+a nonzero span, a finite start that the caller checks, events that are
+terminal with ``direction = -1``.  Nodes, states, dense samples, event
+times, status and the evaluation count equal scipy's bit for bit.
 
 The reductions whose rounding depends on the BLAS kernel stay numpy
 calls on scipy's shapes and memory layouts: the five stage sums
@@ -21,12 +22,11 @@ states, the error scale, the sample powers); each stage's derivative
 enters its row as a copy of its floats' bits.  Overflow and invalid
 operations give inf and NaN silently, as float arithmetic does.
 
-Every event is terminal and fires on a sign change in its ``direction``
-attribute (-1 falling, +1 rising, 0 either); its time is the root of
-``event(t, sol(t))`` on the step's interpolant, found by a transcription
-of scipy's ``brentq.c`` with xtol = rtol = 4 EPS.  ``critical_locus``
-refines its sign-changing brackets with the same ``_brentq``, with rtol =
-4 EPS and an xtol of 4 EPS times the bracket's larger end.
+An event fires when its value goes from >= 0 at one node to <= 0 at the
+next; its time is the root of ``event(t, sol(t))`` on the step's
+interpolant by ``_brentq``, scipy's ``brentq.c`` transcribed, with rtol =
+4 EPS, 100 iterations at most and here xtol = 4 EPS.  ``critical_locus``
+refines its brackets with it at an xtol of 4 EPS times their larger end.
 
 References: J. R. Dormand and P. J. Prince, J. Comput. Appl. Math. 6
 (1980) 19-26 (the pair); L. F. Shampine, Math. Comp. 46 (1986) 135-150
@@ -45,6 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 _EPS = np.finfo(float).eps
+# Brent's rtol, a float so that roots stay floats, and iteration limit
+_ROOT_RTOL = 4 * math.ulp(1.0)
+_ROOT_ITERATIONS = 100
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # Step-size controller: the error estimate is of order 4.
@@ -90,8 +93,6 @@ def _norm(x):
 def _select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     """First step of Hairer, Norsett and Wanner, section II.4."""
     interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
     scale = atol + np.abs(y0) * rtol
     d0 = _norm(y0 / scale)
     d1 = _norm(f0 / scale)
@@ -126,8 +127,8 @@ class _OdeSolution:
     """Dense output of a run with nodes ``ts`` and states ``ys`` (one
     column per node): over step i, of size ``hs[i]``, the quartic of
     ``Qs[i]`` from node i.  At a node the step with the lower index serves;
-    a run of no step, over a zero-length span, is constant.  Takes a scalar
-    or a 1-D array."""
+    a run of one node and no step is constant.  Takes a scalar or a 1-D
+    array."""
 
     def __init__(self, ts, ys, hs, Qs):
         self.ts, self.ys, self.hs, self.Qs = ts, ys, hs, Qs
@@ -174,23 +175,11 @@ class _OdeSolution:
         return out
 
 
-def _find_active_events(g, g_new, directions):
-    """Indices of the events whose value crossed zero in their direction."""
-    active = []
-    for i, (old, new, direction) in enumerate(zip(g, g_new, directions)):
-        up = old <= 0 and new >= 0
-        down = old >= 0 and new <= 0
-        if (up and direction > 0 or down and direction < 0
-                or (up or down) and direction == 0):
-            active.append(i)
-    return active
-
-
-def _brentq(f, xa, xb, xtol, rtol, maxiter, fab=None):
+def _brentq(f, xa, xb, xtol, fab=None):
     """Root of ``f`` bracketed by ``xa`` and ``xb``, transcribed from
     scipy's ``brentq.c`` (Brent's method with inverse quadratic
-    extrapolation); ``f`` takes and returns floats.  ``fab``, when given,
-    is (f(xa), f(xb)), already evaluated."""
+    extrapolation) with rtol = ``_ROOT_RTOL``; ``f`` takes and returns
+    floats.  ``fab``, when given, is (f(xa), f(xb)), already evaluated."""
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = (f(xpre), f(xcur)) if fab is None else fab
@@ -200,7 +189,7 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter, fab=None):
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_ROOT_ITERATIONS):
         if (fpre != 0 and fcur != 0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -209,7 +198,7 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter, fab=None):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -242,8 +231,8 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter, fab=None):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
-                       f"value is {xcur:f}")
+    raise RuntimeError(f"Failed to converge after {_ROOT_ITERATIONS} "
+                       f"iterations, value is {xcur:f}")
 
 
 def _event_root(event, sol, t_old, t):
@@ -255,7 +244,7 @@ def _event_root(event, sol, t_old, t):
                              "solver cannot continue.")
         return float(fx)
 
-    return _brentq(f, t_old, t, 4 * _EPS, 4 * _EPS, 100)
+    return _brentq(f, t_old, t, _ROOT_RTOL)
 
 
 class _Run(NamedTuple):
@@ -274,23 +263,19 @@ class _Run(NamedTuple):
 
 @np.errstate(all="ignore")  # inf and NaN arise silently, as for floats
 def _solve(fun, t_span, y0, tol, events) -> _Run:
-    """Integrate ``y' = fun(t, y)`` over ``t_span`` from ``y0`` with
-    rtol = atol = ``tol``, until the end of the span or the first event.
-    As in scipy, an rtol under 100 EPS is raised to it (scipy also warns)."""
+    """Integrate ``y' = fun(t, y)`` over the nonzero ``t_span`` from the
+    finite ``y0`` with rtol = atol = ``tol``, to the span's end or the first
+    event.  As in scipy, an rtol under 100 EPS is raised to it."""
     t0, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
-    if not np.isfinite(y).all():
-        raise ValueError("All components of the initial state `y0` must "
-                         "be finite.")
     rtol = max(tol, 100 * _EPS)
     atol = np.asarray(tol)
-    directions = [event.direction for event in events]
-    direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
+    direction = math.copysign(1.0, t_bound - t0)
     K = np.empty((7, y.size))
     K[0] = fun(t0, y)
     h_abs = float(_select_initial_step(fun, t0, y, t_bound, K[0], direction,
                                        rtol, atol))
-    nfev = 1 if t_bound == t0 else 2
+    nfev = 2  # the start and the initial-step rule's probe
     # stage s: the byte offset of the row of K that one C call fills with
     # its derivative's floats, the sum's K[:s].T, its a and c
     put, row = struct.Struct(f"{y.size}d").pack_into, K.strides[0]
@@ -308,76 +293,72 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
     status = event_index = None
     while status is None:
         t_old = t
-        if t == t_bound:  # zero-length span
-            status = 0
-
-            def sol(_):
-                return y
-        else:
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-            if h_abs < min_step:
-                h_abs = min_step
-            rejected = False
-            while True:
-                # a NaN step, from a NaN derivative, fails as a tiny one
-                if not h_abs >= min_step:
-                    status = -1
-                    break
-                t_new = t + h_abs * direction
-                if direction * (t_new - t_bound) > 0:
-                    t_new = t_bound
-                h = t_new - t
-                h_abs = abs(h)
-                h_0d[()] = h
-
-                for at, K_s, a, c in stages:
-                    dy = K_s.dot(a)
-                    dy *= h_0d
-                    dy += y
-                    put(K_bytes, at, *fun(t + c * h, dy))
-                y_new = K_steps.dot(_B)
-                y_new *= h_0d
-                y_new += y
-                put(K_bytes, 6 * row, *fun(t + h, y_new))
-                nfev += 6
-
-                abs_new = np.abs(y_new)
-                scale = np.maximum(abs_y, abs_new)
-                scale *= rtol_0d
-                scale += atol
-                error = K_all.dot(_E)
-                error *= h_0d
-                error /= scale
-                error_norm = math.sqrt(error.dot(error)) / root_n
-                if error_norm < 1:
-                    if error_norm == 0:
-                        factor = _MAX_FACTOR
-                    else:
-                        factor = min(_MAX_FACTOR,
-                                     _SAFETY * error_norm ** _ERROR_EXPONENT)
-                    if rejected:
-                        factor = min(1, factor)
-                    h_abs *= factor
-                    break
-                h_abs *= max(_MIN_FACTOR,
-                             _SAFETY * error_norm ** _ERROR_EXPONENT)
-                rejected = True
-            if status == -1:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            # a NaN step, from a NaN derivative, fails as a tiny one
+            if not h_abs >= min_step:
+                status = -1
                 break
-            y_old, t, y, abs_y = y, t_new, y_new, abs_new
-            if direction * (t - t_bound) >= 0:
-                status = 0
-            Q = K_all.dot(_P)
-            K_bytes[:row] = K_bytes[6 * row:]
-            hs.append(h)
-            Qs.append(Q)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            h_0d[()] = h
 
+            for at, K_s, a, c in stages:
+                dy = K_s.dot(a)
+                dy *= h_0d
+                dy += y
+                put(K_bytes, at, *fun(t + c * h, dy))
+            y_new = K_steps.dot(_B)
+            y_new *= h_0d
+            y_new += y
+            put(K_bytes, 6 * row, *fun(t + h, y_new))
+            nfev += 6
+
+            abs_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_new)
+            scale *= rtol_0d
+            scale += atol
+            error = K_all.dot(_E)
+            error *= h_0d
+            error /= scale
+            error_norm = math.sqrt(error.dot(error)) / root_n
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR,
+                         _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        y_old, t, y, abs_y = y, t_new, y_new, abs_new
+        if direction * (t - t_bound) >= 0:
+            status = 0
+        Q = K_all.dot(_P)
+        K_bytes[:row] = K_bytes[6 * row:]
+        hs.append(h)
+        Qs.append(Q)
+
+        g_new = [event(t, y) for event in events]
+        # the events that fell from >= 0 to <= 0 over the step
+        active = [i for i, (old, new) in enumerate(zip(g, g_new))
+                  if old >= 0 and new <= 0]
+        if active:
             def sol(x):
                 return _quartic(x, t_old, h, y_old, Q)
 
-        g_new = [event(t, y) for event in events]
-        active = _find_active_events(g, g_new, directions)
-        if active:
             roots = [_event_root(events[i], sol, t_old, t) for i in active]
             # the first root in the direction of integration ends the run
             first = (min if t > t_old else max)(

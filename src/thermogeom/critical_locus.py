@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rk45 import _brentq
+from ._rk45 import _ROOT_RTOL, _brentq
 from .eos_models import (
     Berthelot,
     ConstantCv,
@@ -52,9 +52,7 @@ _CORRECTOR_STEPS = 30
 # Temperature window upper margin for the reduced cubics.
 _REDUCED_MARGIN = 1e-9
 
-# Brent's tolerance on bracketed roots, 4 EPS as for the geodesic events;
-# entropy scan samples; polynomial Newton steps.
-_ROOT_TOL = 4.0 * math.ulp(1.0)
+# Entropy scan samples; polynomial Newton steps.
 _SCAN_POINTS = 181
 _POLY_NEWTON_STEPS = 8
 _NAN_TAIL = (math.nan,) * 10  # an unchecked stack's response coefficients
@@ -136,8 +134,8 @@ def _first_root(f, xs, *, falling=False):
             first, fx, raised = first or exc, math.nan, raised + 1
         if (f0 > 0.0 > fx if falling else
                 f0 * fx < 0.0 or f0 == 0.0 and not math.isnan(fx)):
-            return _brentq(f, x0, x, _ROOT_TOL * max(abs(x0), abs(x)),
-                           _ROOT_TOL, 100, (f0, fx))
+            return _brentq(f, x0, x, _ROOT_RTOL * max(abs(x0), abs(x)),
+                           (f0, fx))
         x0, f0 = x, fx
     if first is not None and raised == len(xs):
         raise first

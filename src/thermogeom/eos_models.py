@@ -114,12 +114,12 @@ class StatePoint:
             raise DomainError(f"non-finite state ({self.x1}, {self.x2})")
         if self.x2 <= 0.0:
             raise DomainError(f"volume must be positive, got {self.x2}")
-        if self.chart is Chart.TEMPERATURE_VOLUME and self.x1 <= 0.0:
+        if self.chart is _TV and self.x1 <= 0.0:
             raise DomainError(f"temperature must be positive, got {self.x1}")
 
     @classmethod
     def entropy_volume(cls, s: float, v: float) -> "StatePoint":
-        return cls(Chart.ENTROPY_VOLUME, float(s), float(v))
+        return cls(_SV, float(s), float(v))
 
     @property
     def volume(self) -> float:

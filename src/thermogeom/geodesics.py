@@ -19,10 +19,12 @@ h * max(0.2, 0.9 err^(-1/5)) after a rejected one, with no growth
 straight after a rejection; the run fails when the step falls under ten
 spacings of the floats at t.  The solver is ``_rk45``, a port of scipy
 1.17's RK45 whose results equal scipy's bit for bit, so no scipy is
-needed.  Terminal events stop the run on domain exit and on approach to
-the degeneracy locus, where the coefficients blow up; each event time is
-a Brent root on the step's interpolant (Brent, Algorithms for
-Minimization without Derivatives, 1973, ch. 4).
+needed.  Terminal events stop the run when the volume falls to a hair
+above its floor or the relative determinant into the locus guard band, where
+the coefficients blow up; each event time is a Brent root on the step's
+interpolant (Brent, Algorithms for Minimization without Derivatives, 1973,
+ch. 4).  The start must be finite; a zero span, or a start inside the
+guard band, is the start alone, one node, with no solver run.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import enum
 import itertools
 import math
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import _rk45
 from .eos_models import (
@@ -181,6 +185,9 @@ def integrate_geodesic(model: ConstitutiveModel,
         raise DomainError(f"tol must be finite and positive, got {tol}")
     start = StatePoint.entropy_volume(init.s, init.v)
     start_stack = model.derivative_stack(start)  # validates admissibility
+    for name in ("s_dot", "v_dot", "t"):
+        if not math.isfinite(value := getattr(init, name)):
+            raise DomainError(f"start {name} must be finite, got {value}")
     det_sign = math.copysign(1.0, start_stack.det)
 
     nan4 = [math.nan] * 4
@@ -238,8 +245,6 @@ def integrate_geodesic(model: ConstitutiveModel,
             return -1.0
         return det_sign * relative_det(*hessian[:3]) - LOCUS_GUARD_BAND
 
-    locus_event.direction = -1.0
-
     # The event fires a hair inside the admissible region so the solver
     # can complete a bracketing step before the right-hand side goes
     # undefined at the boundary itself.  Distances to the floor count in
@@ -250,22 +255,21 @@ def integrate_geodesic(model: ConstitutiveModel,
     def domain_event(_t, y):
         return y[1] - floor_eff
 
-    domain_event.direction = -1.0
-
     y0 = [init.s, init.v, init.s_dot, init.v_dot]
     near_locus = abs(relative_det(*start_stack[5:8])) <= LOCUS_GUARD_BAND
-    if near_locus or t_end == 0.0:
-        # The locus event fires only on a sign change, which a start inside
-        # the guard band never shows: stop at the start, on its one node,
-        # as a zero span ends.
-        run = _rk45._solve(rhs, (init.t, init.t), y0, tol, [])
-        return _trajectory(run._replace(t=run.t[:1], y=run.y[:, :1]),
+    t_bound = init.t + t_end
+    if near_locus or t_bound == init.t:
+        # The solver takes a nonzero span, and the locus event needs a sign
+        # change, which a start inside the guard band never shows: the run
+        # is the start alone, one node with a constant interpolant.
+        ts, ys = np.array([float(init.t)]), np.array([y0], dtype=float).T
+        return _trajectory(ts, ys, _rk45._OdeSolution(ts, ys, [], []),
                            TerminationReason.LOCUS_PROXIMITY if near_locus
                            else TerminationReason.COMPLETED, hessian_at)
-    run = _rk45._solve(rhs, (init.t, init.t + t_end), y0, tol,
+    run = _rk45._solve(rhs, (init.t, t_bound), y0, tol,
                        [locus_event, domain_event])
-    return _trajectory(run, _termination(run, floor, reach, hessian_at),
-                       hessian_at)
+    termination = _termination(run, floor, reach, hessian_at)
+    return _trajectory(run.t, run.y, run.sol, termination, hessian_at)
 
 
 # by the index of the event in the list integrate_geodesic passes
@@ -291,14 +295,15 @@ def _termination(run, floor, reach, hessian_at) -> TerminationReason:
     raise StepFailure(f"integration failed: {_rk45._TOO_SMALL_STEP}")
 
 
-def _trajectory(run, termination, hessian_at) -> GeodesicTrajectory:
-    """Nodes, speeds and dense output of a finished solver run."""
-    times = tuple(run.t.tolist())
+def _trajectory(ts, ys, sol, termination, hessian_at) -> GeodesicTrajectory:
+    """Nodes, speeds and dense output ``sol`` of a finished run with node
+    times ``ts`` and states ``ys``, one column per node."""
+    times = tuple(ts.tolist())
     states = tuple(GeodesicState(s, v, sd, vd, t)
-                   for t, (s, v, sd, vd) in zip(times, run.y.T.tolist()))
+                   for t, (s, v, sd, vd) in zip(times, ys.T.tolist()))
     speeds = tuple(math.nan if (hessian := hessian_at(st.s, st.v)) is None
                    else _speed(*hessian[:3], st.s_dot, st.v_dot)
                    for st in states)
     return GeodesicTrajectory(times=times, states=states, speeds=speeds,
                               termination=termination,
-                              interpolant=run.sol)
+                              interpolant=sol)

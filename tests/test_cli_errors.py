@@ -367,3 +367,15 @@ def test_geodesic_with_an_overflowing_velocity_prints_one_line(capsys,
     assert (rc, out, caught) == (3, "", [])
     assert one_line(err) == ("numeric failure: integration failed: Required "
                              "step size is less than spacing between numbers.")
+
+
+@pytest.mark.parametrize("t_end", ["0", "10"])
+@pytest.mark.parametrize("velocity,field", [("--start-sdot=nan", "s_dot"),
+                                            ("--start-vdot=inf", "v_dot")])
+def test_geodesic_with_a_non_finite_start_velocity_exits_one(capsys, velocity,
+                                                             field, t_end):
+    # integrate_geodesic checks the start before any solver runs, so a zero
+    # span, which runs none, cannot print NaN rows
+    rc, out, err = run(capsys, [*GEODESIC, velocity, f"--t-end={t_end}"])
+    assert (rc, out) == (1, "")
+    assert one_line(err).startswith(f"error: start {field} must be finite")

@@ -34,7 +34,8 @@ from thermogeom.critical_locus import (
     locus_entropy,
 )
 from thermogeom.curvature import model_closed_form
-from thermogeom.eos_models import relative_det
+from thermogeom.eos_models import hessian_jet, relative_det
+from thermogeom.metric_core import signature_kind, weinhold_metric
 
 from conftest import PARAMS
 
@@ -148,6 +149,38 @@ class TestDegeneracyLocus:
         for smp in poly.samples:
             assert smp.s == pytest.approx(model.locus_state(smp.v)[0],
                                           rel=1e-12)
+
+
+# gases with a locus over part of V in (0.5, 3): the custom one has no
+# point where f2'' = 1.2/V^3 - 0.2 is negative, past V = 6^(1/3)
+SIGNATURE_GASES = {
+    "vdw": lambda: VanDerWaals(PARAMS),
+    "berthelot": lambda: Berthelot(PARAMS),
+    "custom": lambda: ConstantCv("(V-0.2)^-0.8", "0.6/V-0.1*V^2", cv=2.5),
+}
+
+
+class TestSignatureChange:
+    """The paper's claim: the Weinhold metric changes signature at the
+    degeneracy locus.  Every point the locus reports, by either method,
+    separates two signature kinds along S and is degenerate itself."""
+
+    @pytest.mark.parametrize("method", ["auto", "scan"])
+    @pytest.mark.parametrize("gas", sorted(SIGNATURE_GASES))
+    def test_every_locus_point_separates_two_signatures(self, gas, method):
+        model = SIGNATURE_GASES[gas]()
+        poly = degeneracy_locus(model, (0.5, 3.0), n_samples=16,
+                                method=method)
+        assert poly.samples
+        for smp in poly.samples:
+            delta = 1e-3 * max(1.0, abs(smp.s))
+            below, above = (
+                signature_kind(weinhold_metric(model, sv(s, smp.v)))
+                for s in (smp.s - delta, smp.s + delta))
+            assert below is not above, smp
+            # within the locus corrector's residual
+            jet = hessian_jet(model, smp.s, smp.v)
+            assert abs(relative_det(*jet[5:8])) <= 1e-6, smp
 
 
 # models with a closed-form locus and critical point

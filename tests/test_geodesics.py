@@ -373,6 +373,16 @@ class TestTermination:
             integrate_geodesic(vdw_model,
                                GeodesicState(2.0, 0.1, 0.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize("start", [
+        GeodesicState(2.5, 1.4, 0.05, 0.1, t=math.nan),
+        GeodesicState(2.5, 1.4, math.inf, 0.1),
+        GeodesicState(2.5, 1.4, 0.05, -math.nan),
+    ], ids=["t", "s_dot", "v_dot"])
+    @pytest.mark.parametrize("t_end", [0.0, 1.0])
+    def test_non_finite_start_rejected(self, vdw_model, start, t_end):
+        with pytest.raises(DomainError, match="must be finite"):
+            integrate_geodesic(vdw_model, start, t_end)
+
     def test_domain_exit_does_not_depend_on_the_volume_unit(self):
         # the gas above with V in units of mu: U depends on V/mu only, so
         # the geodesic in (S, V/mu) is the same and must stop at the same
