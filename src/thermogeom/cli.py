@@ -69,14 +69,12 @@ from .geodesics import (
     integrate_geodesic,
 )
 from .hessian_surface import (
-    RadialClass,
     hessian_point_from_metric,
     ideal_conic_residual,
     radial_pairing,
     vdw_surface_residual,
 )
 from .metric_core import (
-    SignatureKind,
     determinant_report,
     identity_residuals,
     signature_kind,
@@ -264,8 +262,6 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
 # package error, such as SingularState; errors.DOMAIN_ERRORS exit 1, others 3.
 # Over many states, numpy's division and invalid flags stand in for floats'.
 _ERRORS = (*STATE_ERRORS, ThermogeomError)
-# each signature and radial class by its printed text: one lookup per cell
-_KIND_TEXT = {kind: kind.value for kind in (*SignatureKind, *RadialClass)}
 
 
 # overflow and underflow are silent, as for floats
@@ -319,16 +315,18 @@ def _marker(exc) -> str:
     return "domain" if isinstance(exc, DOMAIN_ERRORS) else "numeric"
 
 
-def _grid(args, eff: dict, model, columns, cell_values, printed,
+def _grid(args, eff: dict, model, columns, cell_values, fields, colour,
           ended) -> int:
     """Evaluate a grid command and print it.
 
-    ``cell_values(stack)`` gives the values of a stack's cells, and
-    ``printed(*values)``, given each value as a list over the cells, the
-    printed columns and the column whose sign colours a cell; ``ended(exc)``
-    gives the fields of a cell that ``exc`` ended.  The grid exits 0 when
-    any cell printed values or a degeneracy marker; when every cell ended
-    otherwise, it raises the first cell's error.
+    ``cell_values(stack)`` gives the values of a stack's cells; given each
+    over the cells, ``fields(*values)`` (of lists) gives the printed
+    columns and ``colour(*values)`` the one whose sign colours a cell;
+    ``ended(exc)`` gives the fields of a cell that ``exc`` ended.  Only what
+    the format prints is built: svg's colours, or rows of fields that go to
+    ``_emit_table`` with the axes.  The grid exits 0 when any cell printed
+    values or a degeneracy marker; when every cell ended otherwise, it
+    raises the first cell's error.
     """
     x1s, x2s = _grid_axes(eff, model)
     chart = (Chart.TEMPERATURE_VOLUME if eff["chart"] == "tv"
@@ -339,20 +337,22 @@ def _grid(args, eff: dict, model, columns, cell_values, printed,
                              for exc, _ in ends):
         raise ends[0][0]
     n = len(x1s) * len(x2s)
-    fields, color = (([], [math.nan] * n) if value is None else
-                     printed(*(np.broadcast_to(x, n).tolist() for x in value)))
-    rows = list(map(list, zip(np.repeat(x1s, len(x2s)).tolist(),
-                              x2s * len(x1s), *fields)))
-    colors = np.select([np.greater(color, 0.0), np.less(color, 0.0)],
-                       ["#b2182b", "#2166ac"], "#f7f7f7").tolist()
+    svg = eff["format"] == "svg"
+    if svg:  # each cell's colour
+        c = np.broadcast_to(math.nan if value is None else colour(*value), n)
+        cells = np.select([np.greater(c, 0.0), np.less(c, 0.0)],
+                          ["#b2182b", "#2166ac"], "#f7f7f7").tolist()
+    else:  # each cell's row of fields (every cell ended if there is no value)
+        cells = ([None] * n if value is None else list(zip(*fields(
+            *(np.broadcast_to(x, n).tolist() for x in value)))))
     for i, (exc, _) in enumerate(ends):
         if exc is not None:
-            rows[i][2:] = ended(exc)
-            colors[i] = "#999999"
+            cells[i] = "#999999" if svg else ended(exc)
     meta = _meta(eff)
     c1 = "t" if eff["chart"] == "tv" else "s"
-    _emit_table(args, meta, [c1, "v", *columns], rows,
-                lambda: _render_svg_heatmap(meta, x1s, x2s, colors))
+    _emit_table(args, meta, [c1, "v", *columns], cells,
+                lambda: _render_svg_heatmap(meta, x1s, x2s, cells),
+                axes=(x1s, x2s))
     return 0
 
 
@@ -371,23 +371,32 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(args, meta: dict, columns: list[str], rows: list[list],
-                svg, notes: list[str] | None = None) -> None:
+def _emit_table(args, meta: dict, columns: list[str], rows: list,
+                svg, notes: list[str] | None = None, axes=None) -> None:
     """Render a table in the chosen format and write it out.
 
-    ``svg`` draws the picture; it is called only when svg is chosen.
+    ``svg`` draws the picture, called only for svg and ``rows`` only read
+    for the others.  ``axes``, a grid's two axes, are its first columns:
+    each row then holds the fields after them, row-major over (x1, x2).
     """
     if meta["format"] == "svg":
         text = svg()
     elif meta["format"] == "json":
-        text = _render_json(meta, columns, rows, notes)
+        text = _render_json(meta, columns, rows, notes, axes)
     else:
-        text = _render_csv(meta, columns, rows, notes)
+        text = _render_csv(meta, columns, rows, notes, axes)
     _emit(text, args.out)
 
 
-def _render_csv(meta: dict, columns: list[str], rows: list[list],
-                notes: list[str] | None = None) -> str:
+def _axis_heads(axes, fmt, sep: str):
+    """Each row's axis values, joined by ``sep``, each formatted once."""
+    return map(sep.join, itertools.product(*(map(fmt, x) for x in axes)))
+
+
+def _render_csv(meta: dict, columns: list[str], rows: list,
+                notes: list[str] | None = None, axes=None) -> str:
+    """The table as CSV, each row through its %-template, which ``axes``
+    (see ``_emit_table``) starts with the row's axis values."""
     lines = [f"# thermogeom {meta['version']}"]
     for key in sorted(k for k in meta if k != "version"):
         lines.append(f"# {key} = {_fmt(meta[key])}")
@@ -395,35 +404,45 @@ def _render_csv(meta: dict, columns: list[str], rows: list[list],
         lines.append(f"# note: {note}")
     lines.append(",".join(columns))
     if rows:
-        template = "\n".join([_row_template(tuple(map(type, row)))
-                              for row in rows])
+        templates = [_row_template(tuple(map(type, row))) for row in rows]
+        template = "\n".join(
+            [t[1:] for t in templates] if axes is None else
+            map(str.__add__, _axis_heads(axes, "%.17g".__mod__, ","),
+                templates))
         lines.append(template % tuple(itertools.chain.from_iterable(rows)))
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
 def _row_template(types: tuple) -> str:
-    """The %-template of a CSV row with cells of these types: "%.17g"
-    prints a float as ``_fmt`` does, and "%.0s" a None as an empty field."""
-    return ",".join("%.17g" if issubclass(t, float) else
-                    "%.0s" if t is type(None) else "%s" for t in types)
+    """The %-template of CSV cells of these types, each after a comma:
+    "%.17g" prints a float as ``_fmt`` does, "%.0s" a None as nothing."""
+    return "".join(",%.17g" if issubclass(t, float) else
+                   ",%.0s" if t is type(None) else ",%s" for t in types)
 
 
 _ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
-def _render_json(meta: dict, columns: list[str], rows: list[list],
-                 notes: list[str] | None = None) -> str:
+def _render_json(meta: dict, columns: list[str], rows: list,
+                 notes: list[str] | None = None, axes=None) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` of the table, its rows
     of scalars (the last key) encoded a scalar to a line at their indent by
-    the C encoder, which takes no indent."""
+    the C encoder, which takes no indent, after ``axes`` (see
+    ``_emit_table``) written as the encoder writes a finite float."""
     doc = {"meta": meta, "columns": columns, "rows": []}
     if notes:
         doc["notes"] = notes
     text = json.dumps(doc, indent=2, sort_keys=True)
     if rows:  # a newline inside a string is escaped, so "],\n" ends a row
-        body = (_ROWS_ENCODER.encode(rows)[2:-2]
-                .replace("],\n      [", "\n    ],\n    [\n      "))
+        body = _ROWS_ENCODER.encode(rows)[2:-2]
+        if axes is None:
+            body = body.replace("],\n      [", "\n    ],\n    [\n      ")
+        else:
+            heads = _axis_heads(axes, float.__repr__, ",\n      ")
+            body = "\n    ],\n    [\n      ".join([
+                f"{head},\n      {fields}" if fields else head
+                for head, fields in zip(heads, body.split("],\n      ["))])
         text = (f"{text[:-4]}[\n    [\n      {body}\n    ]\n  ]\n}}"
                 .replace("[\n      \n    ]", "[]"))
     return text + "\n"
@@ -503,11 +522,12 @@ def cmd_curvature_grid(args, eff, model) -> int:
             return [exc.det, *["singular"] * 4, "degenerate"]
         return [None, *[_marker(exc)] * 5]
 
+    # a kind's text is its ``_value_``: ``value`` is a Python-level property
     return _grid(args, eff, model,
                  ["det", "r_tensorial", "r_closed2d", "r_elementary",
                   "r_model_closed", "signature"], cell_values,
-                 lambda *v: ([*v[:5], [_KIND_TEXT[k] for k in v[5]]], v[2]),
-                 ended)
+                 lambda *v: [*v[:5], [k._value_ for k in v[5]]],
+                 lambda *v: v[2], ended)
 
 
 def cmd_locus(args, eff, model) -> int:
@@ -608,9 +628,9 @@ def cmd_surface(args, eff, model) -> int:
     return _grid(args, eff, model,
                  ["pairing", "radial_class", "cone_residual",
                   "model_surface_residual"], cell_values,
-                 lambda pairing, kinds, det, extra: (
-                     [pairing, [_KIND_TEXT[k] for k in kinds], det, extra],
-                     np.negative(pairing)),
+                 lambda pairing, kinds, det, extra: [
+                     pairing, [k._value_ for k in kinds], det, extra],
+                 lambda pairing, *_: np.negative(pairing),
                  lambda exc: [None, _marker(exc), None, None])
 
 

@@ -5,6 +5,7 @@ exercised exactly as a shell user would see them.
 """
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import thermogeom
 from thermogeom import Berthelot, ConstantCv, ConstitutiveModel, cli
@@ -563,9 +564,49 @@ class TestConfigPrecedence:
         assert float(meta["r_gas"]) == 1.0
 
 
+# a grid's axes: finite floats, with the extremes of the range
+AXIS_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-0.0, 5e-324, -5e-324, 1e308,
+                                         -1e308]))
+# the fields after a grid's axis columns, as lists or as tuples
+AXIS_FIELDS = st.one_of(
+    st.floats(), st.none(), st.booleans(), st.integers(), st.text(),
+    st.sampled_from([math.nan, math.inf, -math.inf, '"', "\n", "%s",
+                     "],\n      [", "\\", "é → ☃", ""]))
+
+
+@st.composite
+def axis_tables(draw):
+    """Two axes and one row of fields per cell, row-major."""
+    x1 = draw(st.lists(AXIS_VALUES, min_size=1, max_size=4))
+    x2 = draw(st.lists(AXIS_VALUES, min_size=1, max_size=4))
+    width = draw(st.integers(0, 5))
+    row = st.lists(AXIS_FIELDS, min_size=width, max_size=width)
+    fields = draw(st.lists(st.one_of(row, row.map(tuple)),
+                           min_size=len(x1) * len(x2),
+                           max_size=len(x1) * len(x2)))
+    return x1, x2, fields
+
+
+# two axes and each cell's fields: extreme axis values, rows of every
+# field type and width, and a string that looks like a JSON row separator
+AXIS_TABLE = ([-0.0, 5e-324, 1e308], [-1e308, 1.0 / 3.0],
+              [(math.nan, None, "degenerate"), [True, 7, -math.inf], (),
+               ['100%s "quoted"\nline', "],\n      [", 0.1], (None,),
+               [math.inf]])
+
+
+def with_axes(x1, x2, fields):
+    """The full rows of a grid table: each cell's axis values, then its
+    fields."""
+    return [[a, b, *f] for (a, b), f in zip(itertools.product(x1, x2),
+                                            fields)]
+
+
 class TestCsvRows:
     """A CSV row is printed through one %-template; it is byte for byte
-    the per-cell ``_fmt`` join it replaces."""
+    the per-cell ``_fmt`` join it replaces.  With a grid's axes, the axis
+    values are formatted once and each row carries its fields alone."""
 
     ROWS = [
         [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 1.0 / 3.0],
@@ -596,6 +637,19 @@ class TestCsvRows:
         min_size=1, max_size=8), min_size=1, max_size=4))
     def test_random_rows(self, rows):
         assert self._rendered(rows) == self._per_cell(rows)
+
+    @staticmethod
+    def _per_cell_text(rows):
+        return "\n".join(["# thermogeom 0", "c",
+                          *TestCsvRows._per_cell(rows)]) + "\n"
+
+    @settings(max_examples=300)
+    @given(axis_tables())
+    @example(AXIS_TABLE)
+    def test_axis_rows(self, table):
+        text = cli._render_csv({"version": "0"}, ["c"], table[2],
+                               axes=table[:2])
+        assert text == self._per_cell_text(with_axes(*table))
 
 
 class TestJsonRows:
@@ -632,6 +686,18 @@ class TestJsonRows:
     def test_random_tables(self, rows, notes):
         columns = [f"c{i}" for i in range(max(map(len, rows), default=0))]
         assert cli._render_json(self.META, columns, rows, notes) \
+            == self._dumped(self.META, columns, rows, notes)
+
+    @settings(max_examples=300)
+    @given(table=axis_tables(),
+           notes=st.one_of(st.none(), st.lists(st.text(), max_size=3)))
+    @example(AXIS_TABLE, None)
+    @example(AXIS_TABLE, ["termination: completed"])
+    def test_axis_tables(self, table, notes):
+        rows = with_axes(*table)
+        columns = [f"c{i}" for i in range(len(rows[0]))]
+        assert cli._render_json(self.META, columns, table[2], notes,
+                                table[:2]) \
             == self._dumped(self.META, columns, rows, notes)
 
 

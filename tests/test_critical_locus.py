@@ -33,7 +33,7 @@ from thermogeom.critical_locus import (
     closed_form_critical_point,
     locus_entropy,
 )
-from thermogeom.curvature import model_closed_form
+from thermogeom.curvature import curvature_report, model_closed_form
 from thermogeom.eos_models import hessian_jet, relative_det
 from thermogeom.metric_core import signature_kind, weinhold_metric
 
@@ -181,6 +181,62 @@ class TestSignatureChange:
             # within the locus corrector's residual
             jet = hessian_jet(model, smp.s, smp.v)
             assert abs(relative_det(*jet[5:8])) <= 1e-6, smp
+
+
+# constant-cv gases U = f1 e^(S/cv) - cv f2 with f1 = (V-0.2)^-0.8, so
+# f1 f1'' - f1'^2 = 0.8 (V-0.2)^-3.6; each with f2'' by hand
+SIGN_GASES = {
+    "vdw": (lambda: VanDerWaals(PARAMS), lambda v: 1.2 / v**3),
+    "custom": (SIGNATURE_GASES["custom"], lambda v: 1.2 / v**3 - 0.2),
+}
+ROUTES = ("r_tensorial", "r_closed2d", "r_elementary", "r_model_closed")
+
+
+class TestSignAndExistence:
+    """The paper's sign condition for constant cv: R has the sign of
+    f2''·(f1 f1'' − f1'²), a function of V alone, and on the locus
+    e^(S/cv) = cv f1 f2''/(f1 f1'' − f1'²), so the locus has a point at V
+    exactly where R > 0.  The custom gas changes sign at V = 6^(1/3)."""
+
+    @staticmethod
+    def sign(gas, v):
+        return math.copysign(1.0, SIGN_GASES[gas][1](v) * 0.8
+                             * (v - 0.2) ** -3.6)
+
+    @pytest.mark.parametrize("gas", sorted(SIGN_GASES))
+    def test_scan_locus_exists_where_the_sign_is_positive(self, gas):
+        model = SIGN_GASES[gas][0]()
+        poly = degeneracy_locus(model, (0.5, 3.0), n_samples=16,
+                                method="scan")
+        volumes = np.geomspace(0.5, 3.0, 16).tolist()
+        assert [smp.v for smp in poly.samples] == [
+            v for v in volumes if self.sign(gas, v) > 0.0]
+
+    @pytest.mark.parametrize("gas", sorted(SIGN_GASES))
+    def test_every_route_has_the_predicted_sign(self, gas):
+        model = SIGN_GASES[gas][0]()
+        checked = set()
+        for s in np.linspace(-3.0, 5.0, 17).tolist():
+            for v in np.geomspace(0.5, 3.0, 13).tolist():
+                # away from the locus, where the tensorial route loses digits
+                if abs(relative_det(*hessian_jet(model, s, v)[5:8])) <= 1e-3:
+                    continue
+                report = curvature_report(model, sv(s, v))
+                for route in ROUTES:
+                    r = getattr(report, route)
+                    if abs(r) > 1e-8:
+                        assert math.copysign(1.0, r) == self.sign(gas, v), (
+                            route, s, v, r)
+                        checked.add((route, r > 0.0))
+        want = {True} if gas == "vdw" else {True, False}
+        assert checked == {(route, pos) for route in ROUTES for pos in want}
+
+    def test_custom_gas_changes_sign_at_the_cube_root_of_6(self):
+        model = SIGN_GASES["custom"][0]()
+        for v, want in ((1.8, 0.024), (1.84, -0.027)):
+            r = curvature_report(model, sv(1.0, v)).r_closed2d
+            assert r == pytest.approx(want, abs=5e-4)
+            assert math.copysign(1.0, r) == self.sign("custom", v)
 
 
 # models with a closed-form locus and critical point

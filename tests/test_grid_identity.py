@@ -10,13 +10,17 @@ whose every cell ends with ``domain`` or ``numeric`` prints nothing and
 ends with the exit code and one-line message of its first cell.  A grid
 command takes that route itself when anything in its array pass raises,
 so the windows with an ended cell check it; every other window checks
-the array pass.  The reference rows go through the same CSV writer, and
-the two texts must be equal, so every printed number agrees to the last
-bit (``.17g`` round-trips a float) and every marker sits in the same
-cell.
+the array pass.  Every window runs in each format.  The reference rows,
+axis values included, go through the CSV writer and through
+``json.dumps(doc, indent=2, sort_keys=True)``; the reference picture is
+the heatmap drawn one rectangle per cell, grey where a cell ended.  Each
+text must equal the command's byte for byte, so every printed number
+agrees to the last bit (``.17g`` and ``repr`` round-trip a float), every
+marker sits in the same cell and every cell has its colour.
 """
 import contextlib
 import io
+import json
 import math
 import warnings
 
@@ -49,6 +53,8 @@ from thermogeom.hessian_surface import (
 )
 from thermogeom.metric_core import eigen_signature, weinhold_metric
 
+from test_cli import _per_cell_heatmap
+
 
 def _state(eff, x1, x2):
     if eff["chart"] == "tv":
@@ -56,6 +62,8 @@ def _state(eff, x1, x2):
     return StatePoint.entropy_volume(x1, x2)
 
 
+# A cell gives its fields and the value whose sign colours it, None for a
+# cell that a degeneracy ended.
 def _grid_cell(model, state):
     try:
         stack = model.derivative_stack(state)
@@ -63,10 +71,11 @@ def _grid_cell(model, state):
         report = curvature_report(model, stack)
         sig = eigen_signature(metric)
         return [metric.det, report.r_tensorial, report.r_closed2d,
-                report.r_elementary, report.r_model_closed, sig.kind.value]
+                report.r_elementary, report.r_model_closed,
+                sig.kind.value], report.r_closed2d
     except SingularState as exc:
         return [exc.det, "singular", "singular", "singular", "singular",
-                "degenerate"]
+                "degenerate"], None
 
 
 def _surface_cell(model, state):
@@ -79,11 +88,20 @@ def _surface_cell(model, state):
             extra = vdw_surface_residual(metric, model.params)[1]
         elif isinstance(model, IdealGas):
             extra = ideal_conic_residual(metric, stack.cp, model.params.r_gas)
-        return [rp.pairing, rp.kind.value, metric.det, extra]
+        return [rp.pairing, rp.kind.value, metric.det, extra], -rp.pairing
     except (SingularState, FrameSingular) as exc:
         marker = ("degenerate" if isinstance(exc, SingularState)
                   else "frame_singular")
-        return [None, marker, None, None]
+        return [None, marker, None, None], None
+
+
+def _colour(value):
+    """A heatmap cell's fill: red where ``value`` is positive, blue where
+    it is negative, grey where the cell ended."""
+    if value is None:
+        return "#999999"
+    return ("#b2182b" if value > 0.0 else "#2166ac" if value < 0.0
+            else "#f7f7f7")
 
 
 # each command's value columns, its cell, and the row of an ended cell
@@ -120,21 +138,30 @@ def _scalar_route(argv):
                 OSError) as exc:
             code, message = _failure(exc)
             return code, "", message
-    rows, failures = [], []
+    rows, colours, failures = [], [], []
     for x1 in x1s:
         for x2 in x2s:
             try:
-                rows.append([x1, x2, *cell(model, _state(eff, x1, x2))])
+                fields, value = cell(model, _state(eff, x1, x2))
             except (ThermogeomError, ArithmeticError, ValueError) as exc:
                 code, _ = _failure(exc)
-                rows.append([x1, x2, *ended("domain" if code == 1
-                                            else "numeric")])
+                fields, value = ended("domain" if code == 1
+                                      else "numeric"), None
                 failures.append(exc)
+            rows.append([x1, x2, *fields])
+            colours.append(_colour(value))
     if len(failures) == len(rows):
         code, message = _failure(failures[0])
         return code, "", message
-    c1 = "t" if eff["chart"] == "tv" else "s"
-    text = cli._render_csv(cli._meta(eff), [c1, "v", *columns], rows)
+    meta = cli._meta(eff)
+    columns = ["t" if eff["chart"] == "tv" else "s", "v", *columns]
+    if eff["format"] == "svg":
+        text = _per_cell_heatmap(meta, x1s, x2s, colours)
+    elif eff["format"] == "json":
+        text = json.dumps({"meta": meta, "columns": columns, "rows": rows},
+                          indent=2, sort_keys=True) + "\n"
+    else:
+        text = cli._render_csv(meta, columns, rows)
     return 0, text, (err.getvalue().splitlines() or [""])[-1]
 
 
@@ -145,13 +172,18 @@ def _array_pass(argv):
     return rc, out.getvalue(), (err.getvalue().splitlines() or [""])[-1]
 
 
+FORMATS = ("json", "svg", "csv")  # csv last: its text is returned
+
+
 def assert_same_as_scalar(argv):
-    """Both commands on ``argv``; their (exit code, stdout, last stderr
-    line), which the array pass and the scalar route share."""
+    """Both commands on ``argv``, in each format; their (exit code, CSV
+    stdout, last stderr line), which the array pass and the scalar route
+    share."""
     results = []
     for command in REFERENCE:
-        want = _scalar_route([command, *argv])
-        assert _array_pass([command, *argv]) == want
+        for fmt in FORMATS:
+            want = _scalar_route([command, *argv, "--format", fmt])
+            assert _array_pass([command, *argv, "--format", fmt]) == want
         results.append(want)
     return results
 
@@ -313,12 +345,11 @@ def _is_number(field):
                          ids=["alpha-zero", "degenerate-column",
                               *_golden_grid_windows()])
 def test_two_commands_print_one_determinant(argv):
-    # curvature-grid's det is surface's cone_residual wherever both print a
-    # number, and a cell is degenerate only inside the singular band
-    argv = [*argv, "--format", "csv"]
+    # each command prints its scalar route in each format; curvature-grid's
+    # det is surface's cone_residual wherever both print a number, and a
+    # cell is degenerate only inside the singular band
     tables = []
-    for command in REFERENCE:
-        rc, out, _ = _array_pass([command, *argv])
+    for rc, out, _ in assert_same_as_scalar(argv):
         assert rc == 0
         tables.append(_table(out))
     eff = cli._effective_config(
