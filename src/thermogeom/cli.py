@@ -560,15 +560,11 @@ def cmd_critical(args, eff, model) -> int:
     except NoCriticalPoint as exc:
         print(f"no critical point: {exc}")
         return 0
-    closed = None if exact is None else (exact.v_c, exact.p_c, exact.t_c)
-    lines = [f"V_c = {_fmt(cp.v_c)}",
-             f"p_c = {_fmt(cp.p_c)}",
-             f"T_c = {_fmt(cp.t_c)}"]
+    names, closed = ("V_c", "p_c", "T_c"), exact and exact[:3]
+    lines = [f"{name} = {_fmt(x)}" for name, x in zip(names, cp)]
     ok = True
     if closed is not None:
-        for name, got, want in (("V_c", cp.v_c, closed[0]),
-                                ("p_c", cp.p_c, closed[1]),
-                                ("T_c", cp.t_c, closed[2])):
+        for name, got, want in zip(names, cp, closed):
             rel = abs(got - want) / abs(want)  # every closed form is > 0
             match = rel <= 1e-8
             ok = ok and match

@@ -15,9 +15,11 @@ and refines it by Brent's method (``_rk45._brentq``, as geodesic events do)
 to 4 EPS relative to the bracket, so no stopping test depends on the units:
 over entropy, and for dT/dV = 0 over 400 volumes of ``locus_dtdv`` or 200
 of the continued locus; without that root the locus is empty if dT/dV is 0
-or a gap at every volume, and monotone otherwise.  Each probe reads the
-Hessian jet alone (``eos_models.hessian_jet``).  Reduced curves, cubic
-volume roots, the coexistence curve and the spinodal slope live here too.
+or a gap at every volume, and monotone otherwise.  A scan probe reads the
+Hessian alone (9 calls of U for ``NumericEnergy``), and the jet
+(``eos_models.hessian_jet``) confirms its bracket and refines it; a
+corrector probe reads the jet.  Reduced curves, cubic volume roots, the
+coexistence curve and the spinodal slope live here too.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .eos_models import (
     ConstitutiveModel,
     DerivativeStack,
     hessian_jet,
+    jet_det,
+    jet_det_s,
     relative_det,
 )
 from .errors import STATE_ERRORS, DomainError, NoCriticalPoint, NoRoot
@@ -119,27 +123,43 @@ class CoexistenceCurve(NamedTuple):
 # ---------------------------------------------------------------------------
 # root refinement helpers
 
-def _first_root(f, xs, *, falling=False):
+def _first_root(f, xs, *, falling=False, refine=None):
     """First root of ``f`` along ``xs``, evaluated in order up to the first
     neighbours that bracket one (a strict sign change or an exact 0 and a
     value; with ``falling``, + then -), refined by Brent's method from the
     values held.  A state error (errors.STATE_ERRORS) is a NaN gap.  None
-    when nothing brackets a root; the first error when every point raised."""
-    first, raised = None, 0
+    when nothing brackets a root; the first error when every point raised.
+    With ``refine``, equal to ``f`` where both evaluate and raising wherever
+    ``f`` raises, ``f`` finds the bracket and the outcome is ``refine``'s."""
+    first, raised, gaps = None, 0, set()
     x0 = f0 = math.nan
     for x in xs:
         try:
             fx = f(x)
         except STATE_ERRORS as exc:
             first, fx, raised = first or exc, math.nan, raised + 1
-        if (f0 > 0.0 > fx if falling else
-                f0 * fx < 0.0 or f0 == 0.0 and not math.isnan(fx)):
-            return _brentq(f, x0, x, _ROOT_RTOL * max(abs(x0), abs(x)),
-                           (f0, fx))
+            gaps.add(x)
+        if ((f0 > 0.0 > fx if falling else
+                f0 * fx < 0.0 or f0 == 0.0 and not math.isnan(fx))
+                and (refine is None or _evaluates(refine, x0)
+                     and _evaluates(refine, x))):
+            return _brentq(refine or f, x0, x,
+                           _ROOT_RTOL * max(abs(x0), abs(x)), (f0, fx))
         x0, f0 = x, fx
-    if first is not None and raised == len(xs):
+    if refine and xs and not (raised < len(xs) and any(
+            _evaluates(refine, x) for x in xs if x not in gaps)):
+        refine(xs[0])  # raises: refine fails at every point
+    if first and raised == len(xs):
         raise first
     return None
+
+
+def _evaluates(f, x) -> bool:
+    try:
+        f(x)
+    except STATE_ERRORS:
+        return False
+    return True
 
 
 def _polish_polynomial_root(coeffs, x0):
@@ -197,17 +217,11 @@ def locus_entropy(model: ConstitutiveModel, v: float) -> float:
     return _scan_locus_entropy(model, float(v), _scan_window(model))
 
 
-def _probe(model, s, v) -> DerivativeStack:
-    """The unchecked stack at (S, V), read through ``hessian_jet``."""
-    return DerivativeStack._make(hessian_jet(model, s, v) + _NAN_TAIL)
-
-
 def _scan_locus_entropy(model, v, s_window):
-    def det_at(s):
-        return _probe(model, s, v).det
-
-    # the window can leave the domain; a gap there brackets nothing
-    s = _first_root(det_at, np.linspace(*s_window, _SCAN_POINTS).tolist())
+    s = _first_root(lambda s: jet_det(*model._hessian(s, v)),
+                    np.linspace(*s_window, _SCAN_POINTS).tolist(), refine=None
+                    if type(model)._hessian is ConstitutiveModel._hessian
+                    else lambda s: jet_det(*hessian_jet(model, s, v)[5:8]))
     if s is not None:
         return s
     raise NoRoot(f"determinant keeps one sign over S in {s_window} at V={v}")
@@ -223,17 +237,17 @@ def _correct_locus(model, v, s, s_window):
     last, done = math.inf, False
     for _ in range(_CORRECTOR_STEPS):
         try:
-            stack = _probe(model, s, v)
+            jet = hessian_jet(model, s, v)
         except STATE_ERRORS:
             return None
         if done:
             break
-        det_s = stack.det_s
+        det_s = jet_det_s(*jet[5:11])
         if det_s == 0.0 or not math.isfinite(det_s):
             return None
-        step = stack.det / det_s
+        step = jet_det(*jet[5:8]) / det_s
         if not abs(step) < last:
-            break  # noise floor: keep the stack at s
+            break  # noise floor: keep the jet at s
         s -= step
         if not s_window[0] <= s <= s_window[1]:
             return None
@@ -241,8 +255,8 @@ def _correct_locus(model, v, s, s_window):
         last = abs(step)
     else:
         return None
-    return (stack if abs(relative_det(*stack[5:8])) <= _CORRECTOR_RESIDUAL
-            else None)
+    return (DerivativeStack._make(jet + _NAN_TAIL)
+            if abs(relative_det(*jet[5:8])) <= _CORRECTOR_RESIDUAL else None)
 
 
 def _locus_stack(model, v, s_window, near):
@@ -258,7 +272,8 @@ def _locus_stack(model, v, s_window, near):
         stack = _correct_locus(model, v, s, s_window)
         if stack is not None:
             return stack
-    return _probe(model, _scan_locus_entropy(model, v, s_window), v)
+    s = _scan_locus_entropy(model, v, s_window)
+    return DerivativeStack._make(hessian_jet(model, s, v) + _NAN_TAIL)
 
 
 def _locus_points(point_at, volumes):

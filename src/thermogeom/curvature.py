@@ -37,7 +37,7 @@ from .eos_models import (
     libm_for,
     stack_at,
 )
-from .errors import UnsupportedModel
+from .errors import DomainError, UnsupportedModel
 from .metric_core import MetricTensor2, ruppeiner_metric, weinhold_metric
 
 
@@ -309,6 +309,8 @@ def curvature_report(model: ConstitutiveModel,
                      state: StatePoint | DerivativeStack) -> CurvatureReport:
     """Evaluate every applicable curvature route and their agreement."""
     st = stack_at(model, state)
+    if any(map(math.isnan, st[12:])):
+        raise DomainError("an unchecked stack has no response coefficients")
     _, r_tensorial, r_closed2d, r_elementary, r_model = (
         curvature_routes(model, st))
 

@@ -22,7 +22,8 @@ The first 12 of ``_fields`` are the Hessian jet: S, V, U, T, p, the Hessian
 and third partials.  A checked ``derivative_stack`` is ``_complete`` of
 ``_fields``: the determinant check, then the response coefficients.  An
 unchecked one is the jet alone, its response coefficients NaN.  Scalar
-probes and geodesic samples read the jet alone through ``hessian_jet``.
+probes and geodesic samples read the jet alone through ``hessian_jet``, and
+an entropy scan's probes the Hessian alone through ``_hessian``.
 
 Closed forms
 ------------
@@ -110,10 +111,7 @@ class StatePoint:
     x2: float
 
     def __post_init__(self):
-        if not math.isfinite(self.x1) or not math.isfinite(self.x2):
-            raise DomainError(f"non-finite state ({self.x1}, {self.x2})")
-        if self.x2 <= 0.0:
-            raise DomainError(f"volume must be positive, got {self.x2}")
+        _check_state(self.x1, self.x2)
         if self.chart is _TV and self.x1 <= 0.0:
             raise DomainError(f"temperature must be positive, got {self.x1}")
 
@@ -126,13 +124,17 @@ class StatePoint:
         return self.x2
 
 
-def hessian_jet(model: ConstitutiveModel, s: float, v: float) -> tuple:
-    """The first 12 fields of the unchecked stack at (S, V), after
-    StatePoint's checks made inline: a scalar probe builds no StatePoint."""
-    if not math.isfinite(s) or not math.isfinite(v):
-        raise DomainError(f"non-finite state ({s}, {v})")
+def _check_state(x1, v):  # StatePoint's checks common to both charts
+    if not math.isfinite(x1) or not math.isfinite(v):
+        raise DomainError(f"non-finite state ({x1}, {v})")
     if v <= 0.0:
         raise DomainError(f"volume must be positive, got {v}")
+
+
+def hessian_jet(model: ConstitutiveModel, s: float, v: float) -> tuple:
+    """The first 12 fields of the unchecked stack at (S, V), after
+    StatePoint's checks: a scalar probe builds no StatePoint."""
+    _check_state(s, v)
     return model._fields(_SV, s, v)[:12]
 
 
@@ -195,21 +197,23 @@ class DerivativeStack(NamedTuple):
     dk_ds: float
     dk_dv: float
 
-    @property
-    def det(self) -> float:
-        return self.e11 * self.e22 - self.e12 * self.e12
-
-    @property
-    def det_s(self) -> float:
-        """Entropy partial of det, from the third-derivative stack."""
-        return (self.c111 * self.e22 + self.e11 * self.c122
-                - 2.0 * self.e12 * self.c112)
+    det = property(lambda self: jet_det(*self[5:8]))
+    det_s = property(lambda self: jet_det_s(*self[5:11]))
 
     @property
     def det_v(self) -> float:
         """Volume partial of det at constant entropy."""
         return (self.c112 * self.e22 + self.e11 * self.c222
                 - 2.0 * self.e12 * self.c122)
+
+
+def jet_det(e11, e12, e22):
+    return e11 * e22 - e12 * e12
+
+
+def jet_det_s(e11, e12, e22, c111, c112, c122):
+    """Entropy partial of det, from the jet's entries."""
+    return c111 * e22 + e11 * c122 - 2.0 * e12 * c112
 
 
 # A state is degenerate when its relative determinant lies inside this band.
@@ -342,7 +346,7 @@ def _stack_from_hessian(s, v, u, t, p, e11, e12, e22,
     k = e11 / (v * det)
     alpha = -e12 / (v * det)
     cp = cv + t * v * alpha * alpha / k
-    det_s = c111 * e22 + e11 * c122 - 2.0 * e12 * c112
+    det_s = jet_det_s(e11, e12, e22, c111, c112, c122)
     det_v = c112 * e22 + e11 * c222 - 2.0 * e12 * c122
     dk_s = (c111 * det - e11 * det_s) / (v * det * det)
     dk_v = (c112 * v * det - e11 * det - e11 * v * det_v) / (v * v * det * det)
@@ -397,6 +401,10 @@ class ConstitutiveModel:
 
     def _complete(self, *fields) -> DerivativeStack:
         raise NotImplementedError
+
+    def _hessian(self, s, v) -> tuple:  # e11, e12, e22 of hessian_jet
+        _check_state(s, v)
+        return self._fields(_SV, s, v)[5:8]
 
     @property
     def covolume(self) -> float:
@@ -760,7 +768,7 @@ class NumericEnergy(ConstitutiveModel):
     """Wraps a plain U(S, V) callback.
 
     ``scheme`` is either ``"central"`` (finite differences, order-matched
-    steps, one call of U at each of 25 points) or a callable returning the
+    steps, U at 25 points; 9 for the Hessian alone) or a callable returning the
     ten partials (u, u_S, u_V, u_SS, u_SV, u_VV, u_SSS, u_SSV, u_SVV, u_VVV).
     """
 
@@ -773,23 +781,33 @@ class NumericEnergy(ConstitutiveModel):
             raise UnsupportedModel(f"unknown derivative scheme {scheme!r}")
         self.scheme = scheme
 
+    def _second_partials(self, s, v, u0):  # 8 calls of U around U = u0
+        u = self.u
+        h2s = max(abs(s), 1.0) * FD_STEP_SECOND
+        h2v = max(abs(v), 1.0) * FD_STEP_SECOND
+        u_ss = (u(s + h2s, v) - 2.0 * u0 + u(s - h2s, v)) / (h2s * h2s)
+        u_vv = (u(s, v + h2v) - 2.0 * u0 + u(s, v - h2v)) / (h2v * h2v)
+        u_sv = (u(s + h2s, v + h2v) - u(s + h2s, v - h2v)
+                - u(s - h2s, v + h2v) + u(s - h2s, v - h2v)) / (4.0 * h2s * h2v)
+        return u_ss, u_sv, u_vv
+
+    def _hessian(self, s, v):
+        _check_state(s, v)
+        if self.scheme != "central":
+            return self._fields(_SV, s, v)[5:8]
+        return self._second_partials(s, v, self.u(s, v))
+
     def _fd_partials(self, s, v):
         u = self.u
         h1s = max(abs(s), 1.0) * FD_STEP_FIRST
         h1v = max(abs(v), 1.0) * FD_STEP_FIRST
-        h2s = max(abs(s), 1.0) * FD_STEP_SECOND
-        h2v = max(abs(v), 1.0) * FD_STEP_SECOND
         h3s = max(abs(s), 1.0) * FD_STEP_THIRD
         h3v = max(abs(v), 1.0) * FD_STEP_THIRD
 
         u0 = u(s, v)
         u_s = (u(s + h1s, v) - u(s - h1s, v)) / (2.0 * h1s)
         u_v = (u(s, v + h1v) - u(s, v - h1v)) / (2.0 * h1v)
-
-        u_ss = (u(s + h2s, v) - 2.0 * u0 + u(s - h2s, v)) / (h2s * h2s)
-        u_vv = (u(s, v + h2v) - 2.0 * u0 + u(s, v - h2v)) / (h2v * h2v)
-        u_sv = (u(s + h2s, v + h2v) - u(s + h2s, v - h2v)
-                - u(s - h2s, v + h2v) + u(s - h2s, v - h2v)) / (4.0 * h2s * h2v)
+        u_ss, u_sv, u_vv = self._second_partials(s, v, u0)
 
         # 12 third-order points, once each; call order picks the error reported
         sp, sm, vp, vm = s + h3s, s - h3s, v + h3v, v - h3v

@@ -22,6 +22,7 @@ from .eos_models import (
     anywhere,
     choose,
     is_degenerate,
+    jet_det,
     stack_at,
 )
 from .errors import DomainError
@@ -44,9 +45,7 @@ class MetricTensor2(NamedTuple):
     c122: float
     c222: float
 
-    @property
-    def det(self) -> float:
-        return self.e11 * self.e22 - self.e12 * self.e12
+    det = property(lambda self: jet_det(*self[:3]))
 
     @property
     def trace(self) -> float:

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thermogeom import (
     Berthelot,
@@ -33,8 +34,15 @@ from thermogeom.critical_locus import (
     closed_form_critical_point,
     locus_entropy,
 )
-from thermogeom.curvature import curvature_report, model_closed_form
+from thermogeom.curvature import (
+    curvature_report,
+    model_closed_form,
+    scalar_curvature_closed2d,
+)
+from thermogeom._rk45 import _ROOT_RTOL, _brentq
+from thermogeom.eos_models import FD_STEP_FIRST, FD_STEP_SECOND, FD_STEP_THIRD
 from thermogeom.eos_models import hessian_jet, relative_det
+from thermogeom.errors import STATE_ERRORS
 from thermogeom.metric_core import signature_kind, weinhold_metric
 
 from conftest import PARAMS
@@ -52,13 +60,20 @@ def locus_det_residual(model, smp):
 
 def count_probes(monkeypatch):
     """The (S, V) of every evaluation of a model, in call order: each
-    probe, by whatever route it reads the model."""
+    probe, by whatever route it reads the model.  A central NumericEnergy's
+    Hessian-only probe calls U without ``_fields``."""
     calls = []
     for cls in (ConstantCv, Berthelot, NumericEnergy):
         def counted(model, chart, x1, v, _original=cls._fields):
             calls.append((x1, v))
             return _original(model, chart, x1, v)
         monkeypatch.setattr(cls, "_fields", counted)
+
+    def hessian(model, s, v, _original=NumericEnergy._hessian):
+        if model.scheme == "central":
+            calls.append((s, v))
+        return _original(model, s, v)
+    monkeypatch.setattr(NumericEnergy, "_hessian", hessian)
     return calls
 
 
@@ -238,6 +253,18 @@ class TestSignAndExistence:
             assert r == pytest.approx(want, abs=5e-4)
             assert math.copysign(1.0, r) == self.sign("custom", v)
 
+    def test_custom_locus_ends_at_the_cube_root_of_6(self):
+        # f2'' = 1.2/V^3 - 0.2 vanishes there: the locus ends on R = 0
+        model = SIGN_GASES["custom"][0]()
+        below, above = (6.0 ** (1.0 / 3.0) * (1.0 + d) for d in (-1e-6, 1e-6))
+        assert math.isfinite(model.locus_state(below)[0])
+        with pytest.raises(NoRoot):
+            model.locus_state(above)
+        for v, sign in ((below, 1.0), (above, -1.0)):
+            stack = model.derivative_stack(sv(1.0, v))
+            r = scalar_curvature_closed2d(weinhold_metric(model, stack))
+            assert math.copysign(1.0, r) == sign == self.sign("custom", v)
+
 
 # models with a closed-form locus and critical point
 MODELS = {"vdw": lambda: VanDerWaals(PARAMS), "custom": custom_vdw,
@@ -394,6 +421,102 @@ class TestFirstRoot:
         s = _scan_locus_entropy(model, 1.0, _scan_window(model))
         assert s == 1.7423847407563309
         assert 90 <= len(calls) <= 110
+
+    def test_central_numeric_scan_stops_at_its_bracket(self, monkeypatch):
+        # 95 Hessian-only probes up to the bracket, then the jet at both of
+        # its ends and at each of Brent's 25 steps through the finite-
+        # difference noise: 122 probes
+        calls = count_probes(monkeypatch)
+        model = NumericEnergy(vdw_energy)
+        s = _scan_locus_entropy(model, 1.0, _scan_window(model))
+        assert s == pytest.approx(1.7423847407563309, rel=1e-7)
+        assert 110 <= len(calls) <= 130
+
+
+def full_jet_scan(model, v, s_window):
+    """The entropy scan with every point read through the full jet, as it
+    was before the scan read the Hessian alone: a transcription kept as the
+    oracle of ``TestHessianOnlyScan``."""
+    def det_at(s):
+        e11, e12, e22 = hessian_jet(model, s, v)[5:8]
+        return e11 * e22 - e12 * e12
+
+    xs = np.linspace(*s_window, 181).tolist()
+    first, raised = None, 0
+    x0 = f0 = math.nan
+    for x in xs:
+        try:
+            fx = det_at(x)
+        except STATE_ERRORS as exc:
+            first, fx, raised = first or exc, math.nan, raised + 1
+        if f0 * fx < 0.0 or f0 == 0.0 and not math.isnan(fx):
+            return _brentq(det_at, x0, x, _ROOT_RTOL * max(abs(x0), abs(x)),
+                           (f0, fx))
+        x0, f0 = x, fx
+    if raised == len(xs):
+        raise first
+    raise NoRoot(f"determinant keeps one sign over S in {s_window} at V={v}")
+
+
+# The entropies of the vdW scan at V = 1, which brackets its root between
+# S93 and S94
+SCAN = np.linspace(-50.0, 50.0, 181).tolist()
+S94 = SCAN[94]
+
+# The central stencil's offsets from a point, in units of max(|x|, 1): U
+# itself, then h1 (first order), h2 (second order, the Hessian), h3 and 2 h3
+# (third order), and a point beyond them all.
+STENCIL_OFFSETS = (0.0, FD_STEP_FIRST, FD_STEP_SECOND, FD_STEP_THIRD,
+                   2.0 * FD_STEP_THIRD, 4.0 * FD_STEP_THIRD)
+
+
+@st.composite
+def strips(draw):
+    """An interval of S around a scan point near the vdW bracket at V = 1,
+    or of V around 1, whose ends lie between stencil offsets: it covers
+    some of that point's stencil points on one side and none of the rest."""
+    ends = sorted(draw(st.lists(st.integers(0, 4), min_size=2, max_size=2)))
+    lo, hi = (STENCIL_OFFSETS[i] + draw(st.floats(0.1, 0.9))
+              * (STENCIL_OFFSETS[i + 1] - STENCIL_OFFSETS[i]) for i in ends)
+    axis = draw(st.sampled_from("SV"))
+    at = SCAN[draw(st.integers(91, 96))] if axis == "S" else 1.0
+    sign, scale = draw(st.sampled_from((-1.0, 1.0))), max(abs(at), 1.0)
+    return axis, sorted((at + sign * lo * scale, at + sign * hi * scale))
+
+
+class TestHessianOnlyScan:
+    """The scan reads the Hessian alone and confirms its bracket with the
+    full jet; its root bits, its NoRoot or its error equal those of the
+    scan that read every point through the jet, for a NumericEnergy whose
+    energy raises in strips between the stencil's offsets."""
+
+    @staticmethod
+    def outcome(scan, model):
+        try:
+            return scan(model, 1.0, (-50.0, 50.0)).hex()
+        except Exception as exc:  # the error is part of the outcome
+            return type(exc).__name__, str(exc)
+
+    @staticmethod
+    def energy(cuts):
+        def u(s, v):
+            for axis, (lo, hi) in cuts:
+                if lo < (s if axis == "S" else v) < hi:
+                    raise DomainError(f"no energy at ({s!r}, {v!r})")
+            return vdw_energy(s, v)
+        return u
+
+    # a strip over S94's first-order points leaves its Hessian defined, and
+    # the jet there raises; one over V = 1's does so at every entropy
+    @example([("S", [S94 * (1.0 + 0.5 * FD_STEP_FIRST),
+                     S94 * (1.0 + 2.0 * FD_STEP_FIRST)])])
+    @example([("V", [1.0 + 0.5 * FD_STEP_FIRST, 1.0 + 2.0 * FD_STEP_FIRST])])
+    @settings(max_examples=60)
+    @given(st.lists(strips(), min_size=1, max_size=3))
+    def test_outcome_is_the_full_jet_scans(self, cuts):
+        model = NumericEnergy(self.energy(cuts))
+        assert (self.outcome(_scan_locus_entropy, model)
+                == self.outcome(full_jet_scan, model))
 
 
 VOLUMES = np.geomspace(1e-2, 1e2, 400).tolist()

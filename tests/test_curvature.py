@@ -9,6 +9,8 @@ from thermogeom import (
     Berthelot,
     Chart,
     ConstantCv,
+    DomainError,
+    GasParameters,
     IdealGas,
     MetricTensor2,
     NumericEnergy,
@@ -284,6 +286,14 @@ class TestStackOrState:
         model, state = self.MODELS[model]
         fn = self.ROUTES[route]
         assert fn(model, model.derivative_stack(state)) == fn(model, state)
+
+    def test_report_refuses_an_unchecked_stack(self):
+        # its ten response coefficients are NaN: two routes would read NaN
+        # and the pairwise residual would pass over them
+        model = VanDerWaals(GasParameters(a=1.5, b=0.2, r_gas=2.0, cv0=2.5))
+        stack = model.derivative_stack(sv(1.0, 1.2), check_singular=False)
+        with pytest.raises(DomainError, match="unchecked stack"):
+            curvature_report(model, stack)
 
 
 class TestRiemannConsistency:

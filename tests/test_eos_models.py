@@ -526,6 +526,49 @@ class TestNumericEnergyStencil:
             *state)) == outcome(_stencil_33)
 
 
+class TestHessianProbe:
+    """``_hessian``, the probe that reads the Hessian alone, makes
+    ``hessian_jet``'s checks and gives its entries; a central NumericEnergy
+    calls U at 9 of the 25 stencil points, in the stencil's order."""
+
+    def test_central_probe_calls_u_nine_times(self):
+        calls = []
+
+        def energy(s, v):
+            calls.append((s, v))
+            return _vdw_energy(s, v)
+        model = NumericEnergy(energy)
+        for s, v in _stencil_states(32, 50):
+            calls.clear()
+            jet = hessian_jet(model, s, v)
+            stencil = list(calls)
+            calls.clear()
+            assert model._hessian(s, v) == jet[5:8]
+            assert len(calls) == 9 == len(set(calls))
+            assert calls == [c for c in stencil if c in calls]
+
+    MODELS = {
+        "ideal": lambda: IdealGas(PARAMS),
+        "vdw": lambda: VanDerWaals(PARAMS),
+        "berthelot": lambda: Berthelot(PARAMS),
+        "custom": lambda: ConstantCv("(V-0.2)^-0.8", "0.6/V", cv=2.5),
+        "numeric": lambda: NumericEnergy(_vdw_energy),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_entries_and_checks_are_the_jets(self, name):
+        model = self.MODELS[name]()
+        for s, v in _stencil_states(33, 20):
+            assert model._hessian(s, v) == hessian_jet(model, s, v)[5:8]
+        for s, v in ((math.nan, 1.0), (1.0, math.inf), (1.0, 0.0),
+                     (1.0, -1.0)):
+            with pytest.raises(DomainError) as want:
+                hessian_jet(model, s, v)
+            with pytest.raises(DomainError) as got:
+                model._hessian(s, v)
+            assert str(got.value) == str(want.value)
+
+
 class TestDerivativeStackRecord:
     """The stack is an immutable NamedTuple with the former dataclass's
     fields, in order, and the same derived properties."""
