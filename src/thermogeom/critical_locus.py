@@ -15,11 +15,13 @@ and refines it by Brent's method (``_rk45._brentq``, as geodesic events do)
 to 4 EPS relative to the bracket, so no stopping test depends on the units:
 over entropy, and for dT/dV = 0 over 400 volumes of ``locus_dtdv`` or 200
 of the continued locus; without that root the locus is empty if dT/dV is 0
-or a gap at every volume, and monotone otherwise.  A scan probe reads the
-Hessian alone (9 calls of U for ``NumericEnergy``), and the jet
+or a gap at every volume, and monotone otherwise.  Every entropy scan, for
+every model, probes the Hessian alone (``model._hessian``), and the jet
 (``eos_models.hessian_jet``) confirms its bracket and refines it; a
-corrector probe reads the jet.  Reduced curves, cubic volume roots, the
-coexistence curve and the spinodal slope live here too.
+corrector probe reads the jet.  For constant cv, det vanishes at e^(S/cv) =
+cv f1 f2''/(f1 f1'' - f1'^2) and R has the sign of f2''(f1 f1'' - f1'^2),
+so the locus has a point at V exactly where R > 0.  Reduced curves, cubic
+volume roots, the coexistence curve and the spinodal slope live here too.
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ import numpy as np
 
 from ._rk45 import _ROOT_RTOL, _brentq
 from .eos_models import (
-    Berthelot,
-    ConstantCv,
     ConstitutiveModel,
-    DerivativeStack,
     hessian_jet,
     jet_det,
     jet_det_s,
     relative_det,
+    unchecked_stack,
 )
 from .errors import STATE_ERRORS, DomainError, NoCriticalPoint, NoRoot
 
@@ -59,7 +59,6 @@ _REDUCED_MARGIN = 1e-9
 # Entropy scan samples; polynomial Newton steps.
 _SCAN_POINTS = 181
 _POLY_NEWTON_STEPS = 8
-_NAN_TAIL = (math.nan,) * 10  # an unchecked stack's response coefficients
 
 
 class LocusSample(NamedTuple):
@@ -80,8 +79,8 @@ class LocusPolyline(NamedTuple):
 class CriticalPoint(NamedTuple):
     """Top of the degeneracy locus, where dT/dV and dp/dV vanish along it.
 
-    ``negative_branch`` carries the sign-flipped (p, T) pair for models
-    whose locus temperature is defined through a square root.
+    ``negative_branch`` is the sign-flipped (p, T) pair of a model whose
+    locus temperature is a square root (``square_root_locus``).
     """
 
     v_c: float
@@ -197,12 +196,7 @@ def _real_roots(coeffs):
 # degeneracy locus
 
 def _scan_window(model) -> tuple[float, float]:
-    scale = 1.0
-    if isinstance(model, ConstantCv):
-        scale = model.cv
-    elif model.params is not None:
-        scale = model.params.cv0
-    return (-50.0 * scale, 50.0 * scale)
+    return (-50.0 * model.entropy_scale, 50.0 * model.entropy_scale)
 
 
 def locus_entropy(model: ConstitutiveModel, v: float) -> float:
@@ -219,9 +213,8 @@ def locus_entropy(model: ConstitutiveModel, v: float) -> float:
 
 def _scan_locus_entropy(model, v, s_window):
     s = _first_root(lambda s: jet_det(*model._hessian(s, v)),
-                    np.linspace(*s_window, _SCAN_POINTS).tolist(), refine=None
-                    if type(model)._hessian is ConstitutiveModel._hessian
-                    else lambda s: jet_det(*hessian_jet(model, s, v)[5:8]))
+                    np.linspace(*s_window, _SCAN_POINTS).tolist(),
+                    refine=lambda s: jet_det(*hessian_jet(model, s, v)[5:8]))
     if s is not None:
         return s
     raise NoRoot(f"determinant keeps one sign over S in {s_window} at V={v}")
@@ -255,7 +248,7 @@ def _correct_locus(model, v, s, s_window):
         last = abs(step)
     else:
         return None
-    return (DerivativeStack._make(jet + _NAN_TAIL)
+    return (unchecked_stack(jet)
             if abs(relative_det(*jet[5:8])) <= _CORRECTOR_RESIDUAL else None)
 
 
@@ -273,7 +266,7 @@ def _locus_stack(model, v, s_window, near):
         if stack is not None:
             return stack
     s = _scan_locus_entropy(model, v, s_window)
-    return DerivativeStack._make(hessian_jet(model, s, v) + _NAN_TAIL)
+    return unchecked_stack(hessian_jet(model, s, v))
 
 
 def _locus_points(point_at, volumes):
@@ -331,7 +324,7 @@ def degeneracy_locus(model: ConstitutiveModel,
         stacks, missing = _locus_points(
             lambda v, near: _locus_stack(model, v, s_window, near), volumes)
         samples = [LocusSample(st.v, st.s, st.t, st.p) for st in stacks]
-    branch = ("positive-temperature" if closed and _square_root_locus(model)
+    branch = ("positive-temperature" if closed and model.square_root_locus
               else "principal")
     line = LocusPolyline(samples=tuple(samples), branch=branch)
     return line._replace(note=f"{line.note}; no locus point at {missing} of "
@@ -365,16 +358,9 @@ def _check_method(method, allowed):
                          f"{', '.join(map(repr, allowed))}")
 
 
-def _square_root_locus(model) -> bool:
-    """Whether the closed-form locus temperature is a square root, as the
-    Berthelot gas's is: its locus is the positive-temperature branch, and
-    its critical point has a sign-flipped (p, T) twin."""
-    return isinstance(model, Berthelot)
-
-
 def _critical(model, v_c, p_c, t_c) -> CriticalPoint:
     return CriticalPoint(v_c=v_c, p_c=p_c, t_c=t_c, negative_branch=(
-        (-p_c, -t_c) if _square_root_locus(model) else None))
+        (-p_c, -t_c) if model.square_root_locus else None))
 
 
 def closed_form_critical_point(model: ConstitutiveModel) -> CriticalPoint | None:

@@ -10,7 +10,9 @@ Routes implemented:
 * ``elementary``: the coefficient-form expression through H, G, F, J.
 * ``model_closed``: the model's own closed form, its
   ``closed_curvature`` (ideal gas, van der Waals, the constant-cv family,
-  Berthelot), where it has one.
+  Berthelot), where it has one.  Berthelot's is 2a cv N over a positive
+  term, N = T^4V^4 rP + aT^2Vw^2(rV^2 - cv w^2) + 2a^2w^4 (w = V - b, P as
+  there): for a > 0, sign(R) = sign(N).
 
 A :func:`curvature_report` bundles every applicable route with the
 pairwise agreement residual, and the conformal bridge between the energy

@@ -21,9 +21,9 @@ user-supplied analytic derivative callback.
 The first 12 of ``_fields`` are the Hessian jet: S, V, U, T, p, the Hessian
 and third partials.  A checked ``derivative_stack`` is ``_complete`` of
 ``_fields``: the determinant check, then the response coefficients.  An
-unchecked one is the jet alone, its response coefficients NaN.  Scalar
-probes and geodesic samples read the jet alone through ``hessian_jet``, and
-an entropy scan's probes the Hessian alone through ``_hessian``.
+unchecked one is ``unchecked_stack`` of the jet, its response coefficients
+NaN.  Scalar probes and geodesic samples read the jet alone through
+``hessian_jet``, and entropy scans the Hessian alone through ``_hessian``.
 
 Closed forms
 ------------
@@ -39,8 +39,12 @@ without a closed form (``NumericEnergy``) takes the generic routes:
 * ``det_split(st)``: the determinant's ideal part and its correction from
   f2 (the constant-cv family).
 
-A hook given a volume raises DomainError where it is not finite or not
-above the covolume, and NoRoot where the determinant cannot vanish.
+A hook given a volume raises DomainError where it is not finite or not above
+the covolume, and NoRoot where the determinant cannot vanish.  Beside the
+hooks sit two locus facts: ``square_root_locus``, True for Berthelot, whose
+locus is T^2's positive root and whose critical point has a (-p, -T) twin;
+and ``entropy_scale``, a locus scan spanning S in +-50 of it (cv, cv0 for
+Berthelot, else 1).
 
 One state or many
 -----------------
@@ -168,10 +172,9 @@ class DerivativeStack(NamedTuple):
     (S, V) regardless of which chart the query used; ``s`` and ``v`` give
     the entropy-volume coordinates of the state.  ``dcv_ds`` to ``dk_dv``
     are the partials of cv, alpha and k along S (at fixed V) and V (at
-    fixed S).  An unchecked stack holds the first 12 fields only, and
-    ``cv`` to ``dk_dv`` are NaN.  From ``array_stack`` the fields are arrays
-    over its states, row-major for a grid (a model constant, such as a
-    constant cv, stays a float).
+    fixed S); ``cv`` to ``dk_dv`` are NaN in an ``unchecked_stack``.  From
+    ``array_stack`` the fields are arrays over its states, row-major for a
+    grid (a model constant, such as a constant cv, stays a float).
     """
 
     s: float
@@ -199,12 +202,7 @@ class DerivativeStack(NamedTuple):
 
     det = property(lambda self: jet_det(*self[5:8]))
     det_s = property(lambda self: jet_det_s(*self[5:11]))
-
-    @property
-    def det_v(self) -> float:
-        """Volume partial of det at constant entropy."""
-        return (self.c112 * self.e22 + self.e11 * self.c222
-                - 2.0 * self.e12 * self.c122)
+    det_v = property(lambda self: jet_det_v(*self[5:8], *self[9:12]))
 
 
 def jet_det(e11, e12, e22):
@@ -214,6 +212,16 @@ def jet_det(e11, e12, e22):
 def jet_det_s(e11, e12, e22, c111, c112, c122):
     """Entropy partial of det, from the jet's entries."""
     return c111 * e22 + e11 * c122 - 2.0 * e12 * c112
+
+
+def jet_det_v(e11, e12, e22, c112, c122, c222):
+    """Volume partial of det at constant entropy, from the jet's entries."""
+    return c112 * e22 + e11 * c222 - 2.0 * e12 * c122
+
+
+def unchecked_stack(jet) -> DerivativeStack:
+    """The stack of a Hessian jet, its response coefficients NaN."""
+    return DerivativeStack._make(jet + (math.nan,) * 10)
 
 
 # A state is degenerate when its relative determinant lies inside this band.
@@ -347,7 +355,7 @@ def _stack_from_hessian(s, v, u, t, p, e11, e12, e22,
     alpha = -e12 / (v * det)
     cp = cv + t * v * alpha * alpha / k
     det_s = jet_det_s(e11, e12, e22, c111, c112, c122)
-    det_v = c112 * e22 + e11 * c222 - 2.0 * e12 * c122
+    det_v = jet_det_v(e11, e12, e22, c112, c122, c222)
     dk_s = (c111 * det - e11 * det_s) / (v * det * det)
     dk_v = (c112 * v * det - e11 * det - e11 * v * det_v) / (v * v * det * det)
     da_s = -(c112 * det - e12 * det_s) / (v * det * det)
@@ -363,9 +371,10 @@ class ConstitutiveModel:
 
     name = "abstract"
     params: GasParameters | None = None
-    # the closed forms of the module docstring; None where there is none
+    # the module docstring's closed forms, None where absent, and locus facts
     closed_curvature = locus_state = locus_dtdv = None
     critical_closed_form = det_split = None
+    square_root_locus, entropy_scale = False, 1.0
 
     def derivative_stack(self, state: StatePoint, *,
                          check_singular: bool = True) -> DerivativeStack:
@@ -373,8 +382,7 @@ class ConstitutiveModel:
         fields = self._fields(state.chart, state.x1, state.x2)
         if check_singular:
             return self._complete(*fields)
-        # the Hessian jet alone: no response coefficients
-        return DerivativeStack(*fields[:12], *(math.nan,) * 10)
+        return unchecked_stack(fields[:12])
 
     def array_stack(self, chart: Chart, x1: np.ndarray,
                     x2: np.ndarray) -> DerivativeStack:
@@ -443,6 +451,7 @@ class ConstantCv(ConstitutiveModel):
 
     name = "constant_cv"
     derivative_stack = ConstitutiveModel.derivative_stack
+    entropy_scale = property(lambda self: self.cv)
 
     def __init__(self, f1, f2=None, cv: float = 1.0, u0: float = 0.0):
         if not (math.isfinite(cv) and math.isfinite(u0)):
@@ -595,6 +604,8 @@ class Berthelot(ConstitutiveModel):
 
     name = "berthelot"
     derivative_stack = ConstitutiveModel.derivative_stack
+    square_root_locus = True
+    entropy_scale = property(lambda self: self.params.cv0)
 
     def __init__(self, params: GasParameters):
         self.params = params
@@ -792,9 +803,9 @@ class NumericEnergy(ConstitutiveModel):
         return u_ss, u_sv, u_vv
 
     def _hessian(self, s, v):
-        _check_state(s, v)
         if self.scheme != "central":
-            return self._fields(_SV, s, v)[5:8]
+            return super()._hessian(s, v)
+        _check_state(s, v)
         return self._second_partials(s, v, self.u(s, v))
 
     def _fd_partials(self, s, v):

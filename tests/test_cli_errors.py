@@ -331,6 +331,31 @@ def test_berthelot_tv_cells_whose_square_underflows_are_domain(capsys):
     assert all("domain" not in row for row in rows[2:])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["curvature-grid", "--vmin", "0.05", "--vmax", "0.1"],
+     "error: volume range 0.05..0.1 lies outside the admissible domain "
+     "V > 0.2"),
+    (["verify", "--vmin", "0.05", "--vmax", "0.1"],
+     "error: volume range 0.05..0.1 lies outside the admissible domain "
+     "V > 0.2"),
+    (["curvature-grid", "--chart", "tv", "--smin=-2", "--smax=-1"],
+     "error: temperature range must be positive"),
+    (["curvature-grid", "--chart", "tv", "--smin=-2", "--smax", "0"],
+     "error: temperature range must be positive"),
+    (["surface", "--chart", "tv", "--smin=-2", "--smax=-1"],
+     "error: temperature range must be positive"),
+    (["surface", "--chart", "tv", "--smin=-2", "--smax", "0"],
+     "error: temperature range must be positive"),
+], ids=["grid-below-covolume", "verify-below-covolume", "grid-t-negative",
+        "grid-t-zero", "surface-t-negative", "surface-t-zero"])
+def test_window_that_clipping_cannot_mend_exits_one(capsys, argv, message):
+    # vmin at or below b is raised 5% of the way to vmax, and T_min <= 0 to
+    # 5% of T_max; a window that clipping would empty is refused instead
+    rc, out, err = run(capsys, [argv[0], *VDW, *argv[1:]])
+    assert (rc, out) == (1, "")
+    assert one_line(err) == message
+
+
 def test_clipped_window_that_fails_prints_only_its_error(capsys):
     # vmin is clipped to the covolume, then the s axis overflows: the
     # clipping warning belongs to a grid that runs, so none is printed

@@ -36,6 +36,7 @@ from thermogeom.critical_locus import (
 )
 from thermogeom.curvature import (
     curvature_report,
+    curvature_routes,
     model_closed_form,
     scalar_curvature_closed2d,
 )
@@ -264,6 +265,46 @@ class TestSignAndExistence:
             stack = model.derivative_stack(sv(1.0, v))
             r = scalar_curvature_closed2d(weinhold_metric(model, stack))
             assert math.copysign(1.0, r) == sign == self.sign("custom", v)
+
+
+class TestBerthelotSignAndPole:
+    """The Berthelot gas of PARAMS.  In the T-V chart its Weinhold metric
+    is diagonal, and R = 2a N / (cv^2 T^3 V (r T^2 V^3 - 2a w^2)^2) with
+    w = V - b and N = T^4 V^4 r P + a T^2 V w^2 (r V^2 - cv w^2)
+    + 2 a^2 w^4, P the polynomial of ``Berthelot.closed_curvature``.  So
+    for a > 0 R has the sign of N, and the locus is a double pole: the
+    denominator's factor vanishes at the locus temperature."""
+
+    T = np.geomspace(0.05, 20.0, 60)
+    V = np.geomspace(0.21, 50.0, 60)
+
+    @pytest.mark.parametrize("chart", ["tv", "sv"])
+    def test_every_route_has_the_sign_of_n(self, chart):
+        model = Berthelot(PARAMS)
+        t, v = np.meshgrid(self.T, self.V, indexing="ij")
+        st = (model.array_stack(Chart.TEMPERATURE_VOLUME, t, v)
+              if chart == "tv" else model.array_stack(
+                  Chart.ENTROPY_VOLUME, model._entropy(t, v), v))
+        _, *routes = curvature_routes(model, st)
+        a, b, r = PARAMS.a, PARAMS.b, PARAMS.r_gas
+        t, v, cv, w = st.t, st.v, st.cv, st.v - PARAMS.b
+        p_poly = (2.0 * cv - r) * v * v - 3.0 * cv * b * v + cv * b * b
+        n = (t ** 4 * v ** 4 * r * p_poly
+             + a * t * t * v * w * w * (r * v * v - cv * w * w)
+             + 2.0 * a * a * w ** 4)
+        assert (n > 0.0).any() and (n < 0.0).any()
+        for route, values in zip(ROUTES, routes):
+            shown = np.abs(values) > 1e-8
+            assert shown.any(), route
+            assert (np.sign(values[shown]) == np.sign(n[shown])).all(), route
+
+    def test_locus_temperature_is_a_root_of_the_pole_factor(self):
+        model = Berthelot(PARAMS)
+        a, b, r = PARAMS.a, PARAMS.b, PARAMS.r_gas
+        for v in self.V.tolist():
+            t = model.locus_state(v)[1]
+            terms = (r * t * t * v ** 3, 2.0 * a * (v - b) ** 2)
+            assert abs(terms[0] - terms[1]) <= 1e-12 * max(terms), v
 
 
 # models with a closed-form locus and critical point
@@ -725,6 +766,19 @@ class TestClosedFormHooks:
     def test_each_gas_owns_its_closed_forms(self, cls, owned):
         for hook in self.HOOKS:
             assert (getattr(cls, hook) is not None) == (hook in owned), hook
+
+    @pytest.mark.parametrize("model, window, square_root", [
+        (IdealGas(GasParameters(r_gas=2.0, cv0=1.5)), (-75.0, 75.0), False),
+        (VanDerWaals(PARAMS), (-125.0, 125.0), False),
+        (ConstantCv("(V-0.2)^-0.8", "0.6/V", cv=1.75), (-87.5, 87.5), False),
+        (Berthelot(GasParameters(a=1.5, b=0.2, r_gas=2.0, cv0=4.0)),
+         (-200.0, 200.0), True),
+        (NumericEnergy(vdw_energy), (-50.0, 50.0), False),
+    ], ids=["ideal", "vdw", "custom", "berthelot", "numeric"])
+    def test_locus_facts(self, model, window, square_root):
+        # the scan's entropy window spans 50 entropy_scale on each side
+        assert _scan_window(model) == window
+        assert model.square_root_locus is square_root
 
     def test_numeric_energy_takes_the_generic_routes(self, vdw_model):
         model = NumericEnergy(vdw_energy, scheme=vdw_partials)
