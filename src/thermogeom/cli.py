@@ -2,9 +2,10 @@
 
 Subcommands produce curvature grids, degeneracy-locus polylines,
 critical-point reports, geodesic traces, Hessian-surface classifications,
-and a verification suite, as CSV, JSON, or simple SVG.  Output is
-deterministic: fixed float formatting, fixed row order, and a metadata
-header carrying the library version and the effective configuration.
+and a verification suite, as CSV, JSON, or simple SVG.  Each command
+takes only the flags it reads.  Output is deterministic: fixed float
+formatting, fixed row order, and a metadata header carrying the library
+version and every flag the run read (not the --out or --config path).
 
 Exit codes: 0 success, 1 a bad request (flags, parameters, window, or a
 state outside the domain) or one too large for memory, 2 verification
@@ -81,17 +82,21 @@ from .metric_core import (
     weinhold_metric,
 )
 
-_DEFAULTS = {
-    "model": "ideal",
-    **asdict(GasParameters()),
-    "chart": "sv",
-    "smin": 1.0,
-    "smax": 3.0,
-    "vmin": 1.0,
-    "vmax": 4.0,
-    "n": 16,
-    "format": "csv",
+# every flag that some command reads, with its argparse keywords
+_FLAGS = {
+    "--chart": dict(choices=["sv", "tv"], default="sv"),
+    "--smin": dict(type=float, default=1.0,
+                   help="first-coordinate lower bound (S, or T for --chart "
+                        "tv)"),
+    "--smax": dict(type=float, default=3.0),
+    "--vmin": dict(type=float, default=1.0),
+    "--vmax": dict(type=float, default=4.0),
+    "--n": dict(type=int, default=16, help="points per axis"),
+    "--format": dict(choices=["csv", "json", "svg"], default="csv"),
+    "--out": dict(help="output path (default: stdout)"),
 }
+_GRID_FLAGS = ("--chart", "--smin", "--smax", "--vmin", "--vmax", "--n",
+               "--format", "--out")
 
 
 def _fmt(x) -> str:
@@ -141,36 +146,29 @@ def build_parser() -> argparse.ArgumentParser:
                                   "term of a custom constant-cv model")
     grp.add_argument("--config", help="key = value file; flags win on "
                                       "conflict")
-    grid = common.add_argument_group("grid")
-    grid.add_argument("--chart", choices=["sv", "tv"])
-    grid.add_argument("--smin", type=float, help="first-coordinate lower "
-                                                 "bound (S, or T for --chart tv)")
-    grid.add_argument("--smax", type=float)
-    grid.add_argument("--vmin", type=float)
-    grid.add_argument("--vmax", type=float)
-    grid.add_argument("--n", type=int, help="points per axis")
-    out = common.add_argument_group("output")
-    out.add_argument("--out", help="output path (default: stdout)")
-    out.add_argument("--format", choices=["csv", "json", "svg"])
-
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    sub.add_parser("curvature-grid", parents=[common],
-                   help="determinant, curvature routes, and signature on "
-                        "a state grid")
+    def command(name, summary, *flags):
+        """A subcommand that takes the model flags and ``flags``."""
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p_locus = sub.add_parser("locus", parents=[common],
-                             help="trace the degeneracy locus over volume")
+    command("curvature-grid", "determinant, curvature routes, and "
+                              "signature on a state grid", *_GRID_FLAGS)
+
+    p_locus = command("locus", "trace the degeneracy locus over volume",
+                      "--vmin", "--vmax", "--n", "--format", "--out")
     p_locus.add_argument("--method", choices=["auto", "scan"], default="auto")
 
-    p_crit = sub.add_parser("critical", parents=[common],
-                            help="critical point with closed-form check")
+    p_crit = command("critical", "critical point with closed-form check",
+                     "--out")
     p_crit.add_argument("--method", choices=["auto", "numeric"],
                         default="auto")
 
-    p_geo = sub.add_parser("geodesic", parents=[common],
-                           help="integrate one geodesic")
+    p_geo = command("geodesic", "integrate one geodesic", "--format", "--out")
     p_geo.add_argument("--start-s", type=float, required=True)
     p_geo.add_argument("--start-v", type=float, required=True)
     p_geo.add_argument("--start-sdot", type=float, default=0.0)
@@ -180,12 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--samples", type=int, default=101,
                        help="dense-output rows")
 
-    sub.add_parser("surface", parents=[common],
-                   help="radial classification of the Hessian image "
-                        "surface on a grid")
+    command("surface", "radial classification of the Hessian image surface "
+                       "on a grid", *_GRID_FLAGS)
 
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="identity and route-agreement suite")
+    p_ver = command("verify", "identity and route-agreement suite",
+                    "--smin", "--smax", "--vmin", "--vmax", "--out")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--states", type=int, default=25)
     return parser
@@ -195,15 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
 # configuration and model assembly
 
 def _effective_config(args) -> dict:
-    eff = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    """The run's one configuration record: the model defaults, then the
+    ``--config`` file, then every value the command's parser gave, a flag
+    or its default."""
+    eff = {"model": "ideal", **asdict(GasParameters())}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             eff.update(parse_config_text(fh.read()))
-    for key in (*_DEFAULTS, "f1", "f2"):
-        value = getattr(args, key, None)
-        if value is not None:
-            eff[key] = value
-    eff["command"] = args.command
+    eff.update((k, v) for k, v in vars(args).items() if v is not None)
     return eff
 
 
@@ -233,11 +229,10 @@ def _clip_vmin(vmin, vmax, model) -> tuple[float, list[str]]:
 
 
 def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
-    n = int(eff["n"])
+    n, smin, smax, vmin, vmax = (eff[k] for k in ("n", "smin", "smax",
+                                                  "vmin", "vmax"))
     if n < 2:
         raise DomainError("grid needs at least 2 points per axis")
-    smin, smax = float(eff["smin"]), float(eff["smax"])
-    vmin, vmax = float(eff["vmin"]), float(eff["vmax"])
     if not (smax > smin and vmax > vmin):
         raise DomainError("ranges must satisfy smin < smax and vmin < vmax")
     # warnings are printed once both axes are known to be good
@@ -315,7 +310,7 @@ def _marker(exc) -> str:
     return "domain" if isinstance(exc, DOMAIN_ERRORS) else "numeric"
 
 
-def _grid(args, eff: dict, model, columns, cell_values, fields, colour,
+def _grid(eff: dict, model, columns, cell_values, fields, colour,
           ended) -> int:
     """Evaluate a grid command and print it.
 
@@ -350,7 +345,7 @@ def _grid(args, eff: dict, model, columns, cell_values, fields, colour,
             cells[i] = "#999999" if svg else ended(exc)
     meta = _meta(eff)
     c1 = "t" if eff["chart"] == "tv" else "s"
-    _emit_table(args, meta, [c1, "v", *columns], cells,
+    _emit_table(eff.get("out"), meta, [c1, "v", *columns], cells,
                 lambda: _render_svg_heatmap(meta, x1s, x2s, cells),
                 axes=(x1s, x2s))
     return 0
@@ -360,7 +355,9 @@ def _grid(args, eff: dict, model, columns, cell_values, fields, colour,
 # output plumbing
 
 def _meta(eff: dict) -> dict:
-    return {"version": __version__, **eff}
+    """The header: the version and the configuration, less its paths."""
+    return {"version": __version__,
+            **{k: v for k, v in eff.items() if k not in ("out", "config")}}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -371,9 +368,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(args, meta: dict, columns: list[str], rows: list,
-                svg, notes: list[str] | None = None, axes=None) -> None:
-    """Render a table in the chosen format and write it out.
+def _emit_report(eff: dict, **doc) -> None:
+    """Write ``doc`` under its header, ``meta``, as the JSON report of a
+    command that prints text, when ``--out`` is given."""
+    if eff.get("out"):
+        _emit(json.dumps({"meta": _meta(eff), **doc}, indent=2,
+                         sort_keys=True) + "\n", eff["out"])
+
+
+def _emit_table(out_path: str | None, meta: dict, columns: list[str],
+                rows: list, svg, notes: list[str] | None = None,
+                axes=None) -> None:
+    """Render a table in the chosen format and write it to ``out_path``.
 
     ``svg`` draws the picture, called only for svg and ``rows`` only read
     for the others.  ``axes``, a grid's two axes, are its first columns:
@@ -385,7 +391,7 @@ def _emit_table(args, meta: dict, columns: list[str], rows: list,
         text = _render_json(meta, columns, rows, notes, axes)
     else:
         text = _render_csv(meta, columns, rows, notes, axes)
-    _emit(text, args.out)
+    _emit(text, out_path)
 
 
 def _axis_heads(axes, fmt, sep: str):
@@ -512,7 +518,7 @@ def _render_svg_heatmap(meta: dict, x1: list[float], x2: list[float],
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_curvature_grid(args, eff, model) -> int:
+def cmd_curvature_grid(eff, model) -> int:
     def cell_values(st):
         metric, *routes = curvature_routes(model, st)
         return metric.det, *routes, signature_kind(metric)
@@ -523,39 +529,35 @@ def cmd_curvature_grid(args, eff, model) -> int:
         return [None, *[_marker(exc)] * 5]
 
     # a kind's text is its ``_value_``: ``value`` is a Python-level property
-    return _grid(args, eff, model,
+    return _grid(eff, model,
                  ["det", "r_tensorial", "r_closed2d", "r_elementary",
                   "r_model_closed", "signature"], cell_values,
                  lambda *v: [*v[:5], [k._value_ for k in v[5]]],
                  lambda *v: v[2], ended)
 
 
-def cmd_locus(args, eff, model) -> int:
-    eff["method"] = args.method
+def cmd_locus(eff, model) -> int:
     columns = ["v", "s", "t", "p"]
     meta = _meta(eff)
     try:
         line = degeneracy_locus(model, (eff["vmin"], eff["vmax"]),
-                                int(eff["n"]), method=args.method)
+                                eff["n"], method=eff["method"])
     except NoRoot as exc:
         print("empty locus", file=sys.stderr)
         samples, notes = (), [f"empty locus: {exc}"]
     else:
         samples, notes = line.samples, [f"branch: {line.branch}", line.note]
     rows = [[smp.v, smp.s, smp.t, smp.p] for smp in samples]
-    _emit_table(args, meta, columns, rows,
+    _emit_table(eff.get("out"), meta, columns, rows,
                 lambda: _render_svg_polyline(
                     meta, [(smp.v, smp.p) for smp in samples], "v", "p"),
                 notes)
     return 0
 
 
-def cmd_critical(args, eff, model) -> int:
-    eff["method"] = args.method
-    if eff["format"] == "svg":
-        raise DomainError("critical does not support svg output")
+def cmd_critical(eff, model) -> int:
     try:
-        cp = critical_point(model, method=args.method)
+        cp = critical_point(model, method=eff["method"])
         exact = closed_form_critical_point(model)
     except NoCriticalPoint as exc:
         print(f"no critical point: {exc}")
@@ -575,24 +577,21 @@ def cmd_critical(args, eff, model) -> int:
         lines.append(f"negative branch: p_c = {_fmt(cp.negative_branch[0])}, "
                      f"T_c = {_fmt(cp.negative_branch[1])} (discarded)")
     print("\n".join(lines))
-    if args.out:
-        meta = _meta(eff)
-        doc = {"meta": meta,
-               "v_c": cp.v_c, "p_c": cp.p_c, "t_c": cp.t_c,
-               "negative_branch": cp.negative_branch,
-               "closed_form": closed}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_report(eff, v_c=cp.v_c, p_c=cp.p_c, t_c=cp.t_c,
+                 negative_branch=cp.negative_branch, closed_form=closed)
     return 0 if ok else 2
 
 
-def cmd_geodesic(args, eff, model) -> int:
-    if args.samples < 2:
+def cmd_geodesic(eff, model) -> int:
+    if eff["samples"] < 2:
         raise DomainError("need at least 2 samples")
-    init = GeodesicState(s=args.start_s, v=args.start_v,
-                         s_dot=args.start_sdot, v_dot=args.start_vdot)
-    traj = integrate_geodesic(model, init, args.t_end, tol=args.tol)
+    init = GeodesicState(s=eff["start_s"], v=eff["start_v"],
+                         s_dot=eff["start_sdot"], v_dot=eff["start_vdot"])
+    traj = integrate_geodesic(model, init, eff["t_end"], tol=eff["tol"])
     columns = ["t", "s", "v", "s_dot", "v_dot", "speed"]
-    ts = np.linspace(traj.times[0], traj.times[-1], args.samples)
+    # a run of one node, the start alone, is printed once
+    ts = np.linspace(traj.times[0], traj.times[-1],
+                     eff["samples"] if len(traj.times) > 1 else 1)
     rows = []
     for t, (s, v, s_dot, v_dot) in zip(ts.tolist(),
                                        traj.interpolant(ts).T.tolist()):
@@ -602,15 +601,14 @@ def cmd_geodesic(args, eff, model) -> int:
             speed = None
         rows.append([t, s, v, s_dot, v_dot, speed])
     pts = [(s, v) for _, s, v, *_ in rows]
-    meta = _meta(eff)
-    meta["termination"] = traj.termination.value
-    _emit_table(args, meta, columns, rows,
+    meta = {**_meta(eff), "termination": traj.termination.value}
+    _emit_table(eff.get("out"), meta, columns, rows,
                 lambda: _render_svg_polyline(meta, pts, "s", "v"),
                 [f"termination: {traj.termination.value}"])
     return 0
 
 
-def cmd_surface(args, eff, model) -> int:
+def cmd_surface(eff, model) -> int:
     def cell_values(st):
         metric = weinhold_metric(model, st)
         rp = radial_pairing(hessian_point_from_metric(metric))
@@ -621,7 +619,7 @@ def cmd_surface(args, eff, model) -> int:
             extra = ideal_conic_residual(metric, st.cp, model.params.r_gas)
         return rp.pairing, rp.kind, metric.det, extra
 
-    return _grid(args, eff, model,
+    return _grid(eff, model,
                  ["pairing", "radial_class", "cone_residual",
                   "model_surface_residual"], cell_values,
                  lambda pairing, kinds, det, extra: [
@@ -715,14 +713,11 @@ def _verify_checks(model, eff, rng, n_states):
             for name, tol in _VERIFY_TOLERANCES.items() if maxima[name]]
 
 
-def cmd_verify(args, eff, model) -> int:
-    if args.states < 1:
-        raise DomainError(f"need at least 1 state, got {args.states}")
-    eff["seed"] = args.seed
-    if eff["format"] == "svg":
-        raise DomainError("verify does not support svg output")
-    rng = np.random.default_rng(args.seed)
-    checks = _verify_checks(model, eff, rng, args.states)
+def cmd_verify(eff, model) -> int:
+    if eff["states"] < 1:
+        raise DomainError(f"need at least 1 state, got {eff['states']}")
+    rng = np.random.default_rng(eff["seed"])
+    checks = _verify_checks(model, eff, rng, eff["states"])
     failed = False
     lines = []
     for name, residual, tol in checks:
@@ -731,12 +726,8 @@ def cmd_verify(args, eff, model) -> int:
         lines.append(f"{name}: residual {residual:.3e} (tol {tol:.1e}) "
                      f"{'PASS' if ok else 'FAIL'}")
     print("\n".join(lines))
-    if args.out:
-        meta = _meta(eff)
-        doc = {"meta": meta,
-               "checks": [{"name": n, "residual": r, "tol": t,
-                           "pass": r <= t} for n, r, t in checks]}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_report(eff, checks=[{"name": n, "residual": r, "tol": t,
+                               "pass": r <= t} for n, r, t in checks])
     return 2 if failed else 0
 
 
@@ -756,7 +747,7 @@ def main(argv=None) -> int:
     try:
         eff = _effective_config(args)
         model = _build_model(eff)
-        return _DISPATCH[args.command](args, eff, model)
+        return _DISPATCH[eff["command"]](eff, model)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

@@ -10,9 +10,11 @@ Routes implemented:
 * ``elementary``: the coefficient-form expression through H, G, F, J.
 * ``model_closed``: the model's own closed form, its
   ``closed_curvature`` (ideal gas, van der Waals, the constant-cv family,
-  Berthelot), where it has one.  Berthelot's is 2a cv N over a positive
-  term, N = T^4V^4 rP + aT^2Vw^2(rV^2 - cv w^2) + 2a^2w^4 (w = V - b, P as
-  there): for a > 0, sign(R) = sign(N).
+  Berthelot), where it has one.  Berthelot's is derived from p and S: in
+  the (T, V) chart g = (cv/T) dT^2 - p_V dV^2, Maxwell's relation clearing
+  the cross term, and R = 2K = 2a N / (cv^2 T^3 V (rT^2V^3 - 2aw^2)^2),
+  N = T^4V^4 rP + aT^2Vw^2(rV^2 - cv w^2) + 2a^2w^4 (w = V - b,
+  P = (2cv - r)V^2 - 3cv bV + cv b^2): for a > 0, sign(R) = sign(N).
 
 A :func:`curvature_report` bundles every applicable route with the
 pairwise agreement residual, and the conformal bridge between the energy
@@ -260,11 +262,12 @@ def zero_curvature_classify(model: ConstitutiveModel) -> FlatnessClass:
 
 
 def berthelot_printed_closed_form(model: Berthelot, t: float, v: float) -> float:
-    """The long published polynomial form, kept verbatim for cross-checking.
-
-    Known to disagree with every other route away from special parameter
-    values; :func:`curvature_report` flags the mismatch instead of using it.
-    """
+    """The published polynomial form, kept verbatim; curvature_report flags
+    its mismatch.  Over the derived form's denominator (module docstring)
+    times cv its T^4 term is the derived one, but its T^2 and a^2 terms,
+    T^2V^3 raQ and a^2 W, are not a cv T^2Vw^2(rV^2 - cv w^2) and
+    2a^2 cv w^4.  Only the paper's abstract is at hand, so whether the
+    paper or the transcription errs is not checked."""
     q = model.params
     a, b, r = q.a, q.b, q.r_gas
     cv = q.cv0 + 2.0 * a / (v * t * t)

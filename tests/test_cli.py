@@ -3,6 +3,7 @@
 Everything goes through ``main(argv)`` so exit codes and emitted text are
 exercised exactly as a shell user would see them.
 """
+import argparse
 import csv
 import io
 import itertools
@@ -60,6 +61,9 @@ class TestArgumentErrors:
         ["curvature-grid", "--model", "bogus"],
         ["geodesic", "--start-v", "1.0"],  # --start-s is required
         ["curvature-grid", "--n", "many"],
+        # critical and verify print text whatever the format: no --format
+        ["critical", "--format", "svg", *VDW_FLAGS],
+        ["verify", "--format", "svg"],
     ])
     def test_bad_usage_exits_one(self, argv):
         with pytest.raises(SystemExit) as err:
@@ -80,8 +84,6 @@ class TestValidationFailures:
         ["curvature-grid", "--model", "vdw", "--a", "-1.0"],
         ["curvature-grid", "--config", "/nonexistent/cfg"],
         ["curvature-grid", "--model", "custom", "--cv", "2.0"],
-        ["critical", "--format", "svg", *VDW_FLAGS],
-        ["verify", "--format", "svg"],
     ])
     def test_returns_one_with_message(self, capsys, argv):
         rc, _, err = run(capsys, argv)
@@ -301,7 +303,21 @@ class TestGeodesic:
         meta, notes, rows = parse_csv(out)
         assert meta["termination"] == "locus_proximity"
         assert "termination: locus_proximity" in notes
-        assert [float(row["t"]) for row in rows] == [0.0, 0.0, 0.0]
+        assert [float(row["t"]) for row in rows] == [0.0]
+
+    @pytest.mark.parametrize("case", ["zero span", "guard band"])
+    def test_one_node_run_prints_one_row(self, capsys, vdw_model, case):
+        # a run that is its start alone prints the start once, whatever
+        # --samples asks for
+        s, v, t_end = ((2.5, 1.4, 0.0) if case == "zero span" else
+                       (locus_entropy(vdw_model, 1.2) + 1e-6, 1.2, 1.0))
+        rc, out, _ = run(capsys, [
+            "geodesic", *VDW_FLAGS, "--start-s", repr(s), "--start-v",
+            repr(v), "--start-sdot", "-0.3", "--t-end", repr(t_end)])
+        assert rc == 0
+        _, _, rows = parse_csv(out)
+        assert [(float(row["t"]), float(row["s"]), float(row["v"]))
+                for row in rows] == [(0.0, s, v)]
 
     def test_svg_output_is_xml(self, capsys):
         rc, out, _ = run(capsys, self.ARGV[:-2] + ["--format", "svg"])
@@ -562,6 +578,71 @@ class TestConfigPrecedence:
         meta, _, _ = parse_csv(out)
         assert meta["model"] == "ideal"
         assert float(meta["r_gas"]) == 1.0
+
+
+class TestEachCommandTakesWhatItReads:
+    """Each command takes only the flags it reads, and its header echoes
+    each of them, less the --out and --config paths."""
+
+    REQUIRED = {"geodesic": ["--start-s", "2.5", "--start-v", "1.4",
+                             "--t-end", "0.5", "--samples", "3"],
+                "curvature-grid": ["--n", "2"], "surface": ["--n", "2"],
+                "locus": ["--vmin", "0.3", "--vmax", "3", "--n", "2"],
+                "verify": ["--states", "2"]}
+    # what the run found, beside what it read
+    RESULTS = {"geodesic": {"termination"}}
+    # flag-command pairs that each command refuses
+    REFUSED = {
+        "locus": ["--chart", "--smin", "--smax"],
+        "critical": ["--chart", "--smin", "--smax", "--vmin", "--vmax", "--n",
+                     "--format"],
+        "geodesic": ["--chart", "--smin", "--smax", "--vmin", "--vmax",
+                     "--n"],
+        "verify": ["--chart", "--n", "--format"],
+    }
+    VALUES = {"--chart": "sv", "--n": "3", "--format": "csv"}
+
+    @staticmethod
+    def subparser(command):
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices[command]
+
+    @pytest.mark.parametrize("model", ["vdw", "custom"])
+    @pytest.mark.parametrize("command", ["curvature-grid", "surface", "locus",
+                                         "critical", "geodesic", "verify"])
+    def test_header_echoes_every_flag_read(self, capsys, tmp_path, command,
+                                           model):
+        cfg, target = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("u0 = 0.5\n")
+        gas = VDW_FLAGS if model == "vdw" else cases.CUSTOM
+        rc, _, _ = run(capsys, [command, *gas, *self.REQUIRED.get(command, []),
+                                "--config", str(cfg), "--out", str(target)])
+        assert rc == 0
+        text = target.read_text()
+        if command in ("critical", "verify"):
+            header = set(json.loads(text)["meta"])
+        else:
+            assert text.startswith(f"# thermogeom {thermogeom.__version__}\n")
+            header = set(parse_csv(text)[0]) | {"version"}
+        dests = {action.dest for action in self.subparser(command)._actions}
+        expected = (dests - {"help", "out", "config"}
+                    - ({"f1", "f2"} if model == "vdw" else set())
+                    | {"u0", "s0", "command", "version"}
+                    | self.RESULTS.get(command, set()))
+        assert {"model", "a", "b", "r_gas", "cv0"} <= dests
+        assert header == expected
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in REFUSED.items()
+        for flag in flags])
+    def test_flag_it_does_not_read_exits_one(self, capsys, command, flag):
+        argv = [command, *VDW_FLAGS, *self.REQUIRED.get(command, []),
+                flag, self.VALUES.get(flag, "1.0")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # a grid's axes: finite floats, with the extremes of the range

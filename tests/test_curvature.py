@@ -1,6 +1,7 @@
 """Curvature routes against frozen references and finite-difference geometry."""
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,6 +112,92 @@ class TestFrozenReferences:
 
     def test_no_discrepancy_for_vdw(self, vdw_model):
         assert not curvature_report(vdw_model, sv(2.5, 1.4)).discrepancy
+
+
+class TestBerthelotDerivation:
+    """The Berthelot curvature derived from p and S with sympy.
+
+    In the (T, V) chart the Weinhold metric is g = (cv/T) dT^2 - p_V dV^2:
+    its cross term, S_V - p_T, vanishes by Maxwell's relation.  R = 2K by
+    the orthogonal-coordinates formula is then a rational function."""
+
+    @pytest.fixture(scope="class")
+    def derived(self):
+        sp = pytest.importorskip("sympy")
+        t, v, a, b, r, c0 = sp.symbols("T V a b r c0", positive=True)
+        p = r * t / (v - b) - a / (t * v ** 2)
+        s = c0 * sp.log(t) + r * sp.log(v - b) - a / (v * t ** 2)
+        cv = sp.cancel(t * sp.diff(s, t))
+        e, g = cv / t, -sp.diff(p, v)
+        e_t, e_v, g_t, g_v = (sp.diff(e, t), sp.diff(e, v), sp.diff(g, t),
+                              sp.diff(g, v))
+        r1212 = (-(sp.diff(e, v, 2) + sp.diff(g, t, 2)) / 2
+                 + (e_t * g_t + e_v ** 2) / (4 * e)
+                 + (e_v * g_v + g_t ** 2) / (4 * g))
+        return SimpleNamespace(
+            sp=sp, t=t, v=v, a=a, b=b, r=r, c0=c0, p=p, s=s, cv=cv,
+            det=e * g, curvature=sp.cancel(2 * r1212 / (e * g)),
+            params={a: sp.Rational(3, 2), b: sp.Rational(1, 5), r: 2,
+                    c0: sp.Rational(5, 2)})
+
+    def test_maxwell_cross_term_vanishes(self, derived):
+        d = derived
+        assert d.sp.cancel(d.sp.diff(d.s, d.v) - d.sp.diff(d.p, d.t)) == 0
+
+    def test_closed_form_equals_the_derived_curvature(self, derived):
+        # R = 2a N / (cv^2 T^3 V (r T^2 V^3 - 2a w^2)^2), exactly, at
+        # rational states of both signatures
+        d, sp = derived, derived.sp
+        t, v, a, b, r, cv = d.t, d.v, d.a, d.b, d.r, d.cv
+        w = v - b
+        poly = (2 * cv - r) * v ** 2 - 3 * cv * b * v + cv * b ** 2
+        n = (t ** 4 * v ** 4 * r * poly + a * t ** 2 * v * w ** 2
+             * (r * v ** 2 - cv * w ** 2) + 2 * a ** 2 * w ** 4)
+        closed = 2 * a * n / (cv ** 2 * t ** 3 * v
+                              * (r * t ** 2 * v ** 3 - 2 * a * w ** 2) ** 2)
+        signs = set()
+        for x1, x2 in [(1, 2), (2, 5), (3, 1), ("1/2", 1), (1, "1/2"),
+                       ("1/3", 3)]:
+            at = {**d.params, t: sp.Rational(x1), v: sp.Rational(x2)}
+            assert d.curvature.subs(at) == closed.subs(at)
+            signs.add(sp.sign(d.det.subs(at)))
+        assert signs == {1, -1}
+        at = {**d.params, t: 1, v: 2}
+        assert float(d.curvature.subs(at)) == pytest.approx(1.4704, abs=1e-4)
+
+    def test_printed_form_differs_in_two_terms(self, derived):
+        # both forms over cv^3 T^3 V (r T^2 V^3 - 2a w^2)^2 / (2a), as
+        # polynomials in T with cv a free symbol: the T^4 terms agree, the
+        # T^2 and T^0 (a^2) terms do not
+        d, sp = derived, derived.sp
+        t, v, a, b, r = d.t, d.v, d.a, d.b, d.r
+        cv = sp.Symbol("cv", positive=True)
+        c0 = cv - 2 * a / (v * t ** 2)
+        model = SimpleNamespace(params=SimpleNamespace(a=a, b=b, r_gas=r,
+                                                       cv0=c0))
+        scale = (cv ** 3 * t ** 3 * v
+                 * (r * t ** 2 * v ** 3 - 2 * a * (v - b) ** 2) ** 2 / (2 * a))
+        printed = sp.nsimplify(berthelot_printed_closed_form(model, t, v),
+                               rational=True)
+        printed, ours = (sp.Poly(sp.cancel(x * scale), t) for x in (
+            printed, d.curvature.subs(d.c0, c0)))
+        same = [sp.expand(printed.coeff_monomial(t ** k)
+                          - ours.coeff_monomial(t ** k)) == 0
+                for k in (4, 2, 0)]
+        assert same == [True, False, False]
+        assert printed.monoms() == ours.monoms() == [(4,), (2,), (0,)]
+
+    def test_model_closed_form_agrees(self, derived, berthelot_model):
+        d, sp = derived, derived.sp
+        num, den = sp.fraction(sp.cancel(d.curvature.subs(d.params)))
+        rng = np.random.default_rng(8)
+        for t, v in zip(rng.uniform(0.2, 4.0, 36).tolist(),
+                        rng.uniform(0.3, 6.0, 36).tolist()):
+            at = {d.t: sp.Rational(t), d.v: sp.Rational(v)}
+            exact = float(num.subs(at) / den.subs(at))
+            got = berthelot_model.closed_curvature(
+                berthelot_model.derivative_stack(tv(t, v)))
+            assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 class TestRouteAgreement:
