@@ -24,9 +24,8 @@ operations give inf and NaN silently, as float arithmetic does.
 
 An event fires when its value goes from >= 0 at one node to <= 0 at the
 next; its time is the root of ``event(t, sol(t))`` on the step's
-interpolant by ``_brentq``, scipy's ``brentq.c`` transcribed, with rtol =
-4 EPS, 100 iterations at most and here xtol = 4 EPS.  ``critical_locus``
-refines its brackets with it at an xtol of 4 EPS times their larger end.
+interpolant by ``critical_locus._brentq``, scipy's ``brentq.c``
+transcribed, at xtol = 4 EPS.
 
 References: J. R. Dormand and P. J. Prince, J. Comput. Appl. Math. 6
 (1980) 19-26 (the pair); L. F. Shampine, Math. Comp. 46 (1986) 135-150
@@ -44,10 +43,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .critical_locus import _ROOT_RTOL, _brentq
+
 _EPS = np.finfo(float).eps
-# Brent's rtol, a float so that roots stay floats, and iteration limit
-_ROOT_RTOL = 4 * math.ulp(1.0)
-_ROOT_ITERATIONS = 100
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # Step-size controller: the error estimate is of order 4.
@@ -173,66 +171,6 @@ class _OdeSolution:
         out = np.empty_like(y)
         out[:, order] = y
         return out
-
-
-def _brentq(f, xa, xb, xtol, fab=None):
-    """Root of ``f`` bracketed by ``xa`` and ``xb``, transcribed from
-    scipy's ``brentq.c`` (Brent's method with inverse quadratic
-    extrapolation) with rtol = ``_ROOT_RTOL``; ``f`` takes and returns
-    floats.  ``fab``, when given, is (f(xa), f(xb)), already evaluated."""
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = (f(xpre), f(xcur)) if fab is None else fab
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_ROOT_ITERATIONS):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                pass  # C's infinite or NaN trial step fails the test below
-            else:
-                limit = 3 * abs(sbis) - delta
-                if abs(spre) < limit:
-                    limit = abs(spre)
-                short = 2 * abs(stry) < limit
-        if short:
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"Failed to converge after {_ROOT_ITERATIONS} "
-                       f"iterations, value is {xcur:f}")
 
 
 def _event_root(event, sol, t_old, t):

@@ -3,7 +3,9 @@
 Subcommands produce curvature grids, degeneracy-locus polylines,
 critical-point reports, geodesic traces, Hessian-surface classifications,
 and a verification suite, as CSV, JSON, or simple SVG.  Each command
-takes only the flags it reads.  Output is deterministic: fixed float
+takes only the flags it reads, and loads only what it uses: ``locus`` and
+``critical`` run on floats alone, and the grids, ``surface``, ``verify``
+and ``geodesic`` import numpy.  Output is deterministic: fixed float
 formatting, fixed row order, and a metadata header carrying the library
 version and every flag the run read (not the --out or --config path).
 
@@ -25,8 +27,6 @@ import re
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .critical_locus import (
     closed_form_critical_point,
@@ -47,6 +47,7 @@ from .eos_models import (
     StatePoint,
     VanDerWaals,
     choose,
+    float_grid,
     hessian_jet,
     make_model,
     parse_config_text,
@@ -244,13 +245,12 @@ def _grid_axes(eff: dict, model) -> tuple[list[float], list[float]]:
         warnings.append(f"clipping temperature minimum from {smin} to "
                         f"{clipped}")
         smin = clipped
-    with np.errstate(all="ignore"):  # an overflowing span gives inf, NaN
-        axes = [np.linspace(smin, smax, n), np.linspace(vmin, vmax, n)]
+    axes = [float_grid(smin, smax, n), float_grid(vmin, vmax, n)]
     for name, axis in zip(("t" if eff["chart"] == "tv" else "s", "v"), axes):
-        if not np.isfinite(axis).all():
+        if not all(map(math.isfinite, axis)):  # an overflowing span
             raise DomainError(f"{name} range is too wide: its grid overflows")
     sys.stderr.write("".join(f"warning: {w}\n" for w in warnings))
-    return [axis.tolist() for axis in axes]
+    return axes
 
 
 # What ends a command or one of its states: a state error or any other
@@ -272,6 +272,7 @@ def _each_state(model, chart, x1, x2, values):
     from one ``derivative_stack`` per state, where an error, raised by the
     stack (in_stack) or by ``values``, ends only its own state; an ended
     state repeats the first unended state's values (None if none is)."""
+    import numpy as np
     try:
         with np.errstate(**_NUMPY_RAISES):
             return values(model.array_stack(chart, x1, x2)), []
@@ -323,6 +324,7 @@ def _grid(eff: dict, model, columns, cell_values, fields, colour,
     values or a degeneracy marker; when every cell ended otherwise, it
     raises the first cell's error.
     """
+    import numpy as np
     x1s, x2s = _grid_axes(eff, model)
     chart = (Chart.TEMPERATURE_VOLUME if eff["chart"] == "tv"
              else Chart.ENTROPY_VOLUME)
@@ -560,7 +562,10 @@ def cmd_critical(eff, model) -> int:
         cp = critical_point(model, method=eff["method"])
         exact = closed_form_critical_point(model)
     except NoCriticalPoint as exc:
-        print(f"no critical point: {exc}")
+        message = f"no critical point: {exc}"
+        print(message)
+        _emit_report(eff, message=message, **dict.fromkeys(  # null results
+            ("v_c", "p_c", "t_c", "negative_branch", "closed_form")))
         return 0
     names, closed = ("V_c", "p_c", "T_c"), exact and exact[:3]
     lines = [f"{name} = {_fmt(x)}" for name, x in zip(names, cp)]
@@ -583,6 +588,7 @@ def cmd_critical(eff, model) -> int:
 
 
 def cmd_geodesic(eff, model) -> int:
+    import numpy as np
     if eff["samples"] < 2:
         raise DomainError("need at least 2 samples")
     init = GeodesicState(s=eff["start_s"], v=eff["start_v"],
@@ -619,6 +625,7 @@ def cmd_surface(eff, model) -> int:
             extra = ideal_conic_residual(metric, st.cp, model.params.r_gas)
         return rp.pairing, rp.kind, metric.det, extra
 
+    import numpy as np
     return _grid(eff, model,
                  ["pairing", "radial_class", "cone_residual",
                   "model_surface_residual"], cell_values,
@@ -672,6 +679,7 @@ def _verify_checks(model, eff, rng, n_states):
     ``n_states`` admissible draws.  A draw whose stack raises is skipped;
     a check that raises ends the run, and so does the first draw's error
     when no draw is admissible."""
+    import numpy as np
     s_lo, s_hi = eff["smin"], eff["smax"]
     v_lo, v_hi = eff["vmin"], eff["vmax"]
     if not (s_lo <= s_hi and v_lo <= v_hi and math.isfinite(s_hi - s_lo)
@@ -714,6 +722,7 @@ def _verify_checks(model, eff, rng, n_states):
 
 
 def cmd_verify(eff, model) -> int:
+    import numpy as np
     if eff["states"] < 1:
         raise DomainError(f"need at least 1 state, got {eff['states']}")
     rng = np.random.default_rng(eff["seed"])

@@ -11,7 +11,7 @@ fallback (natural-parameter continuation in volume, Allgower and Georg,
 locus tangent dS/dV = -det_V/det_S and corrected by Newton on det in
 entropy, and an entropy scan finds the first sample and any the corrector
 misses.  Every root search is one scan that stops at its first sign change
-and refines it by Brent's method (``_rk45._brentq``, as geodesic events do)
+and refines it by Brent's method (``_brentq``, which geodesic events share)
 to 4 EPS relative to the bracket, so no stopping test depends on the units:
 over entropy, and for dT/dV = 0 over 400 volumes of ``locus_dtdv`` or 200
 of the continued locus; without that root the locus is empty if dT/dV is 0
@@ -31,11 +31,9 @@ import enum
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from ._rk45 import _ROOT_RTOL, _brentq
 from .eos_models import (
     ConstitutiveModel,
+    float_grid,
     hessian_jet,
     jet_det,
     jet_det_s,
@@ -56,9 +54,12 @@ _CORRECTOR_STEPS = 30
 # Temperature window upper margin for the reduced cubics.
 _REDUCED_MARGIN = 1e-9
 
-# Entropy scan samples; polynomial Newton steps.
+# Entropy scan samples; polynomial Newton steps; Brent's rtol, a float so
+# that roots stay floats, and iteration limit.
 _SCAN_POINTS = 181
 _POLY_NEWTON_STEPS = 8
+_ROOT_RTOL = 4 * math.ulp(1.0)
+_ROOT_ITERATIONS = 100
 
 
 class LocusSample(NamedTuple):
@@ -153,6 +154,66 @@ def _first_root(f, xs, *, falling=False, refine=None):
     return None
 
 
+def _brentq(f, xa, xb, xtol, fab=None):
+    """Root of ``f`` bracketed by ``xa`` and ``xb``, transcribed from
+    scipy's ``brentq.c`` (Brent's method with inverse quadratic
+    extrapolation) with rtol = ``_ROOT_RTOL``; ``f`` takes and returns
+    floats.  ``fab``, when given, is (f(xa), f(xb)), already evaluated."""
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = (f(xpre), f(xcur)) if fab is None else fab
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_ROOT_ITERATIONS):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass  # C's infinite or NaN trial step fails the test below
+            else:
+                limit = 3 * abs(sbis) - delta
+                if abs(spre) < limit:
+                    limit = abs(spre)
+                short = 2 * abs(stry) < limit
+        if short:
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {_ROOT_ITERATIONS} "
+                       f"iterations, value is {xcur:f}")
+
+
 def _evaluates(f, x) -> bool:
     try:
         f(x)
@@ -165,6 +226,7 @@ def _polish_polynomial_root(coeffs, x0):
     # Accept Newton steps only while the residual shrinks: near multiple
     # roots both f and f' sit at rounding noise and an unguarded step can
     # kick a perfect root away.
+    import numpy as np
     deriv = np.polyder(coeffs)
     x = x0
     fx = np.polyval(coeffs, x)
@@ -183,9 +245,9 @@ def _polish_polynomial_root(coeffs, x0):
 
 
 def _real_roots(coeffs):
-    roots = np.roots(coeffs)
+    import numpy as np
     out = []
-    for z in roots:
+    for z in np.roots(coeffs):
         if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real)):
             out.append(_polish_polynomial_root(coeffs, float(z.real)))
     out.sort()
@@ -213,7 +275,7 @@ def locus_entropy(model: ConstitutiveModel, v: float) -> float:
 
 def _scan_locus_entropy(model, v, s_window):
     s = _first_root(lambda s: jet_det(*model._hessian(s, v)),
-                    np.linspace(*s_window, _SCAN_POINTS).tolist(),
+                    float_grid(*s_window, _SCAN_POINTS),
                     refine=lambda s: jet_det(*hessian_jet(model, s, v)[5:8]))
     if s is not None:
         return s
@@ -293,7 +355,7 @@ def _locus_volumes(model, v_range, n_samples) -> list[float]:
     b = model.covolume
     if vmin <= b:
         raise DomainError(f"volume range must sit above the covolume {b}")
-    return [float(v) for v in np.geomspace(vmin, vmax, n_samples)]
+    return float_grid(vmin, vmax, n_samples, geometric=True)
 
 
 def degeneracy_locus(model: ConstitutiveModel,
@@ -398,7 +460,7 @@ def critical_point(model: ConstitutiveModel, *,
             b = model.covolume
             v_window = (1.01 * b, 100.0 * b) if b > 0.0 else (1e-2, 1e2)
         v_c = _critical_volume(model.locus_dtdv,
-                               np.geomspace(*v_window, 400).tolist())
+                               float_grid(*v_window, 400, geometric=True))
         try:
             _, t_c, p_c = model.locus_state(v_c)
         except NoRoot as exc:
@@ -497,12 +559,12 @@ def vdw_volume_roots(kind: RootKind, value: float) -> VolumeRoots:
     if kind is RootKind.PRESSURE:
         if not 0.0 < value <= 1.0:
             raise DomainError(f"reduced pressure must lie in (0, 1], got {value}")
-        coeffs = np.array([value, 0.0, -3.0, 2.0])
+        coeffs = [value, 0.0, -3.0, 2.0]
     else:
         if not 0.0 < value <= 1.0 + _REDUCED_MARGIN:
             raise DomainError(
                 f"reduced temperature must lie in (0, 1], got {value}")
-        coeffs = np.array([4.0 * value, -9.0, 6.0, -1.0])
+        coeffs = [4.0 * value, -9.0, 6.0, -1.0]
 
     all_roots = _real_roots(coeffs)
     physical = tuple(v for v in all_roots if v > 1.0 / 3.0)
@@ -537,7 +599,7 @@ def coexistence_curve(model_kind: str, t_r_samples) -> CoexistenceCurve:
             if not 0.0 < t_r <= 1.0 + _REDUCED_MARGIN:
                 raise DomainError(
                     f"reduced temperature must lie in (0, 1], got {t_r}")
-            w_roots = _real_roots(np.array([2.0 * t_r, -3.0, 0.0, 1.0]))
+            w_roots = _real_roots([2.0 * t_r, -3.0, 0.0, 1.0])
             vols = tuple(w * w for w in w_roots if w > 1.0 / math.sqrt(3.0))
         else:
             raise DomainError(f"unknown model kind {model_kind!r}")

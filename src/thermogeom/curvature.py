@@ -27,8 +27,6 @@ import enum
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .eos_models import (
     FD_STEP_FIRST,
     Berthelot,
@@ -64,7 +62,7 @@ class CurvatureReport(NamedTuple):
     discrepancy: str | None = None
 
 
-def _ricci(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+def _ricci(dg, ginv):
     # riemann[l, i, j, k] = (1/4) sum over m, s, nn of
     #   (dg[i, j, m] dg[s, nn, k] - dg[s, nn, j] dg[k, i, m]) ginv[m, nn] ginv[l, s];
     # fourth-derivative terms cancel for Hessian metrics.  It is contracted
@@ -72,6 +70,7 @@ def _ricci(dg: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     # b[l, nn, k] = ginv[l, s] dg[s, nn, k]; ricci[i, k] contracts the upper
     # index against the first lower derivative slot.  A batch's cells ride
     # on the last axes, so numpy's inner loop runs over the cells.
+    import numpy as np
     a = np.einsum("ijm...,mn...->ijn...", dg, ginv)
     b = np.einsum("ls...,snk...->lnk...", ginv, dg)
     riem = 0.25 * (np.einsum("ijn...,lnk...->lijk...", a, b)
@@ -84,6 +83,7 @@ def scalar_curvature_tensorial(metric: MetricTensor2):
     float, or an array over a grid's cells.  The batched LAPACK inverse
     and contraction round each cell exactly as a single one.  A degenerate
     metric raises SingularState before the inverse is taken."""
+    import numpy as np
     checked_det(metric.e11, metric.e12, metric.e22, "metric not invertible")
     batch = np.broadcast(*metric).shape
     g = np.empty((2, 2) + batch)

@@ -48,9 +48,9 @@ Berthelot, else 1).
 
 One state or many
 -----------------
-``derivative_stack`` evaluates one state on plain Python floats.
-``array_stack`` evaluates many states in one pass, a flat list of them
-(``verify``'s samples) or two axes broadcast into a grid
+``derivative_stack`` evaluates one state on plain Python floats, and
+imports no numpy.  ``array_stack`` evaluates many states in one pass, a
+flat list of them (``verify``'s samples) or two axes broadcast into a grid
 (with the volume terms once per volume and the entropy terms once per
 entropy): the same formulas run on numpy arrays.  Every route of a state,
 curvature to Christoffel symbols, likewise takes floats or such arrays.
@@ -62,7 +62,8 @@ differently from the C library's ``exp``, ``log`` and ``pow`` in the last
 bit for a few percent of arguments.  So every transcendental and every
 ``**`` goes through :func:`libm_for`, whose array functions call the scalar
 libm function once per element, and a grid cell is bit-identical to the
-scalar route at that state.
+scalar route at that state.  The volume and entropy grids of the scalar
+commands follow the same rule (:func:`float_grid`).
 
 Over many states, a check raises when it fails at any of them, as it
 would at that one state.  The command then evaluates them again on the
@@ -74,14 +75,13 @@ benchmark's sweep jobs needs it.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .errors import (DomainError, NoCriticalPoint, NoRoot, SingularState,
                      UnsupportedModel)
@@ -240,7 +240,8 @@ def relative_det(e11, e12, e22):
     entries are first scaled exactly, by a power of two, to unit size.
     """
     a, b = abs(e11 * e22), e12 * e12
-    if isinstance(a, np.ndarray):
+    if type(a) is not float and is_array(a):
+        import numpy as np
         # max(a, b) elementwise, taking NaN as max() does
         scale = np.where(b > a, b, a)
         out = ratio_or_zero(e11 * e22 - e12 * e12, scale)
@@ -259,7 +260,8 @@ def relative_det(e11, e12, e22):
 
 def ratio_or_zero(num, den):
     """num / den where den > 0, else 0.0; elementwise over arrays."""
-    if isinstance(den, np.ndarray):
+    if type(den) is not float and is_array(den):
+        import numpy as np
         return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape),
                          where=den > 0.0)
     return num / den if den > 0.0 else 0.0
@@ -268,7 +270,8 @@ def ratio_or_zero(num, den):
 def choose(conditions, choices, default):
     """The choice of the first condition that holds, else ``default``;
     elementwise, as an object array, when a condition is an array."""
-    if any(isinstance(c, np.ndarray) for c in conditions):
+    if any(type(c) is not bool and is_array(c) for c in conditions):
+        import numpy as np
         return np.select(conditions, choices, default)
     for cond, choice in zip(conditions, choices):
         if cond:
@@ -285,29 +288,48 @@ class Libm(NamedTuple):
     sqrt: Callable
 
 
-def _per_element(fn):
-    def apply(x, *args):
-        return np.array(list(map(fn, x.ravel().tolist(),
-                                 *map(itertools.repeat, args)))
-                        ).reshape(x.shape)
-    return apply
-
-
 _FLOAT_LIBM = Libm(math.exp, math.log, operator.pow, math.sqrt)
-# IEEE 754 rounds sqrt correctly, so numpy's sqrt is the C library's
-_ARRAY_LIBM = Libm(_per_element(math.exp), _per_element(math.log),
-                   _per_element(operator.pow), np.sqrt)
+
+
+@functools.cache
+def _array_libm() -> Libm:  # built, importing numpy, for the first array
+    import numpy as np
+
+    def per_element(fn):
+        return lambda x, *args: np.array(list(map(fn, x.ravel().tolist(), *map(
+            itertools.repeat, args)))).reshape(x.shape)
+    # IEEE 754 rounds sqrt correctly, so numpy's sqrt is the C library's
+    return Libm(*map(per_element, (math.exp, math.log, operator.pow)), np.sqrt)
+
+
+def is_array(x) -> bool:
+    """Whether ``x`` is a numpy array, never importing numpy to tell."""
+    return isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ()))
 
 
 def libm_for(x) -> Libm:
     """The C library's functions for ``x``: themselves for a float, called
     once per element for an array (see the module docstring)."""
-    return _ARRAY_LIBM if isinstance(x, np.ndarray) else _FLOAT_LIBM
+    return (_array_libm() if type(x) is not float and is_array(x)
+            else _FLOAT_LIBM)
+
+
+def float_grid(start, stop, n: int, *, geometric=False) -> list[float]:
+    """``n`` >= 2 floats from ``start`` to ``stop`` as numpy's linspace rounds
+    them, i * step + start with the end pinned, or, ``geometric``, as its
+    geomspace of positive ends by the C library's log10 and pow."""
+    if geometric:
+        inner = float_grid(math.log10(start), math.log10(stop), n)[1:-1]
+        return [float(start), *[10.0 ** y for y in inner], float(stop)]
+    div, span = n - 1, stop - start
+    step = span / div  # if it rounds to 0, numpy scales i / div by the span
+    return [(i * step if step else i / div * span) + start
+            for i in range(div)] + [float(stop)]
 
 
 def anywhere(cond) -> bool:
     """Whether ``cond`` holds, for one state or for any cell of a grid."""
-    return cond.any() if isinstance(cond, np.ndarray) else cond
+    return cond.any() if type(cond) is not bool and is_array(cond) else cond
 
 
 def raise_where(cond, error, *args, **kwargs):
@@ -384,13 +406,13 @@ class ConstitutiveModel:
             return self._complete(*fields)
         return unchecked_stack(fields[:12])
 
-    def array_stack(self, chart: Chart, x1: np.ndarray,
-                    x2: np.ndarray) -> DerivativeStack:
+    def array_stack(self, chart: Chart, x1, x2) -> DerivativeStack:
         """The stacks at the states (x1, x2) of two broadcast arrays,
         flattened row-major, each equal to ``derivative_stack`` there.  It
         raises if any state fails a check, degeneracy included, and, under
         numpy's raising division and invalid flags, where the scalar route
         divides by zero."""
+        import numpy as np
         # StatePoint's checks, per state
         raise_where(~(np.isfinite(x1) & np.isfinite(x2) & (x2 > 0.0) & (
             (x1 > 0.0) if chart is Chart.TEMPERATURE_VOLUME else True)),
@@ -466,7 +488,8 @@ class ConstantCv(ConstitutiveModel):
     def volume_terms(self, v):
         """f1 and f2 with their three derivatives at v, eight values; over
         an array, one scalar evaluation per distinct volume, ascending."""
-        if isinstance(v, np.ndarray):
+        if type(v) is not float and is_array(v):
+            import numpy as np
             values, inverse = np.unique(v, return_inverse=True)
             table = np.array([self.volume_terms(x)
                               for x in values.tolist()]).reshape(-1, 8)
@@ -623,8 +646,8 @@ class Berthelot(ConstitutiveModel):
         return c, q.a / v, -c / q.cv0, q.cv0
 
     def _temperature_from_entropy(self, s, v):
-        if isinstance(s, np.ndarray):
-            return self._temperatures_from_entropy(s, np.asarray(v))
+        if type(s) is not float and is_array(s):
+            return self._temperatures_from_entropy(s, v)
         c, a_v, u, cv0 = self._log_t_start(s, v, math.log)
         if 0.0 < a_v < c:  # where the attraction balances c, f <= 0 too
             u = max(u, -0.5 * math.log(c / a_v))
@@ -636,30 +659,33 @@ class Berthelot(ConstitutiveModel):
                 return math.exp(u)
         raise DomainError(f"entropy inversion failed at S={s}, V={v}")
 
-    @np.errstate(invalid="ignore", over="ignore")  # silent, as for floats
     def _temperatures_from_entropy(self, s, v):
         # the float path, masked: a state leaves the active set as it stops
-        shape, libm = np.broadcast(s, v).shape, _ARRAY_LIBM
-        *start, cv0 = self._log_t_start(s, v, libm.log)
-        c, a_v, u = (np.broadcast_to(x, shape).flatten() for x in start)
-        up = (0.0 < a_v) & (a_v < c)
-        w = -0.5 * libm.log(c[up] / a_v[up])
-        u[up] = np.where(w > u[up], w, u[up])  # max(u, w), NaN included
-        t, live = np.empty(u.shape), np.arange(u.size)
-        for _ in range(200):
-            e, nz = np.zeros(u.shape), a_v != 0.0  # exp only where a_v != 0
-            e[nz] = libm.exp(-2.0 * u[nz])
-            u, stop = _log_t_step(c, a_v, cv0, u, e)
-            t[live[stop]] = u[stop]
-            live, c, a_v, u = (x[~stop] for x in (live, c, a_v, u))
-            if not live.size:
-                return libm.exp(t).reshape(shape)
+        import numpy as np
+        with np.errstate(invalid="ignore", over="ignore"):  # as for floats
+            v, libm = np.asarray(v), _array_libm()
+            shape = np.broadcast(s, v).shape
+            *start, cv0 = self._log_t_start(s, v, libm.log)
+            c, a_v, u = (np.broadcast_to(x, shape).flatten() for x in start)
+            up = (0.0 < a_v) & (a_v < c)
+            w = -0.5 * libm.log(c[up] / a_v[up])
+            u[up] = np.where(w > u[up], w, u[up])  # max(u, w), NaN included
+            t, live = np.empty(u.shape), np.arange(u.size)
+            for _ in range(200):
+                e, nz = np.zeros(u.shape), a_v != 0.0  # exp where a_v != 0
+                e[nz] = libm.exp(-2.0 * u[nz])
+                u, stop = _log_t_step(c, a_v, cv0, u, e)
+                t[live[stop]] = u[stop]
+                live, c, a_v, u = (x[~stop] for x in (live, c, a_v, u))
+                if not live.size:
+                    return libm.exp(t).reshape(shape)
         s, v = (np.broadcast_to(x, shape).flat[live[0]] for x in (s, v))
         raise DomainError(f"entropy inversion failed at S={s}, V={v}")
 
     def _fields(self, chart, x1, v):
         q = self.params
-        self._check_volume(v.min() if isinstance(v, np.ndarray) else v)
+        self._check_volume(
+            v.min() if type(v) is not float and is_array(v) else v)
         # a temperature-volume state carries T > 0 already
         tv = chart is _TV
         t = x1 if tv else self._temperature_from_entropy(x1, v)

@@ -34,9 +34,6 @@ import itertools
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import _rk45
 from .eos_models import (
     ConstitutiveModel,
     DerivativeStack,
@@ -179,6 +176,8 @@ def integrate_geodesic(model: ConstitutiveModel,
     epsilons); terminal events stop the run on domain exit or when the
     metric determinant falls under the locus guard band.
     """
+    import numpy as np
+    from . import _rk45
     if not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite, got {t_end}")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -292,7 +291,8 @@ def _termination(run, floor, reach, hessian_at) -> TerminationReason:
     if hessian is not None and (abs(relative_det(*hessian[:3]))
                                 <= 10.0 * LOCUS_GUARD_BAND):
         return TerminationReason.LOCUS_PROXIMITY
-    raise StepFailure(f"integration failed: {_rk45._TOO_SMALL_STEP}")
+    from ._rk45 import _TOO_SMALL_STEP
+    raise StepFailure(f"integration failed: {_TOO_SMALL_STEP}")
 
 
 def _trajectory(ts, ys, sol, termination, hessian_at) -> GeodesicTrajectory:

@@ -12,8 +12,6 @@ import enum
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .eos_models import (
     ConstantCv,
     ConstitutiveModel,
@@ -21,6 +19,7 @@ from .eos_models import (
     StatePoint,
     anywhere,
     choose,
+    is_array,
     is_degenerate,
     jet_det,
     stack_at,
@@ -182,7 +181,8 @@ def ruppeiner_metric(st: DerivativeStack) -> MetricTensor2:
     d111, d112, d121, d122, d221, d222 = d
     # against the largest partial, with no floor, so the check is
     # unit-free; over a grid's arrays, per cell
-    if isinstance(d111, np.ndarray):
+    if type(d111) is not float and is_array(d111):
+        import numpy as np
         scale = np.max(np.abs(d), axis=0)
     else:
         scale = max(abs(x) for x in d)

@@ -243,6 +243,23 @@ class TestCritical:
         assert rc == 0
         assert "no critical point" in out
 
+    @pytest.mark.parametrize("stale", [False, True])
+    def test_none_is_reported_to_out(self, capsys, tmp_path, stale):
+        # the report is written, over an earlier run's file too, with its
+        # result fields null and the printed message
+        target = tmp_path / "crit.json"
+        if stale:
+            run(capsys, ["critical", *VDW_FLAGS, "--out", str(target)])
+        rc, out, _ = run(capsys, ["critical", "--model", "ideal", "--out",
+                                  str(target)])
+        assert (rc, out) == (0, "no critical point: degeneracy locus is "
+                                "empty\n")
+        doc = json.loads(target.read_text())
+        assert doc["meta"]["model"] == "ideal"
+        assert doc["message"] == out.rstrip("\n")
+        assert [doc[k] for k in ("v_c", "p_c", "t_c", "negative_branch",
+                                 "closed_form")] == [None] * 5
+
     @pytest.mark.parametrize("model", ["vdw", "berthelot"])
     @pytest.mark.parametrize("a, b, message", [
         ("0", "0.2", "degeneracy locus is empty"),
@@ -905,6 +922,44 @@ def test_geodesics_load_no_scipy():
     assert done.returncode == 0, done.stderr
     for reason in GEODESIC_STOPS:
         assert f"# termination = {reason}\n" in done.stdout
+
+
+BERTHELOT_FLAGS = ["--model", "berthelot", "--a", "1.5", "--b", "0.2",
+                   "--r-gas", "2", "--cv", "2.5"]
+CUSTOM_FLAGS = ["--model", "custom", "--cv", "2.5", "--f1", "(V-0.2)^-0.8",
+                "--f2", "0.6/V"]
+# locus and critical, each method, for gases with and without closed forms
+NUMPY_FREE_RUNS = [
+    *[["locus", *gas, "--vmin", "0.3", "--vmax", "3", "--n", "12", *method]
+      for gas in (VDW_FLAGS, BERTHELOT_FLAGS, CUSTOM_FLAGS)
+      for method in ([], ["--method", "scan"])],
+    *[["critical", *gas, *method] for gas in (VDW_FLAGS, BERTHELOT_FLAGS)
+      for method in ([], ["--method", "numeric"])],
+]
+
+
+def test_locus_and_critical_run_without_numpy(capsys):
+    # the CLI imports no numpy, and locus and critical never need it: with
+    # numpy unimportable each prints, byte for byte, what it prints beside
+    # a loaded numpy
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "import thermogeom.cli",
+        "loaded = {'numpy', 'thermogeom._rk45'} & set(sys.modules)",
+        "assert not loaded, loaded",
+        "sys.modules['numpy'] = None",
+        "runs = []",
+        f"for argv in {NUMPY_FREE_RUNS!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "        runs.append([thermogeom.cli.main(argv), out.getvalue()])",
+        "print(json.dumps(runs))",
+    ])
+    done = _fresh_interpreter("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert "numpy" in sys.modules
+    assert json.loads(done.stdout) == [
+        [rc, out] for rc, out, _ in (run(capsys, argv)
+                                     for argv in NUMPY_FREE_RUNS)]
 
 
 def test_cli_import_loads_no_logging():

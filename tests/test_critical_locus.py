@@ -42,7 +42,7 @@ from thermogeom.curvature import (
 )
 from thermogeom._rk45 import _ROOT_RTOL, _brentq
 from thermogeom.eos_models import FD_STEP_FIRST, FD_STEP_SECOND, FD_STEP_THIRD
-from thermogeom.eos_models import hessian_jet, relative_det
+from thermogeom.eos_models import float_grid, hessian_jet, relative_det
 from thermogeom.errors import STATE_ERRORS
 from thermogeom.metric_core import signature_kind, weinhold_metric
 
@@ -158,7 +158,7 @@ class TestDegeneracyLocus:
         model = ConstantCv("(V-0.2)^-0.8", "(V-1)^4/12-0.005*V^2", cv=2.5)
         poly = degeneracy_locus(model, (0.5, 2.0), n_samples=9,
                                 method=method)
-        volumes = np.geomspace(0.5, 2.0, 9).tolist()
+        volumes = float_grid(0.5, 2.0, 9, geometric=True)
         assert [smp.v for smp in poly.samples] == volumes[:4] + volumes[5:]
         assert poly.note == ("parameterized by volume; no locus point at "
                              "1 of 9 volumes")
@@ -224,7 +224,7 @@ class TestSignAndExistence:
         model = SIGN_GASES[gas][0]()
         poly = degeneracy_locus(model, (0.5, 3.0), n_samples=16,
                                 method="scan")
-        volumes = np.geomspace(0.5, 3.0, 16).tolist()
+        volumes = float_grid(0.5, 3.0, 16, geometric=True)
         assert [smp.v for smp in poly.samples] == [
             v for v in volumes if self.sign(gas, v) > 0.0]
 

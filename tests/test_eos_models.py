@@ -1,5 +1,6 @@
 """Constitutive models: state functions, derivative stacks, chart changes."""
 import math
+import random
 import struct
 import warnings
 
@@ -26,6 +27,7 @@ from thermogeom.eos_models import (
     FD_STEP_SECOND,
     FD_STEP_THIRD,
     DerivativeStack,
+    float_grid,
     hessian_jet,
     make_model,
     parse_config_text,
@@ -706,3 +708,68 @@ def test_hessian_jet_makes_the_state_checks(s, v, message):
         StatePoint.entropy_volume(s, v)
     with pytest.raises(DomainError, match=message):
         hessian_jet(IdealGas(PARAMS), s, v)
+
+
+GRID_SIZES = (2, 3, 16, 40, 64, 181, 200, 400)  # the package's grid sizes
+
+
+def _windows(seed, positive):
+    """300 seeded (start, stop, n): ends of mixed magnitude and sign, or
+    positive and ascending, as volume windows are."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        a, b = (rng.uniform(0.1, 10.0) * 10.0 ** rng.randint(-3, 3)
+                for _ in range(2))
+        if not positive:
+            a, b = rng.choice((-1, 1)) * a, rng.choice((-1, 1)) * b
+        yield min(a, b), max(a, b), rng.choice(GRID_SIZES)
+
+
+def _bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+def _simd_power() -> bool:
+    """Whether numpy's float64 power or log10 runs a SIMD loop above its
+    baseline: numpy's geomspace then rounds otherwise than the C library's
+    pow and log10, which float_grid follows.  numpy before 2.0 cannot tell,
+    and is taken to."""
+    introspect = getattr(np.lib, "introspect", None)
+    return introspect is None or any(
+        not loop["current"].startswith("baseline")
+        for fn in introspect.opt_func_info(
+            func_name="^(power|log10)$", signature="float64.*").values()
+        for loop in fn.values())
+
+
+class TestFloatGrid:
+    """The volume and entropy grids are numpy's, computed on floats."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linspace_bit_for_bit(self, seed):
+        for start, stop, n in _windows(seed, positive=False):
+            assert _bits(float_grid(start, stop, n)) == _bits(
+                np.linspace(start, stop, n).tolist())
+
+    @pytest.mark.parametrize("start, stop, n", [
+        (0.0, 1.5e-323, 8),  # a step that rounds to zero
+        (2.5, 2.5, 5), (-3.0, 7.0, 2), (-50.0, 50.0, 181)])
+    def test_linspace_edges(self, start, stop, n):
+        assert _bits(float_grid(start, stop, n)) == _bits(
+            np.linspace(start, stop, n).tolist())
+
+    @pytest.mark.skipif(_simd_power(), reason="numpy's power and log10 run "
+                        "SIMD loops above its baseline here, which round "
+                        "otherwise than the C library; run with "
+                        "NPY_DISABLE_CPU_FEATURES set to the extensions "
+                        "above the baseline")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_geomspace_bit_for_bit(self, seed):
+        for start, stop, n in _windows(seed, positive=True):
+            assert _bits(float_grid(start, stop, n, geometric=True)) == (
+                _bits(np.geomspace(start, stop, n).tolist()))
+
+    def test_geomspace_pins_its_ends(self):
+        grid = float_grid(0.3, 3.0, 16, geometric=True)
+        assert (grid[0], grid[-1], len(grid)) == (0.3, 3.0, 16)
+        assert grid == sorted(grid)
