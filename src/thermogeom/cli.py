@@ -3,11 +3,12 @@
 Subcommands produce curvature grids, degeneracy-locus polylines,
 critical-point reports, geodesic traces, Hessian-surface classifications,
 and a verification suite, as CSV, JSON, or simple SVG.  Each command
-takes only the flags it reads, and loads only what it uses: ``locus`` and
-``critical`` run on floats alone, and the grids, ``surface``, ``verify``
-and ``geodesic`` import numpy.  Output is deterministic: fixed float
-formatting, fixed row order, and a metadata header carrying the library
-version and every flag the run read (not the --out or --config path).
+takes only the flags it reads, each gas only the parameters it reads, and
+a command loads only what it uses: ``locus`` and ``critical`` run on
+floats alone, and the grids, ``surface``, ``verify`` and ``geodesic``
+import numpy.  Output is deterministic: fixed float formatting, fixed row
+order, and a metadata header carrying the library version and every flag
+and parameter the run read (not the --out or --config path).
 
 Exit codes: 0 success, 1 a bad request (flags, parameters, window, or a
 state outside the domain) or one too large for memory, 2 verification
@@ -40,6 +41,7 @@ from .curvature import (
     ruppeiner_from_weinhold,
 )
 from .eos_models import (
+    GASES,
     Chart,
     ConstantCv,
     GasParameters,
@@ -62,7 +64,6 @@ from .errors import (
     SingularState,
     ThermogeomError,
 )
-from .expressions import as_smooth
 from .geodesics import (
     GeodesicState,
     _speed,
@@ -98,6 +99,10 @@ _FLAGS = {
 }
 _GRID_FLAGS = ("--chart", "--smin", "--smax", "--vmin", "--vmax", "--n",
                "--format", "--out")
+# the keys each --model reads: a named gas its class's, the custom one these
+_READS = {**{name: gas.reads for name, gas in GASES.items()},
+          "custom": ("cv0", "u0", "f1", "f2")}
+_MODEL_KEYS = {key for keys in _READS.values() for key in keys}
 
 
 def _fmt(x) -> str:
@@ -134,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = _Parser(add_help=False)
     grp = common.add_argument_group("model")
-    grp.add_argument("--model", choices=["ideal", "vdw", "berthelot",
-                                         "custom"])
+    grp.add_argument("--model", choices=list(_READS))
     grp.add_argument("--a", type=float, help="attraction parameter")
     grp.add_argument("--b", type=float, help="covolume")
     grp.add_argument("--r-gas", dest="r_gas", type=float, help="gas constant")
@@ -193,26 +197,30 @@ def build_parser() -> argparse.ArgumentParser:
 # configuration and model assembly
 
 def _effective_config(args) -> dict:
-    """The run's one configuration record: the model defaults, then the
-    ``--config`` file, then every value the command's parser gave, a flag
-    or its default."""
-    eff = {"model": "ideal", **asdict(GasParameters())}
+    """The run's one configuration record: the ``--config`` file, then each
+    value the command's parser gave, over the defaults of what the model
+    reads.  A model key it does not read, from either, is a bad request."""
+    given = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            eff.update(parse_config_text(fh.read()))
-    eff.update((k, v) for k, v in vars(args).items() if v is not None)
-    return eff
+            given.update(parse_config_text(fh.read()))
+    given.update((k, v) for k, v in vars(args).items() if v is not None)
+    reads = _READS[given.setdefault("model", "ideal")]
+    if stray := [k for k in given if k in _MODEL_KEYS and k not in reads]:
+        raise DomainError(f"the {given['model']} gas reads only "
+                          f"{', '.join(reads)}, not {stray[0]}")
+    defaults = asdict(GasParameters())
+    return {**{k: defaults[k] for k in reads if k in defaults}, **given}
 
 
 def _build_model(eff: dict):
-    params = GasParameters(a=eff["a"], b=eff["b"], r_gas=eff["r_gas"],
-                           cv0=eff["cv0"], u0=eff["u0"], s0=eff["s0"])
+    params = GasParameters(**{k: v for k, v in eff.items()
+                              if k in GasParameters.__dataclass_fields__})
     if eff["model"] == "custom":
         if not eff.get("f1"):
             raise DomainError("--model custom requires --f1")
-        f2 = as_smooth(eff["f2"]) if eff.get("f2") else None
-        return ConstantCv(as_smooth(eff["f1"]), f2, cv=eff["cv0"],
-                          u0=eff["u0"])
+        return ConstantCv(eff["f1"], eff.get("f2") or None, cv=params.cv0,
+                          u0=params.u0)
     return make_model(eff["model"], params)
 
 

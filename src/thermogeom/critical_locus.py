@@ -346,13 +346,14 @@ def _locus_points(point_at, volumes):
     return points, len(missing)
 
 
-def _locus_volumes(model, v_range, n_samples) -> list[float]:
+def _locus_volumes(v_range, n_samples, b=0.0) -> list[float]:
+    """``n_samples`` volumes spaced geometrically over ``v_range``, a finite
+    positive window whose lower end lies above the covolume ``b``."""
     vmin, vmax = v_range
     if not 0.0 < vmin < vmax < math.inf:
         raise DomainError(f"bad volume range {v_range}")
     if n_samples < 2:
         raise DomainError("need at least two samples")
-    b = model.covolume
     if vmin <= b:
         raise DomainError(f"volume range must sit above the covolume {b}")
     return float_grid(vmin, vmax, n_samples, geometric=True)
@@ -376,7 +377,7 @@ def degeneracy_locus(model: ConstitutiveModel,
     how many are; when no volume has one, the first NoRoot is raised.
     """
     _check_method(method, ("auto", "scan"))
-    volumes = _locus_volumes(model, v_range, n_samples)
+    volumes = _locus_volumes(v_range, n_samples, model.covolume)
     closed = method == "auto" and model.locus_state is not None
     if closed:
         samples, missing = _locus_points(
@@ -447,8 +448,8 @@ def critical_point(model: ConstitutiveModel, *,
     one (the van der Waals and Berthelot gases); ``method="numeric"``
     forces the derivative-root path (used to cross-check the closed forms).
     A model with a closed-form locus solves its ``locus_dtdv`` = 0 over
-    ``v_window``; any other continues the locus over it and solves
-    dT/dV = e11 dS/dV + e12 = 0 along it from the stack partials.
+    ``v_window``, 0 < vmin < vmax < inf; any other continues the locus over
+    it and solves dT/dV = e11 dS/dV + e12 = 0 from the stack partials.
     """
     _check_method(method, ("auto", "numeric"))
     if method == "auto":
@@ -459,8 +460,7 @@ def critical_point(model: ConstitutiveModel, *,
         if v_window is None:
             b = model.covolume
             v_window = (1.01 * b, 100.0 * b) if b > 0.0 else (1e-2, 1e2)
-        v_c = _critical_volume(model.locus_dtdv,
-                               float_grid(*v_window, 400, geometric=True))
+        v_c = _critical_volume(model.locus_dtdv, _locus_volumes(v_window, 400))
         try:
             _, t_c, p_c = model.locus_state(v_c)
         except NoRoot as exc:
@@ -480,8 +480,8 @@ def critical_point(model: ConstitutiveModel, *,
             return math.nan
         return last.e12 - last.e11 * last.det_v / last.det_s
 
-    v_c = _critical_volume(
-        dtdv, _locus_volumes(model, v_window or (1e-2, 1e2), 200))
+    v_c = _critical_volume(dtdv, _locus_volumes(v_window or (1e-2, 1e2), 200,
+                                                model.covolume))
     stack = _locus_stack(model, v_c, s_window, last)
     return _critical(model, v_c, stack.p, stack.t)
 

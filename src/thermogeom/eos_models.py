@@ -16,7 +16,8 @@ in the temperature-volume chart and builds the same stack through the chain
 rule; an entropy-volume state first inverts S(T, V) = s by Newton in log T,
 masked over the states of an array.  ``NumericEnergy`` wraps an
 arbitrary U(S, V) callback with central finite differences or a
-user-supplied analytic derivative callback.
+user-supplied analytic derivative callback.  ``GASES`` is the one list of
+the named gases, and each lists in ``reads`` the GasParameters it reads.
 
 The first 12 of ``_fields`` are the Hessian jet: S, V, U, T, p, the Hessian
 and third partials.  A checked ``derivative_stack`` is ``_complete`` of
@@ -144,7 +145,7 @@ def hessian_jet(model: ConstitutiveModel, s: float, v: float) -> tuple:
 
 @dataclass(frozen=True)
 class GasParameters:
-    """Model constants shared by the named gas models."""
+    """Model constants of the named gas models; each reads its ``reads``."""
 
     a: float = 0.0
     b: float = 0.0
@@ -569,6 +570,7 @@ class IdealGas(ConstantCv):
 
     name = "ideal"
     covolume = 0.0
+    reads = ("r_gas", "cv0", "u0", "s0")
 
     def __init__(self, params: GasParameters):
         self.params = params
@@ -584,6 +586,7 @@ class VanDerWaals(ConstantCv):
     """Van der Waals gas: f1 = (V-b)^(-r_gas/cv0), f2 = a/(cv0 V)."""
 
     name = "vdw"
+    reads = ("a", "b", "r_gas", "cv0", "u0", "s0")
 
     def __init__(self, params: GasParameters):
         self.params = params
@@ -629,6 +632,7 @@ class Berthelot(ConstitutiveModel):
     derivative_stack = ConstitutiveModel.derivative_stack
     square_root_locus = True
     entropy_scale = property(lambda self: self.params.cv0)
+    reads = ("a", "b", "r_gas", "cv0", "u0", "s0")
 
     def __init__(self, params: GasParameters):
         self.params = params
@@ -875,11 +879,9 @@ class NumericEnergy(ConstitutiveModel):
 
 
 # ---------------------------------------------------------------------------
-# Config-file loading
+# The named gases, by name, and config-file loading
 
-_MODEL_NAMES = ("ideal", "vdw", "berthelot")
-
-_PARAM_KEYS = {"a", "b", "r_gas", "cv0", "u0", "s0"}
+GASES = {"ideal": IdealGas, "vdw": VanDerWaals, "berthelot": Berthelot}
 
 
 def parse_config_text(text: str) -> dict:
@@ -893,11 +895,11 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {ln}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "model":
-            if value not in _MODEL_NAMES:
-                raise ValueError(
-                    f"line {ln}: unknown model {value!r}, expected one of {_MODEL_NAMES}")
+            if value not in GASES:
+                raise ValueError(f"line {ln}: unknown model {value!r}, "
+                                 f"expected one of {tuple(GASES)}")
             out[key] = value
-        elif key in _PARAM_KEYS:
+        elif key in GasParameters.__dataclass_fields__:
             try:
                 out[key] = float(value)
             except ValueError:
@@ -908,10 +910,6 @@ def parse_config_text(text: str) -> dict:
 
 
 def make_model(name: str, params: GasParameters) -> ConstitutiveModel:
-    if name == "ideal":
-        return IdealGas(params)
-    if name == "vdw":
-        return VanDerWaals(params)
-    if name == "berthelot":
-        return Berthelot(params)
-    raise ValueError(f"unknown model {name!r}, expected one of {_MODEL_NAMES}")
+    if name not in GASES:
+        raise ValueError(f"unknown model {name!r}, expected one of {tuple(GASES)}")
+    return GASES[name](params)

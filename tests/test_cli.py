@@ -625,15 +625,30 @@ class TestEachCommandTakesWhatItReads:
                       if isinstance(a, argparse._SubParsersAction))
         return action.choices[command]
 
-    @pytest.mark.parametrize("model", ["vdw", "custom"])
+    # each gas's flags, and the parameters it reads: a flag's dest or a
+    # config key
+    GASES = {"ideal": cases.IDEAL, "vdw": VDW_FLAGS,
+             "berthelot": cases.BERTHELOT, "custom": cases.CUSTOM}
+    GAS_READS = {"ideal": {"r_gas", "cv0", "u0", "s0"},
+                 "vdw": {"a", "b", "r_gas", "cv0", "u0", "s0"},
+                 "berthelot": {"a", "b", "r_gas", "cv0", "u0", "s0"},
+                 "custom": {"cv0", "u0", "f1", "f2"}}
+    # gas-flag pairs that each gas refuses, and gas-config-key pairs
+    GAS_REFUSED = {"ideal": ["--a", "--b", "--f1", "--f2"],
+                   "vdw": ["--f1", "--f2"], "berthelot": ["--f1", "--f2"],
+                   "custom": ["--a", "--b", "--r-gas"]}
+    CONFIG_REFUSED = {"ideal": ["a", "b"],
+                      "custom": ["a", "b", "r_gas", "s0"]}
+
+    @pytest.mark.parametrize("model", list(GASES))
     @pytest.mark.parametrize("command", ["curvature-grid", "surface", "locus",
                                          "critical", "geodesic", "verify"])
     def test_header_echoes_every_flag_read(self, capsys, tmp_path, command,
                                            model):
         cfg, target = tmp_path / "run.cfg", tmp_path / "out"
         cfg.write_text("u0 = 0.5\n")
-        gas = VDW_FLAGS if model == "vdw" else cases.CUSTOM
-        rc, _, _ = run(capsys, [command, *gas, *self.REQUIRED.get(command, []),
+        rc, _, _ = run(capsys, [command, *self.GASES[model],
+                                *self.REQUIRED.get(command, []),
                                 "--config", str(cfg), "--out", str(target)])
         assert rc == 0
         text = target.read_text()
@@ -643,12 +658,39 @@ class TestEachCommandTakesWhatItReads:
             assert text.startswith(f"# thermogeom {thermogeom.__version__}\n")
             header = set(parse_csv(text)[0]) | {"version"}
         dests = {action.dest for action in self.subparser(command)._actions}
-        expected = (dests - {"help", "out", "config"}
-                    - ({"f1", "f2"} if model == "vdw" else set())
-                    | {"u0", "s0", "command", "version"}
+        gas_dests = {"a", "b", "r_gas", "cv0", "f1", "f2"}
+        assert gas_dests | {"model"} <= dests
+        expected = (dests - {"help", "out", "config"} - gas_dests
+                    | self.GAS_READS[model] | {"command", "version"}
                     | self.RESULTS.get(command, set()))
-        assert {"model", "a", "b", "r_gas", "cv0"} <= dests
         assert header == expected
+
+    @pytest.mark.parametrize("model, flag", [
+        (model, flag) for model, flags in GAS_REFUSED.items()
+        for flag in flags])
+    def test_flag_its_gas_does_not_read_exits_one(self, capsys, model, flag):
+        value = "V" if flag in ("--f1", "--f2") else "0.5"
+        rc, out, err = run(capsys, ["locus", *self.GASES[model],
+                                    *self.REQUIRED["locus"], flag, value])
+        assert (rc, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: the {model} gas reads only ")
+        assert err.endswith(f", not {flag[2:].replace('-', '_')}\n")
+
+    @pytest.mark.parametrize("model, key", [
+        (model, key) for model, keys in CONFIG_REFUSED.items()
+        for key in keys])
+    def test_config_key_its_gas_does_not_read_exits_one(self, capsys,
+                                                        tmp_path, model, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0.5\n")
+        rc, out, err = run(capsys, ["locus", *self.GASES[model],
+                                    *self.REQUIRED["locus"],
+                                    "--config", str(cfg)])
+        assert (rc, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: the {model} gas reads only ")
+        assert err.endswith(f", not {key}\n")
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, flags in REFUSED.items()

@@ -232,24 +232,20 @@ def test_verify_without_states_exits_one(capsys, states):
 IDEAL_B = ["--model", "ideal", "--b", "0.5"]
 
 
-def test_ideal_gas_ignores_the_covolume_flag(capsys):
-    # the ideal gas's f1 = V^(-r/cv) has no shift: --b sets no volume floor
-    rc, out, err = run(capsys, ["curvature-grid", *IDEAL_B, "--vmin", "0.3",
-                                "--vmax", "1.3", "--n", "2"])
-    assert (rc, err) == (0, "")
-    rows = [line.split(",") for line in out.splitlines()
-            if not line.startswith("#")][1:]
-    assert sorted({float(row[1]) for row in rows}) == [0.3, 1.3]
-    assert all(row[-1] == "positive_definite" for row in rows)
-
-    rc, out, err = run(capsys, ["locus", *IDEAL_B, "--vmin", "0.3"])
-    assert (rc, err) == (0, "empty locus\n")
-
-    rc, out, err = run(capsys, ["geodesic", *IDEAL_B, "--start-s", "1.5",
-                                "--start-v", "0.4", "--start-vdot", "0.1",
-                                "--t-end", "1", "--samples", "3"])
-    assert (rc, err) == (0, "")
-    assert "# termination = completed" in out
+@pytest.mark.parametrize("argv", [
+    ["curvature-grid", *IDEAL_B, "--vmin", "0.3", "--vmax", "1.3", "--n", "2"],
+    ["locus", *IDEAL_B, "--vmin", "0.3"],
+    ["geodesic", *IDEAL_B, "--start-s", "1.5", "--start-v", "0.4",
+     "--start-vdot", "0.1", "--t-end", "1", "--samples", "3"],
+])
+def test_ideal_gas_refuses_the_covolume_flag(capsys, argv):
+    # the ideal gas's f1 = V^(-r/cv) has no shift and reads no b: a --b is
+    # refused before any work, and the library's IdealGas sets no volume
+    # floor whatever its b (tests/test_eos_models.py, TestEachGasReads)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert one_line(err) == ("error: the ideal gas reads only r_gas, cv0, "
+                             "u0, s0, not b")
 
 
 VDW = ["--model", "vdw", "--a", "1.5", "--b", "0.2", "--r-gas", "2",

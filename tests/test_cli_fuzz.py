@@ -1,7 +1,8 @@
 """Fuzzing of the command line over its flags and the expression grammar.
 
 Every generated command line is well-formed for the parser, each command
-given only the flags it takes, so each run reaches a subcommand.  Whatever
+given only the flags it takes and each gas only the parameters it reads,
+so each run reaches a subcommand.  Whatever
 the values, a run must end in a documented exit code; a failure (1 or 3)
 must print one message line on stderr, after at most some ``warning:``
 lines, and never a traceback; and a second run must print the same bytes.
@@ -72,17 +73,21 @@ READS = {
     "verify": ("smin", "vmin"),
 }
 
+# the gas flags each model reads
+GAS_READS = {"ideal": ("r-gas", "cv"), "vdw": ("a", "b", "r-gas", "cv"),
+             "berthelot": ("a", "b", "r-gas", "cv"), "custom": ("cv",)}
+
 
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(list(READS)))
     reads = READS[command]
-    model = draw(st.sampled_from(["ideal", "vdw", "berthelot", "custom"]))
+    model = draw(st.sampled_from(list(GAS_READS)))
     argv = [command, "--model", model]
     if model == "custom":
         argv += draw(_flag("f1", EXPRESSIONS))
         argv += draw(_optional("f2", EXPRESSIONS))
-    for name in ("a", "b", "r-gas", "cv"):
+    for name in GAS_READS[model]:
         argv += draw(_optional(name, POSITIVE))
     # a window is mostly ordered
     for lo, hi, start in (("smin", "smax", NUMBERS),

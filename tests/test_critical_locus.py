@@ -1,4 +1,6 @@
 """Degeneracy locus, critical points, reduced curves, cubic root machinery."""
+import functools
+import itertools
 import math
 import random
 
@@ -310,6 +312,87 @@ class TestBerthelotSignAndPole:
 # models with a closed-form locus and critical point
 MODELS = {"vdw": lambda: VanDerWaals(PARAMS), "custom": custom_vdw,
           "berthelot": lambda: Berthelot(PARAMS)}
+
+
+def _det3(e11, e12, e22, c111, c112, c122, c222):
+    return (e11 * (c112 * c222 - c122 * c122)
+            - e12 * (c111 * c222 - c112 * c122)
+            + e22 * (c111 * c122 - c112 * c112))
+
+
+def _toward_locus(model, v, side, target):
+    """The entropy at which |relative det| first reaches ``target`` going
+    from the locus point at volume v along S, to S's rounding: below the
+    locus (side -1) or above it (side 1)."""
+    s_star = locus_entropy(model, v)
+
+    def reached(h):
+        jet = hessian_jet(model, s_star + side * h, v)
+        return abs(relative_det(*jet[5:8])) >= target
+    lo, hi = 0.0, 1e-12 * max(1.0, abs(s_star))
+    while not reached(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return s_star + side * hi
+
+
+@functools.cache
+def _singular_approach():
+    """Each route's relative error in R det^2 against -det3/2 as S
+    approaches the locus at V = 0.5, 1 and 2 from either side: records
+    (gas, v, side, relative det, {route: error})."""
+    records = []
+    for gas, v, side, target in itertools.product(
+            sorted(MODELS), (0.5, 1.0, 2.0), (-1, 1), SINGULAR_TARGETS):
+        model = MODELS[gas]()
+        s = _toward_locus(model, v, side, target)
+        metric, *routes = curvature_routes(model,
+                                           model.derivative_stack(sv(s, v)))
+        det = metric.e11 * metric.e22 - metric.e12 * metric.e12
+        want = -0.5 * _det3(*metric)
+        assert abs(relative_det(*metric[:3])) == pytest.approx(target,
+                                                               rel=1e-6)
+        records.append((gas, v, side, target, {
+            route: abs(r * det * det - want) / abs(want)
+            for route, r in zip(ROUTES, routes)}))
+    return records
+
+
+# relative determinants from 1e-1 to 1e-8, and 2e-9, just outside
+# SINGULAR_BAND
+SINGULAR_TARGETS = (*(10.0 ** -k for k in range(1, 9)), 2e-9)
+
+
+class TestSingularBehaviour:
+    """The paper's singular behaviour of the curvature at the phase
+    boundary: R = -det3/(2 det^2), so R det^2 tends to -det3/2 on the
+    locus.  closed2d is that formula; the other routes reach it with an
+    error that grows as det shrinks."""
+
+    # per route, the largest relative det at which its error exceeds 1e-8
+    # at some approach (None: at none down to 2e-9), as README's list of
+    # curvature routes gives them
+    BREAKDOWN = {"r_tensorial": 1e-8, "r_closed2d": None,
+                 "r_elementary": 1e-8, "r_model_closed": 1e-7}
+
+    def test_closed2d_is_the_formula_to_rounding(self):
+        for *where, errors in _singular_approach():
+            assert errors["r_closed2d"] <= 4.0 * math.ulp(1.0), where
+
+    def test_every_route_agrees_down_to_1e_minus_6(self):
+        for gas, v, side, target, errors in _singular_approach():
+            if target >= 1e-6:
+                for route, error in errors.items():
+                    assert error <= 1e-8, (gas, v, side, target, route)
+
+    def test_each_route_breaks_down_where_recorded(self):
+        worst = dict.fromkeys(ROUTES)
+        for *_, target, errors in _singular_approach():
+            for route, error in errors.items():
+                if error > 1e-8 and (worst[route] or 0.0) < target:
+                    worst[route] = target
+        assert worst == self.BREAKDOWN
 
 
 class TestLocusContinuation:
@@ -631,6 +714,30 @@ class TestCriticalPoints:
         numeric = critical_point(vdw_model, method="numeric",
                                  v_window=(0.5 * params.b, 10.0 * params.b))
         assert numeric.v_c == pytest.approx(3.0 * params.b, rel=1e-10)
+
+    @pytest.mark.parametrize("window", [
+        (3.0, 0.3), (0.0, 2.0), (-1.0, 2.0), (0.3, math.inf), (0.3, math.nan),
+    ], ids=["reversed", "zero", "negative", "infinite", "nan"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_numeric_paths_refuse_one_bad_window_alike(self, name, window):
+        # the closed-locus path checks the window as the generic one does:
+        # a reversed or non-finite window used to read as a monotone locus,
+        # and one from V <= 0 raised a bare math domain error
+        with pytest.raises(DomainError) as closed:
+            critical_point(MODELS[name](), method="numeric", v_window=window)
+        with pytest.raises(DomainError) as generic:
+            critical_point(NumericEnergy(vdw_energy, scheme=vdw_partials),
+                           v_window=window)
+        assert str(closed.value) == str(generic.value) == (
+            f"bad volume range {window}")
+
+    @pytest.mark.parametrize("name, v_c", [
+        ("vdw", "0x1.3333333333333p-1"), ("berthelot", "0x1.3333333333336p-1"),
+        ("custom", "0x1.3333333333332p-1")])
+    def test_numeric_critical_volume_of_a_valid_window(self, name, v_c):
+        cp = critical_point(MODELS[name](), method="numeric",
+                            v_window=(0.3, 3.0))
+        assert cp.v_c.hex() == v_c
 
     def test_vdw_locus_temperature_peaks_at_critical_volume(self, vdw_model):
         cp = critical_point(vdw_model)

@@ -1,4 +1,5 @@
 """Constitutive models: state functions, derivative stacks, chart changes."""
+import dataclasses
 import math
 import random
 import struct
@@ -26,6 +27,7 @@ from thermogeom.eos_models import (
     FD_STEP_FIRST,
     FD_STEP_SECOND,
     FD_STEP_THIRD,
+    GASES,
     DerivativeStack,
     float_grid,
     hessian_jet,
@@ -627,6 +629,69 @@ class TestConfigHandling:
     def test_make_model_unknown_name(self):
         with pytest.raises(ValueError):
             make_model("nope", PARAMS)
+
+
+def _seeded_states(n):
+    """(S, V) states, admissible for each named gas of TestEachGasReads,
+    its parameters perturbed or not."""
+    rng = random.Random(7)
+    return [(rng.uniform(1.0, 4.0), rng.uniform(0.6, 3.0)) for _ in range(n)]
+
+
+class TestEachGasReads:
+    """Each named gas's ``reads`` is exactly what it reads: a field it does
+    not list leaves every stack field, the covolume and each closed-form
+    hook unchanged, bit for bit, and each field it lists changes a stack
+    field somewhere."""
+
+    BASE = GasParameters(a=1.5, b=0.2, r_gas=2.0, cv0=2.5, u0=0.3, s0=0.1)
+    STATES = _seeded_states(12)
+    VOLUMES = (0.3, 0.6, 1.1, 2.7)
+
+    @staticmethod
+    def outcome(f, *args):
+        """What ``f(*args)`` gives, each float as its bits, or raises."""
+        try:
+            value = f(*args)
+        except Exception as exc:  # the hook's error is part of its outcome
+            return type(exc).__name__, str(exc)
+        return repr(value if not isinstance(value, float) else value.hex())
+
+    def reading(self, model):
+        """Each stack field's bits at every state, the covolume, and each
+        closed-form hook the gas has, at each state or volume."""
+        stacks = [model.derivative_stack(sv(s, v)) for s, v in self.STATES]
+        out = {"stack": [tuple(map(float.hex, st)) for st in stacks],
+               "covolume": model.covolume.hex()}
+        for hook in ("closed_curvature", "det_split"):
+            if getattr(model, hook) is not None:
+                out[hook] = [self.outcome(getattr(model, hook), st)
+                             for st in stacks]
+        for hook in ("locus_state", "locus_dtdv"):
+            if getattr(model, hook) is not None:
+                out[hook] = [self.outcome(getattr(model, hook), v)
+                             for v in self.VOLUMES]
+        if model.critical_closed_form is not None:
+            out["critical"] = self.outcome(model.critical_closed_form)
+        return out
+
+    def test_the_named_gases(self):
+        assert GASES == {"ideal": IdealGas, "vdw": VanDerWaals,
+                         "berthelot": Berthelot}
+        assert IdealGas.reads == ("r_gas", "cv0", "u0", "s0")
+
+    @pytest.mark.parametrize("name", list(GASES))
+    def test_reads_exactly_its_declaration(self, name):
+        gas = GASES[name]
+        base = self.reading(gas(self.BASE))
+        for field in GasParameters.__dataclass_fields__:
+            nudged = dataclasses.replace(
+                self.BASE, **{field: 1.2 * getattr(self.BASE, field) + 0.05})
+            got = self.reading(gas(nudged))
+            if field in gas.reads:
+                assert got["stack"] != base["stack"], field
+            else:
+                assert got == base, field
 
 
 @pytest.mark.parametrize("overrides", [

@@ -195,9 +195,9 @@ def _vdw_like(model, a, b, r, cv):
         r = 0.8 * cv  # f1 = (V-b)^-0.8
         flags = ["--model", "custom", "--cv", repr(cv),
                  "--f1", f"(V-{b!r})^-0.8", "--f2", f"{a / cv!r}/V"]
-    else:
-        flags = ["--model", model, "--a", repr(a), "--b", repr(b),
-                 "--r-gas", repr(r), "--cv", repr(cv)]
+    else:  # the ideal gas reads no a or b
+        ab = ["--a", repr(a), "--b", repr(b)] if model == "vdw" else []
+        flags = ["--model", model, *ab, "--r-gas", repr(r), "--cv", repr(cv)]
     t_c = 8.0 * a / (27.0 * b * r)
 
     def entropy(t, v):
