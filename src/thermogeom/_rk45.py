@@ -23,9 +23,10 @@ enters its row as a copy of its floats' bits.  Overflow and invalid
 operations give inf and NaN silently, as float arithmetic does.
 
 An event fires when its value goes from >= 0 at one node to <= 0 at the
-next; its time is the root of ``event(t, sol(t))`` on the step's
-interpolant by ``critical_locus._brentq``, scipy's ``brentq.c``
-transcribed, at xtol = 4 EPS.
+next; it takes the time and the state as a list of floats, and its time
+is the root of ``event(t, sol(t))`` on the step's interpolant by
+``critical_locus._brentq``, scipy's ``brentq.c`` transcribed, at xtol =
+4 EPS.
 
 References: J. R. Dormand and P. J. Prince, J. Comput. Appl. Math. 6
 (1980) 19-26 (the pair); L. F. Shampine, Math. Comp. 46 (1986) 135-150
@@ -176,7 +177,7 @@ class _OdeSolution:
 def _event_root(event, sol, t_old, t):
     """Time in [t_old, t] where ``event(t, sol(t))`` vanishes."""
     def f(x):
-        fx = event(x, sol(x))
+        fx = event(x, sol(x).tolist())
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
@@ -289,7 +290,8 @@ def _solve(fun, t_span, y0, tol, events) -> _Run:
         hs.append(h)
         Qs.append(Q)
 
-        g_new = [event(t, y) for event in events]
+        state = y.tolist()
+        g_new = [event(t, state) for event in events]
         # the events that fell from >= 0 to <= 0 over the step
         active = [i for i, (old, new) in enumerate(zip(g, g_new))
                   if old >= 0 and new <= 0]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import re
 import sys
@@ -382,6 +381,7 @@ def _emit_report(eff: dict, **doc) -> None:
     """Write ``doc`` under its header, ``meta``, as the JSON report of a
     command that prints text, when ``--out`` is given."""
     if eff.get("out"):
+        import json
         _emit(json.dumps({"meta": _meta(eff), **doc}, indent=2,
                          sort_keys=True) + "\n", eff["out"])
 
@@ -437,21 +437,20 @@ def _row_template(types: tuple) -> str:
                    ",%.0s" if t is type(None) else ",%s" for t in types)
 
 
-_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
-
-
 def _render_json(meta: dict, columns: list[str], rows: list,
                  notes: list[str] | None = None, axes=None) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` of the table, its rows
     of scalars (the last key) encoded a scalar to a line at their indent by
     the C encoder, which takes no indent, after ``axes`` (see
     ``_emit_table``) written as the encoder writes a finite float."""
+    import json
     doc = {"meta": meta, "columns": columns, "rows": []}
     if notes:
         doc["notes"] = notes
     text = json.dumps(doc, indent=2, sort_keys=True)
     if rows:  # a newline inside a string is escaped, so "],\n" ends a row
-        body = _ROWS_ENCODER.encode(rows)[2:-2]
+        body = json.JSONEncoder(
+            separators=(",\n      ", ": ")).encode(rows)[2:-2]
         if axes is None:
             body = body.replace("],\n      [", "\n    ],\n    [\n      ")
         else:

@@ -26,7 +26,6 @@ volume roots, the coexistence curve and the spinodal slope live here too.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from typing import NamedTuple
@@ -527,6 +526,7 @@ def trig_root_forms(kind: RootKind, value: float):
         v3 = 2.0 * h / rt
         return (v1, v2, v3), tuple(notes)
 
+    import cmath
     t = value
     f = 9.0 - 8.0 * t
     num = (8.0 * t * t - 36.0 * t + 27.0) * cmath.exp(

@@ -13,11 +13,13 @@ included, where a NamedTuple's ``_make`` and ``_replace`` would skip it.
 Models in the entropy-volume family (ideal, van der Waals, generic
 constant-cv) share one closed-form engine.  The Berthelot gas lives natively
 in the temperature-volume chart and builds the same stack through the chain
-rule; an entropy-volume state first inverts S(T, V) = s by Newton in log T,
-masked over the states of an array.  ``NumericEnergy`` wraps an
-arbitrary U(S, V) callback with central finite differences or a
-user-supplied analytic derivative callback.  ``GASES`` is the one list of
-the named gases, and each lists in ``reads`` the GasParameters it reads.
+rule; an entropy-volume state first inverts S(T, V) = s by Newton in log T.
+The float inversion spells out the Newton step that the array inversion
+masks, and ``TestBerthelotInversion`` pins the two equal bit for bit.
+``NumericEnergy`` wraps an arbitrary U(S, V) callback with central finite
+differences or a user-supplied analytic derivative callback.  ``GASES`` is
+the one list of the named gases, and each lists in ``reads`` the
+GasParameters it reads.
 
 The first 12 of ``_fields`` are the Hessian jet: S, V, U, T, p, the Hessian
 and third partials.  A checked ``derivative_stack`` is ``_complete`` of
@@ -228,6 +230,7 @@ def unchecked_stack(jet) -> DerivativeStack:
 # A state is degenerate when its relative determinant lies inside this band.
 SINGULAR_BAND = 1e-9
 _NORMAL_MIN = sys.float_info.min  # products below it lose digits to underflow
+_NEWTON_TOL = 4.0 * _EPS  # where Berthelot's Newton in log T stops
 
 
 def relative_det(e11, e12, e22):
@@ -511,17 +514,19 @@ class ConstantCv(ConstitutiveModel):
         else:
             s = cv * m.log(cv * x1 / f1)
         e = m.exp(s / cv)
+        # each product once; -(f1p * e) is -f1p * e, as negation is exact
+        f1e, f1pe, f1ppe, cv2 = f1 * e, f1p * e, f1pp * e, cv * cv
 
-        u = f1 * e - cv * f2 + self.u0
-        t = f1 * e / cv
-        p = -f1p * e + cv * f2p
+        u = f1e - cv * f2 + self.u0
+        t = f1e / cv
+        p = -f1pe + cv * f2p
 
-        e11 = f1 * e / (cv * cv)
-        e12 = f1p * e / cv
-        e22 = f1pp * e - cv * f2pp
-        c111 = f1 * e / (cv ** 3)
-        c112 = f1p * e / (cv * cv)
-        c122 = f1pp * e / cv
+        e11 = f1e / cv2
+        e12 = f1pe / cv
+        e22 = f1ppe - cv * f2pp
+        c111 = f1e / (cv ** 3)
+        c112 = f1pe / cv2
+        c122 = f1ppe / cv
         c222 = f1ppp * e - cv * f2ppp
         return s, v, u, t, p, e11, e12, e22, c111, c112, c122, c222
 
@@ -609,15 +614,6 @@ class VanDerWaals(ConstantCv):
         return 3.0 * b, a / (27.0 * b * b), 8.0 * a / (27.0 * b * r)
 
 
-def _log_t_step(c, a_v, cv0, u, e, tol=4.0 * _EPS):
-    # Berthelot's S-V inversion, on floats or arrays: u = log T after one
-    # Newton step, given e = exp(-2u), and whether to stop there
-    g = a_v * e
-    du = (c + cv0 * u - g) / (cv0 + 2.0 * g)
-    u, du = u - du, abs(du)
-    return u, (du <= tol) | (du <= tol * abs(u))
-
-
 class Berthelot(ConstitutiveModel):
     """Berthelot gas, native to the temperature-volume chart.
 
@@ -657,9 +653,11 @@ class Berthelot(ConstitutiveModel):
             u = max(u, -0.5 * math.log(c / a_v))
         # no attraction, no exp: at low entropy it would overflow
         exp = math.exp if a_v else (lambda x: 0.0)
-        for _ in range(200):
-            u, stop = _log_t_step(c, a_v, cv0, u, exp(-2.0 * u))
-            if stop:
+        for _ in range(200):  # Newton in u = log T, given e^(-2u)
+            g = a_v * exp(-2.0 * u)
+            du = (c + cv0 * u - g) / (cv0 + 2.0 * g)
+            u, du = u - du, abs(du)
+            if du <= _NEWTON_TOL or du <= _NEWTON_TOL * abs(u):
                 return math.exp(u)
         raise DomainError(f"entropy inversion failed at S={s}, V={v}")
 
@@ -678,7 +676,10 @@ class Berthelot(ConstitutiveModel):
             for _ in range(200):
                 e, nz = np.zeros(u.shape), a_v != 0.0  # exp where a_v != 0
                 e[nz] = libm.exp(-2.0 * u[nz])
-                u, stop = _log_t_step(c, a_v, cv0, u, e)
+                g = a_v * e  # the float step, each state's bits
+                du = (c + cv0 * u - g) / (cv0 + 2.0 * g)
+                u, du = u - du, abs(du)
+                stop = (du <= _NEWTON_TOL) | (du <= _NEWTON_TOL * abs(u))
                 t[live[stop]] = u[stop]
                 live, c, a_v, u = (x[~stop] for x in (live, c, a_v, u))
                 if not live.size:
@@ -696,6 +697,7 @@ class Berthelot(ConstitutiveModel):
 
         a, b, r = q.a, q.b, q.r_gas
         w = v - b
+        w2 = w * w
         pow_ = libm_for(v).pow
         v3, t3 = pow_(v, 3), pow_(t, 3)
         if anywhere(t3 < _NORMAL_MIN):
@@ -707,30 +709,32 @@ class Berthelot(ConstitutiveModel):
         p = r * t / w - a / (t * v * v)
 
         p_t = r / w + a / (t * t * v * v)
-        p_v = -r * t / (w * w) + 2.0 * a / (t * v3)
+        p_v = -r * t / w2 + 2.0 * a / (t * v3)
         p_tt = -2.0 * a / (t3 * v * v)
-        p_tv = -r / (w * w) - 2.0 * a / (t * t * v3)
+        p_tv = -r / w2 - 2.0 * a / (t * t * v3)
         p_vv = 2.0 * r * t / pow_(w, 3) - 6.0 * a / (t * pow_(v, 4))
 
         cv = q.cv0 + 2.0 * a / (v * t * t)
         cv_t = -4.0 * a / (v * t3)
         cv_v = -2.0 * a / (v * v * t * t)
+        # each product once; -(t * p_t) is -t * p_t, as negation is exact
+        cv2, tp = cv * cv, t * p_t
+        tpp = tp * p_t
 
         # Hessian of U(S, V) through the chart change.  e22 is written in
         # the form that stays finite on the locus (where (dp/dV)_T = 0 and
         # the compressibility diverges).
         e11 = t / cv
-        e12 = -t * p_t / cv
-        e22 = -p_v + t * p_t * p_t / cv
+        e12 = -tp / cv
+        e22 = -p_v + tpp / cv
 
-        e11_t = (cv - t * cv_t) / (cv * cv)
-        e11_v = -t * cv_v / (cv * cv)
-        e12_t = -(p_t + t * p_tt) / cv + t * p_t * cv_t / (cv * cv)
-        e12_v = -t * p_tv / cv + t * p_t * cv_v / (cv * cv)
+        e11_t = (cv - t * cv_t) / cv2
+        e11_v = -t * cv_v / cv2
+        e12_t = -(p_t + t * p_tt) / cv + tp * cv_t / cv2
+        e12_v = -t * p_tv / cv + tp * cv_v / cv2
         e22_t = (-p_tv + (p_t * p_t + 2.0 * t * p_t * p_tt) / cv
-                 - t * p_t * p_t * cv_t / (cv * cv))
-        e22_v = (-p_vv + 2.0 * t * p_t * p_tv / cv
-                 - t * p_t * p_t * cv_v / (cv * cv))
+                 - tpp * cv_t / cv2)
+        e22_v = -p_vv + 2.0 * t * p_t * p_tv / cv - tpp * cv_v / cv2
 
         # (d/dS)|_V = (T/cv) (d/dT)|_V; (d/dV)|_S = (d/dV)|_T + e12 (d/dT)|_V
         c111 = t * e11_t / cv
@@ -885,7 +889,9 @@ GASES = {"ideal": IdealGas, "vdw": VanDerWaals, "berthelot": Berthelot}
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored."""
+    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored.
+    ``model`` names a gas of GASES or ``custom``, whose f1 and f2 stay
+    strings; the other keys are GasParameters fields."""
     out = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -895,9 +901,11 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {ln}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "model":
-            if value not in GASES:
+            if value not in (models := (*GASES, "custom")):
                 raise ValueError(f"line {ln}: unknown model {value!r}, "
-                                 f"expected one of {tuple(GASES)}")
+                                 f"expected one of {models}")
+            out[key] = value
+        elif key in ("f1", "f2"):  # the custom gas's expressions in V
             out[key] = value
         elif key in GasParameters.__dataclass_fields__:
             try:

@@ -6,8 +6,10 @@ written in terms of the measured response functions.  Both must agree;
 the explicit route doubles as a verification target.
 
 Each geodesic stage and sample speed reads only e11 to c222, the Hessian of
-U and its third partials, through ``eos_models.hessian_jet`` (inline in a
-stage); ``christoffel_from_stack`` and ``metric_speed`` share its arithmetic.
+U and its third partials, through ``eos_models.hessian_jet``: a stage reads
+them from the model's ``_fields`` by name and hands them to
+``_christoffel``, the connection's one home, which ``christoffel_from_stack``
+calls too; ``metric_speed`` shares the speed's arithmetic.
 
 Integration is the Dormand-Prince 5(4) pair with local extrapolation
 (Dormand and Prince, J. Comput. Appl. Math. 6 (1980) 19-26) and quartic
@@ -198,33 +200,35 @@ def integrate_geodesic(model: ConstitutiveModel,
     # last stage is the accepted one, where the locus event finds it.  None
     # marks a point that is no state.
     memo = {(float(init.s), float(init.v)): start_stack[5:12]}
-    last = [None, None]  # key and entries of the latest evaluation
+    last = [None, None]  # key and _fields of the latest evaluation
 
     def hessian_at(s, v):
         key = s, v = float(s), float(v)
         if key not in memo:
             try:
-                memo[key] = (last[1] if last[0] == key
-                             else hessian_jet(model, s, v)[5:12])
+                jet = last[1] if last[0] == key else hessian_jet(model, s, v)
             except STATE_ERRORS:
-                memo[key] = None
+                jet = None
+            memo[key] = None if jet is None else jet[5:12]
         return memo[key]
 
     def rhs(_t, y):
         s, v, sd, vd = y.tolist()  # floats: numpy scalars cost more per op
-        hessian = None  # hessian_jet, inline; trial states may be no state
+        jet = None  # hessian_jet, inline; trial states may be no state
         if math.isfinite(s) and math.isfinite(v) and v > 0.0:
             try:
-                hessian = fields(_SV, s, v)[5:12]
+                jet = fields(_SV, s, v)
             except STATE_ERRORS:
                 pass
-        last[0], last[1] = (s, v), hessian
-        if hessian is None:
+        last[0], last[1] = (s, v), jet
+        if jet is None:
             return nan4
-        det = hessian[0] * hessian[2] - hessian[1] * hessian[1]  # stack.det
+        e11, e12, e22, c111, c112, c122, c222 = jet[5:12]
+        det = e11 * e22 - e12 * e12  # stack.det
         if det == 0.0 or not math.isfinite(det):
             return nan4
-        g111, g112, g122, g211, g212, g222 = _christoffel(det, *hessian)
+        g111, g112, g122, g211, g212, g222 = _christoffel(
+            det, e11, e12, e22, c111, c112, c122, c222)
         sdd = -(g111 * sd * sd + 2.0 * g112 * sd * vd + g122 * vd * vd)
         vdd = -(g211 * sd * sd + 2.0 * g212 * sd * vd + g222 * vd * vd)
         return [sd, vd, sdd, vdd]

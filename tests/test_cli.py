@@ -4,6 +4,7 @@ Everything goes through ``main(argv)`` so exit codes and emitted text are
 exercised exactly as a shell user would see them.
 """
 import argparse
+import ast
 import csv
 import io
 import itertools
@@ -596,6 +597,18 @@ class TestConfigPrecedence:
         assert meta["model"] == "ideal"
         assert float(meta["r_gas"]) == 1.0
 
+    def test_config_selects_the_custom_gas(self, capsys, tmp_path):
+        # a config file holding the custom gas and its expressions prints
+        # the bytes of the same run given by flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = custom\ncv0 = 2.5\n"
+                       "f1 = (V-0.2)^-0.8  # the README form\nf2 = 0.6/V\n")
+        window = ["--vmin", "0.3", "--vmax", "3", "--n", "12"]
+        by_file = run(capsys, ["locus", "--config", str(cfg), *window])
+        by_flags = run(capsys, ["locus", *CUSTOM_FLAGS, *window])
+        assert by_file[0] == 0
+        assert by_file == by_flags
+
 
 class TestEachCommandTakesWhatItReads:
     """Each command takes only the flags it reads, and its header echoes
@@ -637,7 +650,8 @@ class TestEachCommandTakesWhatItReads:
     GAS_REFUSED = {"ideal": ["--a", "--b", "--f1", "--f2"],
                    "vdw": ["--f1", "--f2"], "berthelot": ["--f1", "--f2"],
                    "custom": ["--a", "--b", "--r-gas"]}
-    CONFIG_REFUSED = {"ideal": ["a", "b"],
+    CONFIG_REFUSED = {"ideal": ["a", "b", "f1", "f2"],
+                      "vdw": ["f1", "f2"], "berthelot": ["f1", "f2"],
                       "custom": ["a", "b", "r_gas", "s0"]}
 
     @pytest.mark.parametrize("model", list(GASES))
@@ -983,9 +997,9 @@ NUMPY_FREE_RUNS = [
 def test_locus_and_critical_run_without_numpy(capsys):
     # the CLI imports no numpy, and locus and critical never need it: with
     # numpy unimportable each prints, byte for byte, what it prints beside
-    # a loaded numpy
+    # a loaded numpy; csv and text output load no json either
     code = "\n".join([
-        "import contextlib, io, json, sys",
+        "import contextlib, io, sys",
         "import thermogeom.cli",
         "loaded = {'numpy', 'thermogeom._rk45'} & set(sys.modules)",
         "assert not loaded, loaded",
@@ -994,12 +1008,13 @@ def test_locus_and_critical_run_without_numpy(capsys):
         f"for argv in {NUMPY_FREE_RUNS!r}:",
         "    with contextlib.redirect_stdout(io.StringIO()) as out:",
         "        runs.append([thermogeom.cli.main(argv), out.getvalue()])",
-        "print(json.dumps(runs))",
+        "assert 'json' not in sys.modules",
+        "print(repr(runs))",
     ])
     done = _fresh_interpreter("-c", code)
     assert done.returncode == 0, done.stderr
     assert "numpy" in sys.modules
-    assert json.loads(done.stdout) == [
+    assert ast.literal_eval(done.stdout) == [
         [rc, out] for rc, out, _ in (run(capsys, argv)
                                      for argv in NUMPY_FREE_RUNS)]
 

@@ -1,5 +1,6 @@
 """Christoffel symbols and geodesic integration on the energy metric."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -246,6 +247,61 @@ class TestStackReuse:
             stack = model.derivative_stack(sv(st.s, st.v),
                                            check_singular=False)
             assert speed == metric_speed(stack, st.s_dot, st.v_dot)
+
+
+class TestRightHandSide:
+    """The right-hand side that ``integrate_geodesic`` hands the solver
+    contracts the stack's Christoffel symbols with the velocity, bit for
+    bit, at any admissible state: it reads each jet entry where the stack
+    does."""
+
+    # each gas and a window of admissible (S, V); the run starts at its centre
+    GASES = {
+        "ideal": (IdealGas(GAS), (0.5, 3.0, 0.4, 3.0)),
+        "vdw": (VanDerWaals(GAS), (1.5, 3.5, 0.5, 3.0)),
+        "custom": (ConstantCv("(V-0.2)^-0.8", "0.6/V", cv=2.5),
+                   (1.5, 3.5, 0.5, 3.0)),
+        "berthelot": (Berthelot(GAS), (-3.0, 0.0, 0.6, 2.5)),
+    }
+
+    @staticmethod
+    def right_hand_side(model, s, v):
+        """The right-hand side of the run from (s, v), caught at its
+        hand-over to ``_rk45._solve``."""
+        funs, solve = [], _rk45._solve
+
+        def spy(fun, *args):
+            funs.append(fun)
+            return solve(fun, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_rk45, "_solve", spy)
+            integrate_geodesic(model, GeodesicState(s, v, 0.01, 0.01), 0.1)
+        [fun] = funs
+        return fun
+
+    @pytest.mark.parametrize("name", list(GASES))
+    def test_acceleration_is_the_stack_contraction(self, name):
+        model, (smin, smax, vmin, vmax) = self.GASES[name]
+        rng = random.Random(f"rhs:{name}")
+        fun = self.right_hand_side(model, 0.5 * (smin + smax),
+                                   0.5 * (vmin + vmax))
+        checked = 0
+        while checked < 12:
+            s, v = rng.uniform(smin, smax), rng.uniform(vmin, vmax)
+            sd, vd = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            try:
+                g = christoffel_from_stack(model.derivative_stack(sv(s, v)))
+            except SingularState:
+                continue
+            want = [sd, vd,
+                    -(g.g111 * sd * sd + 2.0 * g.g112 * sd * vd
+                      + g.g122 * vd * vd),
+                    -(g.g211 * sd * sd + 2.0 * g.g212 * sd * vd
+                      + g.g222 * vd * vd)]
+            got = fun(0.0, np.array([s, v, sd, vd]))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (s, v)
+            checked += 1
 
 
 class TestNumericEnergy:
